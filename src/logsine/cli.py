@@ -188,7 +188,7 @@ def _cmd_constant(args) -> int:
     elif name == "log2":
         value = math.log(2.0)
     elif name.startswith("zeta"):
-        value = zeta_numeric(int(name[4:]), cfg)
+        value = zeta_numeric(int(name[4:]))
     elif name.startswith("zb1_"):
         value = zeta_bar1_numeric(int(name[4:]), cfg)
     else:
@@ -236,6 +236,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (AccelerationError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"error: the result overflows binary64 floats: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

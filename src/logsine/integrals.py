@@ -23,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
+from typing import Iterator
 
 from .bell import complete_bell
 from .binomderiv import DerivSpec, central_binom_deriv, eta_bar
@@ -31,6 +33,8 @@ from .numerics import (
     NumericConfig,
     accelerate_alternating,
     compensated_sum,
+    euler_gamma_numeric,
+    gauss_legendre,
     polygamma_real,
     tanh_sinh_quadrature,
     zeta_numeric,
@@ -71,9 +75,10 @@ class IntegralSpec:
             raise ValueError("n and p must be >= 0")
         if self.form not in ("logsin", "ls"):
             raise ValueError("form must be 'logsin' or 'ls'")
-        zv = angle_value(self.z)
-        if not 0 < zv <= 2 * math.pi + 1e-12:
-            raise ValueError("z must lie in (0, 2*pi]")
+        # log sin x is undefined past pi; log|2 sin(x/2)| is defined up to 2pi
+        top, top_text = (math.pi, "pi") if self.form == "logsin" else (2 * math.pi, "2*pi")
+        if not 0 < angle_value(self.z) <= top + 1e-12:
+            raise ValueError(f"z must lie in (0, {top_text}] for form {self.form!r}")
 
 
 @dataclass
@@ -345,61 +350,74 @@ def _deriv_value_exact(n: int, p: int, z: str, scaled: bool) -> SymbolicValue:
 # -- numeric fallback: the same series summed in floats --------------------------
 
 
-class _XiFloatTable:
-    """Running float values of the xi_bar sequence along integer k."""
-
-    def __init__(self, p: int, scaled: bool):
-        self.p = p
-        self.scaled = scaled
-        self.psi_at_one = [
-            (-1.0) ** j * math.factorial(j - 1) * zeta_numeric(j) if j >= 2 else 0.0
-            for j in range(0, p)
-        ]
-        self.harm = [0.0] * (p + 1)  # harm[r] = H_k^{(r)}, r >= 1
-        self.k = 0
-
-    def advance(self) -> list[float]:
-        """Move to the next k and return [xi_bar_1(k), ..., xi_bar_{p-1}(k)]."""
-        self.k += 1
-        k = self.k
-        for r in range(1, self.p + 1):
-            self.harm[r] += 1.0 / float(k) ** r
-        out = []
-        for j in range(1, self.p):
+def _bell_sequence(p: int, scaled: bool):
+    """B_{p-1}(xi_bar(k)) for k = 1, 2, ... from running float values of the
+    xi_bar sequence along integer k."""
+    psi_at_one = [
+        (-1.0) ** j * math.factorial(j - 1) * zeta_numeric(j) if j >= 2 else 0.0
+        for j in range(0, p)
+    ]
+    harm = [0.0] * p  # harm[r] = H_k^{(r)}, r >= 1
+    k = 0
+    while True:
+        k += 1
+        for r in range(1, p):
+            harm[r] += 1.0 / float(k) ** r
+        xi = []
+        for j in range(1, p):
             if j == 1:
-                v = 2.0 * self.harm[1] - 1.0 / k
-                if self.scaled:
+                v = 2.0 * harm[1] - 1.0 / k
+                if scaled:
                     v += math.log(4.0)
             elif j % 2 == 0:
-                v = (2.0**j - 2.0) * self.psi_at_one[j] + math.factorial(j - 1) / k**j
+                v = (2.0**j - 2.0) * psi_at_one[j] + math.factorial(j - 1) / k**j
             else:
-                psi_k = -math.factorial(j - 1) * (zeta_numeric(j) - (self.harm[j] - 1.0 / k**j))
-                v = (
-                    (-2.0) ** j * self.psi_at_one[j]
-                    + 2.0 * psi_k
-                    + math.factorial(j - 1) / k**j
-                )
-            out.append(v)
-        return out
+                psi_k = -math.factorial(j - 1) * (zeta_numeric(j) - (harm[j] - 1.0 / k**j))
+                v = (-2.0) ** j * psi_at_one[j] + 2.0 * psi_k + math.factorial(j - 1) / k**j
+            xi.append(v)
+        yield complete_bell(xi, one=1.0)
 
 
 def _xi_continuous(j: int, x: float, scaled: bool) -> float:
     """Continuous extension of xi_bar_j to real x > 0 via polygamma."""
     if j == 1:
-        v = 2.0 * (polygamma_real(0, x) - polygamma_real(0, 1.0)) + 1.0 / x
+        v = 2.0 * (polygamma_real(0, x) + euler_gamma_numeric()) + 1.0 / x
         return v + math.log(4.0) if scaled else v
+    fact = math.factorial(j - 1)
     if j % 2 == 0:
-        return (2.0**j - 2.0) * (-1.0) ** j * math.factorial(j - 1) * zeta_numeric(
-            j
-        ) + math.factorial(j - 1) / x**j
-    return (
-        (-2.0) ** j * (-1.0) ** j * math.factorial(j - 1) * zeta_numeric(j)
-        + 2.0 * polygamma_real(j - 1, x)
-        + math.factorial(j - 1) / x**j
-    )
+        return (2.0**j - 2.0) * (-1.0) ** j * fact * zeta_numeric(j) + fact / x**j
+    psi = polygamma_real(j - 1, x)
+    return (-2.0) ** j * (-1.0) ** j * fact * zeta_numeric(j) + 2.0 * psi + fact / x**j
 
 
 _SERIES_CUTOFF = 2000
+
+# (p, scaled) -> ([B_{p-1}(xi_bar(k)) for k = 1, 2, ...], the _bell_sequence feeding it)
+_BELL_HEADS: dict[tuple[int, bool], tuple[list[float], Iterator[float]]] = {}
+
+
+def _bell_head(p: int, scaled: bool, count: int) -> list[float]:
+    """The cached values B_{p-1}(xi_bar(k)) for k = 1..count, in a shared list
+    that may be longer and that callers only read.  Callers ask for at most
+    _SERIES_CUTOFF plus one residue period, so every cached head stays that short."""
+    values, source = _BELL_HEADS.setdefault((p, scaled), ([], _bell_sequence(p, scaled)))
+    values.extend(islice(source, max(0, count - len(values))))
+    return values
+
+
+def _bell_continuous(p: int, scaled: bool, x: float) -> float:
+    """B_{p-1}(xi_bar(x)) at real x > 0; beyond x = 1e15 the series weights
+    are denormal and only the log growth matters, so x is clamped there."""
+    x = min(x, 1e15)
+    return complete_bell([_xi_continuous(j, x, scaled) for j in range(1, p)], one=1.0)
+
+
+def _midpoint_slope(p: int, scaled: bool, s: int, x0: float, scale: float) -> float:
+    """scale * B_{p-1}(xi_bar(x)) / x^s at x0 + 1/2 minus at x0 - 1/2: the
+    derivative in the first Euler-Maclaurin correction of a midpoint tail."""
+    hi, lo = x0 + 0.5, x0 - 0.5
+    return (scale / hi**s * _bell_continuous(p, scaled, hi)
+            - scale / lo**s * _bell_continuous(p, scaled, lo))
 
 
 def _k_series_numeric(
@@ -415,50 +433,31 @@ def _k_series_numeric(
 
     if not weight_alt:
         # net alternating series: sum_k (-1)^k g(k) with positive magnitudes
-        table = _XiFloatTable(p, scaled)
-        cache: list[float] = []
-
         def magnitude(k: int) -> float:
-            while len(cache) < k:
-                xi = table.advance()
-                cache.append(p / float(table.k) ** s * complete_bell(xi, one=1.0))
-            return cache[k - 1]
+            return p / float(k) ** s * _bell_head(p, scaled, k)[k - 1]
 
         acc = accelerate_alternating(magnitude, cfg)
         return (-1.0) ** p * (-acc), cfg.target_abs_tol
 
     # net monotone series: direct sum then midpoint Euler-Maclaurin tail
-    table = _XiFloatTable(p, scaled)
-    head_terms = []
-    for _ in range(_SERIES_CUTOFF):
-        xi = table.advance()
-        head_terms.append(p / float(table.k) ** s * complete_bell(xi, one=1.0))
-    head = compensated_sum(head_terms)
-
-    def g(x: float) -> float:
-        seq = [_xi_continuous(j, x, scaled) for j in range(1, p)]
-        return p / x**s * complete_bell(seq, one=1.0)
-
-    def bell_at(x: float) -> float:
-        x = min(x, 1e15)  # far tail: weights are denormal there, only log growth matters
-        seq = [_xi_continuous(j, x, scaled) for j in range(1, p)]
-        return complete_bell(seq, one=1.0)
-
+    bells = _bell_head(p, scaled, _SERIES_CUTOFF)
+    head = compensated_sum(
+        [p / float(k) ** s * bells[k - 1] for k in range(1, _SERIES_CUTOFF + 1)]
+    )
     x0 = _SERIES_CUTOFF + 0.5
     quad_cfg = NumericConfig(
         target_abs_tol=min(1e-12, cfg.target_abs_tol),
         quadrature_levels=cfg.quadrature_levels,
     )
-    # tail integral of g over (x0, inf) mapped by x = x0/t; the 1/t^2 Jacobian
-    # cancels against x^{-s} so the integrand stays finite down to t = 0
+    # tail integral of p B(x)/x^s over (x0, inf) mapped by x = x0/t; the 1/t^2
+    # Jacobian cancels against x^{-s} so the integrand stays finite down to t = 0
     integral = tanh_sinh_quadrature(
-        lambda t: p * t ** (s - 2) * bell_at(x0 / t) / x0 ** (s - 1),
+        lambda t: p * t ** (s - 2) * _bell_continuous(p, scaled, x0 / t) / x0 ** (s - 1),
         0.0,
         1.0,
         quad_cfg,
     )
-    gprime = g(x0 + 0.5) - g(x0 - 0.5)
-    correction = gprime / 24.0
+    correction = _midpoint_slope(p, scaled, s, x0, p) / 24.0
     err = abs(correction) * 0.02 + quad_cfg.target_abs_tol
     return (-1.0) ** p * (head + integral + correction), err
 
@@ -575,60 +574,39 @@ def log_sine_any_angle(
     )
     series_scale = (-1.0) ** (p + 1) / 2**p * 2 * p
 
-    def series_term_table():
-        return _XiFloatTable(p, scaled=False)
-
-    def g_cont(x: float) -> float:
-        seq = [_xi_continuous(j, x, scaled=False) for j in range(1, p)]
-        return complete_bell(seq, one=1.0) / (x * x)
-
-    def bell_cont(x: float) -> float:
-        x = min(x, 1e15)
-        seq = [_xi_continuous(j, x, scaled=False) for j in range(1, p)]
-        return complete_bell(seq, one=1.0)
-
     q = _pi_fraction(z)
     if q is not None:
         a, b = q.numerator, q.denominator
         period = 2 * b
-        table = series_term_table()
         cutoff = ((_SERIES_CUTOFF + period - 1) // period) * period
-        head_vals = []
-        for _ in range(cutoff):
-            xi = table.advance()
-            head_vals.append(complete_bell(xi, one=1.0) / float(table.k) ** 2)
+        bells = _bell_head(p, False, cutoff)
+        head_vals = [bells[k - 1] / float(k) ** 2 for k in range(1, cutoff + 1)]
+
         total_terms = []
         for r in range(1, period + 1):
             if (r * a) % b == 0:
                 continue  # sin vanishes on this whole class
             sin_r = math.sin(math.pi * r * a / b)
             class_head = compensated_sum(head_vals[r - 1 :: period])
-            m_count = (cutoff - r) // period + 1
-            x0 = r + period * (m_count - 0.5)
-            quad_cfg = NumericConfig(
-                target_abs_tol=min(1e-12, cfg.target_abs_tol),
-                quadrature_levels=cfg.quadrature_levels,
+            # midpoint tail of the class beyond cutoff: the integral of B/x^2 over
+            # (x0, inf) / period; its part over (cutoff, inf) cancels in the sum
+            # (the sin_r sum to 0 over a period), leaving the piece (x0, cutoff)
+            x0 = cutoff - b + r
+            tail = (
+                gauss_legendre(lambda x: _bell_continuous(p, False, x) / (x * x), x0, cutoff)
+                / period
+                + period * _midpoint_slope(p, False, 2, x0, 1.0) / 24.0
             )
-            # integral of Bell(x)/x^2 over (x0, inf) via x = x0/t (Jacobian cancels)
-            integral = tanh_sinh_quadrature(
-                lambda t: bell_cont(x0 / t) / x0, 0.0, 1.0, quad_cfg
-            )
-            tail = integral / period + period * (
-                g_cont(x0 + 0.5) - g_cont(x0 - 0.5)
-            ) / 24.0
-            total_terms.append(sin_r * (class_head + tail))
+            total_terms += [sin_r * class_head, sin_r * tail]
         series = compensated_sum(total_terms)
     else:
-        table = series_term_table()
-        terms = []
         count = min(cfg.max_series_terms, 200000)
-        for _ in range(count):
-            xi = table.advance()
-            terms.append(
-                math.sin(table.k * z) * complete_bell(xi, one=1.0) / float(table.k) ** 2
-            )
-        series = compensated_sum(terms)
-        tail_bound = g_cont(float(count)) * float(count)  # ~ integral of B/x^2
+        bells = islice(_bell_sequence(p, False), count)  # too long to cache
+        series = compensated_sum(
+            [math.sin(k * z) * bell / float(k) ** 2 for k, bell in enumerate(bells, 1)]
+        )
+        # ~ the integral of B/x^2 beyond count
+        tail_bound = _bell_continuous(p, False, count) / count
         if tail_bound > cfg.target_abs_tol * 10:
             raise AccelerationError(
                 f"sine series tail bound {tail_bound:.2e} above tolerance for "

@@ -134,7 +134,7 @@ def accelerate_alternating(
 
 
 @lru_cache(maxsize=None)
-def zeta_numeric(n: int, _cfg_ignored=None) -> float:
+def zeta_numeric(n: int) -> float:
     """Numeric zeta(n) for integer n >= 2 via the accelerated eta series."""
     if n < 2:
         raise ValueError("zeta_numeric requires n >= 2")
@@ -260,10 +260,24 @@ def tanh_sinh_quadrature(
     return value
 
 
+# 8-point Gauss-Legendre rule on [-1, 1]: the positive nodes (each paired with its negative)
+_GL_X = (0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.9602898564975363)
+_GL_W = (0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626)
+
+
+def gauss_legendre(f: Callable[[float], float], a: float, b: float) -> float:
+    """Integral of f over (a, b) by the 8-point Gauss-Legendre rule, exact for
+    polynomials up to degree 15; for f smooth on a scale much longer than b - a."""
+    h, c = (b - a) / 2.0, (a + b) / 2.0
+    return h * math.fsum(w * (f(c - h * t) + f(c + h * t)) for t, w in zip(_GL_X, _GL_W))
+
+
 # -- polygamma on the positive real axis --------------------------------------
 
 _ASYMPTOTIC_CUT = 20.0
 _BERNOULLI_TERMS = 14
+# the asymptotic series stops once a term is this small against the sum
+_BERNOULLI_STOP = 1e-18
 
 
 @lru_cache(maxsize=None)
@@ -276,7 +290,8 @@ def polygamma_real(order: int, x: float) -> float:
 
     Shifts the argument upward with the recurrence
     psi^{(n)}(x) = psi^{(n)}(x+1) - (-1)^n n!/x^{n+1} and then applies the
-    Bernoulli-number asymptotic expansion.
+    Bernoulli-number asymptotic expansion, up to 14 terms but stopped once a
+    term falls below 1e-18 of the sum (three terms at y >= 2000).
     """
     if order < 0:
         raise ValueError("polygamma order must be >= 0")
@@ -292,14 +307,20 @@ def polygamma_real(order: int, x: float) -> float:
         tail = math.log(y) - 1.0 / (2.0 * y)
         ypow = y * y
         for k in range(1, _BERNOULLI_TERMS + 1):
-            tail -= _b2k_float(k) / (2 * k * ypow)
+            term = _b2k_float(k) / (2 * k * ypow)
+            tail -= term
+            if abs(term) < _BERNOULLI_STOP * abs(tail):
+                break
             ypow *= y * y
         return tail - compensated_sum(shift_terms)
     sign = (-1.0) ** (n + 1)
     head = math.factorial(n - 1) / y**n + math.factorial(n) / (2.0 * y ** (n + 1))
     ypow = y ** (n + 2)
     for k in range(1, _BERNOULLI_TERMS + 1):
-        head += _b2k_float(k) * _rising_ratio(2 * k, n) / ypow
+        term = _b2k_float(k) * _rising_ratio(2 * k, n) / ypow
+        head += term
+        if abs(term) < _BERNOULLI_STOP * abs(head):
+            break
         ypow *= y * y
     shifted = sign * head
     # undo the recurrence shifts: psi^{(n)}(x) = psi^{(n)}(y) - (-1)^n n! sum 1/(x+i)^{n+1}
@@ -315,8 +336,9 @@ def _rising_ratio(two_k: int, n: int) -> float:
     return out
 
 
+@lru_cache(maxsize=None)
 def euler_gamma_numeric() -> float:
-    """Euler-Mascheroni constant as -psi(1); used only inside numeric oracles."""
+    """Euler-Mascheroni constant as -psi(1), computed once."""
     return -polygamma_real(0, 1.0)
 
 

@@ -387,7 +387,7 @@ def _generator_value(gen: Generator, cfg) -> float:
     if gen.kind == "log2":
         return math.log(2.0)
     if gen.kind == "zeta":
-        return numerics.zeta_numeric(gen.index, cfg)
+        return numerics.zeta_numeric(gen.index)
     return specialfn.zeta_bar1_numeric(gen.index, cfg)
 
 

@@ -28,6 +28,14 @@ class TestClosedFormCommand:
         value = parse_text(payload["exact"])
         assert parse_text(value.text()) == value
 
+    @pytest.mark.parametrize("n,p", [(200, 2), (2, 40)])
+    def test_overflow_is_a_one_line_error(self, capsys, n, p):
+        code = main(["closed-form", "--z", "pi", "--n", str(n), "--p", str(p)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_fallback_flagged(self, capsys):
         code, out = run_cli(
             capsys, "closed-form", "--z", "pi", "--n", "2", "--p", "3", "--json"
@@ -60,6 +68,11 @@ class TestNumericCommand:
         code, out = run_cli(capsys, "numeric", "--z", "1.1", "--n", "3", "--p", "1")
         assert code == 0
         float(out.strip())
+
+    def test_logsin_past_pi_is_usage_error(self, capsys):
+        code = main(["numeric", "--z", "3.5", "--n", "0", "--p", "2"])
+        assert code == 2
+        assert "(0, pi]" in capsys.readouterr().err
 
     def test_bad_angle_is_usage_error(self, capsys):
         code, _ = run_cli(capsys, "numeric", "--z", "oops", "--n", "0", "--p", "1")

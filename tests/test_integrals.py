@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
 from logsine import (
+    AccelerationError,
     IntegralSpec,
     NumericConfig,
     eval_numeric,
@@ -20,6 +22,7 @@ from logsine import (
     sym_pi,
     tanh_sinh_quadrature,
 )
+from logsine import integrals
 from logsine.symbolic import SymbolicValue
 
 
@@ -282,6 +285,40 @@ class TestAnyAngle:
         assert abs(val - want) < 1e-3
 
 
+def _any_angle_cases():
+    cases = [(a, b, p) for b in range(1, 13) for a in sorted({1, 2 * b - 1}) for p in (1, 2, 3)]
+    return cases + [(2, 1, p) for p in (1, 2, 3)] + [(1, 3, 4), (1, 4, 4)]
+
+
+class TestAnyAngleAgainstMpmath:
+    @pytest.mark.parametrize("a,b,p", _any_angle_cases())
+    def test_rational_multiple_of_pi(self, a, b, p):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            z = mpmath.mpf(a) * mpmath.pi / b
+            want = -mpmath.quad(lambda x: mpmath.log(abs(2 * mpmath.sin(x / 2))) ** p, [0, z])
+            val, _ = log_sine_any_angle(p, a * math.pi / b)
+            assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
+
+
+class TestBellHead:
+    @pytest.mark.parametrize("p,scaled", [(2, False), (3, True), (5, False)])
+    def test_head_grown_in_steps_equals_one_fresh_run(self, p, scaled, monkeypatch):
+        monkeypatch.setattr(integrals, "_BELL_HEADS", {})
+        count = integrals._SERIES_CUTOFF + 24
+        for step in (1, 18, 288, integrals._SERIES_CUTOFF, count):
+            head = integrals._bell_head(p, scaled, step)
+        fresh = list(islice(integrals._bell_sequence(p, scaled), count))
+        assert head[:count] == fresh
+
+    def test_irrational_angle_leaves_the_cache_bounded(self):
+        log_sine_any_angle(2, math.pi / 64)  # the longest rational head
+        with pytest.raises(AccelerationError):
+            log_sine_any_angle(2, 1.0, NumericConfig(max_series_terms=5000))
+        longest = max(len(values) for values, _source in integrals._BELL_HEADS.values())
+        assert integrals._SERIES_CUTOFF <= longest < integrals._SERIES_CUTOFF + 128
+
+
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("n", [0, 1, 2])
@@ -316,6 +353,12 @@ class TestSpecValidation:
             IntegralSpec(1, 1, 7.5)
         with pytest.raises(ValueError):
             IntegralSpec(1, 1, "3pi")
+
+    def test_logsin_stops_at_pi(self):
+        IntegralSpec(0, 2, "pi")
+        IntegralSpec(0, 2, 3.5, form="ls")
+        with pytest.raises(ValueError, match=r"\(0, pi\]"):
+            IntegralSpec(0, 2, 3.5)
 
     def test_form_validation(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from logsine import (
     tanh_sinh_quadrature,
     zeta_numeric,
 )
-from logsine.numerics import euler_gamma_numeric
+from logsine.numerics import euler_gamma_numeric, gauss_legendre
 
 
 class TestCompensatedSum:
@@ -148,11 +148,32 @@ class TestPolygammaReal:
         rhs = (-1.0) ** order * cot_derivative(order, z)
         assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
 
+    @pytest.mark.parametrize("order", range(0, 6))
+    @pytest.mark.parametrize("x", [0.5, 1.0, 19.5, 20.0, 2000.5, 1e6, 1e15])
+    def test_against_mpmath(self, order, x):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = mpmath.psi(order, x)
+            assert abs(polygamma_real(order, x) - want) <= 2e-15 * abs(want)
+
+    def test_euler_constant_is_cached(self):
+        assert euler_gamma_numeric() == -polygamma_real(0, 1.0)
+        assert euler_gamma_numeric.cache_info().currsize == 1
+
     def test_domain(self):
         with pytest.raises(ValueError):
             polygamma_real(1, 0.0)
         with pytest.raises(ValueError):
             polygamma_real(-1, 1.0)
+
+
+class TestGaussLegendre:
+    def test_exact_on_degree_fifteen(self):
+        got = gauss_legendre(lambda x: x**15 + x**2, 1.0, 2.0)
+        assert got == pytest.approx(2.0**16 / 16 - 1 / 16 + 7 / 3, rel=1e-15)
+
+    def test_reversed_limits_flip_the_sign(self):
+        assert gauss_legendre(math.exp, 1.0, 0.0) == pytest.approx(1 - math.e, rel=1e-15)
 
 
 class TestRichardson:
