@@ -21,6 +21,7 @@ is flagged numeric with a reason.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -394,14 +395,20 @@ _SERIES_CUTOFF = 2000
 
 # (p, scaled) -> ([B_{p-1}(xi_bar(k)) for k = 1, 2, ...], the _bell_sequence feeding it)
 _BELL_HEADS: dict[tuple[int, bool], tuple[list[float], Iterator[float]]] = {}
+_BELL_HEADS_LOCK = threading.Lock()  # a generator cannot be advanced by two threads
 
 
 def _bell_head(p: int, scaled: bool, count: int) -> list[float]:
     """The cached values B_{p-1}(xi_bar(k)) for k = 1..count, in a shared list
     that may be longer and that callers only read.  Callers ask for at most
     _SERIES_CUTOFF plus one residue period, so every cached head stays that short."""
-    values, source = _BELL_HEADS.setdefault((p, scaled), ([], _bell_sequence(p, scaled)))
-    values.extend(islice(source, max(0, count - len(values))))
+    with _BELL_HEADS_LOCK:
+        values, source = _BELL_HEADS.setdefault((p, scaled), ([], _bell_sequence(p, scaled)))
+        try:
+            values.extend(islice(source, max(0, count - len(values))))
+        except BaseException:
+            del _BELL_HEADS[p, scaled]  # the raising generator is closed: start afresh
+            raise
     return values
 
 
@@ -412,12 +419,11 @@ def _bell_continuous(p: int, scaled: bool, x: float) -> float:
     return complete_bell([_xi_continuous(j, x, scaled) for j in range(1, p)], one=1.0)
 
 
-def _midpoint_slope(p: int, scaled: bool, s: int, x0: float, scale: float) -> float:
-    """scale * B_{p-1}(xi_bar(x)) / x^s at x0 + 1/2 minus at x0 - 1/2: the
-    derivative in the first Euler-Maclaurin correction of a midpoint tail."""
+def _midpoint_slope(p: int, scaled: bool, s: int, x0: float) -> float:
+    """B_{p-1}(xi_bar(x)) / x^s at x0 + 1/2 minus at x0 - 1/2: the derivative
+    in the first Euler-Maclaurin correction of a midpoint tail."""
     hi, lo = x0 + 0.5, x0 - 0.5
-    return (scale / hi**s * _bell_continuous(p, scaled, hi)
-            - scale / lo**s * _bell_continuous(p, scaled, lo))
+    return _bell_continuous(p, scaled, hi) / hi**s - _bell_continuous(p, scaled, lo) / lo**s
 
 
 def _k_series_numeric(
@@ -457,7 +463,7 @@ def _k_series_numeric(
         1.0,
         quad_cfg,
     )
-    correction = _midpoint_slope(p, scaled, s, x0, p) / 24.0
+    correction = p * _midpoint_slope(p, scaled, s, x0) / 24.0
     err = abs(correction) * 0.02 + quad_cfg.target_abs_tol
     return (-1.0) ** p * (head + integral + correction), err
 
@@ -595,28 +601,25 @@ def log_sine_any_angle(
             tail = (
                 gauss_legendre(lambda x: _bell_continuous(p, False, x) / (x * x), x0, cutoff)
                 / period
-                + period * _midpoint_slope(p, False, 2, x0, 1.0) / 24.0
+                + period * _midpoint_slope(p, False, 2, x0) / 24.0
             )
             total_terms += [sin_r * class_head, sin_r * tail]
-        series = compensated_sum(total_terms)
+        series, tail_bound = compensated_sum(total_terms), 0.0
     else:
         count = min(cfg.max_series_terms, 200000)
         bells = islice(_bell_sequence(p, False), count)  # too long to cache
         series = compensated_sum(
             [math.sin(k * z) * bell / float(k) ** 2 for k, bell in enumerate(bells, 1)]
         )
-        # ~ the integral of B/x^2 beyond count
-        tail_bound = _bell_continuous(p, False, count) / count
-        if tail_bound > cfg.target_abs_tol * 10:
-            raise AccelerationError(
-                f"sine series tail bound {tail_bound:.2e} above tolerance for "
-                f"irrational multiple of pi",
-                estimate=float(eval_numeric(bell_coef, cfg)) * z
-                + series_scale * series,
-                error_bound=tail_bound,
-            )
-
+        tail_bound = _bell_continuous(p, False, count) / count  # ~ integral of B/x^2 beyond
     value = eval_numeric(bell_coef, cfg) * z + series_scale * series
+    if tail_bound > cfg.target_abs_tol * 10:
+        raise AccelerationError(
+            f"sine series tail bound {tail_bound:.2e} above tolerance for "
+            f"irrational multiple of pi",
+            estimate=value,
+            error_bound=tail_bound,
+        )
     return value, bell_coef
 
 

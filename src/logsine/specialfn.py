@@ -11,6 +11,7 @@ Anything outside it raises instead of silently degrading to floats.
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -50,17 +51,19 @@ class HarmonicTable:
 
     def __init__(self):
         self._tables: dict[int, list[Fraction]] = {}
+        self._lock = threading.Lock()
 
     def value(self, m: int, r: int = 1) -> Fraction:
         if m < 0:
             raise ValueError("harmonic index must be >= 0")
         if r < 1:
             raise ValueError("harmonic order must be >= 1")
-        table = self._tables.setdefault(r, [Fraction(0)])
-        while len(table) <= m:
-            k = len(table)
-            table.append(table[-1] + Fraction(1, k**r))
-        return table[m]
+        with self._lock:
+            table = self._tables.setdefault(r, [Fraction(0)])
+            while len(table) <= m:
+                k = len(table)
+                table.append(table[-1] + Fraction(1, k**r))
+            return table[m]
 
 
 _HARMONIC = HarmonicTable()

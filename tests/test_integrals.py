@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import islice
 
@@ -310,6 +312,41 @@ class TestBellHead:
             head = integrals._bell_head(p, scaled, step)
         fresh = list(islice(integrals._bell_sequence(p, scaled), count))
         assert head[:count] == fresh
+
+    def test_a_failure_while_growing_is_not_cached(self, monkeypatch):
+        monkeypatch.setattr(integrals, "_BELL_HEADS", {})
+        real_bell, calls = integrals.complete_bell, []
+
+        def failing_bell(seq, one):
+            calls.append(seq)
+            if len(calls) == 40:
+                raise OverflowError("injected")
+            return real_bell(seq, one=one)
+
+        monkeypatch.setattr(integrals, "complete_bell", failing_bell)
+        with pytest.raises(OverflowError, match="injected"):
+            integrals._bell_head(4, False, 100)
+        monkeypatch.setattr(integrals, "complete_bell", real_bell)
+        head = integrals._bell_head(4, False, 100)
+        assert head[:100] == list(islice(integrals._bell_sequence(4, False), 100))
+
+    def test_threads_growing_one_head_agree_with_a_fresh_run(self, monkeypatch):
+        monkeypatch.setattr(integrals, "_BELL_HEADS", {})
+        count = 600
+
+        def grow(seed: int) -> None:
+            for step in range(1 + seed, count + 1, 7):
+                integrals._bell_head(5, True, step)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-growth
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                list(pool.map(grow, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(old)
+        head = integrals._bell_head(5, True, count)
+        assert head[:count] == list(islice(integrals._bell_sequence(5, True), count))
 
     def test_irrational_angle_leaves_the_cache_bounded(self):
         log_sine_any_angle(2, math.pi / 64)  # the longest rational head

@@ -267,3 +267,32 @@ class TestConcurrentCaches:
         # every thread must observe the same exact values
         for seed, out in enumerate(results):
             assert out == worker(seed)
+
+    def test_harmonic_table_grown_by_racing_threads_matches_exact_sums(self):
+        # the re-run above reads the same shared table, so it cannot see a
+        # wrong entry; compare a table grown under contention with fresh sums
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        from logsine.specialfn import HarmonicTable
+
+        top = 300
+        tables = [HarmonicTable() for _ in range(10)]
+
+        def fill(table: HarmonicTable) -> None:
+            for m in range(top):
+                table.value(m, 2)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-append
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for table in tables:
+                    list(pool.map(fill, [table] * 8, timeout=60))
+        finally:
+            sys.setswitchinterval(old)
+        running = [Fraction(0)]
+        for m in range(1, top):
+            running.append(running[-1] + Fraction(1, m * m))
+        for table in tables:
+            assert [table.value(m, 2) for m in range(top)] == running
