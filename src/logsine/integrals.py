@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 from typing import Iterator
@@ -579,6 +579,7 @@ def log_sine_any_angle(
         seq, one=SymbolicValue.one()
     )
     series_scale = (-1.0) ** (p + 1) / 2**p * 2 * p
+    linear = eval_numeric(bell_coef, cfg) * z
 
     q = _pi_fraction(z)
     if q is not None:
@@ -604,23 +605,28 @@ def log_sine_any_angle(
                 + period * _midpoint_slope(p, False, 2, x0) / 24.0
             )
             total_terms += [sin_r * class_head, sin_r * tail]
-        series, tail_bound = compensated_sum(total_terms), 0.0
+        series = compensated_sum(total_terms)
     else:
-        count = min(cfg.max_series_terms, 200000)
-        bells = islice(_bell_sequence(p, False), count)  # too long to cache
+        # Dirichlet's test: with c_k = B/k^2 positive and decreasing, the tail past N is
+        # at most c_{N+1}/|sin(z/2)|; N rises to the least one whose bound meets tol
+        limit, cap = cfg.target_abs_tol * abs(math.sin(z / 2)), min(cfg.max_series_terms, 200000)
+        c = lambda k: abs(_bell_continuous(p, False, k)) / k**2
+        count = 0
+        while count <= cap and c(count + 1) > limit:
+            count = math.ceil((count + 1) * math.sqrt(c(count + 1) / limit)) - 1
+        certified = count <= cap  # else the cached head gives the estimate, and the call raises
+        count = count if certified else _SERIES_CUTOFF
+        bells = _bell_head(p, False, count) if count <= _SERIES_CUTOFF else _bell_sequence(p, False)
         series = compensated_sum(
-            [math.sin(k * z) * bell / float(k) ** 2 for k, bell in enumerate(bells, 1)]
+            [math.sin(k * z) * bell / float(k) ** 2 for k, bell in zip(range(1, count + 1), bells)]
         )
-        tail_bound = _bell_continuous(p, False, count) / count  # ~ integral of B/x^2 beyond
-    value = eval_numeric(bell_coef, cfg) * z + series_scale * series
-    if tail_bound > cfg.target_abs_tol * 10:
-        raise AccelerationError(
-            f"sine series tail bound {tail_bound:.2e} above tolerance for "
-            f"irrational multiple of pi",
-            estimate=value,
-            error_bound=tail_bound,
-        )
-    return value, bell_coef
+        if not certified:
+            raise AccelerationError(
+                f"sine series needs more than {cap} terms for an irrational multiple of pi",
+                estimate=linear + series_scale * series,
+                error_bound=abs(series_scale) * c(count + 1) / abs(math.sin(z / 2)),
+            )
+    return linear + series_scale * series, bell_coef
 
 
 # -- numeric oracle over the defining integrals -------------------------------------
@@ -635,7 +641,20 @@ def defining_integrand(spec: IntegralSpec):
 
 
 def quadrature_value(spec: IntegralSpec, cfg: NumericConfig | None = None) -> float:
-    """Tanh-sinh value of the defining integral; the independent oracle."""
+    """Tanh-sinh value of the defining integral; the independent oracle.
+
+    The log factor g, singular at 0 and L (pi for 'logsin', 2pi for 'ls'), is
+    symmetric about L/2: past it the piece over (L/2, z) is reflected onto
+    (L - z, L/2) with weight (L - x)^n, so the singularity is met at 0, where
+    node distances are exact, never at the float L (a z just past L is L)."""
     if cfg is None:
         cfg = NumericConfig()
-    return tanh_sinh_quadrature(defining_integrand(spec), 0.0, angle_value(spec.z), cfg)
+    f, n, z = defining_integrand(spec), spec.n, angle_value(spec.z)
+    top = math.pi if spec.form == "logsin" else 2 * math.pi
+    if z <= top / 2:
+        return tanh_sinh_quadrature(f, 0.0, z, cfg)
+    g, mirror = defining_integrand(replace(spec, n=0)), max(top - z, 0.0)
+    half = replace(cfg, target_abs_tol=cfg.target_abs_tol / 2)
+    return tanh_sinh_quadrature(f, 0.0, mirror, half) + tanh_sinh_quadrature(
+        lambda x: (x**n + (top - x) ** n) * g(x), mirror, top / 2, half
+    )

@@ -185,7 +185,7 @@ def _ts_half_integral(
             return w * f(center)
         # distance to the near endpoint, computed without cancellation; nodes
         # falling inside the last representable ulp are clamped to the nearest
-        # interior point so their (log-singular) mass is not silently dropped
+        # interior point; tanh_sinh_quadrature bounds what they misread
         d = (hi - lo) * e2u / (1.0 + e2u)
         x_hi = hi - d
         if x_hi >= hi:
@@ -221,6 +221,14 @@ def _ts_half_integral(
     return value, err, floor
 
 
+def _clamp_loss(f: Callable[[float], float], end: float, inward: float) -> float:
+    """Bound on the mass misread by the nodes that read f at the point one ulp
+    inside ``end``: four ulps times the change of f across the next ulp, which
+    is about twice the loss at a log-type singularity and 0 where f is smooth."""
+    x1 = math.nextafter(end, inward)
+    return 4.0 * abs(x1 - end) * abs(f(x1) - f(math.nextafter(x1, inward)))
+
+
 def tanh_sinh_quadrature(
     f: Callable[[float], float],
     a: float,
@@ -229,11 +237,12 @@ def tanh_sinh_quadrature(
 ) -> float:
     """Integral of f over (a, b) by double-exponential quadrature.
 
-    Logarithmic singularities at either endpoint are harmless: the interval
-    is split at its midpoint and each half is transformed so that both of
-    its endpoints sit at transform infinity; nodes closer to an endpoint
-    than float spacing allows are clamped onto the last representable
-    interior point so their singular mass is kept at its leading order.
+    The interval is split at its midpoint and each half is transformed so
+    that both of its endpoints sit at transform infinity.  Nodes closer to a
+    nonzero endpoint than float spacing allows are clamped onto the last
+    interior float, and the error estimate bounds the mass they misread at
+    a and b: a log singularity at 0 is harmless, one within an ulp of a
+    nonzero limit raises unless that mass is within the tolerance.
 
     Raises :class:`QuadratureError` when the internal error estimate cannot
     reach ``cfg.target_abs_tol`` within ``cfg.quadrature_levels`` levels.
@@ -251,11 +260,13 @@ def tanh_sinh_quadrature(
     value = v1 + v2
     if not math.isfinite(value):
         raise QuadratureError("integrand produced non-finite values", value, math.inf)
-    if e1 + e2 > max(cfg.target_abs_tol, f1 + f2):
+    # the nodes run far inside the last ulp of a nonzero limit, so they clamp there
+    err = e1 + e2 + sum(_clamp_loss(f, end, to) for end, to in ((a, b), (b, a)) if end != 0.0)
+    if not err <= max(cfg.target_abs_tol, f1 + f2):  # a NaN bound fails too
         raise QuadratureError(
-            f"quadrature error estimate {e1 + e2:.3e} above target {cfg.target_abs_tol:.3e}",
+            f"quadrature error estimate {err:.3e} above target {cfg.target_abs_tol:.3e}",
             estimate=value,
-            error_bound=e1 + e2,
+            error_bound=err,
         )
     return value
 

@@ -206,7 +206,7 @@ def build_registry() -> list[Check]:
                 f"ls:2pi:order{p + n + 1}-index{n}",
                 "sec2",
                 integrals.IntegralSpec(n, p, "2pi", form="ls"),
-                1e-8,
+                1e-9,
             )
         )
     for n, p in ((1, 2), (2, 2), (3, 2)):

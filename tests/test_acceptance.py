@@ -140,11 +140,11 @@ def test_criterion_2_log_sine_table_at_2pi():
         if res.value != parse_text(text):
             failures.append(f"Ls_{p+n+1}^({n})(2pi): {res.value.text()} != {text}")
         oracle = quadrature_value(IntegralSpec(n, p, "2pi", form="ls"), CFG)
-        if abs(res.numeric - oracle) > 1e-8:
+        if abs(res.numeric - oracle) > 1e-9:
             failures.append(
                 f"Ls_{p+n+1}^({n})(2pi): |closed - quadrature| = {abs(res.numeric - oracle):.2e}"
             )
-    _report("criterion 2 (log-sine table at 2pi, 1e-8)", failures)
+    _report("criterion 2 (log-sine table at 2pi, 1e-9)", failures)
 
 
 # -- criterion 3: integral table at pi/2 ------------------------------------------

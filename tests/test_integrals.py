@@ -303,6 +303,76 @@ class TestAnyAngleAgainstMpmath:
             assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
 
 
+def _mp_reference(form, n, p, z):
+    """The defining integral over (0, z) at 30 digits, split where mpmath's
+    own rule should meet the log singularities: at 0, L/2 and L."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        if form == "logsin":
+            top, g = mpmath.pi, lambda x: mpmath.log(mpmath.sin(x)) ** p
+        else:
+            top, g = 2 * mpmath.pi, lambda x: -mpmath.log(abs(2 * mpmath.sin(x / 2))) ** p
+        z = top if z in ("pi", "2pi") else mpmath.mpf(z)
+        return float(mpmath.quad(lambda x: x**n * g(x), [0, min(z, top / 2), z]))
+
+
+class TestQuadratureOracleAgainstMpmath:
+    @pytest.mark.parametrize("n", range(6))
+    @pytest.mark.parametrize("form,z", [("logsin", "pi"), ("ls", "2pi")])
+    def test_far_endpoint_grid(self, form, z, n):
+        # the log singularity at the far endpoint pi or 2pi lies inside the
+        # last ulp of the float; the oracle must not lose its mass there
+        for p in range(1, 7):
+            want = _mp_reference(form, n, p, z)
+            got = quadrature_value(IntegralSpec(n, p, z, form=form))
+            assert abs(got - want) <= max(1e-10, 1e-14 * abs(want)), (n, p, got, want)
+
+    @pytest.mark.parametrize("form,z", [("logsin", 3.0), ("logsin", 3.1), ("ls", 4.0), ("ls", 6.0)])
+    @pytest.mark.parametrize("n,p", [(0, 1), (0, 6), (2, 3), (5, 2), (5, 6)])
+    def test_split_and_reflect_past_the_middle(self, form, z, n, p):
+        want = _mp_reference(form, n, p, z)
+        got = quadrature_value(IntegralSpec(n, p, z, form=form))
+        assert abs(got - want) <= max(1e-10, 1e-14 * abs(want)), (got, want)
+
+    @pytest.mark.parametrize("form,token", [("logsin", "pi"), ("ls", "2pi")])
+    def test_float_endpoint_folds_like_its_token(self, form, token):
+        for n, p in ((0, 6), (3, 4), (5, 5)):
+            by_token = quadrature_value(IntegralSpec(n, p, token, form=form))
+            by_float = quadrature_value(IntegralSpec(n, p, integrals.angle_value(token), form=form))
+            assert by_float == by_token
+
+    def test_cli_prints_the_folded_value(self, capsys):
+        from logsine.cli import main
+
+        assert main(["numeric", "--z", "2pi", "--n", "2", "--p", "4", "--form", "ls"]) == 0
+        assert abs(float(capsys.readouterr().out) + 943.1221943480932) <= 1e-10
+
+
+class TestIrrationalAngle:
+    @pytest.mark.parametrize("z", [1.0, 2.5])
+    def test_first_order_certifies_against_clausen(self, z):
+        mpmath = pytest.importorskip("mpmath")
+        val, _ = log_sine_any_angle(1, z)
+        assert abs(val - float(mpmath.clsin(2, z))) <= 1e-10
+
+    @pytest.mark.parametrize("p,z", [(2, 1.0), (2, 2.5), (3, 1.0)])
+    def test_uncertifiable_request_raises_with_a_true_bound(self, p, z):
+        mpmath = pytest.importorskip("mpmath")
+        with pytest.raises(AccelerationError) as exc:
+            log_sine_any_angle(p, z)
+        with mpmath.workdps(30):
+            want = -mpmath.quad(lambda x: mpmath.log(2 * mpmath.sin(x / 2)) ** p, [0, z])
+        assert abs(exc.value.estimate - float(want)) <= exc.value.error_bound < 1e-3
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-8])
+    def test_looser_tolerances_use_fewer_terms_and_hold(self, tol):
+        mpmath = pytest.importorskip("mpmath")
+        val, _ = log_sine_any_angle(2, 1.0, NumericConfig(target_abs_tol=tol))
+        with mpmath.workdps(30):
+            want = -mpmath.quad(lambda x: mpmath.log(2 * mpmath.sin(x / 2)) ** 2, [0, 1])
+        assert abs(val - float(want)) <= tol
+
+
 class TestBellHead:
     @pytest.mark.parametrize("p,scaled", [(2, False), (3, True), (5, False)])
     def test_head_grown_in_steps_equals_one_fresh_run(self, p, scaled, monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from logsine import (
     AccelerationError,
+    IntegralSpec,
     NumericConfig,
     PowerSeries,
     QuadratureError,
@@ -11,6 +12,7 @@ from logsine import (
     compensated_sum,
     cot_derivative,
     harmonic,
+    log_sin_power_integral,
     polygamma_real,
     richardson_derivative,
     tanh_sinh_quadrature,
@@ -112,6 +114,36 @@ class TestQuadrature:
     def test_orientation(self, cfg):
         fwd = tanh_sinh_quadrature(math.exp, 0.0, 1.0, cfg)
         assert abs(tanh_sinh_quadrature(math.exp, 1.0, 0.0, cfg) + fwd) < 1e-13
+
+    @pytest.mark.parametrize("p", [5, 6])
+    def test_singularity_in_the_last_ulp_raises(self, p, cfg):
+        # log^p(sin x) is singular at pi, inside the last ulp of fl(pi): the
+        # clamped nodes misread 1e-8 (p = 5) to 4e-7 (p = 6) of mass
+        with pytest.raises(QuadratureError):
+            tanh_sinh_quadrature(lambda x: math.log(math.sin(x)) ** p, 0.0, math.pi, cfg)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_singularity_in_the_last_ulp_never_certifies_a_wrong_value(self, n, cfg):
+        for p in range(1, 7):
+            want = log_sin_power_integral(IntegralSpec(n, p, "pi"), cfg).numeric
+            try:
+                got = tanh_sinh_quadrature(
+                    lambda x: x**n * math.log(math.sin(x)) ** p, 0.0, math.pi, cfg
+                )
+            except QuadratureError:
+                continue
+            assert abs(got - want) <= cfg.target_abs_tol, (p, got, want)
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_singularity_at_an_exact_endpoint_is_bounded(self, p, cfg):
+        # int_0^1 log^p(1 - x) dx = (-1)^p p!; whatever certifies is within tol
+        f = lambda x: math.log1p(-x) ** p
+        try:
+            got = tanh_sinh_quadrature(f, 0.0, 1.0, cfg)
+        except QuadratureError as exc:
+            assert exc.error_bound >= abs(exc.estimate - (-1) ** p * math.factorial(p))
+        else:
+            assert abs(got - (-1) ** p * math.factorial(p)) <= cfg.target_abs_tol
 
     def test_unreachable_tolerance_fails(self):
         impossible = NumericConfig(target_abs_tol=1e-10, quadrature_levels=3)
