@@ -11,7 +11,8 @@ Covered objects, all over (0, z):
 * ``log_sine_integral``:  the normalized -integral of x^n log^p|2 sin(x/2)|
   at theta in {pi, 2pi}, same exactness domain.
 * ``log_sine_any_angle``:  the n = 0 case at arbitrary 0 < z <= 2pi via the
-  exact Bell-polynomial term plus an accelerated sine series.
+  power series of log(sin(x/2)/(x/2)) integrated term by term, reflected
+  about pi through the exact Bell-polynomial term.
 
 The symbolic pipeline never guesses: a value is returned as exact only when
 every infinite k-sum lands in the whitelisted catalog, otherwise the result
@@ -24,18 +25,17 @@ import math
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from typing import Iterator
 
 from .bell import complete_bell
 from .binomderiv import DerivSpec, central_binom_deriv, eta_bar
 from .numerics import (
-    AccelerationError,
     NumericConfig,
     accelerate_alternating,
     compensated_sum,
     euler_gamma_numeric,
-    gauss_legendre,
     polygamma_real,
     tanh_sinh_quadrature,
     zeta_numeric,
@@ -339,12 +339,11 @@ def _deriv_value_exact(n: int, p: int, z: str, scaled: bool) -> SymbolicValue:
     equal to 2^p times the target integral); raises CatalogMissError when
     the k-sums cannot be reduced."""
     central, weights = _case_weights(n, z, scaled)
+    kform = _deriv_kform(p, scaled) if weights else []  # a catalog miss raises before any work
     total = central * central_binom_deriv(DerivSpec(p, 0, scaled))
-    if weights:
-        kform = _deriv_kform(p, scaled)
-        for w in weights:
-            for term in kform:
-                total = total + w.coef * _sum_kterm(term, w.alt, w.pow)
+    for w in weights:
+        for term in kform:
+            total = total + w.coef * _sum_kterm(term, w.alt, w.pow)
     return total
 
 
@@ -401,7 +400,7 @@ _BELL_HEADS_LOCK = threading.Lock()  # a generator cannot be advanced by two thr
 def _bell_head(p: int, scaled: bool, count: int) -> list[float]:
     """The cached values B_{p-1}(xi_bar(k)) for k = 1..count, in a shared list
     that may be longer and that callers only read.  Callers ask for at most
-    _SERIES_CUTOFF plus one residue period, so every cached head stays that short."""
+    _SERIES_CUTOFF values, so every cached head stays that short."""
     with _BELL_HEADS_LOCK:
         values, source = _BELL_HEADS.setdefault((p, scaled), ([], _bell_sequence(p, scaled)))
         try:
@@ -419,11 +418,41 @@ def _bell_continuous(p: int, scaled: bool, x: float) -> float:
     return complete_bell([_xi_continuous(j, x, scaled) for j in range(1, p)], one=1.0)
 
 
-def _midpoint_slope(p: int, scaled: bool, s: int, x0: float) -> float:
-    """B_{p-1}(xi_bar(x)) / x^s at x0 + 1/2 minus at x0 - 1/2: the derivative
-    in the first Euler-Maclaurin correction of a midpoint tail."""
-    hi, lo = x0 + 0.5, x0 - 0.5
-    return _bell_continuous(p, scaled, hi) / hi**s - _bell_continuous(p, scaled, lo) / lo**s
+# Gauss-Laguerre rules: (nodes, weights) for the integral of e^{-v} f(v) over
+# (0, inf), exact for polynomials f of degree below twice the node count
+_LAGUERRE_8 = (
+    (0.170279632305101, 0.9037017767993799, 2.2510866298661307, 4.266700170287659,
+     7.0459054023934655, 10.758516010180996, 15.740678641278004, 22.863131736889265),
+    (0.3691885893416375, 0.41878678081434295, 0.1757949866371718, 0.03334349226121565,
+     0.0027945362352256725, 9.076508773358213e-05, 8.485746716272531e-07, 1.0480011748715104e-09),
+)
+_LAGUERRE_12 = (
+    (0.11572211735802068, 0.6117574845151307, 1.5126102697764188, 2.8337513377435073,
+     4.5992276394183484, 6.844525453115177, 9.621316842456867, 13.006054993306348,
+     17.116855187462257, 22.151090379397004, 28.487967250984, 37.09912104446692),
+    (0.2647313710554432, 0.37775927587313796, 0.24408201131987756, 0.09044922221168093,
+     0.020102381154634096, 0.0026639735418653157, 0.00020323159266299939, 8.365055856819799e-06,
+     1.6684938765409103e-07, 1.342391030515004e-09, 3.0616016350350207e-12, 8.148077467426241e-16),
+)
+
+
+def _monotone_tail(p: int, scaled: bool, s: int, x0: float) -> tuple[float, float]:
+    """Integral of p B_{p-1}(xi_bar(x)) / x^s over (x0, inf), with an error estimate.
+
+    x = x0 e^{v/(s-1)} maps it to p x0^{1-s}/(s-1) times the integral of
+    e^{-v} B(x0 e^{v/(s-1)}) over v > 0, with B a polynomial of degree p - 1
+    in v up to O(1/x0): 12-point Gauss-Laguerre, less the 8-point rule for
+    the estimate."""
+    scale = p * x0 ** (1 - s) / (s - 1)
+
+    def rule(nodes, weights):
+        return scale * math.fsum(
+            w * _bell_continuous(p, scaled, x0 * math.exp(v / (s - 1)))
+            for v, w in zip(nodes, weights)
+        )
+
+    value = rule(*_LAGUERRE_12)
+    return value, abs(value - rule(*_LAGUERRE_8))
 
 
 def _k_series_numeric(
@@ -451,20 +480,11 @@ def _k_series_numeric(
         [p / float(k) ** s * bells[k - 1] for k in range(1, _SERIES_CUTOFF + 1)]
     )
     x0 = _SERIES_CUTOFF + 0.5
-    quad_cfg = NumericConfig(
-        target_abs_tol=min(1e-12, cfg.target_abs_tol),
-        quadrature_levels=cfg.quadrature_levels,
-    )
-    # tail integral of p B(x)/x^s over (x0, inf) mapped by x = x0/t; the 1/t^2
-    # Jacobian cancels against x^{-s} so the integrand stays finite down to t = 0
-    integral = tanh_sinh_quadrature(
-        lambda t: p * t ** (s - 2) * _bell_continuous(p, scaled, x0 / t) / x0 ** (s - 1),
-        0.0,
-        1.0,
-        quad_cfg,
-    )
-    correction = p * _midpoint_slope(p, scaled, s, x0) / 24.0
-    err = abs(correction) * 0.02 + quad_cfg.target_abs_tol
+    integral, rule_err = _monotone_tail(p, scaled, s, x0)
+    hi, lo = x0 + 0.5, x0 - 0.5  # the slope of B/x^s across x0, for the midpoint correction
+    slope = _bell_continuous(p, scaled, hi) / hi**s - _bell_continuous(p, scaled, lo) / lo**s
+    correction = p * slope / 24.0
+    err = abs(correction) * 0.02 + rule_err + min(1e-12, cfg.target_abs_tol)
     return (-1.0) ** p * (head + integral + correction), err
 
 
@@ -476,8 +496,9 @@ def _deriv_value_numeric(
     err = 0.0
     for w in weights:
         val, e = _k_series_numeric(p, scaled, w.alt, w.pow, cfg)
-        total += eval_numeric(w.coef, cfg) * val
-        err += abs(eval_numeric(w.coef, cfg)) * e
+        coef = eval_numeric(w.coef, cfg)
+        total += coef * val
+        err += abs(coef) * e
     return total, err
 
 
@@ -547,14 +568,44 @@ def log_sine_low_order_closed(p: int, theta: str, n: int) -> SymbolicValue:
     return sym_pi(n + 1, coef) * bell_value
 
 
-# -- arbitrary angle (Clausen-style series) ----------------------------------------
+# -- arbitrary angle ------------------------------------------------------------
+
+# terms of the t-series below: at t = 1/4 (z = pi) they fall below 1e-18 of the
+# value by k = 27 for every p <= 6
+_H_TERMS = 32
+_TWO_PI_LOW = 2.4492935982947064e-16  # 2pi - fl(2pi)
 
 
-def _pi_fraction(z: float, max_den: int = 64) -> Fraction | None:
-    q = Fraction(z / math.pi).limit_denominator(max_den)
-    if q > 0 and abs(float(q) * math.pi - z) < 1e-12 * max(1.0, abs(z)):
-        return q
-    return None
+@lru_cache(maxsize=None)
+def _log_sine_rows(p: int, terms: int) -> tuple[tuple[float, ...], ...]:
+    """Row k holds C(p, i) [t^k] h^{p-i} for i = 0..p, where
+    h = log(sin(x/2) / (x/2)) = -sum_k zeta(2k)/k t^k and t = (x/2pi)^2."""
+    h = [0.0] + [-zeta_numeric(2 * k) / k for k in range(1, terms)]
+    powers = [[1.0] + [0.0] * (terms - 1)]  # powers[j][k] = [t^k] h^j
+    for _ in range(p):
+        powers.append([math.fsum(powers[-1][i] * h[k - i] for i in range(k)) for k in range(terms)])
+    return tuple(
+        tuple(math.comb(p, i) * powers[p - i][k] for i in range(p + 1)) for k in range(terms)
+    )
+
+
+def _log_sine_series(p: int, z: float, terms: int = _H_TERMS) -> float:
+    """Ls_{p+1}(z) for 0 < z <= pi: log^p(2 sin(x/2)) = sum_i C(p, i) log^i x h^{p-i}
+    integrated term by term, with the integral of x^m log^i x over (0, z) equal
+    to z^{m+1} J_i, J_0 = 1/(m+1) and J_i = (log^i z - i J_{i-1}) / (m+1)."""
+    t, log_z = (z / (2 * math.pi)) ** 2, math.log(z)
+    log_pows = [log_z**i for i in range(p + 1)]
+    parts, t_k = [], 1.0
+    for k, row in enumerate(_log_sine_rows(p, terms)):
+        m1 = 2 * k + 1
+        j = 1.0 / m1
+        acc = row[0] * j
+        for i in range(1, p + 1):
+            j = (log_pows[i] - i * j) / m1
+            acc += row[i] * j
+        parts.append(t_k * acc)
+        t_k *= t
+    return -z * math.fsum(parts)
 
 
 def log_sine_any_angle(
@@ -563,9 +614,10 @@ def log_sine_any_angle(
     """Ls_{p+1}(z) = -integral of log^p|2 sin(x/2)| over (0, z) for 0 < z <= 2pi.
 
     Returns ``(value, bell_coefficient)`` where ``bell_coefficient`` is the
-    exact symbolic coefficient of z (the Bell-polynomial term); the sine
-    series is summed per residue class with Euler-Maclaurin tails when z is
-    a rational multiple of pi, else directly with a tail bound.
+    exact symbolic coefficient B of z (the Bell-polynomial term):
+    Ls_{p+1}(z) - B z is a sine series, odd and 2pi-periodic.  Up to pi the
+    value is a convergent series in (z/2pi)^2 with powers of log z as
+    coefficients; past pi it is 2pi B - Ls_{p+1}(2pi - z).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -578,55 +630,13 @@ def log_sine_any_angle(
     bell_coef = Fraction((-1) ** (p + 1), 2**p) * complete_bell(
         seq, one=SymbolicValue.one()
     )
-    series_scale = (-1.0) ** (p + 1) / 2**p * 2 * p
-    linear = eval_numeric(bell_coef, cfg) * z
-
-    q = _pi_fraction(z)
-    if q is not None:
-        a, b = q.numerator, q.denominator
-        period = 2 * b
-        cutoff = ((_SERIES_CUTOFF + period - 1) // period) * period
-        bells = _bell_head(p, False, cutoff)
-        head_vals = [bells[k - 1] / float(k) ** 2 for k in range(1, cutoff + 1)]
-
-        total_terms = []
-        for r in range(1, period + 1):
-            if (r * a) % b == 0:
-                continue  # sin vanishes on this whole class
-            sin_r = math.sin(math.pi * r * a / b)
-            class_head = compensated_sum(head_vals[r - 1 :: period])
-            # midpoint tail of the class beyond cutoff: the integral of B/x^2 over
-            # (x0, inf) / period; its part over (cutoff, inf) cancels in the sum
-            # (the sin_r sum to 0 over a period), leaving the piece (x0, cutoff)
-            x0 = cutoff - b + r
-            tail = (
-                gauss_legendre(lambda x: _bell_continuous(p, False, x) / (x * x), x0, cutoff)
-                / period
-                + period * _midpoint_slope(p, False, 2, x0) / 24.0
-            )
-            total_terms += [sin_r * class_head, sin_r * tail]
-        series = compensated_sum(total_terms)
-    else:
-        # Dirichlet's test: with c_k = B/k^2 positive and decreasing, the tail past N is
-        # at most c_{N+1}/|sin(z/2)|; N rises to the least one whose bound meets tol
-        limit, cap = cfg.target_abs_tol * abs(math.sin(z / 2)), min(cfg.max_series_terms, 200000)
-        c = lambda k: abs(_bell_continuous(p, False, k)) / k**2
-        count = 0
-        while count <= cap and c(count + 1) > limit:
-            count = math.ceil((count + 1) * math.sqrt(c(count + 1) / limit)) - 1
-        certified = count <= cap  # else the cached head gives the estimate, and the call raises
-        count = count if certified else _SERIES_CUTOFF
-        bells = _bell_head(p, False, count) if count <= _SERIES_CUTOFF else _bell_sequence(p, False)
-        series = compensated_sum(
-            [math.sin(k * z) * bell / float(k) ** 2 for k, bell in zip(range(1, count + 1), bells)]
-        )
-        if not certified:
-            raise AccelerationError(
-                f"sine series needs more than {cap} terms for an irrational multiple of pi",
-                estimate=linear + series_scale * series,
-                error_bound=abs(series_scale) * c(count + 1) / abs(math.sin(z / 2)),
-            )
-    return linear + series_scale * series, bell_coef
+    if z <= math.pi:
+        return _log_sine_series(p, z), bell_coef
+    mirror = 2 * math.pi - z  # exact for z in (pi, 2pi]
+    value = 2 * math.pi * eval_numeric(bell_coef, cfg)
+    if mirror > 0:  # z = fl(2pi) stands for 2pi, where the sine series vanishes
+        value -= _log_sine_series(p, mirror + _TWO_PI_LOW)
+    return value, bell_coef
 
 
 # -- numeric oracle over the defining integrals -------------------------------------

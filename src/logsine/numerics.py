@@ -271,18 +271,6 @@ def tanh_sinh_quadrature(
     return value
 
 
-# 8-point Gauss-Legendre rule on [-1, 1]: the positive nodes (each paired with its negative)
-_GL_X = (0.1834346424956498, 0.525532409916329, 0.7966664774136267, 0.9602898564975363)
-_GL_W = (0.362683783378362, 0.31370664587788727, 0.22238103445337448, 0.10122853629037626)
-
-
-def gauss_legendre(f: Callable[[float], float], a: float, b: float) -> float:
-    """Integral of f over (a, b) by the 8-point Gauss-Legendre rule, exact for
-    polynomials up to degree 15; for f smooth on a scale much longer than b - a."""
-    h, c = (b - a) / 2.0, (a + b) / 2.0
-    return h * math.fsum(w * (f(c - h * t) + f(c + h * t)) for t, w in zip(_GL_X, _GL_W))
-
-
 # -- polygamma on the positive real axis --------------------------------------
 
 _ASYMPTOTIC_CUT = 20.0

@@ -7,7 +7,6 @@ from itertools import islice
 import pytest
 
 from logsine import (
-    AccelerationError,
     IntegralSpec,
     NumericConfig,
     eval_numeric,
@@ -265,18 +264,10 @@ class TestAnyAngle:
         with pytest.raises(ValueError):
             log_sine_any_angle(2, 7.0)
 
-    def test_irrational_multiple_fails_with_estimate(self):
-        # plain summation of a log-weighted 1/k^2 tail cannot certify the
-        # default tolerance when no residue regrouping applies
-        from logsine import AccelerationError
-
-        with pytest.raises(AccelerationError) as exc:
-            log_sine_any_angle(2, 1.0)
-        assert math.isfinite(exc.value.estimate)
-        want = -tanh_sinh_quadrature(
-            lambda x: math.log(2 * math.sin(x / 2)) ** 2, 0.0, 1.0, NumericConfig()
-        )
-        assert abs(exc.value.estimate - want) < 1e-3
+    def test_irrational_multiple_is_certified(self):
+        want = _mp_reference("ls", 0, 2, 1.0)
+        val, _ = log_sine_any_angle(2, 1.0)
+        assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
 
     def test_loose_tolerance_accepts_irrational_multiple(self):
         loose = NumericConfig(target_abs_tol=1e-4)
@@ -301,6 +292,21 @@ class TestAnyAngleAgainstMpmath:
             want = -mpmath.quad(lambda x: mpmath.log(abs(2 * mpmath.sin(x / 2))) ** p, [0, z])
             val, _ = log_sine_any_angle(p, a * math.pi / b)
             assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize(
+        "z", [1e-3, 0.5, 1.0, 2.5, math.pi / 2, 3.0, math.pi, 3.5, 5.0, 2 * math.pi - 1e-3, "2pi"]
+    )
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_any_angle(self, p, z):
+        want = _mp_reference("ls", 0, p, z)
+        val, _ = log_sine_any_angle(p, integrals.angle_value(z))
+        assert abs(val - want) <= 1e-13 * max(1.0, abs(want)), (val, want)
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_ten_more_terms_change_nothing_at_pi(self, p):
+        base = integrals._log_sine_series(p, math.pi)
+        longer = integrals._log_sine_series(p, math.pi, integrals._H_TERMS + 10)
+        assert abs(longer - base) <= 1e-16 * max(1.0, abs(base))
 
 
 def _mp_reference(form, n, p, z):
@@ -356,16 +362,13 @@ class TestIrrationalAngle:
         assert abs(val - float(mpmath.clsin(2, z))) <= 1e-10
 
     @pytest.mark.parametrize("p,z", [(2, 1.0), (2, 2.5), (3, 1.0)])
-    def test_uncertifiable_request_raises_with_a_true_bound(self, p, z):
-        mpmath = pytest.importorskip("mpmath")
-        with pytest.raises(AccelerationError) as exc:
-            log_sine_any_angle(p, z)
-        with mpmath.workdps(30):
-            want = -mpmath.quad(lambda x: mpmath.log(2 * mpmath.sin(x / 2)) ** p, [0, z])
-        assert abs(exc.value.estimate - float(want)) <= exc.value.error_bound < 1e-3
+    def test_higher_orders_certify_against_mpmath(self, p, z):
+        want = _mp_reference("ls", 0, p, z)
+        val, _ = log_sine_any_angle(p, z)
+        assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-8])
-    def test_looser_tolerances_use_fewer_terms_and_hold(self, tol):
+    def test_looser_tolerances_hold(self, tol):
         mpmath = pytest.importorskip("mpmath")
         val, _ = log_sine_any_angle(2, 1.0, NumericConfig(target_abs_tol=tol))
         with mpmath.workdps(30):
@@ -418,12 +421,36 @@ class TestBellHead:
         head = integrals._bell_head(5, True, count)
         assert head[:count] == list(islice(integrals._bell_sequence(5, True), count))
 
-    def test_irrational_angle_leaves_the_cache_bounded(self):
-        log_sine_any_angle(2, math.pi / 64)  # the longest rational head
-        with pytest.raises(AccelerationError):
-            log_sine_any_angle(2, 1.0, NumericConfig(max_series_terms=5000))
-        longest = max(len(values) for values, _source in integrals._BELL_HEADS.values())
-        assert integrals._SERIES_CUTOFF <= longest < integrals._SERIES_CUTOFF + 128
+    def test_any_angle_adds_no_head(self, monkeypatch):
+        monkeypatch.setattr(integrals, "_BELL_HEADS", {})
+        for p, z in ((2, math.pi / 64), (2, 1.0), (4, 5.0), (3, 2 * math.pi)):
+            log_sine_any_angle(p, z)
+        assert integrals._BELL_HEADS == {}
+
+
+class TestMonotoneTail:
+    @pytest.mark.parametrize("nodes,weights", [integrals._LAGUERRE_8, integrals._LAGUERRE_12])
+    def test_laguerre_rules_integrate_monomials(self, nodes, weights):
+        # the n-point rule is exact for v^k e^{-v} over (0, inf), k <= 2n - 1
+        assert len(nodes) == len(weights)
+        for k in range(2 * len(nodes)):
+            got = math.fsum(w * v**k for v, w in zip(nodes, weights))
+            assert abs(got - math.factorial(k)) <= 1e-14 * math.factorial(k), k
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("s", [3, 5, 7])
+    @pytest.mark.parametrize("p", range(3, 7))
+    def test_tail_against_mpmath(self, p, s, scaled):
+        mpmath = pytest.importorskip("mpmath")
+        x0 = integrals._SERIES_CUTOFF + 0.5
+        with mpmath.workdps(30):
+            want = float(mpmath.quad(
+                lambda x: p * integrals._bell_continuous(p, scaled, float(x)) / x**s,
+                [x0, 10 * x0, mpmath.inf],
+            ))
+        got, est = integrals._monotone_tail(p, scaled, s, x0)
+        assert abs(got - want) <= 1e-14 * abs(want)
+        assert est <= 1e-14 * abs(want)
 
 
 class TestDerivativeConsistency:

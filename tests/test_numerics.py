@@ -18,7 +18,7 @@ from logsine import (
     tanh_sinh_quadrature,
     zeta_numeric,
 )
-from logsine.numerics import euler_gamma_numeric, gauss_legendre
+from logsine.numerics import euler_gamma_numeric
 
 
 class TestCompensatedSum:
@@ -197,15 +197,6 @@ class TestPolygammaReal:
             polygamma_real(1, 0.0)
         with pytest.raises(ValueError):
             polygamma_real(-1, 1.0)
-
-
-class TestGaussLegendre:
-    def test_exact_on_degree_fifteen(self):
-        got = gauss_legendre(lambda x: x**15 + x**2, 1.0, 2.0)
-        assert got == pytest.approx(2.0**16 / 16 - 1 / 16 + 7 / 3, rel=1e-15)
-
-    def test_reversed_limits_flip_the_sign(self):
-        assert gauss_legendre(math.exp, 1.0, 0.0) == pytest.approx(1 - math.e, rel=1e-15)
 
 
 class TestRichardson:
