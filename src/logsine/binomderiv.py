@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bell import complete_bell
+from .bell import bell_core_terms, complete_bell, complete_bell_all
 from .numerics import (
     NumericConfig,
     PowerSeries,
@@ -73,28 +73,24 @@ def delta_numeric(j: int, m: float, k: int) -> float:
     )
 
 
+def _xi_rational(j: int, k: int) -> Fraction:
+    # r_j(k) = xi_bar_j - eta_bar_j: 2 H_k - 1/k at j = 1, then (j-1)!/k^j plus
+    # 2 (j-1)! H_{k-1}^{(j)} from psi^{(j-1)}(k) - psi^{(j-1)}(1) at odd j
+    if j == 1:
+        return 2 * harmonic(k) - Fraction(1, k)
+    fact = math.factorial(j - 1)
+    return Fraction(fact, k**j) + (2 * fact * harmonic(k - 1, j) if j % 2 else 0)
+
+
 @lru_cache(maxsize=None)
 def xi_bar(j: int, k: int) -> SymbolicValue:
-    """Exact xi_bar_j for shift k >= 1, in the gamma-free symbolic basis.
-
-    For j = 1 the two digamma values combine to the harmonic difference,
-    giving 2 H_k - 1/k; for odd j >= 3 the psi^{(j-1)}(k) term survives; for
-    even j only psi^{(j-1)}(1) appears.
-    """
+    """Exact xi_bar_j for shift k >= 1, in the gamma-free symbolic basis:
+    the k-free constant eta_bar_j plus the rational r_j(k)."""
     if j < 1:
         raise ValueError("sequence index j must be >= 1")
     if k < 1:
         raise ValueError("xi_bar requires k >= 1 (use eta_bar for the central case)")
-    if j == 1:
-        return SymbolicValue.rational(2 * harmonic(k) - Fraction(1, k))
-    tail = SymbolicValue.rational(Fraction(math.factorial(j - 1), k**j))
-    if j % 2 == 1:
-        return (
-            Fraction((-2) ** j) * polygamma_int(j - 1, 1)
-            + 2 * polygamma_int(j - 1, k)
-            + tail
-        )
-    return Fraction((-2) ** j - 2) * polygamma_int(j - 1, 1) + tail
+    return eta_bar(j) + _xi_rational(j, k)
 
 
 def xi_bar_scaled(j: int, k: int) -> SymbolicValue:
@@ -136,6 +132,20 @@ def rho(n: int) -> SymbolicValue:
 _SYM_ONE = SymbolicValue.one()
 
 
+@lru_cache(maxsize=None)
+def _constant_row(n: int, scaled: bool) -> tuple[SymbolicValue, ...]:
+    """[B_0(c), ..., B_n(c)] over c = (0 or log 4, eta_bar_2, ..., eta_bar_n), the
+    k-free parts of xi_bar.  Unscaled they are the inner Bell terms; log 4 enters
+    by the binomial identity B_m(c) = sum_j C(m, j) log4^{m-j} B_j(0, c_2, ...)."""
+    if not scaled:
+        return tuple(bell_core_terms([eta_bar(j) for j in range(1, n + 1)], _SYM_ONE))
+    core = _constant_row(n, False)
+    return tuple(
+        sum((math.comb(m, j) * (LOG4 ** (m - j) * core[j]) for j in range(m + 1)), SymbolicValue.zero())
+        for m in range(n + 1)
+    )
+
+
 def shifted_binom_deriv(spec: DerivSpec) -> SymbolicValue:
     """Exact p-th derivative of binom(2m, m+k) (or 4^{-m} times it) at m = 0
     for shift k >= 1:
@@ -143,17 +153,20 @@ def shifted_binom_deriv(spec: DerivSpec) -> SymbolicValue:
         (-1)^{p+k} (p/k) B_{p-1}(xi_bar_1, ..., xi_bar_{p-1}),
 
     with xi_bar_1 shifted by log 4 in the scaled variant.  p = 0 gives 0
-    because binom(0, k) = 0.
+    because binom(0, k) = 0.  With xi_bar_j = c_j + r_j(k), c the k-free
+    sequence of :func:`_constant_row`, the binomial identity B_n(c + r) = sum_i C(n, i)
+    B_i(r) B_{n-i}(c) leaves only rational work per k.
     """
     if spec.k < 1:
         raise ValueError("shifted_binom_deriv requires k >= 1; use central_binom_deriv")
     if spec.p == 0:
         return SymbolicValue.zero()
-    maker = xi_bar_scaled if spec.scaled else xi_bar
-    seq = [maker(j, spec.k) for j in range(1, spec.p)]
-    bell_value = complete_bell(seq, one=_SYM_ONE)
-    sign = Fraction((-1) ** (spec.p + spec.k))
-    return (sign * Fraction(spec.p, spec.k)) * bell_value
+    n = spec.p - 1
+    rational = complete_bell_all([_xi_rational(j, spec.k) for j in range(1, spec.p)], Fraction(1))
+    scale = Fraction((-1) ** (spec.p + spec.k) * spec.p, spec.k)
+    row = _constant_row(n, spec.scaled)
+    terms = ((scale * math.comb(n, i) * rational[i]) * row[n - i] for i in range(n + 1))
+    return sum(terms, SymbolicValue.zero())
 
 
 def central_binom_deriv(spec: DerivSpec) -> SymbolicValue:
@@ -165,12 +178,7 @@ def central_binom_deriv(spec: DerivSpec) -> SymbolicValue:
     """
     if spec.k != 0:
         raise ValueError("central_binom_deriv requires k = 0")
-    if spec.p == 0:
-        return SymbolicValue.one()
-    first = LOG4 if spec.scaled else SymbolicValue.zero()
-    seq = [first] + [eta_bar(j) for j in range(2, spec.p + 1)]
-    bell_value = complete_bell(seq, one=_SYM_ONE)
-    return Fraction((-1) ** spec.p) * bell_value
+    return (-1) ** spec.p * _constant_row(spec.p, spec.scaled)[spec.p]
 
 
 def binom_deriv(spec: DerivSpec) -> SymbolicValue:

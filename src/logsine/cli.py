@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import binomderiv, integrals, verify
 from .bell import complete_bell
@@ -25,6 +26,9 @@ from .specialfn import zeta_bar1_numeric
 from .symbolic import eval_numeric
 
 
+MAX_BINOM_DERIV_P = 40  # the exact form grows fast with p: megabytes at p = 40 scaled
+
+
 def _common_flags(sub: argparse.ArgumentParser):
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     sub.add_argument("--tol", type=float, default=1e-10, help="target absolute tolerance")
@@ -34,6 +38,7 @@ def _common_flags(sub: argparse.ArgumentParser):
     )
 
 
+@lru_cache(maxsize=1)  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="logsine",
@@ -65,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "binom-deriv", help="d^p/dm^p of binom(2m, m+k) (optionally 4^-m scaled) at m=0"
     )
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=int, required=True,
+                   help=f"derivative order, at most {MAX_BINOM_DERIV_P}")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--scaled", action="store_true")
     _common_flags(p)
@@ -148,6 +154,8 @@ def _cmd_ls(args) -> int:
 
 
 def _cmd_binom_deriv(args) -> int:
+    if args.p > MAX_BINOM_DERIV_P:
+        raise ValueError(f"binom-deriv takes --p up to {MAX_BINOM_DERIV_P}, got {args.p}")
     spec = binomderiv.DerivSpec(args.p, args.k, args.scaled)
     sym = binomderiv.binom_deriv(spec)
     numeric = eval_numeric(sym, _config(args))
@@ -230,8 +238,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (AccelerationError, QuadratureError) as exc:

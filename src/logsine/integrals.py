@@ -30,7 +30,7 @@ from itertools import islice
 from typing import Iterator
 
 from .bell import complete_bell
-from .binomderiv import DerivSpec, central_binom_deriv, eta_bar
+from .binomderiv import DerivSpec, central_binom_deriv
 from .numerics import (
     NumericConfig,
     accelerate_alternating,
@@ -562,10 +562,8 @@ def log_sine_low_order_closed(p: int, theta: str, n: int) -> SymbolicValue:
         )
     if p < 1:
         raise ValueError("p must be >= 1")
-    seq = [SymbolicValue.zero()] + [eta_bar(j) for j in range(2, p + 1)]
-    bell_value = complete_bell(seq, one=SymbolicValue.one())
-    coef = Fraction((-1) ** (p + 1) * (2 if theta == "2pi" else 1) ** (n + 1), 2**p * (n + 1))
-    return sym_pi(n + 1, coef) * bell_value
+    coef = Fraction(-((2 if theta == "2pi" else 1) ** (n + 1)), 2**p * (n + 1))
+    return sym_pi(n + 1, coef) * central_binom_deriv(DerivSpec(p, 0, False))
 
 
 # -- arbitrary angle ------------------------------------------------------------
@@ -626,10 +624,7 @@ def log_sine_any_angle(
     if cfg is None:
         cfg = NumericConfig()
 
-    seq = [SymbolicValue.zero()] + [eta_bar(j) for j in range(2, p + 1)]
-    bell_coef = Fraction((-1) ** (p + 1), 2**p) * complete_bell(
-        seq, one=SymbolicValue.one()
-    )
+    bell_coef = Fraction(-1, 2**p) * central_binom_deriv(DerivSpec(p, 0, False))
     if z <= math.pi:
         return _log_sine_series(p, z), bell_coef
     mirror = 2 * math.pi - z  # exact for z in (pi, 2pi]

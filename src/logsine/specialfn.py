@@ -97,6 +97,7 @@ def polygamma_int(order: int, z: int) -> SymbolicValue:
     return (sign * fact) * tail
 
 
+@lru_cache(maxsize=None)
 def euler_sum_H(n: int) -> SymbolicValue:
     """Exact value of sum_{k>=1} H_k / k^n for n >= 2.
 
@@ -111,6 +112,7 @@ def euler_sum_H(n: int) -> SymbolicValue:
     return total
 
 
+@lru_cache(maxsize=None)
 def eta_value(n: int) -> SymbolicValue:
     """Exact eta(n) = (1 - 2^{1-n}) zeta(n) for n >= 2."""
     if n < 2:
@@ -118,6 +120,7 @@ def eta_value(n: int) -> SymbolicValue:
     return (Fraction(1) - Fraction(1, 2 ** (n - 1))) * sym_zeta(n)
 
 
+@lru_cache(maxsize=None)
 def alt_euler_sum_H(n: int) -> SymbolicValue:
     """Exact value of sum_{k>=1} (-1)^k H_k / k^n for odd n >= 3.
 

@@ -21,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping
 
 RationalLike = Fraction | int
@@ -243,6 +244,10 @@ class SymbolicValue:
         return other + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):  # a rational scalar keeps every monomial
+            out = SymbolicValue.__new__(SymbolicValue)
+            out._terms = {m: c * other for m, c in self._terms.items()} if other else {}
+            return out
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -367,6 +372,7 @@ def zeta_even(k: int) -> SymbolicValue:
     return sym_pi(2 * k, coef)
 
 
+@lru_cache(maxsize=None)
 def sym_zeta(n: int) -> SymbolicValue:
     """zeta(n) for integer n >= 2: pi powers when n is even, a generator when odd."""
     if n < 2:

@@ -1,14 +1,19 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from logsine import (
     DerivSpec,
+    alt_euler_sum_H,
+    binom_deriv,
     binom_deriv_at,
     central_binom_deriv,
     delta_numeric,
     eta_bar,
+    eta_value,
+    euler_sum_H,
     eval_numeric,
     harmonic,
     polygamma_int,
@@ -17,11 +22,13 @@ from logsine import (
     shifted_binom_deriv,
     sym_log2,
     sym_pi,
+    sym_zeta,
     taylor_coefficient_oracle,
     xi_bar,
     xi_bar_scaled,
 )
-from logsine.bell import bell_core_terms
+from logsine.bell import bell_core_terms, complete_bell
+from logsine.binomderiv import _constant_row, _xi_rational
 from logsine.symbolic import SymbolicValue, sym_zeta_odd
 
 
@@ -236,3 +243,102 @@ class TestCaching:
             results = list(pool.map(worker, range(6)))
         for base, out in enumerate(results):
             assert out == worker(base)
+
+
+def _bell_over_xi_bar(p: int, k: int, scaled: bool) -> SymbolicValue:
+    # the defining form: (-1)^{p+k} (p/k) B_{p-1} over the symbolic xi_bar values
+    maker = xi_bar_scaled if scaled else xi_bar
+    bell = complete_bell([maker(j, k) for j in range(1, p)], one=SymbolicValue.one())
+    return Fraction((-1) ** (p + k) * p, k) * bell
+
+
+class TestBellBinomialSplit:
+    @pytest.mark.parametrize("p", range(1, 13))
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_equals_bell_over_xi_bar(self, p, scaled, cfg):
+        for k in range(1, 31):
+            got = shifted_binom_deriv(DerivSpec(p, k, scaled))
+            want = _bell_over_xi_bar(p, k, scaled)
+            assert got == want
+            assert eval_numeric(got, cfg) == eval_numeric(want, cfg)  # same float bits
+
+    @pytest.mark.parametrize("j", range(1, 10))
+    def test_xi_bar_is_constant_plus_rational(self, j):
+        # the k-free eta_bar_j carries every generator, r_j(k) is rational
+        for k in range(1, 31):
+            assert xi_bar(j, k) == eta_bar(j) + _xi_rational(j, k)
+            assert (xi_bar(j, k) - eta_bar(j)).as_rational() == _xi_rational(j, k)
+
+    @pytest.mark.parametrize("j", range(2, 10))
+    def test_xi_bar_matches_its_polygamma_definition(self, j):
+        # xi_bar_j = (-2)^j psi^{(j-1)}(1) + 2[j odd] psi^{(j-1)}(k)
+        #            - 2[j even] psi^{(j-1)}(1) + (j-1)!/k^j
+        psi_one = polygamma_int(j - 1, 1)
+        for k in range(1, 12):
+            want = (-2) ** j * psi_one + _rat(Fraction(math.factorial(j - 1), k**j))
+            want = want + (2 * polygamma_int(j - 1, k) if j % 2 else -2 * psi_one)
+            assert xi_bar(j, k) == want
+
+    def test_central_row_is_the_constant_row(self):
+        for scaled in (False, True):
+            for p in range(0, 10):
+                first = sym_log2(1, 2) if scaled else SymbolicValue.zero()
+                seq = ([first] + [eta_bar(j) for j in range(2, p + 1)])[:p]
+                want = (-1) ** p * complete_bell(seq, one=SymbolicValue.one())
+                assert central_binom_deriv(DerivSpec(p, 0, scaled)) == want
+
+
+class TestCachedValuesStayPut:
+    def test_arithmetic_leaves_cached_values_unchanged(self):
+        cached = [
+            central_binom_deriv(DerivSpec(6, 0, True)),
+            *_constant_row(6, True),
+            euler_sum_H(5),
+            alt_euler_sum_H(5),
+            eta_value(4),
+            sym_zeta(6),
+            sym_zeta(7),
+            xi_bar(3, 4),
+        ]
+        before = [dict(v.terms) for v in cached]
+        for v in cached:
+            for other in (v, 3, Fraction(-1, 2), sym_log2(1), SymbolicValue.zero()):
+                _ = v + other, v - other, v * other, other * v, -v, v**2
+        shifted_binom_deriv(DerivSpec(7, 3, True))
+        shifted_binom_deriv(DerivSpec(7, 4, True))
+        assert [dict(v.terms) for v in cached] == before
+        assert central_binom_deriv(DerivSpec(6, 0, True)).terms == before[0]
+
+    def test_scalar_products_share_no_term_map(self):
+        value = central_binom_deriv(DerivSpec(5, 0, True))
+        for scalar in (1, Fraction(1), 0):
+            product = scalar * value
+            assert product._terms is not value._terms
+
+
+class TestConcurrentDerivatives:
+    def test_eight_threads_agree_with_one(self, cfg):
+        from concurrent.futures import ThreadPoolExecutor
+
+        specs = [DerivSpec(p, k, scaled) for p in range(0, 11) for k in (0, 1, 2, 5, 13, 30)
+                 for scaled in (False, True)]
+
+        def compute(spec):
+            value = binom_deriv(spec)
+            return value.text(), eval_numeric(value, cfg)
+
+        def clear():
+            for fn in (_constant_row, xi_bar, eta_bar, euler_sum_H, sym_zeta):
+                fn.cache_clear()
+
+        clear()
+        serial = [compute(s) for s in specs]
+        clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often while they fill the caches together
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                threaded = list(pool.map(compute, specs[::-1], timeout=120))[::-1]
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import logsine
 from logsine import parse_text, verify
-from logsine.cli import main
+from logsine.cli import MAX_BINOM_DERIV_P, main
 from logsine.verify import Check, IdentityResult
 
 
@@ -111,6 +116,27 @@ class TestBinomDerivCommand:
         assert code == 0
         assert "-1/2" in out
 
+    def test_largest_order_is_accepted(self, capsys):
+        code, out = run_cli(capsys, "binom-deriv", "--p", str(MAX_BINOM_DERIV_P), "--k", "2")
+        assert code == 0
+        assert out.startswith("exact:   ") and "numeric: " in out
+
+    @pytest.mark.parametrize("p", [MAX_BINOM_DERIV_P + 1, 60])
+    def test_larger_order_is_a_one_line_usage_error(self, capsys, p):
+        code = main(["binom-deriv", "--p", str(p), "--k", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (
+            f"usage error: binom-deriv takes --p up to {MAX_BINOM_DERIV_P}, got {p}\n"
+        )
+
+    def test_limit_is_documented(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["binom-deriv", "--help"])
+        assert f"at most {MAX_BINOM_DERIV_P}" in capsys.readouterr().out
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert f"--p` up to {MAX_BINOM_DERIV_P}" in readme
+
 
 class TestConstantCommand:
     def test_zeta3(self, capsys):
@@ -123,7 +149,29 @@ class TestConstantCommand:
         assert code == 2
 
 
+# flags that each call sets and the next call leaves out
+_MIXED_CALLS = [
+    ("binom-deriv", "--p", "4", "--k", "3", "--scaled", "--json"),
+    ("binom-deriv", "--p", "4", "--k", "3"),
+    ("ls", "--p", "2", "--n", "1", "--theta", "2pi", "--tol", "1e-6", "--json"),
+    ("ls", "--p", "3", "--n", "2", "--theta", "pi"),
+    ("closed-form", "--z", "pi", "--n", "2", "--p", "3", "--tol", "1e-4"),
+    ("closed-form", "--z", "pi", "--n", "2", "--p", "3", "--json"),
+    ("binom-deriv", "--p", "2", "--k", "1", "--scaled", "--digits", "6"),
+    ("binom-deriv", "--p", "2", "--k", "1", "--json"),
+]
+
+
 class TestDeterminism:
+    def test_in_process_calls_carry_no_flag_over(self, capsys):
+        env = dict(os.environ, PYTHONPATH=str(Path(logsine.__file__).resolve().parents[1]))
+        for argv in _MIXED_CALLS:
+            code, out = run_cli(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "logsine", *argv], env=env, capture_output=True, text=True
+            )
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+
     def test_byte_identical_reruns(self, capsys):
         _, first = run_cli(
             capsys, "closed-form", "--z", "pi/2", "--n", "3", "--p", "2", "--json"

@@ -9,6 +9,8 @@ import pytest
 from logsine import (
     IntegralSpec,
     NumericConfig,
+    complete_bell,
+    eta_bar,
     eval_numeric,
     half_angle_moment,
     log_sin_power_integral,
@@ -259,6 +261,15 @@ class TestAnyAngle:
     def test_bell_coefficient_is_exact_symbolic(self):
         _, bell = log_sine_any_angle(3, math.pi / 2)
         assert bell == parse_text("3/2*zeta3")
+
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_bell_coefficient_is_the_bell_value_over_eta_bar(self, p, cfg):
+        # B = (-1)^{p+1} 2^{-p} B_p(0, eta_bar_2, ..., eta_bar_p), float bits included
+        seq = [SymbolicValue.zero()] + [eta_bar(j) for j in range(2, p + 1)]
+        want = Fraction((-1) ** (p + 1), 2**p) * complete_bell(seq, one=SymbolicValue.one())
+        _, bell = log_sine_any_angle(p, 5.0)
+        assert bell == want
+        assert eval_numeric(bell, cfg) == eval_numeric(want, cfg)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
