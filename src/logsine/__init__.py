@@ -16,7 +16,6 @@ from .bell import (
 from .binomderiv import (
     DerivSpec,
     binom_deriv,
-    binom_deriv_at,
     central_binom_deriv,
     delta_numeric,
     eta_bar,
@@ -29,11 +28,9 @@ from .binomderiv import (
 from .integrals import (
     ClosedFormResult,
     IntegralSpec,
-    half_angle_moment,
     log_sin_power_integral,
     log_sine_any_angle,
     log_sine_integral,
-    log_sine_low_order_closed,
     quadrature_value,
     sine_power_moment_exact,
     sine_power_moment_numeric,
@@ -57,10 +54,7 @@ from .specialfn import (
     eta_value,
     euler_sum_H,
     harmonic,
-    hypergeom_1s2s,
-    pochhammer,
     polygamma_int,
-    shifted_binom_series,
     zeta_bar1_numeric,
 )
 from .symbolic import (

@@ -1,5 +1,5 @@
 """Exact m-derivatives of C(m) = binom(2m, m+k) and its 4^{-m}-scaled variant
-at m = 0, plus numeric derivatives at general m.
+at m = 0, plus the polygamma sequence of the derivatives at general m.
 
 The symbolic route evaluates complete Bell polynomials over the sequences
 
@@ -20,9 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bell import bell_core_terms, complete_bell, complete_bell_all
+from .bell import bell_core_terms, complete_bell_all
 from .numerics import (
-    NumericConfig,
     PowerSeries,
     euler_gamma_numeric,
     polygamma_real,
@@ -238,23 +237,3 @@ def taylor_coefficient_oracle(spec: DerivSpec, order: int | None = None) -> floa
     )
     series = sine * ratio
     return (-1.0) ** (spec.k + 1) * series.derivative_at_zero(spec.p)
-
-
-def binom_deriv_at(p: int, m0: float, k: int, cfg: NumericConfig | None = None) -> float:
-    """Numeric d^p/dm^p binom(2m, m+k) at general m = m0.
-
-    Evaluates (-1)^p binom(2m0, m0+k) times the complete Bell polynomial of
-    the delta sequence at m0.  Valid where every polygamma argument is
-    positive, i.e. m0 > max(k - 1, -1/2).
-    """
-    if p < 0:
-        raise ValueError("derivative order p must be >= 0")
-    if m0 <= max(k - 1.0, -0.5):
-        raise ValueError("binom_deriv_at requires m0 > max(k-1, -1/2)")
-    binom = math.gamma(2 * m0 + 1) / (
-        math.gamma(m0 + 1 + k) * math.gamma(m0 + 1 - k)
-    )
-    if p == 0:
-        return binom
-    deltas = [delta_numeric(j, m0, k) for j in range(1, p + 1)]
-    return (-1.0) ** p * binom * complete_bell(deltas, one=1.0)

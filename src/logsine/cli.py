@@ -27,6 +27,7 @@ from .symbolic import eval_numeric
 
 
 MAX_BINOM_DERIV_P = 40  # the exact form grows fast with p: megabytes at p = 40 scaled
+MAX_BINOM_DERIV_K = 200  # its harmonic-number denominators grow with k: 30 MB at p = 40, k = 200 scaled
 
 
 def _common_flags(sub: argparse.ArgumentParser):
@@ -72,7 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--p", type=int, required=True,
                    help=f"derivative order, at most {MAX_BINOM_DERIV_P}")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=int, required=True,
+                   help=f"shift, at most {MAX_BINOM_DERIV_K}")
     p.add_argument("--scaled", action="store_true")
     _common_flags(p)
 
@@ -156,6 +158,8 @@ def _cmd_ls(args) -> int:
 def _cmd_binom_deriv(args) -> int:
     if args.p > MAX_BINOM_DERIV_P:
         raise ValueError(f"binom-deriv takes --p up to {MAX_BINOM_DERIV_P}, got {args.p}")
+    if args.k > MAX_BINOM_DERIV_K:
+        raise ValueError(f"binom-deriv takes --k up to {MAX_BINOM_DERIV_K}, got {args.k}")
     spec = binomderiv.DerivSpec(args.p, args.k, args.scaled)
     sym = binomderiv.binom_deriv(spec)
     numeric = eval_numeric(sym, _config(args))

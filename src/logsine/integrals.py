@@ -105,47 +105,23 @@ class CatalogMissError(ValueError):
 def sine_power_moment_exact(n: int, m: int, z: str) -> SymbolicValue:
     """Exact integral of x^n sin^{2m}(x) over (0, z) for z in {pi/2, pi}.
 
-    The k-sum truncates at k = m because binom(2m, m+k) vanishes beyond it,
-    so the value is an exact rational combination of pi powers.
+    The weights of :func:`_case_weights` applied to the shift-k coefficients
+    4^{-m} binom(2m, m+k).  The k-sum truncates at k = m because
+    binom(2m, m+k) vanishes beyond it, so the value is an exact rational
+    combination of pi powers.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
-    if z == "pi":
-        total = sym_pi(n + 1, Fraction(math.comb(2 * m, m), 4**m * (n + 1)))
-        for j in range(1, n // 2 + 1):
-            ksum = Fraction(0)
-            for k in range(1, m + 1):
-                ksum += Fraction((-1) ** k * math.comb(2 * m, m + k), k ** (2 * j))
-            coef = (
-                Fraction(-math.factorial(n) * (-1) ** j)
-                / (math.factorial(n + 1 - 2 * j) * 2 ** (2 * j - 1) * 4**m)
-            )
-            total = total + sym_pi(n + 1 - 2 * j, coef * ksum)
-        return total
-    if z == "pi/2":
-        half = Fraction(1, 2**n)
-        total = sym_pi(n + 1, half * Fraction(math.comb(2 * m, m), 4**m * 2 * (n + 1)))
-        for j in range(1, (n + 1) // 2 + 1):
-            ksum = Fraction(0)
-            for k in range(1, m + 1):
-                ksum += Fraction(math.comb(2 * m, m + k), k ** (2 * j))
-            coef = (
-                half
-                * Fraction(-math.factorial(n) * (-1) ** j, 4**m)
-                / math.factorial(n + 1 - 2 * j)
-            )
-            total = total + sym_pi(n + 1 - 2 * j, coef * ksum)
-        if n % 2 == 1:  # parity delta: (n+1)/2 integral
-            ksum = Fraction(0)
-            for k in range(1, m + 1):
-                ksum += Fraction((-1) ** k * math.comb(2 * m, m + k), k ** (n + 1))
-            coef = (
-                half
-                * Fraction(math.factorial(n) * (-1) ** ((n + 1) // 2), 4**m)
-            )
-            total = total + SymbolicValue.rational(coef * ksum)
-        return total
-    raise ValueError("exact moments are available at z in {'pi/2', 'pi'}")
+    if z not in ("pi", "pi/2"):
+        raise ValueError("exact moments are available at z in {'pi/2', 'pi'}")
+    central, weights = _case_weights(n, z, True)
+    total = central * Fraction(math.comb(2 * m, m), 4**m)
+    for w in weights:
+        ksum = Fraction(0)
+        for k in range(1, m + 1):
+            ksum += Fraction((-1) ** (k * w.alt) * math.comb(2 * m, m + k), k**w.pow)
+        total = total + w.coef * (ksum / 4**m)
+    return total
 
 
 def sine_power_moment_numeric(n: int, m: int, z: float) -> float:
@@ -167,18 +143,6 @@ def sine_power_moment_numeric(n: int, m: int, z: float) -> float:
         inner.append(-math.sin(math.pi * n / 2) / (2 * k) ** (n + 1))
         terms.append(front * compensated_sum(inner))
     return compensated_sum(terms)
-
-
-def half_angle_moment(n: int, m: int, z: str | float):
-    """Integral of x^n (2 sin(x/2))^{2m} over (0, 2z) via the scaling
-    relation: 4^m 2^{n+1} times the x^n sin^{2m} moment over (0, z).
-
-    Returns a SymbolicValue for z in {'pi/2', 'pi'} and a float otherwise.
-    """
-    scale = Fraction(4**m * 2 ** (n + 1))
-    if isinstance(z, str):
-        return scale * sine_power_moment_exact(n, m, z)
-    return float(scale) * sine_power_moment_numeric(n, m, z)
 
 
 # -- the k-sum engine -----------------------------------------------------------
@@ -242,95 +206,49 @@ def _sum_kterm(term: _KTerm, weight_alt: bool, weight_pow: int) -> SymbolicValue
 
 @dataclass(frozen=True)
 class _KWeight:
-    # one weighted k-sum: coef * sum_k (-1)^{k*alt} D_p(k) / k^pow
+    # one weighted k-sum: coef * sum_k (-1)^{k*alt} c(k) / k^pow over shift-k coefficients c(k)
     coef: SymbolicValue
     alt: bool
     pow: int
 
 
-def _case_weights(n: int, z: str, scaled: bool) -> tuple[SymbolicValue, list[_KWeight]]:
-    """Central prefactor and k-sum weights of the derivative formula for each
-    evaluation point; ``scaled`` selects the x^n log^p(sin x) normalization
-    (4^{-m} inside) versus the log-sine one (no scaling)."""
+# log-sine angle theta -> the angle theta/2 of the x^n sin^{2m} x row it scales
+_HALF_ANGLE = {"pi": "pi/2", "2pi": "pi"}
+
+
+@lru_cache(maxsize=None)
+def _case_weights(n: int, z: str, scaled: bool) -> tuple[SymbolicValue, tuple[_KWeight, ...]]:
+    """Central prefactor and k-sum weights of the moment family at one angle:
+    the moment is central * c(0) + sum_w w.coef * sum_k (-1)^{k*w.alt} c(k) / k^w.pow.
+
+    Scaled, the moment is that of x^n sin^{2m} x over (0, z), z in
+    {pi/2, pi}, with c(k) = 4^{-m} binom(2m, m+k); these two rows are written
+    out below.  Unscaled, it is that of x^n (2 sin(x/2))^{2m} over
+    (0, theta), theta in {pi, 2pi}, with c(k) = binom(2m, m+k).  By x = 2y
+    that is 2^{n+1} 4^m times the scaled moment over (0, theta/2), so the
+    unscaled row is 2^{n+1} times the scaled row at theta/2."""
+    if not scaled:
+        if z not in _HALF_ANGLE:
+            raise ValueError(f"no derivative formula for z={z!r}, scaled={scaled}")
+        central, weights = _case_weights(n, _HALF_ANGLE[z], True)
+        scale = 2 ** (n + 1)
+        return central * scale, tuple(_KWeight(w.coef * scale, w.alt, w.pow) for w in weights)
     nfact = math.factorial(n)
-    if z == "pi" and scaled:
+
+    def even(j: int, den: int) -> SymbolicValue:  # the weight of a sum over k^{2j}
+        return sym_pi(n + 1 - 2 * j, Fraction(-nfact * (-1) ** j, den * math.factorial(n + 1 - 2 * j)))
+
+    if z == "pi":
         central = sym_pi(n + 1, Fraction(1, n + 1))
-        weights = [
-            _KWeight(
-                coef=sym_pi(
-                    n + 1 - 2 * j,
-                    Fraction(-nfact * (-1) ** j)
-                    / (math.factorial(n + 1 - 2 * j) * 2 ** (2 * j - 1)),
-                ),
-                alt=True,
-                pow=2 * j,
-            )
-            for j in range(1, n // 2 + 1)
-        ]
-        return central, weights
-    if z == "pi/2" and scaled:
+        weights = [_KWeight(even(j, 2 ** (2 * j - 1)), True, 2 * j) for j in range(1, n // 2 + 1)]
+        return central, tuple(weights)
+    if z == "pi/2":
         central = sym_pi(n + 1, Fraction(1, 2 ** (n + 1) * (n + 1)))
-        weights = [
-            _KWeight(
-                coef=sym_pi(
-                    n + 1 - 2 * j,
-                    Fraction(-nfact * (-1) ** j, 2**n)
-                    / math.factorial(n + 1 - 2 * j),
-                ),
-                alt=False,
-                pow=2 * j,
-            )
-            for j in range(1, (n + 1) // 2 + 1)
-        ]
-        if n % 2 == 1:
-            weights.append(
-                _KWeight(
-                    coef=SymbolicValue.rational(
-                        Fraction(nfact * (-1) ** ((n + 1) // 2), 2**n)
-                    ),
-                    alt=True,
-                    pow=n + 1,
-                )
-            )
-        return central, weights
-    if z == "2pi" and not scaled:
-        central = sym_pi(n + 1, Fraction(2 ** (n + 1), n + 1))
-        weights = [
-            _KWeight(
-                coef=sym_pi(
-                    n + 1 - 2 * j,
-                    Fraction(-nfact * (-1) ** j * 2 ** (n + 2 - 2 * j))
-                    / math.factorial(n + 1 - 2 * j),
-                ),
-                alt=True,
-                pow=2 * j,
-            )
-            for j in range(1, n // 2 + 1)
-        ]
-        return central, weights
-    if z == "pi" and not scaled:
-        central = sym_pi(n + 1, Fraction(1, n + 1))
-        weights = [
-            _KWeight(
-                coef=sym_pi(
-                    n + 1 - 2 * j,
-                    Fraction(-2 * nfact * (-1) ** j)
-                    / math.factorial(n + 1 - 2 * j),
-                ),
-                alt=False,
-                pow=2 * j,
-            )
-            for j in range(1, (n + 1) // 2 + 1)
-        ]
-        if n % 2 == 1:
-            weights.append(
-                _KWeight(
-                    coef=SymbolicValue.rational(2 * nfact * (-1) ** ((n + 1) // 2)),
-                    alt=True,
-                    pow=n + 1,
-                )
-            )
-        return central, weights
+        weights = [_KWeight(even(j, 2**n), False, 2 * j) for j in range(1, (n + 1) // 2 + 1)]
+        if n % 2 == 1:  # odd n adds one alternating sum over k^{n+1}
+            parity = Fraction(nfact * (-1) ** ((n + 1) // 2), 2**n)
+            weights.append(_KWeight(SymbolicValue.rational(parity), True, n + 1))
+        return central, tuple(weights)
     raise ValueError(f"no derivative formula for z={z!r}, scaled={scaled}")
 
 
@@ -492,11 +410,15 @@ def _deriv_value_numeric(
     n: int, p: int, z: str, scaled: bool, cfg: NumericConfig
 ) -> tuple[float, float]:
     central, weights = _case_weights(n, z, scaled)
-    total = eval_numeric(central * central_binom_deriv(DerivSpec(p, 0, scaled)), cfg)
-    err = 0.0
+    # the k-series come first: where they overflow, the request fails before
+    # the exact central derivative, the costliest part at large p, is built
+    series = []
     for w in weights:
         val, e = _k_series_numeric(p, scaled, w.alt, w.pow, cfg)
-        coef = eval_numeric(w.coef, cfg)
+        series.append((eval_numeric(w.coef, cfg), val, e))
+    total = eval_numeric(central * central_binom_deriv(DerivSpec(p, 0, scaled)), cfg)
+    err = 0.0
+    for coef, val, e in series:
         total += coef * val
         err += abs(coef) * e
     return total, err
@@ -505,29 +427,32 @@ def _deriv_value_numeric(
 # -- public closed-form operations ------------------------------------------------
 
 
+def _closed_form(n: int, p: int, z: str, scaled: bool, cfg: NumericConfig | None) -> ClosedFormResult:
+    """2^{-p} times the p-th derivative (negated for the log-sine form): exact
+    whenever the k-sums reduce over the catalog, otherwise numeric via the
+    same series, never a wrong symbolic value."""
+    if cfg is None:
+        cfg = NumericConfig()
+    scale = Fraction(1 if scaled else -1, 2**p)
+    try:
+        sym = scale * _deriv_value_exact(n, p, z, scaled)
+        return ClosedFormResult(True, sym, eval_numeric(sym, cfg))
+    except CatalogMissError as miss:
+        val, err = _deriv_value_numeric(n, p, z, scaled, cfg)
+        return ClosedFormResult(
+            False, None, float(scale) * val, abs(float(scale)) * err, str(miss)
+        )
+
+
 def log_sin_power_integral(
     spec: IntegralSpec, cfg: NumericConfig | None = None
 ) -> ClosedFormResult:
-    """Integral of x^n log^p(sin x) over (0, z) for z in {pi/2, pi}.
-
-    Exact whenever the k-sums reduce over the catalog; otherwise numeric
-    via the same series, never a wrong symbolic value.
-    """
+    """Integral of x^n log^p(sin x) over (0, z) for z in {pi/2, pi}."""
     if spec.form != "logsin":
         raise ValueError("log_sin_power_integral expects form='logsin'")
     if spec.z not in ("pi", "pi/2"):
         raise ValueError("closed forms are available at z in {'pi/2', 'pi'}")
-    if cfg is None:
-        cfg = NumericConfig()
-    scale = Fraction(1, 2**spec.p)
-    try:
-        sym = scale * _deriv_value_exact(spec.n, spec.p, spec.z, scaled=True)
-        return ClosedFormResult(True, sym, eval_numeric(sym, cfg))
-    except CatalogMissError as miss:
-        val, err = _deriv_value_numeric(spec.n, spec.p, spec.z, True, cfg)
-        return ClosedFormResult(
-            False, None, float(scale) * val, float(scale) * err, str(miss)
-        )
+    return _closed_form(spec.n, spec.p, spec.z, True, cfg)
 
 
 def log_sine_integral(
@@ -539,31 +464,7 @@ def log_sine_integral(
         raise ValueError("log_sine_integral handles theta in {'pi', '2pi'}")
     if p < 1 and n < 0:
         raise ValueError("need p >= 1 or n >= 0")
-    if cfg is None:
-        cfg = NumericConfig()
-    scale = Fraction(-1, 2**p)
-    try:
-        sym = scale * _deriv_value_exact(n, p, theta, scaled=False)
-        return ClosedFormResult(True, sym, eval_numeric(sym, cfg))
-    except CatalogMissError as miss:
-        val, err = _deriv_value_numeric(n, p, theta, False, cfg)
-        return ClosedFormResult(
-            False, None, float(scale) * val, abs(float(scale)) * err, str(miss)
-        )
-
-
-def log_sine_low_order_closed(p: int, theta: str, n: int) -> SymbolicValue:
-    """Central-term-only closed form of the log-sine integral, valid exactly
-    where the k-series contribution vanishes: theta = 2pi with n in {0, 1},
-    or theta = pi with n = 0."""
-    if not ((theta == "2pi" and n in (0, 1)) or (theta == "pi" and n == 0)):
-        raise ValueError(
-            "low-order closed form is valid for theta=2pi, n in {0,1} or theta=pi, n=0"
-        )
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    coef = Fraction(-((2 if theta == "2pi" else 1) ** (n + 1)), 2**p * (n + 1))
-    return sym_pi(n + 1, coef) * central_binom_deriv(DerivSpec(p, 0, False))
+    return _closed_form(n, p, theta, False, cfg)
 
 
 # -- arbitrary angle ------------------------------------------------------------

@@ -408,17 +408,9 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    @staticmethod
-    def zero(order: int) -> "PowerSeries":
-        return PowerSeries([0.0] * (order + 1))
-
     def _check(self, other: "PowerSeries"):
         if self.order != other.order:
             raise ValueError("power series truncation orders must match")
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        return PowerSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other: "PowerSeries") -> "PowerSeries":
         self._check(other)
@@ -431,9 +423,6 @@ class PowerSeries:
                 out[i + j] += a * other.coeffs[j]
         return PowerSeries(out)
 
-    def scale(self, c: float) -> "PowerSeries":
-        return PowerSeries([c * a for a in self.coeffs])
-
     def exp(self) -> "PowerSeries":
         """exp of the series, exact to the truncation order."""
         n = self.order
@@ -445,10 +434,6 @@ class PowerSeries:
                 acc += j * self.coeffs[j] * out[i - j]
             out[i] = acc / i
         return PowerSeries(out)
-
-    def compose_scalar(self, c: float) -> "PowerSeries":
-        """Substitute m -> c*m."""
-        return PowerSeries([a * c**i for i, a in enumerate(self.coeffs)])
 
     def derivative_at_zero(self, p: int) -> float:
         """p! * coeffs[p] = the p-th derivative at 0."""

@@ -156,88 +156,3 @@ def zeta_bar1_numeric(n: int, cfg=None) -> float:
 
     # accelerate_alternating sums (-1)^{k+1} a_k; the target has (-1)^k.
     return -accelerate_alternating(magnitude, cfg)
-
-
-def pochhammer(a: Fraction | int, k: int) -> Fraction:
-    """Exact rising factorial (a)_k = a (a+1) ... (a+k-1), with (a)_0 = 1."""
-    if k < 0:
-        raise ValueError("pochhammer requires k >= 0")
-    a = Fraction(a)
-    out = Fraction(1)
-    for i in range(k):
-        out *= a + i
-    return out
-
-
-def hypergeom_1s2s(q: int, z: float, cfg=None) -> float:
-    """Numeric sum_{k>=0} z^k / (k+1)^q for 0 < |z| <= 1.
-
-    This is the hypergeometric reduction (1/z) Li_q(z) restricted to the
-    all-ones / all-twos parameter pattern; exposed as an identity witness.
-    Diverges for z = 1, q = 1.
-    """
-    from .numerics import NumericConfig, accelerate_alternating, compensated_sum
-
-    if q < 1:
-        raise ValueError("hypergeom_1s2s requires q >= 1")
-    if z == 0 or abs(z) > 1:
-        raise ValueError("hypergeom_1s2s requires 0 < |z| <= 1")
-    if cfg is None:
-        cfg = NumericConfig()
-    if z == 1.0:
-        if q < 2:
-            raise ValueError("series diverges at z = 1 for q = 1")
-        return zeta_numeric_direct(q, cfg)
-    if z == -1.0:
-        # sum (-1)^k/(k+1)^q = sum_{m>=1} (-1)^{m+1}/m^q
-        return accelerate_alternating(lambda k: 1.0 / float(k) ** q, cfg)
-    terms = []
-    k = 0
-    power = 1.0
-    while True:
-        term = power / float(k + 1) ** q
-        terms.append(term)
-        if abs(term) < 1e-18 and k > 8:
-            break
-        k += 1
-        if k > cfg.max_series_terms:
-            break
-        power *= z
-    return compensated_sum(terms)
-
-
-def zeta_numeric_direct(q: int, cfg=None) -> float:
-    """Numeric zeta(q), q >= 2, by direct summation plus an Euler-Maclaurin tail."""
-    from .numerics import NumericConfig, compensated_sum
-
-    if q < 2:
-        raise ValueError("zeta_numeric_direct requires q >= 2")
-    if cfg is None:
-        cfg = NumericConfig()
-    cutoff = 2000
-    head = compensated_sum([1.0 / float(m) ** q for m in range(1, cutoff + 1)])
-    # sum_{m>K} m^{-q} = K^{1-q}/(q-1) - ... with Bernoulli corrections
-    K = float(cutoff)
-    tail = K ** (1 - q) / (q - 1) - 0.5 * K ** (-q)
-    correction = (q / 12.0) * K ** (-q - 1)
-    correction -= (q * (q + 1) * (q + 2) / 720.0) * K ** (-q - 3)
-    return head + tail + correction
-
-
-def shifted_binom_series(m: int, s: int, z: float, cfg=None) -> float:
-    """Finite sum sum_{k=1}^{m} z^{k-1} / k^s * C(2m, m+k), exactly in rationals.
-
-    The binomial factor vanishes for k > m, so the hypergeometric identity
-    side is a finite sum for integer m; evaluated exactly then rendered real.
-    """
-    if m < 1:
-        raise ValueError("shifted_binom_series requires m >= 1")
-    if s < 0:
-        raise ValueError("shifted_binom_series requires s >= 0")
-    if abs(z) > 1:
-        raise ValueError("shifted_binom_series requires |z| <= 1")
-    zq = Fraction(z)
-    total = Fraction(0)
-    for k in range(1, m + 1):
-        total += zq ** (k - 1) * Fraction(math.comb(2 * m, m + k), k**s)
-    return float(total)

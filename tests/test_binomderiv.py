@@ -8,7 +8,6 @@ from logsine import (
     DerivSpec,
     alt_euler_sum_H,
     binom_deriv,
-    binom_deriv_at,
     central_binom_deriv,
     delta_numeric,
     eta_bar,
@@ -206,22 +205,24 @@ class TestTaylorOracle:
 
 
 class TestGeneralArgumentDerivatives:
-    def test_plain_binomial_value(self):
-        assert binom_deriv_at(0, 3.0, 1) == pytest.approx(15.0, abs=1e-10)
+    """The complete Bell polynomial of the delta sequence gives the p-th
+    m-derivative of binom(2m, m+k) at a general m0, times (-1)^p binom."""
+
+    @staticmethod
+    def _derivative(p, m0, k):
+        binom = math.gamma(2 * m0 + 1) / (math.gamma(m0 + 1 + k) * math.gamma(m0 + 1 - k))
+        deltas = [delta_numeric(j, m0, k) for j in range(1, p + 1)]
+        return (-1.0) ** p * binom * complete_bell(deltas, one=1.0)
 
     def test_first_derivative_central(self, cfg):
         f = lambda m: math.gamma(2 * m + 1) / math.gamma(m + 1) ** 2
         fd, _ = richardson_derivative(f, 2.0, 1, cfg)
-        assert abs(binom_deriv_at(1, 2.0, 0) - fd) < 1e-7
+        assert abs(self._derivative(1, 2.0, 0) - fd) < 1e-7
 
     def test_second_derivative_shifted(self, cfg):
         f = lambda m: math.gamma(2 * m + 1) / (math.gamma(m + 2) * math.gamma(m))
         fd, _ = richardson_derivative(f, 1.5, 2, cfg)
-        assert abs(binom_deriv_at(2, 1.5, 1) - fd) < 1e-6
-
-    def test_domain_guard(self):
-        with pytest.raises(ValueError):
-            binom_deriv_at(1, 0.0, 1)
+        assert abs(self._derivative(2, 1.5, 1) - fd) < 1e-6
 
 
 class TestCaching:

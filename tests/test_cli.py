@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import logsine
 from logsine import parse_text, verify
-from logsine.cli import MAX_BINOM_DERIV_P, main
+from logsine.cli import MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P, main
 from logsine.verify import Check, IdentityResult
 
 
@@ -133,9 +134,23 @@ class TestBinomDerivCommand:
     def test_limit_is_documented(self, capsys):
         with pytest.raises(SystemExit):
             main(["binom-deriv", "--help"])
-        assert f"at most {MAX_BINOM_DERIV_P}" in capsys.readouterr().out
+        help_text = capsys.readouterr().out
+        assert f"at most {MAX_BINOM_DERIV_P}" in help_text
+        assert f"at most {MAX_BINOM_DERIV_K}" in help_text
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         assert f"--p` up to {MAX_BINOM_DERIV_P}" in readme
+        assert f"--k` up to {MAX_BINOM_DERIV_K}" in readme
+
+    def test_larger_shift_is_refused_before_any_work(self, capsys):
+        # at the largest order a shift past the limit would take seconds to build
+        k = MAX_BINOM_DERIV_K + 1
+        start = time.perf_counter()
+        code = main(["binom-deriv", "--p", str(MAX_BINOM_DERIV_P), "--k", str(k), "--scaled"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"usage error: binom-deriv takes --k up to {MAX_BINOM_DERIV_K}, got {k}\n"
+        assert elapsed < 1.0
 
 
 class TestConstantCommand:

@@ -7,21 +7,22 @@ from itertools import islice
 import pytest
 
 from logsine import (
+    DerivSpec,
     IntegralSpec,
     NumericConfig,
+    central_binom_deriv,
     complete_bell,
     eta_bar,
     eval_numeric,
-    half_angle_moment,
     log_sin_power_integral,
     log_sine_any_angle,
     log_sine_integral,
-    log_sine_low_order_closed,
     parse_text,
     quadrature_value,
     richardson_derivative,
     sine_power_moment_exact,
     sine_power_moment_numeric,
+    sym_log2,
     sym_pi,
     tanh_sinh_quadrature,
 )
@@ -75,19 +76,56 @@ class TestMomentsNumeric:
         assert abs(got - want) < 1e-10
 
 
+def _written_out_row(n, theta):
+    """The log-sine weight row at theta in {pi, 2pi}, written out directly:
+    (central, [(coef, alt, pow), ...])."""
+    nfact = math.factorial(n)
+    if theta == "2pi":
+        central = sym_pi(n + 1, Fraction(2 ** (n + 1), n + 1))
+        weights = [
+            (
+                sym_pi(
+                    n + 1 - 2 * j,
+                    Fraction(-nfact * (-1) ** j * 2 ** (n + 2 - 2 * j)) / math.factorial(n + 1 - 2 * j),
+                ),
+                True,
+                2 * j,
+            )
+            for j in range(1, n // 2 + 1)
+        ]
+        return central, weights
+    central = sym_pi(n + 1, Fraction(1, n + 1))
+    weights = [
+        (sym_pi(n + 1 - 2 * j, Fraction(-2 * nfact * (-1) ** j) / math.factorial(n + 1 - 2 * j)), False, 2 * j)
+        for j in range(1, (n + 1) // 2 + 1)
+    ]
+    if n % 2 == 1:
+        weights.append((SymbolicValue.rational(2 * nfact * (-1) ** ((n + 1) // 2)), True, n + 1))
+    return central, weights
+
+
 class TestHalfAngleMoment:
+    """x = 2y: the integral of x^n (2 sin(x/2))^{2m} over (0, 2z) is 2^{n+1} 4^m
+    times the x^n sin^{2m} x moment over (0, z), so the log-sine weight row at
+    theta is 2^{n+1} times the scaled row at theta/2."""
+
     def test_trivial_case(self):
-        assert float(half_angle_moment(0, 0, math.pi)) == pytest.approx(2 * math.pi)
+        # the integral of 1 over (0, 2pi), with no k-sum
+        assert integrals._case_weights(0, "2pi", False) == (sym_pi(1, 2), ())
 
     def test_exact_scaling(self):
-        got = half_angle_moment(1, 1, "pi/2")
-        assert got == Fraction(16) * sine_power_moment_exact(1, 1, "pi/2")
+        for theta in ("pi", "2pi"):
+            for n in range(41):
+                central, weights = integrals._case_weights(n, theta, False)
+                want_central, want_weights = _written_out_row(n, theta)
+                assert central == want_central, (theta, n)
+                assert [(w.coef, w.alt, w.pow) for w in weights] == want_weights, (theta, n)
 
     def test_against_quadrature(self, cfg):
-        z = 1.3
-        got = half_angle_moment(2, 1, z)
+        z, n, m = 1.3, 2, 1
+        got = 2 ** (n + 1) * 4**m * sine_power_moment_numeric(n, m, z)
         want = tanh_sinh_quadrature(
-            lambda x: x**2 * (2 * math.sin(x / 2)) ** 2, 0.0, 2 * z, cfg
+            lambda x: x**n * (2 * math.sin(x / 2)) ** (2 * m), 0.0, 2 * z, cfg
         )
         assert abs(got - want) < 1e-9
 
@@ -213,26 +251,58 @@ class TestLogSineIntegrals:
             assert abs(res.numeric - quadrature_value(spec, cfg)) < 1e-8
 
 
+def _central_term(p, theta, n):
+    # -2^{-p} theta^{n+1}/(n+1) times the p-th derivative of binom(2m, m) at m = 0
+    coef = Fraction(-((2 if theta == "2pi" else 1) ** (n + 1)), 2**p * (n + 1))
+    return sym_pi(n + 1, coef) * central_binom_deriv(DerivSpec(p, 0, False))
+
+
 class TestLowOrderClosedForm:
+    """At theta = 2pi with n in {0, 1}, and at theta = pi with n = 0, the
+    k-series vanishes and the log-sine integral is its central term."""
+
     def test_order_five_full_angle(self):
-        assert log_sine_low_order_closed(3, "2pi", 1) == parse_text("3*pi^2*zeta3")
+        assert log_sine_integral(3, 1, "2pi").value == parse_text("3*pi^2*zeta3")
 
     def test_order_four_full_angle(self):
-        assert log_sine_low_order_closed(2, "2pi", 1) == parse_text("-1/6*pi^4")
+        assert log_sine_integral(2, 1, "2pi").value == parse_text("-1/6*pi^4")
 
     def test_vanishing_order_two(self):
-        assert log_sine_low_order_closed(1, "pi", 0).is_zero
+        assert log_sine_integral(1, 0, "pi").value.is_zero
 
     def test_agrees_with_series_route(self):
         for p in (1, 2, 3, 4):
             for theta, n in (("2pi", 0), ("2pi", 1), ("pi", 0)):
-                assert log_sine_low_order_closed(p, theta, n) == log_sine_integral(
-                    p, n, theta
-                ).value
+                assert log_sine_integral(p, n, theta).value == _central_term(p, theta, n)
 
     def test_outside_validity_set(self):
-        with pytest.raises(ValueError):
-            log_sine_low_order_closed(2, "pi", 1)
+        # at theta = pi with n = 1 the k-series contributes
+        assert log_sine_integral(2, 1, "pi").value != _central_term(2, "pi", 1)
+
+
+def _half_angle_cases():
+    cases = {(theta, n, p) for theta in ("pi", "2pi") for n in range(21) for p in range(3)}
+    cases |= {(theta, n, p) for theta, n in (("2pi", 0), ("2pi", 1), ("pi", 0)) for p in range(7)}
+    return sorted(cases)
+
+
+class TestHalfAngleIdentity:
+    """log|2 sin(x/2)| = log 2 + log sin(x/2) and x = 2y give
+    Ls = -2^{n+1} sum_i C(p, i) log2^{p-i} int_0^{theta/2} x^n log^i(sin x) dx.
+    The two sides share the weight rows but not the derivatives: the left
+    takes the unscaled m-derivatives, the right the 4^{-m}-scaled ones and
+    the binomial sum in log 2."""
+
+    @pytest.mark.parametrize("theta,n,p", _half_angle_cases())
+    def test_exact_forms_agree(self, theta, n, p):
+        half = {"pi": "pi/2", "2pi": "pi"}[theta]
+        want = SymbolicValue.zero()
+        for i in range(p + 1):
+            part = log_sin_power_integral(IntegralSpec(n, i, half))
+            assert part.exact
+            want = want + math.comb(p, i) * (sym_log2(p - i) * part.value)
+        got = log_sine_integral(p, n, theta)
+        assert got.exact and got.value == -(2 ** (n + 1)) * want
 
 
 class TestAnyAngle:

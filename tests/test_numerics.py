@@ -225,7 +225,7 @@ class TestPowerSeries:
 
     def test_order_mismatch(self):
         with pytest.raises(ValueError):
-            PowerSeries([1.0, 2.0]) + PowerSeries([1.0])
+            PowerSeries([1.0, 2.0]) * PowerSeries([1.0])
 
     def test_exp_log_round_trip(self):
         series = PowerSeries([0.0, 0.3, -0.2, 0.11, 0.07])
@@ -256,10 +256,6 @@ class TestPowerSeries:
         fd, _ = richardson_derivative(f, 0.0, 4, cfg)
         # order-4 central differences bottom out near 1e-6..1e-7 in binary64
         assert abs(series.coeffs[4] - fd / math.factorial(4)) < 2e-6
-
-    def test_compose_scalar(self):
-        series = PowerSeries([1.0, 2.0, 3.0])
-        assert series.compose_scalar(2.0).coeffs == [1.0, 4.0, 12.0]
 
 
 class TestCotDerivative:

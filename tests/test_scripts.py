@@ -1,9 +1,14 @@
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "reproduce_tables.py"
+WORKER = ROOT / "perfbench" / "worker.py"
 
 
 @pytest.fixture
@@ -27,3 +32,18 @@ def test_reproduce_tables_fails_on_a_distant_oracle(reproduce_tables, monkeypatc
     captured = capsys.readouterr()
     assert captured.out.count("FAIL") == 19  # every row
     assert "more than their bound" in captured.err
+
+
+@pytest.mark.parametrize("workload", ["series", "exact"])
+def test_traced_benchmark_pass_runs(workload):
+    # the traced pass wraps integrals._k_series_numeric by name and positional
+    # signature, and every public function of the package; a short pass fails
+    # when either no longer matches
+    proc = subprocess.run(
+        [sys.executable, str(WORKER), "--workload", workload, "--seed", "1",
+         "--limit", "0.3", "--mode", "traced"],
+        input="\n" * 1000,  # one line per handshake with the (absent) parent
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["workload"] == workload

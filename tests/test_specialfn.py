@@ -13,11 +13,8 @@ from logsine import (
     eval_numeric,
     euler_sum_H,
     harmonic,
-    hypergeom_1s2s,
-    pochhammer,
     polygamma_int,
     polygamma_real,
-    shifted_binom_series,
     sym_pi,
     sym_zeta_bar1,
     zeta_bar1_numeric,
@@ -186,61 +183,6 @@ class TestZetaBar1:
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             zeta_bar1_numeric(4)
-
-
-class TestPochhammer:
-    def test_factorial_case(self):
-        assert pochhammer(1, 4) == 24
-
-    @given(st.fractions(min_value=-10, max_value=10, max_denominator=12))
-    def test_empty_product(self, a):
-        assert pochhammer(a, 0) == 1
-
-    def test_half(self):
-        assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
-
-
-class TestHypergeometricReduction:
-    def test_zeta2_at_one(self, cfg):
-        assert abs(hypergeom_1s2s(2, 1.0, cfg) - math.pi**2 / 6) < 1e-10
-
-    def test_eta2_at_minus_one(self, cfg):
-        assert abs(hypergeom_1s2s(2, -1.0, cfg) - math.pi**2 / 12) < 1e-10
-
-    def test_three_quarters_zeta3(self, cfg):
-        want = 0.75 * 1.2020569031595943
-        assert abs(hypergeom_1s2s(3, -1.0, cfg) - want) < 1e-10
-
-    def test_interior_matches_polylog_series(self, cfg):
-        z = 0.5
-        direct = sum(z**k / (k + 1) ** 2 for k in range(200))
-        assert abs(hypergeom_1s2s(2, z, cfg) - direct) < 1e-12
-
-    def test_divergent_corner(self):
-        with pytest.raises(ValueError):
-            hypergeom_1s2s(1, 1.0)
-
-
-class TestShiftedBinomSeries:
-    def test_single_term(self):
-        assert shifted_binom_series(1, 0, 1.0) == 1.0
-
-    def test_alternating_two_terms(self):
-        assert shifted_binom_series(2, 1, -1.0) == 3.5
-
-    def test_three_terms(self):
-        want = 15 + 6 / 4 + 1 / 9
-        assert abs(shifted_binom_series(3, 2, 1.0) - want) < 1e-12
-
-    def test_matches_hypergeometric_identity(self, cfg):
-        # finite sum side equals binom(2m, m+1) * (q+2)F(q+1)-style series side,
-        # evaluated through the polylog reduction witness at m = 1
-        m, s, z = 1, 2, -0.75
-        lhs = shifted_binom_series(m, s, z)
-        rhs = sum(
-            (z) ** (k - 1) / k**s * math.comb(2 * m, m + k) for k in range(1, m + 1)
-        )
-        assert abs(lhs - rhs) < 1e-14
 
 
 class TestEta:
