@@ -271,10 +271,14 @@ def _deriv_value_exact(n: int, p: int, z: str, scaled: bool) -> SymbolicValue:
 def _bell_sequence(p: int, scaled: bool):
     """B_{p-1}(xi_bar(k)) for k = 1, 2, ... from running float values of the
     xi_bar sequence along integer k."""
-    psi_at_one = [
-        (-1.0) ** j * math.factorial(j - 1) * zeta_numeric(j) if j >= 2 else 0.0
-        for j in range(0, p)
+    # the k-free parts, computed once: (j-1)!, zeta(j) and the psi^{(j-1)}(1) term of xi_bar_j
+    fact = [math.factorial(j - 1) if j >= 1 else 0 for j in range(0, p)]
+    zeta = [zeta_numeric(j) if j >= 2 else 0.0 for j in range(0, p)]
+    front = [0.0, 0.0] + [
+        (2.0**j - 2.0 if j % 2 == 0 else (-2.0) ** j) * ((-1.0) ** j * fact[j] * zeta[j])
+        for j in range(2, p)
     ]
+    log4 = math.log(4.0)
     harm = [0.0] * p  # harm[r] = H_k^{(r)}, r >= 1
     k = 0
     while True:
@@ -286,12 +290,13 @@ def _bell_sequence(p: int, scaled: bool):
             if j == 1:
                 v = 2.0 * harm[1] - 1.0 / k
                 if scaled:
-                    v += math.log(4.0)
+                    v += log4
             elif j % 2 == 0:
-                v = (2.0**j - 2.0) * psi_at_one[j] + math.factorial(j - 1) / k**j
+                v = front[j] + fact[j] / k**j
             else:
-                psi_k = -math.factorial(j - 1) * (zeta_numeric(j) - (harm[j] - 1.0 / k**j))
-                v = (-2.0) ** j * psi_at_one[j] + 2.0 * psi_k + math.factorial(j - 1) / k**j
+                k_j = k**j
+                psi_k = -fact[j] * (zeta[j] - (harm[j] - 1.0 / k_j))
+                v = front[j] + 2.0 * psi_k + fact[j] / k_j
             xi.append(v)
         yield complete_bell(xi, one=1.0)
 
@@ -380,18 +385,29 @@ def _k_series_numeric(
 
     D_p(k) carries its own (-1)^k, so the net series is monotone when
     ``weight_alt`` is set (summed directly with an Euler-Maclaurin midpoint
-    tail) and alternating otherwise (summed by acceleration).
+    tail) and alternating otherwise (summed by acceleration).  Each sum
+    depends on nothing but these arguments, so it is computed once per
+    process: the monotone one reads ``cfg`` only in the last term of its bound.
     """
     s = weight_pow + 1
-
     if not weight_alt:
-        # net alternating series: sum_k (-1)^k g(k) with positive magnitudes
-        def magnitude(k: int) -> float:
-            return p / float(k) ** s * _bell_head(p, scaled, k)[k - 1]
+        return _alternating_k_series(p, scaled, s, cfg)
+    value, err = _monotone_k_series(p, scaled, s)
+    return value, err + min(1e-12, cfg.target_abs_tol)
 
-        acc = accelerate_alternating(magnitude, cfg)
-        return (-1.0) ** p * (-acc), cfg.target_abs_tol
 
+@lru_cache(maxsize=None)
+def _alternating_k_series(p: int, scaled: bool, s: int, cfg: NumericConfig) -> tuple[float, float]:
+    # net alternating series: sum_k (-1)^k g(k) with positive magnitudes
+    def magnitude(k: int) -> float:
+        return p / float(k) ** s * _bell_head(p, scaled, k)[k - 1]
+
+    acc = accelerate_alternating(magnitude, cfg)
+    return (-1.0) ** p * (-acc), cfg.target_abs_tol
+
+
+@lru_cache(maxsize=None)
+def _monotone_k_series(p: int, scaled: bool, s: int) -> tuple[float, float]:
     # net monotone series: direct sum then midpoint Euler-Maclaurin tail
     bells = _bell_head(p, scaled, _SERIES_CUTOFF)
     head = compensated_sum(
@@ -402,8 +418,7 @@ def _k_series_numeric(
     hi, lo = x0 + 0.5, x0 - 0.5  # the slope of B/x^s across x0, for the midpoint correction
     slope = _bell_continuous(p, scaled, hi) / hi**s - _bell_continuous(p, scaled, lo) / lo**s
     correction = p * slope / 24.0
-    err = abs(correction) * 0.02 + rule_err + min(1e-12, cfg.target_abs_tol)
-    return (-1.0) ** p * (head + integral + correction), err
+    return (-1.0) ** p * (head + integral + correction), abs(correction) * 0.02 + rule_err
 
 
 def _deriv_value_numeric(
@@ -439,9 +454,10 @@ def _closed_form(n: int, p: int, z: str, scaled: bool, cfg: NumericConfig | None
         return ClosedFormResult(True, sym, eval_numeric(sym, cfg))
     except CatalogMissError as miss:
         val, err = _deriv_value_numeric(n, p, z, scaled, cfg)
-        return ClosedFormResult(
-            False, None, float(scale) * val, abs(float(scale)) * err, str(miss)
-        )
+        value, error = float(scale) * val, abs(float(scale)) * err
+        if not (math.isfinite(value) and math.isfinite(error)):
+            raise OverflowError(f"the series fallback is {value} with error estimate {error:.1e}")
+        return ClosedFormResult(False, None, value, error, str(miss))
 
 
 def log_sin_power_integral(
@@ -507,6 +523,18 @@ def _log_sine_series(p: int, z: float, terms: int = _H_TERMS) -> float:
     return -z * math.fsum(parts)
 
 
+@lru_cache(maxsize=None)
+def _any_angle_bell(p: int) -> SymbolicValue:
+    """The exact Bell coefficient B of z in Ls_{p+1}(z)."""
+    return Fraction(-1, 2**p) * central_binom_deriv(DerivSpec(p, 0, False))
+
+
+@lru_cache(maxsize=None)
+def _any_angle_bell_float(p: int) -> float:
+    # B holds only pi and zeta generators, whose float values read no NumericConfig
+    return eval_numeric(_any_angle_bell(p))
+
+
 def log_sine_any_angle(
     p: int, z: float, cfg: NumericConfig | None = None
 ) -> tuple[float, SymbolicValue]:
@@ -516,20 +544,19 @@ def log_sine_any_angle(
     exact symbolic coefficient B of z (the Bell-polynomial term):
     Ls_{p+1}(z) - B z is a sine series, odd and 2pi-periodic.  Up to pi the
     value is a convergent series in (z/2pi)^2 with powers of log z as
-    coefficients; past pi it is 2pi B - Ls_{p+1}(2pi - z).
+    coefficients; past pi it is 2pi B - Ls_{p+1}(2pi - z).  ``cfg`` is
+    accepted like the other entry points', but no step here reads it.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if not 0 < z <= 2 * math.pi + 1e-12:
         raise ValueError("z must lie in (0, 2*pi]")
-    if cfg is None:
-        cfg = NumericConfig()
 
-    bell_coef = Fraction(-1, 2**p) * central_binom_deriv(DerivSpec(p, 0, False))
+    bell_coef = _any_angle_bell(p)
     if z <= math.pi:
         return _log_sine_series(p, z), bell_coef
     mirror = 2 * math.pi - z  # exact for z in (pi, 2pi]
-    value = 2 * math.pi * eval_numeric(bell_coef, cfg)
+    value = 2 * math.pi * _any_angle_bell_float(p)
     if mirror > 0:  # z = fl(2pi) stands for 2pi, where the sine series vanishes
         value -= _log_sine_series(p, mirror + _TWO_PI_LOW)
     return value, bell_coef

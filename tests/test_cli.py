@@ -63,6 +63,15 @@ class TestLsCommand:
         assert payload["exact"] == "-1/6*pi^4"
         assert payload["numeric"] == pytest.approx(-16.234848505667064, abs=1e-9)
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_non_finite_fallback_is_a_one_line_error(self, capsys, fmt):
+        # the p = 3 fallback at n = 170 sums to nan; printed, it would exit 0
+        code = main(["ls", "--theta", "pi", "--n", "170", "--p", "3", *fmt])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestNumericCommand:
     def test_token_angle(self, capsys):

@@ -27,6 +27,7 @@ from logsine import (
     tanh_sinh_quadrature,
 )
 from logsine import integrals
+from logsine.numerics import AccelerationError
 from logsine.symbolic import SymbolicValue
 
 
@@ -341,6 +342,15 @@ class TestAnyAngle:
         assert bell == want
         assert eval_numeric(bell, cfg) == eval_numeric(want, cfg)
 
+    @pytest.mark.parametrize("p", [1, 3, 6])
+    def test_reflected_value_reads_no_tolerance(self, p, cfg):
+        # 2pi B - Ls(2pi - z) with B evaluated once per p, whatever the cfg
+        z = 5.0
+        bell = eval_numeric(log_sine_any_angle(p, z)[1], cfg)
+        want = 2 * math.pi * bell - integrals._log_sine_series(p, 2 * math.pi - z + integrals._TWO_PI_LOW)
+        for tol in (1e-4, 1e-10, 1e-14):
+            assert log_sine_any_angle(p, z, NumericConfig(target_abs_tol=tol))[0] == want
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             log_sine_any_angle(2, 7.0)
@@ -532,6 +542,118 @@ class TestMonotoneTail:
         got, est = integrals._monotone_tail(p, scaled, s, x0)
         assert abs(got - want) <= 1e-14 * abs(want)
         assert est <= 1e-14 * abs(want)
+
+
+def _clear_k_series(monkeypatch):
+    monkeypatch.setattr(integrals, "_BELL_HEADS", {})
+    integrals._monotone_k_series.cache_clear()
+    integrals._alternating_k_series.cache_clear()
+
+
+def _k_series_outcome(key, cfg):
+    try:
+        return integrals._k_series_numeric(*key, cfg)
+    except AccelerationError:  # some alternating sums at p >= 7 do not certify
+        return AccelerationError
+
+
+# every s = weight_pow + 1 <= 9, both scalings and both branches, p = 3..8
+_K_SERIES_KEYS = [
+    (p, scaled, alt, pow_)
+    for p in range(3, 9) for scaled in (False, True) for alt in (False, True) for pow_ in range(2, 9)
+]
+
+
+class TestKSeriesMemo:
+    def test_memoized_values_equal_a_fresh_computation(self, monkeypatch, cfg):
+        _clear_k_series(monkeypatch)
+        first = {key: _k_series_outcome(key, cfg) for key in _K_SERIES_KEYS}
+        again = {key: _k_series_outcome(key, cfg) for key in _K_SERIES_KEYS}
+        _clear_k_series(monkeypatch)
+        fresh = {key: _k_series_outcome(key, cfg) for key in reversed(_K_SERIES_KEYS)}
+        assert again == first == fresh  # floats compare bit for bit; no value here is nan
+        assert sum(isinstance(v, tuple) for v in first.values()) > 0.9 * len(first)
+
+    def test_a_repeated_call_sums_nothing(self, monkeypatch, cfg):
+        _clear_k_series(monkeypatch)
+        calls = []
+
+        def counted(name):
+            real = getattr(integrals, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("compensated_sum", "_monotone_tail", "accelerate_alternating"):
+            monkeypatch.setattr(integrals, name, counted(name))
+        keys = [(4, True, True, 2), (4, True, False, 2), (5, False, True, 4), (5, False, False, 4)]
+        first = [integrals._k_series_numeric(*key, cfg) for key in keys]
+        assert set(calls) == {"compensated_sum", "_monotone_tail", "accelerate_alternating"}
+        calls.clear()
+        assert [integrals._k_series_numeric(*key, cfg) for key in keys] == first
+        assert calls == []
+
+    @pytest.mark.parametrize("p,scaled,pow_", [(3, False, 2), (4, True, 4), (6, False, 8)])
+    def test_tolerance_moves_only_the_monotone_bound_floor(self, p, scaled, pow_, monkeypatch):
+        _clear_k_series(monkeypatch)
+        tight, loose = NumericConfig(target_abs_tol=1e-13), NumericConfig(target_abs_tol=1e-6)
+        v_tight, e_tight = integrals._k_series_numeric(p, scaled, True, pow_, tight)
+        v_loose, e_loose = integrals._k_series_numeric(p, scaled, True, pow_, loose)
+        value, err = integrals._monotone_k_series(p, scaled, pow_ + 1)
+        assert v_tight == v_loose == value
+        assert (e_tight, e_loose) == (err + 1e-13, err + 1e-12)
+
+    def test_a_raised_error_is_not_cached(self, monkeypatch, cfg):
+        _clear_k_series(monkeypatch)
+        key = (5, True, True, 4)
+        want = integrals._k_series_numeric(*key, cfg)
+        _clear_k_series(monkeypatch)
+        real_tail = integrals._monotone_tail
+
+        def failing_tail(*args):
+            raise OverflowError("injected")
+
+        monkeypatch.setattr(integrals, "_monotone_tail", failing_tail)
+        with pytest.raises(OverflowError, match="injected"):
+            integrals._k_series_numeric(*key, cfg)
+        monkeypatch.setattr(integrals, "_monotone_tail", real_tail)
+        assert integrals._k_series_numeric(*key, cfg) == want
+
+        # an alternating sum that does not certify raises on every call
+        calls = []
+        real_acc = integrals.accelerate_alternating
+        monkeypatch.setattr(
+            integrals, "accelerate_alternating", lambda *a: calls.append(1) or real_acc(*a)
+        )
+        for _ in range(2):
+            with pytest.raises(AccelerationError):
+                integrals._k_series_numeric(7, False, False, 2, cfg)
+        assert len(calls) == 2
+
+    def test_threads_agree_with_one_thread(self, monkeypatch, cfg):
+        keys = [(p, scaled, alt, pow_) for p in (3, 4, 5) for scaled in (False, True)
+                for alt in (False, True) for pow_ in (2, 4)]
+        _clear_k_series(monkeypatch)
+        want = [integrals._k_series_numeric(*key, cfg) for key in keys]
+        _clear_k_series(monkeypatch)
+
+        def run(seed: int) -> list:
+            order = keys[seed:] + keys[:seed]
+            got = {key: integrals._k_series_numeric(*key, cfg) for key in order}
+            return [got[key] for key in keys]
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-sum
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(run, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(old)
+        assert len(results) == 8
+        assert all(got == want for got in results)
 
 
 class TestDerivativeConsistency:
