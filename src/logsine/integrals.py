@@ -23,15 +23,16 @@ from __future__ import annotations
 
 import math
 import threading
+from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
-from typing import Iterator
+from itertools import accumulate, repeat
 
 from .bell import complete_bell
 from .binomderiv import DerivSpec, central_binom_deriv
 from .numerics import (
+    AccelerationError,
     NumericConfig,
     accelerate_alternating,
     compensated_sum,
@@ -267,45 +268,14 @@ def _deriv_value_exact(n: int, p: int, z: str, scaled: bool) -> SymbolicValue:
 
 # -- numeric fallback: the same series summed in floats --------------------------
 
-
-def _bell_sequence(p: int, scaled: bool):
-    """B_{p-1}(xi_bar(k)) for k = 1, 2, ... from running float values of the
-    xi_bar sequence along integer k."""
-    # the k-free parts, computed once: (j-1)!, zeta(j) and the psi^{(j-1)}(1) term of xi_bar_j
-    fact = [math.factorial(j - 1) if j >= 1 else 0 for j in range(0, p)]
-    zeta = [zeta_numeric(j) if j >= 2 else 0.0 for j in range(0, p)]
-    front = [0.0, 0.0] + [
-        (2.0**j - 2.0 if j % 2 == 0 else (-2.0) ** j) * ((-1.0) ** j * fact[j] * zeta[j])
-        for j in range(2, p)
-    ]
-    log4 = math.log(4.0)
-    harm = [0.0] * p  # harm[r] = H_k^{(r)}, r >= 1
-    k = 0
-    while True:
-        k += 1
-        for r in range(1, p):
-            harm[r] += 1.0 / float(k) ** r
-        xi = []
-        for j in range(1, p):
-            if j == 1:
-                v = 2.0 * harm[1] - 1.0 / k
-                if scaled:
-                    v += log4
-            elif j % 2 == 0:
-                v = front[j] + fact[j] / k**j
-            else:
-                k_j = k**j
-                psi_k = -fact[j] * (zeta[j] - (harm[j] - 1.0 / k_j))
-                v = front[j] + 2.0 * psi_k + fact[j] / k_j
-            xi.append(v)
-        yield complete_bell(xi, one=1.0)
+_LOG4 = math.log(4.0)
 
 
 def _xi_continuous(j: int, x: float, scaled: bool) -> float:
     """Continuous extension of xi_bar_j to real x > 0 via polygamma."""
     if j == 1:
         v = 2.0 * (polygamma_real(0, x) + euler_gamma_numeric()) + 1.0 / x
-        return v + math.log(4.0) if scaled else v
+        return v + _LOG4 if scaled else v
     fact = math.factorial(j - 1)
     if j % 2 == 0:
         return (2.0**j - 2.0) * (-1.0) ** j * fact * zeta_numeric(j) + fact / x**j
@@ -315,23 +285,88 @@ def _xi_continuous(j: int, x: float, scaled: bool) -> float:
 
 _SERIES_CUTOFF = 2000
 
-# (p, scaled) -> ([B_{p-1}(xi_bar(k)) for k = 1, 2, ...], the _bell_sequence feeding it)
-_BELL_HEADS: dict[tuple[int, bool], tuple[list[float], Iterator[float]]] = {}
-_BELL_HEADS_LOCK = threading.Lock()  # a generator cannot be advanced by two threads
+
+class _BellColumn:  # column j >= 1 of the shared Bell table, rows k = 1..len(xi)
+    def __init__(self):
+        self.xi = array("d")  # xi_bar_j(k), without the log 4 of the scaled xi_bar_1
+        self.core = array("d")  # the inner term x_j(k) of bell_core_terms (x_1 = 0)
+        self.harm = 0.0  # H_{len(xi)}^{(j)}, where the next rows continue the running sum
+        self.bell = (array("d"), array("d"))  # B_j(xi_bar(k)) unscaled and scaled, as far as read
 
 
-def _bell_head(p: int, scaled: bool, count: int) -> list[float]:
-    """The cached values B_{p-1}(xi_bar(k)) for k = 1..count, in a shared list
+# one table for every (p, scaled): B_{p-1} reads columns 1..p-1, which larger p
+# only widen, and the x_j never read xi_bar_1, the one entry scaling moves
+_BELL_TABLE: list[_BellColumn] = []
+_BELL_TABLE_LOCK = threading.Lock()  # growth is a check-then-extend
+
+
+def _extend_bell_column(j: int, count: int) -> None:
+    """Grow column j to rows 1..count, in the float order of one running
+    sequence along k; columns below j are already that long."""
+    col = _BELL_TABLE[j - 1]
+    lo, fact = len(col.xi), math.factorial(j - 1)
+    ks = range(lo + 1, count + 1)
+    harm = list(accumulate([1.0 / float(k) ** j for k in ks], initial=col.harm))[1:]  # H_k^{(j)}
+    if j == 1:
+        xi = [2.0 * h - 1.0 / k for k, h in zip(ks, harm)]
+    else:
+        zeta = zeta_numeric(j)
+        front = (2.0**j - 2.0 if j % 2 == 0 else (-2.0) ** j) * ((-1.0) ** j * fact * zeta)
+        if j % 2 == 0:
+            xi = [front + fact / k**j for k in ks]
+        else:  # 2 psi^{(j-1)}(k) joins the constant
+            xi = [front + 2.0 * (-fact * (zeta - (h - 1.0 / k_j))) + fact / k_j
+                  for k, h in zip(ks, harm) for k_j in (k**j,)]
+    core = [0.0] * len(ks)  # x_j = sum_{l <= j-2} C(j-1, l) xi_bar_{j-l} x_l
+    for l in range(j - 1):
+        s = xi if l == 0 else _BELL_TABLE[j - l - 1].xi[lo:count]
+        x = repeat(1.0) if l == 0 else _BELL_TABLE[l - 1].core[lo:count]
+        c = math.comb(j - 1, l)
+        core = [a + c * (si * xl) for a, si, xl in zip(core, s, x)]
+    col.xi.extend(xi)
+    col.core.extend(core)
+    col.harm = harm[-1]
+
+
+def _grow_bell_table(width: int, count: int) -> None:
+    """Grow columns 1..width to rows 1..count; a failure leaves the table as it was."""
+    saved = [(len(col.xi), col.harm) for col in _BELL_TABLE]
+    try:
+        for j in range(1, width + 1):
+            if j > len(_BELL_TABLE):
+                _BELL_TABLE.append(_BellColumn())
+            if len(_BELL_TABLE[j - 1].xi) < count:
+                _extend_bell_column(j, count)
+    except BaseException:
+        del _BELL_TABLE[len(saved):]
+        for col, (rows, harm) in zip(_BELL_TABLE, saved):
+            del col.xi[rows:], col.core[rows:]
+            col.harm = harm
+        raise
+
+
+def _bell_head(p: int, scaled: bool, count: int) -> array:
+    """The values B_{p-1}(xi_bar(k)), p >= 2, for k = 1..count, in a shared array
     that may be longer and that callers only read.  Callers ask for at most
     _SERIES_CUTOFF values, so every cached head stays that short."""
-    with _BELL_HEADS_LOCK:
-        values, source = _BELL_HEADS.setdefault((p, scaled), ([], _bell_sequence(p, scaled)))
-        try:
-            values.extend(islice(source, max(0, count - len(values))))
-        except BaseException:
-            del _BELL_HEADS[p, scaled]  # the raising generator is closed: start afresh
-            raise
-    return values
+    n = p - 1
+    with _BELL_TABLE_LOCK:
+        lo = len(_BELL_TABLE[n - 1].bell[scaled]) if n <= len(_BELL_TABLE) else 0
+        if lo >= count:
+            return _BELL_TABLE[n - 1].bell[scaled]
+        count = max(count, min(2 * lo, _SERIES_CUTOFF))  # alternating sums ask one k at a time
+        _grow_bell_table(n, count)
+        head = _BELL_TABLE[n - 1].bell[scaled]
+        # sum_j C(n, j) s_1^{n-j} x_j over rows lo+1..count, in the float order of complete_bell
+        s1 = [s + _LOG4 for s in _BELL_TABLE[0].xi[lo:count]] if scaled else _BELL_TABLE[0].xi[lo:count]
+        acc, power = [0.0] * len(s1), [1.0] * len(s1)
+        for j in range(n, -1, -1):
+            c, x = math.comb(n, j), _BELL_TABLE[j - 1].core[lo:count] if j else repeat(1.0)
+            acc = [a + c * (w * xj) for a, w, xj in zip(acc, power, x)]
+            if j:
+                power = [w * s for w, s in zip(power, s1)]
+        head.extend(acc)
+        return head
 
 
 def _bell_continuous(p: int, scaled: bool, x: float) -> float:
@@ -402,17 +437,20 @@ def _alternating_k_series(p: int, scaled: bool, s: int, cfg: NumericConfig) -> t
     def magnitude(k: int) -> float:
         return p / float(k) ** s * _bell_head(p, scaled, k)[k - 1]
 
-    acc = accelerate_alternating(magnitude, cfg)
-    return (-1.0) ** p * (-acc), cfg.target_abs_tol
+    try:
+        return (-1.0) ** p * (-accelerate_alternating(magnitude, cfg)), cfg.target_abs_tol
+    except AccelerationError as exc:  # at p >= 7 the terms' rounding alone can pass tol
+        rounding = 16 * 2**-52 * abs(exc.estimate)
+        if not exc.error_bound <= rounding:  # a nan estimate or bound raises too
+            raise
+        return (-1.0) ** p * (-exc.estimate), max(2 * exc.error_bound, rounding)
 
 
 @lru_cache(maxsize=None)
 def _monotone_k_series(p: int, scaled: bool, s: int) -> tuple[float, float]:
     # net monotone series: direct sum then midpoint Euler-Maclaurin tail
-    bells = _bell_head(p, scaled, _SERIES_CUTOFF)
-    head = compensated_sum(
-        [p / float(k) ** s * bells[k - 1] for k in range(1, _SERIES_CUTOFF + 1)]
-    )
+    bells = zip(range(1, _SERIES_CUTOFF + 1), _bell_head(p, scaled, _SERIES_CUTOFF))
+    head = compensated_sum([p / float(k) ** s * b for k, b in bells])
     x0 = _SERIES_CUTOFF + 0.5
     integral, rule_err = _monotone_tail(p, scaled, s, x0)
     hi, lo = x0 + 0.5, x0 - 0.5  # the slope of B/x^s across x0, for the midpoint correction

@@ -73,6 +73,34 @@ class TestLsCommand:
         assert "Traceback" not in err
 
 
+class TestHighOrderFallbacks:
+    # the alternating k-series of these misses is limited by rounding, not by
+    # the depth of its acceleration; its bound covers that rounding
+    @pytest.mark.parametrize("argv", [
+        ["closed-form", "--z", "pi/2", "--n", "2", "--p", "7"],
+        ["closed-form", "--z", "pi/2", "--n", "2", "--p", "8"],
+        ["ls", "--theta", "pi", "--n", "2", "--p", "7"],
+        ["closed-form", "--z", "pi", "--n", "3", "--p", "7"],
+    ])
+    def test_value_lies_within_its_claimed_error(self, capsys, argv):
+        mpmath = pytest.importorskip("mpmath")
+        code, out = run_cli(capsys, *argv, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        n, p = int(opts["--n"]), int(opts["--p"])
+        with mpmath.workdps(40):
+            if argv[0] == "ls":
+                theta = mpmath.pi
+                want = mpmath.quad(
+                    lambda x: -(x**n) * mpmath.log(2 * mpmath.sin(x / 2)) ** p, [0, theta / 2, theta]
+                )
+            else:
+                z = mpmath.pi if opts["--z"] == "pi" else mpmath.pi / 2
+                want = mpmath.quad(lambda x: x**n * mpmath.log(mpmath.sin(x)) ** p, [0, z / 2, z])
+        assert abs(payload["numeric"] - float(want)) <= payload["abs_err"]
+
+
 class TestNumericCommand:
     def test_token_angle(self, capsys):
         code, out = run_cli(capsys, "numeric", "--z", "pi", "--n", "0", "--p", "1")

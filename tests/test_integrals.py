@@ -1,10 +1,14 @@
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logsine import (
     DerivSpec,
@@ -27,7 +31,7 @@ from logsine import (
     tanh_sinh_quadrature,
 )
 from logsine import integrals
-from logsine.numerics import AccelerationError
+from logsine.numerics import AccelerationError, zeta_numeric
 from logsine.symbolic import SymbolicValue
 
 
@@ -467,56 +471,170 @@ class TestIrrationalAngle:
         assert abs(val - float(want)) <= tol
 
 
+def _bell_sequence(p: int, scaled: bool):
+    """Reference: B_{p-1}(xi_bar(k)) for k = 1, 2, ... by complete_bell on
+    running float values of the xi_bar sequence along integer k."""
+    fact = [math.factorial(j - 1) if j >= 1 else 0 for j in range(0, p)]
+    zeta = [zeta_numeric(j) if j >= 2 else 0.0 for j in range(0, p)]
+    front = [0.0, 0.0] + [
+        (2.0**j - 2.0 if j % 2 == 0 else (-2.0) ** j) * ((-1.0) ** j * fact[j] * zeta[j])
+        for j in range(2, p)
+    ]
+    log4 = math.log(4.0)
+    harm = [0.0] * p  # harm[r] = H_k^{(r)}, r >= 1
+    k = 0
+    while True:
+        k += 1
+        for r in range(1, p):
+            harm[r] += 1.0 / float(k) ** r
+        xi = []
+        for j in range(1, p):
+            if j == 1:
+                v = 2.0 * harm[1] - 1.0 / k
+                if scaled:
+                    v += log4
+            elif j % 2 == 0:
+                v = front[j] + fact[j] / k**j
+            else:
+                k_j = k**j
+                psi_k = -fact[j] * (zeta[j] - (harm[j] - 1.0 / k_j))
+                v = front[j] + 2.0 * psi_k + fact[j] / k_j
+            xi.append(v)
+        yield complete_bell(xi, one=1.0)
+
+
+_HEAD_COUNT = integrals._SERIES_CUTOFF + 24
+
+
+@lru_cache(maxsize=None)
+def _reference_head(p: int, scaled: bool) -> tuple[str, ...]:
+    # bit patterns, so that a zero of the other sign would differ too
+    return tuple(v.hex() for v in islice(_bell_sequence(p, scaled), _HEAD_COUNT))
+
+
+def _hex(values) -> tuple[str, ...]:
+    return tuple(v.hex() for v in values)
+
+
+def _table_state() -> list:
+    return [(col.xi.tolist(), col.core.tolist(), col.harm, [b.tolist() for b in col.bell])
+            for col in integrals._BELL_TABLE]
+
+
 class TestBellHead:
     @pytest.mark.parametrize("p,scaled", [(2, False), (3, True), (5, False)])
     def test_head_grown_in_steps_equals_one_fresh_run(self, p, scaled, monkeypatch):
-        monkeypatch.setattr(integrals, "_BELL_HEADS", {})
-        count = integrals._SERIES_CUTOFF + 24
-        for step in (1, 18, 288, integrals._SERIES_CUTOFF, count):
+        monkeypatch.setattr(integrals, "_BELL_TABLE", [])
+        for step in (1, 18, 288, integrals._SERIES_CUTOFF, _HEAD_COUNT):
             head = integrals._bell_head(p, scaled, step)
-        fresh = list(islice(integrals._bell_sequence(p, scaled), count))
-        assert head[:count] == fresh
+        assert _hex(head[:_HEAD_COUNT]) == _reference_head(p, scaled)
+
+    @settings(max_examples=30)
+    @given(st.lists(
+        st.tuples(st.integers(2, 8), st.booleans(), st.integers(1, _HEAD_COUNT)),
+        min_size=1, max_size=12,
+    ))
+    def test_interleaved_heads_equal_the_reference(self, reads):
+        # any order of widths, scalings and lengths reads the same bits
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrals, "_BELL_TABLE", [])
+            for p, scaled, count in reads:
+                got = integrals._bell_head(p, scaled, count)[:count]
+                assert _hex(got) == _reference_head(p, scaled)[:count]
+
+    def test_every_row_is_computed_once(self, monkeypatch):
+        monkeypatch.setattr(integrals, "_BELL_TABLE", [])
+        real, grown = integrals._extend_bell_column, []
+
+        def recorded(j, count):
+            grown.append((j, len(integrals._BELL_TABLE[j - 1].xi), count))
+            real(j, count)
+
+        monkeypatch.setattr(integrals, "_extend_bell_column", recorded)
+        reads = [(4, True, 30), (3, False, 2000), (8, False, 50), (8, True, 50), (6, True, 2000),
+                 (3, True, 2000), (5, False, 7), (7, False, 2024), (2, True, 1)]
+        for p, scaled, count in reads * 2:
+            integrals._bell_head(p, scaled, count)
+        for j in range(1, 8):  # column j grows in consecutive runs up to the longest read of it
+            runs = [(lo, hi) for col, lo, hi in grown if col == j]
+            assert all(lo == prev for (lo, _), (_, prev) in zip(runs[1:], runs))
+            assert runs[0][0] == 0 and runs[-1][1] == max(r[2] for r in reads if r[0] > j)
+
+    def test_reading_one_k_at_a_time_grows_geometrically(self, monkeypatch):
+        # an alternating sum asks for its terms in order, one k per call
+        monkeypatch.setattr(integrals, "_BELL_TABLE", [])
+        real, grown = integrals._extend_bell_column, []
+
+        def recorded(j, count):
+            grown.append((j, count))
+            real(j, count)
+
+        monkeypatch.setattr(integrals, "_extend_bell_column", recorded)
+        cutoff = integrals._SERIES_CUTOFF
+        values = [integrals._bell_head(5, False, k)[k - 1] for k in range(1, cutoff + 1)]
+        assert _hex(values) == _reference_head(5, False)[:cutoff]
+        assert [count for j, count in grown if j == 1] == [1, 2, 4, 8, 16, 32, 64, 128, 256,
+                                                         512, 1024, cutoff]
+        assert len(integrals._bell_head(5, False, 1)) == cutoff
 
     def test_a_failure_while_growing_is_not_cached(self, monkeypatch):
-        monkeypatch.setattr(integrals, "_BELL_HEADS", {})
-        real_bell, calls = integrals.complete_bell, []
+        monkeypatch.setattr(integrals, "_BELL_TABLE", [])
+        integrals._bell_head(3, False, 50)
+        before = _table_state()
+        real, calls = integrals._extend_bell_column, []
 
-        def failing_bell(seq, one):
-            calls.append(seq)
-            if len(calls) == 40:
+        def failing(j, count):
+            calls.append(j)
+            if j == 4:  # after columns 1..3 grew: 1 and 2 to 100 rows, 3 new
                 raise OverflowError("injected")
-            return real_bell(seq, one=one)
+            real(j, count)
 
-        monkeypatch.setattr(integrals, "complete_bell", failing_bell)
+        monkeypatch.setattr(integrals, "_extend_bell_column", failing)
         with pytest.raises(OverflowError, match="injected"):
-            integrals._bell_head(4, False, 100)
-        monkeypatch.setattr(integrals, "complete_bell", real_bell)
-        head = integrals._bell_head(4, False, 100)
-        assert head[:100] == list(islice(integrals._bell_sequence(4, False), 100))
+            integrals._bell_head(6, False, 100)
+        assert calls == [1, 2, 3, 4]
+        assert _table_state() == before  # no column or row of the failed growth stays
+        monkeypatch.setattr(integrals, "_extend_bell_column", real)
+        for p in (6, 3):
+            head = integrals._bell_head(p, False, 100)
+            assert _hex(head[:100]) == _reference_head(p, False)[:100]
+
+    def test_an_overflowing_width_leaves_the_table_as_it_was(self, monkeypatch):
+        monkeypatch.setattr(integrals, "_BELL_TABLE", [])
+        integrals._bell_head(5, True, 20)
+        before = _table_state()
+        with pytest.raises(OverflowError):  # (j-1)! leaves binary64 at j = 172
+            integrals._bell_head(200, False, 3)
+        assert _table_state() == before
 
     def test_threads_growing_one_head_agree_with_a_fresh_run(self, monkeypatch):
-        monkeypatch.setattr(integrals, "_BELL_HEADS", {})
         count = 600
 
         def grow(seed: int) -> None:
+            start.wait(timeout=60)
             for step in range(1 + seed, count + 1, 7):
-                integrals._bell_head(5, True, step)
+                integrals._bell_head(5 + seed % 3, seed % 2 == 0, step)
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads often, mid-growth
         try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                list(pool.map(grow, range(8), timeout=60))
+            for _ in range(8):  # each round races eight threads on an empty table
+                monkeypatch.setattr(integrals, "_BELL_TABLE", [])
+                start = threading.Barrier(8)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    list(pool.map(grow, range(8), timeout=60))
+                for p in (5, 6, 7):
+                    for scaled in (False, True):
+                        head = integrals._bell_head(p, scaled, count)
+                        assert _hex(head[:count]) == _reference_head(p, scaled)[:count]
         finally:
             sys.setswitchinterval(old)
-        head = integrals._bell_head(5, True, count)
-        assert head[:count] == list(islice(integrals._bell_sequence(5, True), count))
 
     def test_any_angle_adds_no_head(self, monkeypatch):
-        monkeypatch.setattr(integrals, "_BELL_HEADS", {})
+        monkeypatch.setattr(integrals, "_BELL_TABLE", [])
         for p, z in ((2, math.pi / 64), (2, 1.0), (4, 5.0), (3, 2 * math.pi)):
             log_sine_any_angle(p, z)
-        assert integrals._BELL_HEADS == {}
+        assert integrals._BELL_TABLE == []
 
 
 class TestMonotoneTail:
@@ -545,7 +663,7 @@ class TestMonotoneTail:
 
 
 def _clear_k_series(monkeypatch):
-    monkeypatch.setattr(integrals, "_BELL_HEADS", {})
+    monkeypatch.setattr(integrals, "_BELL_TABLE", [])
     integrals._monotone_k_series.cache_clear()
     integrals._alternating_k_series.cache_clear()
 
@@ -622,7 +740,9 @@ class TestKSeriesMemo:
         monkeypatch.setattr(integrals, "_monotone_tail", real_tail)
         assert integrals._k_series_numeric(*key, cfg) == want
 
-        # an alternating sum that does not certify raises on every call
+        # an alternating sum that does not certify raises on every call: ten
+        # terms are too few for the depth that 1e-10 asks for
+        starved = NumericConfig(max_series_terms=10)
         calls = []
         real_acc = integrals.accelerate_alternating
         monkeypatch.setattr(
@@ -630,7 +750,7 @@ class TestKSeriesMemo:
         )
         for _ in range(2):
             with pytest.raises(AccelerationError):
-                integrals._k_series_numeric(7, False, False, 2, cfg)
+                integrals._k_series_numeric(5, False, False, 2, starved)
         assert len(calls) == 2
 
     def test_threads_agree_with_one_thread(self, monkeypatch, cfg):
@@ -654,6 +774,51 @@ class TestKSeriesMemo:
             sys.setswitchinterval(old)
         assert len(results) == 8
         assert all(got == want for got in results)
+
+
+class TestRoundingLimitedAlternatingSeries:
+    # an alternating k-series whose passes differ by more than tol, but by no
+    # more than 16 ulps of the sum, is limited by rounding: it returns its
+    # estimate with twice that spread, and at least those 16 ulps, as its bound
+    @pytest.mark.parametrize("spread,claim", [(2.0, 16.0), (16.0, 32.0), (16.5, None)])
+    def test_the_rounding_limit_is_sixteen_ulps_of_the_estimate(self, spread, claim, monkeypatch):
+        _clear_k_series(monkeypatch)
+        estimate, ulp = 168890.0, 2.0**-52 * 168890.0
+
+        def uncertified(term_fn, cfg):
+            raise AccelerationError("injected", estimate=estimate, error_bound=spread * ulp)
+
+        monkeypatch.setattr(integrals, "accelerate_alternating", uncertified)
+        if claim is None:
+            with pytest.raises(AccelerationError, match="injected"):
+                integrals._k_series_numeric(7, False, False, 2, NumericConfig())
+        else:
+            got = integrals._k_series_numeric(7, False, False, 2, NumericConfig())
+            assert got == (estimate, claim * ulp)
+
+    @pytest.mark.parametrize("p", [7, 8])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_high_order_sums_return_the_estimate(self, p, scaled, monkeypatch, cfg):
+        _clear_k_series(monkeypatch)
+        real, seen = integrals.accelerate_alternating, []
+
+        def spy(term_fn, cfg):
+            try:
+                return real(term_fn, cfg)
+            except AccelerationError as exc:
+                seen.append(exc)
+                raise
+
+        monkeypatch.setattr(integrals, "accelerate_alternating", spy)
+        value, err = integrals._k_series_numeric(p, scaled, False, 2, cfg)
+        if seen:
+            (exc,) = seen
+            rounding = 16 * 2.0**-52 * abs(exc.estimate)
+            assert exc.error_bound <= rounding
+            assert (value, err) == ((-1.0) ** p * -exc.estimate, max(2 * exc.error_bound, rounding))
+        else:
+            assert err == cfg.target_abs_tol
+        assert seen or p == 8  # (7, False, False, 2) is one such sum
 
 
 class TestDerivativeConsistency:
