@@ -41,7 +41,6 @@ from .numerics import (
     PowerSeries,
     QuadratureError,
     accelerate_alternating,
-    compensated_sum,
     cot_derivative,
     polygamma_real,
     richardson_derivative,

@@ -162,7 +162,7 @@ def _cmd_binom_deriv(args) -> int:
         raise ValueError(f"binom-deriv takes --k up to {MAX_BINOM_DERIV_K}, got {args.k}")
     spec = binomderiv.DerivSpec(args.p, args.k, args.scaled)
     sym = binomderiv.binom_deriv(spec)
-    numeric = eval_numeric(sym, _config(args))
+    numeric = eval_numeric(sym)
     ident = f"binom-deriv:p={args.p}:k={args.k}:scaled={args.scaled}"
     if args.json:
         print(
@@ -178,7 +178,10 @@ def _cmd_binom_deriv(args) -> int:
 
 
 def _cmd_bell(args) -> int:
-    seq = [Fraction(part) for part in args.seq.split(",") if part.strip()]
+    try:
+        seq = [Fraction(part) for part in args.seq.split(",") if part.strip()]
+    except ZeroDivisionError:
+        raise ValueError(f"--seq has a zero denominator: {args.seq!r}") from None
     value = complete_bell(seq, one=Fraction(1))
     if args.json:
         print(
@@ -194,7 +197,6 @@ def _cmd_bell(args) -> int:
 
 def _cmd_constant(args) -> int:
     name = args.name
-    cfg = _config(args)
     if name == "pi":
         value = math.pi
     elif name == "log2":
@@ -202,7 +204,7 @@ def _cmd_constant(args) -> int:
     elif name.startswith("zeta"):
         value = zeta_numeric(int(name[4:]))
     elif name.startswith("zb1_"):
-        value = zeta_bar1_numeric(int(name[4:]), cfg)
+        value = zeta_bar1_numeric(int(name[4:]))
     else:
         raise ValueError(f"unknown constant {name!r}")
     if args.json:

@@ -35,7 +35,6 @@ from .numerics import (
     AccelerationError,
     NumericConfig,
     accelerate_alternating,
-    compensated_sum,
     euler_gamma_numeric,
     polygamma_real,
     tanh_sinh_quadrature,
@@ -127,7 +126,7 @@ def sine_power_moment_exact(n: int, m: int, z: str) -> SymbolicValue:
 
 def sine_power_moment_numeric(n: int, m: int, z: float) -> float:
     """Integral of x^n sin^{2m}(x) over (0, z) by the finite trigonometric
-    expansion, in compensated floating arithmetic."""
+    expansion, each sum correctly rounded by math.fsum."""
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
     z = float(z)
@@ -142,8 +141,8 @@ def sine_power_moment_numeric(n: int, m: int, z: float) -> float:
             for j in range(0, n + 1)
         ]
         inner.append(-math.sin(math.pi * n / 2) / (2 * k) ** (n + 1))
-        terms.append(front * compensated_sum(inner))
-    return compensated_sum(terms)
+        terms.append(front * math.fsum(inner))
+    return math.fsum(terms)
 
 
 # -- the k-sum engine -----------------------------------------------------------
@@ -450,7 +449,7 @@ def _alternating_k_series(p: int, scaled: bool, s: int, cfg: NumericConfig) -> t
 def _monotone_k_series(p: int, scaled: bool, s: int) -> tuple[float, float]:
     # net monotone series: direct sum then midpoint Euler-Maclaurin tail
     bells = zip(range(1, _SERIES_CUTOFF + 1), _bell_head(p, scaled, _SERIES_CUTOFF))
-    head = compensated_sum([p / float(k) ** s * b for k, b in bells])
+    head = math.fsum([p / float(k) ** s * b for k, b in bells])
     x0 = _SERIES_CUTOFF + 0.5
     integral, rule_err = _monotone_tail(p, scaled, s, x0)
     hi, lo = x0 + 0.5, x0 - 0.5  # the slope of B/x^s across x0, for the midpoint correction
@@ -468,8 +467,8 @@ def _deriv_value_numeric(
     series = []
     for w in weights:
         val, e = _k_series_numeric(p, scaled, w.alt, w.pow, cfg)
-        series.append((eval_numeric(w.coef, cfg), val, e))
-    total = eval_numeric(central * central_binom_deriv(DerivSpec(p, 0, scaled)), cfg)
+        series.append((eval_numeric(w.coef), val, e))
+    total = eval_numeric(central * central_binom_deriv(DerivSpec(p, 0, scaled)))
     err = 0.0
     for coef, val, e in series:
         total += coef * val
@@ -489,7 +488,7 @@ def _closed_form(n: int, p: int, z: str, scaled: bool, cfg: NumericConfig | None
     scale = Fraction(1 if scaled else -1, 2**p)
     try:
         sym = scale * _deriv_value_exact(n, p, z, scaled)
-        return ClosedFormResult(True, sym, eval_numeric(sym, cfg))
+        return ClosedFormResult(True, sym, eval_numeric(sym))
     except CatalogMissError as miss:
         val, err = _deriv_value_numeric(n, p, z, scaled, cfg)
         value, error = float(scale) * val, abs(float(scale)) * err
@@ -516,9 +515,8 @@ def log_sine_integral(
     minus the integral of x^n log^p|2 sin(x/2)| over (0, theta)."""
     if theta not in ("pi", "2pi"):
         raise ValueError("log_sine_integral handles theta in {'pi', '2pi'}")
-    if p < 1 and n < 0:
-        raise ValueError("need p >= 1 or n >= 0")
-    return _closed_form(n, p, theta, False, cfg)
+    spec = IntegralSpec(n, p, theta, form="ls")  # refuses a negative n or p
+    return _closed_form(spec.n, spec.p, spec.z, False, cfg)
 
 
 # -- arbitrary angle ------------------------------------------------------------
@@ -569,21 +567,17 @@ def _any_angle_bell(p: int) -> SymbolicValue:
 
 @lru_cache(maxsize=None)
 def _any_angle_bell_float(p: int) -> float:
-    # B holds only pi and zeta generators, whose float values read no NumericConfig
     return eval_numeric(_any_angle_bell(p))
 
 
-def log_sine_any_angle(
-    p: int, z: float, cfg: NumericConfig | None = None
-) -> tuple[float, SymbolicValue]:
+def log_sine_any_angle(p: int, z: float) -> tuple[float, SymbolicValue]:
     """Ls_{p+1}(z) = -integral of log^p|2 sin(x/2)| over (0, z) for 0 < z <= 2pi.
 
     Returns ``(value, bell_coefficient)`` where ``bell_coefficient`` is the
     exact symbolic coefficient B of z (the Bell-polynomial term):
     Ls_{p+1}(z) - B z is a sine series, odd and 2pi-periodic.  Up to pi the
     value is a convergent series in (z/2pi)^2 with powers of log z as
-    coefficients; past pi it is 2pi B - Ls_{p+1}(2pi - z).  ``cfg`` is
-    accepted like the other entry points', but no step here reads it.
+    coefficients; past pi it is 2pi B - Ls_{p+1}(2pi - z).
     """
     if p < 1:
         raise ValueError("p must be >= 1")

@@ -1,10 +1,9 @@
 """Floating-point kernels shared by the oracles and the numeric pipelines.
 
-Contents: compensated summation, Cohen-Rodriguez Villegas-Zagier alternating
-series acceleration, double-exponential (tanh-sinh) quadrature tolerant of
-logarithmic endpoint singularities, real-argument polygamma, Richardson
-central differencing, truncated power-series arithmetic and exact cotangent
-derivatives.
+Contents: Cohen-Rodriguez Villegas-Zagier alternating series acceleration,
+double-exponential (tanh-sinh) quadrature tolerant of logarithmic endpoint
+singularities, real-argument polygamma, Richardson central differencing,
+truncated power-series arithmetic and exact cotangent derivatives.
 
 All functions are pure; there is no shared mutable state beyond small
 memoization caches of immutable results.
@@ -15,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 from .specialfn import bernoulli
 
@@ -27,7 +26,6 @@ class NumericConfig:
     target_abs_tol: float = 1e-10
     max_series_terms: int = 10**6
     quadrature_levels: int = 12
-    richardson_levels: int = 5
 
     def __post_init__(self):
         if not self.target_abs_tol > 0:
@@ -57,23 +55,6 @@ class QuadratureError(RuntimeError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-def compensated_sum(terms: Sequence[float]) -> float:
-    """Neumaier compensated sum: error O(1 ulp * sum|terms|), length-independent."""
-    total = 0.0
-    comp = 0.0
-    for t in terms:
-        s = total + t
-        if abs(total) >= abs(t):
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-    result = total + comp
-    if not math.isfinite(result):
-        raise OverflowError("compensated_sum produced a non-finite result")
-    return result
 
 
 # -- alternating series acceleration -----------------------------------------
@@ -133,13 +114,17 @@ def accelerate_alternating(
     )
 
 
+# the target of the basis constants zeta(odd) and zb1, each summed once per
+# process whatever tolerance a caller asks for
+CONSTANT_CONFIG = NumericConfig(target_abs_tol=1e-14)
+
+
 @lru_cache(maxsize=None)
 def zeta_numeric(n: int) -> float:
     """Numeric zeta(n) for integer n >= 2 via the accelerated eta series."""
     if n < 2:
         raise ValueError("zeta_numeric requires n >= 2")
-    cfg = NumericConfig(target_abs_tol=1e-14)
-    eta = accelerate_alternating(lambda k: 1.0 / float(k) ** n, cfg)
+    eta = accelerate_alternating(lambda k: 1.0 / float(k) ** n, CONSTANT_CONFIG)
     return eta / (1.0 - 2.0 ** (1 - n))
 
 
@@ -311,7 +296,7 @@ def polygamma_real(order: int, x: float) -> float:
             if abs(term) < _BERNOULLI_STOP * abs(tail):
                 break
             ypow *= y * y
-        return tail - compensated_sum(shift_terms)
+        return tail - math.fsum(shift_terms)
     sign = (-1.0) ** (n + 1)
     head = math.factorial(n - 1) / y**n + math.factorial(n) / (2.0 * y ** (n + 1))
     ypow = y ** (n + 2)
@@ -323,7 +308,7 @@ def polygamma_real(order: int, x: float) -> float:
         ypow *= y * y
     shifted = sign * head
     # undo the recurrence shifts: psi^{(n)}(x) = psi^{(n)}(y) - (-1)^n n! sum 1/(x+i)^{n+1}
-    return shifted - (-1.0) ** n * math.factorial(n) * compensated_sum(shift_terms)
+    return shifted - (-1.0) ** n * math.factorial(n) * math.fsum(shift_terms)
 
 
 @lru_cache(maxsize=None)
@@ -349,18 +334,16 @@ _STENCILS = {
     3: ((2, 0.5), (1, -1.0), (-1, 1.0), (-2, -0.5)),
     4: ((2, 1.0), (1, -4.0), (0, 6.0), (-1, -4.0), (-2, 1.0)),
 }
+_RICHARDSON_LEVELS = 5
 
 
 def richardson_derivative(
-    f: Callable[[float], float],
-    x0: float,
-    order: int,
-    cfg: NumericConfig = DEFAULT_CONFIG,
+    f: Callable[[float], float], x0: float, order: int
 ) -> tuple[float, float]:
     """Derivative of ``f`` at ``x0`` of the given order with an error estimate.
 
     Central differences (even-power error expansion) refined by Richardson
-    extrapolation with step halving from h0 = 1e-2 (5e-2 for orders 3-4).
+    extrapolation over five steps, halving from h0 = 1e-2 (5e-2 for orders 3-4).
     Orders above 4 are not supported here; use the power-series oracle
     instead.  Returns ``(value, error_estimate)`` for the tableau entry with
     the smallest observed successive difference, which guards against
@@ -372,16 +355,15 @@ def richardson_derivative(
     # orders 3-4 need a larger base step: their stencils divide by h^3, h^4,
     # so roundoff at h = 1e-2 already exceeds the achievable truncation error
     h0 = 1e-2 if order <= 2 else 5e-2
-    levels = max(2, cfg.richardson_levels)
 
     def difference(h: float) -> float:
         acc = [c * f(x0 + k * h) for k, c in stencil]
-        return compensated_sum(acc) / h**order
+        return math.fsum(acc) / h**order
 
     table: list[list[float]] = []
     best = None
     best_err = math.inf
-    for i in range(levels):
+    for i in range(_RICHARDSON_LEVELS):
         h = h0 / 2**i
         row = [difference(h)]
         for j in range(1, i + 1):

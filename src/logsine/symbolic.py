@@ -385,7 +385,7 @@ def sym_zeta(n: int) -> SymbolicValue:
 # -- numeric rendering -------------------------------------------------------
 
 
-def _generator_value(gen: Generator, cfg) -> float:
+def _generator_value(gen: Generator) -> float:
     from . import numerics, specialfn
 
     if gen.kind == "pi":
@@ -394,27 +394,31 @@ def _generator_value(gen: Generator, cfg) -> float:
         return math.log(2.0)
     if gen.kind == "zeta":
         return numerics.zeta_numeric(gen.index)
-    return specialfn.zeta_bar1_numeric(gen.index, cfg)
+    return specialfn.zeta_bar1_numeric(gen.index)
 
 
-def eval_numeric(value: SymbolicValue, cfg=None) -> float:
+def eval_numeric(value: SymbolicValue) -> float:
     """Substitute numeric constants for the generators and sum the terms.
 
     zeta(odd) is evaluated through the accelerated eta series and zb1
-    through the accelerated alternating double-sum rearrangement; total is
-    a compensated sum.
+    through the accelerated alternating double-sum rearrangement, each once
+    per process, so the value does not depend on any tolerance.  The terms
+    are summed by ``math.fsum``, correctly rounded; a sum that is not finite
+    raises OverflowError.
     """
-    from .numerics import NumericConfig, compensated_sum
-
-    if cfg is None:
-        cfg = NumericConfig()
     contributions = []
     for mono, coef in value.terms.items():
         x = float(coef)
         for gen, exp in mono.factors:
-            x *= _generator_value(gen, cfg) ** exp
+            x *= _generator_value(gen) ** exp
         contributions.append(x)
-    return compensated_sum(contributions)
+    try:
+        total = math.fsum(contributions)
+    except ValueError:  # fsum refuses inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        raise OverflowError(f"the terms of the exact value sum to {total}")
+    return total
 
 
 # -- parsing -----------------------------------------------------------------

@@ -90,7 +90,7 @@ def _lemma_delta_worst(cfg: NumericConfig) -> float:
     for m0, k in ((0.25, 0), (1.5, 1)):
         for j in (1, 2, 3):
             val, _ = numerics.richardson_derivative(
-                lambda m: binomderiv.delta_numeric(j, m, k), m0, 1, cfg
+                lambda m: binomderiv.delta_numeric(j, m, k), m0, 1
             )
             worst = max(worst, abs(val + binomderiv.delta_numeric(j + 1, m0, k)))
     return worst
@@ -113,7 +113,7 @@ def _lemma_rho_check() -> Check:
             binomderiv.rho(n) == 2 * specialfn.polygamma_int(2 * n - 1, 1)
             for n in range(1, 7)
         )
-        value = eval_numeric(binomderiv.rho(6), cfg)
+        value = eval_numeric(binomderiv.rho(6))
         return IdentityResult(
             id=check.id,
             group=check.group,
@@ -135,7 +135,7 @@ def _shifted_deriv_worst(p: int, kmax: int):
         for k in range(1, kmax + 1):
             for scaled in (False, True):
                 spec = binomderiv.DerivSpec(p, k, scaled)
-                got = eval_numeric(binomderiv.shifted_binom_deriv(spec), cfg)
+                got = eval_numeric(binomderiv.shifted_binom_deriv(spec))
                 want = binomderiv.taylor_coefficient_oracle(spec)
                 worst = max(worst, abs(got - want))
         return worst
@@ -148,7 +148,7 @@ def _central_deriv_worst(cfg: NumericConfig) -> float:
     for p in range(0, 7):
         for scaled in (False, True):
             spec = binomderiv.DerivSpec(p, 0, scaled)
-            got = eval_numeric(binomderiv.central_binom_deriv(spec), cfg)
+            got = eval_numeric(binomderiv.central_binom_deriv(spec))
             want = binomderiv.taylor_coefficient_oracle(spec)
             worst = max(worst, abs(got - want))
     return worst
@@ -164,7 +164,7 @@ def _moment_worst(z: str):
                 oracle = numerics.tanh_sinh_quadrature(
                     lambda x: x**n * math.sin(x) ** (2 * m), 0.0, zv, cfg
                 )
-                worst = max(worst, abs(eval_numeric(sym, cfg) - oracle))
+                worst = max(worst, abs(eval_numeric(sym) - oracle))
         return worst
 
     return worst_fn
@@ -174,7 +174,7 @@ def _moment_series_worst(cfg: NumericConfig) -> float:
     worst = 0.0
     for n in range(0, 6):
         for m in range(0, 6):
-            sym = eval_numeric(integrals.sine_power_moment_exact(n, m, "pi"), cfg)
+            sym = eval_numeric(integrals.sine_power_moment_exact(n, m, "pi"))
             num = integrals.sine_power_moment_numeric(n, m, math.pi)
             worst = max(worst, abs(sym - num))
     return worst
@@ -182,7 +182,7 @@ def _moment_series_worst(cfg: NumericConfig) -> float:
 
 def _clausen_check(p: int) -> Check:
     def run(cfg: NumericConfig) -> IdentityResult:
-        val, bell_coef = integrals.log_sine_any_angle(p, math.pi / 2, cfg)
+        val, bell_coef = integrals.log_sine_any_angle(p, math.pi / 2)
         oracle = -numerics.tanh_sinh_quadrature(
             lambda x: math.log(2.0 * math.sin(x / 2.0)) ** p, 0.0, math.pi / 2, cfg
         )

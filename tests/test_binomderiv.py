@@ -51,8 +51,8 @@ class TestDeltaNumeric:
 
     @pytest.mark.parametrize("j,m0,k", [(1, 0.25, 0), (2, 0.25, 0), (3, 0.25, 0),
                                         (1, 1.5, 1), (2, 1.5, 1), (3, 1.5, 1)])
-    def test_derivative_steps_down_the_sequence(self, j, m0, k, cfg):
-        val, _ = richardson_derivative(lambda m: delta_numeric(j, m, k), m0, 1, cfg)
+    def test_derivative_steps_down_the_sequence(self, j, m0, k):
+        val, _ = richardson_derivative(lambda m: delta_numeric(j, m, k), m0, 1)
         assert abs(val + delta_numeric(j + 1, m0, k)) < 1e-6
 
 
@@ -140,9 +140,9 @@ class TestShiftedDerivatives:
     @pytest.mark.parametrize("p", range(1, 6))
     @pytest.mark.parametrize("k", range(1, 5))
     @pytest.mark.parametrize("scaled", [False, True])
-    def test_against_taylor_oracle(self, p, k, scaled, cfg):
+    def test_against_taylor_oracle(self, p, k, scaled):
         spec = DerivSpec(p, k, scaled)
-        got = eval_numeric(shifted_binom_deriv(spec), cfg)
+        got = eval_numeric(shifted_binom_deriv(spec))
         assert abs(got - taylor_coefficient_oracle(spec)) < 1e-8
 
 
@@ -164,9 +164,9 @@ class TestCentralDerivatives:
 
     @pytest.mark.parametrize("p", range(0, 7))
     @pytest.mark.parametrize("scaled", [False, True])
-    def test_against_taylor_oracle(self, p, scaled, cfg):
+    def test_against_taylor_oracle(self, p, scaled):
         spec = DerivSpec(p, 0, scaled)
-        got = eval_numeric(central_binom_deriv(spec), cfg)
+        got = eval_numeric(central_binom_deriv(spec))
         assert abs(got - taylor_coefficient_oracle(spec)) < 1e-8
 
 
@@ -193,14 +193,14 @@ class TestTaylorOracle:
     def test_first_derivative_shift_three(self):
         assert taylor_coefficient_oracle(DerivSpec(1, 3)) == pytest.approx(1 / 3, abs=1e-10)
 
-    def test_scaled_second_derivative_matches_symbolic(self, cfg):
+    def test_scaled_second_derivative_matches_symbolic(self):
         spec = DerivSpec(2, 2, scaled=True)
         got = taylor_coefficient_oracle(spec)
-        want = eval_numeric(shifted_binom_deriv(spec), cfg)
+        want = eval_numeric(shifted_binom_deriv(spec))
         assert abs(got - want) < 1e-9
 
-    def test_central_third(self, cfg):
-        want = eval_numeric(-12 * sym_zeta_odd(3), cfg)
+    def test_central_third(self):
+        want = eval_numeric(-12 * sym_zeta_odd(3))
         assert abs(taylor_coefficient_oracle(DerivSpec(3, 0)) - want) < 1e-9
 
 
@@ -214,14 +214,14 @@ class TestGeneralArgumentDerivatives:
         deltas = [delta_numeric(j, m0, k) for j in range(1, p + 1)]
         return (-1.0) ** p * binom * complete_bell(deltas, one=1.0)
 
-    def test_first_derivative_central(self, cfg):
+    def test_first_derivative_central(self):
         f = lambda m: math.gamma(2 * m + 1) / math.gamma(m + 1) ** 2
-        fd, _ = richardson_derivative(f, 2.0, 1, cfg)
+        fd, _ = richardson_derivative(f, 2.0, 1)
         assert abs(self._derivative(1, 2.0, 0) - fd) < 1e-7
 
-    def test_second_derivative_shifted(self, cfg):
+    def test_second_derivative_shifted(self):
         f = lambda m: math.gamma(2 * m + 1) / (math.gamma(m + 2) * math.gamma(m))
-        fd, _ = richardson_derivative(f, 1.5, 2, cfg)
+        fd, _ = richardson_derivative(f, 1.5, 2)
         assert abs(self._derivative(2, 1.5, 1) - fd) < 1e-6
 
 
@@ -256,12 +256,12 @@ def _bell_over_xi_bar(p: int, k: int, scaled: bool) -> SymbolicValue:
 class TestBellBinomialSplit:
     @pytest.mark.parametrize("p", range(1, 13))
     @pytest.mark.parametrize("scaled", [False, True])
-    def test_equals_bell_over_xi_bar(self, p, scaled, cfg):
+    def test_equals_bell_over_xi_bar(self, p, scaled):
         for k in range(1, 31):
             got = shifted_binom_deriv(DerivSpec(p, k, scaled))
             want = _bell_over_xi_bar(p, k, scaled)
             assert got == want
-            assert eval_numeric(got, cfg) == eval_numeric(want, cfg)  # same float bits
+            assert eval_numeric(got) == eval_numeric(want)  # same float bits
 
     @pytest.mark.parametrize("j", range(1, 10))
     def test_xi_bar_is_constant_plus_rational(self, j):
@@ -318,7 +318,7 @@ class TestCachedValuesStayPut:
 
 
 class TestConcurrentDerivatives:
-    def test_eight_threads_agree_with_one(self, cfg):
+    def test_eight_threads_agree_with_one(self):
         from concurrent.futures import ThreadPoolExecutor
 
         specs = [DerivSpec(p, k, scaled) for p in range(0, 11) for k in (0, 1, 2, 5, 13, 30)
@@ -326,7 +326,7 @@ class TestConcurrentDerivatives:
 
         def compute(spec):
             value = binom_deriv(spec)
-            return value.text(), eval_numeric(value, cfg)
+            return value.text(), eval_numeric(value)
 
         def clear():
             for fn in (_constant_row, xi_bar, eta_bar, euler_sum_H, sym_zeta):

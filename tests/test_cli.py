@@ -72,6 +72,37 @@ class TestLsCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n,p", [(2, -1), (-1, 2)])
+    def test_negative_order_is_a_one_line_usage_error(self, capsys, n, p):
+        code = main(["ls", "--theta", "pi", "--n", str(n), "--p", str(p)])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "usage error: n and p must be >= 0\n")
+
+
+# exact values and a basis constant; the first two hold zb1, the third zeta(odd),
+# each summed once per process at a fixed target
+_EXACT_REQUESTS = [
+    ("ls", "--theta", "pi", "--n", "3", "--p", "2"),
+    ("closed-form", "--z", "pi/2", "--n", "3", "--p", "2"),
+    ("binom-deriv", "--p", "5", "--k", "0"),
+    ("constant", "--name", "zb1_5"),
+]
+
+
+class TestExactOutputIgnoresTolerance:
+    @pytest.mark.parametrize("argv", _EXACT_REQUESTS)
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_same_bytes_at_every_tolerance(self, capsys, argv, fmt):
+        tols = ([], ["--tol", "1e-1"], ["--tol", "1e-20"])
+        outputs = {run_cli(capsys, *argv, *fmt, *tol) for tol in tols}
+        assert len(outputs) == 1
+        ((code, _),) = outputs
+        assert code == 0
+
+    def test_documented_value(self, capsys):
+        code, out = run_cli(capsys, "ls", "--theta", "pi", "--n", "3", "--p", "2", "--tol", "1e-1")
+        assert code == 0 and out.splitlines()[1] == "numeric: -9.37390039110411"
+
 
 class TestHighOrderFallbacks:
     # the alternating k-series of these misses is limited by rounding, not by
@@ -146,6 +177,13 @@ class TestBellCommand:
         code, out = run_cli(capsys, "bell", "--seq", "1/2,1/3")
         assert code == 0
         assert out.strip() == "7/12"  # (1/2)^2 + 1/3
+
+    @pytest.mark.parametrize("seq", ["1/0", "1,2/0"])
+    def test_zero_denominator_is_a_one_line_usage_error(self, capsys, seq):
+        code = main(["bell", "--seq", seq])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
 
 
 class TestBinomDerivCommand:

@@ -9,9 +9,7 @@ from logsine import (
     PowerSeries,
     QuadratureError,
     accelerate_alternating,
-    compensated_sum,
     cot_derivative,
-    harmonic,
     log_sin_power_integral,
     polygamma_real,
     richardson_derivative,
@@ -19,24 +17,6 @@ from logsine import (
     zeta_numeric,
 )
 from logsine.numerics import euler_gamma_numeric
-
-
-class TestCompensatedSum:
-    def test_tiny_increments(self):
-        total = compensated_sum([1.0] + [1e-16] * 10**6)
-        assert abs(total - (1.0 + 1e-10)) < 1e-22 * total
-
-    def test_empty(self):
-        assert compensated_sum([]) == 0.0
-
-    def test_harmonic_matches_exact_rational(self):
-        n = 10**4
-        got = compensated_sum([1.0 / k for k in range(1, n + 1)])
-        assert abs(got - float(harmonic(n))) < 1e-12
-
-    def test_overflow_signals(self):
-        with pytest.raises(OverflowError):
-            compensated_sum([1e308, 1e308])
 
 
 class TestAlternatingAcceleration:
@@ -72,7 +52,7 @@ class TestAlternatingAcceleration:
 
     def test_agrees_with_raw_partial_sums(self, cfg):
         for exponent in (2, 3):
-            raw = compensated_sum(
+            raw = math.fsum(
                 [(-1.0) ** (k + 1) / k**exponent for k in range(1, 100001)]
             )
             tail = 1.0 / 100001.0**exponent  # alternating remainder bound
@@ -200,18 +180,18 @@ class TestPolygammaReal:
 
 
 class TestRichardson:
-    def test_exp_third_derivative(self, cfg):
-        val, err = richardson_derivative(math.exp, 0.0, 3, cfg)
+    def test_exp_third_derivative(self):
+        val, err = richardson_derivative(math.exp, 0.0, 3)
         assert abs(val - 1.0) < 1e-8
         assert err < 1e-6
 
-    def test_square_second_derivative(self, cfg):
-        val, _ = richardson_derivative(lambda x: x * x, 1.0, 2, cfg)
+    def test_square_second_derivative(self):
+        val, _ = richardson_derivative(lambda x: x * x, 1.0, 2)
         assert abs(val - 2.0) < 1e-10
 
-    def test_order_cap(self, cfg):
+    def test_order_cap(self):
         with pytest.raises(ValueError):
-            richardson_derivative(math.exp, 0.0, 5, cfg)
+            richardson_derivative(math.exp, 0.0, 5)
 
 
 class TestPowerSeries:
@@ -240,7 +220,7 @@ class TestPowerSeries:
             back[i] = acc / (i * twice.coeffs[0])
         assert back == pytest.approx(series.coeffs, abs=1e-14)
 
-    def test_exp_of_log_gamma_series_vs_finite_differences(self, cfg):
+    def test_exp_of_log_gamma_series_vs_finite_differences(self):
         # coefficients of Gamma(1+2m) from exp of its log series, checked by
         # Richardson differentiation of the gamma function itself
         gamma = euler_gamma_numeric()
@@ -251,9 +231,9 @@ class TestPowerSeries:
         series = PowerSeries(coeffs).exp()
         f = lambda m: math.gamma(1 + 2 * m)
         for p in (1, 2, 3):
-            fd, _ = richardson_derivative(f, 0.0, p, cfg)
+            fd, _ = richardson_derivative(f, 0.0, p)
             assert abs(series.coeffs[p] - fd / math.factorial(p)) < 1e-8
-        fd, _ = richardson_derivative(f, 0.0, 4, cfg)
+        fd, _ = richardson_derivative(f, 0.0, 4)
         # order-4 central differences bottom out near 1e-6..1e-7 in binary64
         assert abs(series.coeffs[4] - fd / math.factorial(4)) < 2e-6
 
@@ -265,9 +245,9 @@ class TestCotDerivative:
     def test_first_derivative_at_half(self):
         assert abs(cot_derivative(1, 0.5) + math.pi**2) < 1e-12
 
-    def test_against_finite_differences(self, cfg):
+    def test_against_finite_differences(self):
         val, _ = richardson_derivative(
-            lambda k: math.pi / math.tan(math.pi * k), 0.3, 3, cfg
+            lambda k: math.pi / math.tan(math.pi * k), 0.3, 3
         )
         assert abs(cot_derivative(3, 0.3) - val) < 1e-7
 
