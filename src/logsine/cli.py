@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: closed-form, numeric, ls, binom-deriv, bell, constant,
-verify-paper.  Global flags: --json, --tol, --max-terms, --digits.
+verify-paper.  Each takes --json; all but bell take --digits; closed-form,
+numeric, ls and verify-paper, which compute to a tolerance, take --tol.
 Exit codes: 0 success, 1 computation failed to meet tolerance, 2 usage error.
 """
 
@@ -28,15 +29,15 @@ from .symbolic import eval_numeric
 
 MAX_BINOM_DERIV_P = 40  # the exact form grows fast with p: megabytes at p = 40 scaled
 MAX_BINOM_DERIV_K = 200  # its harmonic-number denominators grow with k: 30 MB at p = 40, k = 200 scaled
+_P_HELP = f"log power, at most {MAX_BINOM_DERIV_P}"
 
 
-def _common_flags(sub: argparse.ArgumentParser):
+def _flags(sub: argparse.ArgumentParser, tol: bool = False, digits: bool = True):
     sub.add_argument("--json", action="store_true", help="machine-readable output")
-    sub.add_argument("--tol", type=float, default=1e-10, help="target absolute tolerance")
-    sub.add_argument("--max-terms", type=int, default=10**6, help="series term budget")
-    sub.add_argument(
-        "--digits", type=int, default=15, help="significant digits printed (max 15)"
-    )
+    if tol:
+        sub.add_argument("--tol", type=float, default=1e-10, help="target absolute tolerance")
+    if digits:
+        sub.add_argument("--digits", type=int, default=15, help="significant digits printed (max 15)")
 
 
 @lru_cache(maxsize=1)  # parse_args leaves the parser unchanged, so one serves every call
@@ -52,21 +53,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--z", required=True, choices=["pi/2", "pi"])
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", type=int, required=True)
-    _common_flags(p)
+    p.add_argument("--p", type=int, required=True, help=_P_HELP)
+    _flags(p, tol=True)
 
     p = subs.add_parser("numeric", help="quadrature of the defining integral at any z")
     p.add_argument("--z", required=True, help="angle: pi/2, pi, 2pi, or radians")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--form", choices=["logsin", "ls"], default="logsin")
-    _common_flags(p)
+    _flags(p, tol=True)
 
     p = subs.add_parser("ls", help="log-sine integral at theta in {pi, 2pi}")
-    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--p", type=int, required=True, help=_P_HELP)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--theta", required=True, choices=["pi", "2pi"])
-    _common_flags(p)
+    _flags(p, tol=True)
 
     p = subs.add_parser(
         "binom-deriv", help="d^p/dm^p of binom(2m, m+k) (optionally 4^-m scaled) at m=0"
@@ -76,27 +77,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True,
                    help=f"shift, at most {MAX_BINOM_DERIV_K}")
     p.add_argument("--scaled", action="store_true")
-    _common_flags(p)
+    _flags(p)
 
     p = subs.add_parser("bell", help="complete Bell polynomial of a rational sequence")
     p.add_argument("--seq", required=True, help="comma-separated rationals, e.g. 1,1/2,3")
-    _common_flags(p)
+    _flags(p, digits=False)
 
     p = subs.add_parser("constant", help="numeric value of a basis constant")
     p.add_argument("--name", required=True, help="pi, log2, zeta<n>, or zb1_<n>")
-    _common_flags(p)
+    _flags(p)
 
     p = subs.add_parser(
         "verify-paper", help="run the built-in reference identity suite"
     )
     p.add_argument("--filter", default=None, help="restrict to a group or id substring")
-    _common_flags(p)
+    _flags(p, tol=True)
 
     return parser
 
 
-def _config(args) -> NumericConfig:
-    return NumericConfig(target_abs_tol=args.tol, max_series_terms=args.max_terms)
+def _at_most(args, flag: str, limit: int) -> None:
+    value = getattr(args, flag)
+    if value > limit:
+        raise ValueError(f"{args.command} takes --{flag} up to {limit}, got {value}")
 
 
 def _fmt(value: float, digits: int) -> str:
@@ -131,8 +134,9 @@ def _emit_closed_form(ident: str, res: integrals.ClosedFormResult, args) -> None
 
 
 def _cmd_closed_form(args) -> int:
+    _at_most(args, "p", MAX_BINOM_DERIV_P)  # its central term is that of binom-deriv --k 0
     spec = integrals.IntegralSpec(args.n, args.p, args.z)
-    res = integrals.log_sin_power_integral(spec, _config(args))
+    res = integrals.log_sin_power_integral(spec, NumericConfig(args.tol))
     _emit_closed_form(f"closed-form:z={args.z}:n={args.n}:p={args.p}", res, args)
     return 0
 
@@ -140,7 +144,7 @@ def _cmd_closed_form(args) -> int:
 def _cmd_numeric(args) -> int:
     z = _parse_angle(args.z)
     spec = integrals.IntegralSpec(args.n, args.p, z, form=args.form)
-    value = integrals.quadrature_value(spec, _config(args))
+    value = integrals.quadrature_value(spec, NumericConfig(args.tol))
     ident = f"numeric:{args.form}:z={args.z}:n={args.n}:p={args.p}"
     if args.json:
         print(json.dumps({"id": ident, "numeric": value, "status": "ok"}, sort_keys=True))
@@ -150,16 +154,15 @@ def _cmd_numeric(args) -> int:
 
 
 def _cmd_ls(args) -> int:
-    res = integrals.log_sine_integral(args.p, args.n, args.theta, _config(args))
+    _at_most(args, "p", MAX_BINOM_DERIV_P)
+    res = integrals.log_sine_integral(args.p, args.n, args.theta, NumericConfig(args.tol))
     _emit_closed_form(f"ls:theta={args.theta}:p={args.p}:n={args.n}", res, args)
     return 0
 
 
 def _cmd_binom_deriv(args) -> int:
-    if args.p > MAX_BINOM_DERIV_P:
-        raise ValueError(f"binom-deriv takes --p up to {MAX_BINOM_DERIV_P}, got {args.p}")
-    if args.k > MAX_BINOM_DERIV_K:
-        raise ValueError(f"binom-deriv takes --k up to {MAX_BINOM_DERIV_K}, got {args.k}")
+    _at_most(args, "p", MAX_BINOM_DERIV_P)
+    _at_most(args, "k", MAX_BINOM_DERIV_K)
     spec = binomderiv.DerivSpec(args.p, args.k, args.scaled)
     sym = binomderiv.binom_deriv(spec)
     numeric = eval_numeric(sym)
@@ -216,7 +219,7 @@ def _cmd_constant(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run_verification(args.filter, _config(args))
+    results = verify.run_verification(args.filter, NumericConfig(args.tol))
     if args.json:
         print(json.dumps([r.to_json_obj() for r in results], sort_keys=True))
     else:

@@ -32,6 +32,7 @@ from itertools import accumulate, repeat
 from .bell import complete_bell
 from .binomderiv import DerivSpec, central_binom_deriv
 from .numerics import (
+    DEFAULT_CONFIG,
     AccelerationError,
     NumericConfig,
     accelerate_alternating,
@@ -436,13 +437,16 @@ def _alternating_k_series(p: int, scaled: bool, s: int, cfg: NumericConfig) -> t
     def magnitude(k: int) -> float:
         return p / float(k) ** s * _bell_head(p, scaled, k)[k - 1]
 
+    # both passes read the same rounded terms, so their agreement cannot show
+    # that rounding: the claim is at least 16 ulps of the sum
     try:
-        return (-1.0) ** p * (-accelerate_alternating(magnitude, cfg)), cfg.target_abs_tol
+        estimate = accelerate_alternating(magnitude, cfg)
+        bound = cfg.target_abs_tol
     except AccelerationError as exc:  # at p >= 7 the terms' rounding alone can pass tol
-        rounding = 16 * 2**-52 * abs(exc.estimate)
-        if not exc.error_bound <= rounding:  # a nan estimate or bound raises too
+        estimate, bound = exc.estimate, 2 * exc.error_bound
+        if not exc.error_bound <= 16 * 2**-52 * abs(estimate):  # a nan estimate or bound raises too
             raise
-        return (-1.0) ** p * (-exc.estimate), max(2 * exc.error_bound, rounding)
+    return (-1.0) ** p * (-estimate), max(bound, 16 * 2**-52 * abs(estimate))
 
 
 @lru_cache(maxsize=None)
@@ -479,12 +483,10 @@ def _deriv_value_numeric(
 # -- public closed-form operations ------------------------------------------------
 
 
-def _closed_form(n: int, p: int, z: str, scaled: bool, cfg: NumericConfig | None) -> ClosedFormResult:
+def _closed_form(n: int, p: int, z: str, scaled: bool, cfg: NumericConfig) -> ClosedFormResult:
     """2^{-p} times the p-th derivative (negated for the log-sine form): exact
     whenever the k-sums reduce over the catalog, otherwise numeric via the
     same series, never a wrong symbolic value."""
-    if cfg is None:
-        cfg = NumericConfig()
     scale = Fraction(1 if scaled else -1, 2**p)
     try:
         sym = scale * _deriv_value_exact(n, p, z, scaled)
@@ -498,7 +500,7 @@ def _closed_form(n: int, p: int, z: str, scaled: bool, cfg: NumericConfig | None
 
 
 def log_sin_power_integral(
-    spec: IntegralSpec, cfg: NumericConfig | None = None
+    spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG
 ) -> ClosedFormResult:
     """Integral of x^n log^p(sin x) over (0, z) for z in {pi/2, pi}."""
     if spec.form != "logsin":
@@ -509,7 +511,7 @@ def log_sin_power_integral(
 
 
 def log_sine_integral(
-    p: int, n: int, theta: str, cfg: NumericConfig | None = None
+    p: int, n: int, theta: str, cfg: NumericConfig = DEFAULT_CONFIG
 ) -> ClosedFormResult:
     """The log-sine integral of order p+n+1 and index n at theta in {pi, 2pi}:
     minus the integral of x^n log^p|2 sin(x/2)| over (0, theta)."""
@@ -605,21 +607,19 @@ def defining_integrand(spec: IntegralSpec):
     return lambda x: -(x**n) * math.log(2.0 * math.sin(x / 2.0)) ** p
 
 
-def quadrature_value(spec: IntegralSpec, cfg: NumericConfig | None = None) -> float:
+def quadrature_value(spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """Tanh-sinh value of the defining integral; the independent oracle.
 
     The log factor g, singular at 0 and L (pi for 'logsin', 2pi for 'ls'), is
     symmetric about L/2: past it the piece over (L/2, z) is reflected onto
     (L - z, L/2) with weight (L - x)^n, so the singularity is met at 0, where
     node distances are exact, never at the float L (a z just past L is L)."""
-    if cfg is None:
-        cfg = NumericConfig()
     f, n, z = defining_integrand(spec), spec.n, angle_value(spec.z)
     top = math.pi if spec.form == "logsin" else 2 * math.pi
     if z <= top / 2:
         return tanh_sinh_quadrature(f, 0.0, z, cfg)
     g, mirror = defining_integrand(replace(spec, n=0)), max(top - z, 0.0)
-    half = replace(cfg, target_abs_tol=cfg.target_abs_tol / 2)
+    half = NumericConfig(cfg.target_abs_tol / 2)
     return tanh_sinh_quadrature(f, 0.0, mirror, half) + tanh_sinh_quadrature(
         lambda x: (x**n + (top - x) ** n) * g(x), mirror, top / 2, half
     )

@@ -145,7 +145,7 @@ def zeta_bar1_numeric(n: int) -> float:
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("zeta_bar1_numeric requires odd n >= 3")
-    from .numerics import CONSTANT_CONFIG, accelerate_alternating
+    from .numerics import CONSTANT_CONFIG, accelerate_alternating, float_power
 
     harmonic_cache = [0.0, 1.0]
 
@@ -153,6 +153,6 @@ def zeta_bar1_numeric(n: int) -> float:
         k = j + 2
         while len(harmonic_cache) < k:
             harmonic_cache.append(harmonic_cache[-1] + 1.0 / len(harmonic_cache))
-        return harmonic_cache[k - 1] / float(k) ** n
+        return harmonic_cache[k - 1] / float_power(k, n)
 
     return 0.5**n - accelerate_alternating(magnitude, CONSTANT_CONFIG)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from . import bell, binomderiv, integrals, numerics, specialfn
-from .numerics import NumericConfig
+from .numerics import DEFAULT_CONFIG, NumericConfig
 from .symbolic import eval_numeric
 
 
@@ -267,17 +267,11 @@ def build_registry() -> list[Check]:
 
 
 def run_verification(
-    group_filter: str | None = None,
-    cfg: NumericConfig | None = None,
-    registry: Iterable[Check] | None = None,
+    group_filter: str | None = None, cfg: NumericConfig = DEFAULT_CONFIG
 ) -> list[IdentityResult]:
-    if cfg is None:
-        cfg = NumericConfig()
-    if registry is None:
-        registry = build_registry()
     selected = [
         c
-        for c in registry
+        for c in build_registry()
         if not group_filter or group_filter == c.group or group_filter in c.id
     ]
     results = [check.run(cfg) for check in selected]

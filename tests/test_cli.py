@@ -79,11 +79,39 @@ class TestLsCommand:
         assert (code, out, err) == (2, "", "usage error: n and p must be >= 0\n")
 
 
-# exact values and a basis constant; the first two hold zb1, the third zeta(odd),
-# each summed once per process at a fixed target
+class TestLogPowerLimit:
+    # closed-form and ls build the exact central row of binom-deriv at the
+    # same order, so they take the same largest --p
+    @pytest.mark.parametrize("argv", [
+        ["closed-form", "--z", "pi/2", "--n", "2"],
+        ["ls", "--theta", "pi", "--n", "2"],
+    ])
+    @pytest.mark.parametrize("p", [MAX_BINOM_DERIV_P + 1, 100])
+    def test_larger_order_is_refused_before_any_work(self, capsys, argv, p):
+        start = time.perf_counter()
+        code = main([*argv, "--p", str(p)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"usage error: {argv[0]} takes --p up to {MAX_BINOM_DERIV_P}, got {p}\n"
+        assert elapsed < 1.0
+
+    def test_limit_is_documented(self, capsys):
+        for command in ("closed-form", "ls"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert f"at most {MAX_BINOM_DERIV_P}" in capsys.readouterr().out
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert f"`closed-form` and `ls` take `--p` up to {MAX_BINOM_DERIV_P}" in readme
+
+
+# exact values that hold zb1, summed once per process at a fixed target
 _EXACT_REQUESTS = [
     ("ls", "--theta", "pi", "--n", "3", "--p", "2"),
     ("closed-form", "--z", "pi/2", "--n", "3", "--p", "2"),
+]
+# a value that holds zeta(odd) and a basis constant: neither takes a tolerance
+_UNTOLERANCED_REQUESTS = [
     ("binom-deriv", "--p", "5", "--k", "0"),
     ("constant", "--name", "zb1_5"),
 ]
@@ -98,6 +126,15 @@ class TestExactOutputIgnoresTolerance:
         assert len(outputs) == 1
         ((code, _),) = outputs
         assert code == 0
+
+    @pytest.mark.parametrize("argv", _UNTOLERANCED_REQUESTS)
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_tolerance_is_a_usage_error(self, capsys, argv, fmt):
+        assert run_cli(capsys, *argv, *fmt)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *fmt, "--tol", "1e-1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
     def test_documented_value(self, capsys):
         code, out = run_cli(capsys, "ls", "--theta", "pi", "--n", "3", "--p", "2", "--tol", "1e-1")
@@ -238,6 +275,13 @@ class TestConstantCommand:
         code, _ = run_cli(capsys, "constant", "--name", "nope")
         assert code == 2
 
+    # k^n passes binary64 from k = 2 (zeta1025) and k = 4 (zb1_645) on; such a
+    # term counts as 0.0, which is what it would underflow to
+    @pytest.mark.parametrize("name,value", [("zeta1025", "1"), ("zb1_645", "6.84940421565126e-195")])
+    def test_terms_past_binary64_count_as_zero(self, capsys, name, value):
+        code, out = run_cli(capsys, "constant", "--name", name)
+        assert (code, out) == (0, value + "\n")
+
 
 # flags that each call sets and the next call leaves out
 _MIXED_CALLS = [
@@ -250,6 +294,28 @@ _MIXED_CALLS = [
     ("binom-deriv", "--p", "2", "--k", "1", "--scaled", "--digits", "6"),
     ("binom-deriv", "--p", "2", "--k", "1", "--json"),
 ]
+
+
+# a request of each subcommand, and the flags that it does not read
+_SUBCOMMANDS = [
+    (("closed-form", "--z", "pi", "--n", "1", "--p", "2"), ["--max-terms"]),
+    (("numeric", "--z", "pi", "--n", "0", "--p", "1"), ["--max-terms"]),
+    (("ls", "--p", "2", "--n", "1", "--theta", "2pi"), ["--max-terms"]),
+    (("binom-deriv", "--p", "2", "--k", "1"), ["--max-terms", "--tol"]),
+    (("bell", "--seq", "1,1"), ["--max-terms", "--tol", "--digits"]),
+    (("constant", "--name", "pi"), ["--max-terms", "--tol"]),
+    (("verify-paper", "--filter", "lemmas"), ["--max-terms"]),
+]
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (argv, flag) for argv, unread in _SUBCOMMANDS for flag in unread
+])
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "10"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
 
 
 class TestDeterminism:

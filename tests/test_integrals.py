@@ -722,17 +722,18 @@ class TestKSeriesMemo:
         monkeypatch.setattr(integrals, "_monotone_tail", real_tail)
         assert integrals._k_series_numeric(*key, cfg) == want
 
-        # an alternating sum that does not certify raises on every call: ten
-        # terms are too few for the depth that 1e-10 asks for
-        starved = NumericConfig(max_series_terms=10)
+        # an alternating sum that does not certify, by far more than its
+        # rounding, raises on every call
         calls = []
-        real_acc = integrals.accelerate_alternating
-        monkeypatch.setattr(
-            integrals, "accelerate_alternating", lambda *a: calls.append(1) or real_acc(*a)
-        )
+
+        def uncertified(term_fn, cfg):
+            calls.append(1)
+            raise AccelerationError("injected", estimate=1.0, error_bound=1.0)
+
+        monkeypatch.setattr(integrals, "accelerate_alternating", uncertified)
         for _ in range(2):
-            with pytest.raises(AccelerationError):
-                integrals._k_series_numeric(5, False, False, 2, starved)
+            with pytest.raises(AccelerationError, match="injected"):
+                integrals._k_series_numeric(5, False, False, 2, cfg)
         assert len(calls) == 2
 
     def test_threads_agree_with_one_thread(self, monkeypatch, cfg):
@@ -778,6 +779,13 @@ class TestRoundingLimitedAlternatingSeries:
             got = integrals._k_series_numeric(7, False, False, 2, NumericConfig())
             assert got == (estimate, claim * ulp)
 
+    @pytest.mark.parametrize("estimate,claim", [(168890.0, 16 * 2.0**-52 * 168890.0), (1.0, 1e-10)])
+    def test_a_certified_sum_claims_tol_and_at_least_sixteen_ulps(self, estimate, claim, monkeypatch):
+        _clear_k_series(monkeypatch)
+        monkeypatch.setattr(integrals, "accelerate_alternating", lambda term_fn, cfg: estimate)
+        got = integrals._k_series_numeric(7, False, False, 2, NumericConfig())
+        assert got == (estimate, claim)
+
     @pytest.mark.parametrize("p", [7, 8])
     @pytest.mark.parametrize("scaled", [False, True])
     def test_high_order_sums_return_the_estimate(self, p, scaled, monkeypatch, cfg):
@@ -798,9 +806,34 @@ class TestRoundingLimitedAlternatingSeries:
             rounding = 16 * 2.0**-52 * abs(exc.estimate)
             assert exc.error_bound <= rounding
             assert (value, err) == ((-1.0) ** p * -exc.estimate, max(2 * exc.error_bound, rounding))
-        else:
-            assert err == cfg.target_abs_tol
+        else:  # a certified sum claims tol, and at least 16 ulps of itself
+            assert err == max(cfg.target_abs_tol, 16 * 2.0**-52 * abs(value))
         assert seen or p == 8  # (7, False, False, 2) is one such sum
+
+
+class TestAlternatingFallbacksAgainstMpmath:
+    # ls at pi and logsin at pi/2 sum alternating k-series; both accelerator
+    # passes read the same rounded terms, so a certified sum claims at least
+    # 16 ulps of itself, and every value lies within its claim at each tol
+    @pytest.mark.parametrize("p", range(3, 10))
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("form", ["ls", "logsin"])
+    def test_value_lies_within_its_claim(self, form, n, p):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            if form == "ls":
+                g, z = lambda x: -(x**n) * mpmath.log(2 * mpmath.sin(x / 2)) ** p, mpmath.pi
+            else:
+                g, z = lambda x: x**n * mpmath.log(mpmath.sin(x)) ** p, mpmath.pi / 2
+            want = float(mpmath.quad(g, [0, z / 2, z]))
+        for tol in (1e-10, 1e-13):
+            cfg = NumericConfig(tol)
+            if form == "ls":
+                res = log_sine_integral(p, n, "pi", cfg)
+            else:
+                res = log_sin_power_integral(IntegralSpec(n, p, "pi/2"), cfg)
+            assert not res.exact
+            assert abs(res.numeric - want) <= res.error, (tol, res.numeric, want, res.error)
 
 
 class TestDerivativeConsistency:

@@ -60,7 +60,8 @@ class TestAlternatingAcceleration:
             assert abs(got - raw) <= tail + 1e-12
 
     def test_failure_carries_estimate(self):
-        tight = NumericConfig(target_abs_tol=1e-14, max_series_terms=12)
+        # 1e-300 asks for more terms than one pass reads, so only a best effort remains
+        tight = NumericConfig(target_abs_tol=1e-300)
         with pytest.raises(AccelerationError) as exc:
             accelerate_alternating(lambda k: 1.0 / math.sqrt(k), tight)
         assert math.isfinite(exc.value.estimate)
@@ -125,13 +126,11 @@ class TestQuadrature:
         else:
             assert abs(got - (-1) ** p * math.factorial(p)) <= cfg.target_abs_tol
 
-    def test_unreachable_tolerance_fails(self):
-        impossible = NumericConfig(target_abs_tol=1e-10, quadrature_levels=3)
+    def test_unreachable_tolerance_fails(self, cfg):
+        # a jump inside the interval: halving the step only halves the error
         with pytest.raises(QuadratureError) as exc:
-            tanh_sinh_quadrature(
-                lambda x: x * math.sin(40.0 * x), 0.0, math.pi, impossible
-            )
-        assert math.isfinite(exc.value.estimate)
+            tanh_sinh_quadrature(lambda x: 1.0 if x < 1.0 else 0.0, 0.0, math.pi, cfg)
+        assert abs(exc.value.estimate - 1.0) < 1e-3
         assert exc.value.error_bound > 1e-10
 
 
@@ -260,7 +259,3 @@ class TestNumericConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             NumericConfig(target_abs_tol=0.0)
-        with pytest.raises(ValueError):
-            NumericConfig(max_series_terms=5)
-        with pytest.raises(ValueError):
-            NumericConfig(quadrature_levels=2)
