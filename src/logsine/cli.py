@@ -40,9 +40,14 @@ def _flags(sub: argparse.ArgumentParser, tol: bool = False, digits: bool = True)
         sub.add_argument("--digits", type=int, default=15, help="significant digits printed (max 15)")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, like every other usage error
+        self.exit(2, f"usage error: {message}\n")
+
+
 @lru_cache(maxsize=1)  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="logsine",
         description="Exact and numeric evaluation of generalized log-sine integrals.",
     )

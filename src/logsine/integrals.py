@@ -6,13 +6,14 @@ Covered objects, all over (0, z):
   {pi/2, pi} and numeric at any z through the finite trigonometric series.
 * ``log_sin_power_integral``:  integral of x^n log^p(sin x) at z in
   {pi/2, pi}, exact whenever the required k-sums reduce over the linear
-  Euler-sum catalog (p <= 2 always; any p when no k-sum appears), with a
-  certified numeric series fallback otherwise.
+  Euler-sum catalog (p <= 2 always; any p when no k-sum appears), otherwise
+  a numeric fallback with a bound: each k-sum is the Fourier integral of a
+  Bernoulli polynomial against log^p sin(y/2), a sum of log-sine moments.
 * ``log_sine_integral``:  the normalized -integral of x^n log^p|2 sin(x/2)|
   at theta in {pi, 2pi}, same exactness domain.
-* ``log_sine_any_angle``:  the n = 0 case at arbitrary 0 < z <= 2pi via the
-  power series of log(sin(x/2)/(x/2)) integrated term by term, reflected
-  about pi through the exact Bell-polynomial term.
+* ``log_sine_any_angle``:  the n = 0 case at arbitrary 0 < z <= 2pi by the
+  same moment series, the power series of log(sin(x/2)/(x/2)) integrated
+  term by term, reflected about pi through the exact Bell-polynomial term.
 
 The symbolic pipeline never guesses: a value is returned as exact only when
 every infinite k-sum lands in the whitelisted catalog, otherwise the result
@@ -22,22 +23,14 @@ is flagged numeric with a reason.
 from __future__ import annotations
 
 import math
-import threading
-from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
 
-from .bell import complete_bell
 from .binomderiv import DerivSpec, central_binom_deriv
 from .numerics import (
     DEFAULT_CONFIG,
-    AccelerationError,
     NumericConfig,
-    accelerate_alternating,
-    euler_gamma_numeric,
-    polygamma_real,
     tanh_sinh_quadrature,
     zeta_numeric,
 )
@@ -266,218 +259,140 @@ def _deriv_value_exact(n: int, p: int, z: str, scaled: bool) -> SymbolicValue:
     return total
 
 
-# -- numeric fallback: the same series summed in floats --------------------------
+# -- one log-sine series: the moments of y^i log^p|2 sin(y/2)| -------------------
 
-_LOG4 = math.log(4.0)
-
-
-def _xi_continuous(j: int, x: float, scaled: bool) -> float:
-    """Continuous extension of xi_bar_j to real x > 0 via polygamma."""
-    if j == 1:
-        v = 2.0 * (polygamma_real(0, x) + euler_gamma_numeric()) + 1.0 / x
-        return v + _LOG4 if scaled else v
-    fact = math.factorial(j - 1)
-    if j % 2 == 0:
-        return (2.0**j - 2.0) * (-1.0) ** j * fact * zeta_numeric(j) + fact / x**j
-    psi = polygamma_real(j - 1, x)
-    return (-2.0) ** j * (-1.0) ** j * fact * zeta_numeric(j) + 2.0 * psi + fact / x**j
+# terms of the t-series below: at t = 1/4 (z = pi) they fall below 1e-18 of the
+# value by k = 27 for every p <= 6
+_H_TERMS = 32
+_TWO_PI_LOW = 2.4492935982947064e-16  # 2pi - fl(2pi)
+_TAIL_H = math.log(math.pi * 0.9**0.5 / math.sin(math.pi * 0.9**0.5))  # -h at t = 0.9
 
 
-_SERIES_CUTOFF = 2000
+@lru_cache(maxsize=None)
+def _log_sine_rows(p: int, terms: int) -> tuple[tuple[float, ...], ...]:
+    """Row k holds C(p, i) [t^k] h^{p-i} for i = 0..p, where
+    h = log(sin(x/2) / (x/2)) = -sum_k zeta(2k)/k t^k and t = (x/2pi)^2."""
+    h = [0.0] + [-zeta_numeric(2 * k) / k for k in range(1, terms)]
+    powers = [[1.0] + [0.0] * (terms - 1)]  # powers[j][k] = [t^k] h^j
+    for _ in range(p):
+        powers.append([math.fsum(powers[-1][i] * h[k - i] for i in range(k)) for k in range(terms)])
+    return tuple(
+        tuple(math.comb(p, i) * powers[p - i][k] for i in range(p + 1)) for k in range(terms)
+    )
 
 
-class _BellColumn:  # column j >= 1 of the shared Bell table, rows k = 1..len(xi)
-    def __init__(self):
-        self.xi = array("d")  # xi_bar_j(k), without the log 4 of the scaled xi_bar_1
-        self.core = array("d")  # the inner term x_j(k) of bell_core_terms (x_1 = 0)
-        self.harm = 0.0  # H_{len(xi)}^{(j)}, where the next rows continue the running sum
-        self.bell = (array("d"), array("d"))  # B_j(xi_bar(k)) unscaled and scaled, as far as read
+def _log_sine_series(
+    p: int, z: float, terms: int = _H_TERMS, i: int = 0, log_z: float | None = None
+) -> float:
+    """Integral of y^i (log(y/z) + log_z + h(y))^p over (0, z) for 0 < z <= pi.
+
+    log_z = log z (the default) makes the log factor log(2 sin(y/2)), log(z/2)
+    makes it log sin(y/2), and -|log_z| makes every part of one sign, so that
+    the value is (-1)^p times the sum of their magnitudes.  The factor is
+    sum_a C(p, a) log^a(y/c) h^{p-a}, and y^m log^a(y/c) integrates to
+    z^{m+1} J_a, J_0 = 1/(m+1) and J_a = (log_z^a - a J_{a-1}) / (m+1)."""
+    t = (z / (2 * math.pi)) ** 2
+    log_pows = [(math.log(z) if log_z is None else log_z) ** a for a in range(p + 1)]
+    parts, t_k = [], 1.0
+    for k, row in enumerate(_log_sine_rows(p, terms)):
+        m1 = 2 * k + i + 1
+        j = 1.0 / m1
+        acc = row[0] * j
+        for a in range(1, p + 1):
+            j = (log_pows[a] - a * j) / m1
+            acc += row[a] * j
+        parts.append(t_k * acc)
+        t_k *= t
+    return z ** (i + 1) * math.fsum(parts)
 
 
-# one table for every (p, scaled): B_{p-1} reads columns 1..p-1, which larger p
-# only widen, and the x_j never read xi_bar_1, the one entry scaling moves
-_BELL_TABLE: list[_BellColumn] = []
-_BELL_TABLE_LOCK = threading.Lock()  # growth is a check-then-extend
+@lru_cache(maxsize=None)
+def _log_sine_moment(p: int, i: int, scaled: bool) -> tuple[float, float]:
+    """Integral of y^i log^p(2 sin(y/2)) over (0, pi), or of y^i log^p sin(y/2)
+    when scaled, with an error bound.
 
-
-def _extend_bell_column(j: int, count: int) -> None:
-    """Grow column j to rows 1..count, in the float order of one running
-    sequence along k; columns below j are already that long."""
-    col = _BELL_TABLE[j - 1]
-    lo, fact = len(col.xi), math.factorial(j - 1)
-    ks = range(lo + 1, count + 1)
-    harm = list(accumulate([1.0 / float(k) ** j for k in ks], initial=col.harm))[1:]  # H_k^{(j)}
-    if j == 1:
-        xi = [2.0 * h - 1.0 / k for k, h in zip(ks, harm)]
-    else:
-        zeta = zeta_numeric(j)
-        front = (2.0**j - 2.0 if j % 2 == 0 else (-2.0) ** j) * ((-1.0) ** j * fact * zeta)
-        if j % 2 == 0:
-            xi = [front + fact / k**j for k in ks]
-        else:  # 2 psi^{(j-1)}(k) joins the constant
-            xi = [front + 2.0 * (-fact * (zeta - (h - 1.0 / k_j))) + fact / k_j
-                  for k, h in zip(ks, harm) for k_j in (k**j,)]
-    core = [0.0] * len(ks)  # x_j = sum_{l <= j-2} C(j-1, l) xi_bar_{j-l} x_l
-    for l in range(j - 1):
-        s = xi if l == 0 else _BELL_TABLE[j - l - 1].xi[lo:count]
-        x = repeat(1.0) if l == 0 else _BELL_TABLE[l - 1].core[lo:count]
-        c = math.comb(j - 1, l)
-        core = [a + c * (si * xl) for a, si, xl in zip(core, s, x)]
-    col.xi.extend(xi)
-    col.core.extend(core)
-    col.harm = harm[-1]
-
-
-def _grow_bell_table(width: int, count: int) -> None:
-    """Grow columns 1..width to rows 1..count; a failure leaves the table as it was."""
-    saved = [(len(col.xi), col.harm) for col in _BELL_TABLE]
-    try:
-        for j in range(1, width + 1):
-            if j > len(_BELL_TABLE):
-                _BELL_TABLE.append(_BellColumn())
-            if len(_BELL_TABLE[j - 1].xi) < count:
-                _extend_bell_column(j, count)
-    except BaseException:
-        del _BELL_TABLE[len(saved):]
-        for col, (rows, harm) in zip(_BELL_TABLE, saved):
-            del col.xi[rows:], col.core[rows:]
-            col.harm = harm
-        raise
-
-
-def _bell_head(p: int, scaled: bool, count: int) -> array:
-    """The values B_{p-1}(xi_bar(k)), p >= 2, for k = 1..count, in a shared array
-    that may be longer and that callers only read.  Callers ask for at most
-    _SERIES_CUTOFF values, so every cached head stays that short."""
-    n = p - 1
-    with _BELL_TABLE_LOCK:
-        lo = len(_BELL_TABLE[n - 1].bell[scaled]) if n <= len(_BELL_TABLE) else 0
-        if lo >= count:
-            return _BELL_TABLE[n - 1].bell[scaled]
-        count = max(count, min(2 * lo, _SERIES_CUTOFF))  # alternating sums ask one k at a time
-        _grow_bell_table(n, count)
-        head = _BELL_TABLE[n - 1].bell[scaled]
-        # sum_j C(n, j) s_1^{n-j} x_j over rows lo+1..count, in the float order of complete_bell
-        s1 = [s + _LOG4 for s in _BELL_TABLE[0].xi[lo:count]] if scaled else _BELL_TABLE[0].xi[lo:count]
-        acc, power = [0.0] * len(s1), [1.0] * len(s1)
-        for j in range(n, -1, -1):
-            c, x = math.comb(n, j), _BELL_TABLE[j - 1].core[lo:count] if j else repeat(1.0)
-            acc = [a + c * (w * xj) for a, w, xj in zip(acc, power, x)]
-            if j:
-                power = [w * s for w, s in zip(power, s1)]
-        head.extend(acc)
-        return head
-
-
-def _bell_continuous(p: int, scaled: bool, x: float) -> float:
-    """B_{p-1}(xi_bar(x)) at real x > 0; beyond x = 1e15 the series weights
-    are denormal and only the log growth matters, so x is clamped there."""
-    x = min(x, 1e15)
-    return complete_bell([_xi_continuous(j, x, scaled) for j in range(1, p)], one=1.0)
-
-
-# Gauss-Laguerre rules: (nodes, weights) for the integral of e^{-v} f(v) over
-# (0, inf), exact for polynomials f of degree below twice the node count
-_LAGUERRE_8 = (
-    (0.170279632305101, 0.9037017767993799, 2.2510866298661307, 4.266700170287659,
-     7.0459054023934655, 10.758516010180996, 15.740678641278004, 22.863131736889265),
-    (0.3691885893416375, 0.41878678081434295, 0.1757949866371718, 0.03334349226121565,
-     0.0027945362352256725, 9.076508773358213e-05, 8.485746716272531e-07, 1.0480011748715104e-09),
-)
-_LAGUERRE_12 = (
-    (0.11572211735802068, 0.6117574845151307, 1.5126102697764188, 2.8337513377435073,
-     4.5992276394183484, 6.844525453115177, 9.621316842456867, 13.006054993306348,
-     17.116855187462257, 22.151090379397004, 28.487967250984, 37.09912104446692),
-    (0.2647313710554432, 0.37775927587313796, 0.24408201131987756, 0.09044922221168093,
-     0.020102381154634096, 0.0026639735418653157, 0.00020323159266299939, 8.365055856819799e-06,
-     1.6684938765409103e-07, 1.342391030515004e-09, 3.0616016350350207e-12, 8.148077467426241e-16),
-)
-
-
-def _monotone_tail(p: int, scaled: bool, s: int, x0: float) -> tuple[float, float]:
-    """Integral of p B_{p-1}(xi_bar(x)) / x^s over (x0, inf), with an error estimate.
-
-    x = x0 e^{v/(s-1)} maps it to p x0^{1-s}/(s-1) times the integral of
-    e^{-v} B(x0 e^{v/(s-1)}) over v > 0, with B a polynomial of degree p - 1
-    in v up to O(1/x0): 12-point Gauss-Laguerre, less the 8-point rule for
-    the estimate."""
-    scale = p * x0 ** (1 - s) / (s - 1)
-
-    def rule(nodes, weights):
-        return scale * math.fsum(
-            w * _bell_continuous(p, scaled, x0 * math.exp(v / (s - 1)))
-            for v, w in zip(nodes, weights)
+    -h has nonnegative coefficients, so on t <= 1/4 the tail of (-h)^j past K
+    terms is at most (t/0.9)^K (-h(0.9))^j.  As |log(y/c)| <= log_z - log(y/pi),
+    the K terms leave out at most pi^{i+1} 3.6^-K sum_b C(p, b) A^{p-b} b! /
+    (i + 2K + 1)^{b+1}, A = log_z - h(0.9); K doubles until that is below an ulp
+    of the parts' magnitude.  Each part rounds to at most 11p + 5K + 3i + 12
+    ulps of it: the J recursion 3a + 3, the rows 7p + 1 (zeta_numeric is within
+    4 ulps), their sum p + 1, t^k 5k and the endpoint fl(pi) i + 1."""
+    log_z = math.log(math.pi / 2 if scaled else math.pi)
+    terms, a = _H_TERMS, log_z + _TAIL_H
+    while True:
+        size = abs(_log_sine_series(p, math.pi, terms, i, -log_z))
+        m1 = i + 2 * terms + 1
+        tail = math.pi ** (i + 1) / 3.6**terms * math.fsum(
+            math.comb(p, b) * a ** (p - b) * math.factorial(b) / m1 ** (b + 1) for b in range(p + 1)
         )
+        if tail <= 2**-53 * size:
+            break
+        terms *= 2
+    value = _log_sine_series(p, math.pi, terms, i, log_z)
+    return value, tail + (11 * p + 5 * terms + 3 * i + 12) * 2**-53 * size
 
-    value = rule(*_LAGUERRE_12)
-    return value, abs(value - rule(*_LAGUERRE_8))
+
+# -- numeric fallback: each k-series as a Fourier integral ------------------------
 
 
+def _fourier_weights(alt: bool, pow_: int) -> dict[int, float]:
+    """The coefficients c_i of C(y) = sum_i c_i y^i = sum_k s^k cos(ky) / k^pow
+    on [0, pi] for even pow, s = 1 when ``alt`` and -1 otherwise.
+
+    At pow = 2q, sum_k cos(ky) / k^{2q} = (-1)^{q+1} (2pi)^{2q} B_{2q}(y/2pi) / (2 (2q)!),
+    and B_j (2pi)^j / (2 j!) is 1/2, -pi/2 and (-1)^{j/2+1} zeta(j) at j = 0, 1
+    and even j.  s = -1 gives 2^{1-2q} C(2y) - C(y): c_i times 2^{i+1-2q} - 1."""
+    q = pow_ // 2
+    coef = {2 * q: (-1) ** (q + 1) / (2 * math.factorial(2 * q))}
+    if alt:
+        coef[2 * q - 1] = (-1) ** q * math.pi / (2 * math.factorial(2 * q - 1))
+    for l in range(1, q + 1):
+        coef[2 * q - 2 * l] = (-1) ** (q + l) * zeta_numeric(2 * l) / math.factorial(2 * q - 2 * l)
+    return coef if alt else {i: c * (2.0 ** (i + 1 - 2 * q) - 1.0) for i, c in coef.items()}
+
+
+@lru_cache(maxsize=None)
 def _k_series_numeric(
     p: int, scaled: bool, weight_alt: bool, weight_pow: int, cfg: NumericConfig
 ) -> tuple[float, float]:
-    """Numeric sum over k of (-1)^{k*alt} D_p(k) / k^pow with an error bound.
+    """Sum over k of (-1)^{k*alt} D_p(k) / k^pow with an error bound; ``cfg``
+    is not read.
 
-    D_p(k) carries its own (-1)^k, so the net series is monotone when
-    ``weight_alt`` is set (summed directly with an Euler-Maclaurin midpoint
-    tail) and alternating otherwise (summed by acceleration).  Each sum
-    depends on nothing but these arguments, so it is computed once per
-    process: the monotone one reads ``cfg`` only in the last term of its bound.
-    """
-    s = weight_pow + 1
-    if not weight_alt:
-        return _alternating_k_series(p, scaled, s, cfg)
-    value, err = _monotone_k_series(p, scaled, s)
-    return value, err + min(1e-12, cfg.target_abs_tol)
-
-
-@lru_cache(maxsize=None)
-def _alternating_k_series(p: int, scaled: bool, s: int, cfg: NumericConfig) -> tuple[float, float]:
-    # net alternating series: sum_k (-1)^k g(k) with positive magnitudes
-    def magnitude(k: int) -> float:
-        return p / float(k) ** s * _bell_head(p, scaled, k)[k - 1]
-
-    # both passes read the same rounded terms, so their agreement cannot show
-    # that rounding: the claim is at least 16 ulps of the sum
-    try:
-        estimate = accelerate_alternating(magnitude, cfg)
-        bound = cfg.target_abs_tol
-    except AccelerationError as exc:  # at p >= 7 the terms' rounding alone can pass tol
-        estimate, bound = exc.estimate, 2 * exc.error_bound
-        if not exc.error_bound <= 16 * 2**-52 * abs(estimate):  # a nan estimate or bound raises too
-            raise
-    return (-1.0) ** p * (-estimate), max(bound, 16 * 2**-52 * abs(estimate))
+    D_p(k) is the p-th m-derivative at 0 of the shift-k coefficient c_k of
+    sin^{2m} x = c_0 + 2 sum_k (-1)^k c_k cos 2kx (times 4^m unscaled), so with
+    y = 2x the sum is 2^p/pi times the integral over (0, pi) of L^p C(y),
+    L = log sin(y/2) (log(2 sin(y/2)) unscaled) and C as in _fourier_weights.
+    The bound adds 12 ulps of each weighted moment for the weights and the sum."""
+    parts, err = [], 0.0
+    for i, c in _fourier_weights(weight_alt, weight_pow).items():
+        value, bound = _log_sine_moment(p, i, scaled)
+        parts.append(c * value)
+        err += abs(c) * (bound + 12 * 2**-53 * abs(value))
+    scale = 2.0**p / math.pi
+    return scale * math.fsum(parts), scale * err
 
 
 @lru_cache(maxsize=None)
-def _monotone_k_series(p: int, scaled: bool, s: int) -> tuple[float, float]:
-    # net monotone series: direct sum then midpoint Euler-Maclaurin tail
-    bells = zip(range(1, _SERIES_CUTOFF + 1), _bell_head(p, scaled, _SERIES_CUTOFF))
-    head = math.fsum([p / float(k) ** s * b for k, b in bells])
-    x0 = _SERIES_CUTOFF + 0.5
-    integral, rule_err = _monotone_tail(p, scaled, s, x0)
-    hi, lo = x0 + 0.5, x0 - 0.5  # the slope of B/x^s across x0, for the midpoint correction
-    slope = _bell_continuous(p, scaled, hi) / hi**s - _bell_continuous(p, scaled, lo) / lo**s
-    correction = p * slope / 24.0
-    return (-1.0) ** p * (head + integral + correction), abs(correction) * 0.02 + rule_err
-
-
 def _deriv_value_numeric(
     n: int, p: int, z: str, scaled: bool, cfg: NumericConfig
 ) -> tuple[float, float]:
     central, weights = _case_weights(n, z, scaled)
-    # the k-series come first: where they overflow, the request fails before
-    # the exact central derivative, the costliest part at large p, is built
-    series = []
+    # the k-series come first: they take milliseconds, and a weight that overflows
+    # fails the request before the central derivative, seconds at p = 40, is built
+    parts, err = [], 0.0
     for w in weights:
         val, e = _k_series_numeric(p, scaled, w.alt, w.pow, cfg)
-        series.append((eval_numeric(w.coef), val, e))
-    total = eval_numeric(central * central_binom_deriv(DerivSpec(p, 0, scaled)))
-    err = 0.0
-    for coef, val, e in series:
-        total += coef * val
+        coef = eval_numeric(w.coef)
+        parts.append(coef * val)
         err += abs(coef) * e
-    return total, err
+    head = central * central_binom_deriv(DerivSpec(p, 0, scaled))
+    # each weight, each term of head and the sum round to at most 5(n + p) + 16
+    # ulps of the magnitudes; head's generators pi, log 2 and zeta(odd) are positive
+    size = eval_numeric(SymbolicValue({m: abs(c) for m, c in head.terms.items()}))
+    size += sum(map(abs, parts))
+    parts.append(eval_numeric(head))
+    return sum(parts), err + (5 * (n + p) + 16) * 2**-53 * size
 
 
 # -- public closed-form operations ------------------------------------------------
@@ -523,53 +438,12 @@ def log_sine_integral(
 
 # -- arbitrary angle ------------------------------------------------------------
 
-# terms of the t-series below: at t = 1/4 (z = pi) they fall below 1e-18 of the
-# value by k = 27 for every p <= 6
-_H_TERMS = 32
-_TWO_PI_LOW = 2.4492935982947064e-16  # 2pi - fl(2pi)
-
 
 @lru_cache(maxsize=None)
-def _log_sine_rows(p: int, terms: int) -> tuple[tuple[float, ...], ...]:
-    """Row k holds C(p, i) [t^k] h^{p-i} for i = 0..p, where
-    h = log(sin(x/2) / (x/2)) = -sum_k zeta(2k)/k t^k and t = (x/2pi)^2."""
-    h = [0.0] + [-zeta_numeric(2 * k) / k for k in range(1, terms)]
-    powers = [[1.0] + [0.0] * (terms - 1)]  # powers[j][k] = [t^k] h^j
-    for _ in range(p):
-        powers.append([math.fsum(powers[-1][i] * h[k - i] for i in range(k)) for k in range(terms)])
-    return tuple(
-        tuple(math.comb(p, i) * powers[p - i][k] for i in range(p + 1)) for k in range(terms)
-    )
-
-
-def _log_sine_series(p: int, z: float, terms: int = _H_TERMS) -> float:
-    """Ls_{p+1}(z) for 0 < z <= pi: log^p(2 sin(x/2)) = sum_i C(p, i) log^i x h^{p-i}
-    integrated term by term, with the integral of x^m log^i x over (0, z) equal
-    to z^{m+1} J_i, J_0 = 1/(m+1) and J_i = (log^i z - i J_{i-1}) / (m+1)."""
-    t, log_z = (z / (2 * math.pi)) ** 2, math.log(z)
-    log_pows = [log_z**i for i in range(p + 1)]
-    parts, t_k = [], 1.0
-    for k, row in enumerate(_log_sine_rows(p, terms)):
-        m1 = 2 * k + 1
-        j = 1.0 / m1
-        acc = row[0] * j
-        for i in range(1, p + 1):
-            j = (log_pows[i] - i * j) / m1
-            acc += row[i] * j
-        parts.append(t_k * acc)
-        t_k *= t
-    return -z * math.fsum(parts)
-
-
-@lru_cache(maxsize=None)
-def _any_angle_bell(p: int) -> SymbolicValue:
-    """The exact Bell coefficient B of z in Ls_{p+1}(z)."""
-    return Fraction(-1, 2**p) * central_binom_deriv(DerivSpec(p, 0, False))
-
-
-@lru_cache(maxsize=None)
-def _any_angle_bell_float(p: int) -> float:
-    return eval_numeric(_any_angle_bell(p))
+def _any_angle_bell(p: int) -> tuple[SymbolicValue, float]:
+    """The exact Bell coefficient B of z in Ls_{p+1}(z), and its float."""
+    bell = Fraction(-1, 2**p) * central_binom_deriv(DerivSpec(p, 0, False))
+    return bell, eval_numeric(bell)
 
 
 def log_sine_any_angle(p: int, z: float) -> tuple[float, SymbolicValue]:
@@ -586,13 +460,13 @@ def log_sine_any_angle(p: int, z: float) -> tuple[float, SymbolicValue]:
     if not 0 < z <= 2 * math.pi + 1e-12:
         raise ValueError("z must lie in (0, 2*pi]")
 
-    bell_coef = _any_angle_bell(p)
+    bell_coef, bell_float = _any_angle_bell(p)
     if z <= math.pi:
-        return _log_sine_series(p, z), bell_coef
+        return -_log_sine_series(p, z), bell_coef
     mirror = 2 * math.pi - z  # exact for z in (pi, 2pi]
-    value = 2 * math.pi * _any_angle_bell_float(p)
+    value = 2 * math.pi * bell_float
     if mirror > 0:  # z = fl(2pi) stands for 2pi, where the sine series vanishes
-        value -= _log_sine_series(p, mirror + _TWO_PI_LOW)
+        value += _log_sine_series(p, mirror + _TWO_PI_LOW)
     return value, bell_coef
 
 

@@ -26,8 +26,8 @@ class NumericConfig:
     target_abs_tol: float = 1e-10
 
     def __post_init__(self):
-        if not self.target_abs_tol > 0:
-            raise ValueError("target_abs_tol must be > 0")
+        if not 0 < self.target_abs_tol < math.inf:  # a nan fails too
+            raise ValueError(f"the tolerance must be finite and > 0, got {self.target_abs_tol}")
 
 
 DEFAULT_CONFIG = NumericConfig()

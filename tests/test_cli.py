@@ -34,13 +34,21 @@ class TestClosedFormCommand:
         value = parse_text(payload["exact"])
         assert parse_text(value.text()) == value
 
-    @pytest.mark.parametrize("n,p", [(200, 2), (2, 40)])
+    @pytest.mark.parametrize("n,p", [(200, 2)])
     def test_overflow_is_a_one_line_error(self, capsys, n, p):
         code = main(["closed-form", "--z", "pi", "--n", str(n), "--p", str(p)])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_largest_log_power_fits_binary64(self, capsys):
+        # 8.05276107045719083e48 by 80-digit mpmath quadrature of x^2 log^40(sin x)
+        code, out = run_cli(capsys, "closed-form", "--z", "pi", "--n", "2", "--p", "40", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert abs(payload["numeric"] - 8.05276107045719083e48) <= payload["abs_err"]
+        assert payload["abs_err"] <= 1e-12 * 8.05276107045719083e48
 
     def test_fallback_flagged(self, capsys):
         code, out = run_cli(
@@ -110,6 +118,11 @@ _EXACT_REQUESTS = [
     ("ls", "--theta", "pi", "--n", "3", "--p", "2"),
     ("closed-form", "--z", "pi/2", "--n", "3", "--p", "2"),
 ]
+# fallbacks, whose k-series are sums of log-sine moments that read no tolerance
+_FALLBACK_REQUESTS = [
+    ("closed-form", "--z", "pi", "--n", "2", "--p", "3"),
+    ("ls", "--theta", "pi", "--n", "4", "--p", "8"),
+]
 # a value that holds zeta(odd) and a basis constant: neither takes a tolerance
 _UNTOLERANCED_REQUESTS = [
     ("binom-deriv", "--p", "5", "--k", "0"),
@@ -118,7 +131,7 @@ _UNTOLERANCED_REQUESTS = [
 
 
 class TestExactOutputIgnoresTolerance:
-    @pytest.mark.parametrize("argv", _EXACT_REQUESTS)
+    @pytest.mark.parametrize("argv", _EXACT_REQUESTS + _FALLBACK_REQUESTS)
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_same_bytes_at_every_tolerance(self, capsys, argv, fmt):
         tols = ([], ["--tol", "1e-1"], ["--tol", "1e-20"])
@@ -141,9 +154,28 @@ class TestExactOutputIgnoresTolerance:
         assert code == 0 and out.splitlines()[1] == "numeric: -9.37390039110411"
 
 
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse's own usage errors
+        return exc.code
+
+
+class TestToleranceMustBeFinite:
+    @pytest.mark.parametrize("argv", [
+        ["closed-form", "--z", "pi", "--n", "2", "--p", "3"],
+        ["ls", "--theta", "pi", "--n", "2", "--p", "3"],
+        ["numeric", "--z", "pi", "--n", "0", "--p", "2"],
+        ["verify-paper"],
+    ])
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "1e309", "nan", "0"])
+    def test_is_a_one_line_usage_error(self, capsys, argv, tol):
+        assert _exit_code([*argv, "--tol", tol]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1
+
+
 class TestHighOrderFallbacks:
-    # the alternating k-series of these misses is limited by rounding, not by
-    # the depth of its acceleration; its bound covers that rounding
     @pytest.mark.parametrize("argv", [
         ["closed-form", "--z", "pi/2", "--n", "2", "--p", "7"],
         ["closed-form", "--z", "pi/2", "--n", "2", "--p", "8"],
