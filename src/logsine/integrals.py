@@ -315,9 +315,10 @@ def _log_sine_moment(p: int, i: int, scaled: bool) -> tuple[float, float]:
     terms is at most (t/0.9)^K (-h(0.9))^j.  As |log(y/c)| <= log_z - log(y/pi),
     the K terms leave out at most pi^{i+1} 3.6^-K sum_b C(p, b) A^{p-b} b! /
     (i + 2K + 1)^{b+1}, A = log_z - h(0.9); K doubles until that is below an ulp
-    of the parts' magnitude.  Each part rounds to at most 11p + 5K + 3i + 12
-    ulps of it: the J recursion 3a + 3, the rows 7p + 1 (zeta_numeric is within
-    4 ulps), their sum p + 1, t^k 5k and the endpoint fl(pi) i + 1."""
+    of the parts' magnitude, the series at -log_z (rows and J_a of one sign).
+    At fl(pi), t = 1/4 is exact, and a moment rounds by at most 12p + i + 12
+    units of 2^-53 of that magnitude: the rows 11(p - a) + 1 (zeta_numeric is
+    within 4 ulps), J_a 3a + 4, their products and sum p + 1, the rest i + 4."""
     log_z = math.log(math.pi / 2 if scaled else math.pi)
     terms, a = _H_TERMS, log_z + _TAIL_H
     while True:
@@ -330,7 +331,7 @@ def _log_sine_moment(p: int, i: int, scaled: bool) -> tuple[float, float]:
             break
         terms *= 2
     value = _log_sine_series(p, math.pi, terms, i, log_z)
-    return value, tail + (11 * p + 5 * terms + 3 * i + 12) * 2**-53 * size
+    return value, tail + (12 * p + i + 12) * 2**-53 * size
 
 
 # -- numeric fallback: each k-series as a Fourier integral ------------------------
@@ -363,17 +364,16 @@ def _k_series_numeric(
     sin^{2m} x = c_0 + 2 sum_k (-1)^k c_k cos 2kx (times 4^m unscaled), so with
     y = 2x the sum is 2^p/pi times the integral over (0, pi) of L^p C(y),
     L = log sin(y/2) (log(2 sin(y/2)) unscaled) and C as in _fourier_weights.
-    The bound adds 12 ulps of each weighted moment for the weights and the sum."""
+    The bound adds 17 units of 2^-53 of each weighted moment for the rounding."""
     parts, err = [], 0.0
     for i, c in _fourier_weights(weight_alt, weight_pow).items():
         value, bound = _log_sine_moment(p, i, scaled)
         parts.append(c * value)
-        err += abs(c) * (bound + 12 * 2**-53 * abs(value))
+        err += abs(c) * (bound + 17 * 2**-53 * abs(value))
     scale = 2.0**p / math.pi
     return scale * math.fsum(parts), scale * err
 
 
-@lru_cache(maxsize=None)
 def _deriv_value_numeric(
     n: int, p: int, z: str, scaled: bool, cfg: NumericConfig
 ) -> tuple[float, float]:
@@ -387,8 +387,8 @@ def _deriv_value_numeric(
         parts.append(coef * val)
         err += abs(coef) * e
     head = central * central_binom_deriv(DerivSpec(p, 0, scaled))
-    # each weight, each term of head and the sum round to at most 5(n + p) + 16
-    # ulps of the magnitudes; head's generators pi, log 2 and zeta(odd) are positive
+    # each weight, each term of head and the sum round by at most (5(n + p) + 16) 2^-53
+    # of the magnitudes; head's generators pi, log 2 and zeta(odd) are positive
     size = eval_numeric(SymbolicValue({m: abs(c) for m, c in head.terms.items()}))
     size += sum(map(abs, parts))
     parts.append(eval_numeric(head))

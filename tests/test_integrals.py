@@ -481,6 +481,15 @@ class TestKSeriesFourier:
         first = integrals._k_series_numeric(5, True, False, 4, cfg)
         assert integrals._k_series_numeric(5, True, False, 4, cfg) is first
 
+    def test_every_fallback_request_sums_through_it(self, monkeypatch):
+        # the traced benchmark run (perfbench/worker.py) counts repeated k-series
+        # by wrapping this function, so no cache may sit between it and a request
+        calls, inner = [], integrals._k_series_numeric
+        monkeypatch.setattr(integrals, "_k_series_numeric", lambda *a: calls.append(a) or inner(*a))
+        for _ in range(2):
+            log_sine_integral(4, 3, "pi")
+        assert len(calls) == 2 * len(integrals._case_weights(3, "pi", False)[1]) > 0
+
     def test_the_tolerance_is_not_read(self):
         sums = {integrals._k_series_numeric(6, False, True, 4, NumericConfig(tol))
                 for tol in (1e-3, 1e-10, 1e-15)}
