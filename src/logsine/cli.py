@@ -3,7 +3,7 @@
 Subcommands: closed-form, numeric, ls, binom-deriv, bell, constant,
 verify-paper.  Each takes --json; all but bell take --digits; closed-form,
 numeric, ls and verify-paper, which compute to a tolerance, take --tol.
-Exit codes: 0 success, 1 computation failed to meet tolerance, 2 usage error.
+Exit codes: 0 success, 1 computation or output failed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -139,7 +140,7 @@ def _emit_closed_form(ident: str, res: integrals.ClosedFormResult, args) -> None
 
 
 def _cmd_closed_form(args) -> int:
-    _at_most(args, "p", MAX_BINOM_DERIV_P)  # its central term is that of binom-deriv --k 0
+    _at_most(args, "p", MAX_BINOM_DERIV_P)  # an exact hit builds binom-deriv --k 0 at this p
     spec = integrals.IntegralSpec(args.n, args.p, args.z)
     res = integrals.log_sin_power_integral(spec, NumericConfig(args.tol))
     _emit_closed_form(f"closed-form:z={args.z}:n={args.n}:p={args.p}", res, args)
@@ -254,7 +255,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed reader fails here, not at interpreter exit
+        return code
+    except BrokenPipeError as exc:  # what is left to flush, at exit too, goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: the output could not be written: {exc}", file=sys.stderr)
+        return 1
     except (AccelerationError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

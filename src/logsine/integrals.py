@@ -374,66 +374,58 @@ def _k_series_numeric(
     return scale * math.fsum(parts), scale * err
 
 
-def _deriv_value_numeric(
-    n: int, p: int, z: str, scaled: bool, cfg: NumericConfig
-) -> tuple[float, float]:
+def _deriv_value_numeric(n: int, p: int, z: str, scaled: bool) -> tuple[float, float]:
+    # the central term is moment 0 (C(y) = 1) and claims as a k-series does; a weight q pi^j
+    # rounds by (j/2 + 4) 2^-53 (fl(pi) is 0.36 units off), its product by 1 and the sum by 1 per
+    # weight: as j <= n + 1 and there are at most (n + 3)/2 weights, (n + 7) 2^-53 of the parts
     central, weights = _case_weights(n, z, scaled)
-    # the k-series come first: they take milliseconds, and a weight that overflows
-    # fails the request before the central derivative, seconds at p = 40, is built
-    parts, err = [], 0.0
+    moment, bound = _log_sine_moment(p, 0, scaled)
+    head = eval_numeric(central) * 2.0**p / math.pi
+    parts, err = [head * moment], abs(head) * (bound + 17 * 2**-53 * abs(moment))
     for w in weights:
-        val, e = _k_series_numeric(p, scaled, w.alt, w.pow, cfg)
+        val, e = _k_series_numeric(p, scaled, w.alt, w.pow, DEFAULT_CONFIG)
         coef = eval_numeric(w.coef)
         parts.append(coef * val)
         err += abs(coef) * e
-    head = central * central_binom_deriv(DerivSpec(p, 0, scaled))
-    # each weight, each term of head and the sum round by at most (5(n + p) + 16) 2^-53
-    # of the magnitudes; head's generators pi, log 2 and zeta(odd) are positive
-    size = eval_numeric(SymbolicValue({m: abs(c) for m, c in head.terms.items()}))
-    size += sum(map(abs, parts))
-    parts.append(eval_numeric(head))
-    return sum(parts), err + (5 * (n + p) + 16) * 2**-53 * size
+    return sum(parts), err + (n + 7) * 2**-53 * sum(map(abs, parts))
 
 
 # -- public closed-form operations ------------------------------------------------
 
 
-def _closed_form(n: int, p: int, z: str, scaled: bool, cfg: NumericConfig) -> ClosedFormResult:
-    """2^{-p} times the p-th derivative (negated for the log-sine form): exact
-    whenever the k-sums reduce over the catalog, otherwise numeric via the
-    same series, never a wrong symbolic value."""
+def _closed_form(n: int, p: int, z: str, scaled: bool) -> ClosedFormResult:
+    """2^{-p} times the p-th derivative (negated for the log-sine form): exact when the k-sums
+    reduce over the catalog, otherwise from log-sine moments, never a wrong symbolic value."""
     scale = Fraction(1 if scaled else -1, 2**p)
     try:
         sym = scale * _deriv_value_exact(n, p, z, scaled)
         return ClosedFormResult(True, sym, eval_numeric(sym))
     except CatalogMissError as miss:
-        val, err = _deriv_value_numeric(n, p, z, scaled, cfg)
+        val, err = _deriv_value_numeric(n, p, z, scaled)
         value, error = float(scale) * val, abs(float(scale)) * err
         if not (math.isfinite(value) and math.isfinite(error)):
             raise OverflowError(f"the series fallback is {value} with error estimate {error:.1e}")
         return ClosedFormResult(False, None, value, error, str(miss))
 
 
-def log_sin_power_integral(
-    spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG
-) -> ClosedFormResult:
-    """Integral of x^n log^p(sin x) over (0, z) for z in {pi/2, pi}."""
+def log_sin_power_integral(spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG) -> ClosedFormResult:
+    """Integral of x^n log^p(sin x) over (0, z) for z in {pi/2, pi}; nothing reads ``cfg`` yet."""
     if spec.form != "logsin":
         raise ValueError("log_sin_power_integral expects form='logsin'")
     if spec.z not in ("pi", "pi/2"):
         raise ValueError("closed forms are available at z in {'pi/2', 'pi'}")
-    return _closed_form(spec.n, spec.p, spec.z, True, cfg)
+    return _closed_form(spec.n, spec.p, spec.z, True)
 
 
 def log_sine_integral(
     p: int, n: int, theta: str, cfg: NumericConfig = DEFAULT_CONFIG
 ) -> ClosedFormResult:
     """The log-sine integral of order p+n+1 and index n at theta in {pi, 2pi}:
-    minus the integral of x^n log^p|2 sin(x/2)| over (0, theta)."""
+    minus the integral of x^n log^p|2 sin(x/2)| over (0, theta); nothing reads ``cfg`` yet."""
     if theta not in ("pi", "2pi"):
         raise ValueError("log_sine_integral handles theta in {'pi', '2pi'}")
     spec = IntegralSpec(n, p, theta, form="ls")  # refuses a negative n or p
-    return _closed_form(spec.n, spec.p, spec.z, False, cfg)
+    return _closed_form(spec.n, spec.p, spec.z, False)
 
 
 # -- arbitrary angle ------------------------------------------------------------

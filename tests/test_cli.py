@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import logsine
-from logsine import parse_text, verify
+from logsine import integrals, parse_text, verify
 from logsine.cli import MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P, main
 from logsine.verify import Check, IdentityResult
 
@@ -88,8 +88,8 @@ class TestLsCommand:
 
 
 class TestLogPowerLimit:
-    # closed-form and ls build the exact central row of binom-deriv at the
-    # same order, so they take the same largest --p
+    # closed-form and ls take the largest --p of binom-deriv: an exact hit without
+    # weights (n = 0, and n = 1 at pi) builds its exact central row at the same order
     @pytest.mark.parametrize("argv", [
         ["closed-form", "--z", "pi/2", "--n", "2"],
         ["ls", "--theta", "pi", "--n", "2"],
@@ -152,6 +152,15 @@ class TestExactOutputIgnoresTolerance:
     def test_documented_value(self, capsys):
         code, out = run_cli(capsys, "ls", "--theta", "pi", "--n", "3", "--p", "2", "--tol", "1e-1")
         assert code == 0 and out.splitlines()[1] == "numeric: -9.37390039110411"
+
+    def test_a_fallback_at_another_tolerance_adds_no_k_series(self, capsys):
+        # the k-series read no tolerance, so one cache entry serves every --tol
+        integrals._k_series_numeric.cache_clear()
+        argv = ["ls", "--theta", "pi", "--n", "4", "--p", "5"]
+        assert run_cli(capsys, *argv, "--tol", "1e-3")[0] == 0
+        filled = integrals._k_series_numeric.cache_info().currsize
+        assert run_cli(capsys, *argv)[0] == 0
+        assert integrals._k_series_numeric.cache_info().currsize == filled > 0
 
 
 def _exit_code(argv) -> int:
@@ -368,6 +377,25 @@ class TestDeterminism:
             capsys, "closed-form", "--z", "pi/2", "--n", "3", "--p", "2", "--json"
         )
         assert first == second
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize("argv", [
+        ["ls", "--theta", "pi", "--n", "2", "--p", "3"],
+        ["constant", "--name", "pi"],
+        ["verify-paper"],
+    ])
+    def test_a_closed_reader_is_a_one_line_error(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(logsine.__file__).resolve().parents[1]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader is left before the child writes
+        try:
+            proc = subprocess.run([sys.executable, "-m", "logsine", *argv], env=env,
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 class TestVerifyCommand:

@@ -528,6 +528,34 @@ class TestKSeriesFourier:
         assert (abs(short - want) > bound) == ((p, i) == (40, 20))
 
 
+class TestCentralTermIsMomentZero:
+    @pytest.mark.parametrize("scaled", [False, True])
+    @pytest.mark.parametrize("p", range(3, 13))
+    def test_moment_zero_lies_within_its_claim_of_the_exact_term(self, p, scaled):
+        # the k-series with C(y) = 1: 2^p/pi times the integral of L^p over (0, pi)
+        moment, bound = integrals._log_sine_moment(p, 0, scaled)
+        scale = 2.0**p / math.pi
+        want = eval_numeric(central_binom_deriv(DerivSpec(p, 0, scaled)))
+        assert abs(scale * moment - want) <= scale * (bound + 17 * 2**-53 * abs(moment))
+
+    def test_a_warm_fallback_builds_no_symbolic_value(self, monkeypatch):
+        requests = [
+            lambda: log_sine_integral(4, 3, "pi"),
+            lambda: log_sin_power_integral(IntegralSpec(3, 5, "pi/2")),
+        ]
+        for request in requests:
+            request()  # builds and caches the weight row
+
+        def refuse(*args):
+            raise AssertionError("a warm fallback did symbolic work")
+
+        monkeypatch.setattr(integrals, "central_binom_deriv", refuse)
+        monkeypatch.setattr(SymbolicValue, "__mul__", refuse)
+        monkeypatch.setattr(SymbolicValue, "__rmul__", refuse)
+        for request in requests:
+            assert not request().exact
+
+
 @pytest.mark.parametrize("p", [3, 5])
 @pytest.mark.parametrize("n", [10, 20, 40])
 @pytest.mark.parametrize("form,z", [("ls", "pi"), ("ls", "2pi"), ("logsin", "pi/2"), ("logsin", "pi")])
