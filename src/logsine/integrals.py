@@ -7,8 +7,8 @@ Covered objects, all over (0, z):
 * ``log_sin_power_integral``:  integral of x^n log^p(sin x) at z in
   {pi/2, pi}, exact whenever the required k-sums reduce over the linear
   Euler-sum catalog (p <= 2 always; any p when no k-sum appears), otherwise
-  a numeric fallback with a bound: each k-sum is the Fourier integral of a
-  Bernoulli polynomial against log^p sin(y/2), a sum of log-sine moments.
+  a numeric fallback with a bound: by y = 2x the integral is a sum of the
+  log-sine moments of y^j log^p sin(y/2) over (0, pi), folded once about pi.
 * ``log_sine_integral``:  the normalized -integral of x^n log^p|2 sin(x/2)|
   at theta in {pi, 2pi}, same exactness domain.
 * ``log_sine_any_angle``:  the n = 0 case at arbitrary 0 < z <= 2pi by the
@@ -334,7 +334,7 @@ def _log_sine_moment(p: int, i: int, scaled: bool) -> tuple[float, float]:
     return value, tail + (12 * p + i + 12) * 2**-53 * size
 
 
-# -- numeric fallback: each k-series as a Fourier integral ------------------------
+# -- numeric sums of log-sine moments: one k-series, and the fallback ----------------
 
 
 def _fourier_weights(alt: bool, pow_: int) -> dict[int, float]:
@@ -357,8 +357,8 @@ def _fourier_weights(alt: bool, pow_: int) -> dict[int, float]:
 def _k_series_numeric(
     p: int, scaled: bool, weight_alt: bool, weight_pow: int, cfg: NumericConfig
 ) -> tuple[float, float]:
-    """Sum over k of (-1)^{k*alt} D_p(k) / k^pow with an error bound; ``cfg``
-    is not read.
+    """Sum over k of (-1)^{k*alt} D_p(k) / k^pow with an error bound; no fallback calls it,
+    it is the catalog's numeric reference, and ``cfg``, not read, keeps the benchmark hook's key.
 
     D_p(k) is the p-th m-derivative at 0 of the shift-k coefficient c_k of
     sin^{2m} x = c_0 + 2 sum_k (-1)^k c_k cos 2kx (times 4^m unscaled), so with
@@ -374,20 +374,22 @@ def _k_series_numeric(
     return scale * math.fsum(parts), scale * err
 
 
-def _deriv_value_numeric(n: int, p: int, z: str, scaled: bool) -> tuple[float, float]:
-    # the central term is moment 0 (C(y) = 1) and claims as a k-series does; a weight q pi^j
-    # rounds by (j/2 + 4) 2^-53 (fl(pi) is 0.36 units off), its product by 1 and the sum by 1 per
-    # weight: as j <= n + 1 and there are at most (n + 3)/2 weights, (n + 7) 2^-53 of the parts
-    central, weights = _case_weights(n, z, scaled)
-    moment, bound = _log_sine_moment(p, 0, scaled)
-    head = eval_numeric(central) * 2.0**p / math.pi
-    parts, err = [head * moment], abs(head) * (bound + 17 * 2**-53 * abs(moment))
-    for w in weights:
-        val, e = _k_series_numeric(p, scaled, w.alt, w.pow, DEFAULT_CONFIG)
-        coef = eval_numeric(w.coef)
-        parts.append(coef * val)
-        err += abs(coef) * e
-    return sum(parts), err + (n + 7) * 2**-53 * sum(map(abs, parts))
+def _moment_sum(n: int, p: int, z: str, scaled: bool) -> tuple[float, float]:
+    # by x = y/2 the half angle is 2^{-n-1} (scaled) or -1 times M_n, M_j the moment of y^j L^p
+    # over (0, pi), L as in _log_sine_moment; L is even about pi, so the full angle adds (pi, 2pi)
+    # folded onto (0, pi) as (2pi - y)^n.  A part rounds by 0.36 (n - j) + 5 units of 2^-53 (0.36
+    # a power of fl(2pi), 2 pow's ulp, 1 each C(n, j) and 2 products), the plain sum by n of them
+    value, bound = _log_sine_moment(p, n, scaled)
+    if z != ("pi/2" if scaled else "pi"):
+        parts, bound = [], 0.0
+        for j in range(n + 1):
+            moment, b = _log_sine_moment(p, j, scaled)
+            c = (-1) ** j * math.comb(n, j) * (2 * math.pi) ** (n - j) + (j == n)
+            parts.append(c * moment)
+            bound += abs(c) * b + (0.36 * (n - j) + n + 5) * 2**-53 * abs(parts[-1])
+        value = sum(parts)
+    scale = 2.0 ** (-n - 1) if scaled else -1.0
+    return scale * value, abs(scale) * bound
 
 
 # -- public closed-form operations ------------------------------------------------
@@ -396,13 +398,11 @@ def _deriv_value_numeric(n: int, p: int, z: str, scaled: bool) -> tuple[float, f
 def _closed_form(n: int, p: int, z: str, scaled: bool) -> ClosedFormResult:
     """2^{-p} times the p-th derivative (negated for the log-sine form): exact when the k-sums
     reduce over the catalog, otherwise from log-sine moments, never a wrong symbolic value."""
-    scale = Fraction(1 if scaled else -1, 2**p)
     try:
-        sym = scale * _deriv_value_exact(n, p, z, scaled)
+        sym = Fraction(1 if scaled else -1, 2**p) * _deriv_value_exact(n, p, z, scaled)
         return ClosedFormResult(True, sym, eval_numeric(sym))
     except CatalogMissError as miss:
-        val, err = _deriv_value_numeric(n, p, z, scaled)
-        value, error = float(scale) * val, abs(float(scale)) * err
+        value, error = _moment_sum(n, p, z, scaled)
         if not (math.isfinite(value) and math.isfinite(error)):
             raise OverflowError(f"the series fallback is {value} with error estimate {error:.1e}")
         return ClosedFormResult(False, None, value, error, str(miss))

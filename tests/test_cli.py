@@ -73,8 +73,8 @@ class TestLsCommand:
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_non_finite_fallback_is_a_one_line_error(self, capsys, fmt):
-        # the p = 3 fallback at n = 170 sums to nan; printed, it would exit 0
-        code = main(["ls", "--theta", "pi", "--n", "170", "--p", "3", *fmt])
+        # the p = 3 fallback at n = 700 is about 1e345, past binary64
+        code = main(["ls", "--theta", "pi", "--n", "700", "--p", "3", *fmt])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -153,14 +153,14 @@ class TestExactOutputIgnoresTolerance:
         code, out = run_cli(capsys, "ls", "--theta", "pi", "--n", "3", "--p", "2", "--tol", "1e-1")
         assert code == 0 and out.splitlines()[1] == "numeric: -9.37390039110411"
 
-    def test_a_fallback_at_another_tolerance_adds_no_k_series(self, capsys):
-        # the k-series read no tolerance, so one cache entry serves every --tol
-        integrals._k_series_numeric.cache_clear()
-        argv = ["ls", "--theta", "pi", "--n", "4", "--p", "5"]
+    def test_a_fallback_at_another_tolerance_adds_no_moment(self, capsys):
+        # the moments read no tolerance, so one cache entry serves every --tol
+        integrals._log_sine_moment.cache_clear()
+        argv = ["ls", "--theta", "2pi", "--n", "4", "--p", "5"]
         assert run_cli(capsys, *argv, "--tol", "1e-3")[0] == 0
-        filled = integrals._k_series_numeric.cache_info().currsize
+        filled = integrals._log_sine_moment.cache_info().currsize
         assert run_cli(capsys, *argv)[0] == 0
-        assert integrals._k_series_numeric.cache_info().currsize == filled > 0
+        assert integrals._log_sine_moment.cache_info().currsize == filled == 5
 
 
 def _exit_code(argv) -> int:

@@ -481,15 +481,6 @@ class TestKSeriesFourier:
         first = integrals._k_series_numeric(5, True, False, 4, cfg)
         assert integrals._k_series_numeric(5, True, False, 4, cfg) is first
 
-    def test_every_fallback_request_sums_through_it(self, monkeypatch):
-        # the traced benchmark run (perfbench/worker.py) counts repeated k-series
-        # by wrapping this function, so no cache may sit between it and a request
-        calls, inner = [], integrals._k_series_numeric
-        monkeypatch.setattr(integrals, "_k_series_numeric", lambda *a: calls.append(a) or inner(*a))
-        for _ in range(2):
-            log_sine_integral(4, 3, "pi")
-        assert len(calls) == 2 * len(integrals._case_weights(3, "pi", False)[1]) > 0
-
     def test_the_tolerance_is_not_read(self):
         sums = {integrals._k_series_numeric(6, False, True, 4, NumericConfig(tol))
                 for tol in (1e-3, 1e-10, 1e-15)}
@@ -541,13 +532,20 @@ class TestCentralTermIsMomentZero:
     def test_a_warm_fallback_builds_no_symbolic_value(self, monkeypatch):
         requests = [
             lambda: log_sine_integral(4, 3, "pi"),
+            lambda: log_sine_integral(4, 3, "2pi"),
             lambda: log_sin_power_integral(IntegralSpec(3, 5, "pi/2")),
+            lambda: log_sin_power_integral(IntegralSpec(3, 5, "pi")),
         ]
-        for request in requests:
-            request()  # builds and caches the weight row
 
         def refuse(*args):
-            raise AssertionError("a warm fallback did symbolic work")
+            raise AssertionError("a fallback did symbolic work")
+
+        # cold or warm, a fallback sums moments and never evaluates a weight row
+        for name in ("eval_numeric", "_k_series_numeric", "_fourier_weights"):
+            monkeypatch.setattr(integrals, name, refuse)
+        integrals._case_weights.cache_clear()
+        for request in requests:
+            request()  # builds and caches the weight row
 
         monkeypatch.setattr(integrals, "central_binom_deriv", refuse)
         monkeypatch.setattr(SymbolicValue, "__mul__", refuse)
@@ -560,8 +558,8 @@ class TestCentralTermIsMomentZero:
 @pytest.mark.parametrize("n", [10, 20, 40])
 @pytest.mark.parametrize("form,z", [("ls", "pi"), ("ls", "2pi"), ("logsin", "pi/2"), ("logsin", "pi")])
 def test_fallback_with_cancelling_weights_lies_within_its_claim(form, z, n, p):
-    # at n = 40 the weighted sums cancel by 20 digits and more, far past the
-    # rounding of their parts; the claim must still cover the value
+    # at n = 40 the weights of the exact form cancel by 20 digits and more, so
+    # a fallback built on them had no digit left; the moment sum keeps most
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         top = {"pi/2": mpmath.pi / 2, "pi": mpmath.pi, "2pi": 2 * mpmath.pi}[z]
@@ -576,6 +574,19 @@ def test_fallback_with_cancelling_weights_lies_within_its_claim(form, z, n, p):
         res = log_sin_power_integral(IntegralSpec(n, p, z))
     assert not res.exact
     assert abs(res.numeric - want) <= res.error, (res.numeric, want, res.error)
+    assert res.error <= 1e-4 * abs(want)
+
+
+@pytest.mark.parametrize("n", [170, 600])
+def test_a_half_angle_fallback_near_the_float_range_lies_within_its_claim(n):
+    # Ls at pi is one moment; at n = 600 it is about 1e295, near the top of binary64
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        g = lambda x: -(x**n) * mpmath.log(2 * mpmath.sin(x / 2)) ** 3  # noqa: E731
+        want = float(mpmath.quad(g, mpmath.linspace(0, mpmath.pi, 9)))
+    res = log_sine_integral(3, n, "pi")
+    assert not res.exact
+    assert abs(res.numeric - want) <= res.error <= 1e-11 * abs(want), (res.numeric, want, res.error)
 
 
 class TestAlternatingFallbacksAgainstMpmath:
