@@ -8,7 +8,6 @@ built on double-exponential quadrature and accelerated series.
 
 from .bell import (
     bell_binomial_convolution,
-    bell_core_terms,
     bell_cot_closed_form,
     complete_bell,
     complete_bell_recurrence,

@@ -1,57 +1,18 @@
 """Complete Bell polynomials over any commutative ring that supports Python
 ``+``, ``*`` and multiplication by int (Fractions, floats, SymbolicValues).
 
-Two independent evaluation routes are provided: the production path
-(:func:`complete_bell`) separates out the first sequence element and runs a
-division-free inner recursion over s_2..s_n; the reference path
-(:func:`complete_bell_recurrence`) is the classic one-step recurrence and
-exists as a cross-checking oracle.  Binomial coefficients enter only as
-integer scalars, so evaluation over exact rings stays exact.
+Everything is built from two properties: the recurrence
+B_{m+1} = sum_i C(m, i) B_{m-i} s_{i+1} (:func:`complete_bell_all`), and the
+binomial identity over it, B_n(x + y) = sum_i C(n, i) B_i(x) B_{n-i}(y)
+(:func:`binomial_convolution` of two prefix rows).  :func:`complete_bell`
+splits off s_1, whose Bell row is its powers.  Binomial coefficients enter
+only as integer scalars, so evaluation over exact rings stays exact.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Sequence
-
-
-def bell_core_terms(seq: Sequence, one=1) -> list:
-    """Inner terms x_0..x_n of the first-element-excluded recursion.
-
-    x_0 = 1, x_1 = 0 and x_j = sum_{l=0}^{j-2} C(j-1, l) s_{j-l} x_l, so each
-    x_j depends on s_2..s_j only (s_1 never enters).
-    """
-    n = len(seq)
-    terms = [one]
-    if n >= 1:
-        terms.append(0 * one)
-    for j in range(2, n + 1):
-        acc = 0 * one
-        for l in range(0, j - 1):
-            acc = acc + math.comb(j - 1, l) * (seq[j - l - 1] * terms[l])
-        terms.append(acc)
-    return terms
-
-
-def complete_bell(seq: Sequence, one=1):
-    """Complete Bell polynomial B_n(s_1, ..., s_n) of the whole sequence.
-
-    Assembled as sum_j C(n, j) s_1^{n-j} x_j over the inner terms, which
-    keeps everything division-free.  The empty sequence yields ``one``.
-    """
-    n = len(seq)
-    if n == 0:
-        return one
-    terms = bell_core_terms(seq, one)
-    s1 = seq[0]
-    acc = 0 * one
-    power = one  # s_1^0
-    # iterate j downward so s_1 powers build up incrementally
-    for j in range(n, -1, -1):
-        acc = acc + math.comb(n, j) * (power * terms[j])
-        if j > 0:
-            power = power * s1
-    return acc
 
 
 def complete_bell_all(seq: Sequence, one=1) -> list:
@@ -66,6 +27,31 @@ def complete_bell_all(seq: Sequence, one=1) -> list:
     return values
 
 
+def binomial_convolution(x: Sequence, y: Sequence, n: int, one=1):
+    """sum_{i=0}^{n} C(n, i) x_i y_{n-i} over two prefix rows of length > n; over
+    the Bell rows of two sequences it is B_n of their elementwise sum.
+
+    C(n, i) x_i is formed first, so a row x of rationals costs one product
+    per entry of a symbolic row y.
+    """
+    acc = 0 * one
+    for i in range(n + 1):
+        acc = acc + (math.comb(n, i) * x[i]) * y[n - i]
+    return acc
+
+
+def complete_bell(seq: Sequence, one=1):
+    """Complete Bell polynomial B_n(s_1, ..., s_n) of the whole sequence, by the
+    binomial identity over (s_1, 0, ..., 0) + (0, s_2, ..., s_n): the Bell row
+    of the first is the powers of s_1.  The empty sequence yields ``one``.
+    """
+    n = len(seq)
+    powers = [one]
+    for _ in range(n):
+        powers.append(powers[-1] * seq[0])
+    return binomial_convolution(powers, complete_bell_all([0 * one, *seq[1:]], one), n, one)
+
+
 def complete_bell_recurrence(seq: Sequence, one=1):
     """B_n(s_1..s_n) by the classic recurrence; independent oracle for
     :func:`complete_bell`."""
@@ -73,20 +59,14 @@ def complete_bell_recurrence(seq: Sequence, one=1):
 
 
 def bell_binomial_convolution(a: Sequence, b: Sequence, one=1):
-    """sum_{i=0}^{n} C(n, i) B_{n-i}(a) B_i(b) for equal-length sequences.
+    """sum_{i=0}^{n} C(n, i) B_i(a) B_{n-i}(b) for equal-length sequences.
 
     By the binomial identity of complete Bell polynomials this equals
     B_n(a + b) with elementwise sequence addition.
     """
     if len(a) != len(b):
         raise ValueError("sequences must have equal length")
-    n = len(a)
-    ba_vals = complete_bell_all(a, one)
-    bb_vals = complete_bell_all(b, one)
-    acc = 0 * one
-    for i in range(n + 1):
-        acc = acc + math.comb(n, i) * (ba_vals[n - i] * bb_vals[i])
-    return acc
+    return binomial_convolution(complete_bell_all(a, one), complete_bell_all(b, one), len(a), one)
 
 
 def bell_cot_closed_form(n: int, k: float) -> float:

@@ -20,13 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bell import bell_core_terms, complete_bell_all
-from .numerics import (
-    PowerSeries,
-    euler_gamma_numeric,
-    polygamma_real,
-    zeta_numeric,
-)
+from .bell import binomial_convolution, complete_bell_all
+from .numerics import PowerSeries, polygamma_real, zeta_numeric
 from .specialfn import harmonic, polygamma_int
 from .symbolic import SymbolicValue, sym_log2, sym_pi
 
@@ -134,15 +129,16 @@ _SYM_ONE = SymbolicValue.one()
 @lru_cache(maxsize=None)
 def _constant_row(n: int, scaled: bool) -> tuple[SymbolicValue, ...]:
     """[B_0(c), ..., B_n(c)] over c = (0 or log 4, eta_bar_2, ..., eta_bar_n), the
-    k-free parts of xi_bar.  Unscaled they are the inner Bell terms; log 4 enters
-    by the binomial identity B_m(c) = sum_j C(m, j) log4^{m-j} B_j(0, c_2, ...)."""
+    k-free parts of xi_bar.  Unscaled it is the recurrence over eta_bar (eta_bar_1
+    = 0); log 4 enters by the binomial identity with the Bell row of
+    (log 4, 0, ..., 0), which is the powers of log 4."""
     if not scaled:
-        return tuple(bell_core_terms([eta_bar(j) for j in range(1, n + 1)], _SYM_ONE))
+        return tuple(complete_bell_all([eta_bar(j) for j in range(1, n + 1)], _SYM_ONE))
     core = _constant_row(n, False)
-    return tuple(
-        sum((math.comb(m, j) * (LOG4 ** (m - j) * core[j]) for j in range(m + 1)), SymbolicValue.zero())
-        for m in range(n + 1)
-    )
+    powers = [_SYM_ONE]
+    for _ in range(n):
+        powers.append(powers[-1] * LOG4)
+    return tuple(binomial_convolution(powers, core, m, _SYM_ONE) for m in range(n + 1))
 
 
 def shifted_binom_deriv(spec: DerivSpec) -> SymbolicValue:
@@ -153,8 +149,10 @@ def shifted_binom_deriv(spec: DerivSpec) -> SymbolicValue:
 
     with xi_bar_1 shifted by log 4 in the scaled variant.  p = 0 gives 0
     because binom(0, k) = 0.  With xi_bar_j = c_j + r_j(k), c the k-free
-    sequence of :func:`_constant_row`, the binomial identity B_n(c + r) = sum_i C(n, i)
-    B_i(r) B_{n-i}(c) leaves only rational work per k.
+    sequence of :func:`_constant_row`, the binomial identity B_n(c + r) =
+    sum_i C(n, i) B_i(r) B_{n-i}(c) convolves the Fraction row B_i(r(k)),
+    with the scale folded in, against the cached row of c: one rational
+    multiple of each symbolic entry per k.
     """
     if spec.k < 1:
         raise ValueError("shifted_binom_deriv requires k >= 1; use central_binom_deriv")
@@ -164,8 +162,7 @@ def shifted_binom_deriv(spec: DerivSpec) -> SymbolicValue:
     rational = complete_bell_all([_xi_rational(j, spec.k) for j in range(1, spec.p)], Fraction(1))
     scale = Fraction((-1) ** (spec.p + spec.k) * spec.p, spec.k)
     row = _constant_row(n, spec.scaled)
-    terms = ((scale * math.comb(n, i) * rational[i]) * row[n - i] for i in range(n + 1))
-    return sum(terms, SymbolicValue.zero())
+    return binomial_convolution([scale * r for r in rational], row, n, _SYM_ONE)
 
 
 def central_binom_deriv(spec: DerivSpec) -> SymbolicValue:
@@ -190,7 +187,6 @@ def binom_deriv(spec: DerivSpec) -> SymbolicValue:
 
 def _log_gamma_ratio_series(spec: DerivSpec, order: int) -> PowerSeries:
     # Taylor coefficients of log of the gamma-function factor around m = 0.
-    gamma_const = euler_gamma_numeric()
     coeffs = [0.0] * (order + 1)
     if spec.k == 0:
         # log Gamma(1+2m) - 2 log Gamma(1+m): the Euler-constant terms cancel.
@@ -199,7 +195,8 @@ def _log_gamma_ratio_series(spec: DerivSpec, order: int) -> PowerSeries:
     else:
         k = spec.k
         coeffs[0] = -math.log(k)
-        coeffs[1] = -2.0 * gamma_const - polygamma_real(0, k) - polygamma_real(0, k + 1)
+        # -2 gamma - psi(k) - psi(k+1) = -H_{k-1} - H_k: the Euler constant cancels
+        coeffs[1] = -math.fsum([*(2.0 / i for i in range(1, k)), 1.0 / k])
         for j in range(2, order + 1):
             from_double = (-1.0) ** j * zeta_numeric(j) * 2.0**j / j
             from_reflected = (

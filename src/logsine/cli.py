@@ -30,6 +30,7 @@ from .symbolic import eval_numeric
 
 MAX_BINOM_DERIV_P = 40  # the exact form grows fast with p: megabytes at p = 40 scaled
 MAX_BINOM_DERIV_K = 200  # its harmonic-number denominators grow with k: 30 MB at p = 40, k = 200 scaled
+MAX_BELL_TERMS = 200  # the exact value's cost grows 5-12x per doubling: 36 s at 1,200 terms
 _P_HELP = f"log power, at most {MAX_BINOM_DERIV_P}"
 
 
@@ -86,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
     _flags(p)
 
     p = subs.add_parser("bell", help="complete Bell polynomial of a rational sequence")
-    p.add_argument("--seq", required=True, help="comma-separated rationals, e.g. 1,1/2,3")
+    p.add_argument("--seq", required=True,
+                   help=f"comma-separated rationals, e.g. 1,1/2,3; at most {MAX_BELL_TERMS} terms")
     _flags(p, digits=False)
 
     p = subs.add_parser("constant", help="numeric value of a basis constant")
@@ -191,6 +193,8 @@ def _cmd_bell(args) -> int:
         seq = [Fraction(part) for part in args.seq.split(",") if part.strip()]
     except ZeroDivisionError:
         raise ValueError(f"--seq has a zero denominator: {args.seq!r}") from None
+    if len(seq) > MAX_BELL_TERMS:
+        raise ValueError(f"bell takes --seq up to {MAX_BELL_TERMS} terms, got {len(seq)}")
     value = complete_bell(seq, one=Fraction(1))
     if args.json:
         print(

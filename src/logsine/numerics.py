@@ -318,12 +318,6 @@ def _rising_ratio(two_k: int, n: int) -> float:
     return out
 
 
-@lru_cache(maxsize=None)
-def euler_gamma_numeric() -> float:
-    """Euler-Mascheroni constant as -psi(1), computed once."""
-    return -polygamma_real(0, 1.0)
-
-
 # -- Richardson central differences --------------------------------------------
 
 _STENCILS = {

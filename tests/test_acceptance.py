@@ -324,7 +324,7 @@ def test_criterion_10_property_suites():
         a = [_random_fraction(rng) for _ in range(6)]
         b = [_random_fraction(rng) for _ in range(6)]
         merged = [x + y for x, y in zip(a, b)]
-        if bell_binomial_convolution(a, b, one=Fraction(1)) != complete_bell(
+        if bell_binomial_convolution(a, b, one=Fraction(1)) != complete_bell_recurrence(
             merged, one=Fraction(1)
         ):
             failures.append("binomial convolution identity failed")

@@ -6,16 +6,25 @@ import pytest
 from hypothesis import given
 
 from logsine import (
+    SymbolicValue,
     bell_binomial_convolution,
-    bell_core_terms,
     bell_cot_closed_form,
     complete_bell,
     complete_bell_recurrence,
     cot_derivative,
+    sym_log2,
+    sym_pi,
+    sym_zeta_odd,
 )
 
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 sequences = st.lists(rationals, min_size=0, max_size=10)
+# pi, log 2 and zeta(3) with small rational coefficients, as in the constant rows
+small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+symbolic_values = st.builds(
+    lambda q, a, b, c: SymbolicValue.rational(q) + sym_pi(1, a) + sym_log2(1, b) + sym_zeta_odd(3, c),
+    small, small, small, small,
+)
 
 BELL_NUMBERS = [1, 1, 2, 5, 15, 52, 203]
 
@@ -57,13 +66,6 @@ class TestDualRecursion:
         scaled = [c ** (j + 1) * s for j, s in enumerate(seq)]
         assert complete_bell(scaled, one=one) == c ** len(seq) * complete_bell(seq, one=one)
 
-    def test_inner_terms_skip_first_element(self):
-        # x_j depends on s_2..s_j only; perturbing s_1 must not change them
-        one = Fraction(1)
-        seq_a = [Fraction(5), Fraction(1), Fraction(2)]
-        seq_b = [Fraction(-7), Fraction(1), Fraction(2)]
-        assert bell_core_terms(seq_a, one) == bell_core_terms(seq_b, one)
-
 
 class TestBinomialConvolution:
     @given(rationals, rationals)
@@ -86,6 +88,21 @@ class TestBinomialConvolution:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             bell_binomial_convolution([1], [1, 2])
+
+
+class TestSymbolicSequences:
+    @given(st.lists(symbolic_values, max_size=5))
+    def test_complete_bell_agrees_with_the_recurrence(self, seq):
+        one = SymbolicValue.one()
+        assert complete_bell(seq, one=one) == complete_bell_recurrence(seq, one=one)
+
+    @given(st.lists(st.tuples(symbolic_values, symbolic_values), max_size=5))
+    def test_convolution_equals_bell_of_sum(self, pairs):
+        one = SymbolicValue.one()
+        a = [x for x, _ in pairs]
+        b = [y for _, y in pairs]
+        merged = [x + y for x, y in pairs]
+        assert bell_binomial_convolution(a, b, one=one) == complete_bell_recurrence(merged, one=one)
 
 
 class TestCotSequenceClosedForm:

@@ -26,7 +26,7 @@ from logsine import (
     xi_bar,
     xi_bar_scaled,
 )
-from logsine.bell import bell_core_terms, complete_bell
+from logsine.bell import complete_bell, complete_bell_all, complete_bell_recurrence
 from logsine.binomderiv import _constant_row, _xi_rational
 from logsine.symbolic import SymbolicValue, sym_zeta_odd
 
@@ -172,7 +172,7 @@ class TestCentralDerivatives:
 
 class TestParityStructure:
     def test_alpha_sequence_inner_terms(self):
-        # the inner terms over (0, -rho_1, 0, -rho_2, ...) alternate between 0
+        # the Bell row over (0, -rho_1, 0, -rho_2, ...) alternates between 0
         # and the exact even values (-1)^i pi^{2i} / (2i+1)
         max_i = 4
         alpha = []
@@ -181,7 +181,7 @@ class TestParityStructure:
                 alpha.append(SymbolicValue.zero())
             else:
                 alpha.append(-1 * rho(j // 2))
-        terms = bell_core_terms(alpha, one=SymbolicValue.one())
+        terms = complete_bell_all(alpha, one=SymbolicValue.one())
         for i in range(0, max_i + 1):
             if 2 * i + 1 <= len(alpha):
                 assert terms[2 * i + 1].is_zero
@@ -249,7 +249,7 @@ class TestCaching:
 def _bell_over_xi_bar(p: int, k: int, scaled: bool) -> SymbolicValue:
     # the defining form: (-1)^{p+k} (p/k) B_{p-1} over the symbolic xi_bar values
     maker = xi_bar_scaled if scaled else xi_bar
-    bell = complete_bell([maker(j, k) for j in range(1, p)], one=SymbolicValue.one())
+    bell = complete_bell_recurrence([maker(j, k) for j in range(1, p)], one=SymbolicValue.one())
     return Fraction((-1) ** (p + k) * p, k) * bell
 
 
@@ -285,7 +285,7 @@ class TestBellBinomialSplit:
             for p in range(0, 10):
                 first = sym_log2(1, 2) if scaled else SymbolicValue.zero()
                 seq = ([first] + [eta_bar(j) for j in range(2, p + 1)])[:p]
-                want = (-1) ** p * complete_bell(seq, one=SymbolicValue.one())
+                want = (-1) ** p * complete_bell_recurrence(seq, one=SymbolicValue.one())
                 assert central_binom_deriv(DerivSpec(p, 0, scaled)) == want
 
 

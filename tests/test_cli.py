@@ -9,7 +9,7 @@ import pytest
 
 import logsine
 from logsine import integrals, parse_text, verify
-from logsine.cli import MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P, main
+from logsine.cli import MAX_BELL_TERMS, MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P, main
 from logsine.verify import Check, IdentityResult
 
 
@@ -262,6 +262,24 @@ class TestBellCommand:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("length", [MAX_BELL_TERMS, MAX_BELL_TERMS + 1])
+    def test_longest_sequence_and_the_next_one(self, capsys, length):
+        seq = ",".join(("1/2", "-1/3", "2")[i % 3] for i in range(length))
+        code = main(["bell", f"--seq={seq}"])
+        out, err = capsys.readouterr()
+        if length == MAX_BELL_TERMS:
+            assert code == 0 and err == "" and out.strip()
+        else:
+            assert (code, out) == (2, "")
+            assert err == f"usage error: bell takes --seq up to {MAX_BELL_TERMS} terms, got {length}\n"
+
+    def test_limit_is_documented(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bell", "--help"])
+        assert f"at most {MAX_BELL_TERMS} terms" in capsys.readouterr().out
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert f"`--seq` up to {MAX_BELL_TERMS} terms" in readme
 
 
 class TestBinomDerivCommand:

@@ -8,7 +8,7 @@ from logsine import (
     IntegralSpec,
     NumericConfig,
     central_binom_deriv,
-    complete_bell,
+    complete_bell_recurrence,
     eta_bar,
     eval_numeric,
     log_sin_power_integral,
@@ -333,7 +333,7 @@ class TestAnyAngle:
     def test_bell_coefficient_is_the_bell_value_over_eta_bar(self, p):
         # B = (-1)^{p+1} 2^{-p} B_p(0, eta_bar_2, ..., eta_bar_p), float bits included
         seq = [SymbolicValue.zero()] + [eta_bar(j) for j in range(2, p + 1)]
-        want = Fraction((-1) ** (p + 1), 2**p) * complete_bell(seq, one=SymbolicValue.one())
+        want = Fraction((-1) ** (p + 1), 2**p) * complete_bell_recurrence(seq, one=SymbolicValue.one())
         _, bell = log_sine_any_angle(p, 5.0)
         assert bell == want
         assert eval_numeric(bell) == eval_numeric(want)
