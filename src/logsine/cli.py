@@ -88,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bell", help="complete Bell polynomial of a rational sequence")
     p.add_argument("--seq", required=True,
-                   help=f"comma-separated rationals, e.g. 1,1/2,3; at most {MAX_BELL_TERMS} terms")
+                   help=f"comma-separated rationals, e.g. 1,1/2,3; at most {MAX_BELL_TERMS} terms; "
+                        "write --seq=-1/2,3 when the first is negative")
     _flags(p, digits=False)
 
     p = subs.add_parser("constant", help="numeric value of a basis constant")

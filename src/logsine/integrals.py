@@ -13,7 +13,7 @@ Covered objects, all over (0, z):
   at theta in {pi, 2pi}, same exactness domain.
 * ``log_sine_any_angle``:  the n = 0 case at arbitrary 0 < z <= 2pi by the
   same moment series, the power series of log(sin(x/2)/(x/2)) integrated
-  term by term, reflected about pi through the exact Bell-polynomial term.
+  term by term, reflected about pi through log-sine moment 0.
 
 The symbolic pipeline never guesses: a value is returned as exact only when
 every infinite k-sum lands in the whitelisted catalog, otherwise the result
@@ -431,35 +431,31 @@ def log_sine_integral(
 # -- arbitrary angle ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _any_angle_bell(p: int) -> tuple[SymbolicValue, float]:
-    """The exact Bell coefficient B of z in Ls_{p+1}(z), and its float."""
-    bell = Fraction(-1, 2**p) * central_binom_deriv(DerivSpec(p, 0, False))
-    return bell, eval_numeric(bell)
-
-
-def log_sine_any_angle(p: int, z: float) -> tuple[float, SymbolicValue]:
+def log_sine_any_angle(p: int, z: float) -> tuple[float, float]:
     """Ls_{p+1}(z) = -integral of log^p|2 sin(x/2)| over (0, z) for 0 < z <= 2pi.
 
-    Returns ``(value, bell_coefficient)`` where ``bell_coefficient`` is the
-    exact symbolic coefficient B of z (the Bell-polynomial term):
-    Ls_{p+1}(z) - B z is a sine series, odd and 2pi-periodic.  Up to pi the
-    value is a convergent series in (z/2pi)^2 with powers of log z as
-    coefficients; past pi it is 2pi B - Ls_{p+1}(2pi - z).
+    Returns ``(value, bell_coefficient)``, the float of the coefficient B of z
+    (the Bell-polynomial term): Ls_{p+1}(z) - B z is a sine series, odd and
+    2pi-periodic.  Up to pi the value is a convergent series in (z/2pi)^2 with
+    powers of log z as coefficients; past pi it is 2pi B - Ls_{p+1}(2pi - z),
+    where 2pi B = Ls_{p+1}(2pi) = -2 M_0, M_0 the log-sine moment of order 0.
+    A value that is not a finite double raises OverflowError.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
     if not 0 < z <= 2 * math.pi + 1e-12:
         raise ValueError("z must lie in (0, 2*pi]")
 
-    bell_coef, bell_float = _any_angle_bell(p)
     if z <= math.pi:
-        return -_log_sine_series(p, z), bell_coef
-    mirror = 2 * math.pi - z  # exact for z in (pi, 2pi]
-    value = 2 * math.pi * bell_float
-    if mirror > 0:  # z = fl(2pi) stands for 2pi, where the sine series vanishes
-        value += _log_sine_series(p, mirror + _TWO_PI_LOW)
-    return value, bell_coef
+        value = -_log_sine_series(p, z)
+    else:  # 2pi - z is exact; z = fl(2pi) stands for 2pi, where the sine series vanishes
+        value = _log_sine_series(p, 2 * math.pi - z + _TWO_PI_LOW) if z < 2 * math.pi else 0.0
+    if not math.isfinite(value):
+        raise OverflowError(f"the log-sine series is {value}")
+    moment = _log_sine_moment(p, 0, False)[0]
+    if z > math.pi:
+        value -= 2 * moment
+    return value, -moment / math.pi
 
 
 # -- numeric oracle over the defining integrals -------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable
 
 from . import bell, binomderiv, integrals, numerics, specialfn
@@ -182,10 +183,11 @@ def _moment_series_worst(cfg: NumericConfig) -> float:
 
 def _clausen_check(p: int) -> Check:
     def run(cfg: NumericConfig) -> IdentityResult:
-        val, bell_coef = integrals.log_sine_any_angle(p, math.pi / 2)
+        val, _ = integrals.log_sine_any_angle(p, math.pi / 2)
         oracle = -numerics.tanh_sinh_quadrature(
             lambda x: math.log(2.0 * math.sin(x / 2.0)) ** p, 0.0, math.pi / 2, cfg
         )
+        bell_coef = Fraction(-1, 2**p) * binomderiv.central_binom_deriv(binomderiv.DerivSpec(p, 0))
         return _result(check, bell_coef.text(), val, oracle, 1e-7)
 
     check = Check(f"clausen:pi/2-p{p}", "clausen", run)

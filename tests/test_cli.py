@@ -256,6 +256,16 @@ class TestBellCommand:
         assert code == 0
         assert out.strip() == "7/12"  # (1/2)^2 + 1/3
 
+    def test_negative_first_entry_in_the_equals_form(self, capsys, monkeypatch):
+        # argparse reads a separate "-1/2,3" as a flag, so the help names the --seq= form
+        code, out = run_cli(capsys, "bell", "--seq=-1/2,3")
+        assert code == 0
+        assert out.strip() == "13/4"  # (-1/2)^2 + 3
+        monkeypatch.setenv("COLUMNS", "200")  # no line break inside the form
+        with pytest.raises(SystemExit):
+            main(["bell", "--help"])
+        assert "--seq=-1/2,3" in capsys.readouterr().out
+
     @pytest.mark.parametrize("seq", ["1/0", "1,2/0"])
     def test_zero_denominator_is_a_one_line_usage_error(self, capsys, seq):
         code = main(["bell", "--seq", seq])

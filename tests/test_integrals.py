@@ -302,6 +302,11 @@ class TestHalfAngleIdentity:
         assert got.exact and got.value == -(2 ** (n + 1)) * want
 
 
+def _exact_bell(p):
+    """The exact coefficient B of z in Ls_{p+1}(z)."""
+    return Fraction(-1, 2**p) * central_binom_deriv(DerivSpec(p, 0))
+
+
 class TestAnyAngle:
     def test_half_pi_grid(self, cfg):
         for p in (1, 2, 3):
@@ -312,10 +317,9 @@ class TestAnyAngle:
             assert abs(val - want) < 1e-7
 
     def test_at_pi_series_vanishes(self):
-        val, bell = log_sine_any_angle(1, math.pi)
+        val, _ = log_sine_any_angle(1, math.pi)
         assert val == pytest.approx(0.0, abs=1e-12)
-        assert bell.is_zero
-        val, bell = log_sine_any_angle(2, math.pi)
+        val, _ = log_sine_any_angle(2, math.pi)
         assert val == pytest.approx(-math.pi**3 / 12, abs=1e-12)
 
     def test_third_of_full_angle(self, cfg):
@@ -326,24 +330,49 @@ class TestAnyAngle:
         assert abs(val - want) < 1e-8
 
     def test_bell_coefficient_is_exact_symbolic(self):
-        _, bell = log_sine_any_angle(3, math.pi / 2)
-        assert bell == parse_text("3/2*zeta3")
+        assert _exact_bell(3) == parse_text("3/2*zeta3")
 
     @pytest.mark.parametrize("p", range(1, 13))
     def test_bell_coefficient_is_the_bell_value_over_eta_bar(self, p):
         # B = (-1)^{p+1} 2^{-p} B_p(0, eta_bar_2, ..., eta_bar_p), float bits included
         seq = [SymbolicValue.zero()] + [eta_bar(j) for j in range(2, p + 1)]
         want = Fraction((-1) ** (p + 1), 2**p) * complete_bell_recurrence(seq, one=SymbolicValue.one())
-        _, bell = log_sine_any_angle(p, 5.0)
+        bell = _exact_bell(p)
         assert bell == want
         assert eval_numeric(bell) == eval_numeric(want)
 
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_float_bell_coefficient_lies_within_the_moment_bound(self, p):
+        # 2pi B = Ls_{p+1}(2pi) = -2 M_0, so B = -M_0/pi within the moment's bound over pi
+        _, bell = log_sine_any_angle(p, 5.0)
+        bound = integrals._log_sine_moment(p, 0, False)[1]
+        assert abs(bell - eval_numeric(_exact_bell(p))) <= bound / math.pi
+
     @pytest.mark.parametrize("p", [1, 3, 6])
-    def test_reflected_value_is_two_pi_b_less_the_mirrored_series(self, p):
+    def test_reflected_value_is_twice_moment_zero_less_the_mirrored_series(self, p):
         z = 5.0
-        bell = eval_numeric(log_sine_any_angle(p, z)[1])
-        want = 2 * math.pi * bell + integrals._log_sine_series(p, 2 * math.pi - z + integrals._TWO_PI_LOW)
+        moment = integrals._log_sine_moment(p, 0, False)[0]
+        want = -2 * moment + integrals._log_sine_series(p, 2 * math.pi - z + integrals._TWO_PI_LOW)
         assert log_sine_any_angle(p, z)[0] == want
+
+    def test_cold_call_does_no_symbolic_work(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the any-angle path did symbolic work")
+
+        for name in ("central_binom_deriv", "eval_numeric"):
+            monkeypatch.setattr(integrals, name, refuse)
+        monkeypatch.setattr(SymbolicValue, "__mul__", refuse)
+        for p in (3, 40):
+            for z in (1.0, 5.0):
+                for cached in vars(integrals).values():
+                    getattr(cached, "cache_clear", lambda: None)()
+                assert math.isfinite(log_sine_any_angle(p, z)[0])
+
+    @pytest.mark.parametrize("z", [1.0, 5.0])
+    def test_value_past_binary64_is_an_overflow(self, z):
+        # the series at p = 200 is nan, and a non-finite value is never returned
+        with pytest.raises(OverflowError):
+            log_sine_any_angle(200, z)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
