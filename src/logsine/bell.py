@@ -15,11 +15,12 @@ import math
 from typing import Sequence
 
 
-def complete_bell_all(seq: Sequence, one=1) -> list:
+def complete_bell_all(seq: Sequence, one=1, prefix: Sequence = ()) -> list:
     """All prefix values [B_0, B_1(s_1), ..., B_n(s_1..s_n)] by the classic
-    recurrence B_{m+1} = sum_{i=0}^{m} C(m, i) B_{m-i} s_{i+1}."""
-    values = [one]
-    for m in range(len(seq)):
+    recurrence B_{m+1} = sum_{i=0}^{m} C(m, i) B_{m-i} s_{i+1}; a known
+    ``prefix`` [B_0, ..., B_l] of that row is extended rather than rebuilt."""
+    values = list(prefix) or [one]
+    for m in range(len(values) - 1, len(seq)):
         acc = 0 * one
         for i in range(m + 1):
             acc = acc + math.comb(m, i) * (values[m - i] * seq[i])

@@ -23,7 +23,7 @@ from functools import lru_cache
 from .bell import binomial_convolution, complete_bell_all
 from .numerics import PowerSeries, polygamma_real, zeta_numeric
 from .specialfn import harmonic, polygamma_int
-from .symbolic import SymbolicValue, sym_log2, sym_pi
+from .symbolic import SymbolicValue, linear_combination, sym_log2, sym_pi
 
 
 @dataclass(frozen=True)
@@ -141,6 +141,24 @@ def _constant_row(n: int, scaled: bool) -> tuple[SymbolicValue, ...]:
     return tuple(binomial_convolution(powers, core, m, _SYM_ONE) for m in range(n + 1))
 
 
+_rational_rows: dict[int, tuple[Fraction, ...]] = {}
+
+
+def _rational_row(n: int, k: int) -> tuple[Fraction, ...]:
+    """A prefix [B_0(r(k)), ..., B_l(r(k))], l >= n, of the Bell row of the rational parts
+    r_j(k) of xi_bar, kept per k and extended in a new tuple when a larger n asks: no reader
+    sees a half-built row, and two threads racing on one k at worst store the shorter one."""
+    row = _rational_rows.get(k, ())
+    if len(row) <= n:
+        seq = [_xi_rational(j, k) for j in range(1, n + 1)]
+        row = tuple(complete_bell_all(seq, Fraction(1), row))
+        _rational_rows[k] = row
+    return row
+
+
+_rational_row.cache_clear = _rational_rows.clear
+
+
 def shifted_binom_deriv(spec: DerivSpec) -> SymbolicValue:
     """Exact p-th derivative of binom(2m, m+k) (or 4^{-m} times it) at m = 0
     for shift k >= 1:
@@ -150,19 +168,19 @@ def shifted_binom_deriv(spec: DerivSpec) -> SymbolicValue:
     with xi_bar_1 shifted by log 4 in the scaled variant.  p = 0 gives 0
     because binom(0, k) = 0.  With xi_bar_j = c_j + r_j(k), c the k-free
     sequence of :func:`_constant_row`, the binomial identity B_n(c + r) =
-    sum_i C(n, i) B_i(r) B_{n-i}(c) convolves the Fraction row B_i(r(k)),
-    with the scale folded in, against the cached row of c: one rational
-    multiple of each symbolic entry per k.
+    sum_i C(n, i) B_i(r) B_{n-i}(c) is a rational combination of the cached
+    symbolic row of c, with weights C(n, i) scale B_i(r(k)) from the cached
+    rational row of k; each monomial's coefficient is one integer sum.
     """
     if spec.k < 1:
         raise ValueError("shifted_binom_deriv requires k >= 1; use central_binom_deriv")
     if spec.p == 0:
         return SymbolicValue.zero()
     n = spec.p - 1
-    rational = complete_bell_all([_xi_rational(j, spec.k) for j in range(1, spec.p)], Fraction(1))
+    rational = _rational_row(n, spec.k)
     scale = Fraction((-1) ** (spec.p + spec.k) * spec.p, spec.k)
-    row = _constant_row(n, spec.scaled)
-    return binomial_convolution([scale * r for r in rational], row, n, _SYM_ONE)
+    weights = [math.comb(n, i) * scale * rational[i] for i in range(n + 1)]
+    return linear_combination(weights, _constant_row(n, spec.scaled)[n::-1])
 
 
 def central_binom_deriv(spec: DerivSpec) -> SymbolicValue:

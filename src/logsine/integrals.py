@@ -198,6 +198,13 @@ def _sum_kterm(term: _KTerm, weight_alt: bool, weight_pow: int) -> SymbolicValue
     return term.coef * base
 
 
+@lru_cache(maxsize=None)
+def _ksum(p: int, scaled: bool, alt: bool, s: int) -> SymbolicValue:
+    """Catalog value of sum_k (-1)^{k*alt} D_p(k) / k^s over the k-form terms of
+    :func:`_deriv_kform`; raises CatalogMissError when a term is outside the catalog."""
+    return sum((_sum_kterm(term, alt, s) for term in _deriv_kform(p, scaled)), SymbolicValue.zero())
+
+
 @dataclass(frozen=True)
 class _KWeight:
     # one weighted k-sum: coef * sum_k (-1)^{k*alt} c(k) / k^pow over shift-k coefficients c(k)
@@ -251,11 +258,11 @@ def _deriv_value_exact(n: int, p: int, z: str, scaled: bool) -> SymbolicValue:
     equal to 2^p times the target integral); raises CatalogMissError when
     the k-sums cannot be reduced."""
     central, weights = _case_weights(n, z, scaled)
-    kform = _deriv_kform(p, scaled) if weights else []  # a catalog miss raises before any work
+    # a catalog miss raises here, before any work
+    ksums = [_ksum(p, scaled, w.alt, w.pow) for w in weights]
     total = central * central_binom_deriv(DerivSpec(p, 0, scaled))
-    for w in weights:
-        for term in kform:
-            total = total + w.coef * _sum_kterm(term, w.alt, w.pow)
+    for w, ksum in zip(weights, ksums):
+        total = total + w.coef * ksum
     return total
 
 
@@ -325,7 +332,8 @@ def _log_sine_moment(p: int, i: int, scaled: bool) -> tuple[float, float]:
         size = abs(_log_sine_series(p, math.pi, terms, i, -log_z))
         m1 = i + 2 * terms + 1
         tail = math.pi ** (i + 1) / 3.6**terms * math.fsum(
-            math.comb(p, b) * a ** (p - b) * math.factorial(b) / m1 ** (b + 1) for b in range(p + 1)
+            math.comb(p, b) * a ** (p - b) * (math.factorial(b) / m1 ** (b + 1))  # b! may pass a float
+            for b in range(p + 1)
         )
         if tail <= 2**-53 * size:
             break

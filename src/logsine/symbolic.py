@@ -94,25 +94,34 @@ def generator_from_name(name: str) -> Generator:
     return zb1_gen(int(m.group(3)))
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """A product of generator powers; the empty product is the unit."""
+    """A product of generator powers; the empty product is the unit.  Immutable in
+    practice: the factors are sorted by generator and hashed once, at construction."""
 
-    factors: tuple[tuple[Generator, int], ...] = ()
+    __slots__ = ("factors", "_hash")
 
-    def __post_init__(self):
-        seen = set()
-        for gen, exp in self.factors:
-            if exp < 1:
-                raise ValueError("monomial exponents must be >= 1")
-            if gen in seen:
-                raise ValueError("duplicate generator in monomial")
-            seen.add(gen)
-        canonical = tuple(sorted(self.factors, key=lambda fe: fe[0].sort_key))
-        if canonical != self.factors:
-            object.__setattr__(self, "factors", canonical)
+    def __init__(self, factors: tuple[tuple[Generator, int], ...] = ()):
+        if any(exp < 1 for _, exp in factors):
+            raise ValueError("monomial exponents must be >= 1")
+        if len({gen for gen, _ in factors}) != len(factors):
+            raise ValueError("duplicate generator in monomial")
+        self.factors = tuple(sorted(factors, key=lambda fe: fe[0].sort_key))
+        self._hash = hash(self.factors)
+
+    def __eq__(self, other):
+        return isinstance(other, Monomial) and self.factors == other.factors
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Monomial(factors={self.factors!r})"
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        if not other.factors:
+            return self
+        if not self.factors:
+            return other
         merged: dict[Generator, int] = dict(self.factors)
         for gen, exp in other.factors:
             merged[gen] = merged.get(gen, 0) + exp
@@ -326,6 +335,29 @@ class SymbolicValue:
         }
 
 
+def linear_combination(weights, values) -> SymbolicValue:
+    """sum_i q_i v_i for rationals q_i and SymbolicValues v_i, one monomial at a
+    time: its coefficients are summed as integers over a running lcm of their
+    denominators and become one Fraction at the end."""
+    sums: dict[Monomial, list[int]] = {}  # monomial -> [numerator, denominator]
+    for q, v in zip(weights, values):
+        q = Fraction(q)
+        if not q:
+            continue
+        for mono, c in v._terms.items():
+            num, den = q.numerator * c.numerator, q.denominator * c.denominator
+            acc = sums.get(mono)
+            if acc is None:
+                sums[mono] = [num, den]
+            else:
+                lcm = math.lcm(acc[1], den)
+                acc[0] = acc[0] * (lcm // acc[1]) + num * (lcm // den)
+                acc[1] = lcm
+    out = SymbolicValue.__new__(SymbolicValue)
+    out._terms = {mono: Fraction(num, den) for mono, (num, den) in sums.items() if num}
+    return out
+
+
 def _coerce(value) -> "SymbolicValue":
     if isinstance(value, SymbolicValue):
         return value
@@ -385,6 +417,7 @@ def sym_zeta(n: int) -> SymbolicValue:
 # -- numeric rendering -------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _generator_value(gen: Generator) -> float:
     from . import numerics, specialfn
 
@@ -407,7 +440,7 @@ def eval_numeric(value: SymbolicValue) -> float:
     raises OverflowError.
     """
     contributions = []
-    for mono, coef in value.terms.items():
+    for mono, coef in value._terms.items():
         x = float(coef)
         for gen, exp in mono.factors:
             x *= _generator_value(gen) ** exp

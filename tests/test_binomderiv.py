@@ -6,6 +6,7 @@ import pytest
 
 from logsine import (
     DerivSpec,
+    IntegralSpec,
     alt_euler_sum_H,
     binom_deriv,
     central_binom_deriv,
@@ -15,6 +16,7 @@ from logsine import (
     euler_sum_H,
     eval_numeric,
     harmonic,
+    log_sin_power_integral,
     polygamma_int,
     rho,
     richardson_derivative,
@@ -27,7 +29,8 @@ from logsine import (
     xi_bar_scaled,
 )
 from logsine.bell import complete_bell, complete_bell_all, complete_bell_recurrence
-from logsine.binomderiv import _constant_row, _xi_rational
+from logsine.binomderiv import _constant_row, _rational_row, _xi_rational
+from logsine.integrals import _ksum
 from logsine.symbolic import SymbolicValue, sym_zeta_odd
 
 
@@ -317,19 +320,47 @@ class TestCachedValuesStayPut:
             assert product._terms is not value._terms
 
 
+class TestRationalRow:
+    @pytest.mark.parametrize("k", [1, 2, 7, 30])
+    def test_ascending_and_descending_orders_agree(self, k):
+        orders = (range(1, 13), range(12, 0, -1), (5, 12, 3, 9, 1, 11, 2, 8, 4, 10, 6, 7))
+        texts = []
+        for order in orders:
+            _rational_row.cache_clear()
+            got = {(p, scaled): shifted_binom_deriv(DerivSpec(p, k, scaled)).text()
+                   for p in order for scaled in (False, True)}
+            texts.append(sorted(got.items()))
+        assert texts[0] == texts[1] == texts[2]
+        assert len(texts[0]) == 24
+
+    def test_a_row_is_a_prefix_of_every_longer_row(self):
+        _rational_row.cache_clear()
+        short = _rational_row(3, 4)
+        longer = _rational_row(9, 4)
+        assert longer[: len(short)] == short and len(longer) == 10
+        assert _rational_row(2, 4) is longer  # a shorter request reads the stored row
+        fresh = complete_bell_all([_xi_rational(j, 4) for j in range(1, 10)], Fraction(1))
+        assert list(longer) == fresh
+
+
 class TestConcurrentDerivatives:
     def test_eight_threads_agree_with_one(self):
         from concurrent.futures import ThreadPoolExecutor
 
         specs = [DerivSpec(p, k, scaled) for p in range(0, 11) for k in (0, 1, 2, 5, 13, 30)
                  for scaled in (False, True)]
+        # exact closed forms share the central derivatives and fill the k-sum cache
+        specs += [IntegralSpec(n, p, z) for z in ("pi", "pi/2") for n in range(7) for p in range(3)]
 
         def compute(spec):
-            value = binom_deriv(spec)
+            if isinstance(spec, IntegralSpec):
+                value = log_sin_power_integral(spec).value
+            else:
+                value = binom_deriv(spec)
             return value.text(), eval_numeric(value)
 
         def clear():
-            for fn in (_constant_row, xi_bar, eta_bar, euler_sum_H, sym_zeta):
+            for fn in (_constant_row, _rational_row, _ksum, xi_bar, eta_bar, euler_sum_H, sym_zeta):
                 fn.cache_clear()
 
         clear()

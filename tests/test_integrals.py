@@ -374,6 +374,16 @@ class TestAnyAngle:
         with pytest.raises(OverflowError):
             log_sine_any_angle(200, z)
 
+    def test_largest_order_below_the_factorial_overflow(self):
+        # the moment's tail bound divides b! by an int power before it meets a float,
+        # so 170! is never converted; the reference is 40-digit mpmath over x = e^-t
+        val, bell = log_sine_any_angle(170, 1.0)
+        want = -7.257415615307998967396728211129263114717e306
+        assert abs(val - want) <= 1e-15 * abs(want)
+        assert math.isfinite(bell)
+        with pytest.raises(OverflowError):  # 171! itself is past binary64
+            log_sine_any_angle(171, 1.0)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             log_sine_any_angle(2, 7.0)
@@ -496,6 +506,20 @@ def _catalog_keys():
                         continue
                     keys.add((p, scaled, w.alt, w.pow))
     return sorted(keys)
+
+
+class TestKSum:
+    @pytest.mark.parametrize("key", _catalog_keys())
+    def test_equals_the_sum_over_the_kform_and_is_cached(self, key):
+        integrals._ksum.cache_clear()
+        got = integrals._ksum(*key)
+        assert got == _catalog_sum(*key)
+        assert integrals._ksum(*key) is got
+
+    @pytest.mark.parametrize("key", [(3, True, False, 2), (1, True, True, 0), (2, False, False, 1)])
+    def test_a_catalog_miss_raises(self, key):
+        with pytest.raises(integrals.CatalogMissError):
+            integrals._ksum(*key)
 
 
 class TestKSeriesFourier:

@@ -14,6 +14,7 @@ from logsine.symbolic import (
     Monomial,
     SymbolicValue,
     from_json_obj,
+    linear_combination,
     sym_log2,
     sym_zeta_bar1,
     sym_zeta_odd,
@@ -160,3 +161,57 @@ class TestGeneratorValidation:
     def test_sym_zeta_dispatch(self):
         assert sym_zeta(4) == zeta_even(2)
         assert sym_zeta(5) == sym_zeta_odd(5)
+
+
+class TestLinearCombination:
+    @given(st.lists(st.tuples(coefficients | st.just(Fraction(0)), symbolic_values()), max_size=6))
+    def test_equals_the_ring_sum(self, pairs):
+        weights, values = [w for w, _ in pairs], [v for _, v in pairs]
+        want = sum((w * v for w, v in pairs), SymbolicValue.zero())
+        got = linear_combination(weights, values)
+        assert got == want
+        assert all(type(c) is Fraction and c for c in got._terms.values())
+
+    @given(st.lists(st.tuples(coefficients, symbolic_values()), min_size=1, max_size=4))
+    def test_cancellation_leaves_zero(self, pairs):
+        weights = [w for w, _ in pairs] + [-w for w, _ in pairs]
+        values = [v for _, v in pairs] * 2
+        got = linear_combination(weights, values)
+        assert got.is_zero and got._terms == {}
+
+    def test_empty_input_is_zero(self):
+        assert linear_combination([], []).is_zero
+
+    def test_integer_weights_and_shared_denominators(self):
+        v = sym_pi(2, Fraction(1, 6)) + Fraction(1, 4)
+        got = linear_combination([3, Fraction(1, 2), -4], [v, v, sym_log2(1, Fraction(1, 6))])
+        assert got == Fraction(7, 2) * v - 4 * sym_log2(1, Fraction(1, 6))
+        assert got.text() == "7/8 + 7/12*pi^2 - 2/3*log2"
+
+
+class TestMonomial:
+    @given(st.permutations([(PI, 2), (LOG2, 1), (zeta_gen(3), 1), (zb1_gen(5), 3)]))
+    def test_equality_and_hash_ignore_factor_order(self, factors):
+        canonical = Monomial(((PI, 2), (LOG2, 1), (zeta_gen(3), 1), (zb1_gen(5), 3)))
+        mono = Monomial(tuple(factors))
+        assert mono == canonical and hash(mono) == hash(canonical)
+        assert mono.factors == canonical.factors
+        assert mono.sort_key == canonical.sort_key
+        assert {mono: 1}[canonical] == 1
+
+    def test_unequal_monomials(self):
+        assert Monomial(((PI, 2),)) != Monomial(((PI, 3),))
+        assert Monomial(((PI, 1),)) != Monomial(((LOG2, 1),))
+        assert Monomial() != "1"
+
+    def test_validation_still_raises(self):
+        with pytest.raises(ValueError, match="exponents"):
+            Monomial(((PI, 0),))
+        with pytest.raises(ValueError, match="duplicate"):
+            Monomial(((PI, 1), (LOG2, 2), (PI, 3)))
+
+    def test_product_merges_exponents(self):
+        a, b = Monomial(((LOG2, 1), (PI, 2))), Monomial(((PI, 1), (zeta_gen(3), 1)))
+        assert a * b == Monomial(((PI, 3), (LOG2, 1), (zeta_gen(3), 1)))
+        assert a * Monomial() is a and Monomial() * b is b
+        assert (a * b).text() == "pi^3*log2*zeta3"
