@@ -48,45 +48,43 @@ class Check:
     run: Callable[[NumericConfig], IdentityResult]
 
 
-def _result(check: Check, exact, numeric, oracle, tol) -> IdentityResult:
-    err = abs(numeric - oracle)
-    return IdentityResult(
-        id=check.id,
-        group=check.group,
-        exact=exact,
-        numeric=numeric,
-        oracle=oracle,
-        abs_err=err,
-        tol=tol,
-        status="pass" if err <= tol else "fail",
-    )
+def _check(ident, group, tol, compute, exact=None) -> Check:
+    """The one row constructor: ``compute(cfg)`` returns (exact text or None,
+    value, oracle), and the row passes when |value - oracle| <= tol.  A None
+    text falls back to ``exact``, the text of a form fixed when the row is built."""
 
-
-def _closed_vs_quadrature(ident, group, spec: integrals.IntegralSpec, tol) -> Check:
     def run(cfg: NumericConfig) -> IdentityResult:
+        text, value, oracle = compute(cfg)
+        err = abs(value - oracle)
+        status = "pass" if err <= tol else "fail"
+        return IdentityResult(ident, group, exact if text is None else text, value, oracle, err, tol, status)
+
+    return Check(ident, group, run)
+
+
+def _closed_vs_quadrature(spec: integrals.IntegralSpec):
+    def compute(cfg: NumericConfig):
         if spec.form == "ls":
             res = integrals.log_sine_integral(spec.p, spec.n, spec.z, cfg)
         else:
             res = integrals.log_sin_power_integral(spec, cfg)
         oracle = integrals.quadrature_value(spec, cfg)
-        return _result(
-            check, res.value.text() if res.exact else None, res.numeric, oracle, tol
-        )
+        return res.value.text() if res.exact else None, res.numeric, oracle
 
-    check = Check(ident, group, run)
-    return check
+    return compute
 
 
-def _max_err_check(ident, group, tol, worst_fn, exact=None) -> Check:
-    def run(cfg: NumericConfig) -> IdentityResult:
-        worst = worst_fn(cfg)
-        return _result(check, exact, worst, 0.0, tol)
+# the paper's tables: (id format, group, angle, form, (n, p) pairs, tolerance)
+_TABLES = (
+    ("int:pi:n{n}p{p}", "sec2", "pi", "logsin", ((1, 2), (2, 2), (3, 2), (4, 2), (1, 3)), 1e-9),
+    ("ls:2pi:order{order}-index{n}", "sec2", "2pi", "ls",
+     ((1, 2), (1, 3), (2, 2), (3, 2), (4, 2), (5, 2)), 1e-9),
+    ("int:pi/2:n{n}p{p}", "sec3", "pi/2", "logsin", ((1, 2), (2, 2), (3, 2)), 1e-8),
+    ("ls:pi:order{order}-index{n}", "sec3", "pi", "ls", ((1, 2), (2, 2), (3, 2), (4, 2)), 1e-8),
+)
 
-    check = Check(ident, group, run)
-    return check
 
-
-def _lemma_delta_worst(cfg: NumericConfig) -> float:
+def _lemma_delta_worst(cfg: NumericConfig):
     worst = 0.0
     for m0, k in ((0.25, 0), (1.5, 1)):
         for j in (1, 2, 3):
@@ -94,10 +92,10 @@ def _lemma_delta_worst(cfg: NumericConfig) -> float:
                 lambda m: binomderiv.delta_numeric(j, m, k), m0, 1
             )
             worst = max(worst, abs(val + binomderiv.delta_numeric(j + 1, m0, k)))
-    return worst
+    return None, worst, 0.0
 
 
-def _lemma_cot_bell_worst(cfg: NumericConfig) -> float:
+def _lemma_cot_bell_worst(cfg: NumericConfig):
     worst = 0.0
     for n in range(0, 7):
         for k in (0.1, 0.3, 0.45):
@@ -105,33 +103,20 @@ def _lemma_cot_bell_worst(cfg: NumericConfig) -> float:
             got = bell.complete_bell(nu, one=1.0)
             want = bell.bell_cot_closed_form(n, k)
             worst = max(worst, abs(got - want) / math.pi**n)
-    return worst
+    return None, worst, 0.0
 
 
-def _lemma_rho_check() -> Check:
-    def run(cfg: NumericConfig) -> IdentityResult:
-        ok = all(
-            binomderiv.rho(n) == 2 * specialfn.polygamma_int(2 * n - 1, 1)
-            for n in range(1, 7)
-        )
-        value = eval_numeric(binomderiv.rho(6))
-        return IdentityResult(
-            id=check.id,
-            group=check.group,
-            exact=binomderiv.rho(6).text(),
-            numeric=value,
-            oracle=value,
-            abs_err=0.0 if ok else math.inf,
-            tol=0.0,
-            status="pass" if ok else "fail",
-        )
-
-    check = Check("lemma:rho-recursion", "lemmas", run)
-    return check
+def _lemma_rho(cfg: NumericConfig):
+    # two independent recursions agree exactly, or the row reads abs_err inf
+    ok = all(
+        binomderiv.rho(n) == 2 * specialfn.polygamma_int(2 * n - 1, 1) for n in range(1, 7)
+    )
+    value = eval_numeric(binomderiv.rho(6))
+    return binomderiv.rho(6).text(), value, value if ok else math.inf
 
 
 def _shifted_deriv_worst(p: int, kmax: int):
-    def worst_fn(cfg: NumericConfig) -> float:
+    def compute(cfg: NumericConfig):
         worst = 0.0
         for k in range(1, kmax + 1):
             for scaled in (False, True):
@@ -139,12 +124,12 @@ def _shifted_deriv_worst(p: int, kmax: int):
                 got = eval_numeric(binomderiv.shifted_binom_deriv(spec))
                 want = binomderiv.taylor_coefficient_oracle(spec)
                 worst = max(worst, abs(got - want))
-        return worst
+        return None, worst, 0.0
 
-    return worst_fn
+    return compute
 
 
-def _central_deriv_worst(cfg: NumericConfig) -> float:
+def _central_deriv_worst(cfg: NumericConfig):
     worst = 0.0
     for p in range(0, 7):
         for scaled in (False, True):
@@ -152,11 +137,11 @@ def _central_deriv_worst(cfg: NumericConfig) -> float:
             got = eval_numeric(binomderiv.central_binom_deriv(spec))
             want = binomderiv.taylor_coefficient_oracle(spec)
             worst = max(worst, abs(got - want))
-    return worst
+    return None, worst, 0.0
 
 
 def _moment_worst(z: str):
-    def worst_fn(cfg: NumericConfig) -> float:
+    def compute(cfg: NumericConfig):
         worst = 0.0
         zv = integrals.angle_value(z)
         for n in range(0, 4):
@@ -166,105 +151,67 @@ def _moment_worst(z: str):
                     lambda x: x**n * math.sin(x) ** (2 * m), 0.0, zv, cfg
                 )
                 worst = max(worst, abs(eval_numeric(sym) - oracle))
-        return worst
+        return None, worst, 0.0
 
-    return worst_fn
+    return compute
 
 
-def _moment_series_worst(cfg: NumericConfig) -> float:
+def _moment_series_worst(cfg: NumericConfig):
     worst = 0.0
     for n in range(0, 6):
         for m in range(0, 6):
             sym = eval_numeric(integrals.sine_power_moment_exact(n, m, "pi"))
             num = integrals.sine_power_moment_numeric(n, m, math.pi)
             worst = max(worst, abs(sym - num))
-    return worst
+    return None, worst, 0.0
 
 
-def _clausen_check(p: int) -> Check:
-    def run(cfg: NumericConfig) -> IdentityResult:
+def _clausen(p: int):
+    def compute(cfg: NumericConfig):
         val, _ = integrals.log_sine_any_angle(p, math.pi / 2)
         oracle = -numerics.tanh_sinh_quadrature(
             lambda x: math.log(2.0 * math.sin(x / 2.0)) ** p, 0.0, math.pi / 2, cfg
         )
         bell_coef = Fraction(-1, 2**p) * binomderiv.central_binom_deriv(binomderiv.DerivSpec(p, 0))
-        return _result(check, bell_coef.text(), val, oracle, 1e-7)
+        return bell_coef.text(), val, oracle
 
-    check = Check(f"clausen:pi/2-p{p}", "clausen", run)
-    return check
+    return compute
 
 
 def build_registry() -> list[Check]:
-    checks: list[Check] = []
-    for n, p in ((1, 2), (2, 2), (3, 2), (4, 2), (1, 3)):
-        checks.append(
-            _closed_vs_quadrature(
-                f"int:pi:n{n}p{p}", "sec2", integrals.IntegralSpec(n, p, "pi"), 1e-9
-            )
+    checks = [
+        _check(
+            fmt.format(n=n, p=p, order=n + p + 1),
+            group,
+            tol,
+            _closed_vs_quadrature(integrals.IntegralSpec(n, p, z, form=form)),
         )
-    for p, n in ((2, 1), (3, 1), (2, 2), (2, 3), (2, 4), (2, 5)):
-        checks.append(
-            _closed_vs_quadrature(
-                f"ls:2pi:order{p + n + 1}-index{n}",
-                "sec2",
-                integrals.IntegralSpec(n, p, "2pi", form="ls"),
-                1e-9,
-            )
+        for fmt, group, z, form, pairs, tol in _TABLES
+        for n, p in pairs
+    ]
+    checks += [
+        _check("lemma:delta-derivative", "lemmas", 1e-6, _lemma_delta_worst),
+        _check("lemma:cot-bell-closed-form", "lemmas", 1e-6, _lemma_cot_bell_worst),
+        _check("lemma:rho-recursion", "lemmas", 0.0, _lemma_rho),
+    ]
+    checks += [
+        _check(
+            f"deriv:shifted-p{p}",
+            "derivs",
+            1e-8,
+            _shifted_deriv_worst(p, 6),
+            exact=binomderiv.shifted_binom_deriv(binomderiv.DerivSpec(p, 1)).text(),
         )
-    for n, p in ((1, 2), (2, 2), (3, 2)):
-        checks.append(
-            _closed_vs_quadrature(
-                f"int:pi/2:n{n}p{p}", "sec3", integrals.IntegralSpec(n, p, "pi/2"), 1e-8
-            )
-        )
-    for p, n in ((2, 1), (2, 2), (2, 3), (2, 4)):
-        checks.append(
-            _closed_vs_quadrature(
-                f"ls:pi:order{p + n + 1}-index{n}",
-                "sec3",
-                integrals.IntegralSpec(n, p, "pi", form="ls"),
-                1e-8,
-            )
-        )
-    checks.append(
-        _max_err_check("lemma:delta-derivative", "lemmas", 1e-6, _lemma_delta_worst)
-    )
-    checks.append(
-        _max_err_check(
-            "lemma:cot-bell-closed-form", "lemmas", 1e-6, _lemma_cot_bell_worst
-        )
-    )
-    checks.append(_lemma_rho_check())
-    for p in (1, 2, 3, 4):
-        checks.append(
-            _max_err_check(
-                f"deriv:shifted-p{p}",
-                "derivs",
-                1e-8,
-                _shifted_deriv_worst(p, 6),
-                exact=binomderiv.shifted_binom_deriv(binomderiv.DerivSpec(p, 1)).text(),
-            )
-        )
-    checks.append(
-        _max_err_check("deriv:shifted-p5", "derivs", 1e-8, _shifted_deriv_worst(5, 4))
-    )
-    checks.append(
-        _max_err_check("deriv:central-p0..6", "derivs", 1e-8, _central_deriv_worst)
-    )
-    checks.append(
-        _max_err_check("moment:pi-vs-quadrature", "moments", 1e-10, _moment_worst("pi"))
-    )
-    checks.append(
-        _max_err_check(
-            "moment:pi/2-vs-quadrature", "moments", 1e-10, _moment_worst("pi/2")
-        )
-    )
-    checks.append(
-        _max_err_check(
-            "moment:closed-vs-series", "moments", 1e-10, _moment_series_worst
-        )
-    )
-    checks.extend(_clausen_check(p) for p in (1, 2, 3))
+        for p in (1, 2, 3, 4)
+    ]
+    checks += [
+        _check("deriv:shifted-p5", "derivs", 1e-8, _shifted_deriv_worst(5, 4)),
+        _check("deriv:central-p0..6", "derivs", 1e-8, _central_deriv_worst),
+        _check("moment:pi-vs-quadrature", "moments", 1e-10, _moment_worst("pi")),
+        _check("moment:pi/2-vs-quadrature", "moments", 1e-10, _moment_worst("pi/2")),
+        _check("moment:closed-vs-series", "moments", 1e-10, _moment_series_worst),
+    ]
+    checks += [_check(f"clausen:pi/2-p{p}", "clausen", 1e-7, _clausen(p)) for p in (1, 2, 3)]
     return checks
 
 
