@@ -1,9 +1,10 @@
 """Floating-point kernels shared by the oracles and the numeric pipelines.
 
 Contents: Cohen-Rodriguez Villegas-Zagier alternating series acceleration,
-double-exponential (tanh-sinh) quadrature tolerant of logarithmic endpoint
-singularities, real-argument polygamma, Richardson central differencing,
-truncated power-series arithmetic and exact cotangent derivatives.
+double-exponential (tanh-sinh) quadrature over one map of the interval,
+tolerant of logarithmic endpoint singularities, real-argument polygamma,
+Richardson central differencing, truncated power-series arithmetic and exact
+cotangent derivatives.
 
 All functions are pure; there is no shared mutable state beyond small
 memoization caches of immutable results.
@@ -146,64 +147,6 @@ def _ts_nodes(level: int, h: float):
             t += 2 * h
 
 
-def _ts_half_integral(
-    f: Callable[[float], float], lo: float, hi: float, tol: float
-) -> tuple[float, float, float]:
-    """Tanh-sinh on [lo, hi]; both endpoints are mapped to transform infinity.
-
-    Returns (value, error_estimate, roundoff_floor); the floor is the best
-    absolute accuracy binary64 can express for this integrand's mass.
-    """
-    halfw = (hi - lo) / 2.0
-    center = (lo + hi) / 2.0
-
-    def weighted(t: float) -> float:
-        u = (math.pi / 2.0) * math.sinh(t)
-        e2u = math.exp(-2.0 * u)  # in (0, 1]; underflows to 0 far out
-        sech2 = 4.0 * e2u / (1.0 + e2u) ** 2
-        w = halfw * (math.pi / 2.0) * math.cosh(t) * sech2
-        if w == 0.0:
-            return 0.0
-        if t == 0.0:
-            return w * f(center)
-        # distance to the near endpoint, computed without cancellation; nodes
-        # falling inside the last representable ulp are clamped to the nearest
-        # interior point; tanh_sinh_quadrature bounds what they misread
-        d = (hi - lo) * e2u / (1.0 + e2u)
-        x_hi = hi - d
-        if x_hi >= hi:
-            x_hi = math.nextafter(hi, lo)
-        x_lo = lo + d
-        if x_lo <= lo:
-            x_lo = math.nextafter(lo, hi)
-        return w * (f(x_hi) + f(x_lo))
-
-    def level_pass(level: int, h: float) -> tuple[float, float]:
-        vals = [weighted(t) for t in _ts_nodes(level, h)]
-        return math.fsum(vals), math.fsum(abs(v) for v in vals)
-
-    h = 0.5
-    level_sum, scale = level_pass(0, h)
-    value = h * level_sum
-    prev = value
-    err = math.inf
-    floor = 0.0
-    for level in range(1, _QUADRATURE_LEVELS + 1):
-        h /= 2.0
-        inc, inc_abs = level_pass(level, h)
-        level_sum += inc
-        scale += inc_abs
-        value = h * level_sum
-        err = abs(value - prev)
-        prev = value
-        # differences below a few ulps of the absolute mass carry no
-        # information, so treat them as converged
-        floor = 8.0 * 2.2e-16 * h * scale
-        if level >= 2 and err <= max(tol, floor):
-            return value, err, floor
-    return value, err, floor
-
-
 def _clamp_loss(f: Callable[[float], float], end: float, inward: float) -> float:
     """Bound on the mass misread by the nodes that read f at the point one ulp
     inside ``end``: four ulps times the change of f across the next ulp, which
@@ -220,12 +163,13 @@ def tanh_sinh_quadrature(
 ) -> float:
     """Integral of f over (a, b) by double-exponential quadrature.
 
-    The interval is split at its midpoint and each half is transformed so
-    that both of its endpoints sit at transform infinity.  Nodes closer to a
-    nonzero endpoint than float spacing allows are clamped onto the last
-    interior float, and the error estimate bounds the mass they misread at
-    a and b: a log singularity at 0 is harmless, one within an ulp of a
-    nonzero limit raises unless that mass is within the tolerance.
+    One substitution x = (a+b)/2 + (b-a)/2 * tanh(pi/2 * sinh t) maps the
+    whole interval, so both a and b sit at transform infinity, and the step
+    halves over 12 refinement levels.  Nodes closer to a nonzero endpoint
+    than float spacing allows are clamped onto the last interior float, and
+    the error estimate bounds the mass they misread at a and b: a log
+    singularity at 0 is harmless, one within an ulp of a nonzero limit
+    raises unless that mass is within the tolerance.
 
     Raises :class:`QuadratureError` when the internal error estimate cannot
     reach ``cfg.target_abs_tol`` within 12 refinement levels.
@@ -236,18 +180,52 @@ def tanh_sinh_quadrature(
         return 0.0
     if a > b:
         return -tanh_sinh_quadrature(f, b, a, cfg)
-    mid = (a + b) / 2.0
-    tol = cfg.target_abs_tol / 2.0
-    v1, e1, f1 = _ts_half_integral(f, a, mid, tol)
-    v2, e2, f2 = _ts_half_integral(f, mid, b, tol)
-    value = v1 + v2
+    tol = cfg.target_abs_tol
+    halfw = (b - a) / 2.0
+    center = (a + b) / 2.0
+
+    def weighted(t: float) -> float:
+        u = (math.pi / 2.0) * math.sinh(t)
+        e2u = math.exp(-2.0 * u)  # in (0, 1]; underflows to 0 far out
+        sech2 = 4.0 * e2u / (1.0 + e2u) ** 2
+        w = halfw * (math.pi / 2.0) * math.cosh(t) * sech2
+        if w == 0.0:
+            return 0.0
+        if t == 0.0:
+            return w * f(center)
+        # distance to the near endpoint, computed without cancellation; nodes
+        # falling inside the last representable ulp are clamped to the nearest
+        # interior point, and _clamp_loss bounds what they misread
+        d = (b - a) * e2u / (1.0 + e2u)
+        x_hi = b - d
+        if x_hi >= b:
+            x_hi = math.nextafter(b, a)
+        x_lo = a + d
+        if x_lo <= a:
+            x_lo = math.nextafter(a, b)
+        return w * (f(x_hi) + f(x_lo))
+
+    h, level_sum, scale, prev = 1.0, 0.0, 0.0, math.nan
+    for level in range(_QUADRATURE_LEVELS + 1):
+        h /= 2.0
+        vals = [weighted(t) for t in _ts_nodes(level, h)]
+        level_sum += math.fsum(vals)
+        scale += math.fsum(abs(v) for v in vals)
+        value = h * level_sum
+        err = abs(value - prev)
+        prev = value
+        # differences below a few ulps of the absolute mass carry no
+        # information, so treat them as converged
+        floor = 8.0 * 2.2e-16 * h * scale
+        if level >= 2 and err <= max(tol, floor):
+            break
     if not math.isfinite(value):
         raise QuadratureError("integrand produced non-finite values", value, math.inf)
     # the nodes run far inside the last ulp of a nonzero limit, so they clamp there
-    err = e1 + e2 + sum(_clamp_loss(f, end, to) for end, to in ((a, b), (b, a)) if end != 0.0)
-    if not err <= max(cfg.target_abs_tol, f1 + f2):  # a NaN bound fails too
+    err += sum(_clamp_loss(f, end, to) for end, to in ((a, b), (b, a)) if end != 0.0)
+    if not err <= max(tol, floor):  # a NaN bound fails too
         raise QuadratureError(
-            f"quadrature error estimate {err:.3e} above target {cfg.target_abs_tol:.3e}",
+            f"quadrature error estimate {err:.3e} above target {tol:.3e}",
             estimate=value,
             error_bound=err,
         )

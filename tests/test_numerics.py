@@ -93,6 +93,13 @@ class TestQuadrature:
         want = z ** (n + 1) / (n + 1)
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
+    def test_one_map_of_the_interval_puts_one_node_at_its_midpoint(self, cfg):
+        # both endpoints at transform infinity: the nodes crowd at 0 and 1 only
+        nodes = []
+        got = tanh_sinh_quadrature(lambda x: nodes.append(x) or x * x, 0.0, 1.0, cfg)
+        assert abs(got - 1.0 / 3.0) < 1e-14
+        assert sum(abs(x - 0.5) < 1e-6 for x in nodes) <= 1
+
     def test_orientation(self, cfg):
         fwd = tanh_sinh_quadrature(math.exp, 0.0, 1.0, cfg)
         assert abs(tanh_sinh_quadrature(math.exp, 1.0, 0.0, cfg) + fwd) < 1e-13
