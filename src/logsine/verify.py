@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import bell, binomderiv, integrals, numerics, specialfn
 from .numerics import DEFAULT_CONFIG, NumericConfig
@@ -56,8 +56,9 @@ def _check(ident, group, tol, compute, exact=None) -> Check:
     def run(cfg: NumericConfig) -> IdentityResult:
         text, value, oracle = compute(cfg)
         err = abs(value - oracle)
-        status = "pass" if err <= tol else "fail"
-        return IdentityResult(ident, group, exact if text is None else text, value, oracle, err, tol, status)
+        text = exact if text is None else text
+        return IdentityResult(ident, group, text, value, oracle, err, tol,
+                              "pass" if err <= tol else "fail")
 
     return Check(ident, group, run)
 
@@ -115,29 +116,19 @@ def _lemma_rho(cfg: NumericConfig):
     return binomderiv.rho(6).text(), value, value if ok else math.inf
 
 
-def _shifted_deriv_worst(p: int, kmax: int):
+def _deriv_worst(ps: Sequence[int], ks: Sequence[int]):
     def compute(cfg: NumericConfig):
         worst = 0.0
-        for k in range(1, kmax + 1):
-            for scaled in (False, True):
-                spec = binomderiv.DerivSpec(p, k, scaled)
-                got = eval_numeric(binomderiv.shifted_binom_deriv(spec))
-                want = binomderiv.taylor_coefficient_oracle(spec)
-                worst = max(worst, abs(got - want))
+        for p in ps:
+            for k in ks:
+                for scaled in (False, True):
+                    spec = binomderiv.DerivSpec(p, k, scaled)
+                    got = eval_numeric(binomderiv.binom_deriv(spec))
+                    want = binomderiv.taylor_coefficient_oracle(spec)
+                    worst = max(worst, abs(got - want))
         return None, worst, 0.0
 
     return compute
-
-
-def _central_deriv_worst(cfg: NumericConfig):
-    worst = 0.0
-    for p in range(0, 7):
-        for scaled in (False, True):
-            spec = binomderiv.DerivSpec(p, 0, scaled)
-            got = eval_numeric(binomderiv.central_binom_deriv(spec))
-            want = binomderiv.taylor_coefficient_oracle(spec)
-            worst = max(worst, abs(got - want))
-    return None, worst, 0.0
 
 
 def _moment_worst(z: str):
@@ -199,14 +190,14 @@ def build_registry() -> list[Check]:
             f"deriv:shifted-p{p}",
             "derivs",
             1e-8,
-            _shifted_deriv_worst(p, 6),
+            _deriv_worst((p,), range(1, 7)),
             exact=binomderiv.shifted_binom_deriv(binomderiv.DerivSpec(p, 1)).text(),
         )
         for p in (1, 2, 3, 4)
     ]
     checks += [
-        _check("deriv:shifted-p5", "derivs", 1e-8, _shifted_deriv_worst(5, 4)),
-        _check("deriv:central-p0..6", "derivs", 1e-8, _central_deriv_worst),
+        _check("deriv:shifted-p5", "derivs", 1e-8, _deriv_worst((5,), range(1, 5))),
+        _check("deriv:central-p0..6", "derivs", 1e-8, _deriv_worst(range(7), (0,))),
         _check("moment:pi-vs-quadrature", "moments", 1e-10, _moment_worst("pi")),
         _check("moment:pi/2-vs-quadrature", "moments", 1e-10, _moment_worst("pi/2")),
         _check("moment:closed-vs-series", "moments", 1e-10, _moment_series_worst),
