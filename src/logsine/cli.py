@@ -231,6 +231,8 @@ def _cmd_constant(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify.run_verification(args.filter, NumericConfig(args.tol))
+    if not results:  # a mistyped filter must not pass as 0/0
+        raise ValueError(f"--filter {args.filter!r} matches no identity")
     if args.json:
         print(json.dumps([r.to_json_obj() for r in results], sort_keys=True))
     else:

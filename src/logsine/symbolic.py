@@ -50,6 +50,13 @@ class Generator:
                 )
         elif self.index != 0:
             raise ValueError(f"{self.kind} generator takes no index")
+        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):  # str hashes differ between processes: rebuild on load
+        return (Generator, (self.kind, self.index))
 
     @property
     def sort_key(self) -> tuple[int, int]:
@@ -113,6 +120,9 @@ class Monomial:
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):  # the stored hash is per process: rebuild it on load
+        return (Monomial, (self.factors,))
 
     def __repr__(self):
         return f"Monomial(factors={self.factors!r})"

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -452,6 +453,13 @@ class TestVerifyCommand:
         assert code == 1
         assert "[FAIL] injected:sign-flip" in out
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_a_filter_matching_no_identity_is_a_usage_error(self, capsys, fmt):
+        # 0/0 rows must not pass: a mistyped filter in CI would pass silently
+        code = main(["verify-paper", "--filter", "nomatch", *fmt])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "usage error: --filter 'nomatch' matches no identity\n")
+
 
 class TestVerifyRegistry:
     def test_results_sorted_by_id(self, cfg):
@@ -468,6 +476,18 @@ class TestVerifyRegistry:
             if "exact" in row:
                 value = parse_text(row["exact"])
                 assert parse_text(value.text()) == value
+
+    def test_registry_ids_are_unique_and_cover_the_benchmark(self, monkeypatch):
+        # perfbench/grids.py names the checks the benchmark times; load it by
+        # path, registered while it runs because its dataclass looks itself up
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "grids.py"
+        spec = importlib.util.spec_from_file_location("perfbench_grids", path)
+        grids = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, "perfbench_grids", grids)
+        spec.loader.exec_module(grids)
+        ids = [c.id for c in verify.build_registry()]
+        assert len(ids) == len(set(ids)) == 33
+        assert set(grids.VERIFY_CHECKS) <= set(ids)
 
     def test_all_passed_helper(self):
         good = IdentityResult("a", "g", None, 0, 0, 0, 1, "pass")

@@ -1,11 +1,17 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import logsine
 from logsine import eval_numeric, parse_text, sym_pi, sym_zeta, zeta_even
 from logsine.symbolic import (
     LOG2,
@@ -158,9 +164,46 @@ class TestGeneratorValidation:
         with pytest.raises(ValueError):
             Generator("zb1", 2)
 
+    def test_hashed_once_yet_frozen_and_equal_by_value(self):
+        gen = zeta_gen(3)
+        assert gen == Generator("zeta", 3) and hash(gen) == hash(Generator("zeta", 3))
+        assert repr(gen) == "Generator(kind='zeta', index=3)"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gen.index = 5
+
     def test_sym_zeta_dispatch(self):
         assert sym_zeta(4) == zeta_even(2)
         assert sym_zeta(5) == sym_zeta_odd(5)
+
+
+class TestPickle:
+    # Monomial and Generator store their hash, and a str hashes differently in
+    # another process: a value pickled in one must load right in the next
+    BUILD = (
+        "from logsine.symbolic import sym_log2, sym_pi, sym_zeta_odd\n"
+        "v = sym_pi(2) + sym_log2(1) + sym_zeta_odd(3, 2) * sym_pi(1)\n"
+    )
+
+    def run(self, code: str, seed: str, stdin: bytes = b"") -> bytes:
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(logsine.__file__).resolve().parents[1]))
+        proc = subprocess.run([sys.executable, "-c", self.BUILD + code], input=stdin,
+                              env=env, capture_output=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    @pytest.mark.parametrize("seed", ["1", "2"])
+    def test_a_value_pickled_in_one_process_loads_in_another(self, seed):
+        blob = self.run("import pickle, sys; sys.stdout.buffer.write(pickle.dumps(v))", "0")
+        out = self.run(
+            "import pickle, sys\n"
+            "w = pickle.loads(sys.stdin.buffer.read())\n"
+            "print(w == v, (w + sym_pi(2)).text())",
+            seed,
+            blob,
+        )
+        fresh = sym_pi(2) + sym_log2(1) + sym_zeta_odd(3, 2) * sym_pi(1) + sym_pi(2)
+        assert out.decode() == f"True {fresh.text()}\n"
 
 
 class TestLinearCombination:
