@@ -15,6 +15,17 @@ import sys
 
 from logsine import IntegralSpec, NumericConfig, log_sin_power_integral, log_sine_integral
 from logsine.integrals import quadrature_value
+from logsine.verify import TABLES
+
+# the tables in print order, keyed by (angle, form) as in verify.TABLES
+HEADINGS = {
+    ("pi", "logsin"): "integrals of x^n log^p(sin x) over (0, pi)",
+    ("pi/2", "logsin"): "integrals of x^n log^p(sin x) over (0, pi/2)",
+    ("2pi", "ls"): "log-sine integrals at 2*pi",
+    ("pi", "ls"): "log-sine integrals at pi",
+}
+# the (n, p) entries past the catalog, checked as numeric fallbacks after their table
+FALLBACKS = {("pi", "logsin"): ((2, 3),)}
 
 
 def show(label: str, res, oracle: float, bound: float) -> bool:
@@ -28,33 +39,21 @@ def show(label: str, res, oracle: float, bound: float) -> bool:
 
 def main() -> int:
     cfg = NumericConfig()
+    tables = {(z, form): (pairs, tol) for _, _, z, form, pairs, tol in TABLES}
     ok = True
-
-    def row(label, spec, res, table_bound):
-        nonlocal ok
-        bound = table_bound if res.exact else res.error + cfg.target_abs_tol
-        ok &= show(label, res, quadrature_value(spec, cfg), bound)
-
-    print("== integrals of x^n log^p(sin x) over (0, pi) ==")
-    for n, p in ((1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3)):
-        spec = IntegralSpec(n, p, "pi")
-        row(f"n={n} p={p}", spec, log_sin_power_integral(spec, cfg), 1e-9)
-
-    print()
-    print("== integrals of x^n log^p(sin x) over (0, pi/2) ==")
-    for n, p in ((1, 2), (2, 2), (3, 2)):
-        spec = IntegralSpec(n, p, "pi/2")
-        row(f"n={n} p={p}", spec, log_sin_power_integral(spec, cfg), 1e-8)
-
-    for theta, heading, pairs, bound in (
-        ("2pi", "2*pi", ((2, 1), (3, 1), (2, 2), (2, 3), (2, 4), (2, 5)), 1e-9),
-        ("pi", "pi", ((2, 1), (2, 2), (2, 3), (2, 4)), 1e-8),
-    ):
-        print()
-        print(f"== log-sine integrals at {heading} ==")
-        for p, n in pairs:
-            spec = IntegralSpec(n, p, theta, form="ls")
-            row(f"order={p + n + 1} index={n}", spec, log_sine_integral(p, n, theta, cfg), bound)
+    for i, (key, heading) in enumerate(HEADINGS.items()):
+        pairs, table_bound = tables[key]
+        if i:
+            print()
+        print(f"== {heading} ==")
+        for n, p in pairs + FALLBACKS.get(key, ()):
+            spec = IntegralSpec(n, p, key[0], form=key[1])
+            if spec.form == "ls":
+                label, res = f"order={n + p + 1} index={n}", log_sine_integral(p, n, spec.z, cfg)
+            else:
+                label, res = f"n={n} p={p}", log_sin_power_integral(spec, cfg)
+            bound = table_bound if res.exact else res.error + cfg.target_abs_tol
+            ok &= show(label, res, quadrature_value(spec, cfg), bound)
 
     if not ok:
         print("\nsome entries differ from quadrature by more than their bound", file=sys.stderr)

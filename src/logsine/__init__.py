@@ -37,7 +37,6 @@ from .integrals import (
 from .numerics import (
     AccelerationError,
     NumericConfig,
-    PowerSeries,
     QuadratureError,
     accelerate_alternating,
     cot_derivative,

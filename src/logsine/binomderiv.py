@@ -9,8 +9,9 @@ The symbolic route evaluates complete Bell polynomials over the sequences
 
 whose polygamma values collapse to the Euler-constant-free basis
 {pi, log 2, zeta(odd)} at positive integer arguments.  An independent
-power-series oracle (reflection form through the gamma function) verifies
-every symbolic derivative numerically.
+float oracle verifies every symbolic derivative numerically: the same Bell
+lemma over the derivatives of the log of the gamma-function (reflection)
+form, taken from gamma-function floats.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bell import binomial_convolution, complete_bell_all
-from .numerics import PowerSeries, polygamma_real, zeta_numeric
+from .numerics import polygamma_real, zeta_numeric
 from .specialfn import harmonic, polygamma_int
 from .symbolic import SymbolicValue, linear_combination, sym_log2, sym_pi
 
@@ -200,55 +201,40 @@ def binom_deriv(spec: DerivSpec) -> SymbolicValue:
     return central_binom_deriv(spec) if spec.k == 0 else shifted_binom_deriv(spec)
 
 
-# -- power-series oracle ---------------------------------------------------------
+# -- the Bell-lemma oracle over floats ---------------------------------------------
 
 
-def _log_gamma_ratio_series(spec: DerivSpec, order: int) -> PowerSeries:
-    # Taylor coefficients of log of the gamma-function factor around m = 0.
-    coeffs = [0.0] * (order + 1)
-    if spec.k == 0:
-        # log Gamma(1+2m) - 2 log Gamma(1+m): the Euler-constant terms cancel.
-        for j in range(2, order + 1):
-            coeffs[j] = (-1.0) ** j * zeta_numeric(j) * (2.0**j - 2.0) / j
-    else:
-        k = spec.k
-        coeffs[0] = -math.log(k)
-        # -2 gamma - psi(k) - psi(k+1) = -H_{k-1} - H_k: the Euler constant cancels
-        coeffs[1] = -math.fsum([*(2.0 / i for i in range(1, k)), 1.0 / k])
-        for j in range(2, order + 1):
-            from_double = (-1.0) ** j * zeta_numeric(j) * 2.0**j / j
-            from_reflected = (
-                (-1.0) ** j * polygamma_real(j - 1, k) - polygamma_real(j - 1, k + 1)
-            ) / math.factorial(j)
-            coeffs[j] = from_double + from_reflected
+def _log_factor_derivs(spec: DerivSpec) -> list[float]:
+    # [g'(0), ..., g^(p)(0)] for g the log of the gamma-function factor:
+    # log Gamma(1+2m) - 2 log Gamma(1+m) at k = 0 and
+    # log Gamma(1+2m) + log Gamma(k-m) - log Gamma(1+k+m) at k >= 1.
+    # At j = 1 the Euler constant cancels: -2 gamma - psi(k) - psi(k+1) = -H_{k-1} - H_k
+    k = spec.k
+    derivs = [-math.fsum([*(2.0 / i for i in range(1, k)), 1.0 / k]) if k else 0.0]
+    for j in range(2, spec.p + 1):
+        at_one = (-1.0) ** j * math.factorial(j - 1) * zeta_numeric(j)  # psi^{(j-1)}(1)
+        if k == 0:
+            derivs.append((2.0**j - 2.0) * at_one)
+        else:
+            reflected = (-1.0) ** j * polygamma_real(j - 1, k) - polygamma_real(j - 1, k + 1)
+            derivs.append(2.0**j * at_one + reflected)
     if spec.scaled:
-        coeffs[1] -= math.log(4.0)
-    return PowerSeries(coeffs)
+        derivs[0] -= math.log(4.0)
+    return derivs[: spec.p]
 
 
-def taylor_coefficient_oracle(spec: DerivSpec, order: int | None = None) -> float:
-    """Independent numeric value of the same derivative via power series.
+def taylor_coefficient_oracle(spec: DerivSpec) -> float:
+    """Independent float value of the same derivative by the Bell lemma
+    d^p e^g = e^g B_p(g', ..., g^(p)) over gamma-function floats for g.
 
     For k >= 1 the reflection form
         C(m) = (-1)^{k+1} (sin(pi m)/pi) Gamma(2m+1) Gamma(k-m) / Gamma(m+1+k)
-    isolates the zero of 1/Gamma(m+1-k) explicitly, so the series is a plain
-    product of an exponential of a log-gamma series with the sine series.
-    Returns p! times the m^p coefficient.
+    isolates the zero of 1/Gamma(m+1-k) in the sine factor, which Leibniz's
+    rule joins to e^g, with e^{g(0)} = 1/k.
     """
-    if order is None:
-        order = spec.p + 2
-    if order < spec.p:
-        raise ValueError("series order must be >= the derivative order")
-    ratio = _log_gamma_ratio_series(spec, order).exp()
+    ratio = complete_bell_all(_log_factor_derivs(spec), 1.0)
     if spec.k == 0:
-        return ratio.derivative_at_zero(spec.p)
-    sine = PowerSeries(
-        [
-            0.0
-            if i % 2 == 0
-            else (-1.0) ** (i // 2) * math.pi**i / math.factorial(i) / math.pi
-            for i in range(order + 1)
-        ]
-    )
-    series = sine * ratio
-    return (-1.0) ** (spec.k + 1) * series.derivative_at_zero(spec.p)
+        return ratio[spec.p]
+    # d^i/dm^i sin(pi m)/pi at 0: 0 at even i, (-1)^{(i-1)/2} pi^{i-1} at odd i
+    sine = [(-1.0) ** (i // 2) * math.pi ** (i - 1) if i % 2 else 0.0 for i in range(spec.p + 1)]
+    return (-1.0) ** (spec.k + 1) / spec.k * binomial_convolution(sine, ratio, spec.p, 1.0)

@@ -190,8 +190,11 @@ def _cmd_binom_deriv(args) -> int:
 
 
 def _cmd_bell(args) -> int:
+    parts = args.seq.split(",") if args.seq.strip() else []  # --seq= is B_0
+    if not all(part.strip() for part in parts):
+        raise ValueError(f"--seq has an empty term: {args.seq!r}")
     try:
-        seq = [Fraction(part) for part in args.seq.split(",") if part.strip()]
+        seq = [Fraction(part) for part in parts]
     except ZeroDivisionError:
         raise ValueError(f"--seq has a zero denominator: {args.seq!r}") from None
     if len(seq) > MAX_BELL_TERMS:
@@ -209,16 +212,22 @@ def _cmd_bell(args) -> int:
     return 0
 
 
+# the four-character name prefixes of the constants indexed by n, and their values
+_INDEXED_CONSTANTS = {"zeta": zeta_numeric, "zb1_": zeta_bar1_numeric}
+
+
 def _cmd_constant(args) -> int:
     name = args.name
     if name == "pi":
         value = math.pi
     elif name == "log2":
         value = math.log(2.0)
-    elif name.startswith("zeta"):
-        value = zeta_numeric(int(name[4:]))
-    elif name.startswith("zb1_"):
-        value = zeta_bar1_numeric(int(name[4:]))
+    elif name[:4] in _INDEXED_CONSTANTS:
+        try:
+            index = int(name[4:])
+        except ValueError:
+            raise ValueError(f"unknown constant {name!r}") from None
+        value = _INDEXED_CONSTANTS[name[:4]](index)
     else:
         raise ValueError(f"unknown constant {name!r}")
     if args.json:

@@ -3,8 +3,7 @@
 Contents: Cohen-Rodriguez Villegas-Zagier alternating series acceleration,
 double-exponential (tanh-sinh) quadrature over one map of the interval,
 tolerant of logarithmic endpoint singularities, real-argument polygamma,
-Richardson central differencing, truncated power-series arithmetic and exact
-cotangent derivatives.
+Richardson central differencing and exact cotangent derivatives.
 
 All functions are pure; there is no shared mutable state beyond small
 memoization caches of immutable results.
@@ -314,10 +313,11 @@ def richardson_derivative(
 
     Central differences (even-power error expansion) refined by Richardson
     extrapolation over five steps, halving from h0 = 1e-2 (5e-2 for orders 3-4).
-    Orders above 4 are not supported here; use the power-series oracle
-    instead.  Returns ``(value, error_estimate)`` for the tableau entry with
-    the smallest observed successive difference, which guards against
-    roundoff blowup at tiny steps.
+    Orders above 4 are not supported here; use the Bell-lemma oracle
+    ``binomderiv.taylor_coefficient_oracle`` instead.  Returns
+    ``(value, error_estimate)`` for the tableau entry with the smallest
+    observed successive difference, which guards against roundoff blowup at
+    tiny steps.
     """
     if order < 1 or order > 4:
         raise ValueError("richardson_derivative supports orders 1..4")
@@ -345,53 +345,6 @@ def richardson_derivative(
             if err < best_err:
                 best, best_err = table[i][i], err
     return best, best_err
-
-
-# -- truncated power series -----------------------------------------------------
-
-
-@dataclass
-class PowerSeries:
-    """Truncated real power series; coeffs[i] is the coefficient of m^i."""
-
-    coeffs: list[float]
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def _check(self, other: "PowerSeries"):
-        if self.order != other.order:
-            raise ValueError("power series truncation orders must match")
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        self._check(other)
-        n = self.order
-        out = [0.0] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0.0:
-                continue
-            for j in range(0, n - i + 1):
-                out[i + j] += a * other.coeffs[j]
-        return PowerSeries(out)
-
-    def exp(self) -> "PowerSeries":
-        """exp of the series, exact to the truncation order."""
-        n = self.order
-        out = [0.0] * (n + 1)
-        out[0] = math.exp(self.coeffs[0])
-        for i in range(1, n + 1):
-            acc = 0.0
-            for j in range(1, i + 1):
-                acc += j * self.coeffs[j] * out[i - j]
-            out[i] = acc / i
-        return PowerSeries(out)
-
-    def derivative_at_zero(self, p: int) -> float:
-        """p! * coeffs[p] = the p-th derivative at 0."""
-        if p > self.order:
-            raise ValueError("derivative order exceeds truncation order")
-        return math.factorial(p) * self.coeffs[p]
 
 
 # -- derivatives of pi*cot(pi*k) -------------------------------------------------

@@ -75,8 +75,9 @@ def _closed_vs_quadrature(spec: integrals.IntegralSpec):
     return compute
 
 
-# the paper's tables: (id format, group, angle, form, (n, p) pairs, tolerance)
-_TABLES = (
+# the paper's tables: (id format, group, angle, form, (n, p) pairs, tolerance);
+# scripts/reproduce_tables.py prints the same entries
+TABLES = (
     ("int:pi:n{n}p{p}", "sec2", "pi", "logsin", ((1, 2), (2, 2), (3, 2), (4, 2), (1, 3)), 1e-9),
     ("ls:2pi:order{order}-index{n}", "sec2", "2pi", "ls",
      ((1, 2), (1, 3), (2, 2), (3, 2), (4, 2), (5, 2)), 1e-9),
@@ -177,7 +178,7 @@ def build_registry() -> list[Check]:
             tol,
             _closed_vs_quadrature(integrals.IntegralSpec(n, p, z, form=form)),
         )
-        for fmt, group, z, form, pairs, tol in _TABLES
+        for fmt, group, z, form, pairs, tol in TABLES
         for n, p in pairs
     ]
     checks += [

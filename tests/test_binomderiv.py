@@ -206,6 +206,35 @@ class TestTaylorOracle:
         want = eval_numeric(-12 * sym_zeta_odd(3))
         assert abs(taylor_coefficient_oracle(DerivSpec(3, 0)) - want) < 1e-9
 
+    @pytest.mark.parametrize("p", range(1, 5))
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_central_vs_finite_differences(self, p, scaled):
+        # Richardson differentiation of the gamma functions themselves; order-4
+        # central differences bottom out near 1e-6 relative in binary64
+        f = lambda m: math.gamma(1 + 2 * m) / math.gamma(1 + m) ** 2 / 4.0 ** (m * scaled)
+        fd, _ = richardson_derivative(f, 0.0, p)
+        got = taylor_coefficient_oracle(DerivSpec(p, 0, scaled))
+        assert got == pytest.approx(fd, rel=1e-8 if p < 4 else 2e-6, abs=1e-10)
+
+    @pytest.mark.parametrize("p,k", [(12, 0), (20, 0), (40, 0), (20, 30)])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_high_orders_vs_exact_floats(self, p, k, scaled):
+        spec = DerivSpec(p, k, scaled)
+        want = eval_numeric(binom_deriv(spec))
+        assert taylor_coefficient_oracle(spec) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 1, 5, 30])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_against_mpmath_derivatives(self, k, scaled):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(20):
+            f = lambda m: (mpmath.gamma(2 * m + 1) * mpmath.rgamma(m + 1 + k)
+                           * mpmath.rgamma(m + 1 - k) * mpmath.power(4, -m * scaled))
+            wants = [float(d) for d in mpmath.diffs(f, 0, 20)]
+        for p, want in enumerate(wants):
+            got = taylor_coefficient_oracle(DerivSpec(p, k, scaled))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), p
+
 
 class TestGeneralArgumentDerivatives:
     """The complete Bell polynomial of the delta sequence gives the p-th

@@ -274,6 +274,17 @@ class TestBellCommand:
         assert code == 2 and out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("seq", ["1,,2", "1,2,", ",1", "1, ,2"])
+    def test_empty_term_is_a_one_line_usage_error(self, capsys, seq):
+        code = main(["bell", "--seq", seq])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"usage error: --seq has an empty term: {seq!r}\n"
+
+    def test_no_terms_is_the_empty_polynomial(self, capsys):
+        code, out = run_cli(capsys, "bell", "--seq=")
+        assert (code, out) == (0, "1\n")  # B_0
+
     @pytest.mark.parametrize("length", [MAX_BELL_TERMS, MAX_BELL_TERMS + 1])
     def test_longest_sequence_and_the_next_one(self, capsys, length):
         seq = ",".join(("1/2", "-1/3", "2")[i % 3] for i in range(length))
@@ -341,9 +352,12 @@ class TestConstantCommand:
         assert code == 0
         assert out.strip().startswith("1.2020569031")
 
-    def test_unknown_constant(self, capsys):
-        code, _ = run_cli(capsys, "constant", "--name", "nope")
-        assert code == 2
+    @pytest.mark.parametrize("name", ["nope", "zeta", "zeta3x", "zb1_", "zb1_x"])
+    def test_unknown_constant(self, capsys, name):
+        code = main(["constant", "--name", name])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"usage error: unknown constant {name!r}\n"
 
     # k^n passes binary64 from k = 2 (zeta1025) and k = 4 (zb1_645) on; such a
     # term counts as 0.0, which is what it would underflow to

@@ -6,7 +6,6 @@ from logsine import (
     AccelerationError,
     IntegralSpec,
     NumericConfig,
-    PowerSeries,
     QuadratureError,
     accelerate_alternating,
     cot_derivative,
@@ -14,7 +13,6 @@ from logsine import (
     polygamma_real,
     richardson_derivative,
     tanh_sinh_quadrature,
-    zeta_numeric,
 )
 
 EULER_GAMMA = 0.5772156649015329  # the Euler-Mascheroni constant, correctly rounded
@@ -195,49 +193,6 @@ class TestRichardson:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             richardson_derivative(math.exp, 0.0, 5)
-
-
-class TestPowerSeries:
-    def test_exp_of_identity(self):
-        got = PowerSeries([0.0, 1.0, 0.0, 0.0]).exp()
-        assert got.coeffs == pytest.approx([1.0, 1.0, 0.5, 1 / 6])
-
-    def test_product(self):
-        got = PowerSeries([1.0, 1.0]) * PowerSeries([1.0, -1.0])
-        assert got.coeffs == [1.0, 0.0]
-
-    def test_order_mismatch(self):
-        with pytest.raises(ValueError):
-            PowerSeries([1.0, 2.0]) * PowerSeries([1.0])
-
-    def test_exp_log_round_trip(self):
-        series = PowerSeries([0.0, 0.3, -0.2, 0.11, 0.07])
-        twice = series.exp()
-        # recover the log-series by the inverse recurrence; round trip to eps
-        n = series.order
-        back = [math.log(twice.coeffs[0])] + [0.0] * n
-        for i in range(1, n + 1):
-            acc = twice.coeffs[i] * i
-            for j in range(1, i):
-                acc -= j * back[j] * twice.coeffs[i - j]
-            back[i] = acc / (i * twice.coeffs[0])
-        assert back == pytest.approx(series.coeffs, abs=1e-14)
-
-    def test_exp_of_log_gamma_series_vs_finite_differences(self):
-        # coefficients of Gamma(1+2m) from exp of its log series, checked by
-        # Richardson differentiation of the gamma function itself
-        order = 4
-        coeffs = [0.0, -2 * EULER_GAMMA] + [
-            (-1.0) ** j * zeta_numeric(j) * 2.0**j / j for j in range(2, order + 1)
-        ]
-        series = PowerSeries(coeffs).exp()
-        f = lambda m: math.gamma(1 + 2 * m)
-        for p in (1, 2, 3):
-            fd, _ = richardson_derivative(f, 0.0, p)
-            assert abs(series.coeffs[p] - fd / math.factorial(p)) < 1e-8
-        fd, _ = richardson_derivative(f, 0.0, 4)
-        # order-4 central differences bottom out near 1e-6..1e-7 in binary64
-        assert abs(series.coeffs[4] - fd / math.factorial(4)) < 2e-6
 
 
 class TestCotDerivative:

@@ -34,11 +34,12 @@ def test_reproduce_tables_fails_on_a_distant_oracle(reproduce_tables, monkeypatc
     assert "more than their bound" in captured.err
 
 
-@pytest.mark.parametrize("workload", ["series", "exact"])
+@pytest.mark.parametrize("workload", ["series", "exact", "oracle"])
 def test_traced_benchmark_pass_runs(workload):
     # the traced pass wraps integrals._k_series_numeric by name and positional
     # signature, and every public function of the package; a short pass fails
-    # when either no longer matches
+    # when either no longer matches.  The oracle pass runs the deriv:* checks,
+    # and with them the Bell-lemma oracle, under the tracer
     proc = subprocess.run(
         [sys.executable, str(WORKER), "--workload", workload, "--seed", "1",
          "--limit", "0.3", "--mode", "traced"],
