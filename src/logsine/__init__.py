@@ -55,8 +55,6 @@ from .specialfn import (
     zeta_bar1_numeric,
 )
 from .symbolic import (
-    Generator,
-    Monomial,
     SymbolicValue,
     eval_numeric,
     from_json_obj,

@@ -212,22 +212,26 @@ def _cmd_bell(args) -> int:
     return 0
 
 
-# the four-character name prefixes of the constants indexed by n, and their values
-_INDEXED_CONSTANTS = {"zeta": zeta_numeric, "zb1_": zeta_bar1_numeric}
+# the four-character name prefixes of the constants indexed by n: their values,
+# the n each takes, and the rule that names them
+_INDEXED_CONSTANTS = {
+    "zeta": (zeta_numeric, lambda n: n >= 2, "zeta<n> takes n >= 2"),
+    "zb1_": (zeta_bar1_numeric, lambda n: n >= 3 and n % 2 == 1, "zb1_<n> takes odd n >= 3"),
+}
 
 
 def _cmd_constant(args) -> int:
     name = args.name
+    digits = name[4:]
     if name == "pi":
         value = math.pi
     elif name == "log2":
         value = math.log(2.0)
-    elif name[:4] in _INDEXED_CONSTANTS:
-        try:
-            index = int(name[4:])
-        except ValueError:
-            raise ValueError(f"unknown constant {name!r}") from None
-        value = _INDEXED_CONSTANTS[name[:4]](index)
+    elif name[:4] in _INDEXED_CONSTANTS and digits.isascii() and digits.isdigit():
+        numeric, takes, rule = _INDEXED_CONSTANTS[name[:4]]
+        if not takes(int(digits)):
+            raise ValueError(f"no constant {name!r}: {rule}")
+        value = numeric(int(digits))
     else:
         raise ValueError(f"unknown constant {name!r}")
     if args.json:

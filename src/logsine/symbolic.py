@@ -9,7 +9,11 @@ monomials in a small fixed set of transcendental generators:
 * ``zb1_{j}``  for odd j >= 3  (the alternating double sum
   sum_{n1>n2>0} (-1)^n1 / (n1^j n2))
 
-Even zeta values are never stored: they reduce eagerly to rational
+A generator is the int pair ``(rank, index)``: ``(0, 0)`` pi, ``(1, 0)``
+log 2, ``(2, j)`` zeta(j), ``(3, j)`` zb1(j).  A monomial is the tuple of its
+``((rank, index), exponent)`` pairs sorted by generator, ``()`` being 1, so
+plain tuple order is the canonical text order and no hash depends on the
+process.  Even zeta values are never stored: they reduce eagerly to rational
 multiples of pi powers, so equality of closed forms is plain map equality
 after normalization.  Coefficients are exact :class:`fractions.Fraction`
 values; all arithmetic is exact.
@@ -19,142 +23,61 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
 RationalLike = Fraction | int
 
-_KIND_RANK = {"pi": 0, "log2": 1, "zeta": 2, "zb1": 3}
+_PREFIXES = ("pi", "log2", "zeta", "zb1_")
+_PI, _LOG2 = (0, 0), (1, 0)
 
 
-@dataclass(frozen=True, order=False)
-class Generator:
-    """One transcendental basis constant.
-
-    ``kind`` is one of ``pi``, ``log2``, ``zeta``, ``zb1``; ``index`` is the
-    odd integer >= 3 for the zeta kinds and 0 otherwise.
-    """
-
-    kind: str
-    index: int = 0
-
-    def __post_init__(self):
-        if self.kind not in _KIND_RANK:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind in ("zeta", "zb1"):
-            if self.index < 3 or self.index % 2 == 0:
-                raise ValueError(
-                    f"{self.kind} generator index must be odd and >= 3, got {self.index}"
-                )
-        elif self.index != 0:
-            raise ValueError(f"{self.kind} generator takes no index")
-        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):  # str hashes differ between processes: rebuild on load
-        return (Generator, (self.kind, self.index))
-
-    @property
-    def sort_key(self) -> tuple[int, int]:
-        return (_KIND_RANK[self.kind], self.index)
-
-    @property
-    def name(self) -> str:
-        if self.kind == "pi":
-            return "pi"
-        if self.kind == "log2":
-            return "log2"
-        if self.kind == "zeta":
-            return f"zeta{self.index}"
-        return f"zb1_{self.index}"
+def _key(rank: int, index: int) -> tuple[int, int]:
+    if index < 3 or index % 2 == 0:
+        kind = ("zeta", "zb1")[rank - 2]
+        raise ValueError(f"{kind} generator index must be odd and >= 3, got {index}")
+    return (rank, index)
 
 
-PI = Generator("pi")
-LOG2 = Generator("log2")
+_GEN_NAME_RE = re.compile(r"^(?:pi|log2|zeta(\d+)|zb1_(\d+))$")
 
 
-def zeta_gen(j: int) -> Generator:
-    return Generator("zeta", j)
-
-
-def zb1_gen(j: int) -> Generator:
-    return Generator("zb1", j)
-
-
-_GEN_NAME_RE = re.compile(r"^(pi|log2|zeta(\d+)|zb1_(\d+))$")
-
-
-def generator_from_name(name: str) -> Generator:
+def _key_from_name(name: str) -> tuple[int, int]:
     m = _GEN_NAME_RE.match(name)
     if not m:
         raise ValueError(f"unknown generator name {name!r}")
-    if name == "pi":
-        return PI
-    if name == "log2":
-        return LOG2
-    if name.startswith("zeta"):
-        return zeta_gen(int(m.group(2)))
-    return zb1_gen(int(m.group(3)))
+    if m[1]:
+        return _key(2, int(m[1]))
+    if m[2]:
+        return _key(3, int(m[2]))
+    return _PI if name == "pi" else _LOG2
 
 
-class Monomial:
-    """A product of generator powers; the empty product is the unit.  Immutable in
-    practice: the factors are sorted by generator and hashed once, at construction."""
-
-    __slots__ = ("factors", "_hash")
-
-    def __init__(self, factors: tuple[tuple[Generator, int], ...] = ()):
-        if any(exp < 1 for _, exp in factors):
-            raise ValueError("monomial exponents must be >= 1")
-        if len({gen for gen, _ in factors}) != len(factors):
-            raise ValueError("duplicate generator in monomial")
-        self.factors = tuple(sorted(factors, key=lambda fe: fe[0].sort_key))
-        self._hash = hash(self.factors)
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.factors == other.factors
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):  # the stored hash is per process: rebuild it on load
-        return (Monomial, (self.factors,))
-
-    def __repr__(self):
-        return f"Monomial(factors={self.factors!r})"
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if not other.factors:
-            return self
-        if not self.factors:
-            return other
-        merged: dict[Generator, int] = dict(self.factors)
-        for gen, exp in other.factors:
-            merged[gen] = merged.get(gen, 0) + exp
-        return Monomial(tuple(merged.items()))
-
-    @property
-    def sort_key(self):
-        return tuple((gen.sort_key, exp) for gen, exp in self.factors)
-
-    @property
-    def is_unit(self) -> bool:
-        return not self.factors
-
-    def generators(self) -> set[Generator]:
-        return {gen for gen, _ in self.factors}
-
-    def text(self) -> str:
-        return "*".join(
-            gen.name if exp == 1 else f"{gen.name}^{exp}" for gen, exp in self.factors
-        )
+def _name(key: tuple[int, int]) -> str:
+    rank, index = key
+    return _PREFIXES[rank] + str(index) if rank >= 2 else _PREFIXES[rank]
 
 
-UNIT_MONOMIAL = Monomial()
+def _monomial(factors: Mapping[tuple[int, int], int]) -> tuple:
+    if any(exp < 1 for exp in factors.values()):
+        raise ValueError("monomial exponents must be >= 1")
+    return tuple(sorted(factors.items()))
+
+
+def _mono_mul(a: tuple, b: tuple) -> tuple:
+    if not b:
+        return a
+    if not a:
+        return b
+    merged = dict(a)
+    for gen, exp in b:
+        merged[gen] = merged.get(gen, 0) + exp
+    return tuple(sorted(merged.items()))
+
+
+def _mono_text(mono: tuple) -> str:
+    return "*".join(_name(gen) if exp == 1 else f"{_name(gen)}^{exp}" for gen, exp in mono)
 
 
 class SymbolicValue:
@@ -166,8 +89,8 @@ class SymbolicValue:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Mapping[Monomial, RationalLike] | None = None):
-        cleaned: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping[tuple, RationalLike] | None = None):
+        cleaned: dict[tuple, Fraction] = {}
         if terms:
             for mono, coef in terms.items():
                 frac = Fraction(coef)
@@ -185,22 +108,18 @@ class SymbolicValue:
 
     @staticmethod
     def one() -> "SymbolicValue":
-        return SymbolicValue({UNIT_MONOMIAL: Fraction(1)})
+        return SymbolicValue({(): Fraction(1)})
 
     @staticmethod
     def rational(q: RationalLike) -> "SymbolicValue":
-        return SymbolicValue({UNIT_MONOMIAL: Fraction(q)})
-
-    @staticmethod
-    def from_generator(gen: Generator, exp: int = 1, coef: RationalLike = 1) -> "SymbolicValue":
-        if exp == 0:
-            return SymbolicValue.rational(coef)
-        return SymbolicValue({Monomial(((gen, exp),)): Fraction(coef)})
+        return SymbolicValue({(): Fraction(q)})
 
     # -- views -------------------------------------------------------------
 
     @property
-    def terms(self) -> dict[Monomial, Fraction]:
+    def terms(self) -> dict[tuple, Fraction]:
+        """A copy of the map from each monomial, a sorted tuple of
+        ((rank, index), exponent) pairs, to its nonzero coefficient."""
         return dict(self._terms)
 
     @property
@@ -208,19 +127,13 @@ class SymbolicValue:
         return not self._terms
 
     def rational_part(self) -> Fraction:
-        return self._terms.get(UNIT_MONOMIAL, Fraction(0))
+        return self._terms.get((), Fraction(0))
 
     def as_rational(self) -> Fraction:
         """The value as an exact rational; raises if any generator is present."""
-        if any(not m.is_unit for m in self._terms):
+        if any(self._terms):  # only the unit monomial () is falsy
             raise ValueError("value is not purely rational")
         return self.rational_part()
-
-    def generators(self) -> set[Generator]:
-        out: set[Generator] = set()
-        for mono in self._terms:
-            out |= mono.generators()
-        return out
 
     def normalize(self) -> "SymbolicValue":
         """Re-normalization is idempotent; exposed for property tests."""
@@ -270,10 +183,10 @@ class SymbolicValue:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[tuple, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                mono = m1 * m2
+                mono = _mono_mul(m1, m2)
                 acc = terms.get(mono, Fraction(0)) + c1 * c2
                 if acc:
                     terms[mono] = acc
@@ -317,30 +230,25 @@ class SymbolicValue:
         if not self._terms:
             return "0"
         parts = []
-        for mono in sorted(self._terms, key=lambda m: m.sort_key):
+        for mono in sorted(self._terms):
             coef = self._terms[mono]
             mag = abs(coef)
-            if mono.is_unit:
+            if not mono:
                 body = str(mag)
-            elif mag == 1:
-                body = mono.text()
             else:
-                body = f"{mag}*{mono.text()}"
-            parts.append(("-" if coef < 0 else "+", body))
-        sign, body = parts[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+                body = _mono_text(mono) if mag == 1 else f"{mag}*{_mono_text(mono)}"
+            parts.append(f" {'-' if coef < 0 else '+'} {body}")
+        out = "".join(parts)  # the leading " + " goes, a leading " - " keeps its sign
+        return out[3:] if out[1] == "+" else "-" + out[3:]
 
     def to_json_obj(self) -> dict:
         return {
             "terms": [
                 {
                     "coef": str(self._terms[mono]),
-                    "mono": [[gen.name, exp] for gen, exp in mono.factors],
+                    "mono": [[_name(gen), exp] for gen, exp in mono],
                 }
-                for mono in sorted(self._terms, key=lambda m: m.sort_key)
+                for mono in sorted(self._terms)
             ]
         }
 
@@ -349,7 +257,7 @@ def linear_combination(weights, values) -> SymbolicValue:
     """sum_i q_i v_i for rationals q_i and SymbolicValues v_i, one monomial at a
     time: its coefficients are summed as integers over a running lcm of their
     denominators and become one Fraction at the end."""
-    sums: dict[Monomial, list[int]] = {}  # monomial -> [numerator, denominator]
+    sums: dict[tuple, list[int]] = {}  # monomial -> [numerator, denominator]
     for q, v in zip(weights, values):
         q = Fraction(q)
         if not q:
@@ -380,19 +288,19 @@ def _coerce(value) -> "SymbolicValue":
 
 
 def sym_pi(exp: int = 1, coef: RationalLike = 1) -> SymbolicValue:
-    return SymbolicValue.from_generator(PI, exp, coef)
+    return SymbolicValue({_monomial({_PI: exp}) if exp else (): coef})
 
 
 def sym_log2(exp: int = 1, coef: RationalLike = 1) -> SymbolicValue:
-    return SymbolicValue.from_generator(LOG2, exp, coef)
+    return SymbolicValue({_monomial({_LOG2: exp}) if exp else (): coef})
 
 
 def sym_zeta_odd(j: int, coef: RationalLike = 1) -> SymbolicValue:
-    return SymbolicValue.from_generator(zeta_gen(j), 1, coef)
+    return SymbolicValue({((_key(2, j), 1),): coef})
 
 
 def sym_zeta_bar1(j: int, coef: RationalLike = 1) -> SymbolicValue:
-    return SymbolicValue.from_generator(zb1_gen(j), 1, coef)
+    return SymbolicValue({((_key(3, j), 1),): coef})
 
 
 def zeta_even(k: int) -> SymbolicValue:
@@ -428,16 +336,17 @@ def sym_zeta(n: int) -> SymbolicValue:
 
 
 @lru_cache(maxsize=None)
-def _generator_value(gen: Generator) -> float:
+def _generator_value(gen: tuple[int, int]) -> float:
     from . import numerics, specialfn
 
-    if gen.kind == "pi":
+    rank, index = gen
+    if rank == 0:
         return math.pi
-    if gen.kind == "log2":
+    if rank == 1:
         return math.log(2.0)
-    if gen.kind == "zeta":
-        return numerics.zeta_numeric(gen.index)
-    return specialfn.zeta_bar1_numeric(gen.index)
+    if rank == 2:
+        return numerics.zeta_numeric(index)
+    return specialfn.zeta_bar1_numeric(index)
 
 
 def eval_numeric(value: SymbolicValue) -> float:
@@ -452,7 +361,7 @@ def eval_numeric(value: SymbolicValue) -> float:
     contributions = []
     for mono, coef in value._terms.items():
         x = float(coef)
-        for gen, exp in mono.factors:
+        for gen, exp in mono:
             x *= _generator_value(gen) ** exp
         contributions.append(x)
     try:
@@ -470,9 +379,9 @@ _COEF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 _FACTOR_RE = re.compile(r"^([a-z0-9_]+?)(?:\^(\d+))?$")
 
 
-def _parse_term(term: str) -> tuple[Monomial, Fraction]:
+def _parse_term(term: str) -> tuple[tuple, Fraction]:
     coef = Fraction(1)
-    factors: dict[Generator, int] = {}
+    factors: dict[tuple[int, int], int] = {}
     for piece in term.split("*"):
         piece = piece.strip()
         if not piece:
@@ -484,9 +393,9 @@ def _parse_term(term: str) -> tuple[Monomial, Fraction]:
         m = _FACTOR_RE.match(piece)
         if not m:
             raise ValueError(f"cannot parse factor {piece!r}")
-        gen = generator_from_name(m.group(1))
+        gen = _key_from_name(m.group(1))
         factors[gen] = factors.get(gen, 0) + int(m.group(2) or 1)
-    return Monomial(tuple(factors.items())), coef
+    return _monomial(factors), coef
 
 
 def parse_text(text: str) -> SymbolicValue:
@@ -521,10 +430,11 @@ def parse_text(text: str) -> SymbolicValue:
 
 
 def from_json_obj(obj: dict) -> SymbolicValue:
-    terms: dict[Monomial, Fraction] = {}
+    terms: dict[tuple, Fraction] = {}
     for entry in obj["terms"]:
-        mono = Monomial(
-            tuple((generator_from_name(name), int(exp)) for name, exp in entry["mono"])
-        )
+        factors = {_key_from_name(name): int(exp) for name, exp in entry["mono"]}
+        if len(factors) != len(entry["mono"]):
+            raise ValueError("duplicate generator in monomial")
+        mono = _monomial(factors)
         terms[mono] = terms.get(mono, Fraction(0)) + Fraction(entry["coef"])
     return SymbolicValue(terms)

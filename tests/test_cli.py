@@ -359,6 +359,29 @@ class TestConstantCommand:
         assert (code, out) == (2, "")
         assert err == f"usage error: unknown constant {name!r}\n"
 
+    # an index out of range names the --name given and the indices it takes
+    @pytest.mark.parametrize("name,rule", [
+        ("zeta1", "zeta<n> takes n >= 2"),
+        ("zeta0", "zeta<n> takes n >= 2"),
+        ("zb1_2", "zb1_<n> takes odd n >= 3"),
+        ("zb1_0", "zb1_<n> takes odd n >= 3"),
+    ])
+    def test_an_index_out_of_range_is_named(self, capsys, name, rule):
+        code = main(["constant", "--name", name])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"usage error: no constant {name!r}: {rule}\n"
+
+    # only digits follow the prefix: a sign is no part of an index
+    def test_a_signed_index_is_unknown(self, capsys):
+        code = main(["constant", "--name", "zeta-3"])
+        out, err = capsys.readouterr()
+        assert (code, out, err) == (2, "", "usage error: unknown constant 'zeta-3'\n")
+
+    def test_zeta4(self, capsys):
+        code, out = run_cli(capsys, "constant", "--name", "zeta4")
+        assert (code, out) == (0, "1.08232323371114\n")
+
     # k^n passes binary64 from k = 2 (zeta1025) and k = 4 (zb1_645) on; such a
     # term counts as 0.0, which is what it would underflow to
     @pytest.mark.parametrize("name,value", [("zeta1025", "1"), ("zb1_645", "6.84940421565126e-195")])

@@ -232,8 +232,8 @@ class TestLogSineIntegrals:
     def test_full_angle_values_are_log2_and_zb1_free(self):
         for p, n in REFERENCE_LS_2PI:
             res = log_sine_integral(p, n, "2pi")
-            kinds = {gen.kind for gen in res.value.generators()}
-            assert "log2" not in kinds and "zb1" not in kinds
+            text = res.value.text()
+            assert "log2" not in text and "zb1_" not in text
 
     def test_against_quadrature(self, cfg):
         for key in REFERENCE_LS_2PI:

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -14,21 +13,17 @@ from hypothesis import given
 import logsine
 from logsine import eval_numeric, parse_text, sym_pi, sym_zeta, zeta_even
 from logsine.symbolic import (
-    LOG2,
-    PI,
-    Generator,
-    Monomial,
     SymbolicValue,
     from_json_obj,
     linear_combination,
     sym_log2,
     sym_zeta_bar1,
     sym_zeta_odd,
-    zb1_gen,
-    zeta_gen,
 )
 
-generators = st.sampled_from([PI, LOG2, zeta_gen(3), zeta_gen(5), zb1_gen(3), zb1_gen(5)])
+generators = st.sampled_from(
+    [sym_pi(), sym_log2(), sym_zeta_odd(3), sym_zeta_odd(5), sym_zeta_bar1(3), sym_zeta_bar1(5)]
+)
 coefficients = st.fractions(
     min_value=-50, max_value=50, max_denominator=40
 ).filter(lambda q: q != 0)
@@ -36,17 +31,17 @@ coefficients = st.fractions(
 
 @st.composite
 def monomials(draw):
-    pairs = draw(st.lists(st.tuples(generators, st.integers(1, 3)), max_size=3))
-    merged: dict[Generator, int] = {}
-    for gen, exp in pairs:
-        merged[gen] = min(merged.get(gen, 0) + exp, 4)
-    return Monomial(tuple(merged.items()))
+    """A product of powers of up to three generators, each power at most 4."""
+    mono = SymbolicValue.one()
+    for gen, exp in draw(st.dictionaries(generators, st.integers(1, 4), max_size=3)).items():
+        mono = mono * gen**exp
+    return mono
 
 
 @st.composite
 def symbolic_values(draw):
     terms = draw(st.dictionaries(monomials(), coefficients, max_size=4))
-    return SymbolicValue(terms)
+    return sum((coef * mono for mono, coef in terms.items()), SymbolicValue.zero())
 
 
 class TestRingLaws:
@@ -158,18 +153,22 @@ class TestSerialization:
 
 
 class TestGeneratorValidation:
-    def test_zeta_index_must_be_odd(self):
-        with pytest.raises(ValueError):
-            Generator("zeta", 4)
-        with pytest.raises(ValueError):
-            Generator("zb1", 2)
+    @pytest.mark.parametrize("name", ["zeta4", "zeta1", "zb1_2", "zb1_1"])
+    def test_zeta_index_must_be_odd_and_at_least_3(self, name):
+        with pytest.raises(ValueError, match="odd and >= 3"):
+            parse_text(f"2*pi*{name}")
+        with pytest.raises(ValueError, match="odd and >= 3"):
+            from_json_obj({"terms": [{"coef": "1", "mono": [[name, 1]]}]})
 
-    def test_hashed_once_yet_frozen_and_equal_by_value(self):
-        gen = zeta_gen(3)
-        assert gen == Generator("zeta", 3) and hash(gen) == hash(Generator("zeta", 3))
-        assert repr(gen) == "Generator(kind='zeta', index=3)"
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            gen.index = 5
+    @pytest.mark.parametrize("build", [sym_zeta_odd, sym_zeta_bar1])
+    @pytest.mark.parametrize("j", [4, 1, -3])
+    def test_the_constructors_refuse_the_same_indices(self, build, j):
+        with pytest.raises(ValueError, match="odd and >= 3"):
+            build(j)
+
+    def test_equal_by_value(self):
+        assert sym_zeta_odd(3) == sym_zeta_odd(3) and hash(sym_zeta_odd(3)) == hash(sym_zeta_odd(3))
+        assert sym_zeta_odd(3) != sym_zeta_bar1(3)
 
     def test_sym_zeta_dispatch(self):
         assert sym_zeta(4) == zeta_even(2)
@@ -177,8 +176,8 @@ class TestGeneratorValidation:
 
 
 class TestPickle:
-    # Monomial and Generator store their hash, and a str hashes differently in
-    # another process: a value pickled in one must load right in the next
+    # a str hashes differently in another process, so a value must keep no
+    # hash of one: a value pickled in one must load right in the next
     BUILD = (
         "from logsine.symbolic import sym_log2, sym_pi, sym_zeta_odd\n"
         "v = sym_pi(2) + sym_log2(1) + sym_zeta_odd(3, 2) * sym_pi(1)\n"
@@ -233,28 +232,42 @@ class TestLinearCombination:
 
 
 class TestMonomial:
-    @given(st.permutations([(PI, 2), (LOG2, 1), (zeta_gen(3), 1), (zb1_gen(5), 3)]))
+    @given(st.permutations(["pi^2", "log2", "zeta3", "zb1_5^3"]))
     def test_equality_and_hash_ignore_factor_order(self, factors):
-        canonical = Monomial(((PI, 2), (LOG2, 1), (zeta_gen(3), 1), (zb1_gen(5), 3)))
-        mono = Monomial(tuple(factors))
+        canonical = parse_text("pi^2*log2*zeta3*zb1_5^3")
+        mono = parse_text("*".join(factors))
         assert mono == canonical and hash(mono) == hash(canonical)
-        assert mono.factors == canonical.factors
-        assert mono.sort_key == canonical.sort_key
+        assert mono.text() == canonical.text() == "pi^2*log2*zeta3*zb1_5^3"
         assert {mono: 1}[canonical] == 1
 
-    def test_unequal_monomials(self):
-        assert Monomial(((PI, 2),)) != Monomial(((PI, 3),))
-        assert Monomial(((PI, 1),)) != Monomial(((LOG2, 1),))
-        assert Monomial() != "1"
+    def test_a_monomial_key_is_its_sorted_rank_index_exponent_tuple(self):
+        assert (sym_log2() * sym_pi(2)).terms == {(((0, 0), 2), ((1, 0), 1)): 1}
+        assert SymbolicValue.one().terms == {(): 1}
 
-    def test_validation_still_raises(self):
+    def test_unequal_monomials(self):
+        assert sym_pi(2) != sym_pi(3)
+        assert sym_pi() != sym_log2()
+        assert SymbolicValue.one() != "1"
+
+    @pytest.mark.parametrize("text,mono", [
+        ("pi^0", [["pi", 0]]),
+        ("log2^0*zeta3", [["log2", 0], ["zeta3", 1]]),
+    ])
+    def test_exponents_must_be_at_least_1(self, text, mono):
         with pytest.raises(ValueError, match="exponents"):
-            Monomial(((PI, 0),))
+            parse_text(text)
+        with pytest.raises(ValueError, match="exponents"):
+            from_json_obj({"terms": [{"coef": "1", "mono": mono}]})
+
+    def test_a_repeated_generator_in_one_json_monomial_raises(self):
         with pytest.raises(ValueError, match="duplicate"):
-            Monomial(((PI, 1), (LOG2, 2), (PI, 3)))
+            from_json_obj({"terms": [{"coef": "1", "mono": [["pi", 1], ["log2", 2], ["pi", 3]]}]})
+
+    def test_text_merges_a_repeated_generator(self):
+        assert parse_text("pi*pi") == sym_pi(2)
+        assert parse_text("pi*log2*pi^2").text() == "pi^3*log2"
 
     def test_product_merges_exponents(self):
-        a, b = Monomial(((LOG2, 1), (PI, 2))), Monomial(((PI, 1), (zeta_gen(3), 1)))
-        assert a * b == Monomial(((PI, 3), (LOG2, 1), (zeta_gen(3), 1)))
-        assert a * Monomial() is a and Monomial() * b is b
+        a, b = sym_log2() * sym_pi(2), sym_pi() * sym_zeta_odd(3)
+        assert a * b == parse_text("pi^3*log2*zeta3")
         assert (a * b).text() == "pi^3*log2*zeta3"
