@@ -179,8 +179,9 @@ def shifted_binom_deriv(spec: DerivSpec) -> SymbolicValue:
         return SymbolicValue.zero()
     n = spec.p - 1
     rational = _rational_row(n, spec.k)
-    scale = Fraction((-1) ** (spec.p + spec.k) * spec.p, spec.k)
-    weights = [math.comb(n, i) * scale * rational[i] for i in range(n + 1)]
+    sign_p = (-1) ** (spec.p + spec.k) * spec.p
+    weights = [Fraction(math.comb(n, i) * sign_p * r.numerator, spec.k * r.denominator)
+               for i, r in enumerate(rational[: n + 1])]
     return linear_combination(weights, _constant_row(n, spec.scaled)[n::-1])
 
 

@@ -110,11 +110,12 @@ def sine_power_moment_exact(n: int, m: int, z: str) -> SymbolicValue:
         raise ValueError("exact moments are available at z in {'pi/2', 'pi'}")
     central, weights = _case_weights(n, z, True)
     total = central * Fraction(math.comb(2 * m, m), 4**m)
-    for w in weights:
-        ksum = Fraction(0)
-        for k in range(1, m + 1):
-            ksum += Fraction((-1) ** (k * w.alt) * math.comb(2 * m, m + k), k**w.pow)
-        total = total + w.coef * (ksum / 4**m)
+    lcm = math.lcm(*range(1, m + 1))
+    for w in weights:  # the k-sum as one integer over lcm(k^pow) = lcm(1..m)^pow
+        den = lcm**w.pow
+        ksum = sum((-1) ** (k * w.alt) * math.comb(2 * m, m + k) * (den // k**w.pow)
+                   for k in range(1, m + 1))
+        total = total + w.coef * Fraction(ksum, den * 4**m)
     return total
 
 

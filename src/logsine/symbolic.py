@@ -15,8 +15,10 @@ log 2, ``(2, j)`` zeta(j), ``(3, j)`` zb1(j).  A monomial is the tuple of its
 plain tuple order is the canonical text order and no hash depends on the
 process.  Even zeta values are never stored: they reduce eagerly to rational
 multiples of pi powers, so equality of closed forms is plain map equality
-after normalization.  Coefficients are exact :class:`fractions.Fraction`
-values; all arithmetic is exact.
+after normalization.  Each coefficient is stored as a reduced int pair
+``(num, den)``, den > 0, and the ring's arithmetic runs in Python ints;
+:class:`fractions.Fraction` values are built only by the ``terms`` view and
+the rational accessors.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -80,25 +82,52 @@ def _mono_text(mono: tuple) -> str:
     return "*".join(_name(gen) if exp == 1 else f"{_name(gen)}^{exp}" for gen, exp in mono)
 
 
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _collect(products) -> dict[tuple, tuple[int, int]]:
+    """The stored terms of a sum of (monomial, num, den) products, den > 0: each
+    monomial's products are summed as one unreduced fraction, over the shared
+    denominator when it is the same, and reduced by one gcd at the end."""
+    sums: dict[tuple, list[int]] = {}
+    for mono, num, den in products:
+        acc = sums.get(mono)
+        if acc is None:
+            sums[mono] = [num, den]
+        elif acc[1] == den:
+            acc[0] += num
+        else:
+            acc[0] = acc[0] * den + num * acc[1]
+            acc[1] *= den
+    return {mono: _reduced(num, den) for mono, (num, den) in sums.items() if num}
+
+
+def _coef_text(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"  # as str(Fraction(num, den))
+
+
 class SymbolicValue:
     """Exact rational linear combination of generator monomials.
 
-    Values are immutable in practice: every operation returns a fresh,
-    normalized instance (no zero coefficients stored).
+    Values are immutable in practice: every operation returns a fresh
+    instance whose map holds each monomial's coefficient as a reduced int
+    pair (num, den), den > 0 and num != 0.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple, RationalLike] | None = None):
-        cleaned: dict[tuple, Fraction] = {}
-        if terms:
-            for mono, coef in terms.items():
-                frac = Fraction(coef)
-                if frac:
-                    cleaned[mono] = cleaned.get(mono, Fraction(0)) + frac
-                    if not cleaned[mono]:
-                        del cleaned[mono]
-        self._terms = cleaned
+        self._terms = _collect(
+            (mono, coef.numerator, coef.denominator) for mono, coef in (terms or {}).items()
+        )
+
+    @staticmethod
+    def _of(terms: dict[tuple, tuple[int, int]]) -> "SymbolicValue":
+        out = SymbolicValue.__new__(SymbolicValue)
+        out._terms = terms
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -108,26 +137,26 @@ class SymbolicValue:
 
     @staticmethod
     def one() -> "SymbolicValue":
-        return SymbolicValue({(): Fraction(1)})
+        return SymbolicValue({(): 1})
 
     @staticmethod
     def rational(q: RationalLike) -> "SymbolicValue":
-        return SymbolicValue({(): Fraction(q)})
+        return SymbolicValue({(): q})
 
     # -- views -------------------------------------------------------------
 
     @property
     def terms(self) -> dict[tuple, Fraction]:
-        """A copy of the map from each monomial, a sorted tuple of
-        ((rank, index), exponent) pairs, to its nonzero coefficient."""
-        return dict(self._terms)
+        """The map from each monomial, a sorted tuple of ((rank, index),
+        exponent) pairs, to its nonzero coefficient, built afresh."""
+        return {mono: Fraction(*pair) for mono, pair in self._terms.items()}
 
     @property
     def is_zero(self) -> bool:
         return not self._terms
 
     def rational_part(self) -> Fraction:
-        return self._terms.get((), Fraction(0))
+        return Fraction(*self._terms.get((), (0, 1)))
 
     def as_rational(self) -> Fraction:
         """The value as an exact rational; raises if any generator is present."""
@@ -137,7 +166,7 @@ class SymbolicValue:
 
     def normalize(self) -> "SymbolicValue":
         """Re-normalization is idempotent; exposed for property tests."""
-        return SymbolicValue(self._terms)
+        return SymbolicValue(self.terms)
 
     # -- ring operations ---------------------------------------------------
 
@@ -146,22 +175,19 @@ class SymbolicValue:
         if other is NotImplemented:
             return NotImplemented
         terms = dict(self._terms)
-        for mono, coef in other._terms.items():
-            acc = terms.get(mono, Fraction(0)) + coef
-            if acc:
-                terms[mono] = acc
+        for mono, (n2, d2) in other._terms.items():
+            n1, d1 = terms.get(mono, (0, d2))
+            num, den = (n1 + n2, d1) if d1 == d2 else (n1 * d2 + n2 * d1, d1 * d2)
+            if num:
+                terms[mono] = _reduced(num, den) if n1 else (num, den)  # n1 = 0: a new term
             else:
-                terms.pop(mono, None)
-        out = SymbolicValue.__new__(SymbolicValue)
-        out._terms = terms
-        return out
+                del terms[mono]
+        return SymbolicValue._of(terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = SymbolicValue.__new__(SymbolicValue)
-        out._terms = {m: -c for m, c in self._terms.items()}
-        return out
+        return SymbolicValue._of({m: (-n, d) for m, (n, d) in self._terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -176,25 +202,18 @@ class SymbolicValue:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):  # a rational scalar keeps every monomial
-            out = SymbolicValue.__new__(SymbolicValue)
-            out._terms = {m: c * other for m, c in self._terms.items()} if other else {}
-            return out
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms: dict[tuple, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = _mono_mul(m1, m2)
-                acc = terms.get(mono, Fraction(0)) + c1 * c2
-                if acc:
-                    terms[mono] = acc
-                else:
-                    terms.pop(mono, None)
-        out = SymbolicValue.__new__(SymbolicValue)
-        out._terms = terms
-        return out
+        if type(other) is not SymbolicValue:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            qn, qd = other.numerator, other.denominator  # a rational scalar keeps every monomial
+            return SymbolicValue._of(
+                {m: _reduced(n * qn, d * qd) for m, (n, d) in self._terms.items()} if qn else {}
+            )
+        return SymbolicValue._of(_collect(
+            (_mono_mul(m1, m2), n1 * n2, d1 * d2)
+            for m1, (n1, d1) in self._terms.items()
+            for m2, (n2, d2) in other._terms.items()
+        ))
 
     __rmul__ = __mul__
 
@@ -231,13 +250,13 @@ class SymbolicValue:
             return "0"
         parts = []
         for mono in sorted(self._terms):
-            coef = self._terms[mono]
-            mag = abs(coef)
+            num, den = self._terms[mono]
+            mag = _coef_text(abs(num), den)
             if not mono:
-                body = str(mag)
+                body = mag
             else:
-                body = _mono_text(mono) if mag == 1 else f"{mag}*{_mono_text(mono)}"
-            parts.append(f" {'-' if coef < 0 else '+'} {body}")
+                body = _mono_text(mono) if mag == "1" else f"{mag}*{_mono_text(mono)}"
+            parts.append(f" {'-' if num < 0 else '+'} {body}")
         out = "".join(parts)  # the leading " + " goes, a leading " - " keeps its sign
         return out[3:] if out[1] == "+" else "-" + out[3:]
 
@@ -245,7 +264,7 @@ class SymbolicValue:
         return {
             "terms": [
                 {
-                    "coef": str(self._terms[mono]),
+                    "coef": _coef_text(*self._terms[mono]),
                     "mono": [[_name(gen), exp] for gen, exp in mono],
                 }
                 for mono in sorted(self._terms)
@@ -254,30 +273,17 @@ class SymbolicValue:
 
 
 def linear_combination(weights, values) -> SymbolicValue:
-    """sum_i q_i v_i for rationals q_i and SymbolicValues v_i, one monomial at a
-    time: its coefficients are summed as integers over a running lcm of their
-    denominators and become one Fraction at the end."""
-    sums: dict[tuple, list[int]] = {}  # monomial -> [numerator, denominator]
-    for q, v in zip(weights, values):
-        q = Fraction(q)
-        if not q:
-            continue
-        for mono, c in v._terms.items():
-            num, den = q.numerator * c.numerator, q.denominator * c.denominator
-            acc = sums.get(mono)
-            if acc is None:
-                sums[mono] = [num, den]
-            else:
-                lcm = math.lcm(acc[1], den)
-                acc[0] = acc[0] * (lcm // acc[1]) + num * (lcm // den)
-                acc[1] = lcm
-    out = SymbolicValue.__new__(SymbolicValue)
-    out._terms = {mono: Fraction(num, den) for mono, (num, den) in sums.items() if num}
-    return out
+    """sum_i q_i v_i for rationals q_i and SymbolicValues v_i, in one pass of
+    the ring's accumulator: each monomial's coefficient is summed as one
+    integer fraction and reduced once at the end."""
+    rows = [(q.numerator, q.denominator, v._terms) for q, v in zip(weights, values) if q]
+    return SymbolicValue._of(_collect(
+        (mono, qn * n, qd * d) for qn, qd, terms in rows for mono, (n, d) in terms.items()
+    ))
 
 
 def _coerce(value) -> "SymbolicValue":
-    if isinstance(value, SymbolicValue):
+    if type(value) is SymbolicValue:
         return value
     if isinstance(value, (int, Fraction)):
         return SymbolicValue.rational(value)
@@ -359,8 +365,8 @@ def eval_numeric(value: SymbolicValue) -> float:
     raises OverflowError.
     """
     contributions = []
-    for mono, coef in value._terms.items():
-        x = float(coef)
+    for mono, (num, den) in value._terms.items():
+        x = num / den  # what float(Fraction(num, den)) computes
         for gen, exp in mono:
             x *= _generator_value(gen) ** exp
         contributions.append(x)
@@ -432,9 +438,12 @@ def parse_text(text: str) -> SymbolicValue:
 def from_json_obj(obj: dict) -> SymbolicValue:
     terms: dict[tuple, Fraction] = {}
     for entry in obj["terms"]:
-        factors = {_key_from_name(name): int(exp) for name, exp in entry["mono"]}
+        coef = entry["coef"]
+        if type(coef) not in (int, str) or any(type(exp) is not int for _, exp in entry["mono"]):
+            raise ValueError(f"coefficients must be ints or strings and exponents ints: {entry!r}")
+        factors = {_key_from_name(name): exp for name, exp in entry["mono"]}
         if len(factors) != len(entry["mono"]):
             raise ValueError("duplicate generator in monomial")
         mono = _monomial(factors)
-        terms[mono] = terms.get(mono, Fraction(0)) + Fraction(entry["coef"])
+        terms[mono] = terms.get(mono, Fraction(0)) + Fraction(coef)
     return SymbolicValue(terms)

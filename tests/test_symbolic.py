@@ -14,6 +14,7 @@ import logsine
 from logsine import eval_numeric, parse_text, sym_pi, sym_zeta, zeta_even
 from logsine.symbolic import (
     SymbolicValue,
+    _mono_mul,
     from_json_obj,
     linear_combination,
     sym_log2,
@@ -42,6 +43,26 @@ def monomials(draw):
 def symbolic_values(draw):
     terms = draw(st.dictionaries(monomials(), coefficients, max_size=4))
     return sum((coef * mono for mono, coef in terms.items()), SymbolicValue.zero())
+
+
+def assert_canonical(value):
+    """Every stored coefficient is a reduced int pair (num, den), den > 0, num != 0."""
+    for num, den in value._terms.values():
+        assert type(num) is int and type(den) is int
+        assert den > 0 and num != 0 and math.gcd(num, den) == 1
+
+
+def fraction_sum(*maps):
+    """The sum of monomial -> Fraction maps by Fraction arithmetic, zeros dropped."""
+    out = {}
+    for terms in maps:
+        for mono, coef in terms.items():
+            out[mono] = out.get(mono, Fraction(0)) + coef
+    return {mono: coef for mono, coef in out.items() if coef}
+
+
+def fraction_product(a, b):
+    return fraction_sum(*({_mono_mul(m1, m2): c1 * c2} for m1, c1 in a.items() for m2, c2 in b.items()))
 
 
 class TestRingLaws:
@@ -151,6 +172,51 @@ class TestSerialization:
         v = sym_pi(4, Fraction(-11, 720))
         assert v.to_json_obj() == {"terms": [{"coef": "-11/720", "mono": [["pi", 4]]}]}
 
+    def test_json_takes_an_integer_coefficient(self):
+        assert from_json_obj({"terms": [{"coef": -3, "mono": [["pi", 2]]}]}) == sym_pi(2, -3)
+
+    @pytest.mark.parametrize("entry", [
+        {"coef": "1", "mono": [["pi", 1.9]]},
+        {"coef": "1", "mono": [["pi", 2.0]]},
+        {"coef": "1", "mono": [["pi", True]]},
+        {"coef": "1", "mono": [["pi", "2"]]},
+        {"coef": "1", "mono": [["log2", 1], ["pi", None]]},
+        {"coef": 0.1, "mono": [["pi", 1]]},
+        {"coef": 2.0, "mono": []},
+        {"coef": True, "mono": [["pi", 1]]},
+        {"coef": None, "mono": []},
+        {"coef": [1, 2], "mono": []},
+    ])
+    def test_json_refuses_an_exponent_that_is_not_an_int_or_a_coefficient_of_another_type(
+        self, entry
+    ):
+        with pytest.raises(ValueError, match="coefficients must be ints or strings"):
+            from_json_obj({"terms": [entry]})
+
+
+class TestCanonicalStore:
+    @given(symbolic_values(), symbolic_values(), coefficients | st.integers(-6, 6), st.integers(0, 3))
+    def test_every_operation_stores_reduced_pairs_equal_to_fraction_arithmetic(self, a, b, q, e):
+        fa, fb = a.terms, b.terms
+        scaled = {mono: q * coef for mono, coef in fa.items()}
+        power = {(): Fraction(1)}
+        for _ in range(e):
+            power = fraction_product(power, fa)
+        cases = [
+            (a + b, fraction_sum(fa, fb)),
+            (a - b, fraction_sum(fa, {mono: -coef for mono, coef in fb.items()})),
+            (a * b, fraction_product(fa, fb)),
+            (a**e, power),
+            (q * a, fraction_sum(scaled)),
+            (a * q, fraction_sum(scaled)),
+            (linear_combination([q, Fraction(-3, 4)], [a, b]),
+             fraction_sum(scaled, {mono: Fraction(-3, 4) * coef for mono, coef in fb.items()})),
+        ]
+        for got, want in cases:
+            assert_canonical(got)
+            assert got.terms == want
+            assert all(type(coef) is Fraction for coef in got.terms.values())
+
 
 class TestGeneratorValidation:
     @pytest.mark.parametrize("name", ["zeta4", "zeta1", "zb1_2", "zb1_1"])
@@ -212,7 +278,7 @@ class TestLinearCombination:
         want = sum((w * v for w, v in pairs), SymbolicValue.zero())
         got = linear_combination(weights, values)
         assert got == want
-        assert all(type(c) is Fraction and c for c in got._terms.values())
+        assert_canonical(got)
 
     @given(st.lists(st.tuples(coefficients, symbolic_values()), min_size=1, max_size=4))
     def test_cancellation_leaves_zero(self, pairs):
