@@ -436,14 +436,20 @@ def parse_text(text: str) -> SymbolicValue:
 
 
 def from_json_obj(obj: dict) -> SymbolicValue:
+    """The value a :meth:`SymbolicValue.to_json_obj` dict encodes; any other
+    input raises ValueError."""
     terms: dict[tuple, Fraction] = {}
-    for entry in obj["terms"]:
-        coef = entry["coef"]
-        if type(coef) not in (int, str) or any(type(exp) is not int for _, exp in entry["mono"]):
-            raise ValueError(f"coefficients must be ints or strings and exponents ints: {entry!r}")
-        factors = {_key_from_name(name): exp for name, exp in entry["mono"]}
-        if len(factors) != len(entry["mono"]):
-            raise ValueError("duplicate generator in monomial")
-        mono = _monomial(factors)
-        terms[mono] = terms.get(mono, Fraction(0)) + Fraction(coef)
+    try:
+        for entry in obj["terms"]:
+            coef = entry["coef"]
+            if type(coef) not in (int, str) or any(type(exp) is not int for _, exp in entry["mono"]):
+                raise ValueError(f"coefficients must be ints or strings and exponents ints: {entry!r}")
+            factors = {_key_from_name(name): exp for name, exp in entry["mono"]}
+            if len(factors) != len(entry["mono"]):
+                raise ValueError("duplicate generator in monomial")
+            mono = _monomial(factors)
+            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(coef)
+    except (KeyError, TypeError, ZeroDivisionError) as exc:
+        # a missing key, a container or name of the wrong type, a zero denominator
+        raise ValueError(f"malformed symbolic JSON: {exc!r}") from exc
     return SymbolicValue(terms)

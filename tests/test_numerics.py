@@ -10,6 +10,7 @@ from logsine import (
     accelerate_alternating,
     cot_derivative,
     log_sin_power_integral,
+    numerics,
     polygamma_real,
     richardson_derivative,
     tanh_sinh_quadrature,
@@ -138,6 +139,114 @@ class TestQuadrature:
             tanh_sinh_quadrature(lambda x: 1.0 if x < 1.0 else 0.0, 0.0, math.pi, cfg)
         assert abs(exc.value.estimate - 1.0) < 1e-3
         assert exc.value.error_bound > 1e-10
+        # the call ran all 12 levels, yet only the tables of levels 0-7 are kept
+        assert sorted(numerics._ts_tables) == list(range(8))
+
+
+def reference_tanh_sinh(f, a, b, cfg):
+    """The kernel as it was before its node tables: every call rebuilds each
+    abscissa and weight and reads f at every node, clamped ones included."""
+    if a > b:
+        return -reference_tanh_sinh(f, b, a, cfg)
+    tol, halfw, center = cfg.target_abs_tol, (b - a) / 2.0, (a + b) / 2.0
+
+    def nodes(level, h):
+        if level == 0:
+            k = 0
+            while k * h <= 6.5:
+                yield k * h
+                k += 1
+        else:
+            t = h
+            while t <= 6.5:
+                yield t
+                t += 2 * h
+
+    def weighted(t):
+        u = (math.pi / 2.0) * math.sinh(t)
+        e2u = math.exp(-2.0 * u)
+        sech2 = 4.0 * e2u / (1.0 + e2u) ** 2
+        w = halfw * (math.pi / 2.0) * math.cosh(t) * sech2
+        if w == 0.0:
+            return 0.0
+        if t == 0.0:
+            return w * f(center)
+        d = (b - a) * e2u / (1.0 + e2u)
+        x_hi = b - d
+        if x_hi >= b:
+            x_hi = math.nextafter(b, a)
+        x_lo = a + d
+        if x_lo <= a:
+            x_lo = math.nextafter(a, b)
+        return w * (f(x_hi) + f(x_lo))
+
+    def clamp_loss(end, inward):
+        x1 = math.nextafter(end, inward)
+        return 4.0 * abs(x1 - end) * abs(f(x1) - f(math.nextafter(x1, inward)))
+
+    h, level_sum, scale, prev = 1.0, 0.0, 0.0, math.nan
+    for level in range(13):
+        h /= 2.0
+        vals = [weighted(t) for t in nodes(level, h)]
+        level_sum += math.fsum(vals)
+        scale += math.fsum(abs(v) for v in vals)
+        value = h * level_sum
+        err = abs(value - prev)
+        prev = value
+        floor = 8.0 * 2.2e-16 * h * scale
+        if level >= 2 and err <= max(tol, floor):
+            break
+    if not math.isfinite(value):
+        raise QuadratureError("integrand produced non-finite values", value, math.inf)
+    err += sum(clamp_loss(end, to) for end, to in ((a, b), (b, a)) if end != 0.0)
+    if not err <= max(tol, floor):
+        raise QuadratureError(
+            f"quadrature error estimate {err:.3e} above target {tol:.3e}", value, err
+        )
+    return value
+
+
+def outcome(quadrature, f, a, b, cfg):
+    """A call's value, or its error's message, estimate and bound, as exact text."""
+    try:
+        return quadrature(f, a, b, cfg).hex()
+    except QuadratureError as exc:
+        return str(exc), exc.estimate.hex(), exc.error_bound.hex()
+
+
+def integrands():
+    for n, p in ((0, 1), (1, 2), (3, 4), (6, 7)):
+        yield lambda x, n=n, p=p: x**n * math.log(math.sin(x)) ** p
+        yield lambda x, n=n, p=p: -(x**n) * math.log(2.0 * math.sin(x / 2.0)) ** p
+
+
+class TestQuadratureTables:
+    @pytest.mark.parametrize("tol", [1e-6, 1e-10, 5e-11, 1e-13])
+    @pytest.mark.parametrize("a,b", [
+        (0.0, math.pi / 2), (0.0, math.pi), (0.0, math.pi - 1e-9), (0.5, 2.0),
+        (math.pi, 0.0), (1.0, 2 * math.pi - 1e-9), (math.pi / 2, math.pi),
+    ])
+    def test_every_value_and_error_has_the_bits_of_the_per_node_kernel(self, a, b, tol):
+        cfg = NumericConfig(target_abs_tol=tol)
+        for f in integrands():
+            try:
+                want = outcome(reference_tanh_sinh, f, a, b, cfg)
+            except ValueError:  # log of a negative sine past pi
+                with pytest.raises(ValueError):
+                    tanh_sinh_quadrature(f, a, b, cfg)
+                continue
+            assert outcome(tanh_sinh_quadrature, f, a, b, cfg) == want
+
+    @pytest.mark.parametrize("f,a,b", [
+        (lambda x: math.log(math.sin(x)), 0.0, math.pi),
+        (lambda x: x * x, 0.5, 2.0),
+    ])
+    def test_each_clamped_endpoint_is_read_at_most_once(self, f, a, b, cfg):
+        reads = []
+        tanh_sinh_quadrature(lambda x: reads.append(x) or f(x), a, b, cfg)
+        for end, inward in ((b, a), (a, b)):
+            if end != 0.0:
+                assert reads.count(math.nextafter(end, inward)) <= 1, end
 
 
 class TestPolygammaReal:

@@ -194,6 +194,25 @@ class TestSerialization:
             from_json_obj({"terms": [entry]})
 
 
+    @pytest.mark.parametrize("obj", [
+        {"terms": [{"coef": "1", "mono": [[5, 1]]}]},
+        {"terms": [{"coef": "1/0", "mono": []}]},
+        {},
+        {"terms": [{"mono": [["pi", 1]]}]},
+        {"terms": [{"coef": "1"}]},
+        {"terms": [{"coef": "1", "mono": [["pi"]]}]},
+        {"terms": [{"coef": "1", "mono": [["pi", 1, 2]]}]},
+        {"terms": [{"coef": "1", "mono": [5]}]},
+        {"terms": [{"coef": "1", "mono": 5}]},
+        {"terms": 5},
+        {"terms": ["pi"]},
+        [],
+    ])
+    def test_json_that_is_not_an_encoded_value_raises_value_error(self, obj):
+        with pytest.raises(ValueError):
+            from_json_obj(obj)
+
+
 class TestCanonicalStore:
     @given(symbolic_values(), symbolic_values(), coefficients | st.integers(-6, 6), st.integers(0, 3))
     def test_every_operation_stores_reduced_pairs_equal_to_fraction_arithmetic(self, a, b, q, e):
