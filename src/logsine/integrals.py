@@ -38,7 +38,6 @@ from .specialfn import alt_euler_sum_H, eta_value, euler_sum_H
 from .symbolic import (
     SymbolicValue,
     eval_numeric,
-    sym_log2,
     sym_pi,
     sym_zeta,
 )
@@ -108,14 +107,14 @@ def sine_power_moment_exact(n: int, m: int, z: str) -> SymbolicValue:
         raise ValueError("n and m must be >= 0")
     if z not in ("pi", "pi/2"):
         raise ValueError("exact moments are available at z in {'pi/2', 'pi'}")
-    central, weights = _case_weights(n, z, True)
+    central, weights = _case_weights(n, z)
     total = central * Fraction(math.comb(2 * m, m), 4**m)
     lcm = math.lcm(*range(1, m + 1))
-    for w in weights:  # the k-sum as one integer over lcm(k^pow) = lcm(1..m)^pow
-        den = lcm**w.pow
-        ksum = sum((-1) ** (k * w.alt) * math.comb(2 * m, m + k) * (den // k**w.pow)
+    for coef, alt, pow_ in weights:  # the k-sum as one integer over lcm(k^pow) = lcm(1..m)^pow
+        den = lcm**pow_
+        ksum = sum((-1) ** (k * alt) * math.comb(2 * m, m + k) * (den // k**pow_)
                    for k in range(1, m + 1))
-        total = total + w.coef * Fraction(ksum, den * 4**m)
+        total = total + coef * Fraction(ksum, den * 4**m)
     return total
 
 
@@ -143,75 +142,41 @@ def sine_power_moment_numeric(n: int, m: int, z: float) -> float:
 # -- the k-sum engine -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _KTerm:
-    # one contribution coef * (-1)^(k*alt) * H_k^h / k^b to the derivative at shift k
-    coef: SymbolicValue
-    alt: bool
-    h_pow: int
-    k_pow: int
-
-
-def _deriv_kform(p: int, scaled: bool) -> list[_KTerm]:
-    """The shifted-coefficient derivative at m=0 as an explicit function of k.
-
-    d^p/dm^p of the (possibly scaled) coefficient at shift k is
-    (-1)^{p+k} (p/k) B_{p-1}(xi_bar sequence); for p <= 2 that expands into
-    terms linear in H_k, which is exactly what the catalog can absorb.
-    """
-    one = SymbolicValue.one()
-    if p == 0:
-        return []
-    if p == 1:
-        return [_KTerm(coef=-1 * one, alt=True, h_pow=0, k_pow=1)]
-    if p == 2:
-        terms = [
-            _KTerm(coef=4 * one, alt=True, h_pow=1, k_pow=1),
-            _KTerm(coef=-2 * one, alt=True, h_pow=0, k_pow=2),
-        ]
-        if scaled:
-            terms.append(_KTerm(coef=sym_log2(1, 4), alt=True, h_pow=0, k_pow=1))
-        return terms
-    raise CatalogMissError(
-        f"p = {p} derivative expands into powers of harmonic numbers beyond the "
-        "linear Euler-sum catalog"
-    )
-
-
-def _sum_kterm(term: _KTerm, weight_alt: bool, weight_pow: int) -> SymbolicValue:
-    alt = term.alt != weight_alt
-    s = term.k_pow + weight_pow
-    if term.h_pow == 0:
-        if s < 2:
-            raise CatalogMissError(f"divergent bare sum with exponent {s}")
-        base = -eta_value(s) if alt else sym_zeta(s)
-    elif term.h_pow == 1:
-        if alt:
-            if s % 2 == 0 or s < 3:
-                raise CatalogMissError(
-                    f"alternating harmonic sum of even weight {s} is outside the catalog"
-                )
-            base = alt_euler_sum_H(s)
-        else:
-            base = euler_sum_H(s)
-    else:
-        raise CatalogMissError("nonlinear harmonic powers are outside the catalog")
-    return term.coef * base
+def _catalog_sum(harmonic: bool, alt: bool, s: int) -> SymbolicValue:
+    """sum_k (-1)^{k*alt} H_k^harmonic / k^s by the catalog, whose functions
+    refuse every sum outside it; the refusal becomes a CatalogMissError."""
+    try:
+        if harmonic:
+            return alt_euler_sum_H(s) if alt else euler_sum_H(s)
+        return -eta_value(s) if alt else sym_zeta(s)
+    except ValueError as refusal:
+        raise CatalogMissError(str(refusal)) from None
 
 
 @lru_cache(maxsize=None)
 def _ksum(p: int, scaled: bool, alt: bool, s: int) -> SymbolicValue:
-    """Catalog value of sum_k (-1)^{k*alt} D_p(k) / k^s over the k-form terms of
-    :func:`_deriv_kform`; raises CatalogMissError when a term is outside the catalog."""
-    return sum((_sum_kterm(term, alt, s) for term in _deriv_kform(p, scaled)), SymbolicValue.zero())
+    """Catalog value of sum_k (-1)^{k*alt} D_p(k) / k^s, D_p(k) the p-th m-derivative
+    at 0 of the shift-k coefficient, (-1)^{p+k} (p/k) B_{p-1}(xi_bar(k)).
 
-
-@dataclass(frozen=True)
-class _KWeight:
-    # one weighted k-sum: coef * sum_k (-1)^{k*alt} c(k) / k^pow over shift-k coefficients c(k)
-    coef: SymbolicValue
-    alt: bool
-    pow: int
+    With xi_bar = c + r(k) as in :func:`shifted_binom_deriv`, B_{p-1}(c + r) =
+    sum_i C(p-1, i) B_{p-1-i}(c) B_i(r), and only B_0(r) = 1 and B_1(r) = 2 H_k - 1/k
+    are linear in H_k, so the catalog takes p <= 2, where
+    D_p(k) = (-1)^{p+k} (p/k) (B_{p-1}(c) + (p-1)(2 H_k - 1/k)), B_{p-1}(c) from the
+    central derivative of order p-1 (log 4 at p = 2 when scaled).  A sum outside
+    the catalog raises CatalogMissError."""
+    if p > 2:
+        raise CatalogMissError(
+            f"p = {p} derivative expands into powers of harmonic numbers beyond the "
+            "linear Euler-sum catalog"
+        )
+    if p == 0:
+        return SymbolicValue.zero()
+    flip = not alt  # D_p(k) carries (-1)^k
+    bell_c = (-1) ** (p - 1) * central_binom_deriv(DerivSpec(p - 1, 0, scaled))
+    total = bell_c * _catalog_sum(False, flip, s + 1)
+    if p == 2:
+        total = total + 2 * _catalog_sum(True, flip, s + 1) - _catalog_sum(False, flip, s + 2)
+    return (-1) ** p * p * total
 
 
 # log-sine angle theta -> the angle theta/2 of the x^n sin^{2m} x row it scales
@@ -219,22 +184,14 @@ _HALF_ANGLE = {"pi": "pi/2", "2pi": "pi"}
 
 
 @lru_cache(maxsize=None)
-def _case_weights(n: int, z: str, scaled: bool) -> tuple[SymbolicValue, tuple[_KWeight, ...]]:
-    """Central prefactor and k-sum weights of the moment family at one angle:
-    the moment is central * c(0) + sum_w w.coef * sum_k (-1)^{k*w.alt} c(k) / k^w.pow.
+def _case_weights(n: int, z: str) -> tuple[SymbolicValue, tuple[tuple[SymbolicValue, bool, int], ...]]:
+    """Central prefactor and k-sum weights (coef, alt, pow) of the x^n sin^{2m} x
+    moment over (0, z), z in {pi/2, pi}: the moment is central * c(0) +
+    sum coef * sum_k (-1)^{k*alt} c(k) / k^pow over c(k) = 4^{-m} binom(2m, m+k).
 
-    Scaled, the moment is that of x^n sin^{2m} x over (0, z), z in
-    {pi/2, pi}, with c(k) = 4^{-m} binom(2m, m+k); these two rows are written
-    out below.  Unscaled, it is that of x^n (2 sin(x/2))^{2m} over
-    (0, theta), theta in {pi, 2pi}, with c(k) = binom(2m, m+k).  By x = 2y
-    that is 2^{n+1} 4^m times the scaled moment over (0, theta/2), so the
-    unscaled row is 2^{n+1} times the scaled row at theta/2."""
-    if not scaled:
-        if z not in _HALF_ANGLE:
-            raise ValueError(f"no derivative formula for z={z!r}, scaled={scaled}")
-        central, weights = _case_weights(n, _HALF_ANGLE[z], True)
-        scale = 2 ** (n + 1)
-        return central * scale, tuple(_KWeight(w.coef * scale, w.alt, w.pow) for w in weights)
+    The log-sine form has no row of its own: by x = 2y the moment of
+    x^n (2 sin(x/2))^{2m} over (0, theta) is 2^{n+1} 4^m times this one at
+    theta/2, so its row is 2^{n+1} times this row over c(k) = binom(2m, m+k)."""
     nfact = math.factorial(n)
 
     def even(j: int, den: int) -> SymbolicValue:  # the weight of a sum over k^{2j}
@@ -242,28 +199,25 @@ def _case_weights(n: int, z: str, scaled: bool) -> tuple[SymbolicValue, tuple[_K
 
     if z == "pi":
         central = sym_pi(n + 1, Fraction(1, n + 1))
-        weights = [_KWeight(even(j, 2 ** (2 * j - 1)), True, 2 * j) for j in range(1, n // 2 + 1)]
-        return central, tuple(weights)
-    if z == "pi/2":
-        central = sym_pi(n + 1, Fraction(1, 2 ** (n + 1) * (n + 1)))
-        weights = [_KWeight(even(j, 2**n), False, 2 * j) for j in range(1, (n + 1) // 2 + 1)]
-        if n % 2 == 1:  # odd n adds one alternating sum over k^{n+1}
-            parity = Fraction(nfact * (-1) ** ((n + 1) // 2), 2**n)
-            weights.append(_KWeight(SymbolicValue.rational(parity), True, n + 1))
-        return central, tuple(weights)
-    raise ValueError(f"no derivative formula for z={z!r}, scaled={scaled}")
+        return central, tuple((even(j, 2 ** (2 * j - 1)), True, 2 * j) for j in range(1, n // 2 + 1))
+    central = sym_pi(n + 1, Fraction(1, 2 ** (n + 1) * (n + 1)))
+    weights = [(even(j, 2**n), False, 2 * j) for j in range(1, (n + 1) // 2 + 1)]
+    if n % 2 == 1:  # odd n adds one alternating sum over k^{n+1}
+        parity = Fraction(nfact * (-1) ** ((n + 1) // 2), 2**n)
+        weights.append((SymbolicValue.rational(parity), True, n + 1))
+    return central, tuple(weights)
 
 
 def _deriv_value_exact(n: int, p: int, z: str, scaled: bool) -> SymbolicValue:
-    """Exact p-th m-derivative of the moment family at m = 0 (the quantity
-    equal to 2^p times the target integral); raises CatalogMissError when
-    the k-sums cannot be reduced."""
-    central, weights = _case_weights(n, z, scaled)
+    """Exact p-th m-derivative at m = 0 of the row at z over the scaled or unscaled
+    coefficients (2^p times the target integral when scaled); raises
+    CatalogMissError when the k-sums cannot be reduced."""
+    central, weights = _case_weights(n, z)
     # a catalog miss raises here, before any work
-    ksums = [_ksum(p, scaled, w.alt, w.pow) for w in weights]
+    ksums = [_ksum(p, scaled, alt, pow_) for _, alt, pow_ in weights]
     total = central * central_binom_deriv(DerivSpec(p, 0, scaled))
-    for w, ksum in zip(weights, ksums):
-        total = total + w.coef * ksum
+    for (coef, _, _), ksum in zip(weights, ksums):
+        total = total + coef * ksum
     return total
 
 
@@ -405,10 +359,12 @@ def _moment_sum(n: int, p: int, z: str, scaled: bool) -> tuple[float, float]:
 
 
 def _closed_form(n: int, p: int, z: str, scaled: bool) -> ClosedFormResult:
-    """2^{-p} times the p-th derivative (negated for the log-sine form): exact when the k-sums
+    """2^{-p} times the p-th derivative of the row at z; the log-sine form at theta = z is
+    -2^{n+1-p} times the unscaled derivative of the row at theta/2.  Exact when the k-sums
     reduce over the catalog, otherwise from log-sine moments, never a wrong symbolic value."""
     try:
-        sym = Fraction(1 if scaled else -1, 2**p) * _deriv_value_exact(n, p, z, scaled)
+        row, scale = (z, 1) if scaled else (_HALF_ANGLE[z], -(2 ** (n + 1)))
+        sym = Fraction(scale, 2**p) * _deriv_value_exact(n, p, row, scaled)
         return ClosedFormResult(True, sym, eval_numeric(sym))
     except CatalogMissError as miss:
         value, error = _moment_sum(n, p, z, scaled)

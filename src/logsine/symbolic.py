@@ -428,11 +428,11 @@ def parse_text(text: str) -> SymbolicValue:
             buf += ch
     if buf:
         chunks.append((sign, buf))
-    total = SymbolicValue.zero()
+    products = []
     for sign, chunk in chunks:
         mono, coef = _parse_term(chunk)
-        total = total + SymbolicValue({mono: sign * coef})
-    return total
+        products.append((mono, sign * coef.numerator, coef.denominator))
+    return SymbolicValue._of(_collect(products))
 
 
 def from_json_obj(obj: dict) -> SymbolicValue:

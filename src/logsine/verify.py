@@ -161,9 +161,7 @@ def _moment_series_worst(cfg: NumericConfig):
 def _clausen(p: int):
     def compute(cfg: NumericConfig):
         val, _ = integrals.log_sine_any_angle(p, math.pi / 2)
-        oracle = -numerics.tanh_sinh_quadrature(
-            lambda x: math.log(2.0 * math.sin(x / 2.0)) ** p, 0.0, math.pi / 2, cfg
-        )
+        oracle = integrals.quadrature_value(integrals.IntegralSpec(0, p, "pi/2", form="ls"), cfg)
         bell_coef = Fraction(-1, 2**p) * binomderiv.central_binom_deriv(binomderiv.DerivSpec(p, 0))
         return bell_coef.text(), val, oracle
 

@@ -7,9 +7,12 @@ from logsine import (
     DerivSpec,
     IntegralSpec,
     NumericConfig,
+    alt_euler_sum_H,
     central_binom_deriv,
     complete_bell_recurrence,
     eta_bar,
+    eta_value,
+    euler_sum_H,
     eval_numeric,
     log_sin_power_integral,
     log_sine_any_angle,
@@ -21,6 +24,7 @@ from logsine import (
     sine_power_moment_numeric,
     sym_log2,
     sym_pi,
+    sym_zeta,
     tanh_sinh_quadrature,
 )
 from logsine import integrals
@@ -108,15 +112,17 @@ class TestHalfAngleMoment:
 
     def test_trivial_case(self):
         # the integral of 1 over (0, 2pi), with no k-sum
-        assert integrals._case_weights(0, "2pi", False) == (sym_pi(1, 2), ())
+        central, weights = integrals._case_weights(0, integrals._HALF_ANGLE["2pi"])
+        assert (2 * central, weights) == (sym_pi(1, 2), ())
 
     def test_exact_scaling(self):
         for theta in ("pi", "2pi"):
             for n in range(41):
-                central, weights = integrals._case_weights(n, theta, False)
+                central, weights = integrals._case_weights(n, integrals._HALF_ANGLE[theta])
+                scale = 2 ** (n + 1)
                 want_central, want_weights = _written_out_row(n, theta)
-                assert central == want_central, (theta, n)
-                assert [(w.coef, w.alt, w.pow) for w in weights] == want_weights, (theta, n)
+                assert scale * central == want_central, (theta, n)
+                assert [(scale * coef, alt, pow_) for coef, alt, pow_ in weights] == want_weights, (theta, n)
 
     def test_against_quadrature(self, cfg):
         z, n, m = 1.3, 2, 1
@@ -484,28 +490,31 @@ class TestIrrationalAngle:
         assert abs(val - want) <= 1e-12 * max(1.0, abs(want))
 
 
-# the four rows of the moment family, (angle, scaled)
-_ROWS = [("pi", True), ("pi/2", True), ("pi", False), ("2pi", False)]
+# the two weight rows, each over the scaled and the unscaled coefficients
+_ROWS = [(z, scaled) for z in ("pi", "pi/2") for scaled in (True, False)]
 
 
 def _catalog_sum(p, scaled, alt, pow_):
-    terms = integrals._deriv_kform(p, scaled)
-    return sum((integrals._sum_kterm(t, alt, pow_) for t in terms), SymbolicValue.zero())
+    # sum_k (-1)^{k*alt} D_p(k) / k^pow over the derivatives written out: D_0 = 0,
+    # D_1 = -(-1)^k/k and D_2 = (-1)^k (4 H_k/k - 2/k^2, plus 4 log 2/k scaled);
+    # each carries (-1)^k, so the sums alternate when alt is false
+    bare = sym_zeta if alt else (lambda s: -eta_value(s))
+    harmonic = euler_sum_H if alt else alt_euler_sum_H
+    if p == 0:
+        return SymbolicValue.zero()
+    if p == 1:
+        return -bare(pow_ + 1)
+    total = 4 * harmonic(pow_ + 1) - 2 * bare(pow_ + 2)
+    return total + sym_log2(1, 4) * bare(pow_ + 1) if scaled else total
 
 
-def _catalog_keys():
-    # every k-series of the weights with n <= 12 that the catalog sums at p <= 2
-    keys = set()
-    for z, scaled in _ROWS:
-        for n in range(13):
-            for w in integrals._case_weights(n, z, scaled)[1]:
-                for p in range(3):
-                    try:
-                        _catalog_sum(p, scaled, w.alt, w.pow)
-                    except integrals.CatalogMissError:
-                        continue
-                    keys.add((p, scaled, w.alt, w.pow))
-    return sorted(keys)
+def _catalog_keys(n_max=12):
+    # every k-sum of the weights with n <= n_max that an exact closed form takes at p <= 2
+    return sorted({(p, scaled, alt, pow_)
+                   for z, scaled in _ROWS
+                   for n in range(n_max + 1)
+                   for _, alt, pow_ in integrals._case_weights(n, z)[1]
+                   for p in range(3)})
 
 
 class TestKSum:
@@ -516,7 +525,13 @@ class TestKSum:
         assert got == _catalog_sum(*key)
         assert integrals._ksum(*key) is got
 
-    @pytest.mark.parametrize("key", [(3, True, False, 2), (1, True, True, 0), (2, False, False, 1)])
+    def test_every_exact_closed_form_sums_in_the_catalog(self):
+        for key in _catalog_keys(60):
+            integrals._ksum(*key)  # a miss raises CatalogMissError
+
+    @pytest.mark.parametrize(
+        "key", [(3, True, False, 2), (1, True, True, 0), (2, False, False, 1), (2, False, True, 0)]
+    )
     def test_a_catalog_miss_raises(self, key):
         with pytest.raises(integrals.CatalogMissError):
             integrals._ksum(*key)

@@ -163,6 +163,20 @@ class TestSerialization:
     def test_text_round_trip(self, a):
         assert parse_text(a.text()) == a
 
+    def test_a_long_text_is_parsed_without_adding_values(self, monkeypatch):
+        # the term map is built once: adding term by term copies the map per term
+        monos = [sym_pi(i) * sym_log2(j) for i in range(50) for j in range(45)]
+        coefs = [Fraction((-1) ** i * (j + 1), i + 2) for i in range(50) for j in range(45)]
+        value = linear_combination(coefs, monos)
+        text = value.text()
+        calls = []
+        for name in ("__add__", "__radd__"):
+            add = getattr(SymbolicValue, name)
+            monkeypatch.setattr(SymbolicValue, name, lambda a, b, add=add: calls.append(b) or add(a, b))
+        assert parse_text(text) == value
+        assert parse_text("pi + 1/2*pi - log2 + log2") == sym_pi(1, Fraction(3, 2))
+        assert len(value.terms) >= 2000 and not calls
+
     @given(symbolic_values())
     def test_json_round_trip(self, a):
         payload = json.dumps(a.to_json_obj())
