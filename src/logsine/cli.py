@@ -4,6 +4,8 @@ Subcommands: closed-form, numeric, ls, binom-deriv, bell, constant,
 verify-paper.  Each takes --json; all but bell take --digits; closed-form,
 numeric, ls and verify-paper, which compute to a tolerance, take --tol.
 Exit codes: 0 success, 1 computation or output failed, 2 usage error.
+Every subcommand but verify-paper prints its result through ``_emit``, the one
+place where a result's output is formatted.
 """
 
 from __future__ import annotations
@@ -124,29 +126,29 @@ def _parse_angle(text: str) -> str | float:
         raise ValueError(f"cannot parse angle {text!r}") from None
 
 
-def _emit_closed_form(ident: str, res: integrals.ClosedFormResult, args) -> None:
+def _emit(args, ident: str, numeric=None, exact=None, error=None, reason=None) -> None:
+    """Print a result: under --json its id, status and each field that is set;
+    as text a fallback (reason set), an exact text with its value, or one field."""
     if args.json:
-        obj: dict = {"id": ident, "numeric": res.numeric, "status": "ok"}
-        if res.exact:
-            obj["exact"] = res.value.text()
-        else:
-            obj["abs_err"] = res.error
-            obj["reason"] = res.reason
-        print(json.dumps(obj, sort_keys=True))
-        return
-    if res.exact:
-        print(f"exact:   {res.value.text()}")
-        print(f"numeric: {_fmt(res.numeric, args.digits)}")
+        fields = {"numeric": numeric, "exact": exact, "abs_err": error, "reason": reason}
+        obj = {key: value for key, value in fields.items() if value is not None}
+        print(json.dumps({"id": ident, "status": "ok", **obj}, sort_keys=True))
+    elif reason is not None:
+        print(f"numeric: {_fmt(numeric, args.digits)}  (error estimate {error:.1e})")
+        print(f"note:    no exact form: {reason}")
+    elif exact is not None and numeric is not None:
+        print(f"exact:   {exact}")
+        print(f"numeric: {_fmt(numeric, args.digits)}")
     else:
-        print(f"numeric: {_fmt(res.numeric, args.digits)}  (error estimate {res.error:.1e})")
-        print(f"note:    no exact form: {res.reason}")
+        print(exact if numeric is None else _fmt(numeric, args.digits))
 
 
 def _cmd_closed_form(args) -> int:
     _at_most(args, "p", MAX_BINOM_DERIV_P)  # an exact hit builds binom-deriv --k 0 at this p
     spec = integrals.IntegralSpec(args.n, args.p, args.z)
     res = integrals.log_sin_power_integral(spec, NumericConfig(args.tol))
-    _emit_closed_form(f"closed-form:z={args.z}:n={args.n}:p={args.p}", res, args)
+    _emit(args, f"closed-form:z={args.z}:n={args.n}:p={args.p}", res.numeric,
+          res.value.text() if res.exact else None, res.error, res.reason)
     return 0
 
 
@@ -154,18 +156,15 @@ def _cmd_numeric(args) -> int:
     z = _parse_angle(args.z)
     spec = integrals.IntegralSpec(args.n, args.p, z, form=args.form)
     value = integrals.quadrature_value(spec, NumericConfig(args.tol))
-    ident = f"numeric:{args.form}:z={args.z}:n={args.n}:p={args.p}"
-    if args.json:
-        print(json.dumps({"id": ident, "numeric": value, "status": "ok"}, sort_keys=True))
-    else:
-        print(_fmt(value, args.digits))
+    _emit(args, f"numeric:{args.form}:z={args.z}:n={args.n}:p={args.p}", value)
     return 0
 
 
 def _cmd_ls(args) -> int:
     _at_most(args, "p", MAX_BINOM_DERIV_P)
     res = integrals.log_sine_integral(args.p, args.n, args.theta, NumericConfig(args.tol))
-    _emit_closed_form(f"ls:theta={args.theta}:p={args.p}:n={args.n}", res, args)
+    _emit(args, f"ls:theta={args.theta}:p={args.p}:n={args.n}", res.numeric,
+          res.value.text() if res.exact else None, res.error, res.reason)
     return 0
 
 
@@ -174,18 +173,8 @@ def _cmd_binom_deriv(args) -> int:
     _at_most(args, "k", MAX_BINOM_DERIV_K)
     spec = binomderiv.DerivSpec(args.p, args.k, args.scaled)
     sym = binomderiv.binom_deriv(spec)
-    numeric = eval_numeric(sym)
-    ident = f"binom-deriv:p={args.p}:k={args.k}:scaled={args.scaled}"
-    if args.json:
-        print(
-            json.dumps(
-                {"id": ident, "exact": sym.text(), "numeric": numeric, "status": "ok"},
-                sort_keys=True,
-            )
-        )
-    else:
-        print(f"exact:   {sym.text()}")
-        print(f"numeric: {_fmt(numeric, args.digits)}")
+    _emit(args, f"binom-deriv:p={args.p}:k={args.k}:scaled={args.scaled}",
+          eval_numeric(sym), sym.text())
     return 0
 
 
@@ -199,16 +188,7 @@ def _cmd_bell(args) -> int:
         raise ValueError(f"--seq has a zero denominator: {args.seq!r}") from None
     if len(seq) > MAX_BELL_TERMS:
         raise ValueError(f"bell takes --seq up to {MAX_BELL_TERMS} terms, got {len(seq)}")
-    value = complete_bell(seq, one=Fraction(1))
-    if args.json:
-        print(
-            json.dumps(
-                {"id": f"bell:n={len(seq)}", "exact": str(value), "status": "ok"},
-                sort_keys=True,
-            )
-        )
-    else:
-        print(value)
+    _emit(args, f"bell:n={len(seq)}", exact=str(complete_bell(seq, one=Fraction(1))))
     return 0
 
 
@@ -234,11 +214,7 @@ def _cmd_constant(args) -> int:
         value = numeric(int(digits))
     else:
         raise ValueError(f"unknown constant {name!r}")
-    if args.json:
-        print(json.dumps({"id": f"constant:{name}", "numeric": value, "status": "ok"},
-                         sort_keys=True))
-    else:
-        print(_fmt(value, args.digits))
+    _emit(args, f"constant:{name}", value)
     return 0
 
 

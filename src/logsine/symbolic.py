@@ -383,6 +383,7 @@ def eval_numeric(value: SymbolicValue) -> float:
 
 _COEF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
 _FACTOR_RE = re.compile(r"^([a-z0-9_]+?)(?:\^(\d+))?$")
+_TERM_RE = re.compile(r"([+-]?)([^+-]+)")
 
 
 def _parse_term(term: str) -> tuple[tuple, Fraction]:
@@ -412,26 +413,14 @@ def parse_text(text: str) -> SymbolicValue:
     if s == "0":
         return SymbolicValue.zero()
     s = s.replace(" ", "")
-    chunks: list[tuple[int, str]] = []
-    sign = 1
-    buf = ""
-    for ch in s:
-        if ch in "+-" and buf:
-            chunks.append((sign, buf))
-            sign = 1 if ch == "+" else -1
-            buf = ""
-        elif ch == "-" and not buf and not chunks and sign == 1:
-            sign = -1
-        elif ch == "+" and not buf:
-            continue
-        else:
-            buf += ch
-    if buf:
-        chunks.append((sign, buf))
+    terms = _TERM_RE.findall(s)
+    # the terms must cover the text, so each but the first starts with its sign
+    if "".join(sign + body for sign, body in terms) != s:
+        raise ValueError("a doubled, stray or trailing sign in symbolic text")
     products = []
-    for sign, chunk in chunks:
-        mono, coef = _parse_term(chunk)
-        products.append((mono, sign * coef.numerator, coef.denominator))
+    for sign, body in terms:
+        mono, coef = _parse_term(body)
+        products.append((mono, -coef.numerator if sign == "-" else coef.numerator, coef.denominator))
     return SymbolicValue._of(_collect(products))
 
 

@@ -30,15 +30,8 @@ class IdentityResult:
     tol: float
     status: str
 
-    def to_json_obj(self) -> dict:
-        obj: dict = {"id": self.id, "numeric": self.numeric, "status": self.status}
-        if self.exact is not None:
-            obj["exact"] = self.exact
-        obj["abs_err"] = self.abs_err
-        obj["oracle"] = self.oracle
-        obj["tol"] = self.tol
-        obj["group"] = self.group
-        return obj
+    def to_json_obj(self) -> dict:  # a float row has no exact text and no "exact" key
+        return {key: value for key, value in vars(self).items() if value is not None}
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import logsine
 from logsine import integrals, parse_text, verify
-from logsine.cli import MAX_BELL_TERMS, MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P, main
+from logsine.cli import MAX_BELL_TERMS, MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P, _emit, _fmt, main
 from logsine.verify import Check, IdentityResult
 
 
@@ -531,3 +532,73 @@ class TestVerifyRegistry:
         bad = IdentityResult("b", "g", None, 1, 0, 1, 0.5, "fail")
         assert verify.all_passed([good])
         assert not verify.all_passed([good, bad])
+
+
+# the record rule: the JSON keys of each kind of result and its text shape,
+# whose floats are _fmt of the JSON values at the same --digits
+_EXACT_KEYS = {"exact", "id", "numeric", "status"}
+_FALLBACK_KEYS = {"abs_err", "id", "numeric", "reason", "status"}
+_VALUE_KEYS = {"id", "numeric", "status"}
+
+
+def _labelled_pair(obj, digits):
+    return f"exact:   {obj['exact']}\nnumeric: {_fmt(obj['numeric'], digits)}\n"
+
+
+def _fallback_lines(obj, digits):
+    return (f"numeric: {_fmt(obj['numeric'], digits)}  (error estimate {obj['abs_err']:.1e})\n"
+            f"note:    no exact form: {obj['reason']}\n")
+
+
+def _bare_value(obj, digits):
+    return f"{_fmt(obj['numeric'], digits)}\n"
+
+
+def _bare_exact(obj, digits):
+    return f"{obj['exact']}\n"
+
+
+_RECORDS = [
+    (("closed-form", "--z", "pi", "--n", "1", "--p", "2"), _EXACT_KEYS, _labelled_pair),
+    (("ls", "--theta", "2pi", "--n", "1", "--p", "2"), _EXACT_KEYS, _labelled_pair),
+    (("closed-form", "--z", "pi", "--n", "2", "--p", "3"), _FALLBACK_KEYS, _fallback_lines),
+    (("ls", "--theta", "pi", "--n", "2", "--p", "3"), _FALLBACK_KEYS, _fallback_lines),
+    (("numeric", "--z", "1.1", "--n", "3", "--p", "1"), _VALUE_KEYS, _bare_value),
+    (("constant", "--name", "zeta3"), _VALUE_KEYS, _bare_value),
+    (("binom-deriv", "--p", "2", "--k", "1"), _EXACT_KEYS, _labelled_pair),
+    (("binom-deriv", "--p", "0", "--k", "1"), _EXACT_KEYS, _labelled_pair),  # the value 0
+    (("bell", "--seq=1/2,-1/3,2"), {"exact", "id", "status"}, _bare_exact),
+]
+
+
+class TestRecordFormat:
+    @pytest.mark.parametrize("argv,keys,text,digits", [
+        (argv, keys, text, digits) for argv, keys, text in _RECORDS
+        for digits in ([], ["--digits", "6"]) if argv[0] != "bell" or not digits
+    ])
+    def test_keys_and_text_shape(self, capsys, argv, keys, text, digits):
+        code, out = run_cli(capsys, *argv, *digits, "--json")
+        obj = json.loads(out)
+        assert code == 0 and out.count("\n") == 1
+        assert set(obj) == keys
+        assert obj["id"].startswith(f"{argv[0]}:") and obj["status"] == "ok"
+        code, out = run_cli(capsys, *argv, *digits)
+        assert code == 0
+        assert out == text(obj, int(digits[1]) if digits else 15)
+
+    def test_verify_rows_carry_exact_only_with_a_form(self, capsys, cfg):
+        code, out = run_cli(capsys, "verify-paper", "--json")
+        rows = {row["id"]: row for row in json.loads(out)}
+        results = verify.run_verification(None, cfg)
+        base = {"abs_err", "group", "id", "numeric", "oracle", "status", "tol"}
+        assert code == 0 and set(rows) == {r.id for r in results}
+        for r in results:
+            assert set(rows[r.id]) == base | ({"exact"} if r.exact is not None else set())
+        assert {r.exact is None for r in results} == {True, False}
+
+    def test_a_zero_value_and_a_zero_error_estimate_still_print(self, capsys):
+        _emit(argparse.Namespace(json=True), "x", numeric=0.0, error=0.0, reason="r")
+        assert json.loads(capsys.readouterr().out) == {
+            "abs_err": 0.0, "id": "x", "numeric": 0.0, "reason": "r", "status": "ok"}
+        _emit(argparse.Namespace(json=False, digits=15), "x", numeric=0.0, error=0.0, reason="r")
+        assert capsys.readouterr().out == "numeric: 0  (error estimate 0.0e+00)\nnote:    no exact form: r\n"

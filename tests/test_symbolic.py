@@ -163,6 +163,15 @@ class TestSerialization:
     def test_text_round_trip(self, a):
         assert parse_text(a.text()) == a
 
+    @pytest.mark.parametrize("text", ["pi -", "pi ++ zeta3", "pi + - zeta3", "- - pi", "+", "pi*2 -"])
+    def test_a_doubled_stray_or_trailing_sign_raises(self, text):
+        with pytest.raises(ValueError, match="sign"):
+            parse_text(text)
+
+    def test_a_leading_sign_is_kept(self):
+        assert parse_text("+ pi - zeta3") == sym_pi() - sym_zeta_odd(3)
+        assert parse_text("-pi") == -sym_pi()
+
     def test_a_long_text_is_parsed_without_adding_values(self, monkeypatch):
         # the term map is built once: adding term by term copies the map per term
         monos = [sym_pi(i) * sym_log2(j) for i in range(50) for j in range(45)]
