@@ -10,8 +10,7 @@ The symbolic route evaluates complete Bell polynomials over the sequences
 whose polygamma values collapse to the Euler-constant-free basis
 {pi, log 2, zeta(odd)} at positive integer arguments.  An independent
 float oracle verifies every symbolic derivative numerically: the same Bell
-lemma over the derivatives of the log of the gamma-function (reflection)
-form, taken from gamma-function floats.
+lemma over the polygamma sequence of the derivatives, read at m = 0.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bell import binomial_convolution, complete_bell_all
-from .numerics import polygamma_real, zeta_numeric
+from .numerics import polygamma_real
 from .specialfn import harmonic, polygamma_int
 from .symbolic import SymbolicValue, linear_combination, sym_log2, sym_pi
 
@@ -45,6 +44,18 @@ class DerivSpec:
 LOG4 = sym_log2(1, 2)  # log 4 = 2 log 2
 
 
+def _log_gamma_deriv(j: int, m: float, k: int) -> float:
+    """g_j(m) = 2^j psi^{(j-1)}(1+2m) - psi^{(j-1)}(1+m+k) + t, the j-th m-derivative
+    of the log of the gamma-function form of binom(2m, m+k): t = -psi^{(j-1)}(1+m-k)
+    where 1+m-k > 0, else the reflected (-1)^j psi^{(j-1)}(k-m)."""
+    n = j - 1
+    if m + 1 - k > 0:
+        t = -polygamma_real(n, m + 1 - k)
+    else:
+        t = (-1.0) ** j * polygamma_real(n, k - m)
+    return 2.0**j * polygamma_real(n, 2 * m + 1) - polygamma_real(n, m + 1 + k) + t
+
+
 def delta_numeric(j: int, m: float, k: int) -> float:
     """The sequence (-1)^j [2^j psi^{(j-1)}(2m+1) - psi^{(j-1)}(m+1+k) - psi^{(j-1)}(m+1-k)].
 
@@ -60,12 +71,7 @@ def delta_numeric(j: int, m: float, k: int) -> float:
         raise ValueError(
             "delta_numeric needs 2m+1 > 0 and m+1-k > 0; use the symbolic path at m=0"
         )
-    n = j - 1
-    return (-1.0) ** j * (
-        2.0**j * polygamma_real(n, 2 * m + 1)
-        - polygamma_real(n, m + 1 + k)
-        - polygamma_real(n, m + 1 - k)
-    )
+    return (-1.0) ** j * _log_gamma_deriv(j, m, k)
 
 
 def _xi_rational(j: int, k: int) -> Fraction:
@@ -205,35 +211,19 @@ def binom_deriv(spec: DerivSpec) -> SymbolicValue:
 # -- the Bell-lemma oracle over floats ---------------------------------------------
 
 
-def _log_factor_derivs(spec: DerivSpec) -> list[float]:
-    # [g'(0), ..., g^(p)(0)] for g the log of the gamma-function factor:
-    # log Gamma(1+2m) - 2 log Gamma(1+m) at k = 0 and
-    # log Gamma(1+2m) + log Gamma(k-m) - log Gamma(1+k+m) at k >= 1.
-    # At j = 1 the Euler constant cancels: -2 gamma - psi(k) - psi(k+1) = -H_{k-1} - H_k
-    k = spec.k
-    derivs = [-math.fsum([*(2.0 / i for i in range(1, k)), 1.0 / k]) if k else 0.0]
-    for j in range(2, spec.p + 1):
-        at_one = (-1.0) ** j * math.factorial(j - 1) * zeta_numeric(j)  # psi^{(j-1)}(1)
-        if k == 0:
-            derivs.append((2.0**j - 2.0) * at_one)
-        else:
-            reflected = (-1.0) ** j * polygamma_real(j - 1, k) - polygamma_real(j - 1, k + 1)
-            derivs.append(2.0**j * at_one + reflected)
-    if spec.scaled:
-        derivs[0] -= math.log(4.0)
-    return derivs[: spec.p]
-
-
 def taylor_coefficient_oracle(spec: DerivSpec) -> float:
     """Independent float value of the same derivative by the Bell lemma
-    d^p e^g = e^g B_p(g', ..., g^(p)) over gamma-function floats for g.
+    d^p e^g = e^g B_p(g', ..., g^(p)), g^(j)(0) from :func:`_log_gamma_deriv`.
 
     For k >= 1 the reflection form
         C(m) = (-1)^{k+1} (sin(pi m)/pi) Gamma(2m+1) Gamma(k-m) / Gamma(m+1+k)
     isolates the zero of 1/Gamma(m+1-k) in the sine factor, which Leibniz's
     rule joins to e^g, with e^{g(0)} = 1/k.
     """
-    ratio = complete_bell_all(_log_factor_derivs(spec), 1.0)
+    derivs = [_log_gamma_deriv(j, 0, spec.k) for j in range(1, spec.p + 1)]
+    if spec.scaled and derivs:
+        derivs[0] -= math.log(4.0)
+    ratio = complete_bell_all(derivs, 1.0)
     if spec.k == 0:
         return ratio[spec.p]
     # d^i/dm^i sin(pi m)/pi at 0: 0 at even i, (-1)^{(i-1)/2} pi^{i-1} at odd i

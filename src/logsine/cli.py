@@ -178,6 +178,19 @@ def _cmd_binom_deriv(args) -> int:
     return 0
 
 
+def _whole_str(value: Fraction) -> str:
+    # the int-to-str digit limit guards parsing text, not a computed value: lift it
+    # for this conversion only (interpreters before 3.10.7 have no limit)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _cmd_bell(args) -> int:
     parts = args.seq.split(",") if args.seq.strip() else []  # --seq= is B_0
     if not all(part.strip() for part in parts):
@@ -188,7 +201,7 @@ def _cmd_bell(args) -> int:
         raise ValueError(f"--seq has a zero denominator: {args.seq!r}") from None
     if len(seq) > MAX_BELL_TERMS:
         raise ValueError(f"bell takes --seq up to {MAX_BELL_TERMS} terms, got {len(seq)}")
-    _emit(args, f"bell:n={len(seq)}", exact=str(complete_bell(seq, one=Fraction(1))))
+    _emit(args, f"bell:n={len(seq)}", exact=_whole_str(complete_bell(seq, one=Fraction(1))))
     return 0
 
 

@@ -164,10 +164,6 @@ class SymbolicValue:
             raise ValueError("value is not purely rational")
         return self.rational_part()
 
-    def normalize(self) -> "SymbolicValue":
-        """Re-normalization is idempotent; exposed for property tests."""
-        return SymbolicValue(self.terms)
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):

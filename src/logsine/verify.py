@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from . import bell, binomderiv, integrals, numerics, specialfn
@@ -79,26 +80,31 @@ TABLES = (
 )
 
 
+def _worst(gaps_of):
+    """The compute of a grid row from ``gaps_of(cfg)``, which yields the row's gaps:
+    the value is the largest gap, or NaN when any gap is NaN, so that the row
+    fails where ``max(0.0, nan)`` would read 0.0 and pass."""
+
+    def compute(cfg: NumericConfig):
+        gaps = list(gaps_of(cfg))
+        return None, math.nan if any(map(math.isnan, gaps)) else max(gaps), 0.0
+
+    return compute
+
+
+@_worst
 def _lemma_delta_worst(cfg: NumericConfig):
-    worst = 0.0
-    for m0, k in ((0.25, 0), (1.5, 1)):
-        for j in (1, 2, 3):
-            val, _ = numerics.richardson_derivative(
-                lambda m: binomderiv.delta_numeric(j, m, k), m0, 1
-            )
-            worst = max(worst, abs(val + binomderiv.delta_numeric(j + 1, m0, k)))
-    return None, worst, 0.0
+    for (m0, k), j in product(((0.25, 0), (1.5, 1)), (1, 2, 3)):
+        val, _ = numerics.richardson_derivative(lambda m: binomderiv.delta_numeric(j, m, k), m0, 1)
+        yield abs(val + binomderiv.delta_numeric(j + 1, m0, k))
 
 
+@_worst
 def _lemma_cot_bell_worst(cfg: NumericConfig):
-    worst = 0.0
-    for n in range(0, 7):
-        for k in (0.1, 0.3, 0.45):
-            nu = [numerics.cot_derivative(j - 1, k) for j in range(1, n + 1)]
-            got = bell.complete_bell(nu, one=1.0)
-            want = bell.bell_cot_closed_form(n, k)
-            worst = max(worst, abs(got - want) / math.pi**n)
-    return None, worst, 0.0
+    for n, k in product(range(0, 7), (0.1, 0.3, 0.45)):
+        nu = [numerics.cot_derivative(j - 1, k) for j in range(1, n + 1)]
+        got = bell.complete_bell(nu, one=1.0)
+        yield abs(got - bell.bell_cot_closed_form(n, k)) / math.pi**n
 
 
 def _lemma_rho(cfg: NumericConfig):
@@ -111,44 +117,35 @@ def _lemma_rho(cfg: NumericConfig):
 
 
 def _deriv_worst(ps: Sequence[int], ks: Sequence[int]):
-    def compute(cfg: NumericConfig):
-        worst = 0.0
-        for p in ps:
-            for k in ks:
-                for scaled in (False, True):
-                    spec = binomderiv.DerivSpec(p, k, scaled)
-                    got = eval_numeric(binomderiv.binom_deriv(spec))
-                    want = binomderiv.taylor_coefficient_oracle(spec)
-                    worst = max(worst, abs(got - want))
-        return None, worst, 0.0
+    @_worst
+    def gaps(cfg: NumericConfig):
+        for p, k, scaled in product(ps, ks, (False, True)):
+            spec = binomderiv.DerivSpec(p, k, scaled)
+            got = eval_numeric(binomderiv.binom_deriv(spec))
+            yield abs(got - binomderiv.taylor_coefficient_oracle(spec))
 
-    return compute
+    return gaps
 
 
 def _moment_worst(z: str):
-    def compute(cfg: NumericConfig):
-        worst = 0.0
+    @_worst
+    def gaps(cfg: NumericConfig):
         zv = integrals.angle_value(z)
-        for n in range(0, 4):
-            for m in range(0, 4):
-                sym = integrals.sine_power_moment_exact(n, m, z)
-                oracle = numerics.tanh_sinh_quadrature(
-                    lambda x: x**n * math.sin(x) ** (2 * m), 0.0, zv, cfg
-                )
-                worst = max(worst, abs(eval_numeric(sym) - oracle))
-        return None, worst, 0.0
+        for n, m in product(range(0, 4), range(0, 4)):
+            sym = integrals.sine_power_moment_exact(n, m, z)
+            oracle = numerics.tanh_sinh_quadrature(
+                lambda x: x**n * math.sin(x) ** (2 * m), 0.0, zv, cfg
+            )
+            yield abs(eval_numeric(sym) - oracle)
 
-    return compute
+    return gaps
 
 
+@_worst
 def _moment_series_worst(cfg: NumericConfig):
-    worst = 0.0
-    for n in range(0, 6):
-        for m in range(0, 6):
-            sym = eval_numeric(integrals.sine_power_moment_exact(n, m, "pi"))
-            num = integrals.sine_power_moment_numeric(n, m, math.pi)
-            worst = max(worst, abs(sym - num))
-    return None, worst, 0.0
+    for n, m in product(range(0, 6), range(0, 6)):
+        sym = eval_numeric(integrals.sine_power_moment_exact(n, m, "pi"))
+        yield abs(sym - integrals.sine_power_moment_numeric(n, m, math.pi))
 
 
 def _clausen(p: int):

@@ -52,6 +52,25 @@ class TestDeltaNumeric:
         with pytest.raises(ValueError):
             delta_numeric(1, 0.0, 1)  # m+1-k = 0
 
+    # pinned bits at the lemma row's points and the inputs above: the Taylor oracle
+    # reads the same polygamma sequence, and no change to it may move these values
+    @pytest.mark.parametrize("j,m0,k,bits", [
+        (1, 0.25, 0, "-0x1.0e4734f052840p-1"),
+        (2, 0.25, 0, "0x1.5834760bf6519p+0"),
+        (3, 0.25, 0, "0x1.fcc94d8ec507cp+1"),
+        (4, 0.25, 0, "0x1.0fb2ddc49956dp+4"),
+        (1, 1.5, 1, "-0x1.5f61f978e0d74p+0"),
+        (2, 1.5, 1, "-0x1.09f84dd8268bcp-3"),
+        (3, 1.5, 1, "-0x1.2fcda0388513ep-2"),
+        (4, 1.5, 1, "-0x1.85ea18710a2ccp-1"),
+        (1, 0.0, 0, "-0x0.0p+0"),
+        (2, 0.0, 0, "0x1.a51a6625307d2p+1"),
+        (1, 1.0, 1, "-0x1.8000000000000p+0"),
+        (1, 2.0, 0, "-0x1.2aaaaaaaaaaa8p+0"),
+    ])
+    def test_values_keep_their_bits(self, j, m0, k, bits):
+        assert delta_numeric(j, m0, k).hex() == bits
+
     @pytest.mark.parametrize("j,m0,k", [(1, 0.25, 0), (2, 0.25, 0), (3, 0.25, 0),
                                         (1, 1.5, 1), (2, 1.5, 1), (3, 1.5, 1)])
     def test_derivative_steps_down_the_sequence(self, j, m0, k):
@@ -216,7 +235,8 @@ class TestTaylorOracle:
         got = taylor_coefficient_oracle(DerivSpec(p, 0, scaled))
         assert got == pytest.approx(fd, rel=1e-8 if p < 4 else 2e-6, abs=1e-10)
 
-    @pytest.mark.parametrize("p,k", [(12, 0), (20, 0), (40, 0), (20, 30)])
+    @pytest.mark.parametrize("p,k", [(p, k) for p in range(13) for k in range(7)]
+                             + [(20, 0), (40, 0), (20, 30)])
     @pytest.mark.parametrize("scaled", [False, True])
     def test_high_orders_vs_exact_floats(self, p, k, scaled):
         spec = DerivSpec(p, k, scaled)

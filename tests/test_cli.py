@@ -1,6 +1,8 @@
 import argparse
+import functools
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import logsine
-from logsine import integrals, parse_text, verify
+from logsine import binomderiv, integrals, parse_text, verify
 from logsine.cli import MAX_BELL_TERMS, MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P, _emit, _fmt, main
 from logsine.verify import Check, IdentityResult
 
@@ -297,6 +299,26 @@ class TestBellCommand:
             assert (code, out) == (2, "")
             assert err == f"usage error: bell takes --seq up to {MAX_BELL_TERMS} terms, got {length}\n"
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_a_value_past_the_int_digit_limit_prints_whole(self, capsys, fmt):
+        # B_200(x, ..., x) with x = 10^40 - 1 has 8,001 digits, past the interpreter's
+        # 4,300-digit int-to-str limit, and equals sum_j S(200, j) x^j (Touchard)
+        x, n = 10**40 - 1, MAX_BELL_TERMS
+        stirling = [1]  # S(i, 0..i), row by row
+        for i in range(1, n + 1):
+            prev = stirling + [0]
+            stirling = [0] + [j * prev[j] + prev[j - 1] for j in range(1, i + 1)]
+        want = sum(s * x**j for j, s in enumerate(stirling))
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code = main(["bell", "--seq=" + ",".join([str(x)] * n), *fmt])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        text = json.loads(out)["exact"] if fmt else out.removesuffix("\n")
+        assert text.isdigit() and 10 ** (len(text) - 1) <= want < 10 ** len(text)
+        prime = 2**61 - 1  # the digits as a number, by Horner's rule modulo a prime
+        assert functools.reduce(lambda r, d: (10 * r + int(d)) % prime, text, 0) == want % prime
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
+
     def test_limit_is_documented(self, capsys):
         with pytest.raises(SystemExit):
             main(["bell", "--help"])
@@ -526,6 +548,17 @@ class TestVerifyRegistry:
         ids = [c.id for c in verify.build_registry()]
         assert len(ids) == len(set(ids)) == 33
         assert set(grids.VERIFY_CHECKS) <= set(ids)
+
+    @pytest.mark.parametrize("module,name,ident", [
+        (binomderiv, "taylor_coefficient_oracle", "deriv:shifted-p3"),
+        (binomderiv, "taylor_coefficient_oracle", "deriv:central-p0..6"),
+        (integrals, "sine_power_moment_numeric", "moment:closed-vs-series"),
+    ])
+    def test_a_nan_oracle_fails_its_grid_row(self, cfg, monkeypatch, module, name, ident):
+        # max(0.0, nan) is 0.0: a row that folded its gaps by max read a NaN oracle as a pass
+        monkeypatch.setattr(module, name, lambda *args: math.nan)
+        (row,) = verify.run_verification(ident, cfg)
+        assert row.id == ident and row.status == "fail" and math.isnan(row.numeric)
 
     def test_all_passed_helper(self):
         good = IdentityResult("a", "g", None, 0, 0, 0, 1, "pass")

@@ -82,8 +82,9 @@ class TestRingLaws:
 
     @given(symbolic_values())
     def test_normalization_idempotent(self, a):
-        assert a.normalize() == a
-        assert a.normalize().normalize() == a.normalize()
+        rebuilt = SymbolicValue(a.terms)
+        assert rebuilt == a
+        assert SymbolicValue(rebuilt.terms) == rebuilt
 
 
 class TestExamples:
