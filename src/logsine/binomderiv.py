@@ -148,19 +148,24 @@ def _constant_row(n: int, scaled: bool) -> tuple[SymbolicValue, ...]:
     return tuple(binomial_convolution(powers, core, m, _SYM_ONE) for m in range(n + 1))
 
 
-_rational_rows: dict[int, tuple[Fraction, ...]] = {}
+_rational_rows: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
 
 
-def _rational_row(n: int, k: int) -> tuple[Fraction, ...]:
-    """A prefix [B_0(r(k)), ..., B_l(r(k))], l >= n, of the Bell row of the rational parts
-    r_j(k) of xi_bar, kept per k and extended in a new tuple when a larger n asks: no reader
-    sees a half-built row, and two threads racing on one k at worst store the shorter one."""
-    row = _rational_rows.get(k, ())
+def _rational_row(n: int, k: int) -> tuple[int, tuple[int, ...]]:
+    """(L, row), L = lcm(1..k) and row a prefix [L^0 B_0(r(k)), ..., L^l B_l(r(k))], l >= n, of
+    the Bell row of the rational parts r_j(k) of xi_bar: by the weight homogeneity
+    B_i(L s_1, L^2 s_2, ...) = L^i B_i(s) it is the Bell row of the integers r_j(k) L^j (k^j and
+    the denominators of H_{k-1}^{(j)} divide L^j).  Kept per k with that sequence, and extended
+    in new tuples when a larger n asks: no reader sees a half-built row, and two threads racing
+    on one k at worst store the shorter one."""
+    lcm, seq, row = _rational_rows.get(k) or (math.lcm(*range(1, k + 1)), (), ())
     if len(row) <= n:
-        seq = [_xi_rational(j, k) for j in range(1, n + 1)]
-        row = tuple(complete_bell_all(seq, Fraction(1), row))
-        _rational_rows[k] = row
-    return row
+        scaled = [_xi_rational(j, k) * lcm**j for j in range(len(seq) + 1, n + 1)]
+        assert all(r.denominator == 1 for r in scaled), k
+        seq += tuple(r.numerator for r in scaled)
+        row = tuple(complete_bell_all(seq, 1, row))
+        _rational_rows[k] = (lcm, seq, row)
+    return lcm, row
 
 
 _rational_row.cache_clear = _rational_rows.clear
@@ -176,17 +181,17 @@ def shifted_binom_deriv(spec: DerivSpec) -> SymbolicValue:
     because binom(0, k) = 0.  With xi_bar_j = c_j + r_j(k), c the k-free
     sequence of :func:`_constant_row`, the binomial identity B_n(c + r) =
     sum_i C(n, i) B_i(r) B_{n-i}(c) is a rational combination of the cached
-    symbolic row of c, with weights C(n, i) scale B_i(r(k)) from the cached
-    rational row of k; each monomial's coefficient is one integer sum.
+    symbolic row of c, with weights C(n, i) scale B_i(r(k)), B_i(r(k)) = row_i / L^i
+    over the cached integer row of k; each monomial's coefficient is one integer sum.
     """
     if spec.k < 1:
         raise ValueError("shifted_binom_deriv requires k >= 1; use central_binom_deriv")
     if spec.p == 0:
         return SymbolicValue.zero()
     n = spec.p - 1
-    rational = _rational_row(n, spec.k)
+    lcm, rational = _rational_row(n, spec.k)
     sign_p = (-1) ** (spec.p + spec.k) * spec.p
-    weights = [Fraction(math.comb(n, i) * sign_p * r.numerator, spec.k * r.denominator)
+    weights = [Fraction(math.comb(n, i) * sign_p * r, spec.k * lcm**i)
                for i, r in enumerate(rational[: n + 1])]
     return linear_combination(weights, _constant_row(n, spec.scaled)[n::-1])
 
@@ -200,7 +205,8 @@ def central_binom_deriv(spec: DerivSpec) -> SymbolicValue:
     """
     if spec.k != 0:
         raise ValueError("central_binom_deriv requires k = 0")
-    return (-1) ** spec.p * _constant_row(spec.p, spec.scaled)[spec.p]
+    bell = _constant_row(spec.p, spec.scaled)[spec.p]
+    return -bell if spec.p % 2 else bell
 
 
 def binom_deriv(spec: DerivSpec) -> SymbolicValue:
@@ -209,6 +215,11 @@ def binom_deriv(spec: DerivSpec) -> SymbolicValue:
 
 
 # -- the Bell-lemma oracle over floats ---------------------------------------------
+
+
+# g_j(0), kept per (j, k) since scaled and unscaled specs share it; not per float m, as
+# delta_numeric reads arbitrary m
+_log_gamma_deriv_at_zero = lru_cache(maxsize=None)(lambda j, k: _log_gamma_deriv(j, 0, k))
 
 
 def taylor_coefficient_oracle(spec: DerivSpec) -> float:
@@ -220,7 +231,7 @@ def taylor_coefficient_oracle(spec: DerivSpec) -> float:
     isolates the zero of 1/Gamma(m+1-k) in the sine factor, which Leibniz's
     rule joins to e^g, with e^{g(0)} = 1/k.
     """
-    derivs = [_log_gamma_deriv(j, 0, spec.k) for j in range(1, spec.p + 1)]
+    derivs = [_log_gamma_deriv_at_zero(j, spec.k) for j in range(1, spec.p + 1)]
     if spec.scaled and derivs:
         derivs[0] -= math.log(4.0)
     ratio = complete_bell_all(derivs, 1.0)

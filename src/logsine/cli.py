@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -33,6 +34,7 @@ from .symbolic import eval_numeric
 MAX_BINOM_DERIV_P = 40  # the exact form grows fast with p: megabytes at p = 40 scaled
 MAX_BINOM_DERIV_K = 200  # its harmonic-number denominators grow with k: 30 MB at p = 40, k = 200 scaled
 MAX_BELL_TERMS = 200  # the exact value's cost grows 5-12x per doubling: 36 s at 1,200 terms
+MAX_BELL_TERM_DIGITS = 4300  # per number in a term, the interpreter's default int-from-str limit
 _P_HELP = f"log power, at most {MAX_BINOM_DERIV_P}"
 
 
@@ -195,6 +197,12 @@ def _cmd_bell(args) -> int:
     parts = args.seq.split(",") if args.seq.strip() else []  # --seq= is B_0
     if not all(part.strip() for part in parts):
         raise ValueError(f"--seq has an empty term: {args.seq!r}")
+    for i, part in enumerate(parts, 1):
+        # each number of a term, with the PEP 515 underscores that Fraction reads
+        longest = max((len(run.replace("_", "")) for run in re.findall(r"\d[\d_]*", part)), default=0)
+        if longest > MAX_BELL_TERM_DIGITS:
+            raise ValueError(f"--seq term {i} has a number of {longest} digits; a numerator, denominator "
+                             f"or decimal part takes at most {MAX_BELL_TERM_DIGITS}")
     try:
         seq = [Fraction(part) for part in parts]
     except ZeroDivisionError:

@@ -23,7 +23,7 @@ is flagged numeric with a reason.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -38,6 +38,7 @@ from .specialfn import alt_euler_sum_H, eta_value, euler_sum_H
 from .symbolic import (
     SymbolicValue,
     eval_numeric,
+    linear_combination,
     sym_pi,
     sym_zeta,
 )
@@ -108,14 +109,12 @@ def sine_power_moment_exact(n: int, m: int, z: str) -> SymbolicValue:
     if z not in ("pi", "pi/2"):
         raise ValueError("exact moments are available at z in {'pi/2', 'pi'}")
     central, weights = _case_weights(n, z)
-    total = central * Fraction(math.comb(2 * m, m), 4**m)
     lcm = math.lcm(*range(1, m + 1))
-    for coef, alt, pow_ in weights:  # the k-sum as one integer over lcm(k^pow) = lcm(1..m)^pow
-        den = lcm**pow_
-        ksum = sum((-1) ** (k * alt) * math.comb(2 * m, m + k) * (den // k**pow_)
-                   for k in range(1, m + 1))
-        total = total + coef * Fraction(ksum, den * 4**m)
-    return total
+    # each k-sum as one integer over lcm(k^pow) = lcm(1..m)^pow
+    ksums = [Fraction(sum((-1) ** (k * alt) * math.comb(2 * m, m + k) * (lcm**pow_ // k**pow_)
+                          for k in range(1, m + 1)), lcm**pow_) for _, alt, pow_ in weights]
+    return linear_combination([math.comb(2 * m, m), *ksums],
+                              [central, *(coef for coef, _, _ in weights)], Fraction(1, 4**m))
 
 
 def sine_power_moment_numeric(n: int, m: int, z: float) -> float:
@@ -206,19 +205,6 @@ def _case_weights(n: int, z: str) -> tuple[SymbolicValue, tuple[tuple[SymbolicVa
         parity = Fraction(nfact * (-1) ** ((n + 1) // 2), 2**n)
         weights.append((SymbolicValue.rational(parity), True, n + 1))
     return central, tuple(weights)
-
-
-def _deriv_value_exact(n: int, p: int, z: str, scaled: bool) -> SymbolicValue:
-    """Exact p-th m-derivative at m = 0 of the row at z over the scaled or unscaled
-    coefficients (2^p times the target integral when scaled); raises
-    CatalogMissError when the k-sums cannot be reduced."""
-    central, weights = _case_weights(n, z)
-    # a catalog miss raises here, before any work
-    ksums = [_ksum(p, scaled, alt, pow_) for _, alt, pow_ in weights]
-    total = central * central_binom_deriv(DerivSpec(p, 0, scaled))
-    for (coef, _, _), ksum in zip(weights, ksums):
-        total = total + coef * ksum
-    return total
 
 
 # -- one log-sine series: the moments of y^i log^p|2 sin(y/2)| -------------------
@@ -361,16 +347,21 @@ def _moment_sum(n: int, p: int, z: str, scaled: bool) -> tuple[float, float]:
 def _closed_form(n: int, p: int, z: str, scaled: bool) -> ClosedFormResult:
     """2^{-p} times the p-th derivative of the row at z; the log-sine form at theta = z is
     -2^{n+1-p} times the unscaled derivative of the row at theta/2.  Exact when the k-sums
-    reduce over the catalog, otherwise from log-sine moments, never a wrong symbolic value."""
+    reduce over the catalog, otherwise from log-sine moments, never a wrong symbolic value.
+    The derivative, central D_p(0) + sum coef * (k-sum of D_p), is summed and scaled in one pass."""
+    row, scale = (z, 1) if scaled else (_HALF_ANGLE[z], -(2 ** (n + 1)))
+    central, weights = _case_weights(n, row)
     try:
-        row, scale = (z, 1) if scaled else (_HALF_ANGLE[z], -(2 ** (n + 1)))
-        sym = Fraction(scale, 2**p) * _deriv_value_exact(n, p, row, scaled)
-        return ClosedFormResult(True, sym, eval_numeric(sym))
+        ksums = [_ksum(p, scaled, alt, pow_) for _, alt, pow_ in weights]
     except CatalogMissError as miss:
         value, error = _moment_sum(n, p, z, scaled)
         if not (math.isfinite(value) and math.isfinite(error)):
             raise OverflowError(f"the series fallback is {value} with error estimate {error:.1e}")
         return ClosedFormResult(False, None, value, error, str(miss))
+    sym = linear_combination([central, *(coef for coef, _, _ in weights)],
+                             [central_binom_deriv(DerivSpec(p, 0, scaled)), *ksums],
+                             Fraction(scale, 2**p))
+    return ClosedFormResult(True, sym, eval_numeric(sym))
 
 
 def log_sin_power_integral(spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG) -> ClosedFormResult:
@@ -426,14 +417,6 @@ def log_sine_any_angle(p: int, z: float) -> tuple[float, float]:
 # -- numeric oracle over the defining integrals -------------------------------------
 
 
-def defining_integrand(spec: IntegralSpec):
-    """The raw integrand of the requested integral (sign included for 'ls')."""
-    n, p = spec.n, spec.p
-    if spec.form == "logsin":
-        return lambda x: x**n * math.log(math.sin(x)) ** p
-    return lambda x: -(x**n) * math.log(2.0 * math.sin(x / 2.0)) ** p
-
-
 def quadrature_value(spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """Tanh-sinh value of the defining integral; the independent oracle.
 
@@ -441,12 +424,17 @@ def quadrature_value(spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG) ->
     symmetric about L/2: past it the piece over (L/2, z) is reflected onto
     (L - z, L/2) with weight (L - x)^n, so the singularity is met at 0, where
     node distances are exact, never at the float L (a z just past L is L)."""
-    f, n, z = defining_integrand(spec), spec.n, angle_value(spec.z)
-    top = math.pi if spec.form == "logsin" else 2 * math.pi
+    n, p, z = spec.n, spec.p, angle_value(spec.z)
+    # the integrand x^n g(x), sign included for 'ls', and the folded one, each one closure
+    if spec.form == "logsin":
+        top = math.pi
+        f = lambda x: x**n * math.log(math.sin(x)) ** p
+        folded = lambda x: (x**n + (top - x) ** n) * math.log(math.sin(x)) ** p
+    else:
+        top = 2 * math.pi
+        f = lambda x: -(x**n) * math.log(2.0 * math.sin(x / 2.0)) ** p
+        folded = lambda x: (x**n + (top - x) ** n) * -(math.log(2.0 * math.sin(x / 2.0)) ** p)
     if z <= top / 2:
         return tanh_sinh_quadrature(f, 0.0, z, cfg)
-    g, mirror = defining_integrand(replace(spec, n=0)), max(top - z, 0.0)
-    half = NumericConfig(cfg.target_abs_tol / 2)
-    return tanh_sinh_quadrature(f, 0.0, mirror, half) + tanh_sinh_quadrature(
-        lambda x: (x**n + (top - x) ** n) * g(x), mirror, top / 2, half
-    )
+    mirror, half = max(top - z, 0.0), NumericConfig(cfg.target_abs_tol / 2)
+    return tanh_sinh_quadrature(f, 0.0, mirror, half) + tanh_sinh_quadrature(folded, mirror, top / 2, half)

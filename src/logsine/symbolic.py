@@ -205,11 +205,7 @@ class SymbolicValue:
             return SymbolicValue._of(
                 {m: _reduced(n * qn, d * qd) for m, (n, d) in self._terms.items()} if qn else {}
             )
-        return SymbolicValue._of(_collect(
-            (_mono_mul(m1, m2), n1 * n2, d1 * d2)
-            for m1, (n1, d1) in self._terms.items()
-            for m2, (n2, d2) in other._terms.items()
-        ))
+        return linear_combination((self,), (other,))
 
     __rmul__ = __mul__
 
@@ -268,14 +264,24 @@ class SymbolicValue:
         }
 
 
-def linear_combination(weights, values) -> SymbolicValue:
-    """sum_i q_i v_i for rationals q_i and SymbolicValues v_i, in one pass of
-    the ring's accumulator: each monomial's coefficient is summed as one
-    integer fraction and reduced once at the end."""
-    rows = [(q.numerator, q.denominator, v._terms) for q, v in zip(weights, values) if q]
+def linear_combination(weights, values, scale: RationalLike = 1) -> SymbolicValue:
+    """scale * sum_i w_i v_i for SymbolicValues v_i and weights w_i that are rationals
+    or SymbolicValues, in one pass of the ring's accumulator: the scale enters each
+    weight unreduced, and each monomial's coefficient is summed as one integer
+    fraction and reduced once at the end."""
+    sn, sd = scale.numerator, scale.denominator
+    rows = [(_weight_terms(w, sn, sd), v._terms) for w, v in zip(weights, values)] if sn else []
     return SymbolicValue._of(_collect(
-        (mono, qn * n, qd * d) for qn, qd, terms in rows for mono, (n, d) in terms.items()
+        (_mono_mul(m1, m2) if m1 else m2, n1 * n2, d1 * d2)
+        for weight, terms in rows for m1, n1, d1 in weight for m2, (n2, d2) in terms.items()
     ))
+
+
+def _weight_terms(weight, sn: int, sd: int) -> list[tuple]:
+    """The (monomial, num, den) terms of a rational or SymbolicValue weight times sn/sd."""
+    if type(weight) is SymbolicValue:
+        return [(mono, n * sn, d * sd) for mono, (n, d) in weight._terms.items()]
+    return [((), weight.numerator * sn, weight.denominator * sd)] if weight else []
 
 
 def _coerce(value) -> "SymbolicValue":

@@ -30,6 +30,7 @@ from logsine import (
 )
 from logsine.bell import complete_bell, complete_bell_all, complete_bell_recurrence
 from logsine.binomderiv import _constant_row, _rational_row, _xi_rational
+from logsine.cli import MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P
 from logsine.integrals import _ksum
 from logsine.symbolic import SymbolicValue, sym_zeta_odd
 
@@ -255,6 +256,19 @@ class TestTaylorOracle:
             got = taylor_coefficient_oracle(DerivSpec(p, k, scaled))
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12), p
 
+    def test_each_log_gamma_derivative_is_computed_once(self, monkeypatch):
+        from logsine import binomderiv
+
+        binomderiv._log_gamma_deriv_at_zero.cache_clear()
+        specs = [DerivSpec(6, k, scaled) for k in (0, 3) for scaled in (False, True)]
+        first = [taylor_coefficient_oracle(spec) for spec in specs]
+        calls = []
+        polygamma = binomderiv.polygamma_real
+        monkeypatch.setattr(binomderiv, "polygamma_real",
+                            lambda n, x: calls.append((n, x)) or polygamma(n, x))
+        assert [taylor_coefficient_oracle(spec) for spec in specs] == first  # the same bits
+        assert calls == []
+
 
 class TestGeneralArgumentDerivatives:
     """The complete Bell polynomial of the delta sequence gives the p-th
@@ -384,12 +398,36 @@ class TestRationalRow:
 
     def test_a_row_is_a_prefix_of_every_longer_row(self):
         _rational_row.cache_clear()
-        short = _rational_row(3, 4)
-        longer = _rational_row(9, 4)
+        lcm, short = _rational_row(3, 4)
+        lcm_longer, longer = _rational_row(9, 4)
+        assert lcm == lcm_longer == 12
         assert longer[: len(short)] == short and len(longer) == 10
-        assert _rational_row(2, 4) is longer  # a shorter request reads the stored row
+        assert _rational_row(2, 4)[1] is longer  # a shorter request reads the stored row
         fresh = complete_bell_all([_xi_rational(j, 4) for j in range(1, 10)], Fraction(1))
-        assert list(longer) == fresh
+        assert [Fraction(b, lcm**i) for i, b in enumerate(longer)] == fresh
+
+    @pytest.mark.parametrize("k_values,n", [(range(1, 61), 20), ((200,), 39)])
+    def test_the_integer_row_is_the_fraction_row_times_powers_of_lcm(self, k_values, n):
+        # B_i(L s_1, L^2 s_2, ...) = L^i B_i(s), L = lcm(1..k), over integers r_j(k) L^j
+        _rational_row.cache_clear()
+        for k in k_values:
+            lcm, row = _rational_row(n, k)
+            assert lcm == math.lcm(*range(1, k + 1))
+            seq = [_xi_rational(j, k) for j in range(1, n + 1)]
+            assert all((r * lcm**j).denominator == 1 for j, r in enumerate(seq, 1)), k
+            fresh = complete_bell_all(seq, Fraction(1))
+            assert all(type(b) is int for b in row) and len(row) == n + 1
+            assert [Fraction(b, lcm**i) for i, b in enumerate(row)] == fresh, k
+
+
+class TestTextDigitMargin:
+    @pytest.mark.parametrize("k", [0, 30, MAX_BINOM_DERIV_K])
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_the_largest_outputs_stay_below_the_int_to_str_limit(self, k, scaled):
+        # text() converts each coefficient with str(), which refuses an int of more than
+        # 4,300 digits; the largest output today, at p = 40, k = 200, has 3,493
+        value, bound = binom_deriv(DerivSpec(MAX_BINOM_DERIV_P, k, scaled)), 10**4300
+        assert all(abs(num) < bound and den < bound for num, den in value._terms.values())
 
 
 class TestConcurrentDerivatives:

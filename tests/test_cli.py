@@ -13,7 +13,9 @@ import pytest
 
 import logsine
 from logsine import binomderiv, integrals, parse_text, verify
-from logsine.cli import MAX_BELL_TERMS, MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P, _emit, _fmt, main
+from logsine.cli import (
+    MAX_BELL_TERM_DIGITS, MAX_BELL_TERMS, MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P, _emit, _fmt, main,
+)
 from logsine.verify import Check, IdentityResult
 
 
@@ -318,6 +320,25 @@ class TestBellCommand:
         prime = 2**61 - 1  # the digits as a number, by Horner's rule modulo a prime
         assert functools.reduce(lambda r, d: (10 * r + int(d)) % prime, text, 0) == want % prime
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
+
+    @pytest.mark.parametrize("seq,position", [
+        ("1,{}", 2), ("1/{},2", 1), ("3,5,-{}/7", 3), ("1.{}", 1), ("2,1_{}", 2),
+    ])
+    @pytest.mark.parametrize("digits", [MAX_BELL_TERM_DIGITS, MAX_BELL_TERM_DIGITS + 1])
+    def test_a_number_past_the_digit_limit_names_its_term(self, capsys, seq, position, digits):
+        longest = digits + ("_" in seq)  # 1_777... is one number
+        code = main(["bell", "--seq=" + seq.format("7" * digits)])
+        out, err = capsys.readouterr()
+        if longest <= MAX_BELL_TERM_DIGITS:
+            assert code == 0 and err == "" and out.strip()
+            return
+        assert (code, out) == (2, "")
+        assert err == (f"usage error: --seq term {position} has a number of {longest} digits; a "
+                       f"numerator, denominator or decimal part takes at most {MAX_BELL_TERM_DIGITS}\n")
+
+    def test_digit_limit_is_documented(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert f"at most {MAX_BELL_TERM_DIGITS:,} digits" in readme
 
     def test_limit_is_documented(self, capsys):
         with pytest.raises(SystemExit):

@@ -49,6 +49,19 @@ class TestMomentsExact:
         assert sine_power_moment_exact(n, 0, z) == sym_pi(n + 1, frac / (n + 1))
 
     @pytest.mark.parametrize("z", ["pi", "pi/2"])
+    def test_one_pass_equals_the_add_loop(self, z):
+        # the weighted k-sums added one value at a time
+        for n in range(13):
+            central, weights = integrals._case_weights(n, z)
+            for m in range(21):
+                want = central * Fraction(math.comb(2 * m, m), 4**m)
+                for coef, alt, pow_ in weights:
+                    ksum = sum(Fraction((-1) ** (k * alt) * math.comb(2 * m, m + k), k**pow_)
+                               for k in range(1, m + 1))
+                    want = want + coef * Fraction(ksum, 4**m)
+                assert sine_power_moment_exact(n, m, z) == want, (n, m)
+
+    @pytest.mark.parametrize("z", ["pi", "pi/2"])
     def test_against_quadrature(self, z, cfg):
         zv = math.pi if z == "pi" else math.pi / 2
         for n in range(0, 6):
@@ -206,6 +219,26 @@ REFERENCE_LS_PI = {
     (2, 3): "-23/1680*pi^6 - 6*pi^2*zb1_3 + 6*zeta3^2 + 12*zb1_5",
     (2, 4): "-1/420*pi^7 - 8*pi^3*zb1_3 + 48*pi*zb1_5",
 }
+
+
+def _add_loop_closed_form(n, p, z, scaled):
+    """The closed form added one weighted k-sum at a time, then scaled."""
+    row, scale = (z, 1) if scaled else (integrals._HALF_ANGLE[z], -(2 ** (n + 1)))
+    central, weights = integrals._case_weights(n, row)
+    total = central * central_binom_deriv(DerivSpec(p, 0, scaled))
+    for coef, alt, pow_ in weights:
+        total = total + coef * integrals._ksum(p, scaled, alt, pow_)
+    return Fraction(scale, 2**p) * total
+
+
+@pytest.mark.parametrize("p", range(3))
+@pytest.mark.parametrize("z,scaled", [("pi", True), ("pi/2", True), ("pi", False), ("2pi", False)])
+def test_one_pass_closed_forms_equal_the_add_loop(z, scaled, p):
+    for n in range(41):
+        res = log_sin_power_integral(IntegralSpec(n, p, z)) if scaled else log_sine_integral(p, n, z)
+        want = _add_loop_closed_form(n, p, z, scaled)
+        assert res.exact and res.value == want and res.value.text() == want.text(), n
+        assert res.numeric == eval_numeric(want), n
 
 
 class TestLogSineIntegrals:

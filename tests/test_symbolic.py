@@ -333,6 +333,15 @@ class TestLinearCombination:
     def test_empty_input_is_zero(self):
         assert linear_combination([], []).is_zero
 
+    @given(st.lists(st.tuples(coefficients | symbolic_values(), symbolic_values()), max_size=4),
+           coefficients | st.just(Fraction(0)))
+    def test_symbolic_weights_and_a_scale_equal_the_ring_sum(self, pairs, scale):
+        weights, values = [w for w, _ in pairs], [v for _, v in pairs]
+        want = scale * sum((w * v for w, v in pairs), SymbolicValue.zero())
+        got = linear_combination(weights, values, scale)
+        assert got == want
+        assert_canonical(got)
+
     def test_integer_weights_and_shared_denominators(self):
         v = sym_pi(2, Fraction(1, 6)) + Fraction(1, 4)
         got = linear_combination([3, Fraction(1, 2), -4], [v, v, sym_log2(1, Fraction(1, 6))])
