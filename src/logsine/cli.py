@@ -198,11 +198,15 @@ def _cmd_bell(args) -> int:
     if not all(part.strip() for part in parts):
         raise ValueError(f"--seq has an empty term: {args.seq!r}")
     for i, part in enumerate(parts, 1):
-        # each number of a term, with the PEP 515 underscores that Fraction reads
-        longest = max((len(run.replace("_", "")) for run in re.findall(r"\d[\d_]*", part)), default=0)
-        if longest > MAX_BELL_TERM_DIGITS:
-            raise ValueError(f"--seq term {i} has a number of {longest} digits; a numerator, denominator "
-                             f"or decimal part takes at most {MAX_BELL_TERM_DIGITS}")
+        # each number of a term, with the PEP 515 underscores that Fraction reads; a decimal
+        # exponent, the last number, adds its value to the others' digits: 1e9 has 10 digits
+        sizes = [len(run.replace("_", "")) for run in re.findall(r"\d[\d_]*", part)]
+        exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*$", part)
+        if exponent and sizes[-1] <= MAX_BELL_TERM_DIGITS:  # a longer one is refused as it is
+            sizes = [size + abs(int(exponent[1])) for size in sizes[:-1]] + sizes[-1:]
+        if max(sizes, default=0) > MAX_BELL_TERM_DIGITS:
+            raise ValueError(f"--seq term {i} has a number of {max(sizes)} digits; a numerator, "
+                             f"denominator or decimal part takes at most {MAX_BELL_TERM_DIGITS}")
     try:
         seq = [Fraction(part) for part in parts]
     except ZeroDivisionError:

@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .binomderiv import DerivSpec, central_binom_deriv
 from .numerics import (
@@ -214,19 +215,23 @@ def _case_weights(n: int, z: str) -> tuple[SymbolicValue, tuple[tuple[SymbolicVa
 _H_TERMS = 32
 _TWO_PI_LOW = 2.4492935982947064e-16  # 2pi - fl(2pi)
 _TAIL_H = math.log(math.pi * 0.9**0.5 / math.sin(math.pi * 0.9**0.5))  # -h at t = 0.9
+_h_powers: dict[int, tuple[float, ...]] = {}  # j -> [t^k] h^j for k below its length
 
 
 @lru_cache(maxsize=None)
 def _log_sine_rows(p: int, terms: int) -> tuple[tuple[float, ...], ...]:
-    """Row k holds C(p, i) [t^k] h^{p-i} for i = 0..p, where
-    h = log(sin(x/2) / (x/2)) = -sum_k zeta(2k)/k t^k and t = (x/2pi)^2."""
-    h = [0.0] + [-zeta_numeric(2 * k) / k for k in range(1, terms)]
-    powers = [[1.0] + [0.0] * (terms - 1)]  # powers[j][k] = [t^k] h^j
-    for _ in range(p):
-        powers.append([math.fsum(powers[-1][i] * h[k - i] for i in range(k)) for k in range(terms)])
-    return tuple(
-        tuple(math.comb(p, i) * powers[p - i][k] for i in range(p + 1)) for k in range(terms)
-    )
+    """Row k holds C(p, i) [t^k] h^{p-i} for i = 0..p, h = log(sin(x/2) / (x/2)) =
+    -sum_k zeta(2k)/k t^k and t = (x/2pi)^2.  One table of the powers of h serves every p; a
+    longer power is a new tuple, no reader sees it half-built, racing threads store the shorter."""
+    powers = [tuple(float(k == 0) for k in range(terms))]  # h^0
+    for j in range(1, p + 1):
+        power = _h_powers.get(j, ())
+        if len(power) < terms:  # each power is the Cauchy product of the one before and h
+            h = powers[1] if j > 1 else [0.0] + [-zeta_numeric(2 * k) / k for k in range(1, terms)]
+            power = _h_powers[j] = power + tuple(math.fsum(map(mul, powers[-1][:k], h[k:0:-1]))
+                                                 for k in range(len(power), terms))
+        powers.append(power)
+    return tuple(tuple(math.comb(p, i) * powers[p - i][k] for i in range(p + 1)) for k in range(terms))
 
 
 def _log_sine_series(
@@ -263,24 +268,33 @@ def _log_sine_moment(p: int, i: int, scaled: bool) -> tuple[float, float]:
     terms is at most (t/0.9)^K (-h(0.9))^j.  As |log(y/c)| <= log_z - log(y/pi),
     the K terms leave out at most pi^{i+1} 3.6^-K sum_b C(p, b) A^{p-b} b! /
     (i + 2K + 1)^{b+1}, A = log_z - h(0.9); K doubles until that is below an ulp
-    of the parts' magnitude, the series at -log_z (rows and J_a of one sign).
-    At fl(pi), t = 1/4 is exact, and a moment rounds by at most 12p + i + 12
-    units of 2^-53 of that magnitude: the rows 11(p - a) + 1 (zeta_numeric is
-    within 4 ulps), J_a 3a + 4, their products and sum p + 1, the rest i + 4."""
+    of the parts' magnitude, the series at -log_z (rows and J_a of one sign), summed
+    with the value in one pass over the rows, each sum by the float operations of
+    _log_sine_series.  At fl(pi), t = 1/4 is exact, and a moment rounds by at most
+    12p + i + 12 units of 2^-53 of that magnitude: the rows 11(p - a) + 1 (zeta_numeric
+    is within 4 ulps), J_a 3a + 4, their products and sum p + 1, the rest i + 4."""
     log_z = math.log(math.pi / 2 if scaled else math.pi)
+    pows, negs = [log_z**b for b in range(p + 1)], [(-log_z) ** b for b in range(p + 1)]
     terms, a = _H_TERMS, log_z + _TAIL_H
     while True:
-        size = abs(_log_sine_series(p, math.pi, terms, i, -log_z))
+        parts, t_k = [], 1.0
+        for k, row in enumerate(_log_sine_rows(p, terms)):
+            m1 = 2 * k + i + 1
+            j = jn = 1.0 / m1
+            acc = mag = row[0] * j
+            for b in range(1, p + 1):
+                j, jn = (pows[b] - b * j) / m1, (negs[b] - b * jn) / m1
+                acc, mag = acc + row[b] * j, mag + row[b] * jn
+            parts.append((t_k * acc, t_k * mag))
+            t_k *= 0.25
+        value, size = (math.pi ** (i + 1) * math.fsum(column) for column in zip(*parts))
         m1 = i + 2 * terms + 1
         tail = math.pi ** (i + 1) / 3.6**terms * math.fsum(
             math.comb(p, b) * a ** (p - b) * (math.factorial(b) / m1 ** (b + 1))  # b! may pass a float
-            for b in range(p + 1)
-        )
-        if tail <= 2**-53 * size:
-            break
+            for b in range(p + 1))
+        if tail <= 2**-53 * abs(size):
+            return value, tail + (12 * p + i + 12) * 2**-53 * abs(size)
         terms *= 2
-    value = _log_sine_series(p, math.pi, terms, i, log_z)
-    return value, tail + (12 * p + i + 12) * 2**-53 * size
 
 
 # -- numeric sums of log-sine moments: one k-series, and the fallback ----------------

@@ -120,9 +120,11 @@ def float_power(k: int, n: int) -> float:
 
 @lru_cache(maxsize=None)
 def zeta_numeric(n: int) -> float:
-    """Numeric zeta(n) for integer n >= 2 via the accelerated eta series."""
+    """Numeric zeta(n) for integer n >= 2 via the accelerated eta series, or 1.0 from n = 55 on."""
     if n < 2:
         raise ValueError("zeta_numeric requires n >= 2")
+    if n >= 55:  # 0 < zeta(n) - 1 < 2^-n + 2^(1-n)/(n-1) < 2^-54, so 1.0 is zeta(n) rounded
+        return 1.0
     eta = accelerate_alternating(lambda k: 1.0 / float_power(k, n), CONSTANT_CONFIG)
     return eta / (1.0 - 2.0 ** (1 - n))
 

@@ -336,6 +336,32 @@ class TestBellCommand:
         assert err == (f"usage error: --seq term {position} has a number of {longest} digits; a "
                        f"numerator, denominator or decimal part takes at most {MAX_BELL_TERM_DIGITS}\n")
 
+    @pytest.mark.parametrize("seq,position,digits", [
+        ("1e4299", 1, 4300), ("2,1_0e4_298", 2, 4300), ("7.5E+4299", 1, 4300), ("1e-4299", 1, 4300),
+        ("1e4300", 1, 4301), ("1,1e-4300", 2, 4301), ("7.5e4300", 1, 4301),
+        ("1e100000", 1, 100001), ("3/4,1e1000000", 2, 1000001),
+    ])
+    def test_a_decimal_exponent_counts_into_the_digits_it_scales(self, capsys, seq, position, digits):
+        # 1e100000 once printed all 100,001 digits and 1e1000000 took 18.7 s; a term is now
+        # sized before Fraction reads it, so every call here returns within the budget
+        start = time.perf_counter()
+        code = main(["bell", f"--seq={seq}"])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert elapsed < 1.0, elapsed
+        if digits <= MAX_BELL_TERM_DIGITS:
+            assert code == 0 and err == "" and out.strip()
+            return
+        assert (code, out) == (2, "")
+        assert err == (f"usage error: --seq term {position} has a number of {digits} digits; a "
+                       f"numerator, denominator or decimal part takes at most {MAX_BELL_TERM_DIGITS}\n")
+
+    def test_an_exponent_past_the_digit_limit_is_refused_by_its_own_digits(self, capsys):
+        code = main(["bell", "--seq=1e" + "0" * MAX_BELL_TERM_DIGITS + "1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: --seq term 1 has a number of {MAX_BELL_TERM_DIGITS + 1} digits;")
+
     def test_digit_limit_is_documented(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         assert f"at most {MAX_BELL_TERM_DIGITS:,} digits" in readme

@@ -1,5 +1,9 @@
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -28,6 +32,7 @@ from logsine import (
     tanh_sinh_quadrature,
 )
 from logsine import integrals
+from logsine.numerics import CONSTANT_CONFIG, accelerate_alternating, float_power
 from logsine.symbolic import SymbolicValue
 
 
@@ -618,6 +623,156 @@ class TestKSeriesFourier:
         # there the first 32 terms leave out 1e-3, so the terms doubled
         short = integrals._log_sine_series(p, math.pi, 32, i, log_z)
         assert (abs(short - want) > bound) == ((p, i) == (40, 20))
+
+
+# -- the log-sine moments as first written: h's powers rebuilt per (p, terms), zeta
+# summed as a series at every n, and a moment's magnitude and value in two calls
+
+
+@lru_cache(maxsize=None)
+def reference_zeta(n):
+    eta = accelerate_alternating(lambda k: 1.0 / float_power(k, n), CONSTANT_CONFIG)
+    return eta / (1.0 - 2.0 ** (1 - n))
+
+
+@lru_cache(maxsize=None)
+def reference_rows(p, terms):
+    h = [0.0] + [-reference_zeta(2 * k) / k for k in range(1, terms)]
+    powers = [[1.0] + [0.0] * (terms - 1)]  # powers[j][k] = [t^k] h^j
+    for _ in range(p):
+        powers.append([math.fsum(powers[-1][i] * h[k - i] for i in range(k)) for k in range(terms)])
+    return tuple(
+        tuple(math.comb(p, i) * powers[p - i][k] for i in range(p + 1)) for k in range(terms)
+    )
+
+
+def reference_series(p, z, terms=32, i=0, log_z=None):
+    t = (z / (2 * math.pi)) ** 2
+    log_pows = [(math.log(z) if log_z is None else log_z) ** a for a in range(p + 1)]
+    parts, t_k = [], 1.0
+    for k, row in enumerate(reference_rows(p, terms)):
+        m1 = 2 * k + i + 1
+        j = 1.0 / m1
+        acc = row[0] * j
+        for a in range(1, p + 1):
+            j = (log_pows[a] - a * j) / m1
+            acc += row[a] * j
+        parts.append(t_k * acc)
+        t_k *= t
+    return z ** (i + 1) * math.fsum(parts)
+
+
+reference_terms = {}  # (p, i, scaled) -> the terms the reference moment summed
+
+
+@lru_cache(maxsize=None)
+def reference_moment(p, i, scaled):
+    log_z = math.log(math.pi / 2 if scaled else math.pi)
+    terms, a = 32, log_z + integrals._TAIL_H
+    while True:
+        size = abs(reference_series(p, math.pi, terms, i, -log_z))
+        m1 = i + 2 * terms + 1
+        tail = math.pi ** (i + 1) / 3.6**terms * math.fsum(
+            math.comb(p, b) * a ** (p - b) * (math.factorial(b) / m1 ** (b + 1))
+            for b in range(p + 1)
+        )
+        if tail <= 2**-53 * size:
+            break
+        terms *= 2
+    reference_terms[p, i, scaled] = terms
+    value = reference_series(p, math.pi, terms, i, log_z)
+    return value, tail + (12 * p + i + 12) * 2**-53 * size
+
+
+def _clear_log_sine_caches():
+    integrals._h_powers.clear()
+    integrals._log_sine_rows.cache_clear()
+    integrals._log_sine_moment.cache_clear()
+
+
+def _hex(pair):
+    return tuple(x.hex() for x in pair)
+
+
+_MOMENT_KEYS = [(p, i, scaled) for p in range(13) for i in range(41) for scaled in (False, True)]
+
+
+class TestLogSineBitsAgainstReference:
+    def test_every_moment_and_bound_has_the_reference_bits(self):
+        _clear_log_sine_caches()  # the shared table grows from empty, as in a fresh process
+        for key in _MOMENT_KEYS:
+            assert _hex(integrals._log_sine_moment(*key)) == _hex(reference_moment(*key)), key
+        # 544 of them double to 64 terms, past the 32-term prefix the table built first; of
+        # the moments the fallbacks at p <= 6, n <= 5 read, these two
+        assert {reference_terms[key] for key in _MOMENT_KEYS} == {32, 64}
+        doubled = {key for key in _MOMENT_KEYS if reference_terms[key] > 32}
+        assert len(doubled) == 544
+        in_fallbacks = {(p, i, s) for p, i, s in doubled if p <= 6 and i <= 5}
+        assert in_fallbacks == {(6, 4, True), (6, 5, True)}
+        assert {len(power) for power in integrals._h_powers.values()} == {64}
+
+    @pytest.mark.parametrize("terms", [32, 42, 64])
+    def test_series_have_the_reference_bits(self, terms):
+        rng = random.Random(terms)
+        for _ in range(120):
+            p, i, z = rng.randrange(13), rng.randrange(12), rng.uniform(1e-3, math.pi)
+            for log_z in (None, math.log(z / 2), -abs(math.log(z))):
+                want = reference_series(p, z, terms, i, log_z)
+                assert integrals._log_sine_series(p, z, terms, i, log_z).hex() == want.hex(), (p, i, z)
+
+    def test_any_angle_values_have_the_reference_bits(self, monkeypatch):
+        angles = [1e-3, 0.5, 1.0, 2.5, math.pi / 3, math.pi, 3.5, 5.0, 2 * math.pi - 1e-3, 2 * math.pi]
+        got = {(p, z): _hex(log_sine_any_angle(p, z)) for p in range(1, 13) for z in angles}
+        monkeypatch.setattr(integrals, "_log_sine_series", reference_series)
+        monkeypatch.setattr(integrals, "_log_sine_moment", reference_moment)
+        assert got == {(p, z): _hex(log_sine_any_angle(p, z)) for p in range(1, 13) for z in angles}
+
+    @pytest.mark.parametrize("form,z", [("ls", "pi"), ("ls", "2pi"), ("logsin", "pi/2"), ("logsin", "pi")])
+    def test_fallback_values_and_claims_have_the_reference_bits(self, monkeypatch, form, z):
+        def outcomes():
+            for n in range(30):
+                for p in range(3, 9):
+                    res = log_sine_integral(p, n, z) if form == "ls" else log_sin_power_integral(
+                        IntegralSpec(n, p, z))
+                    yield res.exact, res.numeric.hex(), res.error and res.error.hex(), res.reason
+
+        got = list(outcomes())
+        assert sum(not exact for exact, *_ in got) >= 28 * 6  # n <= 1 may be exact
+        monkeypatch.setattr(integrals, "_log_sine_moment", reference_moment)
+        assert got == list(outcomes())
+
+
+def test_threads_building_moments_get_the_bits_of_one_thread():
+    keys = [(p, i, scaled) for p in range(1, 9) for i in range(8) for scaled in (False, True)]
+    _clear_log_sine_caches()
+    want = {key: _hex(integrals._log_sine_moment(*key)) for key in keys}
+    table = dict(integrals._h_powers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads inside the table's check-then-store
+    try:
+        for round_ in range(5):  # each round races four cold builds, two of them in one order
+            _clear_log_sine_caches()
+            barrier, got = threading.Barrier(4), [None] * 4
+
+            def build(n):
+                order = keys if n < 2 else random.Random(4 * round_ + n).sample(keys, len(keys))
+                barrier.wait()
+                got[n] = {key: _hex(integrals._log_sine_moment(*key)) for key in order}
+
+            threads = [threading.Thread(target=build, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == [want] * 4
+            # each power is the one-thread table cut at a length some moment asked for, never
+            # a prefix extended twice or spliced from two builds
+            assert sorted(integrals._h_powers) == sorted(table)
+            for j, power in integrals._h_powers.items():
+                assert len(power) in (32, 64) and power == table[j][: len(power)], (round_, j)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 class TestCentralTermIsMomentZero:

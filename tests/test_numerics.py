@@ -14,6 +14,7 @@ from logsine import (
     polygamma_real,
     richardson_derivative,
     tanh_sinh_quadrature,
+    zeta_numeric,
 )
 
 EULER_GAMMA = 0.5772156649015329  # the Euler-Mascheroni constant, correctly rounded
@@ -68,6 +69,33 @@ class TestAlternatingAcceleration:
         # the best-effort estimate is still in the right neighbourhood
         assert abs(exc.value.estimate - 0.6048986434216305) < 1e-5
         assert exc.value.error_bound > 0
+
+
+def eta_series_zeta(n):
+    """zeta(n) as zeta_numeric sums it below its cut: the accelerated eta series."""
+    eta = accelerate_alternating(lambda k: 1.0 / numerics.float_power(k, n), numerics.CONSTANT_CONFIG)
+    return eta / (1.0 - 2.0 ** (1 - n))
+
+
+class TestZetaCut:
+    def test_from_55_on_the_cut_returns_the_series_own_value(self):
+        for n in range(55, 401):
+            assert zeta_numeric(n) == eta_series_zeta(n) == 1.0, n
+
+    def test_54_keeps_the_series_value_one_ulp_above_one(self):
+        assert zeta_numeric(54).hex() == eta_series_zeta(54).hex() == "0x1.0000000000001p+0"
+
+    def test_the_cut_sums_no_series_and_is_cached_like_any_n(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a series was summed past the cut")
+
+        monkeypatch.setattr(numerics, "accelerate_alternating", refuse)
+        zeta_numeric.cache_clear()
+        assert [zeta_numeric(n) for n in (55, 126, 55)] == [1.0] * 3
+        info = zeta_numeric.cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+        with pytest.raises(AssertionError, match="past the cut"):
+            zeta_numeric(54)
 
 
 class TestQuadrature:
