@@ -49,9 +49,9 @@ def main() -> int:
         for n, p in pairs + FALLBACKS.get(key, ()):
             spec = IntegralSpec(n, p, key[0], form=key[1])
             if spec.form == "ls":
-                label, res = f"order={n + p + 1} index={n}", log_sine_integral(p, n, spec.z, cfg)
+                label, res = f"order={n + p + 1} index={n}", log_sine_integral(p, n, spec.z)
             else:
-                label, res = f"n={n} p={p}", log_sin_power_integral(spec, cfg)
+                label, res = f"n={n} p={p}", log_sin_power_integral(spec)
             bound = table_bound if res.exact else res.error + cfg.target_abs_tol
             ok &= show(label, res, quadrature_value(spec, cfg), bound)
 

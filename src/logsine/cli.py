@@ -33,9 +33,11 @@ from .symbolic import eval_numeric
 
 MAX_BINOM_DERIV_P = 40  # the exact form grows fast with p: megabytes at p = 40 scaled
 MAX_BINOM_DERIV_K = 200  # its harmonic-number denominators grow with k: 30 MB at p = 40, k = 200 scaled
+MAX_N = 1600  # ROADMAP item 5's range at pi/2; (pi/2)^(n+1) overflows binary64 from n = 1,571
 MAX_BELL_TERMS = 200  # the exact value's cost grows 5-12x per doubling: 36 s at 1,200 terms
 MAX_BELL_TERM_DIGITS = 4300  # per number in a term, the interpreter's default int-from-str limit
 _P_HELP = f"log power, at most {MAX_BINOM_DERIV_P}"
+_N_HELP = f"power of x, at most {MAX_N}"
 
 
 def _flags(sub: argparse.ArgumentParser, tol: bool = False, digits: bool = True):
@@ -43,7 +45,8 @@ def _flags(sub: argparse.ArgumentParser, tol: bool = False, digits: bool = True)
     if tol:
         sub.add_argument("--tol", type=float, default=1e-10, help="target absolute tolerance")
     if digits:
-        sub.add_argument("--digits", type=int, default=15, help="significant digits printed (max 15)")
+        sub.add_argument("--digits", type=int, default=15, choices=range(1, 16), metavar="D",
+                         help="significant digits printed, 1 to 15")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         "closed-form", help="integral of x^n log^p(sin x) over (0, z), z in {pi/2, pi}"
     )
     p.add_argument("--z", required=True, choices=["pi/2", "pi"])
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=_N_HELP)
     p.add_argument("--p", type=int, required=True, help=_P_HELP)
     _flags(p, tol=True)
 
@@ -76,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("ls", help="log-sine integral at theta in {pi, 2pi}")
     p.add_argument("--p", type=int, required=True, help=_P_HELP)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=_N_HELP)
     p.add_argument("--theta", required=True, choices=["pi", "2pi"])
     _flags(p, tol=True)
 
@@ -116,7 +119,7 @@ def _at_most(args, flag: str, limit: int) -> None:
 
 
 def _fmt(value: float, digits: int) -> str:
-    return f"{value:.{min(max(digits, 1), 15)}g}"
+    return f"{value:.{digits}g}"
 
 
 def _parse_angle(text: str) -> str | float:
@@ -145,10 +148,15 @@ def _emit(args, ident: str, numeric=None, exact=None, error=None, reason=None) -
         print(exact if numeric is None else _fmt(numeric, args.digits))
 
 
-def _cmd_closed_form(args) -> int:
+def _check_closed_form_args(args) -> None:
     _at_most(args, "p", MAX_BINOM_DERIV_P)  # an exact hit builds binom-deriv --k 0 at this p
-    spec = integrals.IntegralSpec(args.n, args.p, args.z)
-    res = integrals.log_sin_power_integral(spec, NumericConfig(args.tol))
+    _at_most(args, "n", MAX_N)
+    NumericConfig(args.tol)  # validated only: ROADMAP item 5 compares the claimed error with it
+
+
+def _cmd_closed_form(args) -> int:
+    _check_closed_form_args(args)
+    res = integrals.log_sin_power_integral(integrals.IntegralSpec(args.n, args.p, args.z))
     _emit(args, f"closed-form:z={args.z}:n={args.n}:p={args.p}", res.numeric,
           res.value.text() if res.exact else None, res.error, res.reason)
     return 0
@@ -163,8 +171,8 @@ def _cmd_numeric(args) -> int:
 
 
 def _cmd_ls(args) -> int:
-    _at_most(args, "p", MAX_BINOM_DERIV_P)
-    res = integrals.log_sine_integral(args.p, args.n, args.theta, NumericConfig(args.tol))
+    _check_closed_form_args(args)
+    res = integrals.log_sine_integral(args.p, args.n, args.theta)
     _emit(args, f"ls:theta={args.theta}:p={args.p}:n={args.n}", res.numeric,
           res.value.text() if res.exact else None, res.error, res.reason)
     return 0

@@ -378,8 +378,8 @@ def _closed_form(n: int, p: int, z: str, scaled: bool) -> ClosedFormResult:
     return ClosedFormResult(True, sym, eval_numeric(sym))
 
 
-def log_sin_power_integral(spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG) -> ClosedFormResult:
-    """Integral of x^n log^p(sin x) over (0, z) for z in {pi/2, pi}; nothing reads ``cfg`` yet."""
+def log_sin_power_integral(spec: IntegralSpec) -> ClosedFormResult:
+    """Integral of x^n log^p(sin x) over (0, z) for z in {pi/2, pi}."""
     if spec.form != "logsin":
         raise ValueError("log_sin_power_integral expects form='logsin'")
     if spec.z not in ("pi", "pi/2"):
@@ -387,11 +387,9 @@ def log_sin_power_integral(spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONF
     return _closed_form(spec.n, spec.p, spec.z, True)
 
 
-def log_sine_integral(
-    p: int, n: int, theta: str, cfg: NumericConfig = DEFAULT_CONFIG
-) -> ClosedFormResult:
+def log_sine_integral(p: int, n: int, theta: str) -> ClosedFormResult:
     """The log-sine integral of order p+n+1 and index n at theta in {pi, 2pi}:
-    minus the integral of x^n log^p|2 sin(x/2)| over (0, theta); nothing reads ``cfg`` yet."""
+    minus the integral of x^n log^p|2 sin(x/2)| over (0, theta)."""
     if theta not in ("pi", "2pi"):
         raise ValueError("log_sine_integral handles theta in {'pi', '2pi'}")
     spec = IntegralSpec(n, p, theta, form="ls")  # refuses a negative n or p

@@ -11,9 +11,9 @@ Anything outside it raises instead of silently degrading to floats.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from .symbolic import (
     SymbolicValue,
@@ -43,35 +43,22 @@ def bernoulli(n: int) -> Fraction:
     return -acc / (n + 1)
 
 
-class HarmonicTable:
-    """Lazily extended exact generalized harmonic numbers H_m^{(r)}.
-
-    H_0^{(r)} = 0 and H_m^{(r)} = H_{m-1}^{(r)} + 1/m^r exactly.
-    """
-
-    def __init__(self):
-        self._tables: dict[int, list[Fraction]] = {}
-        self._lock = threading.Lock()
-
-    def value(self, m: int, r: int = 1) -> Fraction:
-        if m < 0:
-            raise ValueError("harmonic index must be >= 0")
-        if r < 1:
-            raise ValueError("harmonic order must be >= 1")
-        with self._lock:
-            table = self._tables.setdefault(r, [Fraction(0)])
-            while len(table) <= m:
-                k = len(table)
-                table.append(table[-1] + Fraction(1, k**r))
-            return table[m]
-
-
-_HARMONIC = HarmonicTable()
+_harmonic_rows: dict[int, tuple[Fraction, ...]] = {}  # r -> (H_0^{(r)}, H_1^{(r)}, ...)
 
 
 def harmonic(m: int, r: int = 1) -> Fraction:
-    """Exact H_m^{(r)} = sum_{i=1}^m 1/i^r."""
-    return _HARMONIC.value(m, r)
+    """Exact H_m^{(r)} = sum_{i=1}^m 1/i^r.  The row of each order r is extended in a new tuple
+    when a larger m asks: no reader sees a half-built row, and two threads racing on one r at
+    worst store the shorter one."""
+    if m < 0:
+        raise ValueError("harmonic index must be >= 0")
+    if r < 1:
+        raise ValueError("harmonic order must be >= 1")
+    row = _harmonic_rows.get(r, (Fraction(0),))
+    if len(row) <= m:  # H_k^{(r)} = H_{k-1}^{(r)} + 1/k^r exactly
+        steps = (Fraction(1, k**r) for k in range(len(row), m + 1))
+        row = _harmonic_rows[r] = row[:-1] + tuple(accumulate(steps, initial=row[-1]))
+    return row[m]
 
 
 def polygamma_int(order: int, z: int) -> SymbolicValue:

@@ -60,9 +60,9 @@ def _check(ident, group, tol, compute, exact=None) -> Check:
 def _closed_vs_quadrature(spec: integrals.IntegralSpec):
     def compute(cfg: NumericConfig):
         if spec.form == "ls":
-            res = integrals.log_sine_integral(spec.p, spec.n, spec.z, cfg)
+            res = integrals.log_sine_integral(spec.p, spec.n, spec.z)
         else:
-            res = integrals.log_sin_power_integral(spec, cfg)
+            res = integrals.log_sin_power_integral(spec)
         oracle = integrals.quadrature_value(spec, cfg)
         return res.value.text() if res.exact else None, res.numeric, oracle
 

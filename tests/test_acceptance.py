@@ -91,7 +91,7 @@ def test_criterion_1_integral_table_at_pi():
     failures = []
     for (n, p), text in sorted(TABLE_PI.items()):
         spec = IntegralSpec(n, p, "pi")
-        res = log_sin_power_integral(spec, CFG)
+        res = log_sin_power_integral(spec)
         oracle = quadrature_value(spec, CFG)
         if abs(res.numeric - oracle) > 1e-9:
             failures.append(
@@ -105,8 +105,8 @@ def test_criterion_1_integral_table_at_pi():
     # With the n=0, p=3 value pinned to the classical one, this ties the
     # corrected (1, 3) entry to pi/2 times that classical value.
     for p in range(1, 7):
-        n1 = log_sin_power_integral(IntegralSpec(1, p, "pi"), CFG).value
-        n0 = log_sin_power_integral(IntegralSpec(0, p, "pi"), CFG).value
+        n1 = log_sin_power_integral(IntegralSpec(1, p, "pi")).value
+        n0 = log_sin_power_integral(IntegralSpec(0, p, "pi")).value
         if p == 3 and n0 != parse_text(CLASSICAL_N0_P3):
             failures.append(f"(n=0,p=3): {n0.text()} != classical value {CLASSICAL_N0_P3}")
         if n1 != sym_pi(1, Fraction(1, 2)) * n0:
@@ -135,7 +135,7 @@ TABLE_LS_2PI = {
 def test_criterion_2_log_sine_table_at_2pi():
     failures = []
     for (p, n), text in sorted(TABLE_LS_2PI.items()):
-        res = log_sine_integral(p, n, "2pi", CFG)
+        res = log_sine_integral(p, n, "2pi")
         if res.value != parse_text(text):
             failures.append(f"Ls_{p+n+1}^({n})(2pi): {res.value.text()} != {text}")
         oracle = quadrature_value(IntegralSpec(n, p, "2pi", form="ls"), CFG)
@@ -160,7 +160,7 @@ def test_criterion_3_integral_table_at_half_pi():
     failures = []
     for (n, p), text in sorted(TABLE_HALF_PI.items()):
         spec = IntegralSpec(n, p, "pi/2")
-        res = log_sin_power_integral(spec, CFG)
+        res = log_sin_power_integral(spec)
         if res.value != parse_text(text):
             failures.append(f"(n={n},p={p}): {res.value.text()} != {text}")
         oracle = quadrature_value(spec, CFG)
@@ -184,7 +184,7 @@ TABLE_LS_PI = {
 def test_criterion_4_log_sine_table_at_pi():
     failures = []
     for (p, n), text in sorted(TABLE_LS_PI.items()):
-        res = log_sine_integral(p, n, "pi", CFG)
+        res = log_sine_integral(p, n, "pi")
         if res.value != parse_text(text):
             failures.append(f"Ls_{p+n+1}^({n})(pi): {res.value.text()} != {text}")
         oracle = quadrature_value(IntegralSpec(n, p, "pi", form="ls"), CFG)

@@ -14,7 +14,8 @@ import pytest
 import logsine
 from logsine import binomderiv, integrals, parse_text, verify
 from logsine.cli import (
-    MAX_BELL_TERM_DIGITS, MAX_BELL_TERMS, MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P, _emit, _fmt, main,
+    MAX_BELL_TERM_DIGITS, MAX_BELL_TERMS, MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P, MAX_N, _emit, _fmt,
+    main,
 )
 from logsine.verify import Check, IdentityResult
 
@@ -117,6 +118,55 @@ class TestLogPowerLimit:
             assert f"at most {MAX_BINOM_DERIV_P}" in capsys.readouterr().out
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         assert f"`closed-form` and `ls` take `--p` up to {MAX_BINOM_DERIV_P}" in readme
+
+
+
+class TestPowerLimit:
+    # past --n 1600 a closed form's power of x overflows binary64 at every angle;
+    # without the bound --n 20000 ran for minutes before it failed
+    @pytest.mark.parametrize("argv", [
+        ["closed-form", "--z", "pi", "--p", "1"],
+        ["ls", "--theta", "pi", "--p", "3"],
+    ])
+    @pytest.mark.parametrize("n", [MAX_N + 1, 20000])
+    def test_larger_power_is_refused_before_any_work(self, capsys, argv, n):
+        start = time.perf_counter()
+        code = _exit_code([*argv, "--n", str(n)])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"usage error: {argv[0]} takes --n up to {MAX_N}, got {n}\n"
+        assert elapsed < 1.0
+
+    def test_limit_is_documented(self, capsys):
+        for command in ("closed-form", "ls"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            assert f"at most {MAX_N}" in capsys.readouterr().out
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert f"`closed-form` and `ls` take `--n` up to {MAX_N}" in readme
+
+
+class TestDigitsRange:
+    @pytest.mark.parametrize("argv", [
+        ["closed-form", "--z", "pi", "--n", "2", "--p", "1"],
+        ["ls", "--theta", "pi", "--n", "2", "--p", "3"],
+        ["constant", "--name", "pi"],
+    ])
+    @pytest.mark.parametrize("digits", ["0", "-5", "16"])
+    def test_outside_one_to_fifteen_is_a_one_line_usage_error(self, capsys, argv, digits):
+        start = time.perf_counter()
+        code = _exit_code([*argv, "--digits", digits])
+        elapsed = time.perf_counter() - start
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1 and "--digits" in err
+        assert elapsed < 1.0
+
+    @pytest.mark.parametrize("digits", ["1", "15"])
+    def test_the_ends_of_the_range_print(self, capsys, digits):
+        code, out = run_cli(capsys, "constant", "--name", "pi", "--digits", digits)
+        assert code == 0 and out == f"{math.pi:.{digits}g}\n"
 
 
 # exact values that hold zb1, summed once per process at a fixed target

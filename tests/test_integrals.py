@@ -195,14 +195,14 @@ class TestLogSinClosedForms:
             for n in range(0, 5):
                 for p in range(0, 4):
                     spec = IntegralSpec(n, p, z)
-                    res = log_sin_power_integral(spec, cfg)
+                    res = log_sin_power_integral(spec)
                     oracle = quadrature_value(spec, cfg)
                     assert abs(res.numeric - oracle) < 1e-8, (n, p, z, res.exact)
                     no_series = n <= 1 if z == "pi" else n == 0
                     assert res.exact == (p <= 2 or no_series), (n, p, z)
 
-    def test_fallback_reports_reason(self, cfg):
-        res = log_sin_power_integral(IntegralSpec(2, 3, "pi"), cfg)
+    def test_fallback_reports_reason(self):
+        res = log_sin_power_integral(IntegralSpec(2, 3, "pi"))
         assert not res.exact
         assert res.value is None
         assert res.error is not None and res.error < 1e-8
@@ -261,15 +261,15 @@ class TestLogSineIntegrals:
         assert res.exact
         assert res.value == parse_text(REFERENCE_LS_PI[key])
 
-    def test_zero_log_power(self, cfg):
+    def test_zero_log_power(self):
         # p = 0 collapses to minus the plain monomial integral
-        res = log_sine_integral(0, 2, "2pi", cfg)
+        res = log_sine_integral(0, 2, "2pi")
         assert res.exact
         assert res.value == sym_pi(3, Fraction(-8, 3))
 
-    def test_sign_convention(self, cfg):
+    def test_sign_convention(self):
         # the leading minus of the definition: order-4 value at 2pi is negative
-        res = log_sine_integral(2, 1, "2pi", cfg)
+        res = log_sine_integral(2, 1, "2pi")
         assert res.numeric < 0
         assert res.value == parse_text("-1/6*pi^4")
 
@@ -283,12 +283,12 @@ class TestLogSineIntegrals:
         for key in REFERENCE_LS_2PI:
             p, n = key
             spec = IntegralSpec(n, p, "2pi", form="ls")
-            res = log_sine_integral(p, n, "2pi", cfg)
+            res = log_sine_integral(p, n, "2pi")
             assert abs(res.numeric - quadrature_value(spec, cfg)) < 1e-8
         for key in REFERENCE_LS_PI:
             p, n = key
             spec = IntegralSpec(n, p, "pi", form="ls")
-            res = log_sine_integral(p, n, "pi", cfg)
+            res = log_sine_integral(p, n, "pi")
             assert abs(res.numeric - quadrature_value(spec, cfg)) < 1e-8
 
 
@@ -848,7 +848,7 @@ def test_a_half_angle_fallback_near_the_float_range_lies_within_its_claim(n):
 class TestAlternatingFallbacksAgainstMpmath:
     # ls at pi and logsin at pi/2 sum alternating k-series; both accelerator
     # passes read the same rounded terms, so a certified sum claims at least
-    # 16 ulps of itself, and every value lies within its claim at each tol
+    # 16 ulps of itself, and every value lies within its claim
     @pytest.mark.parametrize("p", range(3, 10))
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("form", ["ls", "logsin"])
@@ -860,14 +860,12 @@ class TestAlternatingFallbacksAgainstMpmath:
             else:
                 g, z = lambda x: x**n * mpmath.log(mpmath.sin(x)) ** p, mpmath.pi / 2
             want = float(mpmath.quad(g, [0, z / 2, z]))
-        for tol in (1e-10, 1e-13):
-            cfg = NumericConfig(tol)
-            if form == "ls":
-                res = log_sine_integral(p, n, "pi", cfg)
-            else:
-                res = log_sin_power_integral(IntegralSpec(n, p, "pi/2"), cfg)
-            assert not res.exact
-            assert abs(res.numeric - want) <= res.error, (tol, res.numeric, want, res.error)
+        if form == "ls":
+            res = log_sine_integral(p, n, "pi")
+        else:
+            res = log_sin_power_integral(IntegralSpec(n, p, "pi/2"))
+        assert not res.exact
+        assert abs(res.numeric - want) <= res.error, (res.numeric, want, res.error)
 
 
 class TestDerivativeConsistency:
@@ -884,7 +882,7 @@ class TestDerivativeConsistency:
             )
 
         fd, _ = richardson_derivative(g, 0.0, p)
-        ls = log_sine_integral(p, n, "pi", cfg)
+        ls = log_sine_integral(p, n, "pi")
         assert abs(fd + 2**p * ls.numeric) < 1e-5
 
     def test_full_angle_first_derivative(self, cfg):
@@ -894,7 +892,7 @@ class TestDerivativeConsistency:
             )
 
         fd, _ = richardson_derivative(g, 0.0, 1)
-        ls = log_sine_integral(1, 1, "2pi", cfg)
+        ls = log_sine_integral(1, 1, "2pi")
         assert abs(fd + 2 * ls.numeric) < 1e-5
 
 

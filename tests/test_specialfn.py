@@ -219,29 +219,32 @@ class TestConcurrentCaches:
 
     def test_harmonic_table_grown_by_racing_threads_matches_exact_sums(self):
         # the re-run above reads the same shared table, so it cannot see a
-        # wrong entry; compare a table grown under contention with fresh sums
+        # wrong entry; compare what racing threads read from a table they
+        # grow from empty with fresh sums
         import sys
         from concurrent.futures import ThreadPoolExecutor
 
-        from logsine.specialfn import HarmonicTable
+        from logsine import specialfn
 
         top = 300
-        tables = [HarmonicTable() for _ in range(10)]
-
-        def fill(table: HarmonicTable) -> None:
-            for m in range(top):
-                table.value(m, 2)
-
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, mid-append
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                for table in tables:
-                    list(pool.map(fill, [table] * 8, timeout=60))
-        finally:
-            sys.setswitchinterval(old)
         running = [Fraction(0)]
         for m in range(1, top):
             running.append(running[-1] + Fraction(1, m * m))
-        for table in tables:
-            assert [table.value(m, 2) for m in range(top)] == running
+
+        def read(worker: int) -> list[tuple[int, Fraction]]:
+            # odd workers grow the table at once, even ones a term at a time
+            # and may store a shorter tuple over a longer one
+            order = range(top)[:: -1 if worker % 2 else 1]
+            return sorted((m, harmonic(m, 2)) for m in order)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, mid-extension
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(10):
+                    specialfn._harmonic_rows.clear()
+                    for seen in pool.map(read, range(8), timeout=60):
+                        assert [value for _, value in seen] == running
+        finally:
+            sys.setswitchinterval(old)
+        assert [harmonic(m, 2) for m in range(top)] == running
