@@ -57,7 +57,6 @@ from .specialfn import (
 from .symbolic import (
     SymbolicValue,
     eval_numeric,
-    from_json_obj,
     parse_text,
     sym_log2,
     sym_pi,

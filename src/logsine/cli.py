@@ -148,17 +148,18 @@ def _emit(args, ident: str, numeric=None, exact=None, error=None, reason=None) -
         print(exact if numeric is None else _fmt(numeric, args.digits))
 
 
-def _check_closed_form_args(args) -> None:
+def _cmd_closed_form(args) -> int:
+    """closed-form and ls: an exact text with its value, or a fallback with its reason."""
     _at_most(args, "p", MAX_BINOM_DERIV_P)  # an exact hit builds binom-deriv --k 0 at this p
     _at_most(args, "n", MAX_N)
     NumericConfig(args.tol)  # validated only: ROADMAP item 5 compares the claimed error with it
-
-
-def _cmd_closed_form(args) -> int:
-    _check_closed_form_args(args)
-    res = integrals.log_sin_power_integral(integrals.IntegralSpec(args.n, args.p, args.z))
-    _emit(args, f"closed-form:z={args.z}:n={args.n}:p={args.p}", res.numeric,
-          res.value.text() if res.exact else None, res.error, res.reason)
+    if args.command == "ls":
+        res = integrals.log_sine_integral(args.p, args.n, args.theta)
+        ident = f"ls:theta={args.theta}:p={args.p}:n={args.n}"
+    else:
+        res = integrals.log_sin_power_integral(integrals.IntegralSpec(args.n, args.p, args.z))
+        ident = f"closed-form:z={args.z}:n={args.n}:p={args.p}"
+    _emit(args, ident, res.numeric, res.value.text() if res.exact else None, res.error, res.reason)
     return 0
 
 
@@ -167,14 +168,6 @@ def _cmd_numeric(args) -> int:
     spec = integrals.IntegralSpec(args.n, args.p, z, form=args.form)
     value = integrals.quadrature_value(spec, NumericConfig(args.tol))
     _emit(args, f"numeric:{args.form}:z={args.z}:n={args.n}:p={args.p}", value)
-    return 0
-
-
-def _cmd_ls(args) -> int:
-    _check_closed_form_args(args)
-    res = integrals.log_sine_integral(args.p, args.n, args.theta)
-    _emit(args, f"ls:theta={args.theta}:p={args.p}:n={args.n}", res.numeric,
-          res.value.text() if res.exact else None, res.error, res.reason)
     return 0
 
 
@@ -273,7 +266,7 @@ def _cmd_verify(args) -> int:
 _COMMANDS = {
     "closed-form": _cmd_closed_form,
     "numeric": _cmd_numeric,
-    "ls": _cmd_ls,
+    "ls": _cmd_closed_form,
     "binom-deriv": _cmd_binom_deriv,
     "bell": _cmd_bell,
     "constant": _cmd_constant,
@@ -294,8 +287,8 @@ def main(argv=None) -> int:
     except (AccelerationError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OverflowError as exc:
-        print(f"error: the result overflows binary64 floats: {exc}", file=sys.stderr)
+    except OverflowError as exc:  # a float ** raises with the pair (34, 'Numerical result out of range')
+        print(f"error: the result overflows binary64 floats: {exc.args[-1]}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

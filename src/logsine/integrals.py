@@ -83,11 +83,14 @@ class ClosedFormResult:
     fallback with an error estimate and the reason symbolic reduction was
     not possible."""
 
-    exact: bool
     value: SymbolicValue | None
     numeric: float
     error: float | None = None
     reason: str | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.value is not None
 
 
 class CatalogMissError(ValueError):
@@ -371,11 +374,11 @@ def _closed_form(n: int, p: int, z: str, scaled: bool) -> ClosedFormResult:
         value, error = _moment_sum(n, p, z, scaled)
         if not (math.isfinite(value) and math.isfinite(error)):
             raise OverflowError(f"the series fallback is {value} with error estimate {error:.1e}")
-        return ClosedFormResult(False, None, value, error, str(miss))
+        return ClosedFormResult(None, value, error, str(miss))
     sym = linear_combination([central, *(coef for coef, _, _ in weights)],
                              [central_binom_deriv(DerivSpec(p, 0, scaled)), *ksums],
                              Fraction(scale, 2**p))
-    return ClosedFormResult(True, sym, eval_numeric(sym))
+    return ClosedFormResult(sym, eval_numeric(sym))
 
 
 def log_sin_power_integral(spec: IntegralSpec) -> ClosedFormResult:

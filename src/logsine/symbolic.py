@@ -17,8 +17,9 @@ process.  Even zeta values are never stored: they reduce eagerly to rational
 multiples of pi powers, so equality of closed forms is plain map equality
 after normalization.  Each coefficient is stored as a reduced int pair
 ``(num, den)``, den > 0, and the ring's arithmetic runs in Python ints;
-:class:`fractions.Fraction` values are built only by the ``terms`` view and
-the rational accessors.  All arithmetic is exact.
+:class:`fractions.Fraction` values are built only by the ``terms`` view.
+The one serialized form is the canonical text of :meth:`SymbolicValue.text`,
+which :func:`parse_text` reads back.  All arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -155,15 +156,6 @@ class SymbolicValue:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def rational_part(self) -> Fraction:
-        return Fraction(*self._terms.get((), (0, 1)))
-
-    def as_rational(self) -> Fraction:
-        """The value as an exact rational; raises if any generator is present."""
-        if any(self._terms):  # only the unit monomial () is falsy
-            raise ValueError("value is not purely rational")
-        return self.rational_part()
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
@@ -251,17 +243,6 @@ class SymbolicValue:
             parts.append(f" {'-' if num < 0 else '+'} {body}")
         out = "".join(parts)  # the leading " + " goes, a leading " - " keeps its sign
         return out[3:] if out[1] == "+" else "-" + out[3:]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "terms": [
-                {
-                    "coef": _coef_text(*self._terms[mono]),
-                    "mono": [[_name(gen), exp] for gen, exp in mono],
-                }
-                for mono in sorted(self._terms)
-            ]
-        }
 
 
 def linear_combination(weights, values, scale: RationalLike = 1) -> SymbolicValue:
@@ -383,7 +364,8 @@ def eval_numeric(value: SymbolicValue) -> float:
 
 # -- parsing -----------------------------------------------------------------
 
-_COEF_RE = re.compile(r"^(\d+)(?:/(\d+))?$")
+# a denominator of zero matches no factor, so it is refused as one
+_COEF_RE = re.compile(r"^(\d+)(?:/(\d*[1-9]\d*))?$")
 _FACTOR_RE = re.compile(r"^([a-z0-9_]+?)(?:\^(\d+))?$")
 _TERM_RE = re.compile(r"([+-]?)([^+-]+)")
 
@@ -424,23 +406,3 @@ def parse_text(text: str) -> SymbolicValue:
         mono, coef = _parse_term(body)
         products.append((mono, -coef.numerator if sign == "-" else coef.numerator, coef.denominator))
     return SymbolicValue._of(_collect(products))
-
-
-def from_json_obj(obj: dict) -> SymbolicValue:
-    """The value a :meth:`SymbolicValue.to_json_obj` dict encodes; any other
-    input raises ValueError."""
-    terms: dict[tuple, Fraction] = {}
-    try:
-        for entry in obj["terms"]:
-            coef = entry["coef"]
-            if type(coef) not in (int, str) or any(type(exp) is not int for _, exp in entry["mono"]):
-                raise ValueError(f"coefficients must be ints or strings and exponents ints: {entry!r}")
-            factors = {_key_from_name(name): exp for name, exp in entry["mono"]}
-            if len(factors) != len(entry["mono"]):
-                raise ValueError("duplicate generator in monomial")
-            mono = _monomial(factors)
-            terms[mono] = terms.get(mono, Fraction(0)) + Fraction(coef)
-    except (KeyError, TypeError, ZeroDivisionError) as exc:
-        # a missing key, a container or name of the wrong type, a zero denominator
-        raise ValueError(f"malformed symbolic JSON: {exc!r}") from exc
-    return SymbolicValue(terms)

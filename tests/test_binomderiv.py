@@ -334,7 +334,7 @@ class TestBellBinomialSplit:
         # the k-free eta_bar_j carries every generator, r_j(k) is rational
         for k in range(1, 31):
             assert xi_bar(j, k) == eta_bar(j) + _xi_rational(j, k)
-            assert (xi_bar(j, k) - eta_bar(j)).as_rational() == _xi_rational(j, k)
+            assert xi_bar(j, k) - eta_bar(j) == _xi_rational(j, k)
 
     @pytest.mark.parametrize("j", range(2, 10))
     def test_xi_bar_matches_its_polygamma_definition(self, j):

@@ -138,6 +138,18 @@ class TestPowerLimit:
         assert captured.err == f"usage error: {argv[0]} takes --n up to {MAX_N}, got {n}\n"
         assert elapsed < 1.0
 
+    # a float ** that overflows raises with the errno pair (34, 'Numerical result out of range')
+    @pytest.mark.parametrize("argv", [
+        ["closed-form", "--z", "pi/2", "--n", str(MAX_N), "--p", "1"],
+        ["numeric", "--z", "pi", "--n", str(MAX_N), "--p", "40"],
+        ["ls", "--theta", "pi", "--n", "700", "--p", "3"],
+    ])
+    def test_an_overflow_inside_the_limit_prints_its_reason_not_an_errno_pair(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == "error: the result overflows binary64 floats: Numerical result out of range\n"
+
     def test_limit_is_documented(self, capsys):
         for command in ("closed-form", "ls"):
             with pytest.raises(SystemExit):

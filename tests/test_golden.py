@@ -1,8 +1,11 @@
 """A digest of the canonical text of every exact value the benchmark's exact
 grid asks for, plus the shifted derivatives up to p = 12 and k = 30.  Any change
-to the rational arithmetic that alters a single coefficient changes it."""
+to the rational arithmetic that alters a single coefficient changes it.  A
+second digest pins the bytes the closed-form and ls commands print."""
 
+import contextlib
 import hashlib
+import io
 
 from logsine import (
     DerivSpec,
@@ -11,8 +14,10 @@ from logsine import (
     log_sine_integral,
     shifted_binom_deriv,
 )
+from logsine.cli import main
 
 GOLDEN_SHA256 = "8f1843675c4cbd4fa25a32f22959adaa298516cfe1e7a1dd2d66f6746e7b8ce9"
+CLI_SHA256 = "2b66811e7d70340b4a1d13f9b2ea4f75982ec54f6f70c54ddbac6b6013efe537"
 
 
 def _closed_forms():
@@ -42,3 +47,20 @@ def _exact_texts():
 def test_exact_texts_match_the_golden_digest():
     digest = hashlib.sha256("\n".join(_exact_texts()).encode()).hexdigest()
     assert digest == GOLDEN_SHA256
+
+
+def _cli_outputs():
+    for command, flag, angles in (("closed-form", "--z", ("pi/2", "pi")), ("ls", "--theta", ("pi", "2pi"))):
+        for angle in angles:
+            for p in range(5):
+                for n in range(7):
+                    for extra in ((), ("--json",)):
+                        out = io.StringIO()
+                        with contextlib.redirect_stdout(out):
+                            code = main([command, flag, angle, "--n", str(n), "--p", str(p), *extra])
+                        yield f"{code} {out.getvalue()}"
+
+
+def test_closed_form_and_ls_output_match_the_golden_digest():
+    digest = hashlib.sha256("".join(_cli_outputs()).encode()).hexdigest()
+    assert digest == CLI_SHA256
