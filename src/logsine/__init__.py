@@ -3,7 +3,8 @@
 Two cross-validating pipelines: a symbolic one producing exact rational
 combinations over the constant basis {pi, log 2, zeta(odd), zb1(odd)} via
 complete Bell polynomials of polygamma/harmonic sequences, and a numeric one
-built on double-exponential quadrature and accelerated series.
+built on double-exponential quadrature and series.  The basis constants are
+read as correctly rounded doubles.
 """
 
 from .bell import (
@@ -35,10 +36,8 @@ from .integrals import (
     sine_power_moment_numeric,
 )
 from .numerics import (
-    AccelerationError,
     NumericConfig,
     QuadratureError,
-    accelerate_alternating,
     cot_derivative,
     polygamma_real,
     richardson_derivative,

@@ -21,12 +21,7 @@ from functools import lru_cache
 
 from . import binomderiv, integrals, verify
 from .bell import complete_bell
-from .numerics import (
-    AccelerationError,
-    NumericConfig,
-    QuadratureError,
-    zeta_numeric,
-)
+from .numerics import NumericConfig, QuadratureError, zeta_numeric
 from .specialfn import zeta_bar1_numeric
 from .symbolic import eval_numeric
 
@@ -284,7 +279,7 @@ def main(argv=None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: the output could not be written: {exc}", file=sys.stderr)
         return 1
-    except (AccelerationError, QuadratureError) as exc:
+    except QuadratureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OverflowError as exc:  # a float ** raises with the pair (34, 'Numerical result out of range')

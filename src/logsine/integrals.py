@@ -275,7 +275,7 @@ def _log_sine_moment(p: int, i: int, scaled: bool) -> tuple[float, float]:
     with the value in one pass over the rows, each sum by the float operations of
     _log_sine_series.  At fl(pi), t = 1/4 is exact, and a moment rounds by at most
     12p + i + 12 units of 2^-53 of that magnitude: the rows 11(p - a) + 1 (zeta_numeric
-    is within 4 ulps), J_a 3a + 4, their products and sum p + 1, the rest i + 4."""
+    is correctly rounded), J_a 3a + 4, their products and sum p + 1, the rest i + 4."""
     log_z = math.log(math.pi / 2 if scaled else math.pi)
     pows, negs = [log_z**b for b in range(p + 1)], [(-log_z) ** b for b in range(p + 1)]
     terms, a = _H_TERMS, log_z + _TAIL_H

@@ -1,9 +1,10 @@
 """Floating-point kernels shared by the oracles and the numeric pipelines.
 
-Contents: Cohen-Rodriguez Villegas-Zagier alternating series acceleration,
-double-exponential (tanh-sinh) quadrature over one map of the interval,
-tolerant of logarithmic endpoint singularities, real-argument polygamma,
-Richardson central differencing and exact cotangent derivatives.
+Contents: the basis constants zeta(n), correctly rounded from an integer
+Cohen-Rodriguez Villegas-Zagier sum that zb1 shares, double-exponential
+(tanh-sinh) quadrature over one map of the interval, tolerant of logarithmic
+endpoint singularities, real-argument polygamma, Richardson central
+differencing and exact cotangent derivatives.
 
 All functions are pure; there is no shared mutable state beyond small
 memoization caches of immutable results, among them the tanh-sinh node tables
@@ -35,15 +36,6 @@ class NumericConfig:
 DEFAULT_CONFIG = NumericConfig()
 
 
-class AccelerationError(RuntimeError):
-    """Series acceleration failed to certify the target tolerance."""
-
-    def __init__(self, message: str, estimate: float, error_bound: float):
-        super().__init__(message)
-        self.estimate = estimate
-        self.error_bound = error_bound
-
-
 class QuadratureError(RuntimeError):
     """Quadrature failed to certify the target tolerance."""
 
@@ -53,80 +45,58 @@ class QuadratureError(RuntimeError):
         self.error_bound = error_bound
 
 
-# -- alternating series acceleration -----------------------------------------
-
-_CVZ_TERMS = 280  # the most terms one acceleration pass reads
+# -- the basis constants zeta(n) and zb1(n) ---------------------------------------
 
 
-def _cvz_pass(a: list[float]) -> float:
-    # Chebyshev-polynomial acceleration: one pass over n precomputed magnitudes,
-    # returns an estimate of sum_{k>=1} (-1)^{k+1} a_k.
-    n = len(a)
-    d = (3.0 + math.sqrt(8.0)) ** n
-    d = (d + 1.0 / d) / 2.0
-    b = -1.0
-    c = -d
-    s = 0.0
+@lru_cache(maxsize=None)
+def _cvz_weights(bits: int) -> tuple[int, tuple[int, ...]]:
+    # d_N and the weights c_0..c_{N-1} of Cohen, Rodriguez Villegas and Zagier,
+    # Algorithm 1, all integers, at the least N with d_N >= 2^bits:
+    # d_N = ((3 + sqrt 8)^N + (3 - sqrt 8)^N) / 2 = 6 d_{N-1} - d_{N-2}, and b runs
+    # over the coefficients of the shifted Chebyshev polynomial, so each division is exact
+    d_prev, d, n = 1, 3, 1
+    while d < 1 << bits:
+        d_prev, d, n = d, 6 * d - d_prev, n + 1
+    b, c, weights = -1, -d, []
     for k in range(n):
         c = b - c
-        s += c * a[k]
-        b *= (k + n) * (k - n) / ((k + 0.5) * (k + 1.0))
-    return s / d
+        weights.append(c)
+        b = b * 2 * (k + n) * (k - n) // ((2 * k + 1) * (k + 1))
+    return d, tuple(weights)
 
 
-def accelerate_alternating(
-    term_fn: Callable[[int], float], cfg: NumericConfig = DEFAULT_CONFIG
-) -> float:
-    """Accelerated value of sum_{k>=1} (-1)^{k+1} term_fn(k).
+def _alternating_double(moment: Callable[[int, int], int], u: int, v: int, w: int) -> float:
+    """The double nearest (u + v S) / w, S = sum_{k>=0} (-1)^k a_k, for a_k the moments
+    int_0^1 x^k dmu of a measure of total variation V <= 1; ``moment(k, bits)`` is
+    floor(a_k 2^bits).
 
-    ``term_fn(k)`` must return the magnitude of the k-th term of a convergent
-    alternating series whose magnitudes are (eventually) smooth and totally
-    monotone.  The number of terms follows the ceil(1.31 * digits) rule,
-    at most 272, with a verification pass 8 terms deeper; failure to certify
-    the tolerance raises :class:`AccelerationError` carrying the best estimate.
+    At P bits the integer t = sum_k c_k floor(a_k 2^P) is S d_N 2^P within N d_N units
+    from the floors, as |c_k| < d_N, and within d_N more from the truncation: that is
+    at most V/d_N (the shifted Chebyshev polynomial is bounded by 1 on [0, 1]) times
+    d_N 2^P, and V 2^P <= d_N.  Both ends of that interval are rounded by int division, which
+    rounds correctly; once they round alike the value does too, else P doubles.
     """
-    digits = max(4, math.ceil(-math.log10(cfg.target_abs_tol)) + 2)
-    n = min(max(10, math.ceil(1.31 * digits)), _CVZ_TERMS - 8)
-    best, best_err = math.nan, math.inf
-    while n + 8 <= _CVZ_TERMS:
-        values = [float(term_fn(k)) for k in range(1, n + 9)]
-        s_low = _cvz_pass(values[:n])
-        s_high = _cvz_pass(values)
-        err = abs(s_high - s_low)
-        if err < best_err:
-            best, best_err = s_high, err
-        if err <= cfg.target_abs_tol:
-            return s_high
-        n *= 2
-    raise AccelerationError(
-        f"alternating series did not certify tol={cfg.target_abs_tol}",
-        estimate=best,
-        error_bound=best_err,
-    )
-
-
-# the target of the basis constants zeta(odd) and zb1, each summed once per
-# process whatever tolerance a caller asks for
-CONSTANT_CONFIG = NumericConfig(target_abs_tol=1e-14)
-
-
-def float_power(k: int, n: int) -> float:
-    """float(k) ** n, or inf past binary64: a term divided by it is 0.0."""
-    try:
-        return float(k) ** n
-    except OverflowError:
-        return math.inf
+    bits = 64
+    while True:
+        d, weights = _cvz_weights(bits)
+        t = sum(c * moment(k, bits) for k, c in enumerate(weights))
+        err, unit = (len(weights) + 1) * d, d << bits
+        first, last = ((u * unit + v * (t + e)) / (w * unit) for e in (-err, err))
+        if first == last:
+            return first
+        bits *= 2
 
 
 @lru_cache(maxsize=None)
 def zeta_numeric(n: int) -> float:
-    """Numeric zeta(n) for integer n >= 2 via the accelerated eta series, or 1.0 from n = 55 on."""
+    """zeta(n) for integer n >= 2, correctly rounded: the eta series, a_k = (k + 1)^-n
+    with weight (-log x)^{n-1}/(n-1)! of mass 1, over 1 - 2^{1-n}; 1.0 from n = 54 on."""
     if n < 2:
         raise ValueError("zeta_numeric requires n >= 2")
-    if n >= 55:  # 0 < zeta(n) - 1 < 2^-n + 2^(1-n)/(n-1) < 2^-54, so 1.0 is zeta(n) rounded
+    if n >= 54:  # 0 < zeta(n) - 1 < 2^-n + 2^(1-n)/(n-1) < 2^-53, half an ulp of 1.0
         return 1.0
-    eta = accelerate_alternating(lambda k: 1.0 / float_power(k, n), CONSTANT_CONFIG)
-    return eta / (1.0 - 2.0 ** (1 - n))
+    half = 1 << (n - 1)
+    return _alternating_double(lambda k, bits: (1 << bits) // (k + 1) ** n, 0, half, half - 1)
 
 
 # -- tanh-sinh quadrature ------------------------------------------------------

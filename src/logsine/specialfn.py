@@ -123,23 +123,25 @@ def alt_euler_sum_H(n: int) -> SymbolicValue:
 
 @lru_cache(maxsize=None)
 def zeta_bar1_numeric(n: int) -> float:
-    """Numeric zb1(n) = sum_{k>=2} (-1)^k H_{k-1} / k^n for odd n >= 3.
+    """zb1(n) = sum_{k>=2} (-1)^k H_{k-1} / k^n for odd n >= 3, correctly rounded.
 
-    Summed once per n at the fixed target of ``numerics.zeta_numeric``: the
-    exact k = 2 term 2^{-n} less the accelerated alternating series from
-    k = 3, whose terms, and so its rounding error, are at most 1.5 (2/3)^n
-    of that first term.  The k = 1 term vanishes since H_0 = 0.
+    The k = 2 term is 2^-n, so 2^n zb1(n) = 1 - sum_{k>=0} (-1)^k H_{k+2} (2/(k+3))^n, a
+    value near 1 whose fixed-point bits stay relative to zb1(n), summed in integers by
+    ``numerics._alternating_double``.  With m = k + 3 the term is 2^n ((H_m/m) m^{1-n} - m^{-n-1}); H_m/m and
+    m^-s are moments in k of positive measures on [0, 1], and so are their products, so
+    the terms are moments of a measure of total variation at most (H_3 + 1/3) (2/3)^n < 1.
+    The terms fall, so 0 < 1 - 2^n zb1(n) < H_2 (2/3)^n, which is below 2^-54, half an
+    ulp under 1.0, from n = 94 on: there the double is 0.5**n, as it is where 2^-n is
+    subnormal or rounds to 0, the grid there being coarser still.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("zeta_bar1_numeric requires odd n >= 3")
-    from .numerics import CONSTANT_CONFIG, accelerate_alternating, float_power
+    if n >= 94:
+        return 0.5**n
+    from .numerics import _alternating_double
 
-    harmonic_cache = [0.0, 1.0]
+    def moment(k: int, bits: int) -> int:
+        h = harmonic(k + 2)
+        return (h.numerator << (bits + n)) // (h.denominator * (k + 3) ** n)
 
-    def magnitude(j: int) -> float:  # the term at k = j + 2
-        k = j + 2
-        while len(harmonic_cache) < k:
-            harmonic_cache.append(harmonic_cache[-1] + 1.0 / len(harmonic_cache))
-        return harmonic_cache[k - 1] / float_power(k, n)
-
-    return 0.5**n - accelerate_alternating(magnitude, CONSTANT_CONFIG)
+    return _alternating_double(moment, 1, -1, 1 << n)

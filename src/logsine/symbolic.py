@@ -341,11 +341,11 @@ def _generator_value(gen: tuple[int, int]) -> float:
 def eval_numeric(value: SymbolicValue) -> float:
     """Substitute numeric constants for the generators and sum the terms.
 
-    zeta(odd) is evaluated through the accelerated eta series and zb1
-    through the accelerated alternating double-sum rearrangement, each once
-    per process, so the value does not depend on any tolerance.  The terms
-    are summed by ``math.fsum``, correctly rounded; a sum that is not finite
-    raises OverflowError.
+    Each generator is its correctly rounded double, pi and log 2 from
+    ``math``, zeta(odd) and zb1 built once per process in integers, so the
+    value does not depend on any tolerance.  The terms are summed by
+    ``math.fsum``, correctly rounded; a sum that is not finite raises
+    OverflowError.
     """
     contributions = []
     for mono, (num, den) in value._terms.items():

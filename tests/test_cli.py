@@ -514,8 +514,7 @@ class TestConstantCommand:
         code, out = run_cli(capsys, "constant", "--name", "zeta4")
         assert (code, out) == (0, "1.08232323371114\n")
 
-    # k^n passes binary64 from k = 2 (zeta1025) and k = 4 (zb1_645) on; such a
-    # term counts as 0.0, which is what it would underflow to
+    # past the cuts, zeta(n) rounds to 1 and zb1(n) to its first term 2^-n, with no series
     @pytest.mark.parametrize("name,value", [("zeta1025", "1"), ("zb1_645", "6.84940421565126e-195")])
     def test_terms_past_binary64_count_as_zero(self, capsys, name, value):
         code, out = run_cli(capsys, "constant", "--name", name)

@@ -17,7 +17,7 @@ from logsine import (
 from logsine.cli import main
 
 GOLDEN_SHA256 = "8f1843675c4cbd4fa25a32f22959adaa298516cfe1e7a1dd2d66f6746e7b8ce9"
-CLI_SHA256 = "2b66811e7d70340b4a1d13f9b2ea4f75982ec54f6f70c54ddbac6b6013efe537"
+CLI_SHA256 = "cec0d3edb988130a9f5c3a4bab1d05acd1afa4ef190ea6ece8abaee1a452a1aa"
 
 
 def _closed_forms():

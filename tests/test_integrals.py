@@ -32,8 +32,8 @@ from logsine import (
     tanh_sinh_quadrature,
 )
 from logsine import integrals
-from logsine.numerics import CONSTANT_CONFIG, accelerate_alternating, float_power
 from logsine.symbolic import SymbolicValue
+from euler_maclaurin import zeta_double
 
 
 class TestMomentsExact:
@@ -626,18 +626,13 @@ class TestKSeriesFourier:
 
 
 # -- the log-sine moments as first written: h's powers rebuilt per (p, terms), zeta
-# summed as a series at every n, and a moment's magnitude and value in two calls
-
-
-@lru_cache(maxsize=None)
-def reference_zeta(n):
-    eta = accelerate_alternating(lambda k: 1.0 / float_power(k, n), CONSTANT_CONFIG)
-    return eta / (1.0 - 2.0 ** (1 - n))
+# rounded from its Euler-Maclaurin bracket at every n, and a moment's magnitude and
+# value in two calls
 
 
 @lru_cache(maxsize=None)
 def reference_rows(p, terms):
-    h = [0.0] + [-reference_zeta(2 * k) / k for k in range(1, terms)]
+    h = [0.0] + [-zeta_double(2 * k) / k for k in range(1, terms)]
     powers = [[1.0] + [0.0] * (terms - 1)]  # powers[j][k] = [t^k] h^j
     for _ in range(p):
         powers.append([math.fsum(powers[-1][i] * h[k - i] for i in range(k)) for k in range(terms)])
@@ -846,9 +841,8 @@ def test_a_half_angle_fallback_near_the_float_range_lies_within_its_claim(n):
 
 
 class TestAlternatingFallbacksAgainstMpmath:
-    # ls at pi and logsin at pi/2 sum alternating k-series; both accelerator
-    # passes read the same rounded terms, so a certified sum claims at least
-    # 16 ulps of itself, and every value lies within its claim
+    # ls at pi and logsin at pi/2 sum alternating k-series; every value lies
+    # within its claim
     @pytest.mark.parametrize("p", range(3, 10))
     @pytest.mark.parametrize("n", range(1, 6))
     @pytest.mark.parametrize("form", ["ls", "logsin"])

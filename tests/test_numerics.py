@@ -1,13 +1,12 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from logsine import (
-    AccelerationError,
     IntegralSpec,
     NumericConfig,
     QuadratureError,
-    accelerate_alternating,
     cot_derivative,
     log_sin_power_integral,
     numerics,
@@ -16,86 +15,44 @@ from logsine import (
     tanh_sinh_quadrature,
     zeta_numeric,
 )
+from euler_maclaurin import zeta_bracket
 
 EULER_GAMMA = 0.5772156649015329  # the Euler-Mascheroni constant, correctly rounded
 
 
-class TestAlternatingAcceleration:
-    def test_log_two(self, cfg):
-        assert abs(accelerate_alternating(lambda k: 1.0 / k, cfg) - math.log(2)) < 1e-12
-
-    def test_eta_two(self, cfg):
-        got = accelerate_alternating(lambda k: 1.0 / k**2, cfg)
-        assert abs(got - math.pi**2 / 12) < 1e-12
-
-    def test_harmonic_cubed_against_double_sum(self, cfg):
-        # independent double-sum oracle for sum_{n1>n2} (-1)^{n1}/(n1^3 n2):
-        # bracketed alternating partial sums of (-1)^k H_{k-1}/k^3
-        h, s = 0.0, 0.0
-        partials = []
-        for k in range(1, 100001):
-            if k >= 2:
-                s += (-1) ** k * h / k**3
-                partials.append(s)
-            h += 1.0 / k
-        zb13 = (partials[-1] + partials[-2]) / 2.0
-        eta4 = (1 - 2.0**-3) * math.pi**4 / 90
-        harm = [0.0]
-
-        def magnitude(k):
-            while len(harm) <= k:
-                harm.append(harm[-1] + 1.0 / len(harm))
-            return harm[k] / k**3
-
-        got = accelerate_alternating(magnitude, cfg)
-        # sum (-1)^{k+1} H_k/k^3 = -(zb1(3) - (1-2^{-3}) zeta(4))
-        assert abs(got + (zb13 - eta4)) < 1e-10
-
-    def test_agrees_with_raw_partial_sums(self, cfg):
-        for exponent in (2, 3):
-            raw = math.fsum(
-                [(-1.0) ** (k + 1) / k**exponent for k in range(1, 100001)]
-            )
-            tail = 1.0 / 100001.0**exponent  # alternating remainder bound
-            got = accelerate_alternating(lambda k, e=exponent: 1.0 / k**e, cfg)
-            assert abs(got - raw) <= tail + 1e-12
-
-    def test_failure_carries_estimate(self):
-        # 1e-300 asks for more terms than one pass reads, so only a best effort remains
-        tight = NumericConfig(target_abs_tol=1e-300)
-        with pytest.raises(AccelerationError) as exc:
-            accelerate_alternating(lambda k: 1.0 / math.sqrt(k), tight)
-        assert math.isfinite(exc.value.estimate)
-        # the best-effort estimate is still in the right neighbourhood
-        assert abs(exc.value.estimate - 0.6048986434216305) < 1e-5
-        assert exc.value.error_bound > 0
-
-
-def eta_series_zeta(n):
-    """zeta(n) as zeta_numeric sums it below its cut: the accelerated eta series."""
-    eta = accelerate_alternating(lambda k: 1.0 / numerics.float_power(k, n), numerics.CONSTANT_CONFIG)
-    return eta / (1.0 - 2.0 ** (1 - n))
+class TestZetaCorrectlyRounded:
+    def test_every_index_to_59_rounds_inside_its_euler_maclaurin_bracket(self):
+        for n in range(2, 60):
+            lo, hi = map(float, zeta_bracket(n))
+            assert zeta_numeric(n) == lo == hi, n
 
 
 class TestZetaCut:
-    def test_from_55_on_the_cut_returns_the_series_own_value(self):
-        for n in range(55, 401):
-            assert zeta_numeric(n) == eta_series_zeta(n) == 1.0, n
+    def test_from_54_on_the_cut_returns_the_series_own_value(self):
+        for n in range(54, 161):
+            half = 1 << (n - 1)
+            series = numerics._alternating_double(lambda k, bits: (1 << bits) // (k + 1) ** n, 0, half, half - 1)
+            assert zeta_numeric(n) == series == 1.0, n
 
-    def test_54_keeps_the_series_value_one_ulp_above_one(self):
-        assert zeta_numeric(54).hex() == eta_series_zeta(54).hex() == "0x1.0000000000001p+0"
+    def test_53_is_one_ulp_above_one_and_54_is_one(self):
+        # zeta(n) - 1 lies between 2^-n + 3^-n and 2^-n + 2^(1-n)/(n-1), half an ulp of 1.0
+        # being 2^-53: above it at n = 53, below it from n = 54 on
+        assert Fraction(1, 2**53) + Fraction(1, 3**53) > Fraction(1, 2**53)
+        assert Fraction(1, 2**54) + Fraction(1, 53 * 2**53) < Fraction(1, 2**53)
+        assert zeta_numeric(53).hex() == "0x1.0000000000001p+0"
+        assert zeta_numeric(54) == 1.0
 
     def test_the_cut_sums_no_series_and_is_cached_like_any_n(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("a series was summed past the cut")
 
-        monkeypatch.setattr(numerics, "accelerate_alternating", refuse)
+        monkeypatch.setattr(numerics, "_alternating_double", refuse)
         zeta_numeric.cache_clear()
-        assert [zeta_numeric(n) for n in (55, 126, 55)] == [1.0] * 3
+        assert [zeta_numeric(n) for n in (54, 126, 54, 999_999_999)] == [1.0] * 4
         info = zeta_numeric.cache_info()
-        assert (info.hits, info.misses) == (1, 2)
+        assert (info.hits, info.misses) == (1, 3)
         with pytest.raises(AssertionError, match="past the cut"):
-            zeta_numeric(54)
+            zeta_numeric(53)
 
 
 class TestQuadrature:

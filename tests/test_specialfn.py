@@ -1,12 +1,12 @@
 import math
 from fractions import Fraction
+from itertools import accumulate
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
 from logsine import (
-    accelerate_alternating,
     alt_euler_sum_H,
     bernoulli,
     eval_numeric,
@@ -19,13 +19,26 @@ from logsine import (
     zeta_bar1_numeric,
     zeta_even,
 )
-from logsine import sym_zeta_odd
+from logsine import numerics, sym_zeta_odd
 from logsine.specialfn import eta_value
 from logsine.symbolic import SymbolicValue
 
 
 def _rat(q):
     return SymbolicValue.rational(q)
+
+
+def harmonic_floats(m):
+    """H_0, ..., H_m in floats."""
+    return list(accumulate((1.0 / k for k in range(1, m + 1)), initial=0.0))
+
+
+def alternating_bracket(terms):
+    """The last two partial sums, each by math.fsum, of a series whose terms alternate
+    in sign and fall in magnitude: they bracket its limit, up to the rounding of the terms."""
+    terms = list(terms)
+    a, b = math.fsum(terms[:-1]), math.fsum(terms)
+    return min(a, b), max(a, b)
 
 
 class TestBernoulli:
@@ -125,34 +138,23 @@ class TestAlternatingEulerSums:
             alt_euler_sum_H(4)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
-    def test_against_accelerated_series(self, n, cfg):
+    def test_against_bracketed_partial_sums(self, n):
         got = eval_numeric(alt_euler_sum_H(n))
-        harm = [0.0]
-
-        def magnitude(k: int) -> float:
-            while len(harm) <= k:
-                harm.append(harm[-1] + 1.0 / len(harm))
-            return harm[k] / float(k) ** n
-
-        # sum (-1)^k H_k / k^n = -(alternating series with positive first term)
-        want = -accelerate_alternating(magnitude, cfg)
-        assert abs(got - want) < 1e-9
+        # sum (-1)^k H_k / k^n, whose terms fall from k = 1 on
+        h = harmonic_floats(5000)
+        lo, hi = alternating_bracket((-1) ** k * h[k] / k**n for k in range(1, 5001))
+        assert lo - 1e-15 <= got <= hi + 1e-15
+        assert hi - lo < 1e-10
 
 
 class TestZetaBar1:
     def test_double_sum_oracle(self):
-        # independent summation order: partial sums of (-1)^k H_{k-1}/k^3
-        # bracket the limit, so the midpoint of the final bracket is an oracle
-        h = 0.0
-        s = 0.0
-        partials = []
-        for k in range(1, 100001):
-            if k >= 2:
-                s += (-1) ** k * h / k**3
-                partials.append(s)
-            h += 1.0 / k
-        oracle = (partials[-1] + partials[-2]) / 2.0
-        assert abs(zeta_bar1_numeric(3) - oracle) < 1e-10
+        # independent summation order: partial sums of (-1)^k H_{k-1}/k^3, each by
+        # math.fsum, bracket the limit 1.2e-14 wide
+        h = harmonic_floats(100_000)
+        lo, hi = alternating_bracket((-1) ** k * h[k - 1] / k**3 for k in range(2, 100_001))
+        assert hi - lo < 2e-14
+        assert lo - 1e-15 <= zeta_bar1_numeric(3) <= hi + 1e-15
 
     def test_alternating_envelope(self):
         h = 0.0
@@ -167,37 +169,58 @@ class TestZetaBar1:
         for a, b in zip(partials, partials[1:]):
             assert min(a, b) <= limit <= max(a, b)
 
-    def test_catalog_consistency_weight_five(self, cfg):
-        harm = [0.0]
-
-        def magnitude(k: int) -> float:
-            while len(harm) <= k:
-                harm.append(harm[-1] + 1.0 / len(harm))
-            return harm[k] / float(k) ** 5
-
-        alt_sum = -accelerate_alternating(magnitude, cfg)
+    def test_catalog_consistency_weight_five(self):
+        h = harmonic_floats(1000)
+        lo, hi = alternating_bracket((-1) ** k * h[k] / k**5 for k in range(1, 1001))
         want = zeta_bar1_numeric(5) - (1 - 2.0**-5) * eval_numeric(zeta_even(3))
-        assert abs(alt_sum - want) < 1e-9
+        assert lo - 1e-15 <= want <= hi + 1e-15
+        assert hi - lo < 1e-13
 
     def test_rejects_even(self):
         with pytest.raises(ValueError):
             zeta_bar1_numeric(4)
 
-    @pytest.mark.parametrize("n", range(3, 22, 2))
-    def test_within_four_ulps_of_mpmath(self, n):
+    @pytest.mark.parametrize("n", range(3, 130, 2))
+    def test_is_60_digit_mpmath_rounded(self, n):
         mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(40):
-            want = mpmath.nsum(lambda k: (-1) ** k * mpmath.harmonic(k - 1) / k**n, [2, mpmath.inf])
-            ulps = abs(mpmath.mpf(zeta_bar1_numeric(n)) - want) / math.ulp(float(want))
-        assert ulps <= 4
+        with mpmath.workdps(60):
+            h = [mpmath.mpf(0)]
+
+            def term(k):
+                k = int(k)
+                while len(h) < k:
+                    h.append(h[-1] + mpmath.mpf(1) / len(h))
+                return (-1) ** k * h[k - 1] / k**n
+
+            assert zeta_bar1_numeric(n) == float(mpmath.nsum(term, [2, mpmath.inf]))
+
+
+class TestZetaBar1Cut:
+    def test_from_94_on_the_first_term_rounds_the_sum(self):
+        # 0 < 1 - 2^n zb1(n) < H_2 (2/3)^n, below 2^-54, half an ulp under 1.0, from n = 94 on
+        bound = [Fraction(3, 2) * Fraction(2, 3) ** n for n in (93, 94)]
+        assert bound[1] < Fraction(1, 2**54) < bound[0]
+
+    def test_the_cut_sums_no_series(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a series was summed past the cut")
+
+        monkeypatch.setattr(numerics, "_alternating_double", refuse)
+        zeta_bar1_numeric.cache_clear()
+        for n in (95, 1073, 1075, 999_999_999):
+            assert zeta_bar1_numeric(n) == 0.5**n, n
+        assert zeta_bar1_numeric(1073) == 2.0**-1073 and zeta_bar1_numeric(1075) == 0.0
+        with pytest.raises(AssertionError, match="past the cut"):
+            zeta_bar1_numeric(93)
 
 
 class TestEta:
-    def test_eta_values(self, cfg):
+    def test_eta_values(self):
         assert eta_value(2) == Fraction(1, 2) * zeta_even(1)
         got = eval_numeric(eta_value(3))
-        want = accelerate_alternating(lambda k: 1.0 / k**3, cfg)
-        assert abs(got - want) < 1e-12
+        lo, hi = alternating_bracket((-1) ** (k + 1) / k**3 for k in range(1, 20001))
+        assert lo - 1e-15 <= got <= hi + 1e-15
+        assert hi - lo < 1e-12
 
 
 class TestConcurrentCaches:
