@@ -40,7 +40,6 @@ from .numerics import (
     QuadratureError,
     cot_derivative,
     polygamma_real,
-    richardson_derivative,
     tanh_sinh_quadrature,
     zeta_numeric,
 )

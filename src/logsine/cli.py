@@ -2,7 +2,7 @@
 
 Subcommands: closed-form, numeric, ls, binom-deriv, bell, constant,
 verify-paper.  Each takes --json; all but bell take --digits; closed-form,
-numeric, ls and verify-paper, which compute to a tolerance, take --tol.
+numeric, ls and verify-paper take --tol, which closed-form and ls only validate.
 Exit codes: 0 success, 1 computation or output failed, 2 usage error.
 Every subcommand but verify-paper prints its result through ``_emit``, the one
 place where a result's output is formatted.
@@ -230,7 +230,9 @@ def _cmd_constant(args) -> int:
         value = math.log(2.0)
     elif name[:4] in _INDEXED_CONSTANTS and digits.isascii() and digits.isdigit():
         numeric, takes, rule = _INDEXED_CONSTANTS[name[:4]]
-        if not takes(int(digits)):
+        if len(digits) > MAX_BELL_TERM_DIGITS:  # int() would refuse it in the interpreter's words
+            rule = f"an index has at most {MAX_BELL_TERM_DIGITS} digits"
+        if len(digits) > MAX_BELL_TERM_DIGITS or not takes(int(digits)):
             raise ValueError(f"no constant {name!r}: {rule}")
         value = numeric(int(digits))
     else:

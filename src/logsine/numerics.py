@@ -3,8 +3,8 @@
 Contents: the basis constants zeta(n), correctly rounded from an integer
 Cohen-Rodriguez Villegas-Zagier sum that zb1 shares, double-exponential
 (tanh-sinh) quadrature over one map of the interval, tolerant of logarithmic
-endpoint singularities, real-argument polygamma, Richardson central
-differencing and exact cotangent derivatives.
+endpoint singularities, real-argument polygamma and exact cotangent
+derivatives.
 
 All functions are pure; there is no shared mutable state beyond small
 memoization caches of immutable results, among them the tanh-sinh node tables
@@ -275,58 +275,6 @@ def _rising_ratio(two_k: int, n: int) -> float:
     for i in range(two_k + 1, two_k + n):
         out *= i
     return out
-
-
-# -- Richardson central differences --------------------------------------------
-
-_STENCILS = {
-    1: ((1, 0.5), (-1, -0.5)),
-    2: ((1, 1.0), (0, -2.0), (-1, 1.0)),
-    3: ((2, 0.5), (1, -1.0), (-1, 1.0), (-2, -0.5)),
-    4: ((2, 1.0), (1, -4.0), (0, 6.0), (-1, -4.0), (-2, 1.0)),
-}
-_RICHARDSON_LEVELS = 5
-
-
-def richardson_derivative(
-    f: Callable[[float], float], x0: float, order: int
-) -> tuple[float, float]:
-    """Derivative of ``f`` at ``x0`` of the given order with an error estimate.
-
-    Central differences (even-power error expansion) refined by Richardson
-    extrapolation over five steps, halving from h0 = 1e-2 (5e-2 for orders 3-4).
-    Orders above 4 are not supported here; use the Bell-lemma oracle
-    ``binomderiv.taylor_coefficient_oracle`` instead.  Returns
-    ``(value, error_estimate)`` for the tableau entry with the smallest
-    observed successive difference, which guards against roundoff blowup at
-    tiny steps.
-    """
-    if order < 1 or order > 4:
-        raise ValueError("richardson_derivative supports orders 1..4")
-    stencil = _STENCILS[order]
-    # orders 3-4 need a larger base step: their stencils divide by h^3, h^4,
-    # so roundoff at h = 1e-2 already exceeds the achievable truncation error
-    h0 = 1e-2 if order <= 2 else 5e-2
-
-    def difference(h: float) -> float:
-        acc = [c * f(x0 + k * h) for k, c in stencil]
-        return math.fsum(acc) / h**order
-
-    table: list[list[float]] = []
-    best = None
-    best_err = math.inf
-    for i in range(_RICHARDSON_LEVELS):
-        h = h0 / 2**i
-        row = [difference(h)]
-        for j in range(1, i + 1):
-            factor = 4.0**j
-            row.append((factor * row[j - 1] - table[i - 1][j - 1]) / (factor - 1.0))
-        table.append(row)
-        if i >= 1:
-            err = abs(table[i][i] - table[i - 1][i - 1])
-            if err < best_err:
-                best, best_err = table[i][i], err
-    return best, best_err
 
 
 # -- derivatives of pi*cot(pi*k) -------------------------------------------------

@@ -131,13 +131,13 @@ def zeta_bar1_numeric(n: int) -> float:
     m^-s are moments in k of positive measures on [0, 1], and so are their products, so
     the terms are moments of a measure of total variation at most (H_3 + 1/3) (2/3)^n < 1.
     The terms fall, so 0 < 1 - 2^n zb1(n) < H_2 (2/3)^n, which is below 2^-54, half an
-    ulp under 1.0, from n = 94 on: there the double is 0.5**n, as it is where 2^-n is
-    subnormal or rounds to 0, the grid there being coarser still.
+    ulp under 1.0, from n = 94 on: there the double is 2^-n, also where it is subnormal or 0 (the
+    grid is coarser still); ``ldexp`` gives it for any n, where ``0.5**n`` overflows past 2^1024.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError("zeta_bar1_numeric requires odd n >= 3")
     if n >= 94:
-        return 0.5**n
+        return math.ldexp(1.0, -n)
     from .numerics import _alternating_double
 
     def moment(k: int, bits: int) -> int:

@@ -18,8 +18,8 @@ from logsine import (
     harmonic,
     log_sin_power_integral,
     polygamma_int,
+    quadrature_value,
     rho,
-    richardson_derivative,
     shifted_binom_deriv,
     sym_log2,
     sym_pi,
@@ -28,11 +28,16 @@ from logsine import (
     xi_bar,
     xi_bar_scaled,
 )
+from logsine import verify
 from logsine.bell import complete_bell, complete_bell_all, complete_bell_recurrence
 from logsine.binomderiv import _constant_row, _rational_row, _xi_rational
 from logsine.cli import MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P
 from logsine.integrals import _ksum
 from logsine.symbolic import SymbolicValue, sym_zeta_odd
+
+
+DELTA_POINTS = [(j, m, k) for m, ks in ((0.5, (0, 1)), (1.5, (0, 1, 2))) for k in ks
+                for j in range(1, 5)]
 
 
 def _rat(q):
@@ -72,11 +77,21 @@ class TestDeltaNumeric:
     def test_values_keep_their_bits(self, j, m0, k, bits):
         assert delta_numeric(j, m0, k).hex() == bits
 
-    @pytest.mark.parametrize("j,m0,k", [(1, 0.25, 0), (2, 0.25, 0), (3, 0.25, 0),
-                                        (1, 1.5, 1), (2, 1.5, 1), (3, 1.5, 1)])
-    def test_derivative_steps_down_the_sequence(self, j, m0, k):
-        val, _ = richardson_derivative(lambda m: delta_numeric(j, m, k), m0, 1)
-        assert abs(val + delta_numeric(j + 1, m0, k)) < 1e-6
+    # the lemma row's 20 points: 2m + 1 is an integer there and m + 1 +- k half-integers,
+    # so each delta_j has an exact value over zeta, log 2 and rationals
+    @pytest.mark.parametrize("j,m0,k", DELTA_POINTS)
+    def test_exact_values_at_half_integer_points(self, j, m0, k):
+        assert abs(delta_numeric(j, m0, k) - verify._delta_exact(j, m0, k)) <= 1e-12
+
+    @pytest.mark.parametrize("j,m0,k", DELTA_POINTS)
+    def test_exact_values_against_mpmath(self, j, m0, k):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            m = mpmath.mpf(m0)
+            want = (-1) ** j * (2**j * mpmath.psi(j - 1, 2 * m + 1) - mpmath.psi(j - 1, m + 1 + k)
+                                - mpmath.psi(j - 1, m + 1 - k))
+        # the forms at m = 3/2, j = 4 cancel to 1e-13 of their value, 3e-14 absolute
+        assert abs(verify._delta_exact(j, m0, k) - float(want)) <= 1e-13
 
 
 class TestXiBar:
@@ -226,15 +241,17 @@ class TestTaylorOracle:
         want = eval_numeric(-12 * sym_zeta_odd(3))
         assert abs(taylor_coefficient_oracle(DerivSpec(3, 0)) - want) < 1e-9
 
-    @pytest.mark.parametrize("p", range(1, 5))
+    @pytest.mark.parametrize("p", range(1, 7))
     @pytest.mark.parametrize("scaled", [False, True])
-    def test_central_vs_finite_differences(self, p, scaled):
-        # Richardson differentiation of the gamma functions themselves; order-4
-        # central differences bottom out near 1e-6 relative in binary64
-        f = lambda m: math.gamma(1 + 2 * m) / math.gamma(1 + m) ** 2 / 4.0 ** (m * scaled)
-        fd, _ = richardson_derivative(f, 0.0, p)
+    def test_central_vs_the_moment_identity(self, p, scaled):
+        # int_0^{pi/2} sin^{2m} x dx = (pi/2) 4^-m binom(2m, m), differentiated p times at
+        # m = 0, and its full-angle form int_0^pi (2 sin(t/2))^{2m} dt = pi binom(2m, m)
+        if scaled:
+            want = 2 ** (p + 1) / math.pi * quadrature_value(IntegralSpec(0, p, "pi/2"))
+        else:
+            want = -(2**p) / math.pi * quadrature_value(IntegralSpec(0, p, "pi", form="ls"))
         got = taylor_coefficient_oracle(DerivSpec(p, 0, scaled))
-        assert got == pytest.approx(fd, rel=1e-8 if p < 4 else 2e-6, abs=1e-10)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("p,k", [(p, k) for p in range(13) for k in range(7)]
                              + [(20, 0), (40, 0), (20, 30)])
@@ -281,14 +298,15 @@ class TestGeneralArgumentDerivatives:
         return (-1.0) ** p * binom * complete_bell(deltas, one=1.0)
 
     def test_first_derivative_central(self):
-        f = lambda m: math.gamma(2 * m + 1) / math.gamma(m + 1) ** 2
-        fd, _ = richardson_derivative(f, 2.0, 1)
-        assert abs(self._derivative(1, 2.0, 0) - fd) < 1e-7
+        # binom(4, 2) (2 psi(5) - 2 psi(3)) = 6 * 2 (1/3 + 1/4) = 7
+        assert abs(self._derivative(1, 2.0, 0) - 7.0) < 1e-13
 
     def test_second_derivative_shifted(self):
-        f = lambda m: math.gamma(2 * m + 1) / (math.gamma(m + 2) * math.gamma(m))
-        fd, _ = richardson_derivative(f, 1.5, 2)
-        assert abs(self._derivative(2, 1.5, 1) - fd) < 1e-6
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            f = lambda m: mpmath.gamma(2 * m + 1) * mpmath.rgamma(m + 2) * mpmath.rgamma(m)
+            want = float(mpmath.diff(f, mpmath.mpf(1.5), 2))
+        assert abs(self._derivative(2, 1.5, 1) - want) < 1e-13
 
 
 class TestCaching:

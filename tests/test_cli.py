@@ -497,6 +497,7 @@ class TestConstantCommand:
         ("zeta0", "zeta<n> takes n >= 2"),
         ("zb1_2", "zb1_<n> takes odd n >= 3"),
         ("zb1_0", "zb1_<n> takes odd n >= 3"),
+        ("zeta" + "9" * 5000, "an index has at most 4300 digits"),  # past int()'s digit limit
     ])
     def test_an_index_out_of_range_is_named(self, capsys, name, rule):
         code = main(["constant", "--name", name])
@@ -515,7 +516,8 @@ class TestConstantCommand:
         assert (code, out) == (0, "1.08232323371114\n")
 
     # past the cuts, zeta(n) rounds to 1 and zb1(n) to its first term 2^-n, with no series
-    @pytest.mark.parametrize("name,value", [("zeta1025", "1"), ("zb1_645", "6.84940421565126e-195")])
+    @pytest.mark.parametrize("name,value", [("zeta1025", "1"), ("zb1_645", "6.84940421565126e-195"),
+                                            ("zb1_" + "9" * 309, "0")])
     def test_terms_past_binary64_count_as_zero(self, capsys, name, value):
         code, out = run_cli(capsys, "constant", "--name", name)
         assert (code, out) == (0, value + "\n")
@@ -667,6 +669,13 @@ class TestVerifyRegistry:
         monkeypatch.setattr(module, name, lambda *args: math.nan)
         (row,) = verify.run_verification(ident, cfg)
         assert row.id == ident and row.status == "fail" and math.isnan(row.numeric)
+
+    def test_the_delta_row_sees_a_polygamma_error(self, cfg, monkeypatch):
+        # delta_2 moves by 2e-8 when every polygamma value moves by 1e-8
+        polygamma = binomderiv.polygamma_real
+        monkeypatch.setattr(binomderiv, "polygamma_real", lambda n, x: polygamma(n, x) + 1e-8)
+        (row,) = verify.run_verification("lemma:delta-derivative", cfg)
+        assert row.status == "fail" and row.abs_err > 1e-9
 
     def test_all_passed_helper(self):
         good = IdentityResult("a", "g", None, 0, 0, 0, 1, "pass")

@@ -23,7 +23,6 @@ from logsine import (
     log_sine_integral,
     parse_text,
     quadrature_value,
-    richardson_derivative,
     sine_power_moment_exact,
     sine_power_moment_numeric,
     sym_log2,
@@ -863,31 +862,25 @@ class TestAlternatingFallbacksAgainstMpmath:
 
 
 class TestDerivativeConsistency:
+    # differentiating the half-angle moment int_0^theta x^n (2 sin(x/2))^{2m} dx in the
+    # exponent at m = 0 recovers -2^p times the log-sine integral value
+    @staticmethod
+    def _moment_derivative(n: int, p: int, theta: str) -> float:
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(20):
+            top = {"pi": mpmath.pi, "2pi": 2 * mpmath.pi}[theta]
+            g = lambda m: mpmath.quad(lambda x: x**n * (2 * mpmath.sin(x / 2)) ** (2 * m), [0, top])
+            return float(mpmath.diff(g, 0, p))
+
     @pytest.mark.parametrize("p", [1, 2])
     @pytest.mark.parametrize("n", [0, 1, 2])
-    def test_half_angle_derivative_matches_log_sine(self, p, n, cfg):
-        # differentiating the half-angle moment in the exponent at 0 recovers
-        # -2^p times the log-sine integral value
-        theta = math.pi
-
-        def g(m: float) -> float:
-            return tanh_sinh_quadrature(
-                lambda x: x**n * (2 * math.sin(x / 2)) ** (2 * m), 0.0, theta, cfg
-            )
-
-        fd, _ = richardson_derivative(g, 0.0, p)
+    def test_half_angle_derivative_matches_log_sine(self, p, n):
         ls = log_sine_integral(p, n, "pi")
-        assert abs(fd + 2**p * ls.numeric) < 1e-5
+        assert abs(self._moment_derivative(n, p, "pi") + 2**p * ls.numeric) < 1e-12
 
-    def test_full_angle_first_derivative(self, cfg):
-        def g(m: float) -> float:
-            return tanh_sinh_quadrature(
-                lambda x: x * (2 * math.sin(x / 2)) ** (2 * m), 0.0, 2 * math.pi, cfg
-            )
-
-        fd, _ = richardson_derivative(g, 0.0, 1)
+    def test_full_angle_first_derivative(self):
         ls = log_sine_integral(1, 1, "2pi")
-        assert abs(fd + 2 * ls.numeric) < 1e-5
+        assert abs(self._moment_derivative(1, 1, "2pi") + 2 * ls.numeric) < 1e-12
 
 
 class TestSpecValidation:

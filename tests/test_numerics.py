@@ -11,7 +11,6 @@ from logsine import (
     log_sin_power_integral,
     numerics,
     polygamma_real,
-    richardson_derivative,
     tanh_sinh_quadrature,
     zeta_numeric,
 )
@@ -274,21 +273,6 @@ class TestPolygammaReal:
             polygamma_real(-1, 1.0)
 
 
-class TestRichardson:
-    def test_exp_third_derivative(self):
-        val, err = richardson_derivative(math.exp, 0.0, 3)
-        assert abs(val - 1.0) < 1e-8
-        assert err < 1e-6
-
-    def test_square_second_derivative(self):
-        val, _ = richardson_derivative(lambda x: x * x, 1.0, 2)
-        assert abs(val - 2.0) < 1e-10
-
-    def test_order_cap(self):
-        with pytest.raises(ValueError):
-            richardson_derivative(math.exp, 0.0, 5)
-
-
 class TestCotDerivative:
     def test_quarter(self):
         assert abs(cot_derivative(0, 0.25) - math.pi) < 1e-14
@@ -296,11 +280,11 @@ class TestCotDerivative:
     def test_first_derivative_at_half(self):
         assert abs(cot_derivative(1, 0.5) + math.pi**2) < 1e-12
 
-    def test_against_finite_differences(self):
-        val, _ = richardson_derivative(
-            lambda k: math.pi / math.tan(math.pi * k), 0.3, 3
-        )
-        assert abs(cot_derivative(3, 0.3) - val) < 1e-7
+    def test_against_the_written_out_third_derivative(self):
+        # d^3/dk^3 pi cot(pi k) = -2 pi^4 csc^2 u (csc^2 u + 2 cot^2 u), u = pi k
+        u = math.pi * 0.3
+        want = -2 * math.pi**4 * (2 * math.cos(u) ** 2 + 1) / math.sin(u) ** 4
+        assert cot_derivative(3, 0.3) == pytest.approx(want, rel=1e-13)
 
     def test_pole(self):
         with pytest.raises(ValueError):

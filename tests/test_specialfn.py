@@ -210,6 +210,8 @@ class TestZetaBar1Cut:
         for n in (95, 1073, 1075, 999_999_999):
             assert zeta_bar1_numeric(n) == 0.5**n, n
         assert zeta_bar1_numeric(1073) == 2.0**-1073 and zeta_bar1_numeric(1075) == 0.0
+        # past 2^1024 the index itself overflows a float, and the value is still 0.0
+        assert zeta_bar1_numeric(2**1024 + 1) == zeta_bar1_numeric(10**400 + 1) == 0.0
         with pytest.raises(AssertionError, match="past the cut"):
             zeta_bar1_numeric(93)
 
