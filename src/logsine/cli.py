@@ -30,15 +30,17 @@ MAX_BINOM_DERIV_P = 40  # the exact form grows fast with p: megabytes at p = 40 
 MAX_BINOM_DERIV_K = 200  # its harmonic-number denominators grow with k: 30 MB at p = 40, k = 200 scaled
 MAX_N = 1600  # ROADMAP item 5's range at pi/2; (pi/2)^(n+1) overflows binary64 from n = 1,571
 MAX_BELL_TERMS = 200  # the exact value's cost grows 5-12x per doubling: 36 s at 1,200 terms
-MAX_BELL_TERM_DIGITS = 4300  # per number in a term, the interpreter's default int-from-str limit
+MAX_BELL_TERM_DIGITS = 4300  # per number read, where the interpreter has no int-from-str limit
 _P_HELP = f"log power, at most {MAX_BINOM_DERIV_P}"
 _N_HELP = f"power of x, at most {MAX_N}"
+_TOL_HELP = "target absolute tolerance"
+_TOL_UNREAD = "absolute tolerance, validated only: no output reads it yet"
 
 
-def _flags(sub: argparse.ArgumentParser, tol: bool = False, digits: bool = True):
+def _flags(sub: argparse.ArgumentParser, tol: str | None = None, digits: bool = True):
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     if tol:
-        sub.add_argument("--tol", type=float, default=1e-10, help="target absolute tolerance")
+        sub.add_argument("--tol", type=float, default=1e-10, help=tol)
     if digits:
         sub.add_argument("--digits", type=int, default=15, choices=range(1, 16), metavar="D",
                          help="significant digits printed, 1 to 15")
@@ -60,23 +62,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser(
         "closed-form", help="integral of x^n log^p(sin x) over (0, z), z in {pi/2, pi}"
     )
-    p.add_argument("--z", required=True, choices=["pi/2", "pi"])
+    p.add_argument("--z", required=True, choices=integrals.CLOSED_FORM_ANGLES["logsin"])
     p.add_argument("--n", type=int, required=True, help=_N_HELP)
     p.add_argument("--p", type=int, required=True, help=_P_HELP)
-    _flags(p, tol=True)
+    _flags(p, tol=_TOL_UNREAD)
 
     p = subs.add_parser("numeric", help="quadrature of the defining integral at any z")
     p.add_argument("--z", required=True, help="angle: pi/2, pi, 2pi, or radians")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--form", choices=["logsin", "ls"], default="logsin")
-    _flags(p, tol=True)
+    _flags(p, tol=_TOL_HELP)
 
     p = subs.add_parser("ls", help="log-sine integral at theta in {pi, 2pi}")
     p.add_argument("--p", type=int, required=True, help=_P_HELP)
     p.add_argument("--n", type=int, required=True, help=_N_HELP)
-    p.add_argument("--theta", required=True, choices=["pi", "2pi"])
-    _flags(p, tol=True)
+    p.add_argument("--theta", required=True, choices=integrals.CLOSED_FORM_ANGLES["ls"])
+    _flags(p, tol=_TOL_UNREAD)
 
     p = subs.add_parser(
         "binom-deriv", help="d^p/dm^p of binom(2m, m+k) (optionally 4^-m scaled) at m=0"
@@ -102,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-paper", help="run the built-in reference identity suite"
     )
     p.add_argument("--filter", default=None, help="restrict to a group or id substring")
-    _flags(p, tol=True)
+    _flags(p, tol=_TOL_HELP)
 
     return parser
 
@@ -176,6 +178,11 @@ def _cmd_binom_deriv(args) -> int:
     return 0
 
 
+def _digit_limit() -> float:
+    # the interpreter's int-from-str limit in force, 0 for none; before 3.10.7, which has none, 4,300
+    return getattr(sys, "get_int_max_str_digits", lambda: MAX_BELL_TERM_DIGITS)() or math.inf
+
+
 def _whole_str(value: Fraction) -> str:
     # the int-to-str digit limit guards parsing text, not a computed value: lift it
     # for this conversion only (interpreters before 3.10.7 have no limit)
@@ -193,16 +200,17 @@ def _cmd_bell(args) -> int:
     parts = args.seq.split(",") if args.seq.strip() else []  # --seq= is B_0
     if not all(part.strip() for part in parts):
         raise ValueError(f"--seq has an empty term: {args.seq!r}")
+    limit = _digit_limit()
     for i, part in enumerate(parts, 1):
         # each number of a term, with the PEP 515 underscores that Fraction reads; a decimal
         # exponent, the last number, adds its value to the others' digits: 1e9 has 10 digits
         sizes = [len(run.replace("_", "")) for run in re.findall(r"\d[\d_]*", part)]
         exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*$", part)
-        if exponent and sizes[-1] <= MAX_BELL_TERM_DIGITS:  # a longer one is refused as it is
+        if exponent and sizes[-1] <= limit:  # a longer one is refused as it is
             sizes = [size + abs(int(exponent[1])) for size in sizes[:-1]] + sizes[-1:]
-        if max(sizes, default=0) > MAX_BELL_TERM_DIGITS:
+        if max(sizes, default=0) > limit:
             raise ValueError(f"--seq term {i} has a number of {max(sizes)} digits; a numerator, "
-                             f"denominator or decimal part takes at most {MAX_BELL_TERM_DIGITS}")
+                             f"denominator or decimal part takes at most {limit}")
     try:
         seq = [Fraction(part) for part in parts]
     except ZeroDivisionError:
@@ -230,9 +238,10 @@ def _cmd_constant(args) -> int:
         value = math.log(2.0)
     elif name[:4] in _INDEXED_CONSTANTS and digits.isascii() and digits.isdigit():
         numeric, takes, rule = _INDEXED_CONSTANTS[name[:4]]
-        if len(digits) > MAX_BELL_TERM_DIGITS:  # int() would refuse it in the interpreter's words
-            rule = f"an index has at most {MAX_BELL_TERM_DIGITS} digits"
-        if len(digits) > MAX_BELL_TERM_DIGITS or not takes(int(digits)):
+        limit = _digit_limit()
+        if len(digits) > limit:  # int() would refuse it in the interpreter's words
+            rule = f"an index has at most {limit} digits"
+        if len(digits) > limit or not takes(int(digits)):
             raise ValueError(f"no constant {name!r}: {rule}")
         value = numeric(int(digits))
     else:

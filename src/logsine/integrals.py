@@ -45,6 +45,9 @@ from .symbolic import (
 )
 
 ANGLE_TOKENS = {"pi/2": math.pi / 2, "pi": math.pi, "2pi": 2 * math.pi}
+# form -> angle token with a closed form -> the angle of the x^n sin^{2m} x row it reads: the
+# log-sine form at theta reads the row at theta/2 (see _case_weights); any other angle is refused
+CLOSED_FORM_ANGLES = {"logsin": {"pi/2": "pi/2", "pi": "pi"}, "ls": {"pi": "pi/2", "2pi": "pi"}}
 
 
 def angle_value(z: str | float) -> float:
@@ -54,6 +57,13 @@ def angle_value(z: str | float) -> float:
         except KeyError:
             raise ValueError(f"unknown angle token {z!r}") from None
     return float(z)
+
+
+def _row_angle(form: str, z: str | float) -> str:
+    rows = CLOSED_FORM_ANGLES[form]
+    if z not in rows:
+        raise ValueError(f"form {form!r} has closed forms at z = {' or '.join(map(repr, rows))}, not {z!r}")
+    return rows[z]
 
 
 @dataclass(frozen=True)
@@ -110,9 +120,7 @@ def sine_power_moment_exact(n: int, m: int, z: str) -> SymbolicValue:
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
-    if z not in ("pi", "pi/2"):
-        raise ValueError("exact moments are available at z in {'pi/2', 'pi'}")
-    central, weights = _case_weights(n, z)
+    central, weights = _case_weights(n, _row_angle("logsin", z))
     lcm = math.lcm(*range(1, m + 1))
     # each k-sum as one integer over lcm(k^pow) = lcm(1..m)^pow
     ksums = [Fraction(sum((-1) ** (k * alt) * math.comb(2 * m, m + k) * (lcm**pow_ // k**pow_)
@@ -182,10 +190,6 @@ def _ksum(p: int, scaled: bool, alt: bool, s: int) -> SymbolicValue:
     return (-1) ** p * p * total
 
 
-# log-sine angle theta -> the angle theta/2 of the x^n sin^{2m} x row it scales
-_HALF_ANGLE = {"pi": "pi/2", "2pi": "pi"}
-
-
 @lru_cache(maxsize=None)
 def _case_weights(n: int, z: str) -> tuple[SymbolicValue, tuple[tuple[SymbolicValue, bool, int], ...]]:
     """Central prefactor and k-sum weights (coef, alt, pow) of the x^n sin^{2m} x
@@ -249,9 +253,8 @@ def _log_sine_series(
     z^{m+1} J_a, J_0 = 1/(m+1) and J_a = (log_z^a - a J_{a-1}) / (m+1)."""
     t = (z / (2 * math.pi)) ** 2
     log_pows = [(math.log(z) if log_z is None else log_z) ** a for a in range(p + 1)]
-    parts, t_k = [], 1.0
-    for k, row in enumerate(_log_sine_rows(p, terms)):
-        m1 = 2 * k + i + 1
+    parts, t_k, m1 = [], 1.0, i + 1  # m1 = 2k + i + 1 at row k
+    for row in _log_sine_rows(p, terms):
         j = 1.0 / m1
         acc = row[0] * j
         for a in range(1, p + 1):
@@ -259,6 +262,7 @@ def _log_sine_series(
             acc += row[a] * j
         parts.append(t_k * acc)
         t_k *= t
+        m1 += 2
     return z ** (i + 1) * math.fsum(parts)
 
 
@@ -271,32 +275,21 @@ def _log_sine_moment(p: int, i: int, scaled: bool) -> tuple[float, float]:
     terms is at most (t/0.9)^K (-h(0.9))^j.  As |log(y/c)| <= log_z - log(y/pi),
     the K terms leave out at most pi^{i+1} 3.6^-K sum_b C(p, b) A^{p-b} b! /
     (i + 2K + 1)^{b+1}, A = log_z - h(0.9); K doubles until that is below an ulp
-    of the parts' magnitude, the series at -log_z (rows and J_a of one sign), summed
-    with the value in one pass over the rows, each sum by the float operations of
-    _log_sine_series.  At fl(pi), t = 1/4 is exact, and a moment rounds by at most
-    12p + i + 12 units of 2^-53 of that magnitude: the rows 11(p - a) + 1 (zeta_numeric
-    is correctly rounded), J_a 3a + 4, their products and sum p + 1, the rest i + 4."""
+    of the parts' magnitude, the series at -log_z (rows and J_a of one sign), and the
+    value is the series at log_z over those K terms.  At fl(pi), t = 1/4 is exact,
+    and a moment rounds by at most 12p + i + 12 units of 2^-53 of that magnitude:
+    the rows 11(p - a) + 1 (zeta_numeric is correctly rounded), J_a 3a + 4, their
+    products and sum p + 1, the rest i + 4."""
     log_z = math.log(math.pi / 2 if scaled else math.pi)
-    pows, negs = [log_z**b for b in range(p + 1)], [(-log_z) ** b for b in range(p + 1)]
     terms, a = _H_TERMS, log_z + _TAIL_H
     while True:
-        parts, t_k = [], 1.0
-        for k, row in enumerate(_log_sine_rows(p, terms)):
-            m1 = 2 * k + i + 1
-            j = jn = 1.0 / m1
-            acc = mag = row[0] * j
-            for b in range(1, p + 1):
-                j, jn = (pows[b] - b * j) / m1, (negs[b] - b * jn) / m1
-                acc, mag = acc + row[b] * j, mag + row[b] * jn
-            parts.append((t_k * acc, t_k * mag))
-            t_k *= 0.25
-        value, size = (math.pi ** (i + 1) * math.fsum(column) for column in zip(*parts))
+        size = abs(_log_sine_series(p, math.pi, terms, i, -log_z))
         m1 = i + 2 * terms + 1
         tail = math.pi ** (i + 1) / 3.6**terms * math.fsum(
             math.comb(p, b) * a ** (p - b) * (math.factorial(b) / m1 ** (b + 1))  # b! may pass a float
             for b in range(p + 1))
-        if tail <= 2**-53 * abs(size):
-            return value, tail + (12 * p + i + 12) * 2**-53 * abs(size)
+        if tail <= 2**-53 * size:
+            return _log_sine_series(p, math.pi, terms, i, log_z), tail + (12 * p + i + 12) * 2**-53 * size
         terms *= 2
 
 
@@ -340,13 +333,13 @@ def _k_series_numeric(
     return scale * math.fsum(parts), scale * err
 
 
-def _moment_sum(n: int, p: int, z: str, scaled: bool) -> tuple[float, float]:
-    # by x = y/2 the half angle is 2^{-n-1} (scaled) or -1 times M_n, M_j the moment of y^j L^p
-    # over (0, pi), L as in _log_sine_moment; L is even about pi, so the full angle adds (pi, 2pi)
-    # folded onto (0, pi) as (2pi - y)^n.  A part rounds by 0.36 (n - j) + 5 units of 2^-53 (0.36
-    # a power of fl(2pi), 2 pow's ulp, 1 each C(n, j) and 2 products), the plain sum by n of them
+def _moment_sum(n: int, p: int, row: str, scaled: bool) -> tuple[float, float]:
+    # by x = y/2 the half angle (row pi/2) is 2^{-n-1} (scaled) or -1 times M_n, M_j the moment
+    # of y^j L^p over (0, pi), L as in _log_sine_moment; L is even about pi, so the full angle (row
+    # pi) adds (pi, 2pi) folded onto (0, pi) as (2pi - y)^n.  A part rounds by 0.36 (n - j) + 5 units
+    # of 2^-53 (0.36 a power of fl(2pi), 2 pow's ulp, 1 each C(n, j), 2 products), the plain sum n more
     value, bound = _log_sine_moment(p, n, scaled)
-    if z != ("pi/2" if scaled else "pi"):
+    if row == "pi":
         parts, bound = [], 0.0
         for j in range(n + 1):
             moment, b = _log_sine_moment(p, j, scaled)
@@ -361,17 +354,18 @@ def _moment_sum(n: int, p: int, z: str, scaled: bool) -> tuple[float, float]:
 # -- public closed-form operations ------------------------------------------------
 
 
-def _closed_form(n: int, p: int, z: str, scaled: bool) -> ClosedFormResult:
+def _closed_form(spec: IntegralSpec) -> ClosedFormResult:
     """2^{-p} times the p-th derivative of the row at z; the log-sine form at theta = z is
     -2^{n+1-p} times the unscaled derivative of the row at theta/2.  Exact when the k-sums
     reduce over the catalog, otherwise from log-sine moments, never a wrong symbolic value.
     The derivative, central D_p(0) + sum coef * (k-sum of D_p), is summed and scaled in one pass."""
-    row, scale = (z, 1) if scaled else (_HALF_ANGLE[z], -(2 ** (n + 1)))
+    n, p, row, scaled = spec.n, spec.p, _row_angle(spec.form, spec.z), spec.form == "logsin"
+    scale = 1 if scaled else -(2 ** (n + 1))
     central, weights = _case_weights(n, row)
     try:
         ksums = [_ksum(p, scaled, alt, pow_) for _, alt, pow_ in weights]
     except CatalogMissError as miss:
-        value, error = _moment_sum(n, p, z, scaled)
+        value, error = _moment_sum(n, p, row, scaled)
         if not (math.isfinite(value) and math.isfinite(error)):
             raise OverflowError(f"the series fallback is {value} with error estimate {error:.1e}")
         return ClosedFormResult(None, value, error, str(miss))
@@ -385,18 +379,13 @@ def log_sin_power_integral(spec: IntegralSpec) -> ClosedFormResult:
     """Integral of x^n log^p(sin x) over (0, z) for z in {pi/2, pi}."""
     if spec.form != "logsin":
         raise ValueError("log_sin_power_integral expects form='logsin'")
-    if spec.z not in ("pi", "pi/2"):
-        raise ValueError("closed forms are available at z in {'pi/2', 'pi'}")
-    return _closed_form(spec.n, spec.p, spec.z, True)
+    return _closed_form(spec)
 
 
 def log_sine_integral(p: int, n: int, theta: str) -> ClosedFormResult:
     """The log-sine integral of order p+n+1 and index n at theta in {pi, 2pi}:
     minus the integral of x^n log^p|2 sin(x/2)| over (0, theta)."""
-    if theta not in ("pi", "2pi"):
-        raise ValueError("log_sine_integral handles theta in {'pi', '2pi'}")
-    spec = IntegralSpec(n, p, theta, form="ls")  # refuses a negative n or p
-    return _closed_form(spec.n, spec.p, spec.z, False)
+    return _closed_form(IntegralSpec(n, p, theta, form="ls"))
 
 
 # -- arbitrary angle ------------------------------------------------------------

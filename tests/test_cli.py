@@ -119,6 +119,16 @@ class TestLogPowerLimit:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         assert f"`closed-form` and `ls` take `--p` up to {MAX_BINOM_DERIV_P}" in readme
 
+    def test_tol_is_documented_as_validated_only(self, capsys):
+        # no output of closed-form or ls reads --tol yet (ROADMAP item 5); numeric and verify-paper do
+        for command, text in [("closed-form", "validated only"), ("ls", "validated only"),
+                              ("numeric", "target absolute tolerance"),
+                              ("verify-paper", "target absolute tolerance")]:
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            help_text = capsys.readouterr().out
+            assert "--tol TOL" in help_text and text in help_text, command
+
 
 
 class TestPowerLimit:
@@ -521,6 +531,33 @@ class TestConstantCommand:
     def test_terms_past_binary64_count_as_zero(self, capsys, name, value):
         code, out = run_cli(capsys, "constant", "--name", name)
         assert (code, out) == (0, value + "\n")
+
+
+def _run_at_digit_limit(limit, *argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(logsine.__file__).resolve().parents[1]),
+               PYTHONINTMAXSTRDIGITS=limit)
+    return subprocess.run([sys.executable, "-m", "logsine", *argv], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+# the digit guards of bell --seq and constant read the interpreter's int-from-str limit in force
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-from-str limit")
+class TestDigitLimitInForce:
+    @pytest.mark.parametrize("argv,named", [
+        (["constant", "--name", "zeta" + "9" * 1000], "no constant 'zeta" + "9" * 1000 + "'"),
+        (["bell", "--seq=1," + "9" * 1000], "--seq term 2 has a number of 1000 digits"),
+    ])
+    def test_a_lower_limit_names_the_term_or_constant(self, argv, named):
+        proc = _run_at_digit_limit("640", *argv)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.count("\n") == 1 and named in proc.stderr, proc.stderr
+        assert proc.stderr.endswith(" at most 640 digits\n" if argv[0] == "constant" else " at most 640\n")
+
+    def test_no_limit_reads_every_number(self):
+        proc = _run_at_digit_limit("0", "bell", "--seq=" + "9" * 5000)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "9" * 5000 + "\n", "")
+        proc = _run_at_digit_limit("0", "constant", "--name", "zeta" + "9" * 5000)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
 
 # flags that each call sets and the next call leaves out

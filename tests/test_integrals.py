@@ -1,9 +1,12 @@
 import math
+import os
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +34,7 @@ from logsine import (
     tanh_sinh_quadrature,
 )
 from logsine import integrals
+from logsine.cli import main
 from logsine.symbolic import SymbolicValue
 from euler_maclaurin import zeta_double
 
@@ -129,13 +133,13 @@ class TestHalfAngleMoment:
 
     def test_trivial_case(self):
         # the integral of 1 over (0, 2pi), with no k-sum
-        central, weights = integrals._case_weights(0, integrals._HALF_ANGLE["2pi"])
+        central, weights = integrals._case_weights(0, integrals.CLOSED_FORM_ANGLES["ls"]["2pi"])
         assert (2 * central, weights) == (sym_pi(1, 2), ())
 
     def test_exact_scaling(self):
         for theta in ("pi", "2pi"):
             for n in range(41):
-                central, weights = integrals._case_weights(n, integrals._HALF_ANGLE[theta])
+                central, weights = integrals._case_weights(n, integrals.CLOSED_FORM_ANGLES["ls"][theta])
                 scale = 2 ** (n + 1)
                 want_central, want_weights = _written_out_row(n, theta)
                 assert scale * central == want_central, (theta, n)
@@ -227,7 +231,7 @@ REFERENCE_LS_PI = {
 
 def _add_loop_closed_form(n, p, z, scaled):
     """The closed form added one weighted k-sum at a time, then scaled."""
-    row, scale = (z, 1) if scaled else (integrals._HALF_ANGLE[z], -(2 ** (n + 1)))
+    row, scale = (z, 1) if scaled else (integrals.CLOSED_FORM_ANGLES["ls"][z], -(2 ** (n + 1)))
     central, weights = integrals._case_weights(n, row)
     total = central * central_binom_deriv(DerivSpec(p, 0, scaled))
     for coef, alt, pow_ in weights:
@@ -903,3 +907,68 @@ class TestSpecValidation:
     def test_closed_form_rejects_two_pi(self):
         with pytest.raises(ValueError):
             log_sin_power_integral(IntegralSpec(1, 2, "2pi"))
+
+
+# -- the closed-form domain: CLOSED_FORM_ANGLES is the one list of the angles each form takes
+
+_CLOSED_FORM_FLAG = {"logsin": ("closed-form", "--z"), "ls": ("ls", "--theta")}
+# per form: a token of the other form, a token of no form, a float inside its domain, a float
+# equal to one of its tokens
+_OFF_TABLE = [("logsin", z) for z in ("2pi", "3pi", 1.0, math.pi)] + [
+    ("ls", z) for z in ("pi/2", "3pi", 1.0, 2 * math.pi)]
+
+
+def _closed_form(form, z):
+    return log_sine_integral(2, 1, z) if form == "ls" else log_sin_power_integral(IntegralSpec(1, 2, z))
+
+
+def _closed_form_cli(form, z):
+    command, flag = _CLOSED_FORM_FLAG[form]
+    try:
+        return main([command, flag, str(z), "--n", "1", "--p", "2"])
+    except SystemExit as exc:  # argparse's own usage errors
+        return exc.code
+
+
+@pytest.mark.parametrize("form,z", [(form, z) for form, rows in integrals.CLOSED_FORM_ANGLES.items()
+                                    for z in rows])
+def test_each_angle_of_the_table_has_an_exact_result(capsys, form, z):
+    assert _closed_form(form, z).exact
+    assert _closed_form_cli(form, z) == 0 and capsys.readouterr().out.startswith("exact:   ")
+
+
+@pytest.mark.parametrize("form,z", _OFF_TABLE)
+def test_every_other_angle_is_refused_by_the_library_and_the_cli(capsys, form, z):
+    with pytest.raises(ValueError):
+        _closed_form(form, z)
+    code = _closed_form_cli(form, z)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("form", ["logsin", "ls"])
+def test_the_library_error_text_does_not_depend_on_the_hash_seed(form):
+    call = "log_sine_integral(2, 1, z)" if form == "ls" else "log_sin_power_integral(IntegralSpec(1, 2, z))"
+    angles = tuple(z for f, z in _OFF_TABLE if f == form)
+    code = ("from logsine import IntegralSpec, log_sin_power_integral, log_sine_integral\n"
+            f"for z in {angles!r}:\n"
+            "    try:\n"
+            f"        {call}\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(integrals.__file__).resolve().parents[1]))
+    # a set of two tokens prints in one order under seeds 1, 2, 3 and 5 alike, in the other under 4 or 6
+    texts = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                            env=dict(env, PYTHONHASHSEED=str(seed))).stdout for seed in range(1, 9)}
+    assert len(texts) == 1 and texts.pop().count("\n") == len(angles)
+
+
+def test_exact_sine_moments_take_the_angles_of_the_logsin_form():
+    for z in integrals.CLOSED_FORM_ANGLES["logsin"]:
+        want = sine_power_moment_numeric(2, 3, integrals.angle_value(z))
+        assert eval_numeric(sine_power_moment_exact(2, 3, z)) == pytest.approx(want, rel=1e-14)
+    for form, z in _OFF_TABLE:
+        if form == "logsin":
+            with pytest.raises(ValueError):
+                sine_power_moment_exact(2, 3, z)
