@@ -75,10 +75,8 @@ def delta_numeric(j: int, m: float, k: int) -> float:
 
 
 def _xi_rational(j: int, k: int) -> Fraction:
-    # r_j(k) = xi_bar_j - eta_bar_j: 2 H_k - 1/k at j = 1, then (j-1)!/k^j plus
-    # 2 (j-1)! H_{k-1}^{(j)} from psi^{(j-1)}(k) - psi^{(j-1)}(1) at odd j
-    if j == 1:
-        return 2 * harmonic(k) - Fraction(1, k)
+    # r_j(k) = xi_bar_j - eta_bar_j: (j-1)!/k^j plus 2 (j-1)! H_{k-1}^{(j)} from
+    # psi^{(j-1)}(k) - psi^{(j-1)}(1) at odd j; 2 H_k - 1/k at j = 1
     fact = math.factorial(j - 1)
     return Fraction(fact, k**j) + (2 * fact * harmonic(k - 1, j) if j % 2 else 0)
 
@@ -105,8 +103,6 @@ def eta_bar(j: int) -> SymbolicValue:
     """Exact eta_bar_j = (-1)^j (2^j - 2) psi^{(j-1)}(1); eta_bar_1 = 0."""
     if j < 1:
         raise ValueError("sequence index j must be >= 1")
-    if j == 1:
-        return SymbolicValue.zero()
     return Fraction((-1) ** j * (2**j - 2)) * polygamma_int(j - 1, 1)
 
 
@@ -117,12 +113,10 @@ def rho(n: int) -> SymbolicValue:
         rho_n = (-1)^{n+1} ( pi^{2n}/(2n+1)
                 + sum_{i<n} C(2n-1, 2i-1) (-1)^i pi^{2n-2i}/(2n-2i+1) rho_i ),
 
-    with rho_1 = pi^2/3.  Contract: equals 2 psi^{(2n-1)}(1) exactly.
+    whose sum is empty at n = 1: rho_1 = pi^2/3.  Contract: equals 2 psi^{(2n-1)}(1) exactly.
     """
     if n < 1:
         raise ValueError("rho requires n >= 1")
-    if n == 1:
-        return sym_pi(2, Fraction(1, 3))
     inner = sym_pi(2 * n, Fraction(1, 2 * n + 1))
     for i in range(1, n):
         coef = Fraction(math.comb(2 * n - 1, 2 * i - 1) * (-1) ** i, 2 * n - 2 * i + 1)

@@ -23,7 +23,7 @@ from . import binomderiv, integrals, verify
 from .bell import complete_bell
 from .numerics import NumericConfig, QuadratureError, zeta_numeric
 from .specialfn import zeta_bar1_numeric
-from .symbolic import eval_numeric
+from .symbolic import SymbolicValue, eval_numeric
 
 
 MAX_BINOM_DERIV_P = 40  # the exact form grows fast with p: megabytes at p = 40 scaled
@@ -119,15 +119,6 @@ def _fmt(value: float, digits: int) -> str:
     return f"{value:.{digits}g}"
 
 
-def _parse_angle(text: str) -> str | float:
-    if text in integrals.ANGLE_TOKENS:
-        return text
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"cannot parse angle {text!r}") from None
-
-
 def _emit(args, ident: str, numeric=None, exact=None, error=None, reason=None) -> None:
     """Print a result: under --json its id, status and each field that is set;
     as text a fallback (reason set), an exact text with its value, or one field."""
@@ -161,8 +152,7 @@ def _cmd_closed_form(args) -> int:
 
 
 def _cmd_numeric(args) -> int:
-    z = _parse_angle(args.z)
-    spec = integrals.IntegralSpec(args.n, args.p, z, form=args.form)
+    spec = integrals.IntegralSpec(args.n, args.p, args.z, form=args.form)
     value = integrals.quadrature_value(spec, NumericConfig(args.tol))
     _emit(args, f"numeric:{args.form}:z={args.z}:n={args.n}:p={args.p}", value)
     return 0
@@ -181,19 +171,6 @@ def _cmd_binom_deriv(args) -> int:
 def _digit_limit() -> float:
     # the interpreter's int-from-str limit in force, 0 for none; before 3.10.7, which has none, 4,300
     return getattr(sys, "get_int_max_str_digits", lambda: MAX_BELL_TERM_DIGITS)() or math.inf
-
-
-def _whole_str(value: Fraction) -> str:
-    # the int-to-str digit limit guards parsing text, not a computed value: lift it
-    # for this conversion only (interpreters before 3.10.7 have no limit)
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return str(value)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(value)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _cmd_bell(args) -> int:
@@ -217,7 +194,8 @@ def _cmd_bell(args) -> int:
         raise ValueError(f"--seq has a zero denominator: {args.seq!r}") from None
     if len(seq) > MAX_BELL_TERMS:
         raise ValueError(f"bell takes --seq up to {MAX_BELL_TERMS} terms, got {len(seq)}")
-    _emit(args, f"bell:n={len(seq)}", exact=_whole_str(complete_bell(seq, one=Fraction(1))))
+    value = SymbolicValue.rational(complete_bell(seq, one=Fraction(1)))
+    _emit(args, f"bell:n={len(seq)}", exact=value.text())
     return 0
 
 

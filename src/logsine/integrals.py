@@ -51,12 +51,13 @@ CLOSED_FORM_ANGLES = {"logsin": {"pi/2": "pi/2", "pi": "pi"}, "ls": {"pi": "pi/2
 
 
 def angle_value(z: str | float) -> float:
-    if isinstance(z, str):
-        try:
-            return ANGLE_TOKENS[z]
-        except KeyError:
-            raise ValueError(f"unknown angle token {z!r}") from None
-    return float(z)
+    """The radians of an angle: a token of ANGLE_TOKENS, a number or a numeric string."""
+    if z in ANGLE_TOKENS:
+        return ANGLE_TOKENS[z]
+    try:
+        return float(z)
+    except ValueError:
+        raise ValueError(f"cannot parse angle {z!r}") from None
 
 
 def _row_angle(form: str, z: str | float) -> str:

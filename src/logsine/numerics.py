@@ -222,17 +222,23 @@ _BERNOULLI_STOP = 1e-18
 
 
 @lru_cache(maxsize=None)
-def _b2k_float(k: int) -> float:
-    return float(bernoulli(2 * k))
+def _asymptotic_coef(k: int, n: int) -> float:
+    # B_2k (2k + n - 1)!/(2k)!: B_2k/(2k) at n = 0, else B_2k times (2k + 1) ... (2k + n - 1)
+    b2k = float(bernoulli(2 * k))
+    if n == 0:
+        return b2k / (2 * k)
+    return b2k * math.prod(range(2 * k + 1, 2 * k + n), start=1.0)
 
 
 def polygamma_real(order: int, x: float) -> float:
     """psi^(order)(x) for real x > 0.
 
     Shifts the argument upward with the recurrence
-    psi^{(n)}(x) = psi^{(n)}(x+1) - (-1)^n n!/x^{n+1} and then applies the
-    Bernoulli-number asymptotic expansion, up to 14 terms but stopped once a
-    term falls below 1e-18 of the sum (three terms at y >= 2000).
+    psi^{(n)}(x) = psi^{(n)}(x+1) - (-1)^n n!/x^{n+1} and then sums the one asymptotic
+    series of every order (DLMF 5.11.2, 5.15.8): (-1)^{n+1} times h_n(y) plus the terms
+    B_2k (2k+n-1)!/(2k)!/y^{2k+n}, h_0 = -log y + 1/(2y), h_n = (n-1)!/y^n + n!/(2y^{n+1}),
+    up to 14 terms but stopped once a term falls below 1e-18 of the sum (three terms at
+    y >= 2000).  A value that is not a finite double raises OverflowError.
     """
     if order < 0:
         raise ValueError("polygamma order must be >= 0")
@@ -242,39 +248,25 @@ def polygamma_real(order: int, x: float) -> float:
     shift_terms = []
     y = x
     while y < _ASYMPTOTIC_CUT:
-        shift_terms.append(1.0 / y ** (n + 1))
+        power = y ** (n + 1)  # 0.0 once it underflows, where 1/power is past every double
+        shift_terms.append(1.0 / power if power else math.inf)
         y += 1.0
     if n == 0:
-        tail = math.log(y) - 1.0 / (2.0 * y)
-        ypow = y * y
-        for k in range(1, _BERNOULLI_TERMS + 1):
-            term = _b2k_float(k) / (2 * k * ypow)
-            tail -= term
-            if abs(term) < _BERNOULLI_STOP * abs(tail):
-                break
-            ypow *= y * y
-        return tail - math.fsum(shift_terms)
-    sign = (-1.0) ** (n + 1)
-    head = math.factorial(n - 1) / y**n + math.factorial(n) / (2.0 * y ** (n + 1))
+        head = -math.log(y) + 1.0 / (2.0 * y)
+    else:
+        head = math.factorial(n - 1) / y**n + math.factorial(n) / (2.0 * y ** (n + 1))
     ypow = y ** (n + 2)
     for k in range(1, _BERNOULLI_TERMS + 1):
-        term = _b2k_float(k) * _rising_ratio(2 * k, n) / ypow
+        term = _asymptotic_coef(k, n) / ypow
         head += term
         if abs(term) < _BERNOULLI_STOP * abs(head):
             break
         ypow *= y * y
-    shifted = sign * head
     # undo the recurrence shifts: psi^{(n)}(x) = psi^{(n)}(y) - (-1)^n n! sum 1/(x+i)^{n+1}
-    return shifted - (-1.0) ** n * math.factorial(n) * math.fsum(shift_terms)
-
-
-@lru_cache(maxsize=None)
-def _rising_ratio(two_k: int, n: int) -> float:
-    # (2k + n - 1)! / (2k)!
-    out = 1.0
-    for i in range(two_k + 1, two_k + n):
-        out *= i
-    return out
+    value = (-1.0) ** (n + 1) * head - (-1.0) ** n * math.factorial(n) * math.fsum(shift_terms)
+    if not math.isfinite(value):
+        raise OverflowError(f"psi^({n})({x!r}) is {value}")
+    return value
 
 
 # -- derivatives of pi*cot(pi*k) -------------------------------------------------

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
@@ -106,7 +107,15 @@ def _collect(products) -> dict[tuple, tuple[int, int]]:
 
 
 def _coef_text(num: int, den: int) -> str:
-    return str(num) if den == 1 else f"{num}/{den}"  # as str(Fraction(num, den))
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"  # as str(Fraction(num, den))
+    except ValueError:  # past the int-to-str digit limit, which guards parsing text, not a value
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return _coef_text(num, den)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class SymbolicValue:

@@ -305,8 +305,8 @@ class TestNumericCommand:
         assert "(0, pi]" in capsys.readouterr().err
 
     def test_bad_angle_is_usage_error(self, capsys):
-        code, _ = run_cli(capsys, "numeric", "--z", "oops", "--n", "0", "--p", "1")
-        assert code == 2
+        code = main(["numeric", "--z", "oops", "--n", "0", "--p", "1"])
+        assert (code, capsys.readouterr().err) == (2, "usage error: cannot parse angle 'oops'\n")
 
     def test_normalized_form(self, capsys):
         code, out = run_cli(

@@ -908,6 +908,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             log_sin_power_integral(IntegralSpec(1, 2, "2pi"))
 
+    @pytest.mark.parametrize("z,want", [
+        ("pi/2", math.pi / 2), ("2pi", 2 * math.pi), ("1.1", 1.1), (" 3e-1", 0.3), (2, 2.0),
+    ])
+    def test_an_angle_is_a_token_a_numeric_string_or_a_number(self, z, want):
+        assert integrals.angle_value(z) == want
+
+    def test_an_unreadable_angle_is_named(self):
+        with pytest.raises(ValueError, match=r"^cannot parse angle 'abc'$"):
+            integrals.angle_value("abc")
+
 
 # -- the closed-form domain: CLOSED_FORM_ANGLES is the one list of the angles each form takes
 

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,14 @@ from logsine import (
     NumericConfig,
     QuadratureError,
     cot_derivative,
+    delta_numeric,
     log_sin_power_integral,
     numerics,
     polygamma_real,
     tanh_sinh_quadrature,
     zeta_numeric,
 )
+from logsine.specialfn import bernoulli
 from euler_maclaurin import zeta_bracket
 
 EULER_GAMMA = 0.5772156649015329  # the Euler-Mascheroni constant, correctly rounded
@@ -271,6 +274,63 @@ class TestPolygammaReal:
             polygamma_real(1, 0.0)
         with pytest.raises(ValueError):
             polygamma_real(-1, 1.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: polygamma_real(1, 1e-200),  # 1e-200^2 underflows to 0, and 1/0 once raised
+        lambda: delta_numeric(21, -0.5 + 2**-53, 0),  # psi^(20)(2^-52) likewise
+        lambda: polygamma_real(3, 1e-80),  # 6/1e-320 is inf, once returned as the value
+    ], ids=["psi1-at-1e-200", "delta21-near-m=-1/2", "psi3-at-1e-80"])
+    def test_a_value_past_binary64_raises_overflow(self, call):
+        with pytest.raises(OverflowError) as info:
+            call()
+        assert "\n" not in str(info.value) and "inf" in str(info.value)
+
+    @pytest.mark.parametrize("order,x", [(1, 1e-150), (3, 2e-77)])  # about 1e300 and 3.7e307
+    def test_a_value_that_fits_a_double_keeps_its_bits(self, order, x):
+        assert polygamma_real(order, x) == reference_polygamma(order, x)
+
+
+def reference_polygamma(n, x):
+    # polygamma_real as first written: a digamma loop and an order >= 1 loop
+    shift_terms, y = [], x
+    while y < 20.0:
+        shift_terms.append(1.0 / y ** (n + 1))
+        y += 1.0
+    if n == 0:
+        tail, ypow = math.log(y) - 1.0 / (2.0 * y), y * y
+        for k in range(1, 15):
+            term = float(bernoulli(2 * k)) / (2 * k * ypow)
+            tail -= term
+            if abs(term) < 1e-18 * abs(tail):
+                break
+            ypow *= y * y
+        return tail - math.fsum(shift_terms)
+    head = math.factorial(n - 1) / y**n + math.factorial(n) / (2.0 * y ** (n + 1))
+    ypow = y ** (n + 2)
+    for k in range(1, 15):
+        rising = 1.0
+        for i in range(2 * k + 1, 2 * k + n):
+            rising *= i
+        term = float(bernoulli(2 * k)) * rising / ypow
+        head += term
+        if abs(term) < 1e-18 * abs(head):
+            break
+        ypow *= y * y
+    return (-1.0) ** (n + 1) * head - (-1.0) ** n * math.factorial(n) * math.fsum(shift_terms)
+
+
+_rng = random.Random(39)
+_POLYGAMMA_POINTS = (
+    [0.5 * i for i in range(1, 130)]  # 0.5, 1.0, ..., 64.5
+    + [_rng.uniform(0.001, 80.0) for _ in range(200)]
+    + [1e3, 1e6]
+)
+
+
+@pytest.mark.parametrize("order", range(41))
+def test_polygamma_has_the_bits_of_the_two_loops(order):
+    bad = [x for x in _POLYGAMMA_POINTS if polygamma_real(order, x) != reference_polygamma(order, x)]
+    assert not bad, bad[:5]
 
 
 class TestCotDerivative:

@@ -192,6 +192,22 @@ class TestSerialization:
     def test_text_in_any_order_reads_back_to_its_canonical_text(self, text, canonical):
         assert parse_text(text).text() == canonical
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
+    @pytest.mark.parametrize("limit", [None, 640])
+    def test_a_coefficient_past_the_int_digit_limit_prints_whole(self, limit):
+        # 10^4400 + 1 has 4,401 digits, past the interpreter's default 4,300-digit limit
+        before = sys.get_int_max_str_digits()
+        value = SymbolicValue.rational(Fraction(10**4400 + 1, 3))
+        digits = "1" + "0" * 4399 + "1"
+        try:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+            assert value.text() == digits + "/3"
+            assert (-sym_pi() * value).text() == f"-{digits}/3*pi"
+            assert sys.get_int_max_str_digits() == (limit or before)
+        finally:
+            sys.set_int_max_str_digits(before)
+
     def test_a_leading_sign_is_kept(self):
         assert parse_text("+ pi - zeta3") == sym_pi() - sym_zeta_odd(3)
         assert parse_text("-pi") == -sym_pi()
