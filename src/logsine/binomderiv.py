@@ -185,8 +185,7 @@ def shifted_binom_deriv(spec: DerivSpec) -> SymbolicValue:
     n = spec.p - 1
     lcm, rational = _rational_row(n, spec.k)
     sign_p = (-1) ** (spec.p + spec.k) * spec.p
-    weights = [Fraction(math.comb(n, i) * sign_p * r, spec.k * lcm**i)
-               for i, r in enumerate(rational[: n + 1])]
+    weights = [(math.comb(n, i) * sign_p * r, spec.k * lcm**i) for i, r in enumerate(rational[: n + 1])]
     return linear_combination(weights, _constant_row(n, spec.scaled)[n::-1])
 
 

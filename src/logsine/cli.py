@@ -30,7 +30,7 @@ MAX_BINOM_DERIV_P = 40  # the exact form grows fast with p: megabytes at p = 40 
 MAX_BINOM_DERIV_K = 200  # its harmonic-number denominators grow with k: 30 MB at p = 40, k = 200 scaled
 MAX_N = 1600  # ROADMAP item 5's range at pi/2; (pi/2)^(n+1) overflows binary64 from n = 1,571
 MAX_BELL_TERMS = 200  # the exact value's cost grows 5-12x per doubling: 36 s at 1,200 terms
-MAX_BELL_TERM_DIGITS = 4300  # per number read, where the interpreter has no int-from-str limit
+MAX_BELL_TERM_DIGITS = 4300  # per number read with no int-from-str limit; per number an exponent scales
 _P_HELP = f"log power, at most {MAX_BINOM_DERIV_P}"
 _N_HELP = f"power of x, at most {MAX_N}"
 _TOL_HELP = "target absolute tolerance"
@@ -180,14 +180,19 @@ def _cmd_bell(args) -> int:
     limit = _digit_limit()
     for i, part in enumerate(parts, 1):
         # each number of a term, with the PEP 515 underscores that Fraction reads; a decimal
-        # exponent, the last number, adds its value to the others' digits: 1e9 has 10 digits
+        # exponent, the last number, adds its value to the others' digits: 1e9 has 10 digits.
+        # Fraction builds that power whole, so a scaled number takes at most
+        # MAX_BELL_TERM_DIGITS whatever the interpreter reads
         sizes = [len(run.replace("_", "")) for run in re.findall(r"\d[\d_]*", part)]
         exponent = re.search(r"[eE]([-+]?\d+(?:_\d+)*)\s*$", part)
-        if exponent and sizes[-1] <= limit:  # a longer one is refused as it is
+        cap = min(limit, MAX_BELL_TERM_DIGITS) if exponent else limit
+        if exponent and sizes[-1] <= cap:  # a longer one is refused as it is
             sizes = [size + abs(int(exponent[1])) for size in sizes[:-1]] + sizes[-1:]
-        if max(sizes, default=0) > limit:
-            raise ValueError(f"--seq term {i} has a number of {max(sizes)} digits; a numerator, "
-                             f"denominator or decimal part takes at most {limit}")
+        if max(sizes, default=0) > cap:
+            rule = ("a numerator, denominator or decimal part" if cap == limit
+                    else "a number an exponent scales")
+            raise ValueError(f"--seq term {i} has a number of {max(sizes)} digits; {rule} takes "
+                             f"at most {cap}")
     try:
         seq = [Fraction(part) for part in parts]
     except ZeroDivisionError:

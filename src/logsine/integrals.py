@@ -123,9 +123,12 @@ def sine_power_moment_exact(n: int, m: int, z: str) -> SymbolicValue:
         raise ValueError("n and m must be >= 0")
     central, weights = _case_weights(n, _row_angle("logsin", z))
     lcm = math.lcm(*range(1, m + 1))
-    # each k-sum as one integer over lcm(k^pow) = lcm(1..m)^pow
-    ksums = [Fraction(sum((-1) ** (k * alt) * math.comb(2 * m, m + k) * (lcm**pow_ // k**pow_)
-                          for k in range(1, m + 1)), lcm**pow_) for _, alt, pow_ in weights]
+    row = [math.comb(2 * m, m + k) for k in range(1, m + 1)]
+    signed = [-c if k % 2 else c for k, c in enumerate(row, 1)]
+    ksums = []  # each k-sum as one unreduced int pair over lcm(k^pow) = lcm(1..m)^pow
+    for _, alt, pow_ in weights:
+        top = lcm**pow_
+        ksums.append((sum(c * (top // k**pow_) for k, c in enumerate(signed if alt else row, 1)), top))
     return linear_combination([math.comb(2 * m, m), *ksums],
                               [central, *(coef for coef, _, _ in weights)], Fraction(1, 4**m))
 

@@ -23,24 +23,37 @@ from .symbolic import (
 )
 
 
-@lru_cache(maxsize=None)
+# (the last column of the tangent-number triangle, (B_0, B_2, B_4, ...)), one tuple
+_bernoulli_table: tuple[tuple[int, ...], tuple[Fraction, ...]] = ((1,), (Fraction(1), Fraction(1, 6)))
+
+
 def bernoulli(n: int) -> Fraction:
     """Exact Bernoulli number B_n (B_1 = -1/2 convention).
 
-    Computed by the defining recurrence sum_{i=0}^{n} C(n+1, i) B_i = 0.
+    B_{2j} = (-1)^{j-1} 2j T_j / (4^j (4^j - 1)) from the tangent numbers T_j, built by
+    Brent and Harvey's triangle in O(j^2) products of an integer by a small one and no
+    Fraction (arXiv:1108.0286): T_j after pass k is c_j(k) = (j-k) c_{j-1}(k) + (j-k+2)
+    c_j(k-1) from c_j(1) = (j-1)!, and T_j = c_j(j).  Each column extends the last, so the
+    table grows in a new tuple when a larger n asks: no reader sees a half-built table, and
+    two threads racing at worst store the shorter one.
     """
+    global _bernoulli_table
     if n < 0:
         raise ValueError("bernoulli requires n >= 0")
-    if n == 0:
-        return Fraction(1)
-    if n == 1:
-        return Fraction(-1, 2)
-    if n % 2 == 1:
-        return Fraction(0)
-    acc = Fraction(0)
-    for i in range(n):
-        acc += math.comb(n + 1, i) * bernoulli(i)
-    return -acc / (n + 1)
+    if n % 2:
+        return Fraction(-1, 2) if n == 1 else Fraction(0)
+    column, evens = _bernoulli_table
+    if len(evens) <= n // 2:
+        evens = list(evens)
+        for j in range(len(column) + 1, n // 2 + 1):
+            new = [(j - 1) * column[0]]
+            for k in range(2, j):
+                new.append((j - k) * column[k - 1] + (j - k + 2) * new[-1])
+            column = (*new, 2 * new[-1])
+            evens.append(Fraction((-1) ** (j - 1) * 2 * j * column[-1], 4**j * (4**j - 1)))
+        evens = tuple(evens)
+        _bernoulli_table = column, evens
+    return evens[n // 2]
 
 
 _harmonic_rows: dict[int, tuple[Fraction, ...]] = {}  # r -> (H_0^{(r)}, H_1^{(r)}, ...)

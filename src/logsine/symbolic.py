@@ -255,10 +255,10 @@ class SymbolicValue:
 
 
 def linear_combination(weights, values, scale: RationalLike = 1) -> SymbolicValue:
-    """scale * sum_i w_i v_i for SymbolicValues v_i and weights w_i that are rationals
-    or SymbolicValues, in one pass of the ring's accumulator: the scale enters each
-    weight unreduced, and each monomial's coefficient is summed as one integer
-    fraction and reduced once at the end."""
+    """scale * sum_i w_i v_i for SymbolicValues v_i and weights w_i that are rationals,
+    int pairs (num, den) with den > 0, not necessarily reduced, or SymbolicValues, in one
+    pass of the ring's accumulator: the scale enters each weight unreduced, and each
+    monomial's coefficient is summed as one integer fraction and reduced once at the end."""
     sn, sd = scale.numerator, scale.denominator
     rows = [(_weight_terms(w, sn, sd), v._terms) for w, v in zip(weights, values)] if sn else []
     return SymbolicValue._of(_collect(
@@ -268,10 +268,11 @@ def linear_combination(weights, values, scale: RationalLike = 1) -> SymbolicValu
 
 
 def _weight_terms(weight, sn: int, sd: int) -> list[tuple]:
-    """The (monomial, num, den) terms of a rational or SymbolicValue weight times sn/sd."""
+    """The (monomial, num, den) terms of a rational, int pair or SymbolicValue weight times sn/sd."""
     if type(weight) is SymbolicValue:
         return [(mono, n * sn, d * sd) for mono, (n, d) in weight._terms.items()]
-    return [((), weight.numerator * sn, weight.denominator * sd)] if weight else []
+    num, den = weight if type(weight) is tuple else (weight.numerator, weight.denominator)
+    return [((), num * sn, den * sd)] if num else []
 
 
 def _coerce(value) -> "SymbolicValue":

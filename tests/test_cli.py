@@ -559,6 +559,15 @@ class TestDigitLimitInForce:
         proc = _run_at_digit_limit("0", "constant", "--name", "zeta" + "9" * 5000)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
+    def test_no_limit_still_caps_what_an_exponent_scales(self):
+        # under limit 0, 1e1000000 once built and printed all 1,000,001 digits in 17 s
+        start = time.perf_counter()
+        proc = _run_at_digit_limit("0", "bell", "--seq=3/4,1e1000000")
+        assert time.perf_counter() - start < 10
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("usage error: --seq term 2 has a number of 1000001 digits; a number an "
+                               f"exponent scales takes at most {MAX_BELL_TERM_DIGITS}\n")
+
 
 # flags that each call sets and the next call leaves out
 _MIXED_CALLS = [

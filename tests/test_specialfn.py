@@ -52,6 +52,23 @@ class TestBernoulli:
     def test_odd_vanish(self):
         assert all(bernoulli(2 * k + 1) == 0 for k in range(1, 16))
 
+    def test_every_value_to_1600_matches_mpmath(self):
+        # the tangent-number table against an independent implementation, B_1 included
+        mpmath = pytest.importorskip("mpmath")
+        for n in range(1601):
+            b = bernoulli(n)
+            assert (b.numerator, b.denominator) == mpmath.bernfrac(n), n
+
+    def test_a_table_grown_in_steps_equals_one_built_at_once(self, monkeypatch):
+        from logsine import specialfn
+
+        want = [bernoulli(n) for n in range(121)]
+        monkeypatch.setattr(specialfn, "_bernoulli_table", ((1,), (Fraction(1), Fraction(1, 6))))
+        assert bernoulli(30) == Fraction(8615841276005, 14322)
+        assert len(specialfn._bernoulli_table[1]) == 16  # B_0, B_2, ..., B_30
+        bernoulli(64)
+        assert [bernoulli(n) for n in range(121)] == want
+
 
 class TestHarmonic:
     def test_empty_sum(self):

@@ -26,6 +26,8 @@ generators = st.sampled_from(
 coefficients = st.fractions(
     min_value=-50, max_value=50, max_denominator=40
 ).filter(lambda q: q != 0)
+# rational weights in the ring's own form, not reduced: zero and negative numerators too
+int_pairs = st.tuples(st.integers(-60, 60), st.integers(1, 40))
 
 
 @st.composite
@@ -329,6 +331,41 @@ class TestLinearCombination:
         got = linear_combination(weights, values, scale)
         assert got == want
         assert_canonical(got)
+
+    @given(st.lists(st.tuples(int_pairs | coefficients | symbolic_values(), symbolic_values()),
+                    max_size=5),
+           coefficients | st.just(Fraction(0)))
+    def test_int_pair_weights_equal_the_ring_sum(self, pairs, scale):
+        # an int pair (num, den), den > 0, is the rational num/den, reduced or not
+        def weight(w):
+            return Fraction(*w) if type(w) is tuple else w
+        want = scale * sum((weight(w) * v for w, v in pairs), SymbolicValue.zero())
+        got = linear_combination([w for w, _ in pairs], [v for _, v in pairs], scale)
+        assert got == want
+        assert_canonical(got)
+
+    def test_an_unreduced_pair_is_its_rational(self):
+        v = sym_pi(2, Fraction(1, 6)) + Fraction(1, 4)
+        got = linear_combination([(6, 4), (0, 7), (-3, 9)], [v, sym_log2(), v])
+        assert got == Fraction(7, 6) * v
+        assert got.text() == "7/24 + 7/36*pi^2"
+        assert_canonical(got)
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_shifted_derivatives_store_reduced_coefficients(self, scaled):
+        from logsine.binomderiv import DerivSpec, shifted_binom_deriv
+
+        for p in range(1, 11):
+            for k in range(1, 31):
+                assert_canonical(shifted_binom_deriv(DerivSpec(p, k, scaled)))
+
+    @pytest.mark.parametrize("z", ["pi", "pi/2"])
+    def test_sine_power_moments_store_reduced_coefficients(self, z):
+        from logsine.integrals import sine_power_moment_exact
+
+        for n in range(11):
+            for m in range(11):
+                assert_canonical(sine_power_moment_exact(n, m, z))
 
     def test_integer_weights_and_shared_denominators(self):
         v = sym_pi(2, Fraction(1, 6)) + Fraction(1, 4)
