@@ -14,6 +14,9 @@ Covered objects, all over (0, z):
 * ``log_sine_any_angle``:  the n = 0 case at arbitrary 0 < z <= 2pi by the
   same moment series, the power series of log(sin(x/2)/(x/2)) integrated
   term by term, reflected about pi through log-sine moment 0.
+* ``quadrature_value``:  the independent oracle, tanh-sinh quadrature of the
+  defining integral, whose log factor is read from a column kept with each
+  tabled level's nodes, so that a repeated interval takes no logarithm.
 
 The symbolic pipeline never guesses: a value is returned as exact only when
 every infinite k-sum lands in the whitelisted catalog, otherwise the result
@@ -32,7 +35,7 @@ from .binomderiv import DerivSpec, central_binom_deriv
 from .numerics import (
     DEFAULT_CONFIG,
     NumericConfig,
-    tanh_sinh_quadrature,
+    _tanh_sinh,
     zeta_numeric,
 )
 from .specialfn import alt_euler_sum_H, eta_value, euler_sum_H
@@ -425,24 +428,41 @@ def log_sine_any_angle(p: int, z: float) -> tuple[float, float]:
 # -- numeric oracle over the defining integrals -------------------------------------
 
 
+def _log_sin(x: float) -> float:
+    return math.log(math.sin(x))
+
+
+def _log_2sin_half(x: float) -> float:
+    return math.log(2.0 * math.sin(x / 2.0))
+
+
+def _oracle(g, terms, a: float, b: float, cfg: NumericConfig) -> float:
+    # terms(xs, gs) is the integrand at the abscissae xs, gs the log factor there,
+    # read from the node table's column; a lone point gets the same float expression
+    return _tanh_sinh(lambda x: terms((x,), (g(x),))[0],
+                      lambda nodes, side: terms(nodes.xs[side], nodes.factor(g, side)), a, b, cfg)
+
+
 def quadrature_value(spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """Tanh-sinh value of the defining integral; the independent oracle.
 
     The log factor g, singular at 0 and L (pi for 'logsin', 2pi for 'ls'), is
     symmetric about L/2: past it the piece over (L/2, z) is reflected onto
     (L - z, L/2) with weight (L - x)^n, so the singularity is met at 0, where
-    node distances are exact, never at the float L (a z just past L is L)."""
+    node distances are exact, never at the float L (a z just past L is L).
+    g is read from a column kept with each tabled level's nodes, so a repeated
+    interval takes no logarithm at levels 0-7."""
     n, p, z = spec.n, spec.p, angle_value(spec.z)
-    # the integrand x^n g(x), sign included for 'ls', and the folded one, each one closure
+    # the integrand x^n g(x), sign included for 'ls', and the folded one, over columns
     if spec.form == "logsin":
-        top = math.pi
-        f = lambda x: x**n * math.log(math.sin(x)) ** p
-        folded = lambda x: (x**n + (top - x) ** n) * math.log(math.sin(x)) ** p
+        top, g = math.pi, _log_sin
+        plain = lambda xs, gs: [x**n * gx**p for x, gx in zip(xs, gs)]
+        folded = lambda xs, gs: [(x**n + (top - x) ** n) * gx**p for x, gx in zip(xs, gs)]
     else:
-        top = 2 * math.pi
-        f = lambda x: -(x**n) * math.log(2.0 * math.sin(x / 2.0)) ** p
-        folded = lambda x: (x**n + (top - x) ** n) * -(math.log(2.0 * math.sin(x / 2.0)) ** p)
+        top, g = 2 * math.pi, _log_2sin_half
+        plain = lambda xs, gs: [-(x**n) * gx**p for x, gx in zip(xs, gs)]
+        folded = lambda xs, gs: [(x**n + (top - x) ** n) * -(gx**p) for x, gx in zip(xs, gs)]
     if z <= top / 2:
-        return tanh_sinh_quadrature(f, 0.0, z, cfg)
+        return _oracle(g, plain, 0.0, z, cfg)
     mirror, half = max(top - z, 0.0), NumericConfig(cfg.target_abs_tol / 2)
-    return tanh_sinh_quadrature(f, 0.0, mirror, half) + tanh_sinh_quadrature(folded, mirror, top / 2, half)
+    return _oracle(g, plain, 0.0, mirror, half) + _oracle(g, folded, mirror, top / 2, half)

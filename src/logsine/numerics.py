@@ -7,9 +7,12 @@ endpoint singularities, real-argument polygamma and exact cotangent
 derivatives.
 
 All functions are pure; there is no shared mutable state beyond small
-memoization caches of immutable results, among them the tanh-sinh node tables
-of levels 0-7, built once per process.  The quadrature reads each clamped
-endpoint once per call.
+memoization caches, among them the tanh-sinh node tables of levels 0-7 for the
+last 16 (interval, level) pairs read, with the columns of log factors the
+oracle reads at their abscissae.  One level loop serves every integrand; it
+takes the integrand a column at a time and reads each clamped endpoint once
+per call.  The tables pay off only where an interval repeats, as in the oracle
+grid; a new interval builds its tables once, at about the cost of one call.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from itertools import chain, islice, repeat
+from typing import Callable, Iterable, NamedTuple
 
 from .specialfn import bernoulli
 
@@ -103,10 +107,14 @@ def zeta_numeric(n: int) -> float:
 
 _T_MAX = 6.5
 _QUADRATURE_LEVELS = 12  # refinement levels after the first, each halving the step
-# the rows of levels 0-7 are tabled once per process, 0.28 MB by tracemalloc;
-# deeper ones would add 8.9 MB, so they are generated per call
+# the node tables of levels 0-7 are kept for the last 16 (interval, level) pairs read:
+# the four intervals of the oracle grid through level 3, or two intervals at every tabled
+# level, 0.13 MB each by tracemalloc plus 0.08 MB per log column, so that full-depth
+# quadrature over 100 intervals grows ru_maxrss by under 2 MB.  Deeper levels would add
+# 8.9 MB per interval; they are generated per call, in pieces of at most _PIECE nodes
 _CACHED_LEVELS = 8
-_ts_tables: dict[int, tuple[tuple[float, ...], ...]] = {}
+_TABLE_ENTRIES = 16
+_PIECE = 256
 
 
 def _ts_rows(level: int):
@@ -124,12 +132,62 @@ def _ts_rows(level: int):
             yield math.cosh(t), sech2, e2u, 1.0 + e2u
 
 
-def _ts_level(level: int):
-    if level >= _CACHED_LEVELS:
-        return _ts_rows(level)
-    if level not in _ts_tables:
-        _ts_tables[level] = tuple(_ts_rows(level))
-    return _ts_tables[level]
+class _Nodes(NamedTuple):
+    """The nodes t > 0 of one level, or of a piece of one, on one interval (a, b).
+
+    ``weights`` holds each node's weight, ``xs[0]`` and ``xs[1]`` the abscissae
+    near b and near a of the nodes before those that clamp onto the last
+    interior float there, and ``clamped`` how many do, on each side.  The
+    clamped nodes are a suffix: the distance d to an endpoint falls by a factor
+    of at least 1 - pi h from one node to the next, far more than its rounding,
+    and where e2u is subnormal, d is width times it, so that ties stay ties.
+    ``factors`` maps a function g to its values at ``xs``, filled on first read."""
+
+    weights: tuple[float, ...]
+    xs: tuple[tuple[float, ...], tuple[float, ...]]
+    clamped: tuple[int, int]
+    factors: dict
+
+    def factor(self, g: Callable[[float], float], side: int) -> tuple[float, ...]:
+        """g at the abscissae ``xs[side]``, computed once per table."""
+        columns = self.factors.get(g)
+        if columns is None:  # racing threads store equal columns
+            columns = self.factors[g] = tuple(tuple(map(g, xs)) for xs in self.xs)
+        return columns[side]
+
+
+def _nodes(a: float, b: float, rows) -> _Nodes:
+    width = b - a
+    wscale = width / 2.0 * (math.pi / 2.0)  # the factor of each weight free of t
+    lo_in, hi_in = math.nextafter(a, b), math.nextafter(b, a)
+    weights, his, los = [], [], []
+    for cosh_t, sech2, e2u, e2u1 in rows:
+        w = wscale * cosh_t * sech2
+        if w == 0.0:  # an underflowed weight adds 0 whatever f is there
+            continue
+        # distance to the near endpoint, computed without cancellation; nodes
+        # falling inside the last representable ulp are clamped to the nearest
+        # interior point, and _clamp_loss bounds what they misread
+        d = width * e2u / e2u1
+        weights.append(w)
+        if b - d < hi_in:
+            his.append(b - d)
+        if a + d > lo_in:
+            los.append(a + d)
+    n = len(weights)
+    return _Nodes(tuple(weights), (tuple(his), tuple(los)), (n - len(his), n - len(los)), {})
+
+
+@lru_cache(maxsize=_TABLE_ENTRIES)
+def _node_table(a: float, b: float, level: int) -> _Nodes:
+    return _nodes(a, b, _ts_rows(level))
+
+
+def _level_nodes(a: float, b: float, level: int):
+    if level < _CACHED_LEVELS:
+        return (_node_table(a, b, level),)
+    rows = _ts_rows(level)  # streamed: each piece takes one row, then up to _PIECE - 1 more
+    return (_nodes(a, b, chain((row,), islice(rows, _PIECE - 1))) for row in rows)
 
 
 def _clamp_loss(f: Callable[[float], float], end: float, inward: float) -> float:
@@ -140,56 +198,38 @@ def _clamp_loss(f: Callable[[float], float], end: float, inward: float) -> float
     return 4.0 * abs(x1 - end) * abs(f(x1) - f(math.nextafter(x1, inward)))
 
 
-def tanh_sinh_quadrature(
+def _tanh_sinh(
     f: Callable[[float], float],
+    column: Callable[[_Nodes, int], Iterable[float]],
     a: float,
     b: float,
-    cfg: NumericConfig = DEFAULT_CONFIG,
+    cfg: NumericConfig,
 ) -> float:
-    """Integral of f over (a, b) by double-exponential quadrature.
-
-    One substitution x = (a+b)/2 + (b-a)/2 * tanh(pi/2 * sinh t) maps the
-    whole interval, so both a and b sit at transform infinity, and the step
-    halves over 12 refinement levels, from node tables of levels 0-7 built
-    once per process.  Nodes closer to a nonzero endpoint than float spacing
-    allows are clamped onto the last interior float, where f is read once per
-    call, and the error estimate bounds the mass they misread at a and b: a
-    log singularity at 0 is harmless, one within an ulp of a nonzero limit
-    raises unless that mass is within the tolerance.
-
-    Raises :class:`QuadratureError` when the internal error estimate cannot
-    reach ``cfg.target_abs_tol`` within 12 refinement levels.
-    """
+    """The level loop of :func:`tanh_sinh_quadrature`, reading the integrand a
+    column at a time: ``column(nodes, side)`` gives it at ``nodes.xs[side]``,
+    and ``f`` at the center, once at each clamped endpoint and in _clamp_loss."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("finite integration limits required")
     if a == b:
         return 0.0
     if a > b:
-        return -tanh_sinh_quadrature(f, b, a, cfg)
+        return -_tanh_sinh(f, column, b, a, cfg)
     tol = cfg.target_abs_tol
-    width = b - a
-    wscale = width / 2.0 * (math.pi / 2.0)  # the factor of each weight free of t
-    center = (a + b) / 2.0
-    lo_in, hi_in = math.nextafter(a, b), math.nextafter(b, a)
+    wscale = (b - a) / 2.0 * (math.pi / 2.0)
+    ends = (math.nextafter(b, a), math.nextafter(a, b))  # the clamp points, b's side first
     f_end = lru_cache(maxsize=None)(f)  # f at the clamped points, read once
 
     h, level_sum, scale, prev = 1.0, 0.0, 0.0, math.nan
     for level in range(_QUADRATURE_LEVELS + 1):
         h /= 2.0
         # the node t = 0, at the center, has cosh t = sech^2 t = 1
-        vals = [wscale * f(center) if wscale else 0.0] if level == 0 else []
-        for cosh_t, sech2, e2u, e2u1 in _ts_level(level):
-            w = wscale * cosh_t * sech2
-            if w == 0.0:  # an underflowed weight adds 0 whatever f is there
-                continue
-            # distance to the near endpoint, computed without cancellation; nodes
-            # falling inside the last representable ulp are clamped to the nearest
-            # interior point, and _clamp_loss bounds what they misread
-            d = width * e2u / e2u1
-            x_hi, x_lo = b - d, a + d
-            y_hi = f(x_hi) if x_hi < hi_in else f_end(hi_in)
-            y_lo = f(x_lo) if x_lo > lo_in else f_end(lo_in)
-            vals.append(w * (y_hi + y_lo))
+        vals = [wscale * f((a + b) / 2.0) if wscale else 0.0] if level == 0 else []
+        for nodes in _level_nodes(a, b, level):
+            ys = [column(nodes, 0), column(nodes, 1)]
+            for side, count in enumerate(nodes.clamped):
+                if count:  # the clamped nodes read one endpoint value
+                    ys[side] = chain(ys[side], repeat(f_end(ends[side]), count))
+            vals += [w * (y_hi + y_lo) for w, y_hi, y_lo in zip(nodes.weights, *ys)]
         level_sum += math.fsum(vals)
         scale += math.fsum(map(abs, vals))
         value = h * level_sum
@@ -213,6 +253,30 @@ def tanh_sinh_quadrature(
     return value
 
 
+def tanh_sinh_quadrature(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    cfg: NumericConfig = DEFAULT_CONFIG,
+) -> float:
+    """Integral of f over (a, b) by double-exponential quadrature.
+
+    One substitution x = (a+b)/2 + (b-a)/2 * tanh(pi/2 * sinh t) maps the
+    whole interval, so both a and b sit at transform infinity, and the step
+    halves over 12 refinement levels.  The nodes and weights of levels 0-7
+    are read from a table kept for each recent interval, deeper ones are
+    generated per call.  Nodes closer to a nonzero endpoint than float
+    spacing allows are clamped onto the last interior float, where f is read
+    once per call, and the error estimate bounds the mass they misread at a
+    and b: a log singularity at 0 is harmless, one within an ulp of a nonzero
+    limit raises unless that mass is within the tolerance.
+
+    Raises :class:`QuadratureError` when the internal error estimate cannot
+    reach ``cfg.target_abs_tol`` within 12 refinement levels.
+    """
+    return _tanh_sinh(f, lambda nodes, side: map(f, nodes.xs[side]), a, b, cfg)
+
+
 # -- polygamma on the positive real axis --------------------------------------
 
 _ASYMPTOTIC_CUT = 20.0
@@ -230,24 +294,15 @@ def _asymptotic_coef(k: int, n: int) -> float:
     return b2k * math.prod(range(2 * k + 1, 2 * k + n), start=1.0)
 
 
-def polygamma_real(order: int, x: float) -> float:
-    """psi^(order)(x) for real x > 0.
+def _cut(n: int) -> float:
+    # the asymptotic series is summed at y >= max(20, n/2): its terms then fall by
+    # about ((n + 2k)/(2 pi y))^2 each
+    return max(_ASYMPTOTIC_CUT, n / 2)
 
-    Shifts the argument upward with the recurrence
-    psi^{(n)}(x) = psi^{(n)}(x+1) - (-1)^n n!/x^{n+1} and then sums the one asymptotic
-    series of every order (DLMF 5.11.2, 5.15.8): (-1)^{n+1} times h_n(y) plus the terms
-    B_2k (2k+n-1)!/(2k)!/y^{2k+n}, h_0 = -log y + 1/(2y), h_n = (n-1)!/y^n + n!/(2y^{n+1}),
-    up to 14 terms but stopped once a term falls below 1e-18 of the sum (three terms at
-    y >= 2000).  A value that is not a finite double raises OverflowError.
-    """
-    if order < 0:
-        raise ValueError("polygamma order must be >= 0")
-    if not x > 0:
-        raise ValueError("polygamma_real requires x > 0")
-    n = order
-    shift_terms = []
-    y = x
-    while y < _ASYMPTOTIC_CUT:
+
+def _polygamma_powers(n: int, x: float) -> float:
+    shift_terms, y, cut = [], x, _cut(n)
+    while y < cut:
         power = y ** (n + 1)  # 0.0 once it underflows, where 1/power is past every double
         shift_terms.append(1.0 / power if power else math.inf)
         y += 1.0
@@ -263,9 +318,69 @@ def polygamma_real(order: int, x: float) -> float:
             break
         ypow *= y * y
     # undo the recurrence shifts: psi^{(n)}(x) = psi^{(n)}(y) - (-1)^n n! sum 1/(x+i)^{n+1}
-    value = (-1.0) ** (n + 1) * head - (-1.0) ** n * math.factorial(n) * math.fsum(shift_terms)
+    return (-1.0) ** (n + 1) * head - (-1.0) ** n * math.factorial(n) * math.fsum(shift_terms)
+
+
+def _polygamma_ratios(n: int, x: float) -> float:
+    # the sums of _polygamma_powers over R = (n-1)!/x^n (1 at n = 0): a shift term is
+    # n/(x+i) (x/(x+i))^n and an asymptotic one (x/y)^n B_2k/(2k)! prod_{j<2k} (n+j)/y, a
+    # factor n + j = 0 read as 1 (so -log y + 1/(2y) + B_2k/(2k y^2k) at n = 0): powers of
+    # ratios up to 1 and ratios near 1.  R is the top 64 bits of its exact quotient, times
+    # a power of two, so the value leaves binary64 only where psi does (then it is +-inf)
+    sign = (-1.0) ** (n + 1)
+    if n:  # |psi| lies between R and R (1 + n/x), so a far-out R decides without the exact one
+        log_r = math.lgamma(n) - n * math.log(x)
+        if log_r > 710.0:  # e^710 is past the largest double
+            return sign * math.inf
+        if log_r + math.log1p(n / x) < -746.0:  # below half the least subnormal
+            return sign * 0.0
+    y, parts, cut = x, [], _cut(n)
+    while y < cut:
+        parts.append(max(n, 1) / y * (x / y) ** n)
+        y += 1.0
+    head, ratio = (1.0 if n else -math.log(y)) + max(n, 1) / (2.0 * y), 1.0
+    for k in range(1, _BERNOULLI_TERMS + 1):
+        ratio *= max(n + 2 * k - 2, 1) / y * ((n + 2 * k - 1) / y)
+        term = float(bernoulli(2 * k) / math.factorial(2 * k)) * ratio
+        head += term
+        if abs(term) < _BERNOULLI_STOP * abs(head):
+            break
+    parts.append((x / y) ** n * head)
+    num, den = x.as_integer_ratio()
+    top, bottom = (math.factorial(n - 1) * den**n if n else 1), num**n
+    cut_top, cut_bottom = max(top.bit_length() - 64, 0), max(bottom.bit_length() - 64, 0)
+    total, exp = math.frexp(math.fsum(parts))
+    try:
+        value = math.ldexp((top >> cut_top) / (bottom >> cut_bottom) * total, exp + cut_top - cut_bottom)
+    except OverflowError:
+        value = math.inf
+    return sign * value
+
+
+def polygamma_real(order: int, x: float) -> float:
+    """psi^(order)(x) for real x > 0.
+
+    Shifts the argument upward with the recurrence
+    psi^{(n)}(x) = psi^{(n)}(x+1) - (-1)^n n!/x^{n+1} to y >= max(20, n/2) and then sums
+    the one asymptotic series of every order (DLMF 5.11.2, 5.15.8): (-1)^{n+1} times h_n(y)
+    plus the terms B_2k (2k+n-1)!/(2k)!/y^{2k+n}, h_0 = -log y + 1/(2y),
+    h_n = (n-1)!/y^n + n!/(2y^{n+1}), up to 14 terms but stopped once a term falls below
+    1e-18 of the sum (three terms at y >= 2000).  Where a power, a factorial or the sum
+    leaves binary64, the same sums are taken over (n-1)!/x^n, each term a product of
+    ratios; a value that is still not a finite double raises OverflowError.
+    """
+    if order < 0:
+        raise ValueError("polygamma order must be >= 0")
+    if not x > 0:
+        raise ValueError("polygamma_real requires x > 0")
+    try:
+        value = _polygamma_powers(order, x)
+    except OverflowError:  # a power or a factorial past binary64, where psi may not be
+        value = math.nan
     if not math.isfinite(value):
-        raise OverflowError(f"psi^({n})({x!r}) is {value}")
+        value = _polygamma_ratios(order, x)
+    if not math.isfinite(value):
+        raise OverflowError(f"psi^({order})({x!r}) is {value}")
     return value
 
 

@@ -91,8 +91,8 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
 
 def _collect(products) -> dict[tuple, tuple[int, int]]:
     """The stored terms of a sum of (monomial, num, den) products, den > 0: each
-    monomial's products are summed as one unreduced fraction, over the shared
-    denominator when it is the same, and reduced by one gcd at the end."""
+    monomial's products are summed as one unreduced fraction over the lcm of
+    their denominators, and reduced by one gcd at the end."""
     sums: dict[tuple, list[int]] = {}
     for mono, num, den in products:
         acc = sums.get(mono)
@@ -100,10 +100,16 @@ def _collect(products) -> dict[tuple, tuple[int, int]]:
             sums[mono] = [num, den]
         elif acc[1] == den:
             acc[0] += num
-        else:
-            acc[0] = acc[0] * den + num * acc[1]
-            acc[1] *= den
-    return {mono: _reduced(num, den) for mono, (num, den) in sums.items() if num}
+        else:  # over lcm(acc_den, den) = acc_den * (den / g), g their gcd
+            g = math.gcd(acc[1], den)
+            acc[0] = acc[0] * (den // g) + num * (acc[1] // g)
+            acc[1] *= den // g
+    terms = {}
+    for mono, (num, den) in sums.items():
+        if num:
+            g = math.gcd(num, den)
+            terms[mono] = (num // g, den // g)
+    return terms
 
 
 def _coef_text(num: int, den: int) -> str:

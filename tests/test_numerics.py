@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -10,9 +12,11 @@ from logsine import (
     QuadratureError,
     cot_derivative,
     delta_numeric,
+    integrals,
     log_sin_power_integral,
     numerics,
     polygamma_real,
+    quadrature_value,
     tanh_sinh_quadrature,
     zeta_numeric,
 )
@@ -122,12 +126,13 @@ class TestQuadrature:
 
     def test_unreachable_tolerance_fails(self, cfg):
         # a jump inside the interval: halving the step only halves the error
+        numerics._node_table.cache_clear()
         with pytest.raises(QuadratureError) as exc:
             tanh_sinh_quadrature(lambda x: 1.0 if x < 1.0 else 0.0, 0.0, math.pi, cfg)
         assert abs(exc.value.estimate - 1.0) < 1e-3
         assert exc.value.error_bound > 1e-10
         # the call ran all 12 levels, yet only the tables of levels 0-7 are kept
-        assert sorted(numerics._ts_tables) == list(range(8))
+        assert numerics._node_table.cache_info().currsize == 8
 
 
 def reference_tanh_sinh(f, a, b, cfg):
@@ -236,6 +241,131 @@ class TestQuadratureTables:
                 assert reads.count(math.nextafter(end, inward)) <= 1, end
 
 
+def reference_quadrature_value(spec, cfg):
+    """The oracle as it was before its log columns: one scalar closure per
+    integrand, summed by the per-node kernel."""
+    n, p, z = spec.n, spec.p, integrals.angle_value(spec.z)
+    if spec.form == "logsin":
+        top = math.pi
+        f = lambda x: x**n * math.log(math.sin(x)) ** p
+        folded = lambda x: (x**n + (top - x) ** n) * math.log(math.sin(x)) ** p
+    else:
+        top = 2 * math.pi
+        f = lambda x: -(x**n) * math.log(2.0 * math.sin(x / 2.0)) ** p
+        folded = lambda x: (x**n + (top - x) ** n) * -(math.log(2.0 * math.sin(x / 2.0)) ** p)
+    if z <= top / 2:
+        return reference_tanh_sinh(f, 0.0, z, cfg)
+    mirror, half = max(top - z, 0.0), NumericConfig(cfg.target_abs_tol / 2)
+    return reference_tanh_sinh(f, 0.0, mirror, half) + reference_tanh_sinh(folded, mirror, top / 2, half)
+
+
+def oracle_outcome(quadrature, spec, cfg):
+    """An oracle value, or its error's message, estimate and bound, as exact text."""
+    try:
+        return quadrature(spec, cfg).hex()
+    except QuadratureError as exc:
+        return str(exc), exc.estimate.hex(), exc.error_bound.hex()
+
+
+ORACLE_ANGLES = {
+    "logsin": ("pi/2", "pi", 1.1, 3.0, math.pi - 1e-9),
+    "ls": ("pi/2", "pi", "2pi", 1.1, 3.0, math.pi - 1e-9, 2 * math.pi - 1e-9),
+}
+ORACLE_TOLS = (1e-6, 1e-10, 1e-13)
+
+
+def oracle_cases():
+    return [(IntegralSpec(n, p, z, form=form), NumericConfig(tol))
+            for form, angles in ORACLE_ANGLES.items() for z in angles
+            for n in range(7) for p in range(8) for tol in ORACLE_TOLS]
+
+
+@pytest.fixture(scope="module")
+def oracle_reference():
+    return {case: oracle_outcome(reference_quadrature_value, *case) for case in oracle_cases()}
+
+
+def reference_clamps(a, b, level):
+    """Each node's weight and whether it clamps near b and near a, node by node."""
+    wscale, lo_in, hi_in = (b - a) / 2.0 * (math.pi / 2.0), math.nextafter(a, b), math.nextafter(b, a)
+    for cosh_t, sech2, e2u, e2u1 in numerics._ts_rows(level):
+        w = wscale * cosh_t * sech2
+        if w != 0.0:
+            d = (b - a) * e2u / e2u1
+            yield w, b - d, not b - d < hi_in, a + d, not a + d > lo_in
+
+
+class TestOracleTables:
+    """quadrature_value reads node tables and log columns; each outcome keeps
+    the bits of the per-node kernel over the parent's scalar closures."""
+
+    def test_cold_every_outcome_has_the_bits_of_the_per_node_oracle(self, oracle_reference):
+        numerics._node_table.cache_clear()
+        for case, want in oracle_reference.items():
+            assert oracle_outcome(quadrature_value, *case) == want, case
+
+    def test_warm_every_outcome_has_the_bits_of_the_per_node_oracle(self, oracle_reference):
+        for case in oracle_reference:
+            oracle_outcome(quadrature_value, *case)
+        for case, want in oracle_reference.items():
+            assert oracle_outcome(quadrature_value, *case) == want, case
+
+    def test_shuffled_every_outcome_has_the_bits_of_the_per_node_oracle(self, oracle_reference):
+        numerics._node_table.cache_clear()
+        cases = list(oracle_reference)
+        random.Random(41).shuffle(cases)
+        for case in cases:
+            assert oracle_outcome(quadrature_value, *case) == oracle_reference[case], case
+
+    def test_eight_threads_agree_with_one(self, oracle_reference):
+        cases = [case for case in oracle_reference if case[1].target_abs_tol == 1e-10]
+        results = [None] * 8
+
+        def work(slot):
+            order = cases[:]
+            random.Random(slot).shuffle(order)
+            results[slot] = {case: oracle_outcome(quadrature_value, *case) for case in order}
+
+        numerics._node_table.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        want = {case: oracle_reference[case] for case in cases}
+        assert all(result == want for result in results)
+
+    def test_the_table_cache_stays_at_its_bound(self, cfg):
+        numerics._node_table.cache_clear()
+        for k in range(40):
+            quadrature_value(IntegralSpec(2, 3, 0.5 + k / 16, form="ls"), cfg)
+            tanh_sinh_quadrature(math.exp, 0.0, 0.5 + k / 16, cfg)
+        info = numerics._node_table.cache_info()
+        assert info.currsize == info.maxsize == numerics._TABLE_ENTRIES
+
+    @pytest.mark.parametrize("a,b", [
+        (0.0, math.pi / 2), (0.0, 1.1), (0.0, math.pi), (0.0, 3.0), (0.0, math.pi - 1e-9),
+        (0.0, 2 * math.pi - 1e-9), (1.0, 2.0), (0.5, 2.0), (math.pi / 2, math.pi),
+        (1e-300, 1.0), (-3.0, -1e-3), (0.0, 0.3),
+    ])
+    @pytest.mark.parametrize("level", range(numerics._CACHED_LEVELS))
+    def test_each_sides_clamped_nodes_are_a_suffix_of_its_table(self, a, b, level):
+        rows = list(reference_clamps(a, b, level))
+        nodes = numerics._node_table(a, b, level)
+        assert nodes.weights == tuple(row[0] for row in rows)
+        for side, (x_at, clamp_at) in enumerate(((1, 2), (3, 4))):
+            flags = [row[clamp_at] for row in rows]
+            kept = len(rows) - nodes.clamped[side]
+            assert flags == [False] * kept + [True] * nodes.clamped[side]
+            assert nodes.xs[side] == tuple(row[x_at] for row in rows[:kept])
+
+
 class TestPolygammaReal:
     def test_trigamma_at_one(self):
         assert abs(polygamma_real(1, 1.0) - math.pi**2 / 6) < 1e-12
@@ -284,6 +414,23 @@ class TestPolygammaReal:
         with pytest.raises(OverflowError) as info:
             call()
         assert "\n" not in str(info.value) and "inf" in str(info.value)
+
+    @pytest.mark.parametrize("order,x", [
+        (52, 1e6), (45, 1e7), (40, 1e8), (171, 30.0), (170, 1.0), (171, 1.0), (0, 1e200),
+        (1, 1e200), (300, 1e300), (1000, 300.0), (2, 1e-154), (2, 1e-155),
+    ])
+    def test_large_orders_and_arguments_against_mpmath(self, order, x):
+        # a power or factorial past binary64 once raised at the first four; OverflowError
+        # is right only where |psi| passes the largest double, as at (171, 1.0)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            want = mpmath.psi(order, x)
+            if abs(want) > sys.float_info.max:
+                with pytest.raises(OverflowError):
+                    polygamma_real(order, x)
+            else:
+                # a value below the least subnormal rounds to 0
+                assert abs(polygamma_real(order, x) - want) <= 2e-15 * abs(want) + math.ulp(0.0)
 
     @pytest.mark.parametrize("order,x", [(1, 1e-150), (3, 2e-77)])  # about 1e300 and 3.7e307
     def test_a_value_that_fits_a_double_keeps_its_bits(self, order, x):
