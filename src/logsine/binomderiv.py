@@ -127,19 +127,31 @@ def rho(n: int) -> SymbolicValue:
 _SYM_ONE = SymbolicValue.one()
 
 
-@lru_cache(maxsize=None)
+_constant_rows: dict[bool, tuple[SymbolicValue, ...]] = {}
+
+
 def _constant_row(n: int, scaled: bool) -> tuple[SymbolicValue, ...]:
-    """[B_0(c), ..., B_n(c)] over c = (0 or log 4, eta_bar_2, ..., eta_bar_n), the
-    k-free parts of xi_bar.  Unscaled it is the recurrence over eta_bar (eta_bar_1
-    = 0); log 4 enters by the binomial identity with the Bell row of
-    (log 4, 0, ..., 0), which is the powers of log 4."""
-    if not scaled:
-        return tuple(complete_bell_all([eta_bar(j) for j in range(1, n + 1)], _SYM_ONE))
-    core = _constant_row(n, False)
-    powers = [_SYM_ONE]
-    for _ in range(n):
-        powers.append(powers[-1] * LOG4)
-    return tuple(binomial_convolution(powers, core, m, _SYM_ONE) for m in range(n + 1))
+    """[B_0(c), ..., B_n(c)] over c = (0 or log 4, eta_bar_2, ..., eta_bar_n), the k-free
+    parts of xi_bar.  Unscaled it is the recurrence over eta_bar (eta_bar_1 = 0); log 4
+    enters by the binomial identity with the Bell row of (log 4, 0, ..., 0), which is the
+    powers of log 4.  One prefix of each row is kept per flag, and extended in a new tuple
+    when a larger n asks: no reader sees a half-built row, and two threads racing on one
+    flag at worst store the shorter one."""
+    row = _constant_rows.get(scaled, ())
+    if len(row) <= n:
+        if not scaled:
+            row = tuple(complete_bell_all([eta_bar(j) for j in range(1, n + 1)], _SYM_ONE, row))
+        else:
+            core = _constant_row(n, False)
+            powers = [_SYM_ONE]
+            for _ in range(n):
+                powers.append(powers[-1] * LOG4)
+            row += tuple(binomial_convolution(powers, core, m, _SYM_ONE) for m in range(len(row), n + 1))
+        _constant_rows[scaled] = row
+    return row[: n + 1]
+
+
+_constant_row.cache_clear = _constant_rows.clear
 
 
 _rational_rows: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}

@@ -190,11 +190,15 @@ def _ksum(p: int, scaled: bool, alt: bool, s: int) -> SymbolicValue:
     if p == 0:
         return SymbolicValue.zero()
     flip = not alt  # D_p(k) carries (-1)^k
-    bell_c = (-1) ** (p - 1) * central_binom_deriv(DerivSpec(p - 1, 0, scaled))
-    total = bell_c * _catalog_sum(False, flip, s + 1)
+    # B_{p-1}(c) is (-1)^{p-1} times the central derivative of order p - 1, so the k-sum is
+    # -p (central S(s+1) - (p-1) (2 SH(s+1) - S(s+2))), S and SH the catalog sums of 1 and
+    # H_k, in one accumulator pass
+    weights = [central_binom_deriv(DerivSpec(p - 1, 0, scaled))]
+    sums = [_catalog_sum(False, flip, s + 1)]
     if p == 2:
-        total = total + 2 * _catalog_sum(True, flip, s + 1) - _catalog_sum(False, flip, s + 2)
-    return (-1) ** p * p * total
+        weights += [-2, 1]
+        sums += [_catalog_sum(True, flip, s + 1), _catalog_sum(False, flip, s + 2)]
+    return linear_combination(weights, sums, -p)
 
 
 @lru_cache(maxsize=None)
@@ -248,6 +252,35 @@ def _log_sine_rows(p: int, terms: int) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(math.comb(p, i) * powers[p - i][k] for i in range(p + 1)) for k in range(terms))
 
 
+def _log_sine_parts(
+    p: int, z: float, log_zs: tuple[float, ...], i: int, start: int, stop: int
+) -> list[list[float]]:
+    """The parts of rows start..stop-1 of :func:`_log_sine_series`, t^k times row k
+    dotted with (J_0, ..., J_p), one list per log factor of ``log_zs``.  A run from
+    row K gives the same floats as rows K.. of a run from 0, so a longer series
+    extends a shorter one."""
+    t = (z / (2 * math.pi)) ** 2
+    t_start = 1.0
+    for _ in range(start):
+        t_start *= t
+    rows = _log_sine_rows(p, stop)[start:]
+    out = []
+    for log_z in log_zs:
+        log_pows = [log_z**a for a in range(p + 1)]
+        parts, t_k, m1 = [], t_start, i + 2 * start + 1  # m1 = 2k + i + 1 at row k
+        for row in rows:
+            j = 1.0 / m1
+            acc = row[0] * j
+            for a in range(1, p + 1):
+                j = (log_pows[a] - a * j) / m1
+                acc += row[a] * j
+            parts.append(t_k * acc)
+            t_k *= t
+            m1 += 2
+        out.append(parts)
+    return out
+
+
 def _log_sine_series(
     p: int, z: float, terms: int = _H_TERMS, i: int = 0, log_z: float | None = None
 ) -> float:
@@ -258,18 +291,7 @@ def _log_sine_series(
     the value is (-1)^p times the sum of their magnitudes.  The factor is
     sum_a C(p, a) log^a(y/c) h^{p-a}, and y^m log^a(y/c) integrates to
     z^{m+1} J_a, J_0 = 1/(m+1) and J_a = (log_z^a - a J_{a-1}) / (m+1)."""
-    t = (z / (2 * math.pi)) ** 2
-    log_pows = [(math.log(z) if log_z is None else log_z) ** a for a in range(p + 1)]
-    parts, t_k, m1 = [], 1.0, i + 1  # m1 = 2k + i + 1 at row k
-    for row in _log_sine_rows(p, terms):
-        j = 1.0 / m1
-        acc = row[0] * j
-        for a in range(1, p + 1):
-            j = (log_pows[a] - a * j) / m1
-            acc += row[a] * j
-        parts.append(t_k * acc)
-        t_k *= t
-        m1 += 2
+    (parts,) = _log_sine_parts(p, z, (math.log(z) if log_z is None else log_z,), i, 0, terms)
     return z ** (i + 1) * math.fsum(parts)
 
 
@@ -283,20 +305,25 @@ def _log_sine_moment(p: int, i: int, scaled: bool) -> tuple[float, float]:
     the K terms leave out at most pi^{i+1} 3.6^-K sum_b C(p, b) A^{p-b} b! /
     (i + 2K + 1)^{b+1}, A = log_z - h(0.9); K doubles until that is below an ulp
     of the parts' magnitude, the series at -log_z (rows and J_a of one sign), and the
-    value is the series at log_z over those K terms.  At fl(pi), t = 1/4 is exact,
+    value is the series at log_z over those K terms; both come from one row loop, and a
+    doubling extends them from row K.  At fl(pi), t = 1/4 is exact,
     and a moment rounds by at most 12p + i + 12 units of 2^-53 of that magnitude:
     the rows 11(p - a) + 1 (zeta_numeric is correctly rounded), J_a 3a + 4, their
     products and sum p + 1, the rest i + 4."""
     log_z = math.log(math.pi / 2 if scaled else math.pi)
     terms, a = _H_TERMS, log_z + _TAIL_H
+    sizes, values = [], []
     while True:
-        size = abs(_log_sine_series(p, math.pi, terms, i, -log_z))
+        more_sizes, more_values = _log_sine_parts(p, math.pi, (-log_z, log_z), i, len(sizes), terms)
+        sizes += more_sizes
+        values += more_values
+        size = abs(math.pi ** (i + 1) * math.fsum(sizes))
         m1 = i + 2 * terms + 1
         tail = math.pi ** (i + 1) / 3.6**terms * math.fsum(
             math.comb(p, b) * a ** (p - b) * (math.factorial(b) / m1 ** (b + 1))  # b! may pass a float
             for b in range(p + 1))
         if tail <= 2**-53 * size:
-            return _log_sine_series(p, math.pi, terms, i, log_z), tail + (12 * p + i + 12) * 2**-53 * size
+            return math.pi ** (i + 1) * math.fsum(values), tail + (12 * p + i + 12) * 2**-53 * size
         terms *= 2
 
 

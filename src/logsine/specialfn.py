@@ -17,8 +17,10 @@ from itertools import accumulate
 
 from .symbolic import (
     SymbolicValue,
+    linear_combination,
     sym_zeta,
     sym_zeta_bar1,
+    sym_zeta_odd,
     zeta_even,
 )
 
@@ -102,14 +104,22 @@ def euler_sum_H(n: int) -> SymbolicValue:
     """Exact value of sum_{k>=1} H_k / k^n for n >= 2.
 
     Uses the classical linear Euler-sum reduction
-    (n+2)/2 * zeta(n+1) - 1/2 * sum_{k=1}^{n-2} zeta(k+1) zeta(n-k).
+    (n+2)/2 * zeta(n+1) - 1/2 * sum_{k=1}^{n-2} zeta(k+1) zeta(n-k),
+    whose sum runs over the pairs a + b = n + 1.  At odd n the even pairs are
+    Euler's sum_{k=1}^{m-1} zeta(2k) zeta(2m-2k) = (m + 1/2) zeta(2m), m = (n+1)/2,
+    which leaves (n+2)/4 * zeta(n+1) and the odd pairs; at even n each pair has one
+    odd member.  A pair a < b enters once, for its two ordered terms, and the middle
+    pair a = b of odd n as zeta(a) times zeta(a)/2, all in one accumulator pass.
     """
     if n < 2:
         raise ValueError("euler_sum_H requires n >= 2")
-    total = Fraction(n + 2, 2) * sym_zeta(n + 1)
-    for k in range(1, n - 1):
-        total = total - Fraction(1, 2) * (sym_zeta(k + 1) * sym_zeta(n - k))
-    return total
+    odd = range(3, ((n + 1) // 2 if n % 2 else n - 1) + 1, 2)  # the odd member a of each pair
+    return linear_combination(
+        [Fraction(-(n + 2), 4 if n % 2 else 2), *(sym_zeta(a) for a in odd)],
+        [sym_zeta(n + 1),
+         *(sym_zeta(n + 1 - a) if 2 * a != n + 1 else sym_zeta_odd(a, Fraction(1, 2)) for a in odd)],
+        -1,
+    )
 
 
 @lru_cache(maxsize=None)

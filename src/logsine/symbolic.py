@@ -70,6 +70,19 @@ def _monomial(factors: Mapping[tuple[int, int], int]) -> tuple:
 
 
 def _mono_mul(a: tuple, b: tuple) -> tuple:
+    """The product of two monomials.  When one is a pure power of pi, the first generator,
+    the product is the other with pi's exponent raised or pi prepended: every weight of a
+    closed form is such a power."""
+    if len(b) == 1 and b[0][0] == _PI:
+        a, b = b, a
+    if len(a) == 1 and a[0][0] == _PI:
+        if b and b[0][0] == _PI:
+            return ((_PI, a[0][1] + b[0][1]),) + b[1:]
+        return a + b
+    return _mono_merge(a, b)
+
+
+def _mono_merge(a: tuple, b: tuple) -> tuple:
     if not b:
         return a
     if not a:
@@ -89,27 +102,35 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _collect(products) -> dict[tuple, tuple[int, int]]:
-    """The stored terms of a sum of (monomial, num, den) products, den > 0: each
-    monomial's products are summed as one unreduced fraction over the lcm of
-    their denominators, and reduced by one gcd at the end."""
+def _collect(rows) -> dict[tuple, tuple[int, int]]:
+    """The stored terms of the sum over ``rows`` of each row's weight, (monomial, num, den)
+    terms, times its value, (monomial, (num, den)) pairs, den > 0.  It is the ring's one
+    loop over products: each monomial's products are summed as one unreduced fraction over
+    the lcm of their denominators, and reduced by one gcd at the end."""
     sums: dict[tuple, list[int]] = {}
-    for mono, num, den in products:
-        acc = sums.get(mono)
-        if acc is None:
-            sums[mono] = [num, den]
-        elif acc[1] == den:
-            acc[0] += num
-        else:  # over lcm(acc_den, den) = acc_den * (den / g), g their gcd
-            g = math.gcd(acc[1], den)
-            acc[0] = acc[0] * (den // g) + num * (acc[1] // g)
-            acc[1] *= den // g
+    for weight, terms in rows:
+        for m1, n1, d1 in weight:
+            for m2, (n2, d2) in terms:
+                mono = _mono_mul(m1, m2) if m1 else m2
+                num, den = n1 * n2, d1 * d2
+                acc = sums.get(mono)
+                if acc is None:
+                    sums[mono] = [num, den]
+                elif acc[1] == den:
+                    acc[0] += num
+                else:  # over lcm(acc_den, den) = acc_den * (den / g), g their gcd
+                    g = math.gcd(acc[1], den)
+                    acc[0] = acc[0] * (den // g) + num * (acc[1] // g)
+                    acc[1] *= den // g
     terms = {}
     for mono, (num, den) in sums.items():
         if num:
             g = math.gcd(num, den)
             terms[mono] = (num // g, den // g)
     return terms
+
+
+_UNIT = (((), 1, 1),)  # the weight of a row that is summed as it stands
 
 
 def _coef_text(num: int, den: int) -> str:
@@ -135,9 +156,8 @@ class SymbolicValue:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple, RationalLike] | None = None):
-        self._terms = _collect(
-            (mono, coef.numerator, coef.denominator) for mono, coef in (terms or {}).items()
-        )
+        pairs = [(mono, (coef.numerator, coef.denominator)) for mono, coef in (terms or {}).items()]
+        self._terms = _collect([(_UNIT, pairs)])
 
     @staticmethod
     def _of(terms: dict[tuple, tuple[int, int]]) -> "SymbolicValue":
@@ -266,11 +286,8 @@ def linear_combination(weights, values, scale: RationalLike = 1) -> SymbolicValu
     pass of the ring's accumulator: the scale enters each weight unreduced, and each
     monomial's coefficient is summed as one integer fraction and reduced once at the end."""
     sn, sd = scale.numerator, scale.denominator
-    rows = [(_weight_terms(w, sn, sd), v._terms) for w, v in zip(weights, values)] if sn else []
-    return SymbolicValue._of(_collect(
-        (_mono_mul(m1, m2) if m1 else m2, n1 * n2, d1 * d2)
-        for weight, terms in rows for m1, n1, d1 in weight for m2, (n2, d2) in terms.items()
-    ))
+    rows = [(_weight_terms(w, sn, sd), v._terms.items()) for w, v in zip(weights, values)] if sn else []
+    return SymbolicValue._of(_collect(rows))
 
 
 def _weight_terms(weight, sn: int, sd: int) -> list[tuple]:
@@ -417,8 +434,8 @@ def parse_text(text: str) -> SymbolicValue:
     # the terms must cover the text, so each but the first starts with its sign
     if "".join(sign + body for sign, body in terms) != s:
         raise ValueError("a doubled, stray or trailing sign in symbolic text")
-    products = []
+    pairs = []
     for sign, body in terms:
         mono, coef = _parse_term(body)
-        products.append((mono, -coef.numerator if sign == "-" else coef.numerator, coef.denominator))
-    return SymbolicValue._of(_collect(products))
+        pairs.append((mono, (-coef.numerator if sign == "-" else coef.numerator, coef.denominator)))
+    return SymbolicValue._of(_collect([(_UNIT, pairs)]))

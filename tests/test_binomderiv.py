@@ -28,7 +28,7 @@ from logsine import (
     xi_bar,
     xi_bar_scaled,
 )
-from logsine import verify
+from logsine import binomderiv, verify
 from logsine.bell import complete_bell, complete_bell_all, complete_bell_recurrence
 from logsine.binomderiv import _constant_row, _rational_row, _xi_rational
 from logsine.cli import MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P
@@ -274,8 +274,6 @@ class TestTaylorOracle:
             assert got == pytest.approx(want, rel=1e-12, abs=1e-12), p
 
     def test_each_log_gamma_derivative_is_computed_once(self, monkeypatch):
-        from logsine import binomderiv
-
         binomderiv._log_gamma_deriv_at_zero.cache_clear()
         specs = [DerivSpec(6, k, scaled) for k in (0, 3) for scaled in (False, True)]
         first = [taylor_coefficient_oracle(spec) for spec in specs]
@@ -436,6 +434,25 @@ class TestRationalRow:
             fresh = complete_bell_all(seq, Fraction(1))
             assert all(type(b) is int for b in row) and len(row) == n + 1
             assert [Fraction(b, lcm**i) for i, b in enumerate(row)] == fresh, k
+
+
+class TestConstantRow:
+    def test_rows_grown_in_any_order_equal_fresh_builds(self):
+        fresh = {}
+        for scaled in (False, True):
+            first = sym_log2(1, 2) if scaled else SymbolicValue.zero()
+            seq = [first] + [eta_bar(j) for j in range(2, 15)]
+            fresh[scaled] = complete_bell_all(seq, SymbolicValue.one())
+        orders = (range(15), range(14, -1, -1), (5, 12, 0, 3, 14, 9, 1, 11, 2, 8, 13, 4, 10, 6, 7))
+        for order in orders:
+            _constant_row.cache_clear()
+            for n in order:
+                for scaled in (True, False):
+                    row = _constant_row(n, scaled)
+                    assert list(row) == fresh[scaled][: n + 1], (n, scaled)
+                    assert [v.text() for v in row] == [v.text() for v in fresh[scaled][: n + 1]]
+        _constant_row.cache_clear()  # as TestConcurrentDerivatives clears it
+        assert not binomderiv._constant_rows
 
 
 class TestTextDigitMargin:

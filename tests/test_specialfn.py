@@ -21,7 +21,7 @@ from logsine import (
 )
 from logsine import numerics, sym_zeta_odd
 from logsine.specialfn import eta_value
-from logsine.symbolic import SymbolicValue
+from logsine.symbolic import SymbolicValue, sym_zeta
 
 
 def _rat(q):
@@ -141,6 +141,15 @@ class TestEulerSums:
     def test_rejects_small_weight(self):
         with pytest.raises(ValueError):
             euler_sum_H(1)
+
+    def test_every_weight_to_120_is_the_classical_sum_over_all_zeta_pairs(self):
+        # the reference adds the n - 2 products term by term, even pairs and both orders included
+        for n in range(2, 121):
+            want = Fraction(n + 2, 2) * sym_zeta(n + 1)
+            for k in range(1, n - 1):
+                want = want - Fraction(1, 2) * (sym_zeta(k + 1) * sym_zeta(n - k))
+            got = euler_sum_H(n)
+            assert got == want and got.text() == want.text(), n
 
 
 class TestAlternatingEulerSums:

@@ -13,6 +13,7 @@ import logsine
 from logsine import eval_numeric, parse_text, sym_pi, sym_zeta, zeta_even
 from logsine.symbolic import (
     SymbolicValue,
+    _mono_merge,
     _mono_mul,
     linear_combination,
     sym_log2,
@@ -400,6 +401,12 @@ class TestMonomial:
     def test_text_merges_a_repeated_generator(self):
         assert parse_text("pi*pi") == sym_pi(2)
         assert parse_text("pi*log2*pi^2").text() == "pi^3*log2"
+
+    @given(st.integers(1, 60), monomials())
+    def test_a_pi_power_times_a_monomial_is_the_general_merge(self, e, value):
+        (mono,) = value._terms  # one monomial, 1 included
+        (pi,) = sym_pi(e)._terms
+        assert _mono_mul(pi, mono) == _mono_mul(mono, pi) == _mono_merge(pi, mono)
 
     def test_product_merges_exponents(self):
         a, b = sym_log2() * sym_pi(2), sym_pi() * sym_zeta_odd(3)
