@@ -15,8 +15,10 @@ Covered objects, all over (0, z):
   same moment series, the power series of log(sin(x/2)/(x/2)) integrated
   term by term, reflected about pi through log-sine moment 0.
 * ``quadrature_value``:  the independent oracle, tanh-sinh quadrature of the
-  defining integral, whose log factor is read from a column kept with each
-  tabled level's nodes, so that a repeated interval takes no logarithm.
+  defining integral, each integrand column the product of two columns kept
+  in the store of a tabled level, x^n or the folded x^n + (L - x)^n and the
+  signed log power, so that a repeated interval computes no power and no
+  logarithm; ``sine_power_moment_quadrature`` reads x^n and sin^{2m} x so.
 
 The symbolic pipeline never guesses: a value is returned as exact only when
 every infinite k-sum lands in the whitelisted catalog, otherwise the result
@@ -29,7 +31,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from itertools import repeat
+from operator import add, mul, neg, sub
 
 from .binomderiv import DerivSpec, central_binom_deriv
 from .numerics import (
@@ -463,11 +466,50 @@ def _log_2sin_half(x: float) -> float:
     return math.log(2.0 * math.sin(x / 2.0))
 
 
-def _oracle(g, terms, a: float, b: float, cfg: NumericConfig) -> float:
-    # terms(xs, gs) is the integrand at the abscissae xs, gs the log factor there,
-    # read from the node table's column; a lone point gets the same float expression
-    return _tanh_sinh(lambda x: terms((x,), (g(x),))[0],
-                      lambda nodes, side: terms(nodes.xs[side], nodes.factor(g, side)), a, b, cfg)
+# the columns of the oracle integrands: each is a key that names its values and a builder
+# of them at one side's abscissae, build(nodes, side), kept in a tabled level's store
+
+
+def _x_power(n: int):
+    """x^n."""
+    return ("x", n), lambda nodes, side: map(pow, nodes.xs[side], repeat(n))
+
+
+def _fold_power(n: int, top: float):
+    """x^n + (top - x)^n."""
+    xn = _x_power(n)
+    return ("fold", n, top), lambda nodes, side: map(
+        add, nodes.column(*xn)[side], map(pow, map(sub, repeat(top), nodes.xs[side]), repeat(n)))
+
+
+def _log_power(g, p: int):
+    """g^p for g = log sin x, -(g^p) for g = log 2 sin(x/2): the sign of the log-sine form."""
+    logs = g, lambda nodes, side: map(g, nodes.xs[side])
+    if g is _log_sin:
+        return (g, p), lambda nodes, side: map(pow, nodes.column(*logs)[side], repeat(p))
+    return (g, p), lambda nodes, side: map(neg, map(pow, nodes.column(*logs)[side], repeat(p)))
+
+
+def _sin_power(k: int):
+    """sin^k x."""
+    return ("sin", k), lambda nodes, side: map(pow, map(math.sin, nodes.xs[side]), repeat(k))
+
+
+def _product_quadrature(f, left, right, a: float, b: float, cfg: NumericConfig) -> float:
+    # the integral over (a, b) of f, whose columns are the products of the columns left
+    # and right; f itself is read at the center and at the clamped ends
+    def column(nodes):
+        (left_hi, left_lo), (right_hi, right_lo) = nodes.column(*left), nodes.column(*right)
+        return map(mul, left_hi, right_hi), map(mul, left_lo, right_lo)
+
+    return _tanh_sinh(f, column, a, b, cfg)
+
+
+def sine_power_moment_quadrature(n: int, m: int, z: float, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
+    """Tanh-sinh value of the integral of x^n sin^{2m}(x) over (0, z), the oracle of the
+    exact moments; its columns are the stored x^n and sin^{2m} x."""
+    return _product_quadrature(lambda x: x**n * math.sin(x) ** (2 * m), _x_power(n), _sin_power(2 * m),
+                               0.0, z, cfg)
 
 
 def quadrature_value(spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
@@ -477,19 +519,23 @@ def quadrature_value(spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG) ->
     symmetric about L/2: past it the piece over (L/2, z) is reflected onto
     (L - z, L/2) with weight (L - x)^n, so the singularity is met at 0, where
     node distances are exact, never at the float L (a z just past L is L).
-    g is read from a column kept with each tabled level's nodes, so a repeated
-    interval takes no logarithm at levels 0-7."""
+    Each integrand column is the product of two columns kept with the tabled
+    level's nodes, x^n or x^n + (L - x)^n and the signed g^p, so that a repeated
+    interval computes no power and no logarithm at levels 0-7."""
     n, p, z = spec.n, spec.p, angle_value(spec.z)
-    # the integrand x^n g(x), sign included for 'ls', and the folded one, over columns
+    # the integrand x^n g(x)^p, sign included for 'ls', and the folded one, by the scalar
+    # expressions read at the center and the clamped ends
     if spec.form == "logsin":
         top, g = math.pi, _log_sin
-        plain = lambda xs, gs: [x**n * gx**p for x, gx in zip(xs, gs)]
-        folded = lambda xs, gs: [(x**n + (top - x) ** n) * gx**p for x, gx in zip(xs, gs)]
+        plain = lambda x: x**n * g(x) ** p
+        folded = lambda x: (x**n + (top - x) ** n) * g(x) ** p
     else:
         top, g = 2 * math.pi, _log_2sin_half
-        plain = lambda xs, gs: [-(x**n) * gx**p for x, gx in zip(xs, gs)]
-        folded = lambda xs, gs: [(x**n + (top - x) ** n) * -(gx**p) for x, gx in zip(xs, gs)]
+        plain = lambda x: -(x**n) * g(x) ** p
+        folded = lambda x: (x**n + (top - x) ** n) * -(g(x) ** p)
+    log_power = _log_power(g, p)
     if z <= top / 2:
-        return _oracle(g, plain, 0.0, z, cfg)
+        return _product_quadrature(plain, _x_power(n), log_power, 0.0, z, cfg)
     mirror, half = max(top - z, 0.0), NumericConfig(cfg.target_abs_tol / 2)
-    return _oracle(g, plain, 0.0, mirror, half) + _oracle(g, folded, mirror, top / 2, half)
+    return (_product_quadrature(plain, _x_power(n), log_power, 0.0, mirror, half)
+            + _product_quadrature(folded, _fold_power(n, top), log_power, mirror, top / 2, half))

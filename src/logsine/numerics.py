@@ -8,19 +8,24 @@ derivatives.
 
 All functions are pure; there is no shared mutable state beyond small
 memoization caches, among them the tanh-sinh node tables of levels 0-7 for the
-last 16 (interval, level) pairs read, with the columns of log factors the
-oracle reads at their abscissae.  One level loop serves every integrand; it
-takes the integrand a column at a time and reads each clamped endpoint once
-per call.  The tables pay off only where an interval repeats, as in the oracle
-grid; a new interval builds its tables once, at about the cost of one call.
+last 16 (interval, level) pairs read.  Each table keeps a store of up to 32
+columns of values at its abscissae, such as the powers the oracle multiplies,
+each under a key that names its values.  One level loop serves every
+integrand; it takes the integrand as a pair of columns, one per side, sums
+each level as w * (y_hi + y_lo) in one map, and reads each clamped endpoint
+once per call.  The tables and their stores pay off only where an interval
+repeats, as in the oracle grid; a new interval builds its tables once, at
+about the cost of one call.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, islice, repeat
+from operator import add, mul
 from typing import Callable, Iterable, NamedTuple
 
 from .specialfn import bernoulli
@@ -109,12 +114,15 @@ _T_MAX = 6.5
 _QUADRATURE_LEVELS = 12  # refinement levels after the first, each halving the step
 # the node tables of levels 0-7 are kept for the last 16 (interval, level) pairs read:
 # the four intervals of the oracle grid through level 3, or two intervals at every tabled
-# level, 0.13 MB each by tracemalloc plus 0.08 MB per log column, so that full-depth
-# quadrature over 100 intervals grows ru_maxrss by under 2 MB.  Deeper levels would add
-# 8.9 MB per interval; they are generated per call, in pieces of at most _PIECE nodes
+# level, 0.13 MB each by tracemalloc.  Each table keeps up to _COLUMNS columns of values at
+# its abscissae, as arrays of doubles, about 0.02 MB per column over the levels of an interval,
+# so that full-depth quadrature over 100 intervals, or of 500 (n, p) over two, grows ru_maxrss
+# by under 2 MB.  Deeper levels would add 8.9 MB per interval; they are generated per call, in
+# pieces of at most _PIECE nodes, and keep no columns
 _CACHED_LEVELS = 8
 _TABLE_ENTRIES = 16
 _PIECE = 256
+_COLUMNS = 32
 
 
 def _ts_rows(level: int):
@@ -141,22 +149,31 @@ class _Nodes(NamedTuple):
     clamped nodes are a suffix: the distance d to an endpoint falls by a factor
     of at least 1 - pi h from one node to the next, far more than its rounding,
     and where e2u is subnormal, d is width times it, so that ties stay ties.
-    ``factors`` maps a function g to its values at ``xs``, filled on first read."""
+    ``columns`` is the store of a tabled level, which keeps up to _COLUMNS
+    columns of values at ``xs``, and None in a streamed piece, which keeps none."""
 
     weights: tuple[float, ...]
     xs: tuple[tuple[float, ...], tuple[float, ...]]
     clamped: tuple[int, int]
-    factors: dict
+    columns: dict | None
 
-    def factor(self, g: Callable[[float], float], side: int) -> tuple[float, ...]:
-        """g at the abscissae ``xs[side]``, computed once per table."""
-        columns = self.factors.get(g)
-        if columns is None:  # racing threads store equal columns
-            columns = self.factors[g] = tuple(tuple(map(g, xs)) for xs in self.xs)
-        return columns[side]
+    def column(self, key, build: Callable[[_Nodes, int], Iterable[float]]) -> tuple[Iterable[float], ...]:
+        """The values ``build(self, side)`` at ``xs[0]`` and ``xs[1]``, kept under ``key``
+        as arrays of doubles while the store has room, else built afresh on each read; a
+        key names its values, whatever builds them."""
+        store = self.columns
+        if store is not None:
+            found = store.get(key)
+            if found is not None:
+                return found
+            if len(store) < _COLUMNS:  # racing threads store equal columns, and may pass the bound
+                # an array fills from a list at once, from an iterator one append at a time
+                found = store[key] = (array("d", list(build(self, 0))), array("d", list(build(self, 1))))
+                return found
+        return build(self, 0), build(self, 1)
 
 
-def _nodes(a: float, b: float, rows) -> _Nodes:
+def _nodes(a: float, b: float, rows, columns: dict | None = None) -> _Nodes:
     width = b - a
     wscale = width / 2.0 * (math.pi / 2.0)  # the factor of each weight free of t
     lo_in, hi_in = math.nextafter(a, b), math.nextafter(b, a)
@@ -175,12 +192,12 @@ def _nodes(a: float, b: float, rows) -> _Nodes:
         if a + d > lo_in:
             los.append(a + d)
     n = len(weights)
-    return _Nodes(tuple(weights), (tuple(his), tuple(los)), (n - len(his), n - len(los)), {})
+    return _Nodes(tuple(weights), (tuple(his), tuple(los)), (n - len(his), n - len(los)), columns)
 
 
 @lru_cache(maxsize=_TABLE_ENTRIES)
 def _node_table(a: float, b: float, level: int) -> _Nodes:
-    return _nodes(a, b, _ts_rows(level))
+    return _nodes(a, b, _ts_rows(level), {})
 
 
 def _level_nodes(a: float, b: float, level: int):
@@ -200,14 +217,15 @@ def _clamp_loss(f: Callable[[float], float], end: float, inward: float) -> float
 
 def _tanh_sinh(
     f: Callable[[float], float],
-    column: Callable[[_Nodes, int], Iterable[float]],
+    column: Callable[[_Nodes], tuple[Iterable[float], Iterable[float]]],
     a: float,
     b: float,
     cfg: NumericConfig,
 ) -> float:
     """The level loop of :func:`tanh_sinh_quadrature`, reading the integrand a
-    column at a time: ``column(nodes, side)`` gives it at ``nodes.xs[side]``,
-    and ``f`` at the center, once at each clamped endpoint and in _clamp_loss."""
+    column at a time: ``column(nodes)`` gives it at ``nodes.xs[0]`` and
+    ``nodes.xs[1]``, and ``f`` at the center, once at each clamped endpoint and
+    in _clamp_loss."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("finite integration limits required")
     if a == b:
@@ -217,7 +235,12 @@ def _tanh_sinh(
     tol = cfg.target_abs_tol
     wscale = (b - a) / 2.0 * (math.pi / 2.0)
     ends = (math.nextafter(b, a), math.nextafter(a, b))  # the clamp points, b's side first
-    f_end = lru_cache(maxsize=None)(f)  # f at the clamped points, read once
+    read = {}  # f at the clamped points, read once
+
+    def f_end(x: float) -> float:
+        if x not in read:
+            read[x] = f(x)
+        return read[x]
 
     h, level_sum, scale, prev = 1.0, 0.0, 0.0, math.nan
     for level in range(_QUADRATURE_LEVELS + 1):
@@ -225,11 +248,11 @@ def _tanh_sinh(
         # the node t = 0, at the center, has cosh t = sech^2 t = 1
         vals = [wscale * f((a + b) / 2.0) if wscale else 0.0] if level == 0 else []
         for nodes in _level_nodes(a, b, level):
-            ys = [column(nodes, 0), column(nodes, 1)]
+            ys = list(column(nodes))
             for side, count in enumerate(nodes.clamped):
                 if count:  # the clamped nodes read one endpoint value
                     ys[side] = chain(ys[side], repeat(f_end(ends[side]), count))
-            vals += [w * (y_hi + y_lo) for w, y_hi, y_lo in zip(nodes.weights, *ys)]
+            vals += map(mul, nodes.weights, map(add, *ys))  # w * (y_hi + y_lo)
         level_sum += math.fsum(vals)
         scale += math.fsum(map(abs, vals))
         value = h * level_sum
@@ -274,7 +297,7 @@ def tanh_sinh_quadrature(
     Raises :class:`QuadratureError` when the internal error estimate cannot
     reach ``cfg.target_abs_tol`` within 12 refinement levels.
     """
-    return _tanh_sinh(f, lambda nodes, side: map(f, nodes.xs[side]), a, b, cfg)
+    return _tanh_sinh(f, lambda nodes: (map(f, nodes.xs[0]), map(f, nodes.xs[1])), a, b, cfg)
 
 
 # -- polygamma on the positive real axis --------------------------------------
@@ -295,9 +318,10 @@ def _asymptotic_coef(k: int, n: int) -> float:
 
 
 def _cut(n: int) -> float:
-    # the asymptotic series is summed at y >= max(20, n/2): its terms then fall by
-    # about ((n + 2k)/(2 pi y))^2 each
-    return max(_ASYMPTOTIC_CUT, n / 2)
+    # the asymptotic series is summed at y >= max(20, n): its terms then fall by about
+    # ((n + 2k)/(2 pi y))^2 each, and at every order the last of 14 is below 5e-17 of the sum
+    # (at y = n/2 it is 3e-11 of it at n = 40)
+    return max(_ASYMPTOTIC_CUT, n)
 
 
 def _polygamma_powers(n: int, x: float) -> float:
@@ -317,6 +341,8 @@ def _polygamma_powers(n: int, x: float) -> float:
         if abs(term) < _BERNOULLI_STOP * abs(head):
             break
         ypow *= y * y
+        if ypow == math.inf:  # the next terms would read 0 before the series converged
+            raise OverflowError(f"y^(2k+n) passed binary64 at k = {k + 1}")
     # undo the recurrence shifts: psi^{(n)}(x) = psi^{(n)}(y) - (-1)^n n! sum 1/(x+i)^{n+1}
     return (-1.0) ** (n + 1) * head - (-1.0) ** n * math.factorial(n) * math.fsum(shift_terms)
 
@@ -361,7 +387,7 @@ def polygamma_real(order: int, x: float) -> float:
     """psi^(order)(x) for real x > 0.
 
     Shifts the argument upward with the recurrence
-    psi^{(n)}(x) = psi^{(n)}(x+1) - (-1)^n n!/x^{n+1} to y >= max(20, n/2) and then sums
+    psi^{(n)}(x) = psi^{(n)}(x+1) - (-1)^n n!/x^{n+1} to y >= max(20, n) and then sums
     the one asymptotic series of every order (DLMF 5.11.2, 5.15.8): (-1)^{n+1} times h_n(y)
     plus the terms B_2k (2k+n-1)!/(2k)!/y^{2k+n}, h_0 = -log y + 1/(2y),
     h_n = (n-1)!/y^n + n!/(2y^{n+1}), up to 14 terms but stopped once a term falls below

@@ -149,9 +149,7 @@ def _moment_worst(z: str):
         zv = integrals.angle_value(z)
         for n, m in product(range(0, 4), range(0, 4)):
             sym = integrals.sine_power_moment_exact(n, m, z)
-            oracle = numerics.tanh_sinh_quadrature(
-                lambda x: x**n * math.sin(x) ** (2 * m), 0.0, zv, cfg
-            )
+            oracle = integrals.sine_power_moment_quadrature(n, m, zv, cfg)
             yield abs(eval_numeric(sym) - oracle)
 
     return gaps

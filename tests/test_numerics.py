@@ -3,6 +3,7 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -366,6 +367,131 @@ class TestOracleTables:
             assert nodes.xs[side] == tuple(row[x_at] for row in rows[:kept])
 
 
+# the grid's four intervals in both forms, the folds onto (0, pi/2) and (0, pi), and
+# two mirror splits at angles that are no token, one per form
+STORE_ANGLES = {"logsin": ("pi/2", 1.1, "pi", 2.0), "ls": ("pi/2", 1.1, "pi", 3.0, "2pi", 4.0)}
+STORE_PAIRS = [(n, p) for n in range(7) for p in range(8)]
+
+
+def store_sweep(order_seed):
+    """Every (form, angle, n, p) of the column-store sweep at tolerance 1e-10, with the
+    (n, p) pairs in a shuffled order and the angles taken in turn for each pair."""
+    pairs = STORE_PAIRS[:]
+    random.Random(order_seed).shuffle(pairs)
+    return [(IntegralSpec(n, p, z, form=form), NumericConfig(1e-10))
+            for n, p in pairs for form, angles in STORE_ANGLES.items() for z in angles]
+
+
+@pytest.fixture(scope="module")
+def store_reference():
+    return {case: oracle_outcome(reference_quadrature_value, *case) for case in store_sweep(0)}
+
+
+def evict_node_tables():
+    for k in range(numerics._TABLE_ENTRIES):
+        numerics._node_table(10.0 + k, 11.0 + k, 0)
+
+
+class TestColumnStore:
+    """quadrature_value multiplies columns kept in each table's store; whatever the
+    order of the requests and the state of the tables, each outcome keeps the bits
+    of the per-node oracle."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_cold_warm_and_evicted_sweeps_have_the_bits_of_the_per_node_oracle(self, seed, store_reference):
+        numerics._node_table.cache_clear()
+        for state in ("cold", "warm", "evicted"):
+            if state == "evicted":
+                evict_node_tables()
+            for case in store_sweep(seed):
+                assert oracle_outcome(quadrature_value, *case) == store_reference[case], (state, case)
+
+    def test_a_full_store_computes_what_it_cannot_keep(self, store_reference, monkeypatch):
+        monkeypatch.setattr(numerics, "_COLUMNS", 3)
+        numerics._node_table.cache_clear()
+        for case in store_sweep(3):
+            assert oracle_outcome(quadrature_value, *case) == store_reference[case], case
+        quadrature_value(IntegralSpec(1, 2, "pi/2"), NumericConfig(1e-10))  # reads three columns or more
+        assert all(len(numerics._node_table(0.0, math.pi / 2, level).columns) == 3 for level in range(3))
+        numerics._node_table.cache_clear()
+
+    def test_each_store_stays_at_its_bound(self):
+        # (0, pi/2) is asked for 36 columns: x^n and the fold about pi for 7 n, the log
+        # factor and 8 powers of each form, and sin^{2m} x for 4 m
+        numerics._node_table.cache_clear()
+        for n, p in STORE_PAIRS:
+            for z, form in (("pi/2", "logsin"), ("pi", "logsin"), ("pi/2", "ls")):
+                quadrature_value(IntegralSpec(n, p, z, form=form), NumericConfig(1e-10))
+        for n, m in product(range(4), range(4)):
+            integrals.sine_power_moment_quadrature(n, m, math.pi / 2, NumericConfig(1e-10))
+        for level in range(3):
+            assert len(numerics._node_table(0.0, math.pi / 2, level).columns) == numerics._COLUMNS
+
+    def test_eight_threads_agree_with_one(self, store_reference):
+        results = [None] * 8
+
+        def work(slot):
+            results[slot] = {case: oracle_outcome(quadrature_value, *case) for case in store_sweep(10 + slot)}
+
+        numerics._node_table.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(slot,)) for slot in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result == store_reference for result in results)
+
+    @pytest.mark.parametrize("spec", [
+        IntegralSpec(3, 4, 1.6), IntegralSpec(10, 10, 1.6), IntegralSpec(0, 1, 1.6),
+    ])
+    def test_full_depth_streams_the_deep_levels_with_the_same_bits(self, spec):
+        # the fold onto (pi - 1.6, pi/2) runs 8 to 12 levels at this tolerance
+        cfg = NumericConfig(1e-300)
+        want = oracle_outcome(reference_quadrature_value, spec, cfg)
+        assert oracle_outcome(quadrature_value, spec, cfg) == want
+        assert oracle_outcome(quadrature_value, spec, cfg) == want
+
+    @pytest.mark.parametrize("a,b", [(0.0, math.pi / 2), (0.5, 2.0)])
+    def test_each_key_holds_the_values_of_its_own_expression(self, a, b):
+        # one table asked for every column the oracles read, in two orders: x^n for
+        # each n, x^n + (top - x)^n for each n and top, the log powers of both forms
+        # (the log-sine one negated) and sin^k x, each equal to its expression node by node
+        want = {
+            ("x", n): lambda x, n=n: x**n for n in range(4)
+        } | {
+            ("fold", n, top): lambda x, n=n, top=top: x**n + (top - x) ** n
+            for n in range(4) for top in (math.pi, 2 * math.pi)
+        } | {
+            ("logsin", p): lambda x, p=p: math.log(math.sin(x)) ** p for p in range(4)
+        } | {
+            ("ls", p): lambda x, p=p: -(math.log(2.0 * math.sin(x / 2.0)) ** p) for p in range(4)
+        } | {
+            ("sin", k): lambda x, k=k: math.sin(x) ** k for k in range(0, 8, 2)
+        }
+        read = {
+            "x": integrals._x_power,
+            "fold": integrals._fold_power,
+            "logsin": lambda p: integrals._log_power(integrals._log_sin, p),
+            "ls": lambda p: integrals._log_power(integrals._log_2sin_half, p),
+            "sin": integrals._sin_power,
+        }
+        for keys in (list(want), list(reversed(want))):
+            numerics._node_table.cache_clear()
+            for level in range(3):
+                nodes = numerics._node_table(a, b, level)
+                for key in keys:
+                    got = nodes.column(*read[key[0]](*key[1:]))
+                    values = tuple(tuple(map(want[key], xs)) for xs in nodes.xs)
+                    assert tuple(map(tuple, got)) == values, (level, key)
+        numerics._node_table.cache_clear()
+
+
 class TestPolygammaReal:
     def test_trigamma_at_one(self):
         assert abs(polygamma_real(1, 1.0) - math.pi**2 / 6) < 1e-12
@@ -474,10 +600,47 @@ _POLYGAMMA_POINTS = (
 )
 
 
-@pytest.mark.parametrize("order", range(41))
+@pytest.mark.parametrize("order", range(21))
 def test_polygamma_has_the_bits_of_the_two_loops(order):
     bad = [x for x in _POLYGAMMA_POINTS if polygamma_real(order, x) != reference_polygamma(order, x)]
     assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("order", range(21, 41))
+def test_polygamma_past_order_20_against_mpmath(order):
+    # the shift to y >= max(20, n) lets the 14 asymptotic terms converge where the
+    # first loops, shifting to 20, stopped short: psi^(40)(20) was 5.8e-12 off
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        wants = [(x, mpmath.psi(order, x)) for x in _POLYGAMMA_POINTS]
+        bad = [x for x, want in wants if not abs(polygamma_real(order, x) - want) <= 1e-14 * abs(want)]
+    assert not bad, bad[:5]
+
+
+@pytest.mark.parametrize("order,x", [
+    (40, 20.0), (30, 20.0), (60, 30.0), (200, 100.0),  # the shift once stopped at max(20, n/2)
+    (100, 1000.0), (152, 100.0), (130, 200.0),  # y^(2k+n) once overflowed before the series converged
+])
+def test_polygamma_converges_before_it_stops(order, x):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = mpmath.psi(order, x)
+        assert abs(polygamma_real(order, x) - want) <= 1e-14 * abs(want)
+
+
+_SCAN_ARGUMENTS = (0.25, 0.5, 1.0, 1.7, 2.5, 7.0, 19.5, 20.0, 33.3, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7)
+
+
+@pytest.mark.parametrize("order", range(0, 400, 19))
+def test_polygamma_scan_against_mpmath(order):
+    # every value in the normal range of binary64 within 1e-14: a shift to max(20, n/2)
+    # left 60 points of the scan over all orders below 400 off by more; this takes every 19th
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for x in _SCAN_ARGUMENTS:
+            want = mpmath.psi(order, x)
+            if 1e-300 < abs(want) < 1e300:
+                assert abs(polygamma_real(order, x) - want) <= 1e-14 * abs(want), x
 
 
 class TestCotDerivative:
