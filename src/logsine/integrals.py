@@ -13,7 +13,9 @@ Covered objects, all over (0, z):
   at theta in {pi, 2pi}, same exactness domain.
 * ``log_sine_any_angle``:  the n = 0 case at arbitrary 0 < z <= 2pi by the
   same moment series, the power series of log(sin(x/2)/(x/2)) integrated
-  term by term, reflected about pi through log-sine moment 0.
+  term by term, reflected about pi through log-sine moment 0.  The series
+  stops at the first term count whose bounded remainder cannot move its
+  double, so it has the bits of the full sum.
 * ``quadrature_value``:  the independent oracle, tanh-sinh quadrature of the
   defining integral, each integrand column the product of two columns kept
   in the store of a tabled level, x^n or the folded x^n + (L - x)^n and the
@@ -237,22 +239,30 @@ _H_TERMS = 32
 _TWO_PI_LOW = 2.4492935982947064e-16  # 2pi - fl(2pi)
 _TAIL_H = math.log(math.pi * 0.9**0.5 / math.sin(math.pi * 0.9**0.5))  # -h at t = 0.9
 _h_powers: dict[int, tuple[float, ...]] = {}  # j -> [t^k] h^j for k below its length
+_log_sine_tables: dict[int, tuple[tuple[float, ...], ...]] = {}  # p -> rows 0.. of its series
 
 
-@lru_cache(maxsize=None)
 def _log_sine_rows(p: int, terms: int) -> tuple[tuple[float, ...], ...]:
-    """Row k holds C(p, i) [t^k] h^{p-i} for i = 0..p, h = log(sin(x/2) / (x/2)) =
-    -sum_k zeta(2k)/k t^k and t = (x/2pi)^2.  One table of the powers of h serves every p; a
-    longer power is a new tuple, no reader sees it half-built, racing threads store the shorter."""
-    powers = [tuple(float(k == 0) for k in range(terms))]  # h^0
-    for j in range(1, p + 1):
-        power = _h_powers.get(j, ())
-        if len(power) < terms:  # each power is the Cauchy product of the one before and h
-            h = powers[1] if j > 1 else [0.0] + [-zeta_numeric(2 * k) / k for k in range(1, terms)]
-            power = _h_powers[j] = power + tuple(math.fsum(map(mul, powers[-1][:k], h[k:0:-1]))
-                                                 for k in range(len(power), terms))
-        powers.append(power)
-    return tuple(tuple(math.comb(p, i) * powers[p - i][k] for i in range(p + 1)) for k in range(terms))
+    """At least ``terms`` rows; row k holds C(p, i) [t^k] h^{p-i} for i = 0..p, h =
+    log(sin(x/2) / (x/2)) = -sum_k zeta(2k)/k t^k and t = (x/2pi)^2.  One table of the powers
+    of h serves every p, and one table of rows each p; a longer one is a new tuple, no reader
+    sees it half-built, racing threads store the shorter."""
+    rows = _log_sine_tables.get(p, ())
+    if len(rows) < terms:
+        powers = [tuple(float(k == 0) for k in range(terms))]  # h^0
+        for j in range(1, p + 1):
+            power = _h_powers.get(j, ())
+            if len(power) < terms:  # each power is the Cauchy product of the one before and h
+                h = powers[1] if j > 1 else [0.0] + [-zeta_numeric(2 * k) / k for k in range(1, terms)]
+                power = _h_powers[j] = power + tuple(math.fsum(map(mul, powers[-1][:k], h[k:0:-1]))
+                                                     for k in range(len(power), terms))
+            powers.append(power)
+        rows = _log_sine_tables[p] = rows + tuple(
+            tuple(math.comb(p, i) * powers[p - i][k] for i in range(p + 1)) for k in range(len(rows), terms))
+    return rows
+
+
+_log_sine_rows.cache_clear = _log_sine_tables.clear
 
 
 def _log_sine_parts(
@@ -261,12 +271,13 @@ def _log_sine_parts(
     """The parts of rows start..stop-1 of :func:`_log_sine_series`, t^k times row k
     dotted with (J_0, ..., J_p), one list per log factor of ``log_zs``.  A run from
     row K gives the same floats as rows K.. of a run from 0, so a longer series
-    extends a shorter one."""
+    extends a shorter one.  The rows are read from the table of p, at least
+    _H_TERMS long, so that a short run keeps no table of its own."""
     t = (z / (2 * math.pi)) ** 2
     t_start = 1.0
     for _ in range(start):
         t_start *= t
-    rows = _log_sine_rows(p, stop)[start:]
+    rows = _log_sine_rows(p, max(stop, _H_TERMS))[start:stop]
     out = []
     for log_z in log_zs:
         log_pows = [log_z**a for a in range(p + 1)]
@@ -284,17 +295,62 @@ def _log_sine_parts(
     return out
 
 
+def _log_sine_tail(p: int, z: float, i: int, log_z: float, k: int) -> float:
+    """A bound on the sum of the magnitudes of the parts of rows k, k+1, ... of
+    :func:`_log_sine_series`, as computed: 2 r^k J(A, 2k + i + 1) / (1 - r), r = t/0.9 < 1.
+
+    -h has nonnegative coefficients, so [t^k] (-h)^j <= (-h(0.9))^j / 0.9^k, and
+    |J_a| <= J_a(|log_z|) of the recursion with every sign positive; summed over a,
+    row k is at most r^k J(A, m) in magnitude, A = |log_z| - h(0.9) and
+    J(A, m) = sum_b C(p, b) A^{p-b} b! / m^{b+1}, which is g_p of g_0 = 1/m and
+    g_e = (A^e + e g_{e-1}) / m.  J falls as m grows, the rows past k sum to at most
+    1/(1 - r) times row k's, and the factor 2 covers the rounding of the rows, the J_a
+    and t^k, each within (1 + 4 eps)^{3p+k} of its majorant.  The bound is computed
+    without raising: past binary64 it is inf or nan."""
+    ratio, m1, a = (z / (2 * math.pi)) ** 2 / 0.9, 2 * k + i + 1, abs(log_z) + _TAIL_H
+    g, a_e = 1.0 / m1, 1.0
+    for e in range(1, p + 1):
+        a_e *= a
+        g = (a_e + e * g) / m1
+    return 2 * ratio**k * g / (1 - ratio)
+
+
+def _unmoved(parts: list[float], bound: float) -> bool:
+    """Whether every sum of ``parts`` and a tail within +-``bound`` rounds to the finite
+    fsum of the parts alone; rounding is monotone, so both ends rounding to it suffice."""
+    try:
+        low, mid, high = (math.fsum(parts + [x]) for x in (-bound, 0.0, bound))
+    except (ValueError, OverflowError):  # -inf + inf, or an intermediate overflow
+        return False
+    return math.isfinite(mid) and low == mid == high
+
+
 def _log_sine_series(
     p: int, z: float, terms: int = _H_TERMS, i: int = 0, log_z: float | None = None
 ) -> float:
-    """Integral of y^i (log(y/z) + log_z + h(y))^p over (0, z) for 0 < z <= pi.
+    """Integral of y^i (log(y/z) + log_z + h(y))^p over (0, z) for 0 < z <= pi, the
+    fsum of the parts of rows 0..terms-1.
 
     log_z = log z (the default) makes the log factor log(2 sin(y/2)), log(z/2)
     makes it log sin(y/2), and -|log_z| makes every part of one sign, so that
     the value is (-1)^p times the sum of their magnitudes.  The factor is
     sum_a C(p, a) log^a(y/c) h^{p-a}, and y^m log^a(y/c) integrates to
-    z^{m+1} J_a, J_0 = 1/(m+1) and J_a = (log_z^a - a J_{a-1}) / (m+1)."""
-    (parts,) = _log_sine_parts(p, z, (math.log(z) if log_z is None else log_z,), i, 0, terms)
+    z^{m+1} J_a, J_0 = 1/(m+1) and J_a = (log_z^a - a J_{a-1}) / (m+1).
+
+    The rows fall like r^k, r = t/0.9 and t = (z/2pi)^2.  The first K rows are summed,
+    K the least count with r^K <= 2^-64, capped at ``terms``; when the parts plus or
+    minus the bound of :func:`_log_sine_tail` on the rows left out round to their own
+    fsum, so does the sum of every row, and the K rows are the value.  Otherwise the
+    rows K..terms-1 are added.  Either way the value has the bits of all ``terms``
+    rows; at z = pi, K would be 35, so every row is summed."""
+    log_z = math.log(z) if log_z is None else log_z
+    ratio, ratio_k, short = (z / (2 * math.pi)) ** 2 / 0.9, 1.0, 0
+    while short < terms and ratio_k > 2**-64:
+        ratio_k *= ratio
+        short += 1
+    (parts,) = _log_sine_parts(p, z, (log_z,), i, 0, short)
+    if short < terms and not _unmoved(parts, _log_sine_tail(p, z, i, log_z, short)):
+        parts += _log_sine_parts(p, z, (log_z,), i, short, terms)[0]
     return z ** (i + 1) * math.fsum(parts)
 
 

@@ -1,9 +1,11 @@
 import math
+import operator
 import os
 import random
 import subprocess
 import sys
 import threading
+import time
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -771,6 +773,111 @@ def test_threads_building_moments_get_the_bits_of_one_thread():
                 assert len(power) in (32, 64) and power == table[j][: len(power)], (round_, j)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _grid_any_angle_calls():
+    # the 78 any-angle calls of the benchmark's series grid: the least and largest a*pi/b in
+    # (0, 2pi] for b <= 12 at p = 1..3, the four coarsest at p = 4, and 1.0 and 2.5 at p = 1
+    angles = [math.pi, 2 * math.pi]
+    for b in range(2, 13):
+        angles += [math.pi / b, (2 * b - 1) * math.pi / b]
+    calls = [(p, z) for p in range(1, 4) for z in angles]
+    return calls + [(4, math.pi / b) for b in range(1, 5)] + [(1, 1.0), (1, 2.5)]
+
+
+def _outcome(p, z):
+    try:
+        return _hex(log_sine_any_angle(p, z))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestSeriesStopsWhenItsTailCannotMoveIt:
+    @pytest.fixture
+    def cold_caches(self):
+        _clear_log_sine_caches()
+        yield
+        _clear_log_sine_caches()  # no 96-row table outlives the test
+
+    def test_the_bound_covers_the_rows_left_out_as_computed(self, cold_caches):
+        rng = random.Random(44)
+        for _ in range(300):
+            p, i, k = rng.randrange(15), rng.randrange(13), rng.randrange(2, 29)
+            z = rng.uniform(1e-4, math.pi)
+            for log_z in (math.log(z), math.log(z / 2), -abs(math.log(z))):
+                (rows,) = integrals._log_sine_parts(p, z, (log_z,), i, k, 96)
+                bound = integrals._log_sine_tail(p, z, i, log_z, k)
+                assert math.fsum(map(abs, rows)) <= bound / 2, (p, i, z, log_z, k)
+
+    @pytest.mark.parametrize("parts,bound,unmoved", [
+        ([1.0, 2**-53], 2**-54, False),  # 1 + 2^-53 ties to 1, a little more rounds up
+        ([1.0, 2**-53], 0.0, True),
+        ([1.0], 2**-60, True),
+        ([1.0], math.nan, False),
+        ([1.0], math.inf, False),
+        ([math.inf], 1.0, False),  # every end rounds to inf, and inf is not a value
+        ([math.inf, -math.inf], 1.0, False),  # fsum raises ValueError
+        ([1e308, 1e308], 1.0, False),  # fsum raises OverflowError
+    ])
+    def test_the_rounding_test(self, parts, bound, unmoved):
+        assert integrals._unmoved(parts, bound) is unmoved
+
+    def test_a_tail_that_moves_the_double_extends_the_sum(self, monkeypatch):
+        def parts(p, z, log_zs, i, start, stop):
+            return [[1.0, 2**-53] if start == 0 else [2**-54]]
+
+        monkeypatch.setattr(integrals, "_log_sine_parts", parts)
+        monkeypatch.setattr(integrals, "_log_sine_tail", lambda *args: 2**-54)
+        assert integrals._log_sine_series(3, 0.5) == 0.5 * (1 + 2**-52)
+
+    def test_rows_read(self, monkeypatch):
+        read, tables, parts, rows = [], [], integrals._log_sine_parts, integrals._log_sine_rows
+
+        def count(p, z, log_zs, i, start, stop):
+            read.append(stop - start)
+            return parts(p, z, log_zs, i, start, stop)
+
+        def keep(p, terms):
+            tables.append(rows(p, terms))
+            return tables[-1]
+
+        for z in (math.pi / 12, math.pi / 3, 1.0, math.pi):
+            log_sine_any_angle(3, z)  # caches moment 0
+            monkeypatch.setattr(integrals, "_log_sine_parts", count)
+            monkeypatch.setattr(integrals, "_log_sine_rows", keep)
+            read.clear()
+            log_sine_any_angle(3, z)
+            monkeypatch.undo()
+            assert (sum(read) < 32) == (z != math.pi) and sum(read) <= 32, (z, read)
+        # a short run reads a prefix of the table of p, never a table of its own
+        longest = max(tables, key=len)
+        assert len(longest) >= 32
+        assert all(all(map(operator.is_, table, longest)) for table in tables)
+
+    def test_any_angle_values_have_the_bits_of_every_row(self, monkeypatch):
+        rng = random.Random(20000)
+        calls = _grid_any_angle_calls() + [(rng.randint(1, 14), rng.uniform(0.0, 2 * math.pi))
+                                           for _ in range(20000)]
+        calls = [(p, z) for p, z in calls if z > 0.0]
+        got = [_hex(log_sine_any_angle(p, z)) for p, z in calls]
+        monkeypatch.setattr(integrals, "_log_sine_series", reference_series)
+        monkeypatch.setattr(integrals, "_log_sine_moment", reference_moment)
+        assert got == [_hex(log_sine_any_angle(p, z)) for p, z in calls]
+
+    def test_outcomes_past_binary64_are_unchanged(self):
+        # each outcome as it was when every row was summed: value bits, or the exception
+        nan, inf = ("OverflowError", "the log-sine series is nan"), ("OverflowError", "the log-sine series is -inf")
+        power = ("OverflowError", "(34, 'Numerical result out of range')")  # log_z ** a overflows
+        want = {
+            (170, 0.001): inf, (170, 1.0): ("-0x1.4ab7864418635p+1019", "-0x1.a514f28632ae3p+1017"),
+            (200, 0.001): nan, (200, 1.0): nan, (300, 0.001): nan, (300, 1.0): nan,
+            (338, 0.001): nan, (338, 1.0): nan, (387, 0.001): power, (387, 1.0): nan,
+        }
+        want.update({(p, 1e-300): power for p in (170, 200, 300, 338, 387)})  # t underflows to 0
+        for (p, z), outcome in want.items():
+            start = time.perf_counter()
+            assert _outcome(p, z) == outcome, (p, z)
+            assert time.perf_counter() - start < 1.0, (p, z)
 
 
 class TestCentralTermIsMomentZero:
