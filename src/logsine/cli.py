@@ -71,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", required=True, help="angle: pi/2, pi, 2pi, or radians")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--form", choices=["logsin", "ls"], default="logsin")
+    p.add_argument("--form", choices=integrals.FORMS, default="logsin")
     _flags(p, tol=_TOL_HELP)
 
     p = subs.add_parser("ls", help="log-sine integral at theta in {pi, 2pi}")

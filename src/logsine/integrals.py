@@ -30,6 +30,7 @@ is flagged numeric with a reason.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -56,6 +57,24 @@ ANGLE_TOKENS = {"pi/2": math.pi / 2, "pi": math.pi, "2pi": 2 * math.pi}
 # form -> angle token with a closed form -> the angle of the x^n sin^{2m} x row it reads: the
 # log-sine form at theta reads the row at theta/2 (see _case_weights); any other angle is refused
 CLOSED_FORM_ANGLES = {"logsin": {"pi/2": "pi/2", "pi": "pi"}, "ls": {"pi": "pi/2", "2pi": "pi"}}
+
+
+def _log_sin(x: float) -> float:
+    return math.log(math.sin(x))
+
+
+def _log_2sin_half(x: float) -> float:  # x/2 rounds to 0 at x = 5e-324, where 2 sin(x/2) is x
+    return math.log(2.0 * math.sin(x / 2.0)) if x > 5e-324 else math.log(x)
+
+
+# an integral form: z ranges over (0, top], the integrand is sign * x^n g(x)^p for the log
+# factor g = log, and its closed forms read the 4^-m-scaled rows when scaled, otherwise the
+# rows over binom(2m, m+k) at half the angle (by x = 2y, see _case_weights)
+Form = namedtuple("Form", "top top_text log sign scaled")
+# the two forms, one family under x = 2y: x^n log^p(sin x), and the log-sine form, minus
+# x^n log^p|2 sin(x/2)|; log sin x is undefined past pi, log|2 sin(x/2)| is defined up to 2pi
+FORMS = {"logsin": Form(math.pi, "pi", _log_sin, 1, True),
+         "ls": Form(2 * math.pi, "2*pi", _log_2sin_half, -1, False)}
 
 
 def angle_value(z: str | float) -> float:
@@ -88,12 +107,11 @@ class IntegralSpec:
     def __post_init__(self):
         if self.n < 0 or self.p < 0:
             raise ValueError("n and p must be >= 0")
-        if self.form not in ("logsin", "ls"):
-            raise ValueError("form must be 'logsin' or 'ls'")
-        # log sin x is undefined past pi; log|2 sin(x/2)| is defined up to 2pi
-        top, top_text = (math.pi, "pi") if self.form == "logsin" else (2 * math.pi, "2*pi")
-        if not 0 < angle_value(self.z) <= top + 1e-12:
-            raise ValueError(f"z must lie in (0, {top_text}] for form {self.form!r}")
+        if self.form not in FORMS:
+            raise ValueError(f"form must be {' or '.join(map(repr, FORMS))}")
+        form = FORMS[self.form]
+        if not 0 < angle_value(self.z) <= form.top + 1e-12:
+            raise ValueError(f"z must lie in (0, {form.top_text}] for form {self.form!r}")
 
 
 @dataclass
@@ -268,11 +286,18 @@ _log_sine_rows.cache_clear = _log_sine_tables.clear
 def _log_sine_parts(
     p: int, z: float, log_zs: tuple[float, ...], i: int, start: int, stop: int
 ) -> list[list[float]]:
-    """The parts of rows start..stop-1 of :func:`_log_sine_series`, t^k times row k
-    dotted with (J_0, ..., J_p), one list per log factor of ``log_zs``.  A run from
-    row K gives the same floats as rows K.. of a run from 0, so a longer series
-    extends a shorter one.  The rows are read from the table of p, at least
-    _H_TERMS long, so that a short run keeps no table of its own."""
+    """The parts of rows start..stop-1 of the integral of y^i (log(y/z) + log_z + h(y))^p
+    over (0, z), 0 < z <= pi, in units of z^{i+1}: t^k times row k dotted with
+    (J_0, ..., J_p), one list per log_z of ``log_zs``.
+
+    log_z = log z makes the log factor log(2 sin(y/2)), log(z/2) makes it log sin(y/2),
+    and -|log_z| makes every part of one sign, so that their sum is (-1)^p times the sum
+    of their magnitudes.  The factor is sum_a C(p, a) log^a(y/c) h^{p-a}, and
+    y^m log^a(y/c) integrates to z^{m+1} J_a, J_0 = 1/(m+1) and
+    J_a = (log_z^a - a J_{a-1}) / (m+1).  A run from row K gives the same floats as
+    rows K.. of a run from 0, so a longer series extends a shorter one.  The rows are
+    read from the table of p, at least _H_TERMS long, so that a short run keeps no
+    table of its own.  A power of log_z past binary64 raises OverflowError."""
     t = (z / (2 * math.pi)) ** 2
     t_start = 1.0
     for _ in range(start):
@@ -295,19 +320,19 @@ def _log_sine_parts(
     return out
 
 
-def _log_sine_tail(p: int, z: float, i: int, log_z: float, k: int) -> float:
+def _log_sine_tail(p: int, z: float, k: int) -> float:
     """A bound on the sum of the magnitudes of the parts of rows k, k+1, ... of
-    :func:`_log_sine_series`, as computed: 2 r^k J(A, 2k + i + 1) / (1 - r), r = t/0.9 < 1.
+    :func:`_log_sine_series`, as computed: 2 r^k J(A, 2k + 1) / (1 - r), r = t/0.9 < 1.
 
     -h has nonnegative coefficients, so [t^k] (-h)^j <= (-h(0.9))^j / 0.9^k, and
-    |J_a| <= J_a(|log_z|) of the recursion with every sign positive; summed over a,
-    row k is at most r^k J(A, m) in magnitude, A = |log_z| - h(0.9) and
+    |J_a| <= J_a(|log z|) of the recursion with every sign positive; summed over a,
+    row k is at most r^k J(A, m) in magnitude, A = |log z| - h(0.9) and
     J(A, m) = sum_b C(p, b) A^{p-b} b! / m^{b+1}, which is g_p of g_0 = 1/m and
     g_e = (A^e + e g_{e-1}) / m.  J falls as m grows, the rows past k sum to at most
     1/(1 - r) times row k's, and the factor 2 covers the rounding of the rows, the J_a
     and t^k, each within (1 + 4 eps)^{3p+k} of its majorant.  The bound is computed
     without raising: past binary64 it is inf or nan."""
-    ratio, m1, a = (z / (2 * math.pi)) ** 2 / 0.9, 2 * k + i + 1, abs(log_z) + _TAIL_H
+    ratio, m1, a = (z / (2 * math.pi)) ** 2 / 0.9, 2 * k + 1, abs(math.log(z)) + _TAIL_H
     g, a_e = 1.0 / m1, 1.0
     for e in range(1, p + 1):
         a_e *= a
@@ -325,33 +350,25 @@ def _unmoved(parts: list[float], bound: float) -> bool:
     return math.isfinite(mid) and low == mid == high
 
 
-def _log_sine_series(
-    p: int, z: float, terms: int = _H_TERMS, i: int = 0, log_z: float | None = None
-) -> float:
-    """Integral of y^i (log(y/z) + log_z + h(y))^p over (0, z) for 0 < z <= pi, the
-    fsum of the parts of rows 0..terms-1.
-
-    log_z = log z (the default) makes the log factor log(2 sin(y/2)), log(z/2)
-    makes it log sin(y/2), and -|log_z| makes every part of one sign, so that
-    the value is (-1)^p times the sum of their magnitudes.  The factor is
-    sum_a C(p, a) log^a(y/c) h^{p-a}, and y^m log^a(y/c) integrates to
-    z^{m+1} J_a, J_0 = 1/(m+1) and J_a = (log_z^a - a J_{a-1}) / (m+1).
+def _log_sine_series(p: int, z: float) -> float:
+    """Integral of log^p(2 sin(y/2)) = (log y + h(y))^p over (0, z) for 0 < z <= pi, the
+    fsum of the parts of the first _H_TERMS rows of :func:`_log_sine_parts` at log z.
 
     The rows fall like r^k, r = t/0.9 and t = (z/2pi)^2.  The first K rows are summed,
-    K the least count with r^K <= 2^-64, capped at ``terms``; when the parts plus or
+    K the least count with r^K <= 2^-64, capped at _H_TERMS; when the parts plus or
     minus the bound of :func:`_log_sine_tail` on the rows left out round to their own
     fsum, so does the sum of every row, and the K rows are the value.  Otherwise the
-    rows K..terms-1 are added.  Either way the value has the bits of all ``terms``
-    rows; at z = pi, K would be 35, so every row is summed."""
-    log_z = math.log(z) if log_z is None else log_z
+    remaining rows are added.  Either way the value has the bits of all _H_TERMS rows;
+    at z = pi, K would be 35, so every row is summed."""
+    log_z = (math.log(z),)
     ratio, ratio_k, short = (z / (2 * math.pi)) ** 2 / 0.9, 1.0, 0
-    while short < terms and ratio_k > 2**-64:
+    while short < _H_TERMS and ratio_k > 2**-64:
         ratio_k *= ratio
         short += 1
-    (parts,) = _log_sine_parts(p, z, (log_z,), i, 0, short)
-    if short < terms and not _unmoved(parts, _log_sine_tail(p, z, i, log_z, short)):
-        parts += _log_sine_parts(p, z, (log_z,), i, short, terms)[0]
-    return z ** (i + 1) * math.fsum(parts)
+    (parts,) = _log_sine_parts(p, z, log_z, 0, 0, short)
+    if short < _H_TERMS and not _unmoved(parts, _log_sine_tail(p, z, short)):
+        parts += _log_sine_parts(p, z, log_z, 0, short, _H_TERMS)[0]
+    return z * math.fsum(parts)
 
 
 @lru_cache(maxsize=None)
@@ -426,21 +443,22 @@ def _k_series_numeric(
     return scale * math.fsum(parts), scale * err
 
 
-def _moment_sum(n: int, p: int, row: str, scaled: bool) -> tuple[float, float]:
-    # by x = y/2 the half angle (row pi/2) is 2^{-n-1} (scaled) or -1 times M_n, M_j the moment
-    # of y^j L^p over (0, pi), L as in _log_sine_moment; L is even about pi, so the full angle (row
-    # pi) adds (pi, 2pi) folded onto (0, pi) as (2pi - y)^n.  A part rounds by 0.36 (n - j) + 5 units
-    # of 2^-53 (0.36 a power of fl(2pi), 2 pow's ulp, 1 each C(n, j), 2 products), the plain sum n more
-    value, bound = _log_sine_moment(p, n, scaled)
+def _moment_sum(n: int, p: int, row: str, form: Form) -> tuple[float, float]:
+    # by x = y/2 the half angle (row pi/2) is the form's sign times M_n, and times 2^{-n-1} on the
+    # scaled rows, M_j the moment of y^j L^p over (0, pi), L as in _log_sine_moment; L is even
+    # about pi, so the full angle (row pi) adds (pi, 2pi) folded onto (0, pi) as (2pi - y)^n.  A
+    # part rounds by 0.36 (n - j) + 5 units of 2^-53 (0.36 a power of fl(2pi), 2 pow's ulp, 1 each
+    # C(n, j), 2 products), the plain sum n more
+    value, bound = _log_sine_moment(p, n, form.scaled)
     if row == "pi":
         parts, bound = [], 0.0
         for j in range(n + 1):
-            moment, b = _log_sine_moment(p, j, scaled)
+            moment, b = _log_sine_moment(p, j, form.scaled)
             c = (-1) ** j * math.comb(n, j) * (2 * math.pi) ** (n - j) + (j == n)
             parts.append(c * moment)
             bound += abs(c) * b + (0.36 * (n - j) + n + 5) * 2**-53 * abs(parts[-1])
         value = sum(parts)
-    scale = 2.0 ** (-n - 1) if scaled else -1.0
+    scale = form.sign * (2.0 ** (-n - 1) if form.scaled else 1.0)
     return scale * value, abs(scale) * bound
 
 
@@ -452,19 +470,18 @@ def _closed_form(spec: IntegralSpec) -> ClosedFormResult:
     -2^{n+1-p} times the unscaled derivative of the row at theta/2.  Exact when the k-sums
     reduce over the catalog, otherwise from log-sine moments, never a wrong symbolic value.
     The derivative, central D_p(0) + sum coef * (k-sum of D_p), is summed and scaled in one pass."""
-    n, p, row, scaled = spec.n, spec.p, _row_angle(spec.form, spec.z), spec.form == "logsin"
-    scale = 1 if scaled else -(2 ** (n + 1))
+    n, p, row, form = spec.n, spec.p, _row_angle(spec.form, spec.z), FORMS[spec.form]
     central, weights = _case_weights(n, row)
     try:
-        ksums = [_ksum(p, scaled, alt, pow_) for _, alt, pow_ in weights]
+        ksums = [_ksum(p, form.scaled, alt, pow_) for _, alt, pow_ in weights]
     except CatalogMissError as miss:
-        value, error = _moment_sum(n, p, row, scaled)
+        value, error = _moment_sum(n, p, row, form)
         if not (math.isfinite(value) and math.isfinite(error)):
             raise OverflowError(f"the series fallback is {value} with error estimate {error:.1e}")
         return ClosedFormResult(None, value, error, str(miss))
     sym = linear_combination([central, *(coef for coef, _, _ in weights)],
-                             [central_binom_deriv(DerivSpec(p, 0, scaled)), *ksums],
-                             Fraction(scale, 2**p))
+                             [central_binom_deriv(DerivSpec(p, 0, form.scaled)), *ksums],
+                             Fraction(form.sign * (1 if form.scaled else 2 ** (n + 1)), 2**p))
     return ClosedFormResult(sym, eval_numeric(sym))
 
 
@@ -492,17 +509,21 @@ def log_sine_any_angle(p: int, z: float) -> tuple[float, float]:
     2pi-periodic.  Up to pi the value is a convergent series in (z/2pi)^2 with
     powers of log z as coefficients; past pi it is 2pi B - Ls_{p+1}(2pi - z),
     where 2pi B = Ls_{p+1}(2pi) = -2 M_0, M_0 the log-sine moment of order 0.
-    A value that is not a finite double raises OverflowError.
+    A value that is not a finite double raises OverflowError, and so does a series
+    whose powers of log z (of log(2pi - z) past pi) pass binary64.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    if not 0 < z <= 2 * math.pi + 1e-12:
-        raise ValueError("z must lie in (0, 2*pi]")
+    if not 0 < z <= FORMS["ls"].top + 1e-12:
+        raise ValueError(f"z must lie in (0, {FORMS['ls'].top_text}]")
 
-    if z <= math.pi:
-        value = -_log_sine_series(p, z)
-    else:  # 2pi - z is exact; z = fl(2pi) stands for 2pi, where the sine series vanishes
-        value = _log_sine_series(p, 2 * math.pi - z + _TWO_PI_LOW) if z < 2 * math.pi else 0.0
+    try:
+        if z <= math.pi:
+            value = -_log_sine_series(p, z)
+        else:  # 2pi - z is exact; z = fl(2pi) stands for 2pi, where the sine series vanishes
+            value = _log_sine_series(p, 2 * math.pi - z + _TWO_PI_LOW) if z < 2 * math.pi else 0.0
+    except OverflowError:
+        raise OverflowError(f"log-sine series at p = {p}, z = {z!r}: powers of log z pass binary64") from None
     if not math.isfinite(value):
         raise OverflowError(f"the log-sine series is {value}")
     moment = _log_sine_moment(p, 0, False)[0]
@@ -512,14 +533,6 @@ def log_sine_any_angle(p: int, z: float) -> tuple[float, float]:
 
 
 # -- numeric oracle over the defining integrals -------------------------------------
-
-
-def _log_sin(x: float) -> float:
-    return math.log(math.sin(x))
-
-
-def _log_2sin_half(x: float) -> float:
-    return math.log(2.0 * math.sin(x / 2.0))
 
 
 # the columns of the oracle integrands: each is a key that names its values and a builder
@@ -538,12 +551,12 @@ def _fold_power(n: int, top: float):
         add, nodes.column(*xn)[side], map(pow, map(sub, repeat(top), nodes.xs[side]), repeat(n)))
 
 
-def _log_power(g, p: int):
-    """g^p for g = log sin x, -(g^p) for g = log 2 sin(x/2): the sign of the log-sine form."""
+def _log_power(form: str, p: int):
+    """sign * g^p, the sign and the log factor g of the form; a sign of +1 adds no pass."""
+    _, _, g, sign, _ = FORMS[form]
     logs = g, lambda nodes, side: map(g, nodes.xs[side])
-    if g is _log_sin:
-        return (g, p), lambda nodes, side: map(pow, nodes.column(*logs)[side], repeat(p))
-    return (g, p), lambda nodes, side: map(neg, map(pow, nodes.column(*logs)[side], repeat(p)))
+    power = lambda nodes, side: map(pow, nodes.column(*logs)[side], repeat(p))
+    return (form, p), power if sign > 0 else lambda nodes, side: map(neg, power(nodes, side))
 
 
 def _sin_power(k: int):
@@ -579,17 +592,12 @@ def quadrature_value(spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG) ->
     level's nodes, x^n or x^n + (L - x)^n and the signed g^p, so that a repeated
     interval computes no power and no logarithm at levels 0-7."""
     n, p, z = spec.n, spec.p, angle_value(spec.z)
-    # the integrand x^n g(x)^p, sign included for 'ls', and the folded one, by the scalar
-    # expressions read at the center and the clamped ends
-    if spec.form == "logsin":
-        top, g = math.pi, _log_sin
-        plain = lambda x: x**n * g(x) ** p
-        folded = lambda x: (x**n + (top - x) ** n) * g(x) ** p
-    else:
-        top, g = 2 * math.pi, _log_2sin_half
-        plain = lambda x: -(x**n) * g(x) ** p
-        folded = lambda x: (x**n + (top - x) ** n) * -(g(x) ** p)
-    log_power = _log_power(g, p)
+    top, _, g, sign, _ = FORMS[spec.form]
+    # the integrand sign * x^n g(x)^p and the folded one, by the scalar expressions read at
+    # the center and the clamped ends; a sign flip is exact wherever it is applied
+    plain = lambda x: sign * x**n * g(x) ** p
+    folded = lambda x: sign * (x**n + (top - x) ** n) * g(x) ** p
+    log_power = _log_power(spec.form, p)
     if z <= top / 2:
         return _product_quadrature(plain, _x_power(n), log_power, 0.0, z, cfg)
     mirror, half = max(top - z, 0.0), NumericConfig(cfg.target_abs_tol / 2)

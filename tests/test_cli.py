@@ -15,7 +15,7 @@ import logsine
 from logsine import binomderiv, integrals, parse_text, verify
 from logsine.cli import (
     MAX_BELL_TERM_DIGITS, MAX_BELL_TERMS, MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P, MAX_N, _emit, _fmt,
-    main,
+    build_parser, main,
 )
 from logsine.verify import Check, IdentityResult
 
@@ -321,6 +321,22 @@ class TestNumericCommand:
         )
         assert code == 0
         assert float(out.strip()) == pytest.approx(-2.1775860903036022, abs=1e-6)
+
+    def test_form_choices_are_the_forms_table(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        form = next(a for a in sub.choices["numeric"]._actions if a.dest == "form")
+        assert list(form.choices) == list(integrals.FORMS) and form.default == "logsin"
+
+    @pytest.mark.parametrize("z,n,p,want", [
+        ("6.2831853071795", 3, 1, 142.36591322073925),  # 1e-13 below 2pi: a node clamps onto 5e-324
+        ("1e-320", 0, 3, 4.0166280523003696e-312),  # a subnormal angle, likewise
+    ])
+    def test_log_sine_form_near_its_singular_ends_is_a_value(self, capsys, z, n, p, want):
+        # once a usage error "math domain error": log(2 sin(x/2)) at x/2 = 0; mpmath references
+        code = main(["numeric", "--z", z, "--n", str(n), "--p", str(p), "--form", "ls"])
+        out, err = capsys.readouterr()
+        assert (code, err, out.count("\n")) == (0, "", 1)
+        assert abs(float(out) - want) <= 1e-10
 
 
 class TestBellCommand:

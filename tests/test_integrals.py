@@ -470,7 +470,8 @@ class TestAnyAngleAgainstMpmath:
     @pytest.mark.parametrize("p", range(1, 7))
     def test_ten_more_terms_change_nothing_at_pi(self, p):
         base = integrals._log_sine_series(p, math.pi)
-        longer = integrals._log_sine_series(p, math.pi, integrals._H_TERMS + 10)
+        (parts,) = integrals._log_sine_parts(p, math.pi, (math.log(math.pi),), 0, 0, integrals._H_TERMS + 10)
+        longer = math.pi * math.fsum(parts)
         assert abs(longer - base) <= 1e-16 * max(1.0, abs(base))
 
 
@@ -623,10 +624,11 @@ class TestKSeriesFourier:
             want = float(mpmath.quad(
                 lambda y: y**i * mpmath.log(c * mpmath.sin(y / 2)) ** p, [0, mpmath.pi / 2, mpmath.pi]
             ))
-        size = abs(integrals._log_sine_series(p, math.pi, 32, i, -log_z))  # every part positive
+        sizes, values = integrals._log_sine_parts(p, math.pi, (-log_z, log_z), i, 0, 32)
+        size = abs(math.pi ** (i + 1) * math.fsum(sizes))  # every part of one sign
         assert abs(value - want) <= bound <= 1e-12 * size, (value, want, bound)
         # there the first 32 terms leave out 1e-3, so the terms doubled
-        short = integrals._log_sine_series(p, math.pi, 32, i, log_z)
+        short = math.pi ** (i + 1) * math.fsum(values)
         assert (abs(short - want) > bound) == ((p, i) == (40, 20))
 
 
@@ -712,13 +714,22 @@ class TestLogSineBitsAgainstReference:
         assert {len(power) for power in integrals._h_powers.values()} == {64}
 
     @pytest.mark.parametrize("terms", [32, 42, 64])
-    def test_series_have_the_reference_bits(self, terms):
+    def test_parts_have_the_reference_bits(self, terms):
+        # every log factor the moments and the series read, and the magnitudes' -|log z|
         rng = random.Random(terms)
         for _ in range(120):
             p, i, z = rng.randrange(13), rng.randrange(12), rng.uniform(1e-3, math.pi)
-            for log_z in (None, math.log(z / 2), -abs(math.log(z))):
+            log_zs = (math.log(z), math.log(z / 2), -abs(math.log(z)))
+            got = integrals._log_sine_parts(p, z, log_zs, i, 0, terms)
+            for log_z, parts in zip(log_zs, got):
                 want = reference_series(p, z, terms, i, log_z)
-                assert integrals._log_sine_series(p, z, terms, i, log_z).hex() == want.hex(), (p, i, z)
+                assert (z ** (i + 1) * math.fsum(parts)).hex() == want.hex(), (p, i, z, log_z)
+
+    def test_series_have_the_reference_bits(self):
+        rng = random.Random(32)
+        for _ in range(500):
+            p, z = rng.randrange(13), rng.uniform(1e-3, math.pi)
+            assert integrals._log_sine_series(p, z).hex() == reference_series(p, z).hex(), (p, z)
 
     def test_any_angle_values_have_the_reference_bits(self, monkeypatch):
         angles = [1e-3, 0.5, 1.0, 2.5, math.pi / 3, math.pi, 3.5, 5.0, 2 * math.pi - 1e-3, 2 * math.pi]
@@ -801,13 +812,10 @@ class TestSeriesStopsWhenItsTailCannotMoveIt:
 
     def test_the_bound_covers_the_rows_left_out_as_computed(self, cold_caches):
         rng = random.Random(44)
-        for _ in range(300):
-            p, i, k = rng.randrange(15), rng.randrange(13), rng.randrange(2, 29)
-            z = rng.uniform(1e-4, math.pi)
-            for log_z in (math.log(z), math.log(z / 2), -abs(math.log(z))):
-                (rows,) = integrals._log_sine_parts(p, z, (log_z,), i, k, 96)
-                bound = integrals._log_sine_tail(p, z, i, log_z, k)
-                assert math.fsum(map(abs, rows)) <= bound / 2, (p, i, z, log_z, k)
+        for _ in range(900):
+            p, k, z = rng.randrange(15), rng.randrange(2, 29), rng.uniform(1e-4, math.pi)
+            (rows,) = integrals._log_sine_parts(p, z, (math.log(z),), 0, k, 96)
+            assert math.fsum(map(abs, rows)) <= integrals._log_sine_tail(p, z, k) / 2, (p, z, k)
 
     @pytest.mark.parametrize("parts,bound,unmoved", [
         ([1.0, 2**-53], 2**-54, False),  # 1 + 2^-53 ties to 1, a little more rounds up
@@ -865,15 +873,19 @@ class TestSeriesStopsWhenItsTailCannotMoveIt:
         assert got == [_hex(log_sine_any_angle(p, z)) for p, z in calls]
 
     def test_outcomes_past_binary64_are_unchanged(self):
-        # each outcome as it was when every row was summed: value bits, or the exception
+        # each outcome as it was when every row was summed: value bits, or the exception; a
+        # power of log z past binary64 names p and z, where float pow's own text named neither
         nan, inf = ("OverflowError", "the log-sine series is nan"), ("OverflowError", "the log-sine series is -inf")
-        power = ("OverflowError", "(34, 'Numerical result out of range')")  # log_z ** a overflows
+
+        def power(p, z):
+            return "OverflowError", f"log-sine series at p = {p}, z = {z!r}: powers of log z pass binary64"
+
         want = {
             (170, 0.001): inf, (170, 1.0): ("-0x1.4ab7864418635p+1019", "-0x1.a514f28632ae3p+1017"),
             (200, 0.001): nan, (200, 1.0): nan, (300, 0.001): nan, (300, 1.0): nan,
-            (338, 0.001): nan, (338, 1.0): nan, (387, 0.001): power, (387, 1.0): nan,
+            (338, 0.001): nan, (338, 1.0): nan, (387, 0.001): power(387, 0.001), (387, 1.0): nan,
         }
-        want.update({(p, 1e-300): power for p in (170, 200, 300, 338, 387)})  # t underflows to 0
+        want.update({(p, 1e-300): power(p, 1e-300) for p in (170, 200, 300, 338, 387)})  # t underflows to 0
         for (p, z), outcome in want.items():
             start = time.perf_counter()
             assert _outcome(p, z) == outcome, (p, z)
@@ -1089,3 +1101,27 @@ def test_exact_sine_moments_take_the_angles_of_the_logsin_form():
         if form == "logsin":
             with pytest.raises(ValueError):
                 sine_power_moment_exact(2, 3, z)
+
+
+# -- FORMS: each form's range, log factor, sign and row scaling, stated once
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: IntegralSpec(0, 1, 3.5), "z must lie in (0, pi] for form 'logsin'"),
+    (lambda: IntegralSpec(0, 1, 7.0, form="ls"), "z must lie in (0, 2*pi] for form 'ls'"),
+    (lambda: IntegralSpec(0, 1, 0.0, form="ls"), "z must lie in (0, 2*pi] for form 'ls'"),
+    (lambda: IntegralSpec(0, 1, 1.0, form="sin"), "form must be 'logsin' or 'ls'"),
+    (lambda: log_sine_any_angle(2, 7.0), "z must lie in (0, 2*pi]"),
+], ids=["logsin-past-pi", "ls-past-2pi", "ls-at-0", "unknown-form", "any-angle-past-2pi"])
+def test_out_of_range_messages_are_unchanged(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_the_log_sine_factor_at_the_least_double_is_log_x():
+    # x/2 rounds to 0 only at x = 5e-324, where 2 sin(x/2) is x; log(2 sin 0) once raised
+    tiny = 5e-324
+    assert integrals._log_2sin_half(tiny) == math.log(tiny)
+    for x in (2 * tiny, 1e-320, 1e-300, 1.0, 6.0):
+        assert integrals._log_2sin_half(x) == math.log(2.0 * math.sin(x / 2.0)), x

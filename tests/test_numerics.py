@@ -477,8 +477,8 @@ class TestColumnStore:
         read = {
             "x": integrals._x_power,
             "fold": integrals._fold_power,
-            "logsin": lambda p: integrals._log_power(integrals._log_sin, p),
-            "ls": lambda p: integrals._log_power(integrals._log_2sin_half, p),
+            "logsin": lambda p: integrals._log_power("logsin", p),
+            "ls": lambda p: integrals._log_power("ls", p),
             "sin": integrals._sin_power,
         }
         for keys in (list(want), list(reversed(want))):
