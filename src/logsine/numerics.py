@@ -210,9 +210,16 @@ def _level_nodes(a: float, b: float, level: int):
 def _clamp_loss(f: Callable[[float], float], end: float, inward: float) -> float:
     """Bound on the mass misread by the nodes that read f at the point one ulp
     inside ``end``: four ulps times the change of f across the next ulp, which
-    is about twice the loss at a log-type singularity and 0 where f is smooth."""
+    is about twice the loss at a log-type singularity and 0 where f is smooth.
+    f is not read at ``inward``, the other limit, which may be singular: in an
+    interval two ulps wide |f| at the one point inside stands for that change,
+    and in one an ulp wide |f(end)|."""
     x1 = math.nextafter(end, inward)
-    return 4.0 * abs(x1 - end) * abs(f(x1) - f(math.nextafter(x1, inward)))
+    ulp = abs(x1 - end)
+    if x1 == inward:
+        return 4.0 * ulp * abs(f(end))
+    x2 = math.nextafter(x1, inward)
+    return 4.0 * ulp * abs(f(x1) - f(x2) if x2 != inward else f(x1))
 
 
 def _tanh_sinh(

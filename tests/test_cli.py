@@ -11,13 +11,13 @@ from pathlib import Path
 
 import pytest
 
-import logsine
 from logsine import binomderiv, integrals, parse_text, verify
 from logsine.cli import (
     MAX_BELL_TERM_DIGITS, MAX_BELL_TERMS, MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P, MAX_N, _emit, _fmt,
     build_parser, main,
 )
 from logsine.verify import Check, IdentityResult
+from fresh import SRC, run_fresh
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +80,7 @@ class TestLsCommand:
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_non_finite_fallback_is_a_one_line_error(self, capsys, fmt):
+        """A fallback past binary64 exits 1, one just below it exits 0"""
         # the p = 3 fallback at n = 700 is about 1e345, past binary64
         code = main(["ls", "--theta", "pi", "--n", "700", "--p", "3", *fmt])
         out, err = capsys.readouterr()
@@ -89,6 +90,7 @@ class TestLsCommand:
 
     @pytest.mark.parametrize("n,p", [(2, -1), (-1, 2)])
     def test_negative_order_is_a_one_line_usage_error(self, capsys, n, p):
+        """An exact result prints the same bytes at every --tol; bad arguments exit 2"""
         code = main(["ls", "--theta", "pi", "--n", str(n), "--p", str(p)])
         out, err = capsys.readouterr()
         assert (code, out, err) == (2, "", "usage error: n and p must be >= 0\n")
@@ -103,6 +105,7 @@ class TestLogPowerLimit:
     ])
     @pytest.mark.parametrize("p", [MAX_BINOM_DERIV_P + 1, 100])
     def test_larger_order_is_refused_before_any_work(self, capsys, argv, p):
+        """A log power past 40 and a flag a subcommand does not read exit 2; large basis constants exit 0"""
         start = time.perf_counter()
         code = main([*argv, "--p", str(p)])
         elapsed = time.perf_counter() - start
@@ -140,6 +143,7 @@ class TestPowerLimit:
     ])
     @pytest.mark.parametrize("n", [MAX_N + 1, 20000])
     def test_larger_power_is_refused_before_any_work(self, capsys, argv, n):
+        """A power past --n 1600 and --digits outside 1..15 exit 2 at once, with no traceback"""
         start = time.perf_counter()
         code = _exit_code([*argv, "--n", str(n)])
         elapsed = time.perf_counter() - start
@@ -155,6 +159,7 @@ class TestPowerLimit:
         ["ls", "--theta", "pi", "--n", "700", "--p", "3"],
     ])
     def test_an_overflow_inside_the_limit_prints_its_reason_not_an_errno_pair(self, capsys, argv):
+        """Results print by one record rule, the JSON keys of each kind and its bare text"""
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
@@ -177,6 +182,7 @@ class TestDigitsRange:
     ])
     @pytest.mark.parametrize("digits", ["0", "-5", "16"])
     def test_outside_one_to_fifteen_is_a_one_line_usage_error(self, capsys, argv, digits):
+        """A power past --n 1600 and --digits outside 1..15 exit 2 at once, with no traceback"""
         start = time.perf_counter()
         code = _exit_code([*argv, "--digits", digits])
         elapsed = time.perf_counter() - start
@@ -212,6 +218,7 @@ class TestExactOutputIgnoresTolerance:
     @pytest.mark.parametrize("argv", _EXACT_REQUESTS + _FALLBACK_REQUESTS)
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_same_bytes_at_every_tolerance(self, capsys, argv, fmt):
+        """An exact result prints the same bytes at every --tol; bad arguments exit 2"""
         tols = ([], ["--tol", "1e-1"], ["--tol", "1e-20"])
         outputs = {run_cli(capsys, *argv, *fmt, *tol) for tol in tols}
         assert len(outputs) == 1
@@ -257,6 +264,7 @@ class TestToleranceMustBeFinite:
     ])
     @pytest.mark.parametrize("tol", ["inf", "-inf", "1e309", "nan", "0"])
     def test_is_a_one_line_usage_error(self, capsys, argv, tol):
+        """A tolerance that is not finite and > 0 is a usage error"""
         assert _exit_code([*argv, "--tol", tol]) == 2
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("usage error: ") and err.count("\n") == 1
@@ -270,6 +278,7 @@ class TestHighOrderFallbacks:
         ["closed-form", "--z", "pi", "--n", "3", "--p", "7"],
     ])
     def test_value_lies_within_its_claimed_error(self, capsys, argv):
+        """Fallbacks at p = 7 and at the largest log power exit 0"""
         mpmath = pytest.importorskip("mpmath")
         code, out = run_cli(capsys, *argv, "--json")
         assert code == 0
@@ -327,16 +336,64 @@ class TestNumericCommand:
         form = next(a for a in sub.choices["numeric"]._actions if a.dest == "form")
         assert list(form.choices) == list(integrals.FORMS) and form.default == "logsin"
 
-    @pytest.mark.parametrize("z,n,p,want", [
-        ("6.2831853071795", 3, 1, 142.36591322073925),  # 1e-13 below 2pi: a node clamps onto 5e-324
-        ("1e-320", 0, 3, 4.0166280523003696e-312),  # a subnormal angle, likewise
+    @pytest.mark.parametrize("form,z,n,p,want", [
+        ("ls", "6.2831853071795", 3, 1, 142.36591322073925),  # 1e-13 below 2pi: a node clamps onto 5e-324
+        ("ls", "1e-320", 0, 3, 4.0166280523003696e-312),  # a subnormal angle, likewise
+        # the two smallest angles, whose intervals hold no interior float and one
+        ("logsin", "5e-324", 0, 1, -3.68e-321),
+        ("ls", "5e-324", 0, 1, 3.68e-321),
+        ("logsin", "1e-323", 0, 3, -4.08171953e-315),
+        ("ls", "1e-323", 0, 1, 7.357e-321),
     ])
-    def test_log_sine_form_near_its_singular_ends_is_a_value(self, capsys, z, n, p, want):
-        # once a usage error "math domain error": log(2 sin(x/2)) at x/2 = 0; mpmath references
-        code = main(["numeric", "--z", z, "--n", str(n), "--p", str(p), "--form", "ls"])
+    def test_log_sine_form_near_its_singular_ends_is_a_value(self, capsys, form, z, n, p, want):
+        """The oracle grid keeps its bits, and the log-sine form answers within 1e-13 of 2pi and at a subnormal angle"""
+        # once a usage error "math domain error": g at 0, read by a node or by the clamp loss; mpmath references
+        code = main(["numeric", "--z", z, "--n", str(n), "--p", str(p), "--form", form])
         out, err = capsys.readouterr()
         assert (code, err, out.count("\n")) == (0, "", 1)
         assert abs(float(out) - want) <= 1e-10
+
+
+# whole runs in a fresh interpreter: argv, exit code, seconds, and the stdout or pieces of it
+_FRESH_RUNS = [
+    ("verify-paper --filter lemma:delta-derivative --json", 0, 60, ('"status": "pass"', '"tol": 1e-12')),
+    ("numeric --z pi --n 5 --p 6 --form ls", 0, 10, None),
+    ("numeric --z 3.0 --n 5 --p 6", 0, 10, None),
+    ("numeric --z 1.1 --n 3 --p 1", 0, 10, None),
+    ("bell --seq=1,1 --json", 0, 60, '{"exact": "2", "id": "bell:n=2", "status": "ok"}\n'),
+    ("binom-deriv --p 2 --k 1 --json", 0, 60,
+     '{"exact": "-2", "id": "binom-deriv:p=2:k=1:scaled=False", "numeric": -2.0, "status": "ok"}\n'),
+    ("bell --seq=1/2,-1/3,2", 0, 60, "13/8\n"),
+    ("closed-form --z pi/2 --n 1500 --p 2", 1, 10, ""),
+    ("closed-form --z pi --n 1000 --p 2", 1, 10, ""),
+    ("ls --theta 2pi --n 1000 --p 2", 1, 10, ""),
+    ("binom-deriv --p 40 --k 0", 0, 60, None),
+    ("binom-deriv --p 40 --k 0 --scaled", 0, 60, None),
+    ("binom-deriv --p 40 --k 30 --scaled", 0, 60, None),
+    ("ls --theta pi --n 600 --p 3", 0, 10, None),
+    ("closed-form --z pi --n 2 --p 40", 0, 10, None),
+    ("constant --name zeta2 --json", 0, 10, '{"id": "constant:zeta2", "numeric": 1.6449340668482264, "status": "ok"}\n'),
+    ("constant --name zb1_999999999", 0, 10, "0\n"),
+    ("constant --name zeta999999999", 0, 10, "1\n"),
+]
+
+
+@pytest.mark.parametrize("argv,code,seconds,want", _FRESH_RUNS, ids=[row[0] for row in _FRESH_RUNS])
+def test_a_fresh_run_exits_in_time_with_its_output(argv, code, seconds, want):
+    """The delta lemma row checks exact values to 1e-12
+    The quadrature oracle answers from the CLI; a filter matching no identity exits 2
+    Results print by one record rule, the JSON keys of each kind and its bare text
+    A 1500-power closed form overflows binary64 in time, with one line and no traceback
+    Thousand-power closed forms at the full angles overflow binary64 in time, with one line and no traceback
+    Largest binom-deriv order and shift run in time, the next ones are refused
+    A fallback past binary64 exits 1, one just below it exits 0
+    Fallbacks at p = 7 and at the largest log power exit 0
+    A basis constant prints its correctly rounded double
+    Constants past the cuts sum no series and return at once"""
+    proc = run_fresh(argv.split(), code, timeout=seconds)
+    assert code == 0 or proc.stderr.startswith("error: ")
+    out = proc.stdout
+    assert want is None or (out == want if isinstance(want, str) else all(piece in out for piece in want))
 
 
 class TestBellCommand:
@@ -362,6 +419,7 @@ class TestBellCommand:
 
     @pytest.mark.parametrize("seq", ["1/0", "1,2/0"])
     def test_zero_denominator_is_a_one_line_usage_error(self, capsys, seq):
+        """An exact result prints the same bytes at every --tol; bad arguments exit 2"""
         code = main(["bell", "--seq", seq])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
@@ -369,6 +427,7 @@ class TestBellCommand:
 
     @pytest.mark.parametrize("seq", ["1,,2", "1,2,", ",1", "1, ,2"])
     def test_empty_term_is_a_one_line_usage_error(self, capsys, seq):
+        """An exact result prints the same bytes at every --tol; bad arguments exit 2"""
         code = main(["bell", "--seq", seq])
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
@@ -380,6 +439,7 @@ class TestBellCommand:
 
     @pytest.mark.parametrize("length", [MAX_BELL_TERMS, MAX_BELL_TERMS + 1])
     def test_longest_sequence_and_the_next_one(self, capsys, length):
+        """Largest binom-deriv order and shift run in time, the next ones are refused"""
         seq = ",".join(("1/2", "-1/3", "2")[i % 3] for i in range(length))
         code = main(["bell", f"--seq={seq}"])
         out, err = capsys.readouterr()
@@ -391,6 +451,7 @@ class TestBellCommand:
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_a_value_past_the_int_digit_limit_prints_whole(self, capsys, fmt):
+        """A 200-term bell value past the 4300-digit int-to-str limit is not a usage error or a traceback"""
         # B_200(x, ..., x) with x = 10^40 - 1 has 8,001 digits, past the interpreter's
         # 4,300-digit int-to-str limit, and equals sum_j S(200, j) x^j (Touchard)
         x, n = 10**40 - 1, MAX_BELL_TERMS
@@ -430,6 +491,7 @@ class TestBellCommand:
         ("1e100000", 1, 100001), ("3/4,1e1000000", 2, 1000001),
     ])
     def test_a_decimal_exponent_counts_into_the_digits_it_scales(self, capsys, seq, position, digits):
+        """A bell term whose decimal exponent passes the digit limit exits 2 at once, with no traceback"""
         # 1e100000 once printed all 100,001 digits and 1e1000000 took 18.7 s; a term is now
         # sized before Fraction reads it, so every call here returns within the budget
         start = time.perf_counter()
@@ -475,6 +537,7 @@ class TestBinomDerivCommand:
 
     @pytest.mark.parametrize("p", [MAX_BINOM_DERIV_P + 1, 60])
     def test_larger_order_is_a_one_line_usage_error(self, capsys, p):
+        """Largest binom-deriv order and shift run in time, the next ones are refused"""
         code = main(["binom-deriv", "--p", str(p), "--k", "2"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
@@ -493,6 +556,7 @@ class TestBinomDerivCommand:
         assert f"--k` up to {MAX_BINOM_DERIV_K}" in readme
 
     def test_larger_shift_is_refused_before_any_work(self, capsys):
+        """Largest binom-deriv order and shift run in time, the next ones are refused"""
         # at the largest order a shift past the limit would take seconds to build
         k = MAX_BINOM_DERIV_K + 1
         start = time.perf_counter()
@@ -526,6 +590,7 @@ class TestConstantCommand:
         ("zeta" + "9" * 5000, "an index has at most 4300 digits"),  # past int()'s digit limit
     ])
     def test_an_index_out_of_range_is_named(self, capsys, name, rule):
+        """An out-of-range constant index exits 2 with a line that names the --name given"""
         code = main(["constant", "--name", name])
         out, err = capsys.readouterr()
         assert (code, out) == (2, "")
@@ -545,15 +610,10 @@ class TestConstantCommand:
     @pytest.mark.parametrize("name,value", [("zeta1025", "1"), ("zb1_645", "6.84940421565126e-195"),
                                             ("zb1_" + "9" * 309, "0")])
     def test_terms_past_binary64_count_as_zero(self, capsys, name, value):
+        """A log power past 40 and a flag a subcommand does not read exit 2; large basis constants exit 0
+        Constants past the cuts sum no series and return at once"""
         code, out = run_cli(capsys, "constant", "--name", name)
         assert (code, out) == (0, value + "\n")
-
-
-def _run_at_digit_limit(limit, *argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(logsine.__file__).resolve().parents[1]),
-               PYTHONINTMAXSTRDIGITS=limit)
-    return subprocess.run([sys.executable, "-m", "logsine", *argv], env=env, capture_output=True,
-                          text=True, timeout=60)
 
 
 # the digit guards of bell --seq and constant read the interpreter's int-from-str limit in force
@@ -564,25 +624,25 @@ class TestDigitLimitInForce:
         (["bell", "--seq=1," + "9" * 1000], "--seq term 2 has a number of 1000 digits"),
     ])
     def test_a_lower_limit_names_the_term_or_constant(self, argv, named):
-        proc = _run_at_digit_limit("640", *argv)
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.count("\n") == 1 and named in proc.stderr, proc.stderr
+        """Under a 640-digit int-from-str limit, a longer constant index or bell term exits 2 naming it"""
+        proc = run_fresh(argv, 2, env={"PYTHONINTMAXSTRDIGITS": "640"})
+        assert proc.stdout == "" and named in proc.stderr, proc.stderr
         assert proc.stderr.endswith(" at most 640 digits\n" if argv[0] == "constant" else " at most 640\n")
 
     def test_no_limit_reads_every_number(self):
-        proc = _run_at_digit_limit("0", "bell", "--seq=" + "9" * 5000)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "9" * 5000 + "\n", "")
-        proc = _run_at_digit_limit("0", "constant", "--name", "zeta" + "9" * 5000)
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+        proc = run_fresh(["bell", "--seq=" + "9" * 5000], env={"PYTHONINTMAXSTRDIGITS": "0"})
+        assert (proc.stdout, proc.stderr) == ("9" * 5000 + "\n", "")
+        proc = run_fresh(["constant", "--name", "zeta" + "9" * 5000], env={"PYTHONINTMAXSTRDIGITS": "0"})
+        assert (proc.stdout, proc.stderr) == ("1\n", "")
 
-    def test_no_limit_still_caps_what_an_exponent_scales(self):
+    @pytest.mark.parametrize("seq,position", [("1e1000000", 1), ("3/4,1e1000000", 2)])
+    def test_no_limit_still_caps_what_an_exponent_scales(self, seq, position):
+        """With no int-from-str limit, a bell term an exponent scales past 4,300 digits still exits 2 at once"""
         # under limit 0, 1e1000000 once built and printed all 1,000,001 digits in 17 s
-        start = time.perf_counter()
-        proc = _run_at_digit_limit("0", "bell", "--seq=3/4,1e1000000")
-        assert time.perf_counter() - start < 10
-        assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == ("usage error: --seq term 2 has a number of 1000001 digits; a number an "
-                               f"exponent scales takes at most {MAX_BELL_TERM_DIGITS}\n")
+        proc = run_fresh(["bell", f"--seq={seq}"], 2, env={"PYTHONINTMAXSTRDIGITS": "0"}, timeout=10)
+        assert proc.stdout == ""
+        assert proc.stderr == (f"usage error: --seq term {position} has a number of 1000001 digits; a number "
+                               f"an exponent scales takes at most {MAX_BELL_TERM_DIGITS}\n")
 
 
 # flags that each call sets and the next call leaves out
@@ -614,6 +674,7 @@ _SUBCOMMANDS = [
     (argv, flag) for argv, unread in _SUBCOMMANDS for flag in unread
 ])
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv, flag):
+    """A log power past 40 and a flag a subcommand does not read exit 2; large basis constants exit 0"""
     with pytest.raises(SystemExit) as exc:
         main([*argv, flag, "10"])
     assert exc.value.code == 2
@@ -622,13 +683,9 @@ def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv, flag
 
 class TestDeterminism:
     def test_in_process_calls_carry_no_flag_over(self, capsys):
-        env = dict(os.environ, PYTHONPATH=str(Path(logsine.__file__).resolve().parents[1]))
         for argv in _MIXED_CALLS:
             code, out = run_cli(capsys, *argv)
-            fresh = subprocess.run(
-                [sys.executable, "-m", "logsine", *argv], env=env, capture_output=True, text=True
-            )
-            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+            assert out == run_fresh(argv, code).stdout, argv
 
     def test_byte_identical_reruns(self, capsys):
         _, first = run_cli(
@@ -647,7 +704,7 @@ class TestClosedOutput:
         ["verify-paper"],
     ])
     def test_a_closed_reader_is_a_one_line_error(self, argv):
-        env = dict(os.environ, PYTHONPATH=str(Path(logsine.__file__).resolve().parents[1]))
+        env = dict(os.environ, PYTHONPATH=SRC)
         read_end, write_end = os.pipe()
         os.close(read_end)  # no reader is left before the child writes
         try:
@@ -687,6 +744,7 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
     def test_a_filter_matching_no_identity_is_a_usage_error(self, capsys, fmt):
+        """The quadrature oracle answers from the CLI; a filter matching no identity exits 2"""
         # 0/0 rows must not pass: a mistyped filter in CI would pass silently
         code = main(["verify-paper", "--filter", "nomatch", *fmt])
         out, err = capsys.readouterr()
@@ -789,6 +847,7 @@ class TestRecordFormat:
         for digits in ([], ["--digits", "6"]) if argv[0] != "bell" or not digits
     ])
     def test_keys_and_text_shape(self, capsys, argv, keys, text, digits):
+        """Results print by one record rule, the JSON keys of each kind and its bare text"""
         code, out = run_cli(capsys, *argv, *digits, "--json")
         obj = json.loads(out)
         assert code == 0 and out.count("\n") == 1

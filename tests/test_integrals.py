@@ -1,14 +1,11 @@
 import math
 import operator
-import os
 import random
-import subprocess
 import sys
 import threading
 import time
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
 import pytest
 
@@ -39,6 +36,7 @@ from logsine import integrals
 from logsine.cli import main
 from logsine.symbolic import SymbolicValue
 from euler_maclaurin import zeta_double
+from fresh import run_fresh
 
 
 class TestMomentsExact:
@@ -432,6 +430,12 @@ class TestAnyAngle:
         assert math.isfinite(bell)
         with pytest.raises(OverflowError):  # 171! itself is past binary64
             log_sine_any_angle(171, 1.0)
+
+    @pytest.mark.parametrize("p,z", [(60, 1.0), (60, 5.0), (170, 1.0)])
+    def test_a_high_order_in_a_fresh_interpreter_returns_at_once(self, p, z):
+        """Any-angle values at p = 60 do no symbolic work and return at once
+        The any-angle value at p = 170 is a finite double, not an overflow of 170!"""
+        run_fresh(f"from logsine import log_sine_any_angle as f; print(f({p}, {z}))", timeout=10)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -1086,10 +1090,8 @@ def test_the_library_error_text_does_not_depend_on_the_hash_seed(form):
             f"        {call}\n"
             "    except ValueError as exc:\n"
             "        print(exc)\n")
-    env = dict(os.environ, PYTHONPATH=str(Path(integrals.__file__).resolve().parents[1]))
     # a set of two tokens prints in one order under seeds 1, 2, 3 and 5 alike, in the other under 4 or 6
-    texts = {subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                            env=dict(env, PYTHONHASHSEED=str(seed))).stdout for seed in range(1, 9)}
+    texts = {run_fresh(code, env={"PYTHONHASHSEED": str(seed)}).stdout for seed in range(1, 9)}
     assert len(texts) == 1 and texts.pop().count("\n") == len(angles)
 
 

@@ -23,6 +23,7 @@ from logsine import (
 )
 from logsine.specialfn import bernoulli
 from euler_maclaurin import zeta_bracket
+from fresh import run_fresh
 
 EULER_GAMMA = 0.5772156649015329  # the Euler-Mascheroni constant, correctly rounded
 
@@ -492,6 +493,54 @@ class TestColumnStore:
         numerics._node_table.cache_clear()
 
 
+# full-depth quadrature in a fresh interpreter, whose ru_maxrss (KiB on Linux) no other
+# work has raised; a jump inside the interval never converges, so all 12 levels run
+_FULL_DEPTH = """
+import math, resource, sys
+from logsine import IntegralSpec, NumericConfig, QuadratureError, quadrature_value, tanh_sinh_quadrature
+
+def raises(quadrature, *args):
+    try:
+        quadrature(*args)
+    except QuadratureError:
+        return True
+    return False
+
+jump = lambda x: 1.0 if x < 1.0 else 0.0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+"""
+_TWICE = """
+if not (raises(tanh_sinh_quadrature, jump, 0.0, math.pi) and raises(tanh_sinh_quadrature, jump, 0.0, math.pi)):
+    sys.exit("the unreachable tolerance certified")
+"""
+_INTERVALS = """
+for k in range(100):
+    b = 1.5 + k / 64
+    if not raises(tanh_sinh_quadrature, jump, 0.0, b):
+        sys.exit(f"the jump over (0, {b}) certified")
+    for form in ("logsin", "ls"):  # and the interval's log columns
+        raises(quadrature_value, IntegralSpec(3, 4, b, form=form), NumericConfig(1e-300))
+"""
+# over (0, pi - 1.6) and the fold onto (pi - 1.6, pi/2), which runs 8 to 12 levels
+_ORDERS = """
+for n in range(25):
+    for p in range(1, 21):
+        raises(quadrature_value, IntegralSpec(n, p, 1.6), NumericConfig(1e-300))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.parametrize("work,seconds", [(_TWICE, 10), (_INTERVALS, 60), (_ORDERS, 120)],
+                         ids=["twice", "100-intervals", "500-orders"])
+def test_full_depth_quadrature_grows_ru_maxrss_by_under_2_mb(work, seconds):
+    """Quadrature that runs all 12 levels twice keeps only the level 0-7 node tables
+    Quadrature at full depth over 100 distinct intervals keeps the node tables at their bound
+    Quadrature at full depth of 500 distinct (n, p) over two intervals keeps each column store at its bound"""
+    program = _FULL_DEPTH + work + "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)"
+    grown = int(run_fresh(program, timeout=seconds).stdout)
+    assert grown < 2048, f"ru_maxrss grew {grown} KiB"
+
+
 class TestPolygammaReal:
     def test_trigamma_at_one(self):
         assert abs(polygamma_real(1, 1.0) - math.pi**2 / 6) < 1e-12
@@ -537,6 +586,7 @@ class TestPolygammaReal:
         lambda: polygamma_real(3, 1e-80),  # 6/1e-320 is inf, once returned as the value
     ], ids=["psi1-at-1e-200", "delta21-near-m=-1/2", "psi3-at-1e-80"])
     def test_a_value_past_binary64_raises_overflow(self, call):
+        """Polygamma past binary64 raises OverflowError; a 4,401-digit coefficient prints whole"""
         with pytest.raises(OverflowError) as info:
             call()
         assert "\n" not in str(info.value) and "inf" in str(info.value)

@@ -1,15 +1,11 @@
 import math
-import os
-import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-import logsine
 from logsine import eval_numeric, parse_text, sym_pi, sym_zeta, zeta_even
 from logsine.symbolic import (
     SymbolicValue,
@@ -20,6 +16,7 @@ from logsine.symbolic import (
     sym_zeta_bar1,
     sym_zeta_odd,
 )
+from fresh import run_fresh
 
 generators = st.sampled_from(
     [sym_pi(), sym_log2(), sym_zeta_odd(3), sym_zeta_odd(5), sym_zeta_bar1(3), sym_zeta_bar1(5)]
@@ -198,6 +195,7 @@ class TestSerialization:
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
     @pytest.mark.parametrize("limit", [None, 640])
     def test_a_coefficient_past_the_int_digit_limit_prints_whole(self, limit):
+        """Polygamma past binary64 raises OverflowError; a 4,401-digit coefficient prints whole"""
         # 10^4400 + 1 has 4,401 digits, past the interpreter's default 4,300-digit limit
         before = sys.get_int_max_str_digits()
         value = SymbolicValue.rational(Fraction(10**4400 + 1, 3))
@@ -283,26 +281,21 @@ class TestPickle:
         "v = sym_pi(2) + sym_log2(1) + sym_zeta_odd(3, 2) * sym_pi(1)\n"
     )
 
-    def run(self, code: str, seed: str, stdin: bytes = b"") -> bytes:
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=str(Path(logsine.__file__).resolve().parents[1]))
-        proc = subprocess.run([sys.executable, "-c", self.BUILD + code], input=stdin,
-                              env=env, capture_output=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout
+    def run(self, code: str, seed: str, stdin: str = "") -> str:
+        return run_fresh(self.BUILD + code, env={"PYTHONHASHSEED": seed}, stdin=stdin).stdout
 
     @pytest.mark.parametrize("seed", ["1", "2"])
     def test_a_value_pickled_in_one_process_loads_in_another(self, seed):
-        blob = self.run("import pickle, sys; sys.stdout.buffer.write(pickle.dumps(v))", "0")
+        blob = self.run("import pickle; print(pickle.dumps(v).hex())", "0")  # hex: the pipes carry text
         out = self.run(
             "import pickle, sys\n"
-            "w = pickle.loads(sys.stdin.buffer.read())\n"
+            "w = pickle.loads(bytes.fromhex(sys.stdin.read()))\n"
             "print(w == v, (w + sym_pi(2)).text())",
             seed,
             blob,
         )
         fresh = sym_pi(2) + sym_log2(1) + sym_zeta_odd(3, 2) * sym_pi(1) + sym_pi(2)
-        assert out.decode() == f"True {fresh.text()}\n"
+        assert out == f"True {fresh.text()}\n"
 
 
 class TestLinearCombination:
