@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -79,6 +78,7 @@ class TestLsCommand:
         assert payload["numeric"] == pytest.approx(-16.234848505667064, abs=1e-9)
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    @pytest.mark.within(60)
     def test_non_finite_fallback_is_a_one_line_error(self, capsys, fmt):
         """A fallback past binary64 exits 1, one just below it exits 0"""
         # the p = 3 fallback at n = 700 is about 1e345, past binary64
@@ -89,6 +89,7 @@ class TestLsCommand:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("n,p", [(2, -1), (-1, 2)])
+    @pytest.mark.within(60)
     def test_negative_order_is_a_one_line_usage_error(self, capsys, n, p):
         """An exact result prints the same bytes at every --tol; bad arguments exit 2"""
         code = main(["ls", "--theta", "pi", "--n", str(n), "--p", str(p)])
@@ -104,15 +105,13 @@ class TestLogPowerLimit:
         ["ls", "--theta", "pi", "--n", "2"],
     ])
     @pytest.mark.parametrize("p", [MAX_BINOM_DERIV_P + 1, 100])
+    @pytest.mark.within(1)
     def test_larger_order_is_refused_before_any_work(self, capsys, argv, p):
         """A log power past 40 and a flag a subcommand does not read exit 2; large basis constants exit 0"""
-        start = time.perf_counter()
         code = main([*argv, "--p", str(p)])
-        elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"usage error: {argv[0]} takes --p up to {MAX_BINOM_DERIV_P}, got {p}\n"
-        assert elapsed < 1.0
 
     def test_limit_is_documented(self, capsys):
         for command in ("closed-form", "ls"):
@@ -142,15 +141,13 @@ class TestPowerLimit:
         ["ls", "--theta", "pi", "--p", "3"],
     ])
     @pytest.mark.parametrize("n", [MAX_N + 1, 20000])
+    @pytest.mark.within(1)
     def test_larger_power_is_refused_before_any_work(self, capsys, argv, n):
         """A power past --n 1600 and --digits outside 1..15 exit 2 at once, with no traceback"""
-        start = time.perf_counter()
         code = _exit_code([*argv, "--n", str(n)])
-        elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"usage error: {argv[0]} takes --n up to {MAX_N}, got {n}\n"
-        assert elapsed < 1.0
 
     # a float ** that overflows raises with the errno pair (34, 'Numerical result out of range')
     @pytest.mark.parametrize("argv", [
@@ -158,6 +155,7 @@ class TestPowerLimit:
         ["numeric", "--z", "pi", "--n", str(MAX_N), "--p", "40"],
         ["ls", "--theta", "pi", "--n", "700", "--p", "3"],
     ])
+    @pytest.mark.within(60)
     def test_an_overflow_inside_the_limit_prints_its_reason_not_an_errno_pair(self, capsys, argv):
         """Results print by one record rule, the JSON keys of each kind and its bare text"""
         code = main(argv)
@@ -181,15 +179,13 @@ class TestDigitsRange:
         ["constant", "--name", "pi"],
     ])
     @pytest.mark.parametrize("digits", ["0", "-5", "16"])
+    @pytest.mark.within(1)
     def test_outside_one_to_fifteen_is_a_one_line_usage_error(self, capsys, argv, digits):
         """A power past --n 1600 and --digits outside 1..15 exit 2 at once, with no traceback"""
-        start = time.perf_counter()
         code = _exit_code([*argv, "--digits", digits])
-        elapsed = time.perf_counter() - start
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err.startswith("usage error: ") and err.count("\n") == 1 and "--digits" in err
-        assert elapsed < 1.0
 
     @pytest.mark.parametrize("digits", ["1", "15"])
     def test_the_ends_of_the_range_print(self, capsys, digits):
@@ -263,6 +259,7 @@ class TestToleranceMustBeFinite:
         ["verify-paper"],
     ])
     @pytest.mark.parametrize("tol", ["inf", "-inf", "1e309", "nan", "0"])
+    @pytest.mark.within(60)
     def test_is_a_one_line_usage_error(self, capsys, argv, tol):
         """A tolerance that is not finite and > 0 is a usage error"""
         assert _exit_code([*argv, "--tol", tol]) == 2
@@ -339,12 +336,14 @@ class TestNumericCommand:
     @pytest.mark.parametrize("form,z,n,p,want", [
         ("ls", "6.2831853071795", 3, 1, 142.36591322073925),  # 1e-13 below 2pi: a node clamps onto 5e-324
         ("ls", "1e-320", 0, 3, 4.0166280523003696e-312),  # a subnormal angle, likewise
-        # the two smallest angles, whose intervals hold no interior float and one
+        # the two smallest angles, whose intervals hold no interior float and one: the values lie
+        # far inside the default --tol, so these rows check exit 0 and one line, not the digits
         ("logsin", "5e-324", 0, 1, -3.68e-321),
         ("ls", "5e-324", 0, 1, 3.68e-321),
         ("logsin", "1e-323", 0, 3, -4.08171953e-315),
         ("ls", "1e-323", 0, 1, 7.357e-321),
     ])
+    @pytest.mark.within(10)
     def test_log_sine_form_near_its_singular_ends_is_a_value(self, capsys, form, z, n, p, want):
         """The oracle grid keeps its bits, and the log-sine form answers within 1e-13 of 2pi and at a subnormal angle"""
         # once a usage error "math domain error": g at 0, read by a node or by the clamp loss; mpmath references
@@ -360,10 +359,6 @@ _FRESH_RUNS = [
     ("numeric --z pi --n 5 --p 6 --form ls", 0, 10, None),
     ("numeric --z 3.0 --n 5 --p 6", 0, 10, None),
     ("numeric --z 1.1 --n 3 --p 1", 0, 10, None),
-    ("bell --seq=1,1 --json", 0, 60, '{"exact": "2", "id": "bell:n=2", "status": "ok"}\n'),
-    ("binom-deriv --p 2 --k 1 --json", 0, 60,
-     '{"exact": "-2", "id": "binom-deriv:p=2:k=1:scaled=False", "numeric": -2.0, "status": "ok"}\n'),
-    ("bell --seq=1/2,-1/3,2", 0, 60, "13/8\n"),
     ("closed-form --z pi/2 --n 1500 --p 2", 1, 10, ""),
     ("closed-form --z pi --n 1000 --p 2", 1, 10, ""),
     ("ls --theta 2pi --n 1000 --p 2", 1, 10, ""),
@@ -371,6 +366,8 @@ _FRESH_RUNS = [
     ("binom-deriv --p 40 --k 0 --scaled", 0, 60, None),
     ("binom-deriv --p 40 --k 30 --scaled", 0, 60, None),
     ("ls --theta pi --n 600 --p 3", 0, 10, None),
+    ("closed-form --z pi/2 --n 2 --p 7", 0, 60, None),
+    ("ls --theta pi --n 2 --p 7", 0, 60, None),
     ("closed-form --z pi --n 2 --p 40", 0, 10, None),
     ("constant --name zeta2 --json", 0, 10, '{"id": "constant:zeta2", "numeric": 1.6449340668482264, "status": "ok"}\n'),
     ("constant --name zb1_999999999", 0, 10, "0\n"),
@@ -382,7 +379,6 @@ _FRESH_RUNS = [
 def test_a_fresh_run_exits_in_time_with_its_output(argv, code, seconds, want):
     """The delta lemma row checks exact values to 1e-12
     The quadrature oracle answers from the CLI; a filter matching no identity exits 2
-    Results print by one record rule, the JSON keys of each kind and its bare text
     A 1500-power closed form overflows binary64 in time, with one line and no traceback
     Thousand-power closed forms at the full angles overflow binary64 in time, with one line and no traceback
     Largest binom-deriv order and shift run in time, the next ones are refused
@@ -418,6 +414,7 @@ class TestBellCommand:
         assert "--seq=-1/2,3" in capsys.readouterr().out
 
     @pytest.mark.parametrize("seq", ["1/0", "1,2/0"])
+    @pytest.mark.within(60)
     def test_zero_denominator_is_a_one_line_usage_error(self, capsys, seq):
         """An exact result prints the same bytes at every --tol; bad arguments exit 2"""
         code = main(["bell", "--seq", seq])
@@ -426,6 +423,7 @@ class TestBellCommand:
         assert err.startswith("usage error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("seq", ["1,,2", "1,2,", ",1", "1, ,2"])
+    @pytest.mark.within(60)
     def test_empty_term_is_a_one_line_usage_error(self, capsys, seq):
         """An exact result prints the same bytes at every --tol; bad arguments exit 2"""
         code = main(["bell", "--seq", seq])
@@ -438,6 +436,7 @@ class TestBellCommand:
         assert (code, out) == (0, "1\n")  # B_0
 
     @pytest.mark.parametrize("length", [MAX_BELL_TERMS, MAX_BELL_TERMS + 1])
+    @pytest.mark.within(60)
     def test_longest_sequence_and_the_next_one(self, capsys, length):
         """Largest binom-deriv order and shift run in time, the next ones are refused"""
         seq = ",".join(("1/2", "-1/3", "2")[i % 3] for i in range(length))
@@ -450,6 +449,7 @@ class TestBellCommand:
             assert err == f"usage error: bell takes --seq up to {MAX_BELL_TERMS} terms, got {length}\n"
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    @pytest.mark.within(60)
     def test_a_value_past_the_int_digit_limit_prints_whole(self, capsys, fmt):
         """A 200-term bell value past the 4300-digit int-to-str limit is not a usage error or a traceback"""
         # B_200(x, ..., x) with x = 10^40 - 1 has 8,001 digits, past the interpreter's
@@ -490,15 +490,13 @@ class TestBellCommand:
         ("1e4300", 1, 4301), ("1,1e-4300", 2, 4301), ("7.5e4300", 1, 4301),
         ("1e100000", 1, 100001), ("3/4,1e1000000", 2, 1000001),
     ])
+    @pytest.mark.within(1)
     def test_a_decimal_exponent_counts_into_the_digits_it_scales(self, capsys, seq, position, digits):
         """A bell term whose decimal exponent passes the digit limit exits 2 at once, with no traceback"""
         # 1e100000 once printed all 100,001 digits and 1e1000000 took 18.7 s; a term is now
         # sized before Fraction reads it, so every call here returns within the budget
-        start = time.perf_counter()
         code = main(["bell", f"--seq={seq}"])
-        elapsed = time.perf_counter() - start
         out, err = capsys.readouterr()
-        assert elapsed < 1.0, elapsed
         if digits <= MAX_BELL_TERM_DIGITS:
             assert code == 0 and err == "" and out.strip()
             return
@@ -536,6 +534,7 @@ class TestBinomDerivCommand:
         assert out.startswith("exact:   ") and "numeric: " in out
 
     @pytest.mark.parametrize("p", [MAX_BINOM_DERIV_P + 1, 60])
+    @pytest.mark.within(60)
     def test_larger_order_is_a_one_line_usage_error(self, capsys, p):
         """Largest binom-deriv order and shift run in time, the next ones are refused"""
         code = main(["binom-deriv", "--p", str(p), "--k", "2"])
@@ -555,17 +554,15 @@ class TestBinomDerivCommand:
         assert f"--p` up to {MAX_BINOM_DERIV_P}" in readme
         assert f"--k` up to {MAX_BINOM_DERIV_K}" in readme
 
+    @pytest.mark.within(1)
     def test_larger_shift_is_refused_before_any_work(self, capsys):
         """Largest binom-deriv order and shift run in time, the next ones are refused"""
         # at the largest order a shift past the limit would take seconds to build
         k = MAX_BINOM_DERIV_K + 1
-        start = time.perf_counter()
         code = main(["binom-deriv", "--p", str(MAX_BINOM_DERIV_P), "--k", str(k), "--scaled"])
-        elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err == f"usage error: binom-deriv takes --k up to {MAX_BINOM_DERIV_K}, got {k}\n"
-        assert elapsed < 1.0
 
 
 class TestConstantCommand:
@@ -589,6 +586,7 @@ class TestConstantCommand:
         ("zb1_0", "zb1_<n> takes odd n >= 3"),
         ("zeta" + "9" * 5000, "an index has at most 4300 digits"),  # past int()'s digit limit
     ])
+    @pytest.mark.within(10)
     def test_an_index_out_of_range_is_named(self, capsys, name, rule):
         """An out-of-range constant index exits 2 with a line that names the --name given"""
         code = main(["constant", "--name", name])
@@ -609,6 +607,7 @@ class TestConstantCommand:
     # past the cuts, zeta(n) rounds to 1 and zb1(n) to its first term 2^-n, with no series
     @pytest.mark.parametrize("name,value", [("zeta1025", "1"), ("zb1_645", "6.84940421565126e-195"),
                                             ("zb1_" + "9" * 309, "0")])
+    @pytest.mark.within(10)
     def test_terms_past_binary64_count_as_zero(self, capsys, name, value):
         """A log power past 40 and a flag a subcommand does not read exit 2; large basis constants exit 0
         Constants past the cuts sum no series and return at once"""
@@ -622,10 +621,11 @@ class TestDigitLimitInForce:
     @pytest.mark.parametrize("argv,named", [
         (["constant", "--name", "zeta" + "9" * 1000], "no constant 'zeta" + "9" * 1000 + "'"),
         (["bell", "--seq=1," + "9" * 1000], "--seq term 2 has a number of 1000 digits"),
+        (["bell", "--seq=" + "9" * 1000], "--seq term 1 has a number of 1000 digits"),
     ])
     def test_a_lower_limit_names_the_term_or_constant(self, argv, named):
         """Under a 640-digit int-from-str limit, a longer constant index or bell term exits 2 naming it"""
-        proc = run_fresh(argv, 2, env={"PYTHONINTMAXSTRDIGITS": "640"})
+        proc = run_fresh(argv, 2, env={"PYTHONINTMAXSTRDIGITS": "640"}, timeout=10)
         assert proc.stdout == "" and named in proc.stderr, proc.stderr
         assert proc.stderr.endswith(" at most 640 digits\n" if argv[0] == "constant" else " at most 640\n")
 
@@ -673,12 +673,13 @@ _SUBCOMMANDS = [
 @pytest.mark.parametrize("argv,flag", [
     (argv, flag) for argv, unread in _SUBCOMMANDS for flag in unread
 ])
+@pytest.mark.within(60)
 def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(capsys, argv, flag):
     """A log power past 40 and a flag a subcommand does not read exit 2; large basis constants exit 0"""
     with pytest.raises(SystemExit) as exc:
-        main([*argv, flag, "10"])
+        main([*argv, flag, "1e-3"])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} 10" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 1e-3" in capsys.readouterr().err
 
 
 class TestDeterminism:
@@ -743,6 +744,7 @@ class TestVerifyCommand:
         assert "[FAIL] injected:sign-flip" in out
 
     @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    @pytest.mark.within(60)
     def test_a_filter_matching_no_identity_is_a_usage_error(self, capsys, fmt):
         """The quadrature oracle answers from the CLI; a filter matching no identity exits 2"""
         # 0/0 rows must not pass: a mistyped filter in CI would pass silently
@@ -828,29 +830,36 @@ def _bare_exact(obj, digits):
     return f"{obj['exact']}\n"
 
 
+# each request, its JSON keys, its text from its JSON, and where pinned its whole JSON line
 _RECORDS = [
-    (("closed-form", "--z", "pi", "--n", "1", "--p", "2"), _EXACT_KEYS, _labelled_pair),
-    (("ls", "--theta", "2pi", "--n", "1", "--p", "2"), _EXACT_KEYS, _labelled_pair),
-    (("closed-form", "--z", "pi", "--n", "2", "--p", "3"), _FALLBACK_KEYS, _fallback_lines),
-    (("ls", "--theta", "pi", "--n", "2", "--p", "3"), _FALLBACK_KEYS, _fallback_lines),
-    (("numeric", "--z", "1.1", "--n", "3", "--p", "1"), _VALUE_KEYS, _bare_value),
-    (("constant", "--name", "zeta3"), _VALUE_KEYS, _bare_value),
-    (("binom-deriv", "--p", "2", "--k", "1"), _EXACT_KEYS, _labelled_pair),
-    (("binom-deriv", "--p", "0", "--k", "1"), _EXACT_KEYS, _labelled_pair),  # the value 0
-    (("bell", "--seq=1/2,-1/3,2"), {"exact", "id", "status"}, _bare_exact),
+    (("closed-form", "--z", "pi", "--n", "1", "--p", "2"), _EXACT_KEYS, _labelled_pair, None),
+    (("ls", "--theta", "2pi", "--n", "1", "--p", "2"), _EXACT_KEYS, _labelled_pair,
+     '{"exact": "-1/6*pi^4", "id": "ls:theta=2pi:p=2:n=1", "numeric": -16.234848505667067, "status": "ok"}'),
+    (("closed-form", "--z", "pi", "--n", "2", "--p", "3"), _FALLBACK_KEYS, _fallback_lines, None),
+    (("ls", "--theta", "pi", "--n", "2", "--p", "3"), _FALLBACK_KEYS, _fallback_lines, None),
+    (("numeric", "--z", "1.1", "--n", "3", "--p", "1"), _VALUE_KEYS, _bare_value, None),
+    (("constant", "--name", "zeta3"), _VALUE_KEYS, _bare_value, None),
+    (("binom-deriv", "--p", "2", "--k", "1"), _EXACT_KEYS, _labelled_pair,
+     '{"exact": "-2", "id": "binom-deriv:p=2:k=1:scaled=False", "numeric": -2.0, "status": "ok"}'),
+    (("binom-deriv", "--p", "0", "--k", "1"), _EXACT_KEYS, _labelled_pair, None),  # the value 0
+    (("bell", "--seq=1,1"), {"exact", "id", "status"}, _bare_exact, '{"exact": "2", "id": "bell:n=2", "status": "ok"}'),
+    (("bell", "--seq=1/2,-1/3,2"), {"exact", "id", "status"}, _bare_exact,
+     '{"exact": "13/8", "id": "bell:n=3", "status": "ok"}'),
 ]
 
 
 class TestRecordFormat:
-    @pytest.mark.parametrize("argv,keys,text,digits", [
-        (argv, keys, text, digits) for argv, keys, text in _RECORDS
+    @pytest.mark.parametrize("argv,keys,text,pinned,digits", [
+        (argv, keys, text, pinned, digits) for argv, keys, text, pinned in _RECORDS
         for digits in ([], ["--digits", "6"]) if argv[0] != "bell" or not digits
     ])
-    def test_keys_and_text_shape(self, capsys, argv, keys, text, digits):
+    @pytest.mark.within(60)
+    def test_keys_and_text_shape(self, capsys, argv, keys, text, pinned, digits):
         """Results print by one record rule, the JSON keys of each kind and its bare text"""
         code, out = run_cli(capsys, *argv, *digits, "--json")
         obj = json.loads(out)
         assert code == 0 and out.count("\n") == 1
+        assert pinned is None or digits or out == pinned + "\n"
         assert set(obj) == keys
         assert obj["id"].startswith(f"{argv[0]}:") and obj["status"] == "ok"
         code, out = run_cli(capsys, *argv, *digits)

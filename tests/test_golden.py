@@ -66,6 +66,7 @@ def _cli_outputs():
                         yield f"{code} {out.getvalue()}"
 
 
+@pytest.mark.within(60)
 def test_closed_form_and_ls_output_match_the_golden_digest():
     """Catalog k-sums print the pinned forms (scaled log 4, half-angle row) and a p = 3 miss
     Results print by one record rule, the JSON keys of each kind and its bare text"""
