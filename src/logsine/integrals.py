@@ -9,6 +9,7 @@ Covered objects, all over (0, z):
   Euler-sum catalog (p <= 2 always; any p when no k-sum appears), otherwise
   a numeric fallback with a bound: by y = 2x the integral is a sum of the
   log-sine moments of y^j log^p sin(y/2) over (0, pi), folded once about pi.
+  The moments read their log integrals J_a(m) from one table per log factor.
 * ``log_sine_integral``:  the normalized -integral of x^n log^p|2 sin(x/2)|
   at theta in {pi, 2pi}, same exactness domain.
 * ``log_sine_any_angle``:  the n = 0 case at arbitrary 0 < z <= 2pi by the
@@ -258,6 +259,7 @@ _TWO_PI_LOW = 2.4492935982947064e-16  # 2pi - fl(2pi)
 _TAIL_H = math.log(math.pi * 0.9**0.5 / math.sin(math.pi * 0.9**0.5))  # -h at t = 0.9
 _h_powers: dict[int, tuple[float, ...]] = {}  # j -> [t^k] h^j for k below its length
 _log_sine_tables: dict[int, tuple[tuple[float, ...], ...]] = {}  # p -> rows 0.. of its series
+_j_tables: dict[float, tuple[tuple[float, ...], ...]] = {}  # log z -> (J_a(m))_a at m = 1, 2, ..
 
 
 def _log_sine_rows(p: int, terms: int) -> tuple[tuple[float, ...], ...]:
@@ -283,6 +285,32 @@ def _log_sine_rows(p: int, terms: int) -> tuple[tuple[float, ...], ...]:
 _log_sine_rows.cache_clear = _log_sine_tables.clear
 
 
+def _j_table(log_z: float, p: int, size: int) -> tuple[tuple[float, ...], ...]:
+    """At least ``size`` entries; entry m - 1 holds J_0, ..., J_q(m) for q >= p, the J_a of
+    :func:`_log_sine_parts` at log_z by the same float operations.  A moment reads them
+    once per m, where they depend on neither p, i nor the row; the moments' log factors are
+    +-log pi and +-log(pi/2), the only keys.  A longer table is a new tuple, and a wider one
+    is built whole again, so no reader sees one half-built; racing threads store the shorter."""
+    table = _j_tables.get(log_z, ())
+    if table and len(table[0]) <= p:
+        size, table = max(size, len(table)), ()
+    if len(table) < size:
+        steps = [(float(a), log_z**a) for a in range(1, len(table[0]) if table else p + 1)]
+        entries = []
+        for m in map(float, range(len(table) + 1, size + 1)):
+            j = 1.0 / m
+            js = [j]
+            for a, log_pow in steps:
+                j = (log_pow - a * j) / m
+                js.append(j)
+            entries.append(tuple(js))
+        table = _j_tables[log_z] = table + tuple(entries)
+    return table
+
+
+_j_table.cache_clear = _j_tables.clear
+
+
 def _log_sine_parts(
     p: int, z: float, log_zs: tuple[float, ...], i: int, start: int, stop: int
 ) -> list[list[float]]:
@@ -294,10 +322,13 @@ def _log_sine_parts(
     and -|log_z| makes every part of one sign, so that their sum is (-1)^p times the sum
     of their magnitudes.  The factor is sum_a C(p, a) log^a(y/c) h^{p-a}, and
     y^m log^a(y/c) integrates to z^{m+1} J_a, J_0 = 1/(m+1) and
-    J_a = (log_z^a - a J_{a-1}) / (m+1).  A run from row K gives the same floats as
-    rows K.. of a run from 0, so a longer series extends a shorter one.  The rows are
-    read from the table of p, at least _H_TERMS long, so that a short run keeps no
-    table of its own.  A power of log_z past binary64 raises OverflowError."""
+    J_a = (log_z^a - a J_{a-1}) / (m+1), with m + 1 and a held as floats, so that every
+    step is float by float; the ints convert exactly, so the values are the same.  The
+    any-angle series' log z is new on every call, so its J_a run here, in the row loop;
+    the moments read the same floats from :func:`_j_table`.  A run from row K gives the
+    same floats as rows K.. of a run from 0, so a longer series extends a shorter one.
+    The rows are read from the table of p, at least _H_TERMS long, so that a short run
+    keeps no table of its own.  A power of log_z past binary64 raises OverflowError."""
     t = (z / (2 * math.pi)) ** 2
     t_start = 1.0
     for _ in range(start):
@@ -305,17 +336,17 @@ def _log_sine_parts(
     rows = _log_sine_rows(p, max(stop, _H_TERMS))[start:stop]
     out = []
     for log_z in log_zs:
-        log_pows = [log_z**a for a in range(p + 1)]
-        parts, t_k, m1 = [], t_start, i + 2 * start + 1  # m1 = 2k + i + 1 at row k
+        steps = [(a, float(a), log_z**a) for a in range(1, p + 1)]
+        parts, t_k, m = [], t_start, float(i + 2 * start + 1)  # m = 2k + i + 1 at row k
         for row in rows:
-            j = 1.0 / m1
+            j = 1.0 / m
             acc = row[0] * j
-            for a in range(1, p + 1):
-                j = (log_pows[a] - a * j) / m1
+            for a, float_a, log_pow in steps:
+                j = (log_pow - float_a * j) / m
                 acc += row[a] * j
             parts.append(t_k * acc)
             t_k *= t
-            m1 += 2
+            m += 2.0
         out.append(parts)
     return out
 
@@ -381,25 +412,37 @@ def _log_sine_moment(p: int, i: int, scaled: bool) -> tuple[float, float]:
     the K terms leave out at most pi^{i+1} 3.6^-K sum_b C(p, b) A^{p-b} b! /
     (i + 2K + 1)^{b+1}, A = log_z - h(0.9); K doubles until that is below an ulp
     of the parts' magnitude, the series at -log_z (rows and J_a of one sign), and the
-    value is the series at log_z over those K terms; both come from one row loop, and a
-    doubling extends them from row K.  At fl(pi), t = 1/4 is exact,
+    value is the series at log_z over those K terms.  Row k of either is t^k times the
+    row dotted with J_0..J_p(2k + i + 1) of the log factor's :func:`_j_table`, the floats
+    of :func:`_log_sine_parts`, and a doubling extends both from row K.  pi^{i+1} is
+    formed first, so a moment past binary64 raises OverflowError before any table work.
+    At fl(pi), t = 1/4 is exact,
     and a moment rounds by at most 12p + i + 12 units of 2^-53 of that magnitude:
     the rows 11(p - a) + 1 (zeta_numeric is correctly rounded), J_a 3a + 4, their
     products and sum p + 1, the rest i + 4."""
+    scale = math.pi ** (i + 1)
     log_z = math.log(math.pi / 2 if scaled else math.pi)
     terms, a = _H_TERMS, log_z + _TAIL_H
-    sizes, values = [], []
+    sizes, values, t_k = [], [], 1.0
     while True:
-        more_sizes, more_values = _log_sine_parts(p, math.pi, (-log_z, log_z), i, len(sizes), terms)
-        sizes += more_sizes
-        values += more_values
-        size = abs(math.pi ** (i + 1) * math.fsum(sizes))
+        start = len(sizes)
+        rows = _log_sine_rows(p, terms)[start:terms]
+        size_js, value_js = (_j_table(c, p, i + 2 * terms - 1)[i + 2 * start::2] for c in (-log_z, log_z))
+        for row, size_j, value_j in zip(rows, size_js, value_js):
+            size_dot, value_dot = row[0] * size_j[0], row[0] * value_j[0]
+            for q in range(1, p + 1):
+                size_dot += row[q] * size_j[q]
+                value_dot += row[q] * value_j[q]
+            sizes.append(t_k * size_dot)
+            values.append(t_k * value_dot)
+            t_k *= 0.25
+        size = abs(scale * math.fsum(sizes))
         m1 = i + 2 * terms + 1
-        tail = math.pi ** (i + 1) / 3.6**terms * math.fsum(
+        tail = scale / 3.6**terms * math.fsum(
             math.comb(p, b) * a ** (p - b) * (math.factorial(b) / m1 ** (b + 1))  # b! may pass a float
             for b in range(p + 1))
         if tail <= 2**-53 * size:
-            return math.pi ** (i + 1) * math.fsum(values), tail + (12 * p + i + 12) * 2**-53 * size
+            return scale * math.fsum(values), tail + (12 * p + i + 12) * 2**-53 * size
         terms *= 2
 
 
@@ -448,16 +491,17 @@ def _moment_sum(n: int, p: int, row: str, form: Form) -> tuple[float, float]:
     # scaled rows, M_j the moment of y^j L^p over (0, pi), L as in _log_sine_moment; L is even
     # about pi, so the full angle (row pi) adds (pi, 2pi) folded onto (0, pi) as (2pi - y)^n.  A
     # part rounds by 0.36 (n - j) + 5 units of 2^-53 (0.36 a power of fl(2pi), 2 pow's ulp, 1 each
-    # C(n, j), 2 products), the plain sum n more
+    # C(n, j), 2 products), the plain sum n more: it runs left to right, where the builtin sum
+    # compensates since Python 3.12
     value, bound = _log_sine_moment(p, n, form.scaled)
     if row == "pi":
-        parts, bound = [], 0.0
+        value, bound = 0.0, 0.0
         for j in range(n + 1):
             moment, b = _log_sine_moment(p, j, form.scaled)
             c = (-1) ** j * math.comb(n, j) * (2 * math.pi) ** (n - j) + (j == n)
-            parts.append(c * moment)
-            bound += abs(c) * b + (0.36 * (n - j) + n + 5) * 2**-53 * abs(parts[-1])
-        value = sum(parts)
+            part = c * moment
+            value += part
+            bound += abs(c) * b + (0.36 * (n - j) + n + 5) * 2**-53 * abs(part)
     scale = form.sign * (2.0 ** (-n - 1) if form.scaled else 1.0)
     return scale * value, abs(scale) * bound
 

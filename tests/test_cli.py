@@ -149,19 +149,44 @@ class TestPowerLimit:
         assert code == 2 and captured.out == ""
         assert captured.err == f"usage error: {argv[0]} takes --n up to {MAX_N}, got {n}\n"
 
-    # a float ** that overflows raises with the errno pair (34, 'Numerical result out of range')
+    # a float ** that overflows raises with the errno pair (34, 'Numerical result out of range');
+    # a fallback's moment forms its pi^{n+1} first, so it fails before it builds a J table
     @pytest.mark.parametrize("argv", [
         ["closed-form", "--z", "pi/2", "--n", str(MAX_N), "--p", "1"],
+        ["closed-form", "--z", "pi/2", "--n", str(MAX_N), "--p", "40"],
         ["numeric", "--z", "pi", "--n", str(MAX_N), "--p", "40"],
         ["ls", "--theta", "pi", "--n", "700", "--p", "3"],
     ])
     @pytest.mark.within(60)
     def test_an_overflow_inside_the_limit_prints_its_reason_not_an_errno_pair(self, capsys, argv):
         """Results print by one record rule, the JSON keys of each kind and its bare text"""
+        integrals._j_table.cache_clear()
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == "error: the result overflows binary64 floats: Numerical result out of range\n"
+        assert integrals._j_tables == {}
+
+    # in a fresh interpreter, whose ru_maxrss (KiB on Linux) the first run has set: --n 619 is
+    # the largest fallback whose pi^{n+1} fits binary64, and --n 1600 fails before its J tables
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+    @pytest.mark.parametrize("n,code", [(619, 0), (MAX_N, 1)])
+    def test_a_fallback_at_p_40_grows_ru_maxrss_by_under_4_mb(self, n, code):
+        program = f"""
+import contextlib, io, resource
+from logsine.cli import main
+
+def run(n):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return main(["closed-form", "--z", "pi/2", "--n", str(n), "--p", "40"])
+
+run(1)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+code = run({n})
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+        exited, grown = map(int, run_fresh(program).stdout.split())
+        assert exited == code and grown < 4096, f"ru_maxrss grew {grown} KiB"
 
     def test_limit_is_documented(self, capsys):
         for command in ("closed-form", "ls"):

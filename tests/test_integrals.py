@@ -693,6 +693,7 @@ def reference_moment(p, i, scaled):
 def _clear_log_sine_caches():
     integrals._h_powers.clear()
     integrals._log_sine_rows.cache_clear()
+    integrals._j_table.cache_clear()
     integrals._log_sine_moment.cache_clear()
 
 
@@ -761,7 +762,7 @@ def test_threads_building_moments_get_the_bits_of_one_thread():
     keys = [(p, i, scaled) for p in range(1, 9) for i in range(8) for scaled in (False, True)]
     _clear_log_sine_caches()
     want = {key: _hex(integrals._log_sine_moment(*key)) for key in keys}
-    table = dict(integrals._h_powers)
+    table, js = dict(integrals._h_powers), dict(integrals._j_tables)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads inside the table's check-then-store
     try:
@@ -786,8 +787,23 @@ def test_threads_building_moments_get_the_bits_of_one_thread():
             assert sorted(integrals._h_powers) == sorted(table)
             for j, power in integrals._h_powers.items():
                 assert len(power) in (32, 64) and power == table[j][: len(power)], (round_, j)
+            # and each J table a prefix of the one-thread table, every entry a prefix of its entry
+            assert sorted(integrals._j_tables) == sorted(js)
+            for log_z, entries in integrals._j_tables.items():
+                assert len(entries) <= len(js[log_z]), (round_, log_z)
+                assert all(entry == js[log_z][m][: len(entry)] for m, entry in enumerate(entries)), (round_, log_z)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_any_angle_calls_keep_the_j_tables_of_the_moments_alone():
+    # the series' log z is new on every call, so it runs its own J_a; only moment 0, read
+    # for the Bell coefficient and the reflection, keys a J table
+    _clear_log_sine_caches()
+    rng = random.Random(1000)
+    for _ in range(1000):
+        log_sine_any_angle(rng.randint(1, 14), rng.uniform(1e-3, 2 * math.pi))
+    assert sorted(integrals._j_tables) == sorted({-math.log(math.pi), math.log(math.pi)})
 
 
 def _grid_any_angle_calls():
