@@ -9,7 +9,8 @@ Covered objects, all over (0, z):
   Euler-sum catalog (p <= 2 always; any p when no k-sum appears), otherwise
   a numeric fallback with a bound: by y = 2x the integral is a sum of the
   log-sine moments of y^j log^p sin(y/2) over (0, pi), folded once about pi.
-  The moments read their log integrals J_a(m) from one table per log factor.
+  The moments read their log integrals J_a(m) from one table per log factor
+  and parity of m.
 * ``log_sine_integral``:  the normalized -integral of x^n log^p|2 sin(x/2)|
   at theta in {pi, 2pi}, same exactness domain.
 * ``log_sine_any_angle``:  the n = 0 case at arbitrary 0 < z <= 2pi by the
@@ -22,6 +23,7 @@ Covered objects, all over (0, z):
   in the store of a tabled level, x^n or the folded x^n + (L - x)^n and the
   signed log power, so that a repeated interval computes no power and no
   logarithm; ``sine_power_moment_quadrature`` reads x^n and sin^{2m} x so.
+  Each column's key and builder are cached per argument.
 
 The symbolic pipeline never guesses: a value is returned as exact only when
 every infinite k-sum lands in the whitelisted catalog, otherwise the result
@@ -259,7 +261,8 @@ _TWO_PI_LOW = 2.4492935982947064e-16  # 2pi - fl(2pi)
 _TAIL_H = math.log(math.pi * 0.9**0.5 / math.sin(math.pi * 0.9**0.5))  # -h at t = 0.9
 _h_powers: dict[int, tuple[float, ...]] = {}  # j -> [t^k] h^j for k below its length
 _log_sine_tables: dict[int, tuple[tuple[float, ...], ...]] = {}  # p -> rows 0.. of its series
-_j_tables: dict[float, tuple[tuple[float, ...], ...]] = {}  # log z -> (J_a(m))_a at m = 1, 2, ..
+# (log z, first) -> (J_a(m))_a at m = first, first + 2, ..
+_j_tables: dict[tuple[float, int], tuple[tuple[float, ...], ...]] = {}
 
 
 def _log_sine_rows(p: int, terms: int) -> tuple[tuple[float, ...], ...]:
@@ -285,26 +288,27 @@ def _log_sine_rows(p: int, terms: int) -> tuple[tuple[float, ...], ...]:
 _log_sine_rows.cache_clear = _log_sine_tables.clear
 
 
-def _j_table(log_z: float, p: int, size: int) -> tuple[tuple[float, ...], ...]:
-    """At least ``size`` entries; entry m - 1 holds J_0, ..., J_q(m) for q >= p, the J_a of
-    :func:`_log_sine_parts` at log_z by the same float operations.  A moment reads them
-    once per m, where they depend on neither p, i nor the row; the moments' log factors are
-    +-log pi and +-log(pi/2), the only keys.  A longer table is a new tuple, and a wider one
-    is built whole again, so no reader sees one half-built; racing threads store the shorter."""
-    table = _j_tables.get(log_z, ())
+def _j_table(log_z: float, first: int, p: int, size: int) -> tuple[tuple[float, ...], ...]:
+    """At least ``size`` entries; entry e holds J_0, ..., J_q(m) at m = first + 2e, for q >= p,
+    the J_a of :func:`_log_sine_parts` at log_z by the same float operations.  A moment reads
+    them once per m, where they depend on neither p, i nor the row, and only at m = i + 2k + 1,
+    one parity, so ``first`` (1 or 2) and the log factor (+-log pi, +-log(pi/2)) key a table.
+    A longer table is a new tuple, and a wider one is built whole again, so no reader sees one
+    half-built; racing threads store the shorter."""
+    table = _j_tables.get((log_z, first), ())
     if table and len(table[0]) <= p:
         size, table = max(size, len(table)), ()
     if len(table) < size:
         steps = [(float(a), log_z**a) for a in range(1, len(table[0]) if table else p + 1)]
         entries = []
-        for m in map(float, range(len(table) + 1, size + 1)):
+        for m in map(float, range(first + 2 * len(table), first + 2 * size, 2)):
             j = 1.0 / m
             js = [j]
             for a, log_pow in steps:
                 j = (log_pow - a * j) / m
                 js.append(j)
             entries.append(tuple(js))
-        table = _j_tables[log_z] = table + tuple(entries)
+        table = _j_tables[log_z, first] = table + tuple(entries)
     return table
 
 
@@ -413,13 +417,12 @@ def _log_sine_moment(p: int, i: int, scaled: bool) -> tuple[float, float]:
     (i + 2K + 1)^{b+1}, A = log_z - h(0.9); K doubles until that is below an ulp
     of the parts' magnitude, the series at -log_z (rows and J_a of one sign), and the
     value is the series at log_z over those K terms.  Row k of either is t^k times the
-    row dotted with J_0..J_p(2k + i + 1) of the log factor's :func:`_j_table`, the floats
-    of :func:`_log_sine_parts`, and a doubling extends both from row K.  pi^{i+1} is
-    formed first, so a moment past binary64 raises OverflowError before any table work.
-    At fl(pi), t = 1/4 is exact,
-    and a moment rounds by at most 12p + i + 12 units of 2^-53 of that magnitude:
-    the rows 11(p - a) + 1 (zeta_numeric is correctly rounded), J_a 3a + 4, their
-    products and sum p + 1, the rest i + 4."""
+    row dotted with J_0..J_p(m), m = 2k + i + 1, of the :func:`_j_table` of the log factor
+    and the parity of m, the floats of :func:`_log_sine_parts`, and a doubling extends both
+    from row K.  pi^{i+1} is formed first, so a moment past binary64 raises OverflowError
+    before any table work.  At fl(pi), t = 1/4 is exact, and a moment rounds by at most
+    12p + i + 12 units of 2^-53 of that magnitude: the rows 11(p - a) + 1 (zeta_numeric is
+    correctly rounded), J_a 3a + 4, their products and sum p + 1, the rest i + 4."""
     scale = math.pi ** (i + 1)
     log_z = math.log(math.pi / 2 if scaled else math.pi)
     terms, a = _H_TERMS, log_z + _TAIL_H
@@ -427,7 +430,8 @@ def _log_sine_moment(p: int, i: int, scaled: bool) -> tuple[float, float]:
     while True:
         start = len(sizes)
         rows = _log_sine_rows(p, terms)[start:terms]
-        size_js, value_js = (_j_table(c, p, i + 2 * terms - 1)[i + 2 * start::2] for c in (-log_z, log_z))
+        size_js, value_js = (_j_table(c, 1 + i % 2, p, i // 2 + terms)[i // 2 + start:]  # m = i + 2k + 1
+                             for c in (-log_z, log_z))
         for row, size_j, value_j in zip(rows, size_js, value_js):
             size_dot, value_dot = row[0] * size_j[0], row[0] * value_j[0]
             for q in range(1, p + 1):
@@ -580,14 +584,19 @@ def log_sine_any_angle(p: int, z: float) -> tuple[float, float]:
 
 
 # the columns of the oracle integrands: each is a key that names its values and a builder
-# of them at one side's abscissae, build(nodes, side), kept in a tabled level's store
+# of them at one side's abscissae, build(nodes, side), kept in a tabled level's store.  The
+# pair is cached per argument, so a request builds no builder afresh; the key alone names a
+# stored column, so a pair evicted and built again reads the same one
+_PAIRS = 256
 
 
+@lru_cache(maxsize=_PAIRS)
 def _x_power(n: int):
     """x^n."""
     return ("x", n), lambda nodes, side: map(pow, nodes.xs[side], repeat(n))
 
 
+@lru_cache(maxsize=_PAIRS)
 def _fold_power(n: int, top: float):
     """x^n + (top - x)^n."""
     xn = _x_power(n)
@@ -595,6 +604,7 @@ def _fold_power(n: int, top: float):
         add, nodes.column(*xn)[side], map(pow, map(sub, repeat(top), nodes.xs[side]), repeat(n)))
 
 
+@lru_cache(maxsize=_PAIRS)
 def _log_power(form: str, p: int):
     """sign * g^p, the sign and the log factor g of the form; a sign of +1 adds no pass."""
     _, _, g, sign, _ = FORMS[form]
@@ -603,6 +613,7 @@ def _log_power(form: str, p: int):
     return (form, p), power if sign > 0 else lambda nodes, side: map(neg, power(nodes, side))
 
 
+@lru_cache(maxsize=_PAIRS)
 def _sin_power(k: int):
     """sin^k x."""
     return ("sin", k), lambda nodes, side: map(pow, map(math.sin, nodes.xs[side]), repeat(k))
@@ -637,13 +648,13 @@ def quadrature_value(spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG) ->
     interval computes no power and no logarithm at levels 0-7."""
     n, p, z = spec.n, spec.p, angle_value(spec.z)
     top, _, g, sign, _ = FORMS[spec.form]
-    # the integrand sign * x^n g(x)^p and the folded one, by the scalar expressions read at
-    # the center and the clamped ends; a sign flip is exact wherever it is applied
+    # the integrand sign * x^n g(x)^p, and past L/2 the folded one, by the scalar expressions
+    # read at the center and the clamped ends; a sign flip is exact wherever it is applied
     plain = lambda x: sign * x**n * g(x) ** p
-    folded = lambda x: sign * (x**n + (top - x) ** n) * g(x) ** p
     log_power = _log_power(spec.form, p)
     if z <= top / 2:
         return _product_quadrature(plain, _x_power(n), log_power, 0.0, z, cfg)
+    folded = lambda x: sign * (x**n + (top - x) ** n) * g(x) ** p
     mirror, half = max(top - z, 0.0), NumericConfig(cfg.target_abs_tol / 2)
     return (_product_quadrature(plain, _x_power(n), log_power, 0.0, mirror, half)
             + _product_quadrature(folded, _fold_power(n, top), log_power, mirror, top / 2, half))

@@ -13,7 +13,10 @@ columns of values at its abscissae, such as the powers the oracle multiplies,
 each under a key that names its values.  One level loop serves every
 integrand; it takes the integrand as a pair of columns, one per side, sums
 each level as w * (y_hi + y_lo) in one map, and reads each clamped endpoint
-once per call.  The tables and their stores pay off only where an interval
+once per call.  The absolute mass behind its convergence floor is summed
+only where the floor is read: at a level whose difference exceeds the
+tolerance, and after the clamp bound if that pushes the estimate past it.
+The tables and their stores pay off only where an interval
 repeats, as in the oracle grid; a new interval builds its tables once, at
 about the cost of one call.
 """
@@ -200,10 +203,8 @@ def _node_table(a: float, b: float, level: int) -> _Nodes:
     return _nodes(a, b, _ts_rows(level), {})
 
 
-def _level_nodes(a: float, b: float, level: int):
-    if level < _CACHED_LEVELS:
-        return (_node_table(a, b, level),)
-    rows = _ts_rows(level)  # streamed: each piece takes one row, then up to _PIECE - 1 more
+def _streamed_nodes(a: float, b: float, level: int):
+    rows = _ts_rows(level)  # each piece takes one row, then up to _PIECE - 1 more
     return (_nodes(a, b, chain((row,), islice(rows, _PIECE - 1))) for row in rows)
 
 
@@ -249,32 +250,41 @@ def _tanh_sinh(
             read[x] = f(x)
         return read[x]
 
-    h, level_sum, scale, prev = 1.0, 0.0, 0.0, math.nan
+    # the absolute mass: the magnitudes of each level, fsummed and added left to right, but only
+    # once the floor is read, where a difference above tol may still count as converged
+    levels, mass = [], 0.0
+
+    def floor() -> float:  # differences below a few ulps of the mass carry no information
+        nonlocal mass
+        for vals in levels:
+            mass += math.fsum(map(abs, vals))
+        levels.clear()
+        return 8.0 * 2.2e-16 * h * mass
+
+    h, level_sum, value = 1.0, 0.0, math.nan
     for level in range(_QUADRATURE_LEVELS + 1):
         h /= 2.0
         # the node t = 0, at the center, has cosh t = sech^2 t = 1
         vals = [wscale * f((a + b) / 2.0) if wscale else 0.0] if level == 0 else []
-        for nodes in _level_nodes(a, b, level):
-            ys = list(column(nodes))
-            for side, count in enumerate(nodes.clamped):
-                if count:  # the clamped nodes read one endpoint value
-                    ys[side] = chain(ys[side], repeat(f_end(ends[side]), count))
-            vals += map(mul, nodes.weights, map(add, *ys))  # w * (y_hi + y_lo)
+        for nodes in (_node_table(a, b, level),) if level < _CACHED_LEVELS else _streamed_nodes(a, b, level):
+            hi, lo = column(nodes)
+            hi_clamped, lo_clamped = nodes.clamped
+            if hi_clamped:  # the clamped nodes read one endpoint value
+                hi = chain(hi, repeat(f_end(ends[0]), hi_clamped))
+            if lo_clamped:
+                lo = chain(lo, repeat(f_end(ends[1]), lo_clamped))
+            vals += map(mul, nodes.weights, map(add, hi, lo))  # w * (y_hi + y_lo)
         level_sum += math.fsum(vals)
-        scale += math.fsum(map(abs, vals))
-        value = h * level_sum
+        levels.append(vals)
+        prev, value = value, h * level_sum
         err = abs(value - prev)
-        prev = value
-        # differences below a few ulps of the absolute mass carry no
-        # information, so treat them as converged
-        floor = 8.0 * 2.2e-16 * h * scale
-        if level >= 2 and err <= max(tol, floor):
+        if level >= 2 and (err <= tol or err <= floor()):
             break
     if not math.isfinite(value):
         raise QuadratureError("integrand produced non-finite values", value, math.inf)
     # the nodes run far inside the last ulp of a nonzero limit, so they clamp there
     err += sum(_clamp_loss(f_end, end, to) for end, to in ((a, b), (b, a)) if end != 0.0)
-    if not err <= max(tol, floor):  # a NaN bound fails too
+    if not (err <= tol or err <= floor()):  # a NaN bound fails too
         raise QuadratureError(
             f"quadrature error estimate {err:.3e} above target {tol:.3e}",
             estimate=value,

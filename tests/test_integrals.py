@@ -787,23 +787,40 @@ def test_threads_building_moments_get_the_bits_of_one_thread():
             assert sorted(integrals._h_powers) == sorted(table)
             for j, power in integrals._h_powers.items():
                 assert len(power) in (32, 64) and power == table[j][: len(power)], (round_, j)
-            # and each J table a prefix of the one-thread table, every entry a prefix of its entry
+            # and each J table, one per log factor and parity of m, a prefix of the one-thread
+            # table, every entry a prefix of its entry
             assert sorted(integrals._j_tables) == sorted(js)
-            for log_z, entries in integrals._j_tables.items():
-                assert len(entries) <= len(js[log_z]), (round_, log_z)
-                assert all(entry == js[log_z][m][: len(entry)] for m, entry in enumerate(entries)), (round_, log_z)
+            for key, entries in integrals._j_tables.items():
+                assert len(entries) <= len(js[key]), (round_, key)
+                assert all(entry == js[key][e][: len(entry)] for e, entry in enumerate(entries)), (round_, key)
     finally:
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("i,first", [(4, 1), (5, 2)])
+def test_a_moment_builds_the_j_tables_of_its_parity_of_m_alone(i, first):
+    # moment i reads m = i + 2k + 1 for k below its row count, one parity, from m = first
+    _clear_log_sine_caches()
+    integrals._log_sine_moment(3, i, True)
+    log_z = math.log(math.pi / 2)
+    assert sorted(integrals._j_tables) == sorted({(-log_z, first), (log_z, first)})
+    for (c, _), entries in integrals._j_tables.items():
+        m = float(first + 2 * (len(entries) - 1))  # the last entry, by the recursion of J_a
+        js = [1.0 / m]
+        for a in range(1, 4):
+            js.append((c**a - a * js[-1]) / m)
+        assert entries[-1] == tuple(js)
+        assert len(entries) == i // 2 + integrals._H_TERMS
+
+
 def test_any_angle_calls_keep_the_j_tables_of_the_moments_alone():
     # the series' log z is new on every call, so it runs its own J_a; only moment 0, read
-    # for the Bell coefficient and the reflection, keys a J table
+    # for the Bell coefficient and the reflection, keys a J table, of odd m = 2k + 1 alone
     _clear_log_sine_caches()
     rng = random.Random(1000)
     for _ in range(1000):
         log_sine_any_angle(rng.randint(1, 14), rng.uniform(1e-3, 2 * math.pi))
-    assert sorted(integrals._j_tables) == sorted({-math.log(math.pi), math.log(math.pi)})
+    assert sorted(integrals._j_tables) == sorted({(-math.log(math.pi), 1), (math.log(math.pi), 1)})
 
 
 def _grid_any_angle_calls():
