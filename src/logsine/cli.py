@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import binomderiv, integrals, verify
 from .bell import complete_bell
-from .numerics import NumericConfig, QuadratureError, zeta_numeric
+from .numerics import DEFAULT_CONFIG, NumericConfig, QuadratureError, zeta_numeric
 from .specialfn import zeta_bar1_numeric
 from .symbolic import SymbolicValue, eval_numeric
 
@@ -40,7 +40,7 @@ _TOL_UNREAD = "absolute tolerance, validated only: no output reads it yet"
 def _flags(sub: argparse.ArgumentParser, tol: str | None = None, digits: bool = True):
     sub.add_argument("--json", action="store_true", help="machine-readable output")
     if tol:
-        sub.add_argument("--tol", type=float, default=1e-10, help=tol)
+        sub.add_argument("--tol", type=float, default=DEFAULT_CONFIG.target_abs_tol, help=tol)
     if digits:
         sub.add_argument("--digits", type=int, default=15, choices=range(1, 16), metavar="D",
                          help="significant digits printed, 1 to 15")

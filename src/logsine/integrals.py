@@ -9,8 +9,7 @@ Covered objects, all over (0, z):
   Euler-sum catalog (p <= 2 always; any p when no k-sum appears), otherwise
   a numeric fallback with a bound: by y = 2x the integral is a sum of the
   log-sine moments of y^j log^p sin(y/2) over (0, pi), folded once about pi.
-  The moments read their log integrals J_a(m) from one table per log factor
-  and parity of m.
+  The moments read their log integrals J_a(m) from one table per log factor.
 * ``log_sine_integral``:  the normalized -integral of x^n log^p|2 sin(x/2)|
   at theta in {pi, 2pi}, same exactness domain.
 * ``log_sine_any_angle``:  the n = 0 case at arbitrary 0 < z <= 2pi by the
@@ -261,8 +260,7 @@ _TWO_PI_LOW = 2.4492935982947064e-16  # 2pi - fl(2pi)
 _TAIL_H = math.log(math.pi * 0.9**0.5 / math.sin(math.pi * 0.9**0.5))  # -h at t = 0.9
 _h_powers: dict[int, tuple[float, ...]] = {}  # j -> [t^k] h^j for k below its length
 _log_sine_tables: dict[int, tuple[tuple[float, ...], ...]] = {}  # p -> rows 0.. of its series
-# (log z, first) -> (J_a(m))_a at m = first, first + 2, ..
-_j_tables: dict[tuple[float, int], tuple[tuple[float, ...], ...]] = {}
+_j_tables: dict[float, tuple[tuple[float, ...], ...]] = {}  # log z -> (J_a(m))_a at m = 1, 2, ..
 
 
 def _log_sine_rows(p: int, terms: int) -> tuple[tuple[float, ...], ...]:
@@ -288,71 +286,60 @@ def _log_sine_rows(p: int, terms: int) -> tuple[tuple[float, ...], ...]:
 _log_sine_rows.cache_clear = _log_sine_tables.clear
 
 
-def _j_table(log_z: float, first: int, p: int, size: int) -> tuple[tuple[float, ...], ...]:
-    """At least ``size`` entries; entry e holds J_0, ..., J_q(m) at m = first + 2e, for q >= p,
-    the J_a of :func:`_log_sine_parts` at log_z by the same float operations.  A moment reads
-    them once per m, where they depend on neither p, i nor the row, and only at m = i + 2k + 1,
-    one parity, so ``first`` (1 or 2) and the log factor (+-log pi, +-log(pi/2)) key a table.
-    A longer table is a new tuple, and a wider one is built whole again, so no reader sees one
-    half-built; racing threads store the shorter."""
-    table = _j_tables.get((log_z, first), ())
+def _j_table(log_z: float, p: int, size: int) -> tuple[tuple[float, ...], ...]:
+    """At least ``size`` entries; entry m - 1 holds J_0, ..., J_q(m) for q >= p, the J_a of
+    :func:`_log_sine_parts` by the same float operations, here at log_z.  A moment reads
+    them once per m, where they depend on neither p, i nor the row; the moments' log factors
+    are +-log pi and +-log(pi/2), the only keys.  A longer table is a new tuple, and a wider
+    one is built whole again, so no reader sees one half-built; racing threads store the shorter."""
+    table = _j_tables.get(log_z, ())
     if table and len(table[0]) <= p:
         size, table = max(size, len(table)), ()
     if len(table) < size:
         steps = [(float(a), log_z**a) for a in range(1, len(table[0]) if table else p + 1)]
         entries = []
-        for m in map(float, range(first + 2 * len(table), first + 2 * size, 2)):
+        for m in map(float, range(len(table) + 1, size + 1)):
             j = 1.0 / m
             js = [j]
             for a, log_pow in steps:
                 j = (log_pow - a * j) / m
                 js.append(j)
             entries.append(tuple(js))
-        table = _j_tables[log_z, first] = table + tuple(entries)
+        table = _j_tables[log_z] = table + tuple(entries)
     return table
 
 
 _j_table.cache_clear = _j_tables.clear
 
 
-def _log_sine_parts(
-    p: int, z: float, log_zs: tuple[float, ...], i: int, start: int, stop: int
-) -> list[list[float]]:
-    """The parts of rows start..stop-1 of the integral of y^i (log(y/z) + log_z + h(y))^p
-    over (0, z), 0 < z <= pi, in units of z^{i+1}: t^k times row k dotted with
-    (J_0, ..., J_p), one list per log_z of ``log_zs``.
+def _log_sine_parts(p: int, z: float, start: int, stop: int) -> list[float]:
+    """The parts of rows start..stop-1 of the integral of log^p(2 sin(y/2)) = (log y + h(y))^p
+    over (0, z), 0 < z <= pi, in units of z: t^k times row k dotted with (J_0, ..., J_p).
 
-    log_z = log z makes the log factor log(2 sin(y/2)), log(z/2) makes it log sin(y/2),
-    and -|log_z| makes every part of one sign, so that their sum is (-1)^p times the sum
-    of their magnitudes.  The factor is sum_a C(p, a) log^a(y/c) h^{p-a}, and
-    y^m log^a(y/c) integrates to z^{m+1} J_a, J_0 = 1/(m+1) and
-    J_a = (log_z^a - a J_{a-1}) / (m+1), with m + 1 and a held as floats, so that every
-    step is float by float; the ints convert exactly, so the values are the same.  The
-    any-angle series' log z is new on every call, so its J_a run here, in the row loop;
-    the moments read the same floats from :func:`_j_table`.  A run from row K gives the
-    same floats as rows K.. of a run from 0, so a longer series extends a shorter one.
-    The rows are read from the table of p, at least _H_TERMS long, so that a short run
-    keeps no table of its own.  A power of log_z past binary64 raises OverflowError."""
-    t = (z / (2 * math.pi)) ** 2
-    t_start = 1.0
+    The factor is sum_a C(p, a) log^a y h^{p-a}, and y^{m-1} log^a y integrates over (0, z)
+    to z^m J_a, J_0 = 1/m and J_a = (log^a z - a J_{a-1}) / m at m = 2k + 1, with m and a
+    held as floats, so that every step is float by float; the ints convert exactly, so the
+    values are the same.  log z is new on every call, so the J_a run here, in the row loop;
+    the moments read the same floats from :func:`_j_table`.  A run from row K gives the same
+    floats as rows K.. of a run from 0, so a longer series extends a shorter one.  The rows
+    are read from the table of p, at least _H_TERMS long, so that a short run keeps no table
+    of its own.  A power of log z past binary64 raises OverflowError."""
+    t, log_z = (z / (2 * math.pi)) ** 2, math.log(z)
+    t_k = 1.0
     for _ in range(start):
-        t_start *= t
-    rows = _log_sine_rows(p, max(stop, _H_TERMS))[start:stop]
-    out = []
-    for log_z in log_zs:
-        steps = [(a, float(a), log_z**a) for a in range(1, p + 1)]
-        parts, t_k, m = [], t_start, float(i + 2 * start + 1)  # m = 2k + i + 1 at row k
-        for row in rows:
-            j = 1.0 / m
-            acc = row[0] * j
-            for a, float_a, log_pow in steps:
-                j = (log_pow - float_a * j) / m
-                acc += row[a] * j
-            parts.append(t_k * acc)
-            t_k *= t
-            m += 2.0
-        out.append(parts)
-    return out
+        t_k *= t
+    steps = [(a, float(a), log_z**a) for a in range(1, p + 1)]
+    parts, m = [], float(2 * start + 1)  # m = 2k + 1 at row k
+    for row in _log_sine_rows(p, max(stop, _H_TERMS))[start:stop]:
+        j = 1.0 / m
+        acc = row[0] * j
+        for a, float_a, log_pow in steps:
+            j = (log_pow - float_a * j) / m
+            acc += row[a] * j
+        parts.append(t_k * acc)
+        t_k *= t
+        m += 2.0
+    return parts
 
 
 def _log_sine_tail(p: int, z: float, k: int) -> float:
@@ -395,14 +382,13 @@ def _log_sine_series(p: int, z: float) -> float:
     fsum, so does the sum of every row, and the K rows are the value.  Otherwise the
     remaining rows are added.  Either way the value has the bits of all _H_TERMS rows;
     at z = pi, K would be 35, so every row is summed."""
-    log_z = (math.log(z),)
     ratio, ratio_k, short = (z / (2 * math.pi)) ** 2 / 0.9, 1.0, 0
     while short < _H_TERMS and ratio_k > 2**-64:
         ratio_k *= ratio
         short += 1
-    (parts,) = _log_sine_parts(p, z, log_z, 0, 0, short)
+    parts = _log_sine_parts(p, z, 0, short)
     if short < _H_TERMS and not _unmoved(parts, _log_sine_tail(p, z, short)):
-        parts += _log_sine_parts(p, z, log_z, 0, short, _H_TERMS)[0]
+        parts += _log_sine_parts(p, z, short, _H_TERMS)
     return z * math.fsum(parts)
 
 
@@ -417,12 +403,12 @@ def _log_sine_moment(p: int, i: int, scaled: bool) -> tuple[float, float]:
     (i + 2K + 1)^{b+1}, A = log_z - h(0.9); K doubles until that is below an ulp
     of the parts' magnitude, the series at -log_z (rows and J_a of one sign), and the
     value is the series at log_z over those K terms.  Row k of either is t^k times the
-    row dotted with J_0..J_p(m), m = 2k + i + 1, of the :func:`_j_table` of the log factor
-    and the parity of m, the floats of :func:`_log_sine_parts`, and a doubling extends both
-    from row K.  pi^{i+1} is formed first, so a moment past binary64 raises OverflowError
-    before any table work.  At fl(pi), t = 1/4 is exact, and a moment rounds by at most
-    12p + i + 12 units of 2^-53 of that magnitude: the rows 11(p - a) + 1 (zeta_numeric is
-    correctly rounded), J_a 3a + 4, their products and sum p + 1, the rest i + 4."""
+    row dotted with J_0..J_p(m), m = 2k + i + 1, of the log factor's :func:`_j_table`, by
+    the float operations of :func:`_log_sine_parts`, and a doubling extends both from row K.
+    pi^{i+1} is formed first, so a moment past binary64 raises OverflowError before any
+    table work.  At fl(pi), t = 1/4 is exact, and a moment rounds by at most 12p + i + 12
+    units of 2^-53 of that magnitude: the rows 11(p - a) + 1 (zeta_numeric is correctly
+    rounded), J_a 3a + 4, their products and sum p + 1, the rest i + 4."""
     scale = math.pi ** (i + 1)
     log_z = math.log(math.pi / 2 if scaled else math.pi)
     terms, a = _H_TERMS, log_z + _TAIL_H
@@ -430,8 +416,7 @@ def _log_sine_moment(p: int, i: int, scaled: bool) -> tuple[float, float]:
     while True:
         start = len(sizes)
         rows = _log_sine_rows(p, terms)[start:terms]
-        size_js, value_js = (_j_table(c, 1 + i % 2, p, i // 2 + terms)[i // 2 + start:]  # m = i + 2k + 1
-                             for c in (-log_z, log_z))
+        size_js, value_js = (_j_table(c, p, i + 2 * terms - 1)[i + 2 * start::2] for c in (-log_z, log_z))
         for row, size_j, value_j in zip(rows, size_js, value_js):
             size_dot, value_dot = row[0] * size_j[0], row[0] * value_j[0]
             for q in range(1, p + 1):

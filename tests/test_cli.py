@@ -15,6 +15,7 @@ from logsine.cli import (
     MAX_BELL_TERM_DIGITS, MAX_BELL_TERMS, MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P, MAX_N, _emit, _fmt,
     build_parser, main,
 )
+from logsine.numerics import DEFAULT_CONFIG
 from logsine.verify import Check, IdentityResult
 from fresh import SRC, run_fresh
 
@@ -130,6 +131,10 @@ class TestLogPowerLimit:
                 main([command, "--help"])
             help_text = capsys.readouterr().out
             assert "--tol TOL" in help_text and text in help_text, command
+        # and every --tol defaults to the kernels' own target
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert {a.default for parser in sub.choices.values() for a in parser._actions
+                if "--tol" in a.option_strings} == {DEFAULT_CONFIG.target_abs_tol}
 
 
 

@@ -474,7 +474,7 @@ class TestAnyAngleAgainstMpmath:
     @pytest.mark.parametrize("p", range(1, 7))
     def test_ten_more_terms_change_nothing_at_pi(self, p):
         base = integrals._log_sine_series(p, math.pi)
-        (parts,) = integrals._log_sine_parts(p, math.pi, (math.log(math.pi),), 0, 0, integrals._H_TERMS + 10)
+        parts = integrals._log_sine_parts(p, math.pi, 0, integrals._H_TERMS + 10)
         longer = math.pi * math.fsum(parts)
         assert abs(longer - base) <= 1e-16 * max(1.0, abs(base))
 
@@ -628,11 +628,10 @@ class TestKSeriesFourier:
             want = float(mpmath.quad(
                 lambda y: y**i * mpmath.log(c * mpmath.sin(y / 2)) ** p, [0, mpmath.pi / 2, mpmath.pi]
             ))
-        sizes, values = integrals._log_sine_parts(p, math.pi, (-log_z, log_z), i, 0, 32)
-        size = abs(math.pi ** (i + 1) * math.fsum(sizes))  # every part of one sign
+        size = abs(reference_series(p, math.pi, 32, i, -log_z))  # every part of one sign
         assert abs(value - want) <= bound <= 1e-12 * size, (value, want, bound)
         # there the first 32 terms leave out 1e-3, so the terms doubled
-        short = math.pi ** (i + 1) * math.fsum(values)
+        short = reference_series(p, math.pi, 32, i, log_z)
         assert (abs(short - want) > bound) == ((p, i) == (40, 20))
 
 
@@ -720,15 +719,13 @@ class TestLogSineBitsAgainstReference:
 
     @pytest.mark.parametrize("terms", [32, 42, 64])
     def test_parts_have_the_reference_bits(self, terms):
-        # every log factor the moments and the series read, and the magnitudes' -|log z|
+        # the series' log z at i = 0; the moments' log factors and i > 0 are the J tables',
+        # held to the reference by the test above
         rng = random.Random(terms)
         for _ in range(120):
-            p, i, z = rng.randrange(13), rng.randrange(12), rng.uniform(1e-3, math.pi)
-            log_zs = (math.log(z), math.log(z / 2), -abs(math.log(z)))
-            got = integrals._log_sine_parts(p, z, log_zs, i, 0, terms)
-            for log_z, parts in zip(log_zs, got):
-                want = reference_series(p, z, terms, i, log_z)
-                assert (z ** (i + 1) * math.fsum(parts)).hex() == want.hex(), (p, i, z, log_z)
+            p, z = rng.randrange(13), rng.uniform(1e-3, math.pi)
+            parts = integrals._log_sine_parts(p, z, 0, terms)
+            assert (z * math.fsum(parts)).hex() == reference_series(p, z, terms).hex(), (p, z)
 
     def test_series_have_the_reference_bits(self):
         rng = random.Random(32)
@@ -787,40 +784,41 @@ def test_threads_building_moments_get_the_bits_of_one_thread():
             assert sorted(integrals._h_powers) == sorted(table)
             for j, power in integrals._h_powers.items():
                 assert len(power) in (32, 64) and power == table[j][: len(power)], (round_, j)
-            # and each J table, one per log factor and parity of m, a prefix of the one-thread
-            # table, every entry a prefix of its entry
+            # and each log factor's J table a prefix of the one-thread table, every entry a
+            # prefix of its entry
             assert sorted(integrals._j_tables) == sorted(js)
-            for key, entries in integrals._j_tables.items():
-                assert len(entries) <= len(js[key]), (round_, key)
-                assert all(entry == js[key][e][: len(entry)] for e, entry in enumerate(entries)), (round_, key)
+            for log_z, entries in integrals._j_tables.items():
+                assert len(entries) <= len(js[log_z]), (round_, log_z)
+                assert all(entry == js[log_z][m][: len(entry)] for m, entry in enumerate(entries)), (round_, log_z)
     finally:
         sys.setswitchinterval(interval)
 
 
-@pytest.mark.parametrize("i,first", [(4, 1), (5, 2)])
-def test_a_moment_builds_the_j_tables_of_its_parity_of_m_alone(i, first):
-    # moment i reads m = i + 2k + 1 for k below its row count, one parity, from m = first
-    _clear_log_sine_caches()
-    integrals._log_sine_moment(3, i, True)
+def test_a_moment_reads_one_j_table_per_log_factor():
+    # moment i reads m = i + 2k + 1 for k below its row count from the table of m = 1, 2, ..,
+    # keyed by the float log factor alone, whatever the parity of i
     log_z = math.log(math.pi / 2)
-    assert sorted(integrals._j_tables) == sorted({(-log_z, first), (log_z, first)})
-    for (c, _), entries in integrals._j_tables.items():
-        m = float(first + 2 * (len(entries) - 1))  # the last entry, by the recursion of J_a
-        js = [1.0 / m]
-        for a in range(1, 4):
-            js.append((c**a - a * js[-1]) / m)
-        assert entries[-1] == tuple(js)
-        assert len(entries) == i // 2 + integrals._H_TERMS
+    for i in (4, 5):
+        _clear_log_sine_caches()
+        integrals._log_sine_moment(3, i, True)
+        assert sorted(integrals._j_tables) == sorted({-log_z, log_z})
+        for c, entries in integrals._j_tables.items():
+            assert len(entries) >= i + 2 * integrals._H_TERMS - 1, (i, c)
+            m = float(len(entries))  # the last entry, by the recursion of J_a
+            js = [1.0 / m]
+            for a in range(1, 4):
+                js.append((c**a - a * js[-1]) / m)
+            assert entries[-1] == tuple(js), (i, c)
 
 
 def test_any_angle_calls_keep_the_j_tables_of_the_moments_alone():
     # the series' log z is new on every call, so it runs its own J_a; only moment 0, read
-    # for the Bell coefficient and the reflection, keys a J table, of odd m = 2k + 1 alone
+    # for the Bell coefficient and the reflection, keys a J table
     _clear_log_sine_caches()
     rng = random.Random(1000)
     for _ in range(1000):
         log_sine_any_angle(rng.randint(1, 14), rng.uniform(1e-3, 2 * math.pi))
-    assert sorted(integrals._j_tables) == sorted({(-math.log(math.pi), 1), (math.log(math.pi), 1)})
+    assert sorted(integrals._j_tables) == sorted({-math.log(math.pi), math.log(math.pi)})
 
 
 def _grid_any_angle_calls():
@@ -851,7 +849,7 @@ class TestSeriesStopsWhenItsTailCannotMoveIt:
         rng = random.Random(44)
         for _ in range(900):
             p, k, z = rng.randrange(15), rng.randrange(2, 29), rng.uniform(1e-4, math.pi)
-            (rows,) = integrals._log_sine_parts(p, z, (math.log(z),), 0, k, 96)
+            rows = integrals._log_sine_parts(p, z, k, 96)
             assert math.fsum(map(abs, rows)) <= integrals._log_sine_tail(p, z, k) / 2, (p, z, k)
 
     @pytest.mark.parametrize("parts,bound,unmoved", [
@@ -868,8 +866,8 @@ class TestSeriesStopsWhenItsTailCannotMoveIt:
         assert integrals._unmoved(parts, bound) is unmoved
 
     def test_a_tail_that_moves_the_double_extends_the_sum(self, monkeypatch):
-        def parts(p, z, log_zs, i, start, stop):
-            return [[1.0, 2**-53] if start == 0 else [2**-54]]
+        def parts(p, z, start, stop):
+            return [1.0, 2**-53] if start == 0 else [2**-54]
 
         monkeypatch.setattr(integrals, "_log_sine_parts", parts)
         monkeypatch.setattr(integrals, "_log_sine_tail", lambda *args: 2**-54)
@@ -878,9 +876,9 @@ class TestSeriesStopsWhenItsTailCannotMoveIt:
     def test_rows_read(self, monkeypatch):
         read, tables, parts, rows = [], [], integrals._log_sine_parts, integrals._log_sine_rows
 
-        def count(p, z, log_zs, i, start, stop):
+        def count(p, z, start, stop):
             read.append(stop - start)
-            return parts(p, z, log_zs, i, start, stop)
+            return parts(p, z, start, stop)
 
         def keep(p, terms):
             tables.append(rows(p, terms))
