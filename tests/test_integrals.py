@@ -794,21 +794,21 @@ def test_threads_building_moments_get_the_bits_of_one_thread():
         sys.setswitchinterval(interval)
 
 
-def test_a_moment_reads_one_j_table_per_log_factor():
+@pytest.mark.parametrize("i", [4, 5])
+def test_a_moment_reads_one_j_table_per_log_factor(i):
     # moment i reads m = i + 2k + 1 for k below its row count from the table of m = 1, 2, ..,
     # keyed by the float log factor alone, whatever the parity of i
+    _clear_log_sine_caches()
+    integrals._log_sine_moment(3, i, True)
     log_z = math.log(math.pi / 2)
-    for i in (4, 5):
-        _clear_log_sine_caches()
-        integrals._log_sine_moment(3, i, True)
-        assert sorted(integrals._j_tables) == sorted({-log_z, log_z})
-        for c, entries in integrals._j_tables.items():
-            assert len(entries) >= i + 2 * integrals._H_TERMS - 1, (i, c)
-            m = float(len(entries))  # the last entry, by the recursion of J_a
-            js = [1.0 / m]
-            for a in range(1, 4):
-                js.append((c**a - a * js[-1]) / m)
-            assert entries[-1] == tuple(js), (i, c)
+    assert sorted(integrals._j_tables) == sorted({-log_z, log_z})
+    for c, entries in integrals._j_tables.items():
+        assert len(entries) >= i + 2 * integrals._H_TERMS - 1, c
+        m = float(len(entries))  # the last entry, by the recursion of J_a
+        js = [1.0 / m]
+        for a in range(1, 4):
+            js.append((c**a - a * js[-1]) / m)
+        assert entries[-1] == tuple(js), c
 
 
 def test_any_angle_calls_keep_the_j_tables_of_the_moments_alone():
