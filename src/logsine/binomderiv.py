@@ -22,8 +22,8 @@ from functools import lru_cache
 
 from .bell import binomial_convolution, complete_bell_all
 from .numerics import polygamma_real
-from .specialfn import harmonic, polygamma_int
-from .symbolic import SymbolicValue, linear_combination, sym_log2, sym_pi
+from .specialfn import polygamma_int
+from .symbolic import SymbolicValue, graded_combination, sym_log2, sym_pi
 
 
 @dataclass(frozen=True)
@@ -74,11 +74,19 @@ def delta_numeric(j: int, m: float, k: int) -> float:
     return (-1.0) ** j * _log_gamma_deriv(j, m, k)
 
 
+def _xi_scaled(j: int, k: int, lcm: int) -> int:
+    """r_j(k) L^j for L = lcm(1..k), where r_j(k) = xi_bar_j - eta_bar_j is (j-1)!/k^j plus
+    2 (j-1)! H_{k-1}^{(j)} from psi^{(j-1)}(k) - psi^{(j-1)}(1) at odd j (2 H_k - 1/k at
+    j = 1): (j-1)! [(L/k)^j + 2 [j odd] sum_{i<k} (L/i)^j], all in integers, since every
+    i <= k divides L."""
+    tail = 2 * sum((lcm // i) ** j for i in range(1, k)) if j % 2 else 0
+    return math.factorial(j - 1) * ((lcm // k) ** j + tail)
+
+
 def _xi_rational(j: int, k: int) -> Fraction:
-    # r_j(k) = xi_bar_j - eta_bar_j: (j-1)!/k^j plus 2 (j-1)! H_{k-1}^{(j)} from
-    # psi^{(j-1)}(k) - psi^{(j-1)}(1) at odd j; 2 H_k - 1/k at j = 1
-    fact = math.factorial(j - 1)
-    return Fraction(fact, k**j) + (2 * fact * harmonic(k - 1, j) if j % 2 else 0)
+    # r_j(k) = xi_bar_j - eta_bar_j, by the one integer form of the rational rows
+    lcm = math.lcm(*range(1, k + 1))
+    return Fraction(_xi_scaled(j, k, lcm), lcm**j)
 
 
 @lru_cache(maxsize=None)
@@ -160,15 +168,13 @@ _rational_rows: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
 def _rational_row(n: int, k: int) -> tuple[int, tuple[int, ...]]:
     """(L, row), L = lcm(1..k) and row a prefix [L^0 B_0(r(k)), ..., L^l B_l(r(k))], l >= n, of
     the Bell row of the rational parts r_j(k) of xi_bar: by the weight homogeneity
-    B_i(L s_1, L^2 s_2, ...) = L^i B_i(s) it is the Bell row of the integers r_j(k) L^j (k^j and
-    the denominators of H_{k-1}^{(j)} divide L^j).  Kept per k with that sequence, and extended
+    B_i(L s_1, L^2 s_2, ...) = L^i B_i(s) it is the Bell row of the integers r_j(k) L^j
+    (:func:`_xi_scaled`).  Kept per k with that sequence, and extended
     in new tuples when a larger n asks: no reader sees a half-built row, and two threads racing
     on one k at worst store the shorter one."""
     lcm, seq, row = _rational_rows.get(k) or (math.lcm(*range(1, k + 1)), (), ())
     if len(row) <= n:
-        scaled = [_xi_rational(j, k) * lcm**j for j in range(len(seq) + 1, n + 1)]
-        assert all(r.denominator == 1 for r in scaled), k
-        seq += tuple(r.numerator for r in scaled)
+        seq += tuple(_xi_scaled(j, k, lcm) for j in range(len(seq) + 1, n + 1))
         row = tuple(complete_bell_all(seq, 1, row))
         _rational_rows[k] = (lcm, seq, row)
     return lcm, row
@@ -187,8 +193,11 @@ def shifted_binom_deriv(spec: DerivSpec) -> SymbolicValue:
     because binom(0, k) = 0.  With xi_bar_j = c_j + r_j(k), c the k-free
     sequence of :func:`_constant_row`, the binomial identity B_n(c + r) =
     sum_i C(n, i) B_i(r) B_{n-i}(c) is a rational combination of the cached
-    symbolic row of c, with weights C(n, i) scale B_i(r(k)), B_i(r(k)) = row_i / L^i
-    over the cached integer row of k; each monomial's coefficient is one integer sum.
+    symbolic row of c, with weights C(n, i) (-1)^{p+k} (p/k) B_i(r(k)),
+    B_i(r(k)) = row_i / L^i over the cached integer row of k.  Each c_j has
+    weight j, so B_{n-i}(c) is homogeneous of weight n - i and no two rows share
+    a monomial: :func:`graded_combination` reduces each weight once and writes each
+    coefficient of its row out as one cross-reduced product, with no sum.
     """
     if spec.k < 1:
         raise ValueError("shifted_binom_deriv requires k >= 1; use central_binom_deriv")
@@ -198,7 +207,7 @@ def shifted_binom_deriv(spec: DerivSpec) -> SymbolicValue:
     lcm, rational = _rational_row(n, spec.k)
     sign_p = (-1) ** (spec.p + spec.k) * spec.p
     weights = [(math.comb(n, i) * sign_p * r, spec.k * lcm**i) for i, r in enumerate(rational[: n + 1])]
-    return linear_combination(weights, _constant_row(n, spec.scaled)[n::-1])
+    return graded_combination(weights, _constant_row(n, spec.scaled)[n::-1])
 
 
 def central_binom_deriv(spec: DerivSpec) -> SymbolicValue:

@@ -109,6 +109,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_args(argv) -> argparse.Namespace:
+    """The namespace that ``build_parser().parse_args(argv)`` gives, in one argparse pass where
+    argv starts with a known subcommand: that subcommand's own parser reads the rest, as the
+    full parser would hand it on after scanning every flag itself.  Help, and a missing or
+    unknown command, go to the full parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    subs = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subs.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def _at_most(args, flag: str, limit: int) -> None:
     value = getattr(args, flag)
     if value > limit:
@@ -264,7 +278,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line, ``sys.argv[1:]`` by default, and return its exit code: 0 success,
+    1 a computation or its output failed, 2 a usage error.  argparse's own usage errors and
+    help exit by SystemExit, 2 and 0.  A known subcommand's argv is parsed by that
+    subcommand's parser alone (:func:`_parse_args`)."""
+    args = _parse_args(argv)
     try:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed reader fails here, not at interpreter exit

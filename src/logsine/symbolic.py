@@ -290,6 +290,31 @@ def linear_combination(weights, values, scale: RationalLike = 1) -> SymbolicValu
     return SymbolicValue._of(_collect(rows))
 
 
+def graded_combination(weights, values) -> SymbolicValue:
+    """sum_i w_i v_i for int-pair weights (num, den), den > 0, not necessarily reduced, over
+    values no two of which share a monomial, as homogeneous values of distinct weights never
+    do (pi and log 2 weigh 1, zeta(j) and zb1(j) weigh j).  Each coefficient is then one
+    product, written out with no sum: each weight is reduced once, and its product with a
+    reduced coefficient num/den is cross-reduced (Knuth, TAOCP vol. 2, section 4.5.1), with
+    g1 = gcd(w_num, den) and g2 = gcd(num, w_den), (w_num/g1)(num/g2) over (w_den/g2)(den/g1),
+    two gcds of the factors in place of the accumulator's one of their product.  Values that
+    share a monomial raise ValueError."""
+    gcd = math.gcd
+    terms: dict[tuple, tuple[int, int]] = {}
+    size = 0
+    for (wn, wd), value in zip(weights, values):
+        if not wn:
+            continue
+        wn, wd = _reduced(wn, wd)
+        for mono, (num, den) in value._terms.items():
+            g1, g2 = gcd(wn, den), gcd(num, wd)
+            terms[mono] = ((wn // g1) * (num // g2), (wd // g2) * (den // g1))
+        size += len(value._terms)
+    if len(terms) != size:
+        raise ValueError("graded_combination takes values that share no monomial")
+    return SymbolicValue._of(terms)
+
+
 def _weight_terms(weight, sn: int, sd: int) -> list[tuple]:
     """The (monomial, num, den) terms of a rational, int pair or SymbolicValue weight times sn/sd."""
     if type(weight) is SymbolicValue:
@@ -357,8 +382,7 @@ def sym_zeta(n: int) -> SymbolicValue:
 # -- numeric rendering -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _generator_value(gen: tuple[int, int]) -> float:
+def _generator_value(gen: tuple[int, int]) -> float:  # zeta(odd) and zb1 are kept where built
     from . import numerics, specialfn
 
     rank, index = gen
@@ -371,20 +395,32 @@ def _generator_value(gen: tuple[int, int]) -> float:
     return specialfn.zeta_bar1_numeric(index)
 
 
+# the float _generator_value(gen) ** exp per factor (gen, exp) of a monomial; a power that
+# overflows raises before it is stored
+_generator_powers: dict[tuple, float] = {}
+
+
 def eval_numeric(value: SymbolicValue) -> float:
     """Substitute numeric constants for the generators and sum the terms.
 
     Each generator is its correctly rounded double, pi and log 2 from
     ``math``, zeta(odd) and zb1 built once per process in integers, so the
-    value does not depend on any tolerance.  The terms are summed by
-    ``math.fsum``, correctly rounded; a sum that is not finite raises
-    OverflowError.
+    value does not depend on any tolerance.  Each term is its coefficient's
+    float times the float power of each factor, ``_generator_value(gen) ** exp``,
+    which is computed once per process per (generator, exponent).  The terms
+    are summed by ``math.fsum``, correctly rounded; a sum that is not finite,
+    or a power past binary64, raises OverflowError.
     """
+    powers = _generator_powers
     contributions = []
     for mono, (num, den) in value._terms.items():
         x = num / den  # what float(Fraction(num, den)) computes
-        for gen, exp in mono:
-            x *= _generator_value(gen) ** exp
+        for factor in mono:
+            power = powers.get(factor)
+            if power is None:
+                gen, exp = factor
+                power = powers[factor] = _generator_value(gen) ** exp
+            x *= power
         contributions.append(x)
     try:
         total = math.fsum(contributions)

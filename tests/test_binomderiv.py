@@ -33,7 +33,7 @@ from logsine.bell import complete_bell, complete_bell_all, complete_bell_recurre
 from logsine.binomderiv import _constant_row, _rational_row, _xi_rational
 from logsine.cli import MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P
 from logsine.integrals import _ksum
-from logsine.symbolic import SymbolicValue, sym_zeta_odd
+from logsine.symbolic import SymbolicValue, linear_combination, sym_zeta_odd
 
 
 DELTA_POINTS = [(j, m, k) for m, ks in ((0.5, (0, 1)), (1.5, (0, 1, 2))) for k in ks
@@ -422,6 +422,14 @@ class TestRationalRow:
         fresh = complete_bell_all([_xi_rational(j, 4) for j in range(1, 10)], Fraction(1))
         assert [Fraction(b, lcm**i) for i, b in enumerate(longer)] == fresh
 
+    def test_the_integer_sequence_is_the_harmonic_number_form(self):
+        # r_j(k) = (j-1)!/k^j + 2 (j-1)! H_{k-1}^{(j)} [j odd], by Fractions
+        for j in range(1, 15):
+            fact = math.factorial(j - 1)
+            for k in range(1, 41):
+                want = Fraction(fact, k**j) + (2 * fact * harmonic(k - 1, j) if j % 2 else 0)
+                assert _xi_rational(j, k) == want, (j, k)
+
     @pytest.mark.parametrize("k_values,n", [(range(1, 61), 20), ((200,), 39)])
     def test_the_integer_row_is_the_fraction_row_times_powers_of_lcm(self, k_values, n):
         # B_i(L s_1, L^2 s_2, ...) = L^i B_i(s), L = lcm(1..k), over integers r_j(k) L^j
@@ -453,6 +461,33 @@ class TestConstantRow:
                     assert [v.text() for v in row] == [v.text() for v in fresh[scaled][: n + 1]]
         _constant_row.cache_clear()  # as TestConcurrentDerivatives clears it
         assert not binomderiv._constant_rows
+
+
+def _weight(mono) -> int:
+    # pi and log 2 weigh 1, zeta(j) and zb1(j) weigh j
+    return sum(exp * (index if rank >= 2 else 1) for (rank, index), exp in mono)
+
+
+class TestGradedProduct:
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_each_constant_row_entry_is_homogeneous_of_its_index(self, scaled):
+        # so B_{n-i}(c) and B_{n-j}(c) share no monomial for i != j; unscaled, B_1(c) = c_1 = 0
+        row = _constant_row(20, scaled)
+        for j, value in enumerate(row):
+            assert {_weight(mono) for mono in value._terms} <= {j}, j
+        assert [value.is_zero for value in row] == [j == 1 and not scaled for j in range(21)]
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_equals_the_accumulator_over_the_same_weights_and_rows(self, scaled):
+        for p in range(1, 15):
+            n = p - 1
+            for k in range(1, 31):
+                lcm, rational = _rational_row(n, k)
+                sign_p = (-1) ** (p + k) * p
+                weights = [(math.comb(n, i) * sign_p * r, k * lcm**i) for i, r in enumerate(rational[: n + 1])]
+                want = linear_combination(weights, _constant_row(n, scaled)[n::-1])
+                got = shifted_binom_deriv(DerivSpec(p, k, scaled))
+                assert got._terms == want._terms, (p, k)  # the same reduced pairs
 
 
 class TestTextDigitMargin:

@@ -1,6 +1,8 @@
 import argparse
+import contextlib
 import functools
 import importlib.util
+import io
 import json
 import math
 import os
@@ -10,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from logsine import binomderiv, integrals, parse_text, verify
+from logsine import binomderiv, cli, integrals, parse_text, symbolic, verify
 from logsine.cli import (
     MAX_BELL_TERM_DIGITS, MAX_BELL_TERMS, MAX_BINOM_DERIV_K, MAX_BINOM_DERIV_P, MAX_N, _emit, _fmt,
     build_parser, main,
@@ -24,6 +26,34 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+_DISPATCH = cli._parse_args  # main's parse: a known subcommand's argv goes to its own parser
+
+
+def _parsed(parse, argv):
+    """(exit code, stdout, stderr, vars of the namespace) of one parse: the code is None and
+    the namespace set when it returns, and the namespace None when it exits.  The namespace
+    is compared by the repr of its sorted items, which tells every float apart, nan too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args, code = repr(sorted(vars(parse(argv)).items())), None
+        except SystemExit as exc:
+            args, code = None, exc.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
+@pytest.fixture(autouse=True)
+def _each_argv_parses_as_the_full_parser_reads_it(monkeypatch):
+    """Every argv that a test here hands to main is parsed by the dispatch and by
+    build_parser().parse_args as well, and both must print, exit and set the same."""
+    def checked(argv):
+        argv = sys.argv[1:] if argv is None else list(argv)
+        assert _parsed(_DISPATCH, argv) == _parsed(build_parser().parse_args, argv), argv
+        return _DISPATCH(argv)
+
+    monkeypatch.setattr(cli, "_parse_args", checked)
 
 
 class TestClosedFormCommand:
@@ -171,6 +201,15 @@ class TestPowerLimit:
         assert code == 1 and captured.out == ""
         assert captured.err == "error: the result overflows binary64 floats: Numerical result out of range\n"
         assert integrals._j_tables == {}
+
+    def test_an_exact_value_whose_power_overflows_caches_no_power(self, capsys):
+        # the first term that eval_numeric reads holds pi^1001, past binary64
+        symbolic._generator_powers.clear()
+        code = main(["closed-form", "--z", "pi", "--n", "1000", "--p", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "error: the result overflows binary64 floats: Numerical result out of range\n"
+        assert symbolic._generator_powers == {}
 
     # in a fresh interpreter, whose ru_maxrss (KiB on Linux) the first run has set: --n 619 is
     # the largest fallback whose pi^{n+1} fits binary64, and --n 1600 fails before its J tables
@@ -912,3 +951,45 @@ class TestRecordFormat:
             "abs_err": 0.0, "id": "x", "numeric": 0.0, "reason": "r", "status": "ok"}
         _emit(argparse.Namespace(json=False, digits=15), "x", numeric=0.0, error=0.0, reason="r")
         assert capsys.readouterr().out == "numeric: 0  (error estimate 0.0e+00)\nnote:    no exact form: r\n"
+
+
+# argvs that the tests above run in a fresh interpreter, or whose reading depends on the whole parser
+_PARSE_ONLY = [row[0].split() for row in _FRESH_RUNS] + [
+    [], ["nope"], ["-h"], ["--help"], ["--json", "closed-form"], ["-h", "closed-form"],
+    ["closed-form", "--", "--json"], ["constant", "--nam", "pi"], ["bell", "--seq", "-1/2,3"],
+    ["constant", "--name", "zeta" + "9" * 1000], ["bell", "--seq=1," + "9" * 1000],
+]
+
+
+def _argv_id(argv) -> str:
+    text = " ".join(argv)
+    return text if len(text) <= 60 else f"{text[:50]}..({len(text)} chars)"
+
+
+class TestDispatch:
+    @pytest.mark.parametrize("argv", _PARSE_ONLY, ids=_argv_id)
+    def test_each_argv_parses_as_the_full_parser_reads_it(self, argv):
+        """Every argv parses alike through its subcommand's parser and through the full parser"""
+        assert _parsed(_DISPATCH, argv) == _parsed(build_parser().parse_args, argv)
+
+    # help, usage errors and results of every subcommand, as the tests above run them
+    @pytest.mark.parametrize("argv", [
+        [], ["nope"], ["-h"], *([command, "-h"] for command in cli._COMMANDS),
+        *(list(argv) for argv in _MIXED_CALLS),
+        *([*argv, flag, "1e-3"] for argv, unread in _SUBCOMMANDS for flag in unread),
+        *(list(argv) for argv, _, _, _ in _RECORDS),
+        ["closed-form", "--z", "pi", "--n", "200", "--p", "2"],
+        ["closed-form", "--z", "pi", "--n", "2", "--p", "1", "--digits", "16"],
+        ["ls", "--theta", "pi", "--n", "2", "--p", str(MAX_BINOM_DERIV_P + 1)],
+        ["numeric", "--z", "oops", "--n", "0", "--p", "1"],
+        ["binom-deriv", "--p", "5", "--k", "0", "--tol", "1e-1"],
+        ["bell", "--seq", "1,,2"], ["constant", "--name", "zeta-3"],
+        ["verify-paper", "--filter", "nomatch", "--json"],
+    ], ids=_argv_id)
+    def test_main_prints_and_exits_as_with_the_full_parser(self, capsys, monkeypatch, argv):
+        """main gives the same exit code, stdout and stderr with either parser"""
+        runs = []
+        for parse in (_DISPATCH, lambda argv: build_parser().parse_args(argv)):
+            monkeypatch.setattr(cli, "_parse_args", parse)
+            runs.append((_exit_code(argv), *capsys.readouterr()))
+        assert runs[0] == runs[1]

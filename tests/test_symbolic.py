@@ -6,11 +6,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from logsine import eval_numeric, parse_text, sym_pi, sym_zeta, zeta_even
+from logsine import eval_numeric, parse_text, sym_pi, sym_zeta, symbolic, zeta_even
 from logsine.symbolic import (
     SymbolicValue,
+    _generator_value,
     _mono_merge,
     _mono_mul,
+    graded_combination,
     linear_combination,
     sym_log2,
     sym_zeta_bar1,
@@ -141,6 +143,38 @@ class TestEvalNumeric:
     def test_terms_that_overflow_raise_overflow(self, minus):
         with pytest.raises(OverflowError):
             eval_numeric(sym_pi(300, 10**200) - sym_pi(299, minus) + 1)
+
+    def test_each_power_is_computed_once_and_kept(self):
+        symbolic._generator_powers.clear()
+        value = sym_pi(3, 2) + sym_pi(3) * sym_zeta_odd(3) + sym_log2(2)
+        eval_numeric(value)
+        assert symbolic._generator_powers == {
+            (gen, exp): _generator_value(gen) ** exp
+            for gen, exp in (((0, 0), 3), ((2, 3), 1), ((1, 0), 2))}
+
+    def test_cached_powers_give_the_bits_of_a_pow_per_factor(self):
+        from logsine.binomderiv import DerivSpec, shifted_binom_deriv
+        from logsine.integrals import IntegralSpec, log_sin_power_integral, log_sine_integral
+
+        def per_factor(value):  # each factor's power taken afresh, as before the cache
+            terms = []
+            for mono, (num, den) in value._terms.items():
+                x = num / den
+                for gen, exp in mono:
+                    x *= _generator_value(gen) ** exp
+                terms.append(x)
+            return math.fsum(terms)
+
+        # every exact hit at n <= 30, p <= 2 of the four tables, and the benchmark's 600 shifted derivatives
+        values = [log_sin_power_integral(IntegralSpec(n, p, z)).value
+                  for z in ("pi", "pi/2") for n in range(31) for p in range(3)]
+        values += [log_sine_integral(p, n, theta).value
+                   for theta in ("pi", "2pi") for n in range(31) for p in range(3)]
+        values += [shifted_binom_deriv(DerivSpec(p, k, scaled))
+                   for p in range(1, 11) for k in range(1, 31) for scaled in (False, True)]
+        symbolic._generator_powers.clear()
+        for _ in range(2):  # the pass that fills the cache and the one that reads it
+            assert [eval_numeric(v).hex() for v in values] == [per_factor(v).hex() for v in values]
 
     @given(symbolic_values(), symbolic_values())
     def test_ring_homomorphism(self, a, b):
@@ -367,6 +401,21 @@ class TestLinearCombination:
         got = linear_combination([3, Fraction(1, 2), -4], [v, v, sym_log2(1, Fraction(1, 6))])
         assert got == Fraction(7, 2) * v - 4 * sym_log2(1, Fraction(1, 6))
         assert got.text() == "7/8 + 7/12*pi^2 - 2/3*log2"
+
+
+class TestGradedCombination:
+    @given(st.lists(st.tuples(int_pairs, symbolic_values()), max_size=5))
+    def test_values_with_no_shared_monomial_give_the_accumulator_pairs(self, pairs):
+        # pi's exponent is at most 4 in a drawn value, so pi^(5 i) keeps the values apart
+        weights = [w for w, _ in pairs]
+        values = [sym_pi(5 * i) * v for i, (_, v) in enumerate(pairs)]
+        got = graded_combination(weights, values)
+        assert got._terms == linear_combination(weights, values)._terms
+        assert_canonical(got)
+
+    def test_a_shared_monomial_raises(self):
+        with pytest.raises(ValueError, match="share no monomial"):
+            graded_combination([(1, 2), (3, 4)], [sym_pi(2) + 1, sym_log2() + sym_pi(2, 3)])
 
 
 class TestMonomial:
