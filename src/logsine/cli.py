@@ -58,6 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and numeric evaluation of generalized log-sine integrals.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices  # each subcommand's name -> its parser
 
     p = subs.add_parser(
         "closed-form", help="integral of x^n log^p(sin x) over (0, z), z in {pi/2, pi}"
@@ -116,8 +117,7 @@ def _parse_args(argv) -> argparse.Namespace:
     unknown command, go to the full parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    subs = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    sub = subs.get(argv[0]) if argv else None
+    sub = parser.commands.get(argv[0]) if argv else None
     if sub is None:
         return parser.parse_args(argv)
     return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))

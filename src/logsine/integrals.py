@@ -22,7 +22,7 @@ Covered objects, all over (0, z):
   in the store of a tabled level, x^n or the folded x^n + (L - x)^n and the
   signed log power, so that a repeated interval computes no power and no
   logarithm; ``sine_power_moment_quadrature`` reads x^n and sin^{2m} x so.
-  Each column's key and builder are cached per argument.
+  Each column is named by the tuple (build, *args) of the function that builds it.
 
 The symbolic pipeline never guesses: a value is returned as exact only when
 every infinite k-sum lands in the whitelisted catalog, otherwise the result
@@ -568,47 +568,41 @@ def log_sine_any_angle(p: int, z: float) -> tuple[float, float]:
 # -- numeric oracle over the defining integrals -------------------------------------
 
 
-# the columns of the oracle integrands: each is a key that names its values and a builder
-# of them at one side's abscissae, build(nodes, side), kept in a tabled level's store.  The
-# pair is cached per argument, so a request builds no builder afresh; the key alone names a
-# stored column, so a pair evicted and built again reads the same one
-_PAIRS = 256
-
-
-@lru_cache(maxsize=_PAIRS)
-def _x_power(n: int):
+# the columns of the oracle integrands, each built at one side's abscissae by a function
+# build(nodes, side, *args) and named by the tuple (build, *args), under which a tabled
+# level's store keeps it: a name holds its builder's values, and a request builds no closure
+def _x_power(nodes, side: int, n: int):
     """x^n."""
-    return ("x", n), lambda nodes, side: map(pow, nodes.xs[side], repeat(n))
+    return map(pow, nodes.xs[side], repeat(n))
 
 
-@lru_cache(maxsize=_PAIRS)
-def _fold_power(n: int, top: float):
+def _fold_power(nodes, side: int, n: int, top: float):
     """x^n + (top - x)^n."""
-    xn = _x_power(n)
-    return ("fold", n, top), lambda nodes, side: map(
-        add, nodes.column(*xn)[side], map(pow, map(sub, repeat(top), nodes.xs[side]), repeat(n)))
+    return map(add, nodes.column((_x_power, n))[side],
+               map(pow, map(sub, repeat(top), nodes.xs[side]), repeat(n)))
 
 
-@lru_cache(maxsize=_PAIRS)
-def _log_power(form: str, p: int):
+def _log(nodes, side: int, form: str):
+    """The log factor g of the form."""
+    return map(FORMS[form].log, nodes.xs[side])
+
+
+def _log_power(nodes, side: int, form: str, p: int):
     """sign * g^p, the sign and the log factor g of the form; a sign of +1 adds no pass."""
-    _, _, g, sign, _ = FORMS[form]
-    logs = g, lambda nodes, side: map(g, nodes.xs[side])
-    power = lambda nodes, side: map(pow, nodes.column(*logs)[side], repeat(p))
-    return (form, p), power if sign > 0 else lambda nodes, side: map(neg, power(nodes, side))
+    power = map(pow, nodes.column((_log, form))[side], repeat(p))
+    return power if FORMS[form].sign > 0 else map(neg, power)
 
 
-@lru_cache(maxsize=_PAIRS)
-def _sin_power(k: int):
+def _sin_power(nodes, side: int, k: int):
     """sin^k x."""
-    return ("sin", k), lambda nodes, side: map(pow, map(math.sin, nodes.xs[side]), repeat(k))
+    return map(pow, map(math.sin, nodes.xs[side]), repeat(k))
 
 
-def _product_quadrature(f, left, right, a: float, b: float, cfg: NumericConfig) -> float:
-    # the integral over (a, b) of f, whose columns are the products of the columns left
-    # and right; f itself is read at the center and at the clamped ends
+def _product_quadrature(f, left: tuple, right: tuple, a: float, b: float, cfg: NumericConfig) -> float:
+    # the integral over (a, b) of f, whose columns are the products of the columns named
+    # left and right; f itself is read at the center and at the clamped ends
     def column(nodes):
-        (left_hi, left_lo), (right_hi, right_lo) = nodes.column(*left), nodes.column(*right)
+        (left_hi, left_lo), (right_hi, right_lo) = nodes.column(left), nodes.column(right)
         return map(mul, left_hi, right_hi), map(mul, left_lo, right_lo)
 
     return _tanh_sinh(f, column, a, b, cfg)
@@ -617,7 +611,7 @@ def _product_quadrature(f, left, right, a: float, b: float, cfg: NumericConfig) 
 def sine_power_moment_quadrature(n: int, m: int, z: float, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """Tanh-sinh value of the integral of x^n sin^{2m}(x) over (0, z), the oracle of the
     exact moments; its columns are the stored x^n and sin^{2m} x."""
-    return _product_quadrature(lambda x: x**n * math.sin(x) ** (2 * m), _x_power(n), _sin_power(2 * m),
+    return _product_quadrature(lambda x: x**n * math.sin(x) ** (2 * m), (_x_power, n), (_sin_power, 2 * m),
                                0.0, z, cfg)
 
 
@@ -630,16 +624,17 @@ def quadrature_value(spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG) ->
     node distances are exact, never at the float L (a z just past L is L).
     Each integrand column is the product of two columns kept with the tabled
     level's nodes, x^n or x^n + (L - x)^n and the signed g^p, so that a repeated
-    interval computes no power and no logarithm at levels 0-7."""
+    interval computes no power and no logarithm at levels 0-3, where calls at the
+    default tolerance stop."""
     n, p, z = spec.n, spec.p, angle_value(spec.z)
     top, _, g, sign, _ = FORMS[spec.form]
     # the integrand sign * x^n g(x)^p, and past L/2 the folded one, by the scalar expressions
     # read at the center and the clamped ends; a sign flip is exact wherever it is applied
     plain = lambda x: sign * x**n * g(x) ** p
-    log_power = _log_power(spec.form, p)
+    log_power = (_log_power, spec.form, p)
     if z <= top / 2:
-        return _product_quadrature(plain, _x_power(n), log_power, 0.0, z, cfg)
+        return _product_quadrature(plain, (_x_power, n), log_power, 0.0, z, cfg)
     folded = lambda x: sign * (x**n + (top - x) ** n) * g(x) ** p
     mirror, half = max(top - z, 0.0), NumericConfig(cfg.target_abs_tol / 2)
-    return (_product_quadrature(plain, _x_power(n), log_power, 0.0, mirror, half)
-            + _product_quadrature(folded, _fold_power(n, top), log_power, mirror, top / 2, half))
+    return (_product_quadrature(plain, (_x_power, n), log_power, 0.0, mirror, half)
+            + _product_quadrature(folded, (_fold_power, n, top), log_power, mirror, top / 2, half))

@@ -7,18 +7,18 @@ endpoint singularities, real-argument polygamma and exact cotangent
 derivatives.
 
 All functions are pure; there is no shared mutable state beyond small
-memoization caches, among them the tanh-sinh node tables of levels 0-7 for the
+memoization caches, among them the tanh-sinh node tables of levels 0-3 for the
 last 16 (interval, level) pairs read.  Each table keeps a store of up to 32
 columns of values at its abscissae, such as the powers the oracle multiplies,
-each under a key that names its values.  One level loop serves every
-integrand; it takes the integrand as a pair of columns, one per side, sums
-each level as w * (y_hi + y_lo) in one map, and reads each clamped endpoint
-once per call.  The absolute mass behind its convergence floor is summed
-only where the floor is read: at a level whose difference exceeds the
-tolerance, and after the clamp bound if that pushes the estimate past it.
-The tables and their stores pay off only where an interval
-repeats, as in the oracle grid; a new interval builds its tables once, at
-about the cost of one call.
+each named by the tuple (build, *args) of the function that builds it.  One
+level loop serves every integrand; it takes the integrand as a pair of
+columns, one per side, sums each level as w * (y_hi + y_lo) in one map, and
+reads each clamped endpoint once per call.  The absolute mass behind its
+convergence floor is summed only where the floor is read: at a level whose
+difference exceeds the tolerance, and after the clamp bound if that pushes
+the estimate past it.  The tables and their stores pay off only where an
+interval repeats, as in the oracle grid; a new interval builds its tables
+once, at about the cost of one call.
 """
 
 from __future__ import annotations
@@ -115,14 +115,15 @@ def zeta_numeric(n: int) -> float:
 
 _T_MAX = 6.5
 _QUADRATURE_LEVELS = 12  # refinement levels after the first, each halving the step
-# the node tables of levels 0-7 are kept for the last 16 (interval, level) pairs read:
-# the four intervals of the oracle grid through level 3, or two intervals at every tabled
-# level, 0.13 MB each by tracemalloc.  Each table keeps up to _COLUMNS columns of values at
-# its abscissae, as arrays of doubles, about 0.02 MB per column over the levels of an interval,
-# so that full-depth quadrature over 100 intervals, or of 500 (n, p) over two, grows ru_maxrss
-# by under 2 MB.  Deeper levels would add 8.9 MB per interval; they are generated per call, in
-# pieces of at most _PIECE nodes, and keep no columns
-_CACHED_LEVELS = 8
+# the node tables of levels 0-3, by which the oracle grid's calls stop at the default
+# tolerance, are kept for the last 16 (interval, level) pairs read: the grid's four
+# intervals, 0.006 MB each by tracemalloc, with up to _COLUMNS columns of values at their
+# abscissae, as arrays of doubles, 0.002 MB per column and interval.  Levels 4-12, 99% of
+# the nodes, would add 4 MB per interval; they are generated per call, in pieces of at most
+# _PIECE nodes, and keep no columns.  Full-depth quadrature over 100 intervals, or of 500
+# (n, p) over two, grows ru_maxrss by at most 1.7 MB with bytecode on Python 3.10-3.13, and
+# by 0.8 MB where the package is compiled from source first
+_CACHED_LEVELS = 4
 _TABLE_ENTRIES = 16
 _PIECE = 256
 _COLUMNS = 32
@@ -153,27 +154,30 @@ class _Nodes(NamedTuple):
     of at least 1 - pi h from one node to the next, far more than its rounding,
     and where e2u is subnormal, d is width times it, so that ties stay ties.
     ``columns`` is the store of a tabled level, which keeps up to _COLUMNS
-    columns of values at ``xs``, and None in a streamed piece, which keeps none."""
+    columns of values at ``xs``, each under its name (build, *args), and None in
+    a streamed piece, which keeps none."""
 
     weights: tuple[float, ...]
     xs: tuple[tuple[float, ...], tuple[float, ...]]
     clamped: tuple[int, int]
     columns: dict | None
 
-    def column(self, key, build: Callable[[_Nodes, int], Iterable[float]]) -> tuple[Iterable[float], ...]:
-        """The values ``build(self, side)`` at ``xs[0]`` and ``xs[1]``, kept under ``key``
-        as arrays of doubles while the store has room, else built afresh on each read; a
-        key names its values, whatever builds them."""
+    def column(self, name: tuple) -> tuple[Iterable[float], ...]:
+        """The values ``build(self, side, *args)`` at ``xs[0]`` and ``xs[1]``, for ``name``
+        the tuple (build, *args), kept under it as arrays of doubles while the store has
+        room, else built afresh on each read; so a name holds the values of its builder."""
         store = self.columns
         if store is not None:
-            found = store.get(key)
+            found = store.get(name)
             if found is not None:
                 return found
-            if len(store) < _COLUMNS:  # racing threads store equal columns, and may pass the bound
-                # an array fills from a list at once, from an iterator one append at a time
-                found = store[key] = (array("d", list(build(self, 0))), array("d", list(build(self, 1))))
-                return found
-        return build(self, 0), build(self, 1)
+        build, *args = name
+        if store is None or len(store) >= _COLUMNS:
+            return build(self, 0, *args), build(self, 1, *args)
+        # an array fills from a list at once, from an iterator one append at a time; racing
+        # threads store equal columns, and may pass the bound
+        found = store[name] = (array("d", list(build(self, 0, *args))), array("d", list(build(self, 1, *args))))
+        return found
 
 
 def _nodes(a: float, b: float, rows, columns: dict | None = None) -> _Nodes:
@@ -303,7 +307,7 @@ def tanh_sinh_quadrature(
 
     One substitution x = (a+b)/2 + (b-a)/2 * tanh(pi/2 * sinh t) maps the
     whole interval, so both a and b sit at transform infinity, and the step
-    halves over 12 refinement levels.  The nodes and weights of levels 0-7
+    halves over 12 refinement levels.  The nodes and weights of levels 0-3
     are read from a table kept for each recent interval, deeper ones are
     generated per call.  Nodes closer to a nonzero endpoint than float
     spacing allows are clamped onto the last interior float, where f is read

@@ -162,8 +162,7 @@ class TestLogPowerLimit:
             help_text = capsys.readouterr().out
             assert "--tol TOL" in help_text and text in help_text, command
         # and every --tol defaults to the kernels' own target
-        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        assert {a.default for parser in sub.choices.values() for a in parser._actions
+        assert {a.default for parser in build_parser().commands.values() for a in parser._actions
                 if "--tol" in a.option_strings} == {DEFAULT_CONFIG.target_abs_tol}
 
 
@@ -398,8 +397,7 @@ class TestNumericCommand:
         assert float(out.strip()) == pytest.approx(-2.1775860903036022, abs=1e-6)
 
     def test_form_choices_are_the_forms_table(self):
-        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-        form = next(a for a in sub.choices["numeric"]._actions if a.dest == "form")
+        form = next(a for a in build_parser().commands["numeric"]._actions if a.dest == "form")
         assert list(form.choices) == list(integrals.FORMS) and form.default == "logsin"
 
     @pytest.mark.parametrize("form,z,n,p,want", [

@@ -23,7 +23,7 @@ from logsine import (
 )
 from logsine.specialfn import bernoulli
 from euler_maclaurin import zeta_bracket
-from fresh import run_fresh
+from fresh import compiled_copy, run_fresh
 
 EULER_GAMMA = 0.5772156649015329  # the Euler-Mascheroni constant, correctly rounded
 
@@ -133,8 +133,8 @@ class TestQuadrature:
             tanh_sinh_quadrature(lambda x: 1.0 if x < 1.0 else 0.0, 0.0, math.pi, cfg)
         assert abs(exc.value.estimate - 1.0) < 1e-3
         assert exc.value.error_bound > 1e-10
-        # the call ran all 12 levels, yet only the tables of levels 0-7 are kept
-        assert numerics._node_table.cache_info().currsize == 8
+        # the call ran all 12 levels, yet only the tables of levels 0-3 are kept
+        assert numerics._node_table.cache_info().currsize == numerics._CACHED_LEVELS
 
 
 def reference_tanh_sinh(f, a, b, cfg):
@@ -345,6 +345,20 @@ class TestOracleTables:
         want = {case: oracle_reference[case] for case in cases}
         assert all(result == want for result in results)
 
+    def test_the_oracle_grid_reads_the_tabled_levels_and_no_other(self, monkeypatch):
+        # the 216 quadratures of the benchmark's oracle grid (ORACLE_GRID_BITS in test_golden.py)
+        # at the default tolerance: each stops by level 3, so deeper tables would go unread
+        read = set()
+        for name in ("_node_table", "_streamed_nodes"):
+            def reading(a, b, level, nodes=getattr(numerics, name)):
+                read.add(level)
+                return nodes(a, b, level)
+            monkeypatch.setattr(numerics, name, reading)
+        for form, angles in (("logsin", ("pi/2", "pi", 1.1)), ("ls", ("pi", "2pi", 3.0))):
+            for z, n, p in product(angles, range(6), range(1, 7)):
+                oracle_outcome(quadrature_value, IntegralSpec(n, p, z, form=form), numerics.DEFAULT_CONFIG)
+        assert read == set(range(numerics._CACHED_LEVELS)) == set(range(4))
+
     def test_the_table_cache_stays_at_its_bound(self, cfg):
         numerics._node_table.cache_clear()
         for k in range(40):
@@ -358,7 +372,7 @@ class TestOracleTables:
         (0.0, 2 * math.pi - 1e-9), (1.0, 2.0), (0.5, 2.0), (math.pi / 2, math.pi),
         (1e-300, 1.0), (-3.0, -1e-3), (0.0, 0.3),
     ])
-    @pytest.mark.parametrize("level", range(numerics._CACHED_LEVELS))
+    @pytest.mark.parametrize("level", range(8))  # past the tabled levels too, built as a streamed piece is
     def test_each_sides_clamped_nodes_are_a_suffix_of_its_table(self, a, b, level):
         rows = list(reference_clamps(a, b, level))
         nodes = numerics._node_table(a, b, level)
@@ -462,41 +476,39 @@ class TestColumnStore:
 
     @pytest.mark.parametrize("a,b", [(0.0, math.pi / 2), (0.5, 2.0)])
     def test_each_key_holds_the_values_of_its_own_expression(self, a, b):
-        # one table asked for every column the oracles read, in two orders: x^n for
-        # each n, x^n + (top - x)^n for each n and top, the log powers of both forms
-        # (the log-sine one negated) and sin^k x, each equal to its expression node by node
+        # one table asked for every column the oracles read, each by its name (build, *args),
+        # in two orders: x^n for each n, x^n + (top - x)^n for each n and top, the log factor
+        # and its powers in both forms (the log-sine powers negated) and sin^k x, each equal
+        # to its expression node by node
         want = {
-            ("x", n): lambda x, n=n: x**n for n in range(4)
+            (integrals._log, "logsin"): lambda x: math.log(math.sin(x)),
+            (integrals._log, "ls"): lambda x: math.log(2.0 * math.sin(x / 2.0)),
         } | {
-            ("fold", n, top): lambda x, n=n, top=top: x**n + (top - x) ** n
+            (integrals._x_power, n): lambda x, n=n: x**n for n in range(4)
+        } | {
+            (integrals._fold_power, n, top): lambda x, n=n, top=top: x**n + (top - x) ** n
             for n in range(4) for top in (math.pi, 2 * math.pi)
         } | {
-            ("logsin", p): lambda x, p=p: math.log(math.sin(x)) ** p for p in range(4)
+            (integrals._log_power, "logsin", p): lambda x, p=p: math.log(math.sin(x)) ** p for p in range(4)
         } | {
-            ("ls", p): lambda x, p=p: -(math.log(2.0 * math.sin(x / 2.0)) ** p) for p in range(4)
+            (integrals._log_power, "ls", p): lambda x, p=p: -(math.log(2.0 * math.sin(x / 2.0)) ** p)
+            for p in range(4)
         } | {
-            ("sin", k): lambda x, k=k: math.sin(x) ** k for k in range(0, 8, 2)
+            (integrals._sin_power, k): lambda x, k=k: math.sin(x) ** k for k in range(0, 8, 2)
         }
-        read = {
-            "x": integrals._x_power,
-            "fold": integrals._fold_power,
-            "logsin": lambda p: integrals._log_power("logsin", p),
-            "ls": lambda p: integrals._log_power("ls", p),
-            "sin": integrals._sin_power,
-        }
-        for keys in (list(want), list(reversed(want))):
+        for names in (list(want), list(reversed(want))):
             numerics._node_table.cache_clear()
             for level in range(3):
                 nodes = numerics._node_table(a, b, level)
-                for key in keys:
-                    got = nodes.column(*read[key[0]](*key[1:]))
-                    values = tuple(tuple(map(want[key], xs)) for xs in nodes.xs)
-                    assert tuple(map(tuple, got)) == values, (level, key)
+                for name in names:
+                    values = tuple(tuple(map(want[name], xs)) for xs in nodes.xs)
+                    assert tuple(map(tuple, nodes.column(name))) == values, (level, name)
         numerics._node_table.cache_clear()
 
 
 # full-depth quadrature in a fresh interpreter, whose ru_maxrss (KiB on Linux) no other
-# work has raised; a jump inside the interval never converges, so all 12 levels run
+# work has raised, importing a compiled copy of the package so that no compile peak hides
+# the growth; a jump inside the interval never converges, so all 12 levels run
 _FULL_DEPTH = """
 import math, resource, sys
 from logsine import IntegralSpec, NumericConfig, QuadratureError, quadrature_value, tanh_sinh_quadrature
@@ -534,12 +546,12 @@ for n in range(25):
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 @pytest.mark.parametrize("work,seconds", [(_TWICE, 10), (_INTERVALS, 60), (_ORDERS, 120)],
                          ids=["twice", "100-intervals", "500-orders"])
-def test_full_depth_quadrature_grows_ru_maxrss_by_under_2_mb(work, seconds):
-    """Quadrature that runs all 12 levels twice keeps only the level 0-7 node tables
+def test_full_depth_quadrature_grows_ru_maxrss_by_under_2_mb(work, seconds, tmp_path):
+    """Quadrature that runs all 12 levels twice keeps only the level 0-3 node tables
     Quadrature at full depth over 100 distinct intervals keeps the node tables at their bound
     Quadrature at full depth of 500 distinct (n, p) over two intervals keeps each column store at its bound"""
     program = _FULL_DEPTH + work + "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)"
-    grown = int(run_fresh(program, timeout=seconds).stdout)
+    grown = int(run_fresh(program, env={"PYTHONPATH": compiled_copy(tmp_path)}, timeout=seconds).stdout)
     assert grown < 2048, f"ru_maxrss grew {grown} KiB"
 
 
