@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, neg, sub
@@ -51,7 +50,7 @@ from .symbolic import (
     SymbolicValue,
     eval_numeric,
     linear_combination,
-    sym_pi,
+    pi_power_combination,
     sym_zeta,
 )
 
@@ -145,7 +144,8 @@ def sine_power_moment_exact(n: int, m: int, z: str) -> SymbolicValue:
     The weights of :func:`_case_weights` applied to the shift-k coefficients
     4^{-m} binom(2m, m+k).  The k-sum truncates at k = m because
     binom(2m, m+k) vanishes beyond it, so the value is an exact rational
-    combination of pi powers.
+    combination of pi powers: one pass of :func:`pi_power_combination` over the
+    weight triples and the k-sums as int pairs, at the scale 4^{-m}.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
@@ -157,8 +157,8 @@ def sine_power_moment_exact(n: int, m: int, z: str) -> SymbolicValue:
     for _, alt, pow_ in weights:
         top = lcm**pow_
         ksums.append((sum(c * (top // k**pow_) for k, c in enumerate(signed if alt else row, 1)), top))
-    return linear_combination([math.comb(2 * m, m), *ksums],
-                              [central, *(coef for coef, _, _ in weights)], Fraction(1, 4**m))
+    return pi_power_combination([central, *(coef for coef, _, _ in weights)],
+                                [(math.comb(2 * m, m), 1), *ksums], (1, 4**m))
 
 
 def sine_power_moment_numeric(n: int, m: int, z: float) -> float:
@@ -226,29 +226,37 @@ def _ksum(p: int, scaled: bool, alt: bool, s: int) -> SymbolicValue:
     return linear_combination(weights, sums, -p)
 
 
+PiWeight = tuple[int, int, int]  # (e, num, den): num/den pi^e
+
+
 @lru_cache(maxsize=None)
-def _case_weights(n: int, z: str) -> tuple[SymbolicValue, tuple[tuple[SymbolicValue, bool, int], ...]]:
+def _case_weights(n: int, z: str) -> tuple[PiWeight, tuple[tuple[PiWeight, bool, int], ...]]:
     """Central prefactor and k-sum weights (coef, alt, pow) of the x^n sin^{2m} x
     moment over (0, z), z in {pi/2, pi}: the moment is central * c(0) +
     sum coef * sum_k (-1)^{k*alt} c(k) / k^pow over c(k) = 4^{-m} binom(2m, m+k).
+    The prefactor and each coef are reduced int triples (e, num, den), num/den pi^e,
+    built with no Fraction; only at odd n on the pi/2 row do two weights, the last
+    even one and the parity one, share an exponent, e = 0.
 
     The log-sine form has no row of its own: by x = 2y the moment of
     x^n (2 sin(x/2))^{2m} over (0, theta) is 2^{n+1} 4^m times this one at
     theta/2, so its row is 2^{n+1} times this row over c(k) = binom(2m, m+k)."""
     nfact = math.factorial(n)
 
-    def even(j: int, den: int) -> SymbolicValue:  # the weight of a sum over k^{2j}
-        return sym_pi(n + 1 - 2 * j, Fraction(-nfact * (-1) ** j, den * math.factorial(n + 1 - 2 * j)))
+    def weight(e: int, num: int, den: int) -> PiWeight:
+        g = math.gcd(num, den)
+        return e, num // g, den // g
+
+    def even(j: int, den: int) -> PiWeight:  # the weight of a sum over k^{2j}
+        return weight(n + 1 - 2 * j, -nfact * (-1) ** j, den * math.factorial(n + 1 - 2 * j))
 
     if z == "pi":
-        central = sym_pi(n + 1, Fraction(1, n + 1))
-        return central, tuple((even(j, 2 ** (2 * j - 1)), True, 2 * j) for j in range(1, n // 2 + 1))
-    central = sym_pi(n + 1, Fraction(1, 2 ** (n + 1) * (n + 1)))
+        return weight(n + 1, 1, n + 1), tuple((even(j, 2 ** (2 * j - 1)), True, 2 * j)
+                                              for j in range(1, n // 2 + 1))
     weights = [(even(j, 2**n), False, 2 * j) for j in range(1, (n + 1) // 2 + 1)]
     if n % 2 == 1:  # odd n adds one alternating sum over k^{n+1}
-        parity = Fraction(nfact * (-1) ** ((n + 1) // 2), 2**n)
-        weights.append((SymbolicValue.rational(parity), True, n + 1))
-    return central, tuple(weights)
+        weights.append((weight(0, nfact * (-1) ** ((n + 1) // 2), 2**n), True, n + 1))
+    return weight(n + 1, 1, 2 ** (n + 1) * (n + 1)), tuple(weights)
 
 
 # -- one log-sine series: the moments of y^i log^p|2 sin(y/2)| -------------------
@@ -502,7 +510,8 @@ def _closed_form(spec: IntegralSpec) -> ClosedFormResult:
     """2^{-p} times the p-th derivative of the row at z; the log-sine form at theta = z is
     -2^{n+1-p} times the unscaled derivative of the row at theta/2.  Exact when the k-sums
     reduce over the catalog, otherwise from log-sine moments, never a wrong symbolic value.
-    The derivative, central D_p(0) + sum coef * (k-sum of D_p), is summed and scaled in one pass."""
+    The derivative, central D_p(0) + sum coef * (k-sum of D_p), is summed and scaled, the scale
+    an int pair, in one pass of :func:`pi_power_combination` over the weight triples."""
     n, p, row, form = spec.n, spec.p, _row_angle(spec.form, spec.z), FORMS[spec.form]
     central, weights = _case_weights(n, row)
     try:
@@ -512,9 +521,9 @@ def _closed_form(spec: IntegralSpec) -> ClosedFormResult:
         if not (math.isfinite(value) and math.isfinite(error)):
             raise OverflowError(f"the series fallback is {value} with error estimate {error:.1e}")
         return ClosedFormResult(None, value, error, str(miss))
-    sym = linear_combination([central, *(coef for coef, _, _ in weights)],
-                             [central_binom_deriv(DerivSpec(p, 0, form.scaled)), *ksums],
-                             Fraction(form.sign * (1 if form.scaled else 2 ** (n + 1)), 2**p))
+    sym = pi_power_combination([central, *(coef for coef, _, _ in weights)],
+                               [central_binom_deriv(DerivSpec(p, 0, form.scaled)), *ksums],
+                               (form.sign * (1 if form.scaled else 2 ** (n + 1)), 2**p))
     return ClosedFormResult(sym, eval_numeric(sym))
 
 

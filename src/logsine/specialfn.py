@@ -109,15 +109,17 @@ def euler_sum_H(n: int) -> SymbolicValue:
     Euler's sum_{k=1}^{m-1} zeta(2k) zeta(2m-2k) = (m + 1/2) zeta(2m), m = (n+1)/2,
     which leaves (n+2)/4 * zeta(n+1) and the odd pairs; at even n each pair has one
     odd member.  A pair a < b enters once, for its two ordered terms, and the middle
-    pair a = b of odd n as zeta(a) times zeta(a)/2, all in one accumulator pass.
+    pair a = b of odd n as zeta(a)/2 times zeta(a), all in one accumulator pass.  The
+    member b = n + 1 - a is the weight: at even n it is a power of pi, which the
+    accumulator applies as a shift of pi's exponent.
     """
     if n < 2:
         raise ValueError("euler_sum_H requires n >= 2")
     odd = range(3, ((n + 1) // 2 if n % 2 else n - 1) + 1, 2)  # the odd member a of each pair
     return linear_combination(
-        [Fraction(-(n + 2), 4 if n % 2 else 2), *(sym_zeta(a) for a in odd)],
-        [sym_zeta(n + 1),
+        [Fraction(-(n + 2), 4 if n % 2 else 2),
          *(sym_zeta(n + 1 - a) if 2 * a != n + 1 else sym_zeta_odd(a, Fraction(1, 2)) for a in odd)],
+        [sym_zeta(n + 1), *(sym_zeta(a) for a in odd)],
         -1,
     )
 

@@ -69,20 +69,8 @@ def _monomial(factors: Mapping[tuple[int, int], int]) -> tuple:
     return tuple(sorted(factors.items()))
 
 
-def _mono_mul(a: tuple, b: tuple) -> tuple:
-    """The product of two monomials.  When one is a pure power of pi, the first generator,
-    the product is the other with pi's exponent raised or pi prepended: every weight of a
-    closed form is such a power."""
-    if len(b) == 1 and b[0][0] == _PI:
-        a, b = b, a
-    if len(a) == 1 and a[0][0] == _PI:
-        if b and b[0][0] == _PI:
-            return ((_PI, a[0][1] + b[0][1]),) + b[1:]
-        return a + b
-    return _mono_merge(a, b)
-
-
 def _mono_merge(a: tuple, b: tuple) -> tuple:
+    """The product of two monomials."""
     if not b:
         return a
     if not a:
@@ -103,34 +91,34 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
 
 
 def _collect(rows) -> dict[tuple, tuple[int, int]]:
-    """The stored terms of the sum over ``rows`` of each row's weight, (monomial, num, den)
-    terms, times its value, (monomial, (num, den)) pairs, den > 0.  It is the ring's one
-    loop over products: each monomial's products are summed as one unreduced fraction over
-    the lcm of their denominators, and reduced by one gcd at the end."""
+    """The stored terms of the sum over ``rows`` (shift, num, den, terms) of num/den pi^shift
+    times each term, a (monomial, (num, den)) pair, every den > 0.  It is the ring's one loop
+    over products: pi is the first generator, so pi^shift times a monomial raises pi's
+    exponent or prepends pi, inline, with no merge and no sort; each monomial's products are
+    summed as one unreduced fraction over the lcm of their denominators, and reduced by one
+    gcd at the end."""
     sums: dict[tuple, list[int]] = {}
-    for weight, terms in rows:
-        for m1, n1, d1 in weight:
-            for m2, (n2, d2) in terms:
-                mono = _mono_mul(m1, m2) if m1 else m2
-                num, den = n1 * n2, d1 * d2
-                acc = sums.get(mono)
-                if acc is None:
-                    sums[mono] = [num, den]
-                elif acc[1] == den:
-                    acc[0] += num
-                else:  # over lcm(acc_den, den) = acc_den * (den / g), g their gcd
-                    g = math.gcd(acc[1], den)
-                    acc[0] = acc[0] * (den // g) + num * (acc[1] // g)
-                    acc[1] *= den // g
+    for shift, n1, d1, terms in rows:
+        for mono, (n2, d2) in terms:
+            if shift:
+                mono = (((_PI, shift + mono[0][1]),) + mono[1:] if mono and mono[0][0] == _PI
+                        else ((_PI, shift),) + mono)
+            num, den = n1 * n2, d1 * d2
+            acc = sums.get(mono)
+            if acc is None:
+                sums[mono] = [num, den]
+            elif acc[1] == den:
+                acc[0] += num
+            else:  # over lcm(acc_den, den) = acc_den * (den / g), g their gcd
+                g = math.gcd(acc[1], den)
+                acc[0] = acc[0] * (den // g) + num * (acc[1] // g)
+                acc[1] *= den // g
     terms = {}
     for mono, (num, den) in sums.items():
         if num:
             g = math.gcd(num, den)
             terms[mono] = (num // g, den // g)
     return terms
-
-
-_UNIT = (((), 1, 1),)  # the weight of a row that is summed as it stands
 
 
 def _coef_text(num: int, den: int) -> str:
@@ -157,7 +145,7 @@ class SymbolicValue:
 
     def __init__(self, terms: Mapping[tuple, RationalLike] | None = None):
         pairs = [(mono, (coef.numerator, coef.denominator)) for mono, coef in (terms or {}).items()]
-        self._terms = _collect([(_UNIT, pairs)])
+        self._terms = _collect([(0, 1, 1, pairs)])
 
     @staticmethod
     def _of(terms: dict[tuple, tuple[int, int]]) -> "SymbolicValue":
@@ -169,15 +157,15 @@ class SymbolicValue:
 
     @staticmethod
     def zero() -> "SymbolicValue":
-        return SymbolicValue()
+        return SymbolicValue._of({})
 
     @staticmethod
     def one() -> "SymbolicValue":
-        return SymbolicValue({(): 1})
+        return _single((), 1)
 
     @staticmethod
     def rational(q: RationalLike) -> "SymbolicValue":
-        return SymbolicValue({(): q})
+        return _single((), q)
 
     # -- views -------------------------------------------------------------
 
@@ -286,7 +274,8 @@ def linear_combination(weights, values, scale: RationalLike = 1) -> SymbolicValu
     pass of the ring's accumulator: the scale enters each weight unreduced, and each
     monomial's coefficient is summed as one integer fraction and reduced once at the end."""
     sn, sd = scale.numerator, scale.denominator
-    rows = [(_weight_terms(w, sn, sd), v._terms.items()) for w, v in zip(weights, values)] if sn else []
+    rows = [row for w, v in zip(weights, values)
+            for row in _weight_rows(w, v._terms.items(), sn, sd)] if sn else []
     return SymbolicValue._of(_collect(rows))
 
 
@@ -315,12 +304,29 @@ def graded_combination(weights, values) -> SymbolicValue:
     return SymbolicValue._of(terms)
 
 
-def _weight_terms(weight, sn: int, sd: int) -> list[tuple]:
-    """The (monomial, num, den) terms of a rational, int pair or SymbolicValue weight times sn/sd."""
+def pi_power_combination(weights, values, scale: tuple[int, int] = (1, 1)) -> SymbolicValue:
+    """scale * sum_i w_i v_i for pi-power weights w_i = (e, num, den), num/den pi^e with
+    e >= 0, over values that are SymbolicValues or int pairs (num, den), and an int-pair
+    scale, every den > 0 and no pair necessarily reduced, in one pass of the ring's
+    accumulator: each weight is one row that shifts pi's exponent, the scale entered
+    unreduced, so that a closed form's weights build no Fraction and no SymbolicValue.
+    Weights of one exponent over rational values land on one monomial and are summed there."""
+    sn, sd = scale
+    rows = [(e, num * sn, den * sd, value._terms.items() if type(value) is SymbolicValue else (((), value),))
+            for (e, num, den), value in zip(weights, values)] if sn else []
+    return SymbolicValue._of(_collect(rows))
+
+
+def _weight_rows(weight, terms, sn: int, sd: int) -> list[tuple]:
+    """The accumulator rows of a rational, int pair or SymbolicValue weight times sn/sd over
+    the value terms ``terms``: a weight term that is a power of pi shifts pi's exponent in
+    the accumulator, and any other monomial is multiplied into the terms here."""
     if type(weight) is SymbolicValue:
-        return [(mono, n * sn, d * sd) for mono, (n, d) in weight._terms.items()]
+        return [(m1[0][1], n * sn, d * sd, terms) if len(m1) == 1 and m1[0][0] == _PI
+                else (0, n * sn, d * sd, [(_mono_merge(m1, m2), c) for m2, c in terms] if m1 else terms)
+                for m1, (n, d) in weight._terms.items()]
     num, den = weight if type(weight) is tuple else (weight.numerator, weight.denominator)
-    return [((), num * sn, den * sd)] if num else []
+    return [(0, num * sn, den * sd, terms)] if num else []
 
 
 def _coerce(value) -> "SymbolicValue":
@@ -334,39 +340,40 @@ def _coerce(value) -> "SymbolicValue":
 # -- convenience constructors ----------------------------------------------
 
 
+def _single(mono: tuple, coef: RationalLike) -> SymbolicValue:
+    """coef * mono, stored as it stands: an int or Fraction coefficient is reduced already."""
+    return SymbolicValue._of({mono: (coef.numerator, coef.denominator)} if coef else {})
+
+
 def sym_pi(exp: int = 1, coef: RationalLike = 1) -> SymbolicValue:
-    return SymbolicValue({_monomial({_PI: exp}) if exp else (): coef})
+    return _single(_monomial({_PI: exp}) if exp else (), coef)
 
 
 def sym_log2(exp: int = 1, coef: RationalLike = 1) -> SymbolicValue:
-    return SymbolicValue({_monomial({_LOG2: exp}) if exp else (): coef})
+    return _single(_monomial({_LOG2: exp}) if exp else (), coef)
 
 
 def sym_zeta_odd(j: int, coef: RationalLike = 1) -> SymbolicValue:
-    return SymbolicValue({((_key(2, j), 1),): coef})
+    return _single(((_key(2, j), 1),), coef)
 
 
 def sym_zeta_bar1(j: int, coef: RationalLike = 1) -> SymbolicValue:
-    return SymbolicValue({((_key(3, j), 1),): coef})
+    return _single(((_key(3, j), 1),), coef)
 
 
 def zeta_even(k: int) -> SymbolicValue:
     """zeta(2k) as an exact rational multiple of pi^{2k}.
 
     Uses the Bernoulli-number closed form
-    zeta(2k) = (-1)^{k+1} B_{2k} (2 pi)^{2k} / (2 (2k)!).
+    zeta(2k) = (-1)^{k+1} B_{2k} (2 pi)^{2k} / (2 (2k)!), its coefficient in ints.
     """
     if k < 1:
         raise ValueError("zeta_even requires k >= 1")
     from .specialfn import bernoulli
 
-    coef = (
-        Fraction((-1) ** (k + 1))
-        * bernoulli(2 * k)
-        * Fraction(2 ** (2 * k))
-        / (2 * math.factorial(2 * k))
-    )
-    return sym_pi(2 * k, coef)
+    b = bernoulli(2 * k)
+    num, den = _reduced((-1) ** (k + 1) * b.numerator * 4**k, b.denominator * 2 * math.factorial(2 * k))
+    return SymbolicValue._of({((_PI, 2 * k),): (num, den)})
 
 
 @lru_cache(maxsize=None)
@@ -474,4 +481,4 @@ def parse_text(text: str) -> SymbolicValue:
     for sign, body in terms:
         mono, coef = _parse_term(body)
         pairs.append((mono, (-coef.numerator if sign == "-" else coef.numerator, coef.denominator)))
-    return SymbolicValue._of(_collect([(_UNIT, pairs)]))
+    return SymbolicValue._of(_collect([(0, 1, 1, pairs)]))

@@ -39,6 +39,29 @@ from euler_maclaurin import zeta_double
 from fresh import run_fresh
 
 
+def _pi_weight(triple):
+    """A weight triple (e, num, den) of integrals._case_weights as the value num/den pi^e."""
+    e, num, den = triple
+    return sym_pi(e, Fraction(num, den))
+
+
+def _symbolic_case_weights(n, z):
+    """integrals._case_weights(n, z) with the central triple and each coef triple rebuilt
+    as its SymbolicValue."""
+    central, weights = integrals._case_weights(n, z)
+    return _pi_weight(central), tuple((_pi_weight(coef), alt, pow_) for coef, alt, pow_ in weights)
+
+
+def _add_loop_moment(n, m, z):
+    """The exact moment with the weighted k-sums added one value at a time."""
+    central, weights = _symbolic_case_weights(n, z)
+    want = central * Fraction(math.comb(2 * m, m), 4**m)
+    for coef, alt, pow_ in weights:
+        ksum = sum(Fraction((-1) ** (k * alt) * math.comb(2 * m, m + k), k**pow_) for k in range(1, m + 1))
+        want = want + coef * Fraction(ksum, 4**m)
+    return want
+
+
 class TestMomentsExact:
     def test_cubic_monomial(self):
         assert sine_power_moment_exact(2, 0, "pi") == sym_pi(3, Fraction(1, 3))
@@ -60,14 +83,26 @@ class TestMomentsExact:
     def test_one_pass_equals_the_add_loop(self, z):
         # the weighted k-sums added one value at a time
         for n in range(13):
-            central, weights = integrals._case_weights(n, z)
             for m in range(21):
-                want = central * Fraction(math.comb(2 * m, m), 4**m)
-                for coef, alt, pow_ in weights:
-                    ksum = sum(Fraction((-1) ** (k * alt) * math.comb(2 * m, m + k), k**pow_)
-                               for k in range(1, m + 1))
-                    want = want + coef * Fraction(ksum, 4**m)
-                assert sine_power_moment_exact(n, m, z) == want, (n, m)
+                assert sine_power_moment_exact(n, m, z) == _add_loop_moment(n, m, z), (n, m)
+
+    def test_the_two_weights_on_pi_to_the_0_are_summed(self):
+        # at odd n on the pi/2 row the last even weight and the parity weight both weigh pi^0,
+        # so their two rational k-sums land on one term of the moment
+        for n in range(1, 22, 2):
+            (even, plain, _), (parity, alt, _) = integrals._case_weights(n, "pi/2")[1][-2:]
+            assert even[0] == parity[0] == 0 and not plain and alt, n
+            for m in range(13):
+                got, want = sine_power_moment_exact(n, m, "pi/2"), _add_loop_moment(n, m, "pi/2")
+                assert got == want and got.text() == want.text(), (n, m)
+
+    @pytest.mark.parametrize("z", ["pi", "pi/2"])
+    def test_weights_are_reduced_int_triples(self, z):
+        for n in range(41):
+            central, weights = integrals._case_weights(n, z)
+            for e, num, den in [central, *(coef for coef, _, _ in weights)]:
+                assert all(type(x) is int for x in (e, num, den)), (n, z)
+                assert e >= 0 and den > 0 and num != 0 and math.gcd(num, den) == 1, (n, z)
 
     @pytest.mark.parametrize("z", ["pi", "pi/2"])
     def test_against_quadrature(self, z, cfg):
@@ -133,13 +168,13 @@ class TestHalfAngleMoment:
 
     def test_trivial_case(self):
         # the integral of 1 over (0, 2pi), with no k-sum
-        central, weights = integrals._case_weights(0, integrals.CLOSED_FORM_ANGLES["ls"]["2pi"])
+        central, weights = _symbolic_case_weights(0, integrals.CLOSED_FORM_ANGLES["ls"]["2pi"])
         assert (2 * central, weights) == (sym_pi(1, 2), ())
 
     def test_exact_scaling(self):
         for theta in ("pi", "2pi"):
             for n in range(41):
-                central, weights = integrals._case_weights(n, integrals.CLOSED_FORM_ANGLES["ls"][theta])
+                central, weights = _symbolic_case_weights(n, integrals.CLOSED_FORM_ANGLES["ls"][theta])
                 scale = 2 ** (n + 1)
                 want_central, want_weights = _written_out_row(n, theta)
                 assert scale * central == want_central, (theta, n)
@@ -232,7 +267,7 @@ REFERENCE_LS_PI = {
 def _add_loop_closed_form(n, p, z, scaled):
     """The closed form added one weighted k-sum at a time, then scaled."""
     row, scale = (z, 1) if scaled else (integrals.CLOSED_FORM_ANGLES["ls"][z], -(2 ** (n + 1)))
-    central, weights = integrals._case_weights(n, row)
+    central, weights = _symbolic_case_weights(n, row)
     total = central * central_binom_deriv(DerivSpec(p, 0, scaled))
     for coef, alt, pow_ in weights:
         total = total + coef * integrals._ksum(p, scaled, alt, pow_)

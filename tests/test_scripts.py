@@ -13,12 +13,16 @@ WORKER = ROOT / "perfbench" / "worker.py"
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
-@pytest.fixture
-def reproduce_tables():
-    spec = importlib.util.spec_from_file_location("reproduce_tables", SCRIPT)
+def load_script(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def reproduce_tables():
+    return load_script(SCRIPT)
 
 
 def test_reproduce_tables_passes(reproduce_tables, capsys):
@@ -57,3 +61,60 @@ def test_the_workflow_holds_no_check_of_its_own():
     # every check lives in tier-1, where a local run makes it too; CI adds verify-paper
     # and the benchmark's correctness runs, and no program, heredoc or time limit inline
     assert not re.search(r"<<|python3? -c\b|\btimeout\s", WORKFLOW.read_text())
+
+
+E2E = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+
+def canned_record(req_per_s, p50, p90, setup_s, rss, failed=0):
+    values = dict(req_per_s=req_per_s, latency_p50_ms=p50, latency_p90_ms=p90, setup_s=setup_s, peak_rss_mb=rss)
+    return {"correct": True, "attempted": 100, "failed": failed,
+            "metrics": {name: {"value": value, "unit": ""} for name, value in values.items()}}
+
+
+def canned_pairs():
+    """Ten (parent, change) records: req_per_s 10% higher in every pair, p50 lower in 9 of 10
+    pairs but by less than the parent's IQR, p90 30% higher, setup_s equal, peak_rss 5% higher."""
+    pairs = []
+    for i, rps in enumerate([100, 104, 96, 101, 99, 103, 97, 100, 102, 98]):
+        p50 = 1.0 + 0.1 * (i % 4)
+        parent = canned_record(rps, p50, 2.0, 0.1, 20.0)
+        change = canned_record(rps * 1.1, p50 - (0.01 if i else -0.01), 2.6, 0.1, 21.0, failed=i == 3)
+        pairs.append((parent, change))
+    return pairs
+
+
+def test_pairs_summary_applies_the_gain_rule_and_the_bounds():
+    pairs = load_script(ROOT / "scripts" / "pairs.py")
+    lines = pairs.summary(E2E, canned_pairs())
+    rows = {line.split()[0]: line.split() for line in lines[1:6]}
+    assert rows["req_per_s"][1:4] == ["100", "110", "+10.0%"] and rows["req_per_s"][-3:] == ["10/10", "yes", "ok"]
+    assert rows["latency_p50_ms"][-3:] == ["9/10", "no", "ok"]  # 9 wins, but within the IQR
+    assert rows["latency_p90_ms"][-3:] == ["0/10", "no", "WORSE"]  # 30% past a 25% bound
+    assert rows["setup_s"][-3:] == ["0/10", "no", "ok"]
+    assert rows["peak_rss_mb"][-3:] == ["0/10", "no", "ok"]  # 5% within a 10% bound
+    assert lines[6:] == ["parent: correct in 10/10 runs, 0 of 1000 requests failed",
+                         "change: correct in 10/10 runs, 1 of 1000 requests failed"]
+
+
+def test_pairs_alternate_which_side_runs_first_on_one_seed(monkeypatch, tmp_path, capsys):
+    pairs = load_script(ROOT / "scripts" / "pairs.py")
+    runs, records = [], iter(record for pair in canned_pairs() for record in pair)
+
+    def archive(rev, dest):
+        dest.mkdir()
+        (dest / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        return dest
+
+    def run_once(root, workload, seed, seconds):
+        runs.append((root.name, workload, seed, seconds))
+        return next(records)
+
+    monkeypatch.setattr(pairs, "archive", archive)
+    monkeypatch.setattr(pairs, "run_once", run_once)
+    argv = ["A", "B", "--workload", "exact", "--pairs", "3", "--seeds", "7-8", "--seconds", "2"]
+    assert pairs.main(argv) == 0
+    assert runs == [("parent", "exact", 7, 2.0), ("change", "exact", 7, 2.0), ("change", "exact", 8, 2.0),
+                    ("parent", "exact", 8, 2.0), ("parent", "exact", 7, 2.0), ("change", "exact", 7, 2.0)]
+    out = capsys.readouterr().out
+    assert "exact: A -> B, 3 pairs, seeds 7-8, 2 s each" in out and "req_per_s" in out

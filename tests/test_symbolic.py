@@ -11,9 +11,9 @@ from logsine.symbolic import (
     SymbolicValue,
     _generator_value,
     _mono_merge,
-    _mono_mul,
     graded_combination,
     linear_combination,
+    pi_power_combination,
     sym_log2,
     sym_zeta_bar1,
     sym_zeta_odd,
@@ -62,7 +62,7 @@ def fraction_sum(*maps):
 
 
 def fraction_product(a, b):
-    return fraction_sum(*({_mono_mul(m1, m2): c1 * c2} for m1, c1 in a.items() for m2, c2 in b.items()))
+    return fraction_sum(*({_mono_merge(m1, m2): c1 * c2} for m1, c1 in a.items() for m2, c2 in b.items()))
 
 
 class TestRingLaws:
@@ -403,6 +403,30 @@ class TestLinearCombination:
         assert got.text() == "7/8 + 7/12*pi^2 - 2/3*log2"
 
 
+class TestPiPowerCombination:
+    # weights num/den pi^e over few exponents, so that exponents repeat; zero numerators too
+    pi_weights = st.tuples(st.integers(0, 3), st.integers(-60, 60), st.integers(1, 40))
+
+    @given(st.lists(st.tuples(pi_weights, symbolic_values() | int_pairs), max_size=6),
+           st.tuples(st.integers(-12, 12), st.integers(1, 12)))
+    def test_equals_the_accumulator_over_pi_values(self, pairs, scale):
+        # each weight (e, num, den) is the value sym_pi(e, num/den), and an int-pair value
+        # (num, den) the rational num/den
+        def value(v):
+            return SymbolicValue.rational(Fraction(*v)) if type(v) is tuple else v
+        weights, values = [w for w, _ in pairs], [v for _, v in pairs]
+        got = pi_power_combination(weights, values, scale)
+        want = linear_combination([sym_pi(e, Fraction(num, den)) for e, num, den in weights],
+                                  [value(v) for v in values], Fraction(*scale))
+        assert got == want and got.text() == want.text()
+        assert_canonical(got)
+
+    def test_two_weights_on_one_exponent_over_rationals_are_summed(self):
+        # pi^0 twice: 1/2 * 3/4 + (-5/6) * 1/2 = -1/24, then times -2/3
+        got = pi_power_combination([(2, 1, 3), (0, 1, 2), (0, -5, 6)], [(7, 1), (3, 4), (2, 4)], (-2, 3))
+        assert got.text() == "1/36 - 14/9*pi^2"
+
+
 class TestGradedCombination:
     @given(st.lists(st.tuples(int_pairs, symbolic_values()), max_size=5))
     def test_values_with_no_shared_monomial_give_the_accumulator_pairs(self, pairs):
@@ -447,9 +471,11 @@ class TestMonomial:
 
     @given(st.integers(1, 60), monomials())
     def test_a_pi_power_times_a_monomial_is_the_general_merge(self, e, value):
+        # the accumulator shifts pi's exponent inline, whichever side the power of pi is on
         (mono,) = value._terms  # one monomial, 1 included
         (pi,) = sym_pi(e)._terms
-        assert _mono_mul(pi, mono) == _mono_mul(mono, pi) == _mono_merge(pi, mono)
+        products = (sym_pi(e) * value, value * sym_pi(e), pi_power_combination([(e, 1, 1)], [value]))
+        assert all(list(product._terms) == [_mono_merge(pi, mono)] for product in products)
 
     def test_product_merges_exponents(self):
         a, b = sym_log2() * sym_pi(2), sym_pi() * sym_zeta_odd(3)
