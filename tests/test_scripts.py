@@ -72,38 +72,65 @@ def canned_record(req_per_s, p50, p90, setup_s, rss, failed=0):
             "metrics": {name: {"value": value, "unit": ""} for name, value in values.items()}}
 
 
-def canned_pairs():
+def canned_pairs(change_failed=0):
     """Ten (parent, change) records: req_per_s 10% higher in every pair, p50 lower in 9 of 10
-    pairs but by less than the parent's IQR, p90 30% higher, setup_s equal, peak_rss 5% higher."""
+    pairs but by less than the parent's IQR, p90 30% higher, setup_s equal, peak_rss 5% higher;
+    the change fails ``change_failed`` requests in its fourth run."""
     pairs = []
     for i, rps in enumerate([100, 104, 96, 101, 99, 103, 97, 100, 102, 98]):
         p50 = 1.0 + 0.1 * (i % 4)
         parent = canned_record(rps, p50, 2.0, 0.1, 20.0)
-        change = canned_record(rps * 1.1, p50 - (0.01 if i else -0.01), 2.6, 0.1, 21.0, failed=i == 3)
+        change = canned_record(rps * 1.1, p50 - (0.01 if i else -0.01), 2.6, 0.1, 21.0,
+                               failed=change_failed if i == 3 else 0)
         pairs.append((parent, change))
     return pairs
+
+
+def summary_rows(lines):
+    return {line.split()[0]: line.split() for line in lines[1:6]}
 
 
 def test_pairs_summary_applies_the_gain_rule_and_the_bounds():
     pairs = load_script(ROOT / "scripts" / "pairs.py")
     lines = pairs.summary(E2E, canned_pairs())
-    rows = {line.split()[0]: line.split() for line in lines[1:6]}
+    rows = summary_rows(lines)
     assert rows["req_per_s"][1:4] == ["100", "110", "+10.0%"] and rows["req_per_s"][-3:] == ["10/10", "yes", "ok"]
     assert rows["latency_p50_ms"][-3:] == ["9/10", "no", "ok"]  # 9 wins, but within the IQR
     assert rows["latency_p90_ms"][-3:] == ["0/10", "no", "WORSE"]  # 30% past a 25% bound
     assert rows["setup_s"][-3:] == ["0/10", "no", "ok"]
     assert rows["peak_rss_mb"][-3:] == ["0/10", "no", "ok"]  # 5% within a 10% bound
     assert lines[6:] == ["parent: correct in 10/10 runs, 0 of 1000 requests failed",
-                         "change: correct in 10/10 runs, 1 of 1000 requests failed"]
+                         "change: correct in 10/10 runs, 0 of 1000 requests failed"]
 
 
-def test_pairs_alternate_which_side_runs_first_on_one_seed(monkeypatch, tmp_path, capsys):
+def test_pairs_no_gain_counts_when_more_requests_fail():
+    pairs = load_script(ROOT / "scripts" / "pairs.py")
+    lines = pairs.summary(E2E, canned_pairs(change_failed=1))
+    assert summary_rows(lines)["req_per_s"][-3:] == ["10/10", "no", "ok"]
+    assert lines[7] == "change: correct in 10/10 runs, 1 of 1000 requests failed"
+
+
+@pytest.mark.parametrize("lead, gain", [(5, "no"), (6, "yes")])
+def test_pairs_take_the_parent_iqr_by_the_exclusive_method(lead, gain):
+    # parent req_per_s 100..109: the exclusive quartiles 101.75..107.25 span 5.5, the
+    # inclusive ones 102.25..106.75 only 4.5, so a lead of 5 in every pair is no gain
+    pairs = load_script(ROOT / "scripts" / "pairs.py")
+    records = [(canned_record(rps, 1.0, 2.0, 0.1, 20.0), canned_record(rps + lead, 1.0, 2.0, 0.1, 20.0))
+               for rps in [103, 100, 108, 105, 101, 109, 104, 102, 107, 106]]
+    row = summary_rows(pairs.summary(E2E, records))["req_per_s"]
+    assert row[4:6] == ["101.75", "..107.25"]
+    assert row[-3:] == ["10/10", gain, "ok"]
+
+
+def test_pairs_run_one_pair_per_seed_alternating_for_the_parent_run_length(monkeypatch, tmp_path, capsys):
     pairs = load_script(ROOT / "scripts" / "pairs.py")
     runs, records = [], iter(record for pair in canned_pairs() for record in pair)
 
     def archive(rev, dest):
+        bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+        bench["run_seconds"] = 2 if dest.name == "parent" else 99
         dest.mkdir()
-        (dest / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        (dest / "BENCHMARK.json").write_text(json.dumps(bench))
         return dest
 
     def run_once(root, workload, seed, seconds):
@@ -112,9 +139,8 @@ def test_pairs_alternate_which_side_runs_first_on_one_seed(monkeypatch, tmp_path
 
     monkeypatch.setattr(pairs, "archive", archive)
     monkeypatch.setattr(pairs, "run_once", run_once)
-    argv = ["A", "B", "--workload", "exact", "--pairs", "3", "--seeds", "7-8", "--seconds", "2"]
-    assert pairs.main(argv) == 0
-    assert runs == [("parent", "exact", 7, 2.0), ("change", "exact", 7, 2.0), ("change", "exact", 8, 2.0),
-                    ("parent", "exact", 8, 2.0), ("parent", "exact", 7, 2.0), ("change", "exact", 7, 2.0)]
+    assert pairs.main(["A", "B", "--workload", "exact", "--seeds", "7-9"]) == 0
+    assert runs == [("parent", "exact", 7, 2), ("change", "exact", 7, 2), ("change", "exact", 8, 2),
+                    ("parent", "exact", 8, 2), ("parent", "exact", 9, 2), ("change", "exact", 9, 2)]
     out = capsys.readouterr().out
-    assert "exact: A -> B, 3 pairs, seeds 7-8, 2 s each" in out and "req_per_s" in out
+    assert "exact: A -> B, 3 pairs, seeds 7-9, 2 s each" in out and "req_per_s" in out
