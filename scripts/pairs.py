@@ -15,8 +15,10 @@ For each end-to-end metric of the parent's BENCHMARK.json the summary prints bot
 both sides' quartiles, the pairs in which the change is better, whether it gains by the
 rule (better in at least 9 of 10 pairs, a median better than the parent's by more than
 the parent's interquartile range, and no larger share of requests failed) and whether its
-median stays within the metric's bound.  It gates nothing: the exit status is 0 unless a
-run fails to give a record.
+median stays within the metric's bound.  A median within the bound reads ``unresolved``
+when the parent's interquartile range is wider than the bound, unless every change run is
+better than every parent run.  It gates nothing: the exit status is 0 unless a run fails
+to give a record.
 """
 
 from __future__ import annotations
@@ -89,10 +91,12 @@ def summary(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[str]:
         gap = change_mid - parent_mid if higher else parent_mid - change_mid  # > 0: the change is better
         wins = sum(c > p if higher else c < p for p, c in zip(parent, change))
         gain = wins >= 0.9 * len(pairs) and gap > p3 - p1 and fails_no_more
-        within = -gap <= bound * abs(parent_mid)
+        resolved = (p3 - p1 <= bound * abs(parent_mid)
+                    or (min(change) > max(parent) if higher else max(change) < min(parent)))
+        verdict = "WORSE" if -gap > bound * abs(parent_mid) else "ok" if resolved else "unresolved"
         lines.append(f"{name:<16} {parent_mid:11.5g} {change_mid:11.5g} {change_mid / parent_mid - 1:+7.1%}  "
                      f"{p1:<10.5g}..{p3:<11.5g} {c1:<10.5g}..{c3:<11.5g} "
-                     f"{wins:>2}/{len(pairs):<2}  {'yes ' if gain else 'no  '}  {'ok' if within else 'WORSE'}")
+                     f"{wins:>2}/{len(pairs):<2}  {'yes ' if gain else 'no  '}  {verdict}")
     for label, side, (failed, attempted) in zip(("parent", "change"), sides, counts):
         lines.append(f"{label}: correct in {sum(bool(r['correct']) for r in side)}/{len(side)} runs, "
                      f"{failed} of {attempted} requests failed")

@@ -38,7 +38,7 @@ from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, neg, sub
 
-from .binomderiv import DerivSpec, central_binom_deriv
+from .binomderiv import _constant_row
 from .numerics import (
     DEFAULT_CONFIG,
     NumericConfig,
@@ -204,8 +204,8 @@ def _ksum(p: int, scaled: bool, alt: bool, s: int) -> SymbolicValue:
     With xi_bar = c + r(k) as in :func:`shifted_binom_deriv`, B_{p-1}(c + r) =
     sum_i C(p-1, i) B_{p-1-i}(c) B_i(r), and only B_0(r) = 1 and B_1(r) = 2 H_k - 1/k
     are linear in H_k, so the catalog takes p <= 2, where
-    D_p(k) = (-1)^{p+k} (p/k) (B_{p-1}(c) + (p-1)(2 H_k - 1/k)), B_{p-1}(c) from the
-    central derivative of order p-1 (log 4 at p = 2 when scaled).  A sum outside
+    D_p(k) = (-1)^{p+k} (p/k) (B_{p-1}(c) + (p-1)(2 H_k - 1/k)), B_{p-1}(c) the cached
+    entry p-1 of the constant row (log 4 at p = 2 when scaled).  A sum outside
     the catalog raises CatalogMissError."""
     if p > 2:
         raise CatalogMissError(
@@ -215,15 +215,14 @@ def _ksum(p: int, scaled: bool, alt: bool, s: int) -> SymbolicValue:
     if p == 0:
         return SymbolicValue.zero()
     flip = not alt  # D_p(k) carries (-1)^k
-    # B_{p-1}(c) is (-1)^{p-1} times the central derivative of order p - 1, so the k-sum is
-    # -p (central S(s+1) - (p-1) (2 SH(s+1) - S(s+2))), S and SH the catalog sums of 1 and
-    # H_k, in one accumulator pass
-    weights = [central_binom_deriv(DerivSpec(p - 1, 0, scaled))]
+    # the k-sum is (-1)^p p (B_{p-1}(c) S(s+1) + (p-1) (2 SH(s+1) - S(s+2))), S and SH the
+    # catalog sums of 1 and H_k, in one accumulator pass
+    weights = [_constant_row(p - 1, scaled)[p - 1]]
     sums = [_catalog_sum(False, flip, s + 1)]
     if p == 2:
-        weights += [-2, 1]
+        weights += [2, -1]
         sums += [_catalog_sum(True, flip, s + 1), _catalog_sum(False, flip, s + 2)]
-    return linear_combination(weights, sums, -p)
+    return linear_combination(weights, sums, (-1) ** p * p)
 
 
 PiWeight = tuple[int, int, int]  # (e, num, den): num/den pi^e
@@ -511,9 +510,11 @@ def _closed_form(spec: IntegralSpec) -> ClosedFormResult:
     -2^{n+1-p} times the unscaled derivative of the row at theta/2.  Exact when the k-sums
     reduce over the catalog, otherwise from log-sine moments, never a wrong symbolic value.
     The derivative, central D_p(0) + sum coef * (k-sum of D_p), is summed and scaled, the scale
-    an int pair, in one pass of :func:`pi_power_combination` over the weight triples."""
+    an int pair, in one pass of :func:`pi_power_combination` over the weight triples.  D_p(0)
+    is (-1)^p B_p(c): B_p(c) is read from the cached constant row and the sign goes on the
+    central weight, as the scale multiplies the k-sums too."""
     n, p, row, form = spec.n, spec.p, _row_angle(spec.form, spec.z), FORMS[spec.form]
-    central, weights = _case_weights(n, row)
+    (e, num, den), weights = _case_weights(n, row)
     try:
         ksums = [_ksum(p, form.scaled, alt, pow_) for _, alt, pow_ in weights]
     except CatalogMissError as miss:
@@ -521,8 +522,8 @@ def _closed_form(spec: IntegralSpec) -> ClosedFormResult:
         if not (math.isfinite(value) and math.isfinite(error)):
             raise OverflowError(f"the series fallback is {value} with error estimate {error:.1e}")
         return ClosedFormResult(None, value, error, str(miss))
-    sym = pi_power_combination([central, *(coef for coef, _, _ in weights)],
-                               [central_binom_deriv(DerivSpec(p, 0, form.scaled)), *ksums],
+    sym = pi_power_combination([(e, -num if p % 2 else num, den), *(coef for coef, _, _ in weights)],
+                               [_constant_row(p, form.scaled)[p], *ksums],
                                (form.sign * (1 if form.scaled else 2 ** (n + 1)), 2**p))
     return ClosedFormResult(sym, eval_numeric(sym))
 
@@ -607,21 +608,21 @@ def _sin_power(nodes, side: int, k: int):
     return map(pow, map(math.sin, nodes.xs[side]), repeat(k))
 
 
-def _product_quadrature(f, left: tuple, right: tuple, a: float, b: float, cfg: NumericConfig) -> float:
+def _product_quadrature(f, left: tuple, right: tuple, a: float, b: float, tol: float) -> float:
     # the integral over (a, b) of f, whose columns are the products of the columns named
     # left and right; f itself is read at the center and at the clamped ends
     def column(nodes):
         (left_hi, left_lo), (right_hi, right_lo) = nodes.column(left), nodes.column(right)
         return map(mul, left_hi, right_hi), map(mul, left_lo, right_lo)
 
-    return _tanh_sinh(f, column, a, b, cfg)
+    return _tanh_sinh(f, column, a, b, tol)
 
 
 def sine_power_moment_quadrature(n: int, m: int, z: float, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
     """Tanh-sinh value of the integral of x^n sin^{2m}(x) over (0, z), the oracle of the
     exact moments; its columns are the stored x^n and sin^{2m} x."""
     return _product_quadrature(lambda x: x**n * math.sin(x) ** (2 * m), (_x_power, n), (_sin_power, 2 * m),
-                               0.0, z, cfg)
+                               0.0, z, cfg.target_abs_tol)
 
 
 def quadrature_value(spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG) -> float:
@@ -634,7 +635,7 @@ def quadrature_value(spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG) ->
     Each integrand column is the product of two columns kept with the tabled
     level's nodes, x^n or x^n + (L - x)^n and the signed g^p, so that a repeated
     interval computes no power and no logarithm at levels 0-3, where calls at the
-    default tolerance stop."""
+    default tolerance stop.  The two pieces of a fold take half the tolerance each."""
     n, p, z = spec.n, spec.p, angle_value(spec.z)
     top, _, g, sign, _ = FORMS[spec.form]
     # the integrand sign * x^n g(x)^p, and past L/2 the folded one, by the scalar expressions
@@ -642,8 +643,8 @@ def quadrature_value(spec: IntegralSpec, cfg: NumericConfig = DEFAULT_CONFIG) ->
     plain = lambda x: sign * x**n * g(x) ** p
     log_power = (_log_power, spec.form, p)
     if z <= top / 2:
-        return _product_quadrature(plain, (_x_power, n), log_power, 0.0, z, cfg)
+        return _product_quadrature(plain, (_x_power, n), log_power, 0.0, z, cfg.target_abs_tol)
     folded = lambda x: sign * (x**n + (top - x) ** n) * g(x) ** p
-    mirror, half = max(top - z, 0.0), NumericConfig(cfg.target_abs_tol / 2)
+    mirror, half = max(top - z, 0.0), cfg.target_abs_tol / 2
     return (_product_quadrature(plain, (_x_power, n), log_power, 0.0, mirror, half)
             + _product_quadrature(folded, (_fold_power, n, top), log_power, mirror, top / 2, half))

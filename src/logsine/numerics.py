@@ -232,19 +232,18 @@ def _tanh_sinh(
     column: Callable[[_Nodes], tuple[Iterable[float], Iterable[float]]],
     a: float,
     b: float,
-    cfg: NumericConfig,
+    tol: float,
 ) -> float:
-    """The level loop of :func:`tanh_sinh_quadrature`, reading the integrand a
-    column at a time: ``column(nodes)`` gives it at ``nodes.xs[0]`` and
-    ``nodes.xs[1]``, and ``f`` at the center, once at each clamped endpoint and
-    in _clamp_loss."""
+    """The level loop of :func:`tanh_sinh_quadrature` to the absolute tolerance ``tol``,
+    finite and > 0 as a NumericConfig checks, reading the integrand a column at a time:
+    ``column(nodes)`` gives it at ``nodes.xs[0]`` and ``nodes.xs[1]``, and ``f`` at the
+    center, once at each clamped endpoint and in _clamp_loss."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("finite integration limits required")
     if a == b:
         return 0.0
     if a > b:
-        return -_tanh_sinh(f, column, b, a, cfg)
-    tol = cfg.target_abs_tol
+        return -_tanh_sinh(f, column, b, a, tol)
     wscale = (b - a) / 2.0 * (math.pi / 2.0)
     ends = (math.nextafter(b, a), math.nextafter(a, b))  # the clamp points, b's side first
     read = {}  # f at the clamped points, read once
@@ -318,7 +317,7 @@ def tanh_sinh_quadrature(
     Raises :class:`QuadratureError` when the internal error estimate cannot
     reach ``cfg.target_abs_tol`` within 12 refinement levels.
     """
-    return _tanh_sinh(f, lambda nodes: (map(f, nodes.xs[0]), map(f, nodes.xs[1])), a, b, cfg)
+    return _tanh_sinh(f, lambda nodes: (map(f, nodes.xs[0]), map(f, nodes.xs[1])), a, b, cfg.target_abs_tol)
 
 
 # -- polygamma on the positive real axis --------------------------------------

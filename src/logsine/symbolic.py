@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import re
-import sys
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
@@ -124,13 +124,9 @@ def _collect(rows) -> dict[tuple, tuple[int, int]]:
 def _coef_text(num: int, den: int) -> str:
     try:
         return str(num) if den == 1 else f"{num}/{den}"  # as str(Fraction(num, den))
-    except ValueError:  # past the int-to-str digit limit, which guards parsing text, not a value
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(0)
-        try:
-            return _coef_text(num, den)
-        finally:
-            sys.set_int_max_str_digits(limit)
+    except ValueError:  # past the int-to-str digit limit, which guards parsing text, not a value:
+        # an int Decimal is exact and prints the digits of str, with no limit
+        return str(Decimal(num)) if den == 1 else f"{Decimal(num)}/{Decimal(den)}"
 
 
 class SymbolicValue:

@@ -18,6 +18,7 @@ from logsine import (
     log_sine_integral,
     shifted_binom_deriv,
 )
+from logsine import binomderiv, integrals, specialfn, symbolic
 from logsine.cli import main
 from fresh import run_fresh
 
@@ -39,18 +40,32 @@ def _closed_forms():
                 yield f"ls theta={theta} n={n} p={p}", log_sine_integral(p, n, theta)
 
 
-def _exact_texts():
+def _exact_texts(before_closed_forms=lambda: None):
     for p in range(13):
         for k in range(1, 31):
             for scaled in (False, True):
                 value = shifted_binom_deriv(DerivSpec(p, k, scaled))
                 yield f"sbd p={p} k={k} scaled={scaled} {value.text()}"
+    before_closed_forms()
     for key, result in _closed_forms():
         yield f"{key} {result.value.text() if result.exact else 'numeric'}"
 
 
-def test_exact_texts_match_the_golden_digest():
-    digest = hashlib.sha256("\n".join(_exact_texts()).encode()).hexdigest()
+@pytest.mark.parametrize("refuse_deriv_spec", [False, True])
+def test_exact_texts_match_the_golden_digest(refuse_deriv_spec, monkeypatch):
+    # refused, the closed forms run cold and build no DerivSpec: each reads its central
+    # term from the constant row
+    def refuse(*args):
+        raise AssertionError("a closed form built a DerivSpec")
+
+    def cold_and_refused():
+        for module in (binomderiv, integrals, specialfn, symbolic):
+            for cached in vars(module).values():
+                getattr(cached, "cache_clear", lambda: None)()
+        monkeypatch.setattr(DerivSpec, "__init__", refuse)
+
+    texts = _exact_texts(cold_and_refused) if refuse_deriv_spec else _exact_texts()
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert digest == GOLDEN_SHA256
 
 

@@ -32,7 +32,7 @@ from logsine import (
     sym_zeta,
     tanh_sinh_quadrature,
 )
-from logsine import integrals
+from logsine import binomderiv, integrals
 from logsine.cli import main
 from logsine.symbolic import SymbolicValue
 from euler_maclaurin import zeta_double
@@ -441,8 +441,9 @@ class TestAnyAngle:
         def refuse(*args):
             raise AssertionError("the any-angle path did symbolic work")
 
-        for name in ("central_binom_deriv", "eval_numeric"):
+        for name in ("_constant_row", "eval_numeric"):
             monkeypatch.setattr(integrals, name, refuse)
+        monkeypatch.setattr(binomderiv, "central_binom_deriv", refuse)
         monkeypatch.setattr(SymbolicValue, "__mul__", refuse)
         for p in (3, 40):
             for z in (1.0, 5.0):
@@ -546,11 +547,15 @@ class TestQuadratureOracleAgainstMpmath:
         assert abs(got - want) <= max(1e-10, 1e-14 * abs(want)), (got, want)
 
     @pytest.mark.parametrize("form,token", [("logsin", "pi"), ("ls", "2pi")])
-    def test_float_endpoint_folds_like_its_token(self, form, token):
+    def test_float_endpoint_folds_like_its_token(self, form, token, monkeypatch):
+        # the folded pieces halve the caller's tolerance as a float: no config is built per call
+        built = []
+        monkeypatch.setattr(NumericConfig, "__post_init__", lambda cfg: built.append(cfg))
         for n, p in ((0, 6), (3, 4), (5, 5)):
             by_token = quadrature_value(IntegralSpec(n, p, token, form=form))
             by_float = quadrature_value(IntegralSpec(n, p, integrals.angle_value(token), form=form))
             assert by_float == by_token
+        assert built == []
 
     def test_cli_prints_the_folded_value(self, capsys):
         from logsine.cli import main
@@ -990,7 +995,8 @@ class TestCentralTermIsMomentZero:
         for request in requests:
             request()  # builds and caches the weight row
 
-        monkeypatch.setattr(integrals, "central_binom_deriv", refuse)
+        monkeypatch.setattr(integrals, "_constant_row", refuse)
+        monkeypatch.setattr(binomderiv, "central_binom_deriv", refuse)
         monkeypatch.setattr(SymbolicValue, "__mul__", refuse)
         monkeypatch.setattr(SymbolicValue, "__rmul__", refuse)
         for request in requests:

@@ -122,6 +122,21 @@ def test_pairs_take_the_parent_iqr_by_the_exclusive_method(lead, gain):
     assert row[-3:] == ["10/10", gain, "ok"]
 
 
+@pytest.mark.parametrize("change_rps, verdict", [
+    ([100, 60, 140, 80, 120, 100, 60, 140, 80, 120], "unresolved"),  # equal runs, noisy parent
+    ([141] * 10, "ok"),  # every change run better than every parent run
+])
+def test_pairs_call_a_metric_noisier_than_its_bound_unresolved(change_rps, verdict):
+    # parent req_per_s 60..140: the IQR 75..125 is wider than 25% of the median 100
+    pairs = load_script(ROOT / "scripts" / "pairs.py")
+    records = [(canned_record(rps, 1.0, 2.0, 0.1, 20.0), canned_record(c, 1.0, 2.0, 0.1, 20.0))
+               for rps, c in zip([100, 60, 140, 80, 120, 100, 60, 140, 80, 120], change_rps)]
+    rows = summary_rows(pairs.summary(E2E, records))
+    assert rows["req_per_s"][4:6] == ["75", "..125"]
+    assert rows["req_per_s"][-1] == verdict
+    assert rows["latency_p50_ms"][-1] == "ok"
+
+
 def test_pairs_run_one_pair_per_seed_alternating_for_the_parent_run_length(monkeypatch, tmp_path, capsys):
     pairs = load_script(ROOT / "scripts" / "pairs.py")
     runs, records = [], iter(record for pair in canned_pairs() for record in pair)

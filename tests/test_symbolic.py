@@ -229,20 +229,26 @@ class TestSerialization:
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-str limit")
     @pytest.mark.parametrize("limit", [None, 640])
     @pytest.mark.within(10)
-    def test_a_coefficient_past_the_int_digit_limit_prints_whole(self, limit):
+    def test_a_coefficient_past_the_int_digit_limit_prints_whole(self, limit, monkeypatch):
         """Polygamma past binary64 raises OverflowError; a 4,401-digit coefficient prints whole"""
         # 10^4400 + 1 has 4,401 digits, past the interpreter's default 4,300-digit limit
-        before = sys.get_int_max_str_digits()
+        before, set_limit = sys.get_int_max_str_digits(), sys.set_int_max_str_digits
         value = SymbolicValue.rational(Fraction(10**4400 + 1, 3))
         digits = "1" + "0" * 4399 + "1"
+
+        def refuse(digits):
+            raise AssertionError("printing a value changed the interpreter-wide digit limit")
+
         try:
             if limit:
-                sys.set_int_max_str_digits(limit)
+                set_limit(limit)
+            monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
             assert value.text() == digits + "/3"
             assert (-sym_pi() * value).text() == f"-{digits}/3*pi"
+            assert SymbolicValue.rational(Fraction(-7, 10**4400 + 1)).text() == f"-7/{digits}"
             assert sys.get_int_max_str_digits() == (limit or before)
         finally:
-            sys.set_int_max_str_digits(before)
+            set_limit(before)
 
     def test_a_leading_sign_is_kept(self):
         assert parse_text("+ pi - zeta3") == sym_pi() - sym_zeta_odd(3)
