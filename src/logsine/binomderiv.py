@@ -16,29 +16,30 @@ lemma over the polygamma sequence of the derivatives, read at m = 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from .bell import binomial_convolution, complete_bell_all
 from .numerics import polygamma_real
 from .specialfn import polygamma_int
-from .symbolic import SymbolicValue, graded_combination, sym_log2, sym_pi
+from .symbolic import SymbolicValue, _reduced, graded_combination, sym_log2, sym_pi
 
 
-@dataclass(frozen=True)
-class DerivSpec:
+class DerivSpec(namedtuple("DerivSpec", "p k scaled")):
     """Request for d^p/dm^p of binom(2m, m+k) (optionally 4^{-m}-scaled) at m=0."""
 
-    p: int
-    k: int
-    scaled: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.p < 0:
+    def __new__(cls, p: int, k: int, scaled: bool = False):
+        if not isinstance(p, int) or not isinstance(k, int):
+            name, value = ("k", k) if isinstance(p, int) else ("p", p)
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if p < 0:
             raise ValueError("derivative order p must be >= 0")
-        if self.k < 0:
+        if k < 0:
             raise ValueError("shift k must be >= 0")
+        return tuple.__new__(cls, (p, k, scaled))
 
 
 LOG4 = sym_log2(1, 2)  # log 4 = 2 log 2
@@ -162,22 +163,24 @@ def _constant_row(n: int, scaled: bool) -> tuple[SymbolicValue, ...]:
 _constant_row.cache_clear = _constant_rows.clear
 
 
-_rational_rows: dict[int, tuple[int, tuple[int, ...], tuple[int, ...]]] = {}
+_rational_rows: dict[int, tuple[int, tuple[int, ...], tuple[int, ...], tuple[tuple[int, int], ...]]] = {}
 
 
-def _rational_row(n: int, k: int) -> tuple[int, tuple[int, ...]]:
-    """(L, row), L = lcm(1..k) and row a prefix [L^0 B_0(r(k)), ..., L^l B_l(r(k))], l >= n, of
-    the Bell row of the rational parts r_j(k) of xi_bar: by the weight homogeneity
-    B_i(L s_1, L^2 s_2, ...) = L^i B_i(s) it is the Bell row of the integers r_j(k) L^j
-    (:func:`_xi_scaled`).  Kept per k with that sequence, and extended
-    in new tuples when a larger n asks: no reader sees a half-built row, and two threads racing
-    on one k at worst store the shorter one."""
-    lcm, seq, row = _rational_rows.get(k) or (math.lcm(*range(1, k + 1)), (), ())
-    if len(row) <= n:
+def _rational_row(n: int, k: int) -> tuple[tuple[int, int], ...]:
+    """A prefix [B_0(r(k)), ..., B_l(r(k))], l >= n, of the Bell row of the rational parts r_j(k)
+    of xi_bar, each a reduced int pair (num, den).  With L = lcm(1..k), the weight homogeneity
+    B_i(L s_1, L^2 s_2, ...) = L^i B_i(s) makes L^i B_i(r(k)) entry i of the Bell row of the
+    integers r_j(k) L^j (:func:`_xi_scaled`), which is reduced against L^i once per (k, i).  Kept
+    per k with L, that sequence and that integer row, and extended in new tuples when a larger n
+    asks: no reader sees a half-built row, and two threads racing on one k at worst store the
+    shorter one."""
+    lcm, seq, row, reduced = _rational_rows.get(k) or (math.lcm(*range(1, k + 1)), (), (), ())
+    if len(reduced) <= n:
         seq += tuple(_xi_scaled(j, k, lcm) for j in range(len(seq) + 1, n + 1))
         row = tuple(complete_bell_all(seq, 1, row))
-        _rational_rows[k] = (lcm, seq, row)
-    return lcm, row
+        reduced += tuple(_reduced(b, lcm**i) for i, b in enumerate(row[len(reduced):], len(reduced)))
+        _rational_rows[k] = (lcm, seq, row, reduced)
+    return reduced
 
 
 _rational_row.cache_clear = _rational_rows.clear
@@ -193,20 +196,27 @@ def shifted_binom_deriv(spec: DerivSpec) -> SymbolicValue:
     because binom(0, k) = 0.  With xi_bar_j = c_j + r_j(k), c the k-free
     sequence of :func:`_constant_row`, the binomial identity B_n(c + r) =
     sum_i C(n, i) B_i(r) B_{n-i}(c) is a rational combination of the cached
-    symbolic row of c, with weights C(n, i) (-1)^{p+k} (p/k) B_i(r(k)),
-    B_i(r(k)) = row_i / L^i over the cached integer row of k.  Each c_j has
-    weight j, so B_{n-i}(c) is homogeneous of weight n - i and no two rows share
-    a monomial: :func:`graded_combination` reduces each weight once and writes each
+    symbolic row of c, with weights C(n, i) (-1)^{p+k} (p/k) B_i(r(k)), each the
+    cached reduced B_i(r(k)) of :func:`_rational_row` times the small C(n, i)
+    (-1)^{p+k} p/k, reduced first, and cross-reduced against it by two gcds with that
+    small factor.  Each c_j has weight j, so B_{n-i}(c) is homogeneous of weight n - i
+    and no two rows share a monomial: :func:`graded_combination` writes each
     coefficient of its row out as one cross-reduced product, with no sum.
     """
-    if spec.k < 1:
+    p, k = spec.p, spec.k
+    if k < 1:
         raise ValueError("shifted_binom_deriv requires k >= 1; use central_binom_deriv")
-    if spec.p == 0:
+    if p == 0:
         return SymbolicValue.zero()
-    n = spec.p - 1
-    lcm, rational = _rational_row(n, spec.k)
-    sign_p = (-1) ** (spec.p + spec.k) * spec.p
-    weights = [(math.comb(n, i) * sign_p * r, spec.k * lcm**i) for i, r in enumerate(rational[: n + 1])]
+    n, gcd = p - 1, math.gcd
+    sign_p = (-1) ** (p + k) * p
+    weights = []
+    for i, (num, den) in enumerate(_rational_row(n, k)[: n + 1]):
+        c = math.comb(n, i) * sign_p
+        g = gcd(c, k)
+        c, d = c // g, k // g
+        g1, g2 = gcd(c, den), gcd(num, d)
+        weights.append(((c // g1) * (num // g2), (d // g2) * (den // g1)))
     return graded_combination(weights, _constant_row(n, spec.scaled)[n::-1])
 
 

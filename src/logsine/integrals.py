@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
 from operator import add, mul, neg, sub
@@ -95,36 +94,31 @@ def _row_angle(form: str, z: str | float) -> str:
     return rows[z]
 
 
-@dataclass(frozen=True)
-class IntegralSpec:
+class IntegralSpec(namedtuple("IntegralSpec", "n p z form")):
     """Request for integral of x^n log^p(sin x) dx (form 'logsin') or the
     normalized log-sine integral (form 'ls') over (0, z)."""
 
-    n: int
-    p: int
-    z: str | float
-    form: str = "logsin"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 0 or self.p < 0:
+    def __new__(cls, n: int, p: int, z: str | float, form: str = "logsin"):
+        if not isinstance(n, int) or not isinstance(p, int):
+            name, value = ("p", p) if isinstance(n, int) else ("n", n)
+            raise ValueError(f"{name} must be an int, got {value!r}")
+        if n < 0 or p < 0:
             raise ValueError("n and p must be >= 0")
-        if self.form not in FORMS:
+        if form not in FORMS:
             raise ValueError(f"form must be {' or '.join(map(repr, FORMS))}")
-        form = FORMS[self.form]
-        if not 0 < angle_value(self.z) <= form.top + 1e-12:
-            raise ValueError(f"z must lie in (0, {form.top_text}] for form {self.form!r}")
+        if not 0 < angle_value(z) <= FORMS[form].top + 1e-12:
+            raise ValueError(f"z must lie in (0, {FORMS[form].top_text}] for form {form!r}")
+        return tuple.__new__(cls, (n, p, z, form))
 
 
-@dataclass
-class ClosedFormResult:
+class ClosedFormResult(namedtuple("ClosedFormResult", "value numeric error reason", defaults=(None, None))):
     """Outcome of a closed-form request: exact symbolic value, or a numeric
     fallback with an error estimate and the reason symbolic reduction was
     not possible."""
 
-    value: SymbolicValue | None
-    numeric: float
-    error: float | None = None
-    reason: str | None = None
+    __slots__ = ()
 
     @property
     def exact(self) -> bool:
@@ -145,20 +139,23 @@ def sine_power_moment_exact(n: int, m: int, z: str) -> SymbolicValue:
     4^{-m} binom(2m, m+k).  The k-sum truncates at k = m because
     binom(2m, m+k) vanishes beyond it, so the value is an exact rational
     combination of pi powers: one pass of :func:`pi_power_combination` over the
-    weight triples and the k-sums as int pairs, at the scale 4^{-m}.
+    weight triples and the cached k-sums of :func:`_moment_ksum`, at the scale 4^{-m}.
     """
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
     central, weights = _case_weights(n, _row_angle("logsin", z))
-    lcm = math.lcm(*range(1, m + 1))
-    row = [math.comb(2 * m, m + k) for k in range(1, m + 1)]
-    signed = [-c if k % 2 else c for k, c in enumerate(row, 1)]
-    ksums = []  # each k-sum as one unreduced int pair over lcm(k^pow) = lcm(1..m)^pow
-    for _, alt, pow_ in weights:
-        top = lcm**pow_
-        ksums.append((sum(c * (top // k**pow_) for k, c in enumerate(signed if alt else row, 1)), top))
+    ksums = [_moment_ksum(m, alt, pow_) for _, alt, pow_ in weights]
     return pi_power_combination([central, *(coef for coef, _, _ in weights)],
                                 [(math.comb(2 * m, m), 1), *ksums], (1, 4**m))
+
+
+@lru_cache(maxsize=None)
+def _moment_ksum(m: int, alt: bool, pow_: int) -> tuple[int, int]:
+    """sum_{k<=m} (-1)^{k*alt} binom(2m, m+k) / k^pow as one unreduced int pair over
+    lcm(k^pow) = lcm(1..m)^pow; every n and both angles read it."""
+    top = math.lcm(*range(1, m + 1)) ** pow_
+    return sum(math.comb(2 * m, m + k) * (top // k**pow_) * (-1 if alt and k % 2 else 1)
+               for k in range(1, m + 1)), top
 
 
 def sine_power_moment_numeric(n: int, m: int, z: float) -> float:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, islice, repeat
 from operator import add, mul
@@ -34,15 +34,15 @@ from typing import Callable, Iterable, NamedTuple
 from .specialfn import bernoulli
 
 
-@dataclass(frozen=True)
-class NumericConfig:
+class NumericConfig(namedtuple("NumericConfig", "target_abs_tol")):
     """The target absolute accuracy of the numeric kernels."""
 
-    target_abs_tol: float = 1e-10
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0 < self.target_abs_tol < math.inf:  # a nan fails too
-            raise ValueError(f"the tolerance must be finite and > 0, got {self.target_abs_tol}")
+    def __new__(cls, target_abs_tol: float = 1e-10):
+        if not 0 < target_abs_tol < math.inf:  # a nan fails too
+            raise ValueError(f"the tolerance must be finite and > 0, got {target_abs_tol}")
+        return tuple.__new__(cls, (target_abs_tol,))
 
 
 DEFAULT_CONFIG = NumericConfig()

@@ -276,21 +276,20 @@ def linear_combination(weights, values, scale: RationalLike = 1) -> SymbolicValu
 
 
 def graded_combination(weights, values) -> SymbolicValue:
-    """sum_i w_i v_i for int-pair weights (num, den), den > 0, not necessarily reduced, over
-    values no two of which share a monomial, as homogeneous values of distinct weights never
-    do (pi and log 2 weigh 1, zeta(j) and zb1(j) weigh j).  Each coefficient is then one
-    product, written out with no sum: each weight is reduced once, and its product with a
-    reduced coefficient num/den is cross-reduced (Knuth, TAOCP vol. 2, section 4.5.1), with
-    g1 = gcd(w_num, den) and g2 = gcd(num, w_den), (w_num/g1)(num/g2) over (w_den/g2)(den/g1),
-    two gcds of the factors in place of the accumulator's one of their product.  Values that
-    share a monomial raise ValueError."""
+    """sum_i w_i v_i for reduced int-pair weights (num, den), den > 0, over values no two of
+    which share a monomial, as homogeneous values of distinct weights never do (pi and log 2
+    weigh 1, zeta(j) and zb1(j) weigh j).  Each coefficient is then one product, written out
+    with no sum: a weight's product with a reduced coefficient num/den is cross-reduced (Knuth,
+    TAOCP vol. 2, section 4.5.1), with g1 = gcd(w_num, den) and g2 = gcd(num, w_den),
+    (w_num/g1)(num/g2) over (w_den/g2)(den/g1), two gcds of the factors in place of the
+    accumulator's one of their product.  A weight that is not reduced gives a coefficient
+    that is not either.  Values that share a monomial raise ValueError."""
     gcd = math.gcd
     terms: dict[tuple, tuple[int, int]] = {}
     size = 0
     for (wn, wd), value in zip(weights, values):
         if not wn:
             continue
-        wn, wd = _reduced(wn, wd)
         for mono, (num, den) in value._terms.items():
             g1, g2 = gcd(wn, den), gcd(num, wd)
             terms[mono] = ((wn // g1) * (num // g2), (wd // g2) * (den // g1))

@@ -10,37 +10,29 @@ stable; output ordering is deterministic (sorted by id).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from . import bell, binomderiv, integrals, numerics, specialfn
 from .numerics import DEFAULT_CONFIG, NumericConfig
 from .symbolic import eval_numeric, sym_log2, sym_zeta
 
 
-@dataclass
-class IdentityResult:
-    id: str
-    group: str
-    exact: str | None
-    numeric: float
-    oracle: float
-    abs_err: float
-    tol: float
-    status: str
+class IdentityResult(namedtuple("IdentityResult", "id group exact numeric oracle abs_err tol status")):
+    """One checked row: the exact text or None, the value, the oracle, their gap, the
+    tolerance and "pass" or "fail"."""
+
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:  # a float row has no exact text and no "exact" key
-        return {key: value for key, value in vars(self).items() if value is not None}
+        return {key: value for key, value in self._asdict().items() if value is not None}
 
 
-@dataclass
-class Check:
-    id: str
-    group: str
-    run: Callable[[NumericConfig], IdentityResult]
+# a row of the registry: run(cfg) computes its IdentityResult
+Check = namedtuple("Check", "id group run")
 
 
 def _check(ident, group, tol, compute, exact=None) -> Check:

@@ -414,13 +414,13 @@ class TestRationalRow:
 
     def test_a_row_is_a_prefix_of_every_longer_row(self):
         _rational_row.cache_clear()
-        lcm, short = _rational_row(3, 4)
-        lcm_longer, longer = _rational_row(9, 4)
+        short, lcm = _rational_row(3, 4), binomderiv._rational_rows[4][0]
+        longer, lcm_longer = _rational_row(9, 4), binomderiv._rational_rows[4][0]
         assert lcm == lcm_longer == 12
         assert longer[: len(short)] == short and len(longer) == 10
-        assert _rational_row(2, 4)[1] is longer  # a shorter request reads the stored row
+        assert _rational_row(2, 4) is longer  # a shorter request reads the stored row
         fresh = complete_bell_all([_xi_rational(j, 4) for j in range(1, 10)], Fraction(1))
-        assert [Fraction(b, lcm**i) for i, b in enumerate(longer)] == fresh
+        assert [Fraction(*b) for b in longer] == fresh
 
     def test_the_integer_sequence_is_the_harmonic_number_form(self):
         # r_j(k) = (j-1)!/k^j + 2 (j-1)! H_{k-1}^{(j)} [j odd], by Fractions
@@ -435,13 +435,26 @@ class TestRationalRow:
         # B_i(L s_1, L^2 s_2, ...) = L^i B_i(s), L = lcm(1..k), over integers r_j(k) L^j
         _rational_row.cache_clear()
         for k in k_values:
-            lcm, row = _rational_row(n, k)
+            _rational_row(n, k)
+            lcm, _, row, _ = binomderiv._rational_rows[k]
             assert lcm == math.lcm(*range(1, k + 1))
             seq = [_xi_rational(j, k) for j in range(1, n + 1)]
             assert all((r * lcm**j).denominator == 1 for j, r in enumerate(seq, 1)), k
             fresh = complete_bell_all(seq, Fraction(1))
             assert all(type(b) is int for b in row) and len(row) == n + 1
             assert [Fraction(b, lcm**i) for i, b in enumerate(row)] == fresh, k
+
+    def test_each_cached_entry_is_the_integer_entry_over_its_lcm_power_reduced(self):
+        # the reduced pairs that shifted_binom_deriv reads, grown in steps as requests ask
+        _rational_row.cache_clear()
+        for k in range(1, 61):
+            for n in (3, 11, 20):
+                reduced = _rational_row(n, k)
+            lcm, _, row, stored = binomderiv._rational_rows[k]
+            assert reduced is stored and len(reduced) == len(row) == 21
+            for i, (num, den) in enumerate(reduced):
+                want = Fraction(row[i], lcm**i)
+                assert (type(num), type(den), num, den) == (int, int, want.numerator, want.denominator), (k, i)
 
 
 class TestConstantRow:
@@ -482,9 +495,9 @@ class TestGradedProduct:
         for p in range(1, 15):
             n = p - 1
             for k in range(1, 31):
-                lcm, rational = _rational_row(n, k)
+                rational = _rational_row(n, k)
                 sign_p = (-1) ** (p + k) * p
-                weights = [(math.comb(n, i) * sign_p * r, k * lcm**i) for i, r in enumerate(rational[: n + 1])]
+                weights = [(math.comb(n, i) * sign_p * num, k * den) for i, (num, den) in enumerate(rational[: n + 1])]
                 want = linear_combination(weights, _constant_row(n, scaled)[n::-1])
                 got = shifted_binom_deriv(DerivSpec(p, k, scaled))
                 assert got._terms == want._terms, (p, k)  # the same reduced pairs

@@ -459,6 +459,13 @@ def test_a_fresh_run_exits_in_time_with_its_output(argv, code, seconds, want):
     assert want is None or (out == want if isinstance(want, str) else all(piece in out for piece in want))
 
 
+def test_the_cli_imports_neither_dataclasses_nor_the_verify_suite():
+    # every CLI call is cold, so what it imports it pays for: the value types are namedtuple
+    # classes, and only verify-paper loads the suite
+    program = "import sys, logsine.cli; print(sorted({'dataclasses', 'logsine.verify'} & set(sys.modules)))"
+    assert run_fresh(program, timeout=10).stdout == "[]\n"
+
+
 class TestBellCommand:
     def test_bell_number(self, capsys):
         code, out = run_cli(capsys, "bell", "--seq", "1,1,1,1,1")

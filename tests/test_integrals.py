@@ -62,7 +62,37 @@ def _add_loop_moment(n, m, z):
     return want
 
 
+@lru_cache(maxsize=None)
+def _fraction_moment_text(n, m, z):
+    """The text of the integral of x^n sin^{2m} x over (0, z), z = pi or pi/2, re-derived in
+    Fractions from sin^{2m} x = 4^{-m} (C(2m, m) + 2 sum_k (-1)^k C(2m, m+k) cos 2kx) and the
+    antiderivative sum_j n!/(n-j)! x^{n-j} sin(ax + j pi/2) / a^{j+1} of x^n cos ax: at
+    a = 2k, sin(2kz + j pi/2) is (-1)^{k [z = pi/2]} times sin(j pi/2)."""
+    half, nfact = z == "pi/2", math.factorial(n)
+    scale = Fraction(1, 2) if half else Fraction(1)  # z = scale * pi
+    coef = {n + 1: Fraction(math.comb(2 * m, m), n + 1) * scale ** (n + 1)}  # pi power -> coefficient
+    for k in range(1, m + 1):
+        front = Fraction(2 * (-1) ** k * math.comb(2 * m, m + k))
+        for j in range(n + 1):
+            sine = (0, 1, 0, -1)[j % 4] * (-1) ** (k * half)
+            if sine:
+                term = front * sine * Fraction(nfact, math.factorial(n - j) * (2 * k) ** (j + 1)) * scale ** (n - j)
+                coef[n - j] = coef.get(n - j, 0) + term
+        coef[0] = coef.get(0, 0) - front * (0, 1, 0, -1)[n % 4] * Fraction(nfact, (2 * k) ** (n + 1))
+    return sum((sym_pi(e, c / 4**m) for e, c in coef.items() if c), SymbolicValue.zero()).text()
+
+
 class TestMomentsExact:
+    def test_texts_equal_a_fraction_rederivation_in_any_call_order(self):
+        # every n and both angles share the cached k-sums of m: the order that fills them must not matter
+        keys = [(n, m, z) for n in range(25) for m in range(16) for z in ("pi", "pi/2")]
+        shuffled = keys[:]
+        random.Random(7).shuffle(shuffled)
+        for order in (keys, keys[::-1], shuffled):
+            integrals._moment_ksum.cache_clear()
+            for n, m, z in order:
+                assert sine_power_moment_exact(n, m, z).text() == _fraction_moment_text(n, m, z), (n, m, z)
+
     def test_cubic_monomial(self):
         assert sine_power_moment_exact(2, 0, "pi") == sym_pi(3, Fraction(1, 3))
 
@@ -549,8 +579,8 @@ class TestQuadratureOracleAgainstMpmath:
     @pytest.mark.parametrize("form,token", [("logsin", "pi"), ("ls", "2pi")])
     def test_float_endpoint_folds_like_its_token(self, form, token, monkeypatch):
         # the folded pieces halve the caller's tolerance as a float: no config is built per call
-        built = []
-        monkeypatch.setattr(NumericConfig, "__post_init__", lambda cfg: built.append(cfg))
+        built, new = [], NumericConfig.__new__
+        monkeypatch.setattr(NumericConfig, "__new__", lambda cls, *args: built.append(args) or new(cls, *args))
         for n, p in ((0, 6), (3, 4), (5, 5)):
             by_token = quadrature_value(IntegralSpec(n, p, token, form=form))
             by_float = quadrature_value(IntegralSpec(n, p, integrals.angle_value(token), form=form))
@@ -1098,6 +1128,16 @@ class TestSpecValidation:
     def test_form_validation(self):
         with pytest.raises(ValueError):
             IntegralSpec(1, 1, "pi", form="other")
+
+    @pytest.mark.parametrize("args,message", [
+        ((2.0, 1, "pi"), "n must be an int, got 2.0"),
+        ((2, 1.5, 1.0), "p must be an int, got 1.5"),
+    ])
+    def test_n_and_p_must_be_ints(self, args, message):
+        # a float n once failed inside math.factorial, a float p as a complex log power
+        with pytest.raises(ValueError) as info:
+            IntegralSpec(*args)
+        assert str(info.value) == message
 
     def test_closed_form_rejects_two_pi(self):
         with pytest.raises(ValueError):

@@ -436,8 +436,9 @@ class TestPiPowerCombination:
 class TestGradedCombination:
     @given(st.lists(st.tuples(int_pairs, symbolic_values()), max_size=5))
     def test_values_with_no_shared_monomial_give_the_accumulator_pairs(self, pairs):
-        # pi's exponent is at most 4 in a drawn value, so pi^(5 i) keeps the values apart
-        weights = [w for w, _ in pairs]
+        # pi's exponent is at most 4 in a drawn value, so pi^(5 i) keeps the values apart;
+        # the weights are reduced, as graded_combination takes them
+        weights = [(n // math.gcd(n, d), d // math.gcd(n, d)) for (n, d), _ in pairs]
         values = [sym_pi(5 * i) * v for i, (_, v) in enumerate(pairs)]
         got = graded_combination(weights, values)
         assert got._terms == linear_combination(weights, values)._terms
