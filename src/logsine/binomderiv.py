@@ -41,6 +41,8 @@ class DerivSpec(namedtuple("DerivSpec", "p k scaled")):
             raise ValueError("shift k must be >= 0")
         return tuple.__new__(cls, (p, k, scaled))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
 
 LOG4 = sym_log2(1, 2)  # log 4 = 2 log 2
 

@@ -112,6 +112,8 @@ class IntegralSpec(namedtuple("IntegralSpec", "n p z form")):
             raise ValueError(f"z must lie in (0, {FORMS[form].top_text}] for form {form!r}")
         return tuple.__new__(cls, (n, p, z, form))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
 
 class ClosedFormResult(namedtuple("ClosedFormResult", "value numeric error reason", defaults=(None, None))):
     """Outcome of a closed-form request: exact symbolic value, or a numeric

@@ -44,6 +44,8 @@ class NumericConfig(namedtuple("NumericConfig", "target_abs_tol")):
             raise ValueError(f"the tolerance must be finite and > 0, got {target_abs_tol}")
         return tuple.__new__(cls, (target_abs_tol,))
 
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too
+
 
 DEFAULT_CONFIG = NumericConfig()
 
