@@ -1,11 +1,11 @@
 """Complete Bell polynomials over any commutative ring that supports Python
 ``+``, ``*`` and multiplication by int (Fractions, floats, SymbolicValues).
 
-Everything is built from two properties: the recurrence
-B_{m+1} = sum_i C(m, i) B_{m-i} s_{i+1} (:func:`complete_bell_all`), and the
-binomial identity over it, B_n(x + y) = sum_i C(n, i) B_i(x) B_{n-i}(y)
-(:func:`binomial_convolution` of two prefix rows).  :func:`complete_bell`
-splits off s_1, whose Bell row is its powers.  Binomial coefficients enter
+A Bell value is evaluated one way, by the recurrence
+B_{m+1} = sum_i C(m, i) B_{m-i} s_{i+1} (:func:`complete_bell_all`).  The binomial
+identity B_n(x + y) = sum_i C(n, i) B_i(x) B_{n-i}(y) (:func:`binomial_convolution`)
+only combines two such rows; over (s_1, 0, ..., 0) and (0, s_2, ..., s_n) it is the
+tests' independent check of :func:`complete_bell`.  Binomial coefficients enter
 only as integer scalars, so evaluation over exact rings stays exact.
 """
 
@@ -42,21 +42,12 @@ def binomial_convolution(x: Sequence, y: Sequence, n: int, one=1):
 
 
 def complete_bell(seq: Sequence, one=1):
-    """Complete Bell polynomial B_n(s_1, ..., s_n) of the whole sequence, by the
-    binomial identity over (s_1, 0, ..., 0) + (0, s_2, ..., s_n): the Bell row
-    of the first is the powers of s_1.  The empty sequence yields ``one``.
-    """
-    n = len(seq)
-    powers = [one]
-    for _ in range(n):
-        powers.append(powers[-1] * seq[0])
-    return binomial_convolution(powers, complete_bell_all([0 * one, *seq[1:]], one), n, one)
-
-
-def complete_bell_recurrence(seq: Sequence, one=1):
-    """B_n(s_1..s_n) by the classic recurrence; independent oracle for
-    :func:`complete_bell`."""
+    """Complete Bell polynomial B_n(s_1, ..., s_n) of the whole sequence, the last
+    value of :func:`complete_bell_all`.  The empty sequence yields ``one``."""
     return complete_bell_all(seq, one)[-1]
+
+
+complete_bell_recurrence = complete_bell  # the one evaluator's second, older name
 
 
 def bell_binomial_convolution(a: Sequence, b: Sequence, one=1):

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bell import binomial_convolution, complete_bell_all
-from .numerics import polygamma_real
+from .numerics import _refuse_non_int, polygamma_real
 from .specialfn import polygamma_int
 from .symbolic import SymbolicValue, _reduced, graded_combination, sym_log2, sym_pi
 
@@ -33,12 +33,13 @@ class DerivSpec(namedtuple("DerivSpec", "p k scaled")):
 
     def __new__(cls, p: int, k: int, scaled: bool = False):
         if not isinstance(p, int) or not isinstance(k, int):
-            name, value = ("k", k) if isinstance(p, int) else ("p", p)
-            raise ValueError(f"{name} must be an int, got {value!r}")
+            _refuse_non_int(p=p, k=k)
         if p < 0:
             raise ValueError("derivative order p must be >= 0")
         if k < 0:
             raise ValueError("shift k must be >= 0")
+        if scaled not in (False, True):  # "False" would be truthy and key a row of its own
+            raise ValueError(f"scaled must be False or True, got {scaled!r}")
         return tuple.__new__(cls, (p, k, scaled))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace validates too

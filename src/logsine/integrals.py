@@ -38,12 +38,7 @@ from itertools import repeat
 from operator import add, mul, neg, sub
 
 from .binomderiv import _constant_row
-from .numerics import (
-    DEFAULT_CONFIG,
-    NumericConfig,
-    _tanh_sinh,
-    zeta_numeric,
-)
+from .numerics import DEFAULT_CONFIG, NumericConfig, _refuse_non_int, _tanh_sinh, zeta_numeric
 from .specialfn import alt_euler_sum_H, eta_value, euler_sum_H
 from .symbolic import (
     SymbolicValue,
@@ -102,8 +97,7 @@ class IntegralSpec(namedtuple("IntegralSpec", "n p z form")):
 
     def __new__(cls, n: int, p: int, z: str | float, form: str = "logsin"):
         if not isinstance(n, int) or not isinstance(p, int):
-            name, value = ("p", p) if isinstance(n, int) else ("n", n)
-            raise ValueError(f"{name} must be an int, got {value!r}")
+            _refuse_non_int(n=n, p=p)
         if n < 0 or p < 0:
             raise ValueError("n and p must be >= 0")
         if form not in FORMS:
@@ -143,6 +137,8 @@ def sine_power_moment_exact(n: int, m: int, z: str) -> SymbolicValue:
     combination of pi powers: one pass of :func:`pi_power_combination` over the
     weight triples and the cached k-sums of :func:`_moment_ksum`, at the scale 4^{-m}.
     """
+    if not isinstance(n, int) or not isinstance(m, int):
+        _refuse_non_int(n=n, m=m)
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
     central, weights = _case_weights(n, _row_angle("logsin", z))
@@ -163,6 +159,8 @@ def _moment_ksum(m: int, alt: bool, pow_: int) -> tuple[int, int]:
 def sine_power_moment_numeric(n: int, m: int, z: float) -> float:
     """Integral of x^n sin^{2m}(x) over (0, z) by the finite trigonometric
     expansion, each sum correctly rounded by math.fsum."""
+    if not isinstance(n, int) or not isinstance(m, int):
+        _refuse_non_int(n=n, m=m)
     if n < 0 or m < 0:
         raise ValueError("n and m must be >= 0")
     z = float(z)
@@ -554,6 +552,8 @@ def log_sine_any_angle(p: int, z: float) -> tuple[float, float]:
     A value that is not a finite double raises OverflowError, and so does a series
     whose powers of log z (of log(2pi - z) past pi) pass binary64.
     """
+    if not isinstance(p, int):
+        _refuse_non_int(p=p)
     if p < 1:
         raise ValueError("p must be >= 1")
     if not 0 < z <= FORMS["ls"].top + 1e-12:

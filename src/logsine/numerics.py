@@ -28,6 +28,7 @@ from array import array
 from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, islice, repeat
+from numbers import Real
 from operator import add, mul
 from typing import Callable, Iterable, NamedTuple
 
@@ -40,6 +41,8 @@ class NumericConfig(namedtuple("NumericConfig", "target_abs_tol")):
     __slots__ = ()
 
     def __new__(cls, target_abs_tol: float = 1e-10):
+        if not isinstance(target_abs_tol, (float, Real)):  # a float skips the slower ABC check
+            raise ValueError(f"target_abs_tol must be a real number, got {target_abs_tol!r}")
         if not 0 < target_abs_tol < math.inf:  # a nan fails too
             raise ValueError(f"the tolerance must be finite and > 0, got {target_abs_tol}")
         return tuple.__new__(cls, (target_abs_tol,))
@@ -48,6 +51,12 @@ class NumericConfig(namedtuple("NumericConfig", "target_abs_tol")):
 
 
 DEFAULT_CONFIG = NumericConfig()
+
+
+def _refuse_non_int(**values) -> None:
+    """Raise the ValueError that names the first of ``values`` that is not an int."""
+    name, value = next(item for item in values.items() if not isinstance(item[1], int))
+    raise ValueError(f"{name} must be an int, got {value!r}")
 
 
 class QuadratureError(RuntimeError):

@@ -146,7 +146,6 @@ def alt_euler_sum_H(n: int) -> SymbolicValue:
     )
 
 
-@lru_cache(maxsize=None)
 def zeta_bar1_numeric(n: int) -> float:
     """zb1(n) = sum_{k>=2} (-1)^k H_{k-1} / k^n for odd n >= 3, correctly rounded.
 

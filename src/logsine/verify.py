@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -85,7 +84,6 @@ def _worst(gaps_of):
     return compute
 
 
-@lru_cache(maxsize=None)
 def _delta_exact(j: int, m: float, k: int) -> float:
     """delta_j(m) for shift k at m = 1/2 or 3/2, from exact values: ``polygamma_int`` at 2m + 1,
     and at x = N + 1/2, with O_s = sum_{i=1}^N (2i - 1)^-s, psi^(j-1)(x) = (-1)^j (j-1)! ((2^j - 1)

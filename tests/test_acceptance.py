@@ -315,9 +315,9 @@ def test_criterion_10_property_suites():
 
     for n in range(0, 11):
         seq = [_random_fraction(rng) for _ in range(n)]
-        if complete_bell(seq, one=Fraction(1)) != complete_bell_recurrence(
-            seq, one=Fraction(1)
-        ):
+        # the binomial identity over (s_1, 0, ..., 0) + (0, s_2, ..., s_n)
+        first, rest = [*seq[:1], *(0 * s for s in seq[1:])], [*(0 * s for s in seq[:1]), *seq[1:]]
+        if complete_bell(seq, one=Fraction(1)) != bell_binomial_convolution(first, rest, one=Fraction(1)):
             failures.append(f"dual Bell recursion mismatch at n={n}")
 
     for _ in range(5):

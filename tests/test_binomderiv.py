@@ -475,6 +475,14 @@ class TestConstantRow:
         _constant_row.cache_clear()  # as TestConcurrentDerivatives clears it
         assert not binomderiv._constant_rows
 
+    def test_an_int_flag_reads_the_row_of_its_bool(self):
+        # 0 and 1 pass as their bools; a truthy str such as "False" is refused (test_value_types)
+        _constant_row.cache_clear()
+        for flag, same in ((0, False), (1, True)):
+            assert shifted_binom_deriv(DerivSpec(2, 1, flag)) == shifted_binom_deriv(DerivSpec(2, 1, same))
+        assert set(binomderiv._constant_rows) == {False, True}
+        _constant_row.cache_clear()
+
 
 def _weight(mono) -> int:
     # pi and log 2 weigh 1, zeta(j) and zb1(j) weigh j

@@ -8,6 +8,7 @@ benchmark's any-angle and quadrature grids, each from a fresh interpreter."""
 import contextlib
 import hashlib
 import io
+from pathlib import Path
 
 import pytest
 
@@ -119,6 +120,12 @@ specs = [IntegralSpec(n, p, z if z in ("pi/2", "pi", "2pi") else float(z), form=
 sys.stdout.write("\n".join(map(outcome, specs)))
 """
 
+# the table script, run as a program
+REPRODUCE_TABLES = f"""
+import runpy
+runpy.run_path({str(Path(__file__).resolve().parents[1] / "scripts" / "reproduce_tables.py")!r}, run_name="__main__")
+"""
+
 
 @pytest.mark.parametrize("args,seconds,digest", [
     # 29,074 terms scaled and 4,053 unscaled
@@ -128,10 +135,15 @@ sys.stdout.write("\n".join(map(outcome, specs)))
      "7a98d587e6232cd0df52237e6e7e9c9a12f3c736ea4f6f505e58f02e670547fe"),
     (ANY_ANGLE_BITS, 10, "831bcc6f202e74e68b091ba815d80cf80d1e4be78fd3e74d6ed1a23cb7615021"),
     (ORACLE_GRID_BITS, 60, "38e27bc1ba7a331de4beb69bc09ca3483b65b8bd0c2ab6474e79b80cbe1d307b"),
-], ids=["binom-deriv-scaled", "binom-deriv", "any-angle", "oracle-grid"])
+    (["verify-paper"], 60, "1eeb62bac5f3c04e4b731116f94996f3adb528d2187ba2cf7416c03daaaa2b20"),
+    (["verify-paper", "--json"], 60, "5ae603e03a1eadfdabc0183cc3422b498ee4f4de4822970ad9676231be49fa7a"),
+    (REPRODUCE_TABLES, 60, "16ccc9af520b2bcf2729c7797935fe439839f2e8a908938b22f16f7e379e346f"),
+], ids=["binom-deriv-scaled", "binom-deriv", "any-angle", "oracle-grid", "verify-paper", "verify-paper-json",
+        "reproduce-tables"])
 def test_a_fresh_output_matches_its_digest(args, seconds, digest):
     """Largest binom-deriv order and shift run in time, the next ones are refused
     Any-angle values keep their bits on the benchmark's series grid and at seeded angles
-    The oracle grid keeps its bits, and the log-sine form answers within 1e-13 of 2pi and at a subnormal angle"""
+    The oracle grid keeps its bits, and the log-sine form answers within 1e-13 of 2pi and at a subnormal angle
+    verify-paper and the reference tables print the same bytes on every Python the CI runs"""
     out = run_fresh(args, timeout=seconds).stdout
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1219,11 +1219,23 @@ def test_exact_sine_moments_take_the_angles_of_the_logsin_form():
     # a float n once failed inside math.factorial, a float p as a complex log power
     (lambda: IntegralSpec(2.0, 1, "pi"), "n must be an int, got 2.0"),
     (lambda: IntegralSpec(2, 1.5, 1.0), "p must be an int, got 1.5"),
-], ids=["logsin-past-pi", "ls-past-2pi", "ls-at-0", "unknown-form", "any-angle-past-2pi", "float-n", "float-p"])
+    # these once failed deep inside with "'float' object cannot be interpreted as an integer"
+    (lambda: log_sine_any_angle(2.5, 1.0), "p must be an int, got 2.5"),
+    (lambda: sine_power_moment_exact(2.0, 1, "pi"), "n must be an int, got 2.0"),
+    (lambda: sine_power_moment_exact(2, 1.0, "pi"), "m must be an int, got 1.0"),
+    (lambda: sine_power_moment_numeric(2, 1.5, 1.0), "m must be an int, got 1.5"),
+], ids=["logsin-past-pi", "ls-past-2pi", "ls-at-0", "unknown-form", "any-angle-past-2pi", "float-n", "float-p",
+        "any-angle-float-p", "moment-float-n", "moment-float-m", "numeric-moment-float-m"])
 def test_out_of_range_messages_are_unchanged(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_a_bool_order_passes_as_its_int():
+    assert log_sine_any_angle(True, 1.0) == log_sine_any_angle(1, 1.0)
+    assert sine_power_moment_exact(2, True, "pi") == sine_power_moment_exact(2, 1, "pi")
+    assert sine_power_moment_numeric(False, True, 1.0) == sine_power_moment_numeric(0, 1, 1.0)
 
 
 def test_the_log_sine_factor_at_the_least_double_is_log_x():

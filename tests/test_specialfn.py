@@ -232,7 +232,6 @@ class TestZetaBar1Cut:
             raise AssertionError("a series was summed past the cut")
 
         monkeypatch.setattr(numerics, "_alternating_double", refuse)
-        zeta_bar1_numeric.cache_clear()
         for n in (95, 1073, 1075, 999_999_999):
             assert zeta_bar1_numeric(n) == 0.5**n, n
         assert zeta_bar1_numeric(1073) == 2.0**-1073 and zeta_bar1_numeric(1075) == 0.0

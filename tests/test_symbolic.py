@@ -80,6 +80,18 @@ class TestRingLaws:
         assert a + SymbolicValue.zero() == a
         assert a * SymbolicValue.one() == a
 
+    @given(symbolic_values(), st.sampled_from([3, Fraction(1, 2), Fraction(-7, 3)]))
+    def test_a_rational_minus_a_value_negates_the_value_minus_it(self, a, q):
+        assert q - a == -(a - q)
+        assert_canonical(q - a)
+
+    def test_a_float_operand_is_refused_on_either_side(self):
+        v = sym_pi(2, Fraction(1, 6)) + 3
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            for left, right in ((v, 1.5), (1.5, v)):
+                with pytest.raises(TypeError):
+                    op(left, right)
+
     @given(symbolic_values())
     def test_normalization_idempotent(self, a):
         rebuilt = SymbolicValue(a.terms)

@@ -31,6 +31,8 @@ TYPES = {
         "DerivSpec(p=3, k=2, scaled=False)",
         [(lambda: DerivSpec(3.0, 2), "p must be an int, got 3.0"),
          (lambda: DerivSpec(3, 2.5), "k must be an int, got 2.5"),
+         (lambda: DerivSpec(2, 1, "False"), "scaled must be False or True, got 'False'"),
+         (lambda: DerivSpec(2, 1, None), "scaled must be False or True, got None"),
          (lambda: DerivSpec(3, None), "k must be an int, got None"),
          (lambda: DerivSpec(-1, 2), "derivative order p must be >= 0"),
          (lambda: DerivSpec(3, -2), "shift k must be >= 0")],
@@ -38,7 +40,9 @@ TYPES = {
     "NumericConfig": (
         NumericConfig, (), {}, {"target_abs_tol": 1e-10}, ("target_abs_tol", 1e-8),
         "NumericConfig(target_abs_tol=1e-10)",
-        [(lambda: NumericConfig(0.0), "the tolerance must be finite and > 0, got 0.0"),
+        [(lambda: NumericConfig("1e-3"), "target_abs_tol must be a real number, got '1e-3'"),
+         (lambda: NumericConfig(1j), "target_abs_tol must be a real number, got 1j"),
+         (lambda: NumericConfig(0.0), "the tolerance must be finite and > 0, got 0.0"),
          (lambda: NumericConfig(-1e-3), "the tolerance must be finite and > 0, got -0.001"),
          (lambda: NumericConfig(math.inf), "the tolerance must be finite and > 0, got inf"),
          (lambda: NumericConfig(target_abs_tol=math.nan), "the tolerance must be finite and > 0, got nan")],
